@@ -11,9 +11,12 @@
 //      parameters (the FixedOrderTreeReducer contract);
 //   2. source invariance — the in-core reader over the materialized
 //      rows must fit bitwise identically to the streamed reader.
-// At default/full scale the bench additionally CHECKs that peak RSS
-// stays far below the in-core footprint of the streamed sample — the
-// "bounded by shard size, not n x d" acceptance criterion.
+// Worker lanes then fit one pass over the big stream at shard workers
+// {1, 2, 4}, recording rows/s and each lane's own peak RSS, and CHECK
+// the peak against a bound derived from the resources it measures:
+// base + workers x (lane arena + one wave's chunks), computed from
+// shard rows and layer widths (PerWorkerBoundMb) — peak memory grows
+// with shard size and worker count, never with n x d.
 //
 // Precision lanes: the streamed column-moment + HSIC-RFF pass runs
 // once per tier (f64, then f32 block staging) with the kernel's
@@ -27,7 +30,6 @@
 #include <malloc.h>
 #include <sys/resource.h>
 
-#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
@@ -68,18 +70,20 @@ bool ResetPeakRss() {
   return f.good();
 }
 
-// VmHWM (peak resident set since the last watermark reset) in MiB, or
-// -1 when /proc/self/status is unavailable.
-double VmHwmMb() {
+// A KiB field of /proc/self/status in MiB, or -1 when unavailable.
+double ProcStatusMb(const std::string& field) {
   std::ifstream f("/proc/self/status");
   std::string line;
   while (std::getline(f, line)) {
-    if (line.rfind("VmHWM:", 0) == 0) {
-      return std::stod(line.substr(6)) / 1024.0;  // value is in KiB
+    if (line.rfind(field, 0) == 0) {
+      return std::stod(line.substr(field.size())) / 1024.0;
     }
   }
   return -1.0;
 }
+
+// VmHWM: peak resident set since the last watermark reset.
+double VmHwmMb() { return ProcStatusMb("VmHWM:"); }
 
 /// Pins SBRL_PRECISION for the lifetime of the object (restoring the
 /// previous state on destruction) so each lane runs the tier it is
@@ -114,6 +118,39 @@ ShardedTrainerConfig TrainerConfig(const Scale& scale, int64_t iterations) {
   config.iterations = iterations;
   config.seed = 1234;
   return config;
+}
+
+// MiB of one streamed chunk or wave block: (d + 3) doubles per row
+// (x, y, mu0, mu1) plus the treatment int.
+double BlockMb(int64_t rows, int64_t d) {
+  return static_cast<double>(rows) *
+         (static_cast<double>(d + 3) * sizeof(double) + sizeof(int)) /
+         (1024.0 * 1024.0);
+}
+
+// Resident MiB one shard worker may add to a fit pass, derived from the
+// shard shape and the TARNet layer widths (one representation stack,
+// two outcome heads):
+//  - its lane arena: a tape holds about (d + 2 x the summed layer
+//    widths) doubles per row — the input copy plus each layer's affine
+//    output and activation — given 25% headroom for loss columns and
+//    operand copies. The lane's MatrixPool owns at most 3x that: the
+//    tape in flight plus a free list capped at twice the demand
+//    (tensor/pool.h);
+//  - one wave's chunks: the block it fills and the chunk the reader
+//    prefetched behind it;
+//  - 50% allocator slack on the whole: storage the pool drops returns
+//    to per-thread malloc arenas rather than to the OS.
+double PerWorkerBoundMb(const ShardedTrainerConfig& config, int64_t d,
+                        int64_t shard_rows) {
+  const NetworkConfig& net = config.network;
+  const double widths =
+      static_cast<double>(net.rep_layers * net.rep_width +
+                          2 * net.head_layers * net.head_width);
+  const double tape_mb = 1.25 * (static_cast<double>(d) + 2.0 * widths) *
+                         static_cast<double>(shard_rows) * sizeof(double) /
+                         (1024.0 * 1024.0);
+  return 1.5 * (3.0 * tape_mb + 2.0 * BlockMb(shard_rows, d));
 }
 
 std::vector<Matrix> FitParams(const SyntheticModel& model, int64_t rows,
@@ -250,7 +287,52 @@ int Main() {
         << "f32 staging did not cut the streamed-stats peak RSS";
   }
 
-  const double rss_before_mb = PeakRssMb();
+  // ---- Worker lanes: fit rows/s and peak RSS per shard-worker count. ----
+  // One pass per lane over the big stream, each with its own
+  // watermark reset, so the peaks are the lanes' own.
+  // The peak must stay under the memory the lane's workers account for
+  // on top of the resident set it started from and the reader's own
+  // chunk buffer: base + workers x PerWorkerBoundMb.
+  struct WorkerLane {
+    int64_t workers = 0;
+    double rows_per_sec = 0.0;
+    double peak_mb = -1.0;
+    double bound_mb = -1.0;
+  };
+  std::vector<WorkerLane> lanes;
+  for (const int64_t workers : {1, 2, 4}) {
+    ShardedTrainerConfig lane_config = TrainerConfig(scale, /*iterations=*/1);
+    lane_config.sharding.shard_rows = shard_rows;
+    lane_config.sharding.workers = workers;
+    SyntheticBlockReader lane_reader(&model, big_rows, /*rho=*/1.0,
+                                     /*env_seed=*/42, shard_rows);
+    WorkerLane lane;
+    lane.workers = workers;
+    malloc_trim(0);
+    const bool reset = ResetPeakRss();
+    const double base_mb = ProcStatusMb("VmRSS:");
+    ShardedTrainer lane_trainer(lane_config, d);
+    ShardedTrainDiagnostics lane_diag;
+    const Status lane_trained = lane_trainer.Train(lane_reader, &lane_diag);
+    SBRL_CHECK(lane_trained.ok()) << lane_trained.ToString();
+    lane.rows_per_sec = lane_diag.rows_per_second;
+    std::cerr << "worker lane " << workers << ": "
+              << FormatDouble(lane.rows_per_sec, 0) << " rows/s";
+    if (reset && base_mb >= 0.0) {
+      lane.peak_mb = VmHwmMb();
+      lane.bound_mb =
+          base_mb + BlockMb(shard_rows, d) +
+          static_cast<double>(workers) *
+              PerWorkerBoundMb(lane_config, d, shard_rows);
+      std::cerr << ", peak " << FormatDouble(lane.peak_mb, 1)
+                << " MiB (bound " << FormatDouble(lane.bound_mb, 1) << ")";
+      SBRL_CHECK_LT(lane.peak_mb, lane.bound_mb)
+          << "peak RSS at " << workers
+          << " shard workers exceeds what its workers account for";
+    }
+    std::cerr << "\n";
+    lanes.push_back(lane);
+  }
 
   ShardedTrainerConfig config = TrainerConfig(scale, iterations);
   config.sharding.shard_rows = shard_rows;
@@ -282,20 +364,8 @@ int Main() {
   const double hsic_seconds = hsic_timer.ElapsedSeconds();
 
   const double rss_after_mb = PeakRssMb();
-  // What the same sample would cost fully materialized: (d + 3)
-  // doubles per row (x, y, mu0, mu1) plus the treatment int.
-  const double incore_mb =
-      static_cast<double>(big_rows) *
-      (static_cast<double>(d + 3) * sizeof(double) + sizeof(int)) /
-      (1024.0 * 1024.0);
-  if (scale.name != "smoke") {
-    // Acceptance: out-of-core peak RSS bounded by shard size, not
-    // n x d. The full in-core sample alone would add ~incore_mb (and
-    // the old loader peaked at ~2x that); half of it is a generous
-    // ceiling for process base + shards + model.
-    SBRL_CHECK_LT(rss_after_mb, std::max(96.0, 0.5 * incore_mb))
-        << "peak RSS not bounded by shard size";
-  }
+  // What the same sample would cost fully materialized.
+  const double incore_mb = BlockMb(big_rows, d);
 
   // ---- f32 block-staging fit lane (the opt-in trainer tier). ----
   // One pass is enough to record the tier's throughput; the fitted
@@ -323,6 +393,14 @@ int Main() {
   table.AddRow({"streamed ATE", FormatDouble(*ate, 4)});
   table.AddRow({"HSIC_RFF(V0, Y)", FormatDouble(*hsic_vy, 6)});
   table.AddRow({"f32 fit rows/sec", FormatDouble(diag32.rows_per_second, 0)});
+  for (const WorkerLane& lane : lanes) {
+    const std::string w = std::to_string(lane.workers);
+    table.AddRow({"fit rows/sec, " + w + " shard workers",
+                  FormatDouble(lane.rows_per_sec, 0)});
+    table.AddRow({"peak RSS MiB, " + w + " shard workers (bound)",
+                  FormatDouble(lane.peak_mb, 1) + " (" +
+                      FormatDouble(lane.bound_mb, 1) + ")"});
+  }
   table.AddRow({"stats peak f64 MiB", FormatDouble(stats_peak[0], 1)});
   table.AddRow({"stats peak f32 MiB", FormatDouble(stats_peak[1], 1)});
   table.Print(std::cout);
@@ -332,7 +410,6 @@ int Main() {
   json.Record("large_n/fit_seconds", fit_seconds);
   json.Record("large_n/rows_per_sec", diag.rows_per_second);
   json.Record("large_n/peak_rss_mb", rss_after_mb);
-  json.Record("large_n/rss_before_fit_mb", rss_before_mb);
   json.Record("large_n/incore_equiv_mb", incore_mb);
   json.Record("large_n/hsic_seconds", hsic_seconds);
   // Precision lanes. The staged-wave byte counts are analytic — the
@@ -354,6 +431,15 @@ int Main() {
   json.Record("large_n/stats_wave_mb_f32",
               wave_doubles * sizeof(float) / (1024.0 * 1024.0));
   json.Record("large_n/f32_fit_rows_per_sec", diag32.rows_per_second);
+  for (const WorkerLane& lane : lanes) {
+    const std::string prefix =
+        "large_n/workers" + std::to_string(lane.workers) + "/";
+    json.Record(prefix + "rows_per_sec", lane.rows_per_sec);
+    if (lane.peak_mb >= 0.0) {
+      json.Record(prefix + "peak_rss_mb", lane.peak_mb);
+      json.Record(prefix + "rss_bound_mb", lane.bound_mb);
+    }
+  }
   std::cout << "wrote " << json.WriteOrDie() << "\n";
   return 0;
 }

@@ -122,7 +122,7 @@ int Main() {
   // Export through the real on-disk format (with the optional f32
   // weights section) and serve from the reload — once per tier, each
   // load pinned to its precision explicitly.
-  const std::string model_path = "BENCH_serving_model.tmp";
+  const std::string model_path = ProcessScratchPath("BENCH_serving_model");
   SBRL_CHECK(serve::ExportServingModel(*estimator, &*detector, model_path,
                                        /*include_f32=*/true)
                  .ok());

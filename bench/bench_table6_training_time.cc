@@ -135,7 +135,7 @@ void CheckpointIo(benchmark::State& state) {
   IhdpConfig data_config;
   RealWorldSplits splits = MakeIhdpReplication(data_config, 111);
   const MethodSpec spec{BackboneKind::kCfr, FrameworkKind::kSbrlHap};
-  const std::string path = "bench_table6_checkpoint.ckpt.tmp";
+  const std::string path = ProcessScratchPath("bench_table6_checkpoint.ckpt");
   for (auto _ : state) {
     EstimatorConfig config = WithMethod(BaseConfig(scale, 112), spec);
     config.train.eval_every = 0;

@@ -1,6 +1,9 @@
 #include "harness.h"
 
+#include <unistd.h>
+
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -171,6 +174,10 @@ std::string CellAte(const std::vector<EvalResult>& runs) {
   return CellOf(runs, &EvalResult::ate_error);
 }
 
+std::string ProcessScratchPath(const std::string& stem) {
+  return stem + "." + std::to_string(::getpid()) + ".tmp";
+}
+
 void PrintBanner(const std::string& experiment,
                  const std::string& paper_artifact, const Scale& scale) {
   std::cout << "=============================================================="
@@ -216,9 +223,11 @@ std::string BenchJsonWriter::WriteOrDie() const {
      << "  \"build\": \"" << BuildFlagsString() << "\",\n"
      << "  \"entries\": [\n";
   for (size_t i = 0; i < entries_.size(); ++i) {
+    // Round-trip precision: small values (error bounds, ratios) survive.
+    char value[32];
+    std::snprintf(value, sizeof(value), "%.17g", entries_[i].wall_seconds);
     os << "    {\"name\": \"" << entries_[i].name << "\", \"wall_seconds\": "
-       << FormatDouble(entries_[i].wall_seconds, 6) << "}"
-       << (i + 1 < entries_.size() ? "," : "") << "\n";
+       << value << "}" << (i + 1 < entries_.size() ? "," : "") << "\n";
   }
   os << "  ]\n}\n";
   std::ofstream out(path);

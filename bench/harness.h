@@ -70,6 +70,10 @@ SweepOutput RunSyntheticSweep(const SyntheticDims& dims,
 std::string CellPehe(const std::vector<EvalResult>& runs);
 std::string CellAte(const std::vector<EvalResult>& runs);
 
+/// A scratch file name in the working directory unique to this process
+/// ("<stem>.<pid>.tmp"), so concurrent runs of a bench never share it.
+std::string ProcessScratchPath(const std::string& stem);
+
 /// Prints the standard bench banner (experiment id, scale, caveat).
 void PrintBanner(const std::string& experiment,
                  const std::string& paper_artifact, const Scale& scale);
@@ -89,7 +93,8 @@ void PrintBanner(const std::string& experiment,
 ///
 /// Every recorded timing is CHECKed finite and non-negative at write
 /// time, which is what the ctest smoke perf guard relies on to fail on
-/// broken timing paths.
+/// broken timing paths. Values are written at round-trip precision
+/// (`%.17g`), so a recorded error bound of 6e-7 reads back as itself.
 class BenchJsonWriter {
  public:
   BenchJsonWriter(std::string bench_id, const Scale& scale);

@@ -5,7 +5,8 @@
 # sanitizer subset (now including the CSV/streaming loader suites)
 # plus the fault drills, serving format suite, and precision-tier
 # suite under asan/ubsan, and the ThreadSanitizer subset (which
-# includes the serving micro-batcher concurrency suite). Mirrors the ROADMAP verify line;
+# includes the serving micro-batcher concurrency suite and the sharded
+# streaming suite). Tier-1 runs three times at full parallelism. Mirrors the ROADMAP verify line;
 # .github/workflows/ci.yml calls this script, and it runs unchanged on
 # any box with cmake + gcc/clang + gtest (google-benchmark and doxygen
 # are optional — the corresponding targets/tests skip when absent).
@@ -20,7 +21,11 @@ JOBS="$(nproc 2>/dev/null || echo 2)"
 echo "=== default configuration ==="
 cmake -B "${PREFIX}" -S .
 cmake --build "${PREFIX}" -j "${JOBS}"
-ctest --test-dir "${PREFIX}" -L tier1 --output-on-failure -j "${JOBS}"
+# Repeated at full parallelism so a race between concurrently running
+# tests (shared scratch files, commit paths) fails CI instead of
+# passing by luck.
+ctest --test-dir "${PREFIX}" -L tier1 --output-on-failure -j "${JOBS}" \
+      --repeat until-fail:3
 # threads2 variants are tier1-labeled too; run the label explicitly so a
 # labeling regression cannot silently drop them.
 ctest --test-dir "${PREFIX}" -L threads2 --output-on-failure -j "${JOBS}"
@@ -61,8 +66,9 @@ ctest --test-dir "${PREFIX}-sanitize" -L precision --output-on-failure \
 
 echo "=== sanitized configuration (thread) ==="
 # The experiment engine's concurrency surfaces (sweep scheduler, session
-# shared cache, thread pool, thread-scoped ISA dispatch) under
-# ThreadSanitizer — the "no process-global mutable state touched by a
+# shared cache, thread pool, thread-scoped ISA dispatch), the serving
+# micro-batcher, and the sharded waves with their parallel chunk
+# prefetch under ThreadSanitizer — the "no process-global mutable state touched by a
 # run" contract, machine-checked.
 cmake -B "${PREFIX}-tsan" -S . -DSBRL_SANITIZE=thread
 cmake --build "${PREFIX}-tsan" -j "${JOBS}"

@@ -1,6 +1,11 @@
 #include "common/serial.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <array>
+#include <atomic>
+#include <cerrno>
 #include <cstdio>
 #include <fstream>
 
@@ -112,6 +117,32 @@ void AppendSection(std::string* out, const Section& section) {
                          Crc32(section.payload.data(), section.payload.size()));
 }
 
+// Writes all of `bytes` to `fd`, retrying short and interrupted writes.
+bool WriteAll(int fd, const std::string& bytes) {
+  size_t done = 0;
+  while (done < bytes.size()) {
+    const ssize_t n = ::write(fd, bytes.data() + done, bytes.size() - done);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return false;
+    done += static_cast<size_t>(n);
+  }
+  return true;
+}
+
+// fsyncs the directory holding `path`. Filesystems that cannot sync a
+// directory (EINVAL) count as synced: there is nothing more to do.
+bool SyncParentDirectory(const std::string& path) {
+  const size_t slash = path.find_last_of('/');
+  const std::string dir = slash == std::string::npos ? "."
+                          : slash == 0              ? "/"
+                                                    : path.substr(0, slash);
+  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (fd < 0) return false;
+  const bool synced = ::fsync(fd) == 0 || errno == EINVAL;
+  ::close(fd);
+  return synced;
+}
+
 }  // namespace
 
 Status WriteSectionedFile(const FormatSpec& spec,
@@ -128,25 +159,30 @@ Status WriteSectionedFile(const FormatSpec& spec,
                             spec.write_fault + ": " + path);
   }
 
-  // Atomic commit: a crash between here and the rename leaves at most a
-  // stale .tmp next to an intact previous file.
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out.is_open()) {
-      return Status::Internal("cannot open for writing: " + tmp);
-    }
-    out.write(encoded.data(), static_cast<std::streamsize>(encoded.size()));
-    out.flush();
-    if (!out.good()) {
-      out.close();
-      std::remove(tmp.c_str());
-      return Status::Internal("write failed: " + tmp);
-    }
+  // Atomic commit: stage in a file no other writer can name (pid +
+  // per-process counter, created O_EXCL), fsync it, rename it over
+  // `path`, then fsync the directory so the rename itself is durable.
+  // Concurrent writers to one path (threads or processes) each rename
+  // a complete file, so `path` always holds one writer's bytes; a crash
+  // leaves at most a stale staging file next to an intact previous
+  // file.
+  static std::atomic<uint64_t> commit_counter{0};
+  const std::string tmp = path + ".tmp." + std::to_string(::getpid()) + "." +
+                          std::to_string(commit_counter.fetch_add(1));
+  const int fd =
+      ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0644);
+  if (fd < 0) return Status::Internal("cannot open for writing: " + tmp);
+  const bool written = WriteAll(fd, encoded) && ::fsync(fd) == 0;
+  if (::close(fd) != 0 || !written) {
+    ::unlink(tmp.c_str());
+    return Status::Internal("write failed: " + tmp);
   }
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
+    ::unlink(tmp.c_str());
     return Status::Internal("rename failed: " + tmp + " -> " + path);
+  }
+  if (!SyncParentDirectory(path)) {
+    return Status::Internal("directory sync failed after commit: " + path);
   }
   return Status::OK();
 }

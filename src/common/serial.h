@@ -122,10 +122,14 @@ struct FormatSpec {
 
 /// Serializes `sections` to `path` atomically under `spec`: the header
 /// (magic, version, section count) and CRC-trailed sections are
-/// encoded, written to `path + ".tmp"`, and renamed over `path` only
-/// after a successful flush — a crash mid-save can never leave a
-/// truncated file at `path`. Returns Internal on I/O failure (the
-/// spec's write_fault site injects one).
+/// encoded, written to a staging file unique to this commit
+/// (`path + ".tmp.<pid>.<counter>"`, created exclusively in the same
+/// directory), fsynced, and renamed over `path`; the directory is
+/// fsynced after the rename. A crash mid-save can never leave a
+/// truncated file at `path`, and concurrent commits to one path from
+/// threads or processes always leave one writer's complete file.
+/// Returns Internal on I/O failure (the spec's write_fault site
+/// injects one).
 Status WriteSectionedFile(const FormatSpec& spec,
                           const std::vector<Section>& sections,
                           const std::string& path);

@@ -105,9 +105,10 @@ struct TrainingCheckpoint {
 constexpr uint32_t kCheckpointFormatVersion = 1;
 
 /// Serializes `ckpt` to `path` atomically: the encoded bytes are
-/// written to `path + ".tmp"` and renamed over `path` only after a
-/// successful flush, so a crash mid-save can never leave a truncated
-/// file at `path`. Layout: an 8-byte magic ("SBRLCKPT"), a u32 format
+/// written to a per-commit staging file, fsynced, and renamed over
+/// `path` (serial::WriteSectionedFile), so a crash mid-save can never
+/// leave a truncated file at `path` and concurrent saves to one path
+/// never interleave. Layout: an 8-byte magic ("SBRLCKPT"), a u32 format
 /// version, and length-prefixed sections each trailed by a CRC32 of
 /// its payload (see docs/ARCHITECTURE.md "Failure handling &
 /// recovery" for the exact layout). Returns Internal on I/O failure

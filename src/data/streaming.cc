@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/string_util.h"
+#include "common/thread_pool.h"
 
 #if defined(__cpp_lib_to_chars)
 #include <charconv>
@@ -259,13 +260,11 @@ StatusOr<int64_t> SyntheticBlockReader::NextBlock(int64_t max_rows,
   SBRL_CHECK_GE(max_rows, 1);
   SBRL_CHECK(block != nullptr);
   if (buffer_cursor_ >= buffer_.n()) {
-    if (generated_rows_ >= total_rows_) return static_cast<int64_t>(0);
-    const int64_t chunk =
-        std::min(chunk_rows_, total_rows_ - generated_rows_);
-    buffer_ = model_->SampleEnvironmentChunk(chunk, rho_, env_seed_,
-                                             chunk_index_);
-    ++chunk_index_;
-    generated_rows_ += chunk;
+    // Without a prefetched chunk this generates the next one inline.
+    if (prefetched_.empty()) Prefetch(1, max_rows);
+    if (prefetched_.empty()) return static_cast<int64_t>(0);
+    buffer_ = std::move(prefetched_.front());
+    prefetched_.pop_front();
     buffer_cursor_ = 0;
   }
   const int64_t take =
@@ -278,9 +277,48 @@ StatusOr<int64_t> SyntheticBlockReader::NextBlock(int64_t max_rows,
 Status SyntheticBlockReader::Reset() {
   buffer_ = CausalDataset();
   buffer_cursor_ = 0;
+  prefetched_.clear();
   generated_rows_ = 0;
   chunk_index_ = 0;
   return Status::OK();
+}
+
+void SyntheticBlockReader::Prefetch(int64_t blocks, int64_t max_rows) {
+  if (blocks < 1 || max_rows < 1) return;
+  // Replay the next `blocks` reads over the chunk layout (one NextBlock
+  // never spans two chunks) and list the chunks they reach that are
+  // neither buffered nor prefetched yet.
+  std::vector<int64_t> sizes;
+  int64_t left = buffer_.n() - buffer_cursor_;
+  size_t queued = 0;
+  int64_t planned_rows = generated_rows_;
+  for (int64_t b = 0; b < blocks; ++b) {
+    if (left == 0) {
+      if (queued < prefetched_.size()) {
+        left = prefetched_[queued++].n();
+      } else if (planned_rows < total_rows_) {
+        left = std::min(chunk_rows_, total_rows_ - planned_rows);
+        planned_rows += left;
+        sizes.push_back(left);
+      } else {
+        break;
+      }
+    }
+    left -= std::min(max_rows, left);
+  }
+  const int64_t count = static_cast<int64_t>(sizes.size());
+  if (count == 0) return;
+  std::vector<CausalDataset> chunks(sizes.size());
+  const int64_t first = chunk_index_;
+  ParallelFor(0, count, 1, [&](int64_t lo, int64_t hi) {
+    for (int64_t c = lo; c < hi; ++c) {
+      chunks[static_cast<size_t>(c)] = model_->SampleEnvironmentChunk(
+          sizes[static_cast<size_t>(c)], rho_, env_seed_, first + c);
+    }
+  });
+  for (CausalDataset& chunk : chunks) prefetched_.push_back(std::move(chunk));
+  chunk_index_ += count;
+  generated_rows_ = planned_rows;
 }
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 #define SBRL_DATA_STREAMING_H_
 
 #include <cstdint>
+#include <deque>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -48,6 +49,15 @@ class DatasetBlockReader {
   /// Rewinds to row 0 so the next `NextBlock` replays the identical
   /// stream (the sharded trainer calls this once per pass).
   virtual Status Reset() = 0;
+
+  /// Hint that the next `blocks` calls will be `NextBlock(max_rows, ..)`
+  /// — ShardedReduce issues it before filling each wave. A reader may
+  /// use it to produce those rows ahead of time (the synthetic reader
+  /// generates the covering chunks in parallel), but must hold at most
+  /// that much data resident for it and must leave the stream exactly
+  /// as it would be without the call. Non-positive arguments are
+  /// ignored. The default does nothing.
+  virtual void Prefetch(int64_t /*blocks*/, int64_t /*max_rows*/) {}
 };
 
 /// An f32-staged covariate block — the unit of the f32 block-staging
@@ -149,8 +159,9 @@ class InMemoryBlockReader : public DatasetBlockReader {
 /// which is what scales the generator to 10^6+ rows. Each chunk's Rng
 /// is seeded purely by (env_seed, chunk_index), so the stream content
 /// depends only on (total_rows, rho, env_seed, chunk_rows), never on
-/// read granularity. `rho == 1.0` streams unbiased units; any
-/// `|rho| > 1` applies the paper's biased selection per chunk.
+/// read granularity or on prefetching. `rho == 1.0` streams unbiased
+/// units; any `|rho| > 1` applies the paper's biased selection per
+/// chunk.
 class SyntheticBlockReader : public DatasetBlockReader {
  public:
   /// Wraps `model` (not owned; must outlive the reader). `chunk_rows`
@@ -165,6 +176,13 @@ class SyntheticBlockReader : public DatasetBlockReader {
   StatusOr<int64_t> NextBlock(int64_t max_rows, CausalDataset* block) override;
   Status Reset() override;
 
+  /// Generates every chunk the next `blocks` NextBlock(max_rows) calls
+  /// will read from and that is not yet resident, in one ParallelFor
+  /// over the global pool (serial inline when nested in a pool task).
+  /// Each chunk is a pure function of (env_seed, chunk_index), so the
+  /// stream is unchanged; at most those chunks are held.
+  void Prefetch(int64_t blocks, int64_t max_rows) override;
+
  private:
   const SyntheticModel* model_;
   int64_t total_rows_;
@@ -174,6 +192,11 @@ class SyntheticBlockReader : public DatasetBlockReader {
 
   CausalDataset buffer_;
   int64_t buffer_cursor_ = 0;
+  /// Chunks generated by Prefetch, in stream order, not yet moved into
+  /// `buffer_`.
+  std::deque<CausalDataset> prefetched_;
+  /// Rows of every chunk generated so far (prefetched ones included);
+  /// `chunk_index_` is the index of the next chunk to generate.
   int64_t generated_rows_ = 0;
   int64_t chunk_index_ = 0;
 };

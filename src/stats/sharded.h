@@ -127,9 +127,10 @@ T TreeReduce(std::vector<T> items, typename FixedOrderTreeReducer<T>::Combine
 
 /// Drives one streamed sharded pass: pulls shards of
 /// `options.shard_rows` rows from `reader` in waves of up to
-/// `options.workers` blocks, evaluates `leaf` on the wave's blocks
-/// concurrently on the global ThreadPool, and pushes the results into
-/// a FixedOrderTreeReducer in ascending shard order.
+/// `options.workers` blocks (announcing each wave to the reader through
+/// DatasetBlockReader::Prefetch first), evaluates `leaf` on the wave's
+/// blocks concurrently on the global ThreadPool, and pushes the results
+/// into a FixedOrderTreeReducer in ascending shard order.
 ///
 /// `leaf(shard_index, slot, block)` must be a pure function of
 /// (shard_index, block) — `slot` (< workers) only names the lane-
@@ -153,6 +154,7 @@ StatusOr<T> ShardedReduce(
   int64_t shard_index = 0;
   int64_t rows_total = 0;
   for (;;) {
+    reader.Prefetch(wave_width, opts.shard_rows);
     int64_t filled = 0;
     while (filled < wave_width) {
       SBRL_ASSIGN_OR_RETURN(
@@ -195,7 +197,9 @@ StatusOr<T> ShardedReduce(
 /// and so does its consequence: narrowing is per-element and
 /// deterministic, so results stay bitwise identical for every worker
 /// count. Callers route here when the resolved options carry
-/// Precision::kF32.
+/// Precision::kF32. Unlike ShardedReduce it issues no Prefetch: a
+/// prefetched wave would sit resident in f64 beside the f32 one and
+/// cancel the tier's memory saving.
 template <typename T>
 StatusOr<T> ShardedReduceF32(
     DatasetBlockReader& reader, const ShardedOptions& options,

@@ -8,10 +8,14 @@
 #include "core/checkpoint.h"
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/fault.h"
@@ -22,6 +26,18 @@ namespace {
 
 std::string TestPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
+}
+
+// Staging files of commits to `path` still present in its directory.
+int StagingFilesLeft(const std::string& path) {
+  const std::filesystem::path target(path);
+  const std::string prefix = target.filename().string() + ".tmp";
+  int left = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(target.parent_path())) {
+    if (entry.path().filename().string().rfind(prefix, 0) == 0) ++left;
+  }
+  return left;
 }
 
 TrainingCheckpoint MakeCheckpoint() {
@@ -111,8 +127,7 @@ TEST(CheckpointTest, SaveOverwritesAtomically) {
   StatusOr<TrainingCheckpoint> loaded = LoadCheckpoint(path);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded.value().next_iteration, 99);
-  std::ifstream tmp(path + ".tmp");
-  EXPECT_FALSE(tmp.is_open()) << "stale temp file left behind";
+  EXPECT_EQ(StagingFilesLeft(path), 0) << "stale temp file left behind";
   std::remove(path.c_str());
 }
 
@@ -225,6 +240,99 @@ TEST(CheckpointTest, InjectedReadFaultFailsLoad) {
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kInternal);
   std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------
+// Concurrent commits: threads and forked processes saving to one path.
+// ---------------------------------------------------------------------
+
+constexpr int kCommitsPerWriter = 25;
+
+// Writer `id`'s checkpoint: every field of MakeCheckpoint, tagged with
+// the writer id in next_iteration and in one parameter's values.
+TrainingCheckpoint WriterCheckpoint(int id) {
+  TrainingCheckpoint ckpt = MakeCheckpoint();
+  ckpt.next_iteration = id;
+  ckpt.params[0].value.Fill(static_cast<double>(id));
+  return ckpt;
+}
+
+// True when `path` loads and is exactly one writer's checkpoint, with
+// that writer id in [0, writers).
+bool HoldsOneWritersCheckpoint(const std::string& path, int writers) {
+  StatusOr<TrainingCheckpoint> loaded = LoadCheckpoint(path);
+  if (!loaded.ok()) return false;
+  const int64_t id = loaded.value().next_iteration;
+  if (id < 0 || id >= writers) return false;
+  const TrainingCheckpoint want = WriterCheckpoint(static_cast<int>(id));
+  const Matrix& got = loaded.value().params[0].value;
+  for (int64_t i = 0; i < got.size(); ++i) {
+    if (got[i] != want.params[0].value[i]) return false;
+  }
+  return loaded.value().rng_state == want.rng_state &&
+         loaded.value().train_loss == want.train_loss;
+}
+
+TEST(ConcurrentCommitTest, ThreadsAndProcessesLeaveOneWritersFile) {
+  std::string dir_template = ::testing::TempDir() + "/commit_race_XXXXXX";
+  ASSERT_NE(::mkdtemp(dir_template.data()), nullptr);
+  const std::string path = dir_template + "/shared.ckpt";
+  constexpr int kProcesses = 2;
+  constexpr int kThreads = 3;
+  constexpr int kWriters = kProcesses + kThreads;
+  ASSERT_TRUE(SaveCheckpoint(WriterCheckpoint(0), path).ok());
+
+  // Fork before starting any thread. Each child commits, re-reading
+  // the shared path after every commit, and reports through its exit
+  // status.
+  std::vector<pid_t> children;
+  for (int p = 0; p < kProcesses; ++p) {
+    const pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+      bool ok = true;
+      for (int c = 0; c < kCommitsPerWriter; ++c) {
+        ok = SaveCheckpoint(WriterCheckpoint(p), path).ok() && ok;
+        ok = HoldsOneWritersCheckpoint(path, kWriters) && ok;
+      }
+      ::_exit(ok ? 0 : 1);
+    }
+    children.push_back(pid);
+  }
+  std::vector<int> thread_failures(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int c = 0; c < kCommitsPerWriter; ++c) {
+        if (!SaveCheckpoint(WriterCheckpoint(kProcesses + t), path).ok() ||
+            !HoldsOneWritersCheckpoint(path, kWriters)) {
+          ++thread_failures[static_cast<size_t>(t)];
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (const pid_t child : children) {
+    int status = 0;
+    ASSERT_EQ(::waitpid(child, &status, 0), child);
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+        << "a forked writer saw a failed commit or an unloadable file";
+  }
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(thread_failures[static_cast<size_t>(t)], 0) << "thread " << t;
+  }
+  EXPECT_TRUE(HoldsOneWritersCheckpoint(path, kWriters));
+  EXPECT_EQ(StagingFilesLeft(path), 0);
+  std::filesystem::remove_all(dir_template);
+}
+
+TEST(ConcurrentCommitTest, UnwritableTargetIsInternal) {
+  // The staging file cannot be created: the save reports Internal (the
+  // typed load failures are covered by the CheckpointTest cases above).
+  const Status unwritable =
+      SaveCheckpoint(MakeCheckpoint(), TestPath("no_such_dir/x.ckpt"));
+  ASSERT_FALSE(unwritable.ok());
+  EXPECT_EQ(unwritable.code(), StatusCode::kInternal);
 }
 
 }  // namespace

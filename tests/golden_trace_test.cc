@@ -18,6 +18,7 @@
 // in PEHE.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cmath>
 #include <cstdio>
@@ -264,7 +265,8 @@ TEST(CheckpointResumeTest, KillAndResumeIsBitwiseIdentical) {
   const FullTrace uninterrupted = RunFullTrace(base, train, &valid);
 
   const std::string path =
-      ::testing::TempDir() + "/golden_resume.ckpt";
+      ::testing::TempDir() + "/golden_resume_" + std::to_string(::getpid()) +
+      ".ckpt";
   std::remove(path.c_str());
 
   // "Kill" at iteration 3: train only the first half, checkpointing.
@@ -297,7 +299,8 @@ TEST(CheckpointResumeTest, ResumeAfterCompletedRunIsIdentity) {
   // run that still lands on the identical final state.
   const CausalDataset data = MakeDataset();
   const std::string path =
-      ::testing::TempDir() + "/golden_resume_done.ckpt";
+      ::testing::TempDir() + "/golden_resume_done_" +
+      std::to_string(::getpid()) + ".ckpt";
   std::remove(path.c_str());
   EstimatorConfig config = SmallConfig(/*batchnorm=*/false);
   config.train.checkpoint_path = path;

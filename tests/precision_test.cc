@@ -11,6 +11,7 @@
 // ones).
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cmath>
 #include <cstdio>
@@ -287,8 +288,9 @@ TEST(PrecisionStreamTest, NextBlockF32StagesNarrowedCovariates) {
 // End to end: serving and eval metrics.
 // ---------------------------------------------------------------------
 
+// Per-process, so the suite's ctest variants can run concurrently.
 std::string TestPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
+  return ::testing::TempDir() + "/" + std::to_string(::getpid()) + "_" + name;
 }
 
 EstimatorConfig SmallConfig(const MethodSpec& spec, uint64_t seed) {

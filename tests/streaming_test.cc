@@ -7,6 +7,7 @@
 // equivalence of the streaming paths with their in-core references.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cmath>
 #include <cstdio>
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "common/simd.h"
+#include "common/thread_pool.h"
 #include "core/sharded_trainer.h"
 #include "data/csv.h"
 #include "data/streaming.h"
@@ -80,6 +82,12 @@ TEST(TreeReducerTest, TreeReduceMatchesReducer) {
 // Block readers.
 // ---------------------------------------------------------------------
 
+// Per-process, so the suite's ctest variants can run concurrently.
+std::string TempCsvPath(const std::string& name) {
+  return "/tmp/sbrl_streaming_" + name + "_" + std::to_string(::getpid()) +
+         ".csv";
+}
+
 void ExpectBitwiseEqual(const CausalDataset& a, const CausalDataset& b) {
   ASSERT_EQ(a.n(), b.n());
   ASSERT_EQ(a.dim(), b.dim());
@@ -136,6 +144,91 @@ TEST(SyntheticBlockReaderTest, UnbiasedSentinelAndEofBehavior) {
   EXPECT_EQ(*again, 0);
 }
 
+// ---------------------------------------------------------------------
+// Prefetch: a hint that never changes the stream.
+// ---------------------------------------------------------------------
+
+// Drains `reader` block by block. With `prefetch_blocks` > 0 every
+// group of that many NextBlock calls is announced with Prefetch first,
+// the way ShardedReduce drives a wave.
+std::vector<CausalDataset> DrainBlocks(DatasetBlockReader& reader,
+                                       int64_t max_rows,
+                                       int64_t prefetch_blocks = 0) {
+  std::vector<CausalDataset> blocks;
+  for (int64_t b = 0;; ++b) {
+    if (prefetch_blocks > 0 && b % prefetch_blocks == 0) {
+      reader.Prefetch(prefetch_blocks, max_rows);
+    }
+    CausalDataset block;
+    StatusOr<int64_t> rows = reader.NextBlock(max_rows, &block);
+    EXPECT_TRUE(rows.ok());
+    if (!rows.ok() || *rows == 0) break;
+    blocks.push_back(std::move(block));
+  }
+  return blocks;
+}
+
+void ExpectSameBlocks(const std::vector<CausalDataset>& a,
+                      const std::vector<CausalDataset>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) ExpectBitwiseEqual(a[i], b[i]);
+}
+
+TEST(SyntheticPrefetchTest, PrefetchedStreamBitwiseEqualsPlainStream) {
+  const SyntheticModel model(SyntheticDims{}, 7);
+  // 100 rows in chunks of 32: three full chunks and a 4-row tail.
+  constexpr int64_t kRows = 100;
+  constexpr int64_t kChunk = 32;
+  for (const double rho : {1.0, 2.5}) {
+    // Shards below, equal to and above the chunk size.
+    for (const int64_t max_rows : {int64_t{7}, kChunk, int64_t{50}}) {
+      SyntheticBlockReader plain(&model, kRows, rho, 11, kChunk);
+      const std::vector<CausalDataset> want = DrainBlocks(plain, max_rows);
+      for (const int64_t wave : {1, 3, 64}) {
+        SyntheticBlockReader prefetched(&model, kRows, rho, 11, kChunk);
+        SCOPED_TRACE("rho=" + std::to_string(rho) + " max_rows=" +
+                     std::to_string(max_rows) +
+                     " wave=" + std::to_string(wave));
+        ExpectSameBlocks(DrainBlocks(prefetched, max_rows, wave), want);
+      }
+    }
+  }
+}
+
+TEST(SyntheticPrefetchTest, HintsThatMisstateTheReadsLeaveStreamUnchanged) {
+  const SyntheticModel model(SyntheticDims{}, 7);
+  SyntheticBlockReader plain(&model, 100, 2.5, 3, 16);
+  const std::vector<CausalDataset> want = DrainBlocks(plain, 5);
+  SyntheticBlockReader hinted(&model, 100, 2.5, 3, 16);
+  std::vector<CausalDataset> got;
+  for (int64_t b = 0;; ++b) {
+    // Announced shapes differ from the reads that follow; the
+    // non-positive ones are ignored.
+    hinted.Prefetch(b % 4, b % 2 == 0 ? 40 : 0);
+    CausalDataset block;
+    StatusOr<int64_t> rows = hinted.NextBlock(5, &block);
+    ASSERT_TRUE(rows.ok());
+    if (*rows == 0) break;
+    got.push_back(std::move(block));
+  }
+  ExpectSameBlocks(got, want);
+}
+
+TEST(SyntheticPrefetchTest, ResetDropsPendingPrefetchedChunks) {
+  const SyntheticModel model(SyntheticDims{}, 7);
+  SyntheticBlockReader plain(&model, 90, 1.0, 5, 16);
+  const std::vector<CausalDataset> want = DrainBlocks(plain, 16);
+  SyntheticBlockReader reader(&model, 90, 1.0, 5, 16);
+  reader.Prefetch(4, 16);
+  CausalDataset block;
+  ASSERT_TRUE(reader.NextBlock(16, &block).ok());
+  ASSERT_TRUE(reader.Reset().ok());  // three prefetched chunks pending
+  ExpectSameBlocks(DrainBlocks(reader, 16, /*prefetch_blocks=*/2), want);
+  // And again from the end of the stream, with the tail prefetched.
+  ASSERT_TRUE(reader.Reset().ok());
+  ExpectSameBlocks(DrainBlocks(reader, 16, /*prefetch_blocks=*/6), want);
+}
+
 TEST(InMemoryBlockReaderTest, ServesExactRowRanges) {
   const SyntheticModel model(SyntheticDims{}, 7);
   const CausalDataset data = model.SampleUnbiased(37, /*env_seed=*/2);
@@ -153,7 +246,7 @@ TEST(InMemoryBlockReaderTest, ServesExactRowRanges) {
 TEST(CsvBlockReaderTest, BlocksConcatBitwiseEqualToInCoreLoad) {
   const SyntheticModel model(SyntheticDims{}, 7);
   const CausalDataset data = model.SampleUnbiased(50, 4);
-  const std::string path = "/tmp/sbrl_streaming_blocks.csv";
+  const std::string path = TempCsvPath("blocks");
   ASSERT_TRUE(SaveCausalDatasetCsv(data, path).ok());
   StatusOr<CausalDataset> incore = LoadCausalDatasetCsv(path);
   ASSERT_TRUE(incore.ok());
@@ -180,7 +273,7 @@ TEST(CsvBlockReaderTest, BlocksConcatBitwiseEqualToInCoreLoad) {
 }
 
 TEST(CsvBlockReaderTest, MalformedRowReportedMidStream) {
-  const std::string path = "/tmp/sbrl_streaming_bad.csv";
+  const std::string path = TempCsvPath("bad");
   {
     std::ofstream out(path);
     out << "x0,t,y,mu0,mu1\n";
@@ -389,7 +482,7 @@ TEST(ShardedTrainerTest, WorkerCountBitwiseInvariance) {
 TEST(ShardedTrainerTest, CsvStreamMatchesInCoreBitwise) {
   const SyntheticModel model(SyntheticDims{}, 7);
   const CausalDataset data = model.SampleUnbiased(150, 23);
-  const std::string path = "/tmp/sbrl_streaming_train.csv";
+  const std::string path = TempCsvPath("train");
   ASSERT_TRUE(SaveCausalDatasetCsv(data, path).ok());
 
   ShardedTrainerConfig config = SmallTrainerConfig();
@@ -505,6 +598,65 @@ TEST(ShardedTrainerTest, EmptyStreamReportsInvalidArgument) {
   const Status trained = trainer.Train(reader);
   ASSERT_FALSE(trained.ok());
   EXPECT_EQ(trained.code(), StatusCode::kInvalidArgument);
+}
+
+// ---------------------------------------------------------------------
+// Sharded passes over a prefetching synthetic stream.
+// ---------------------------------------------------------------------
+
+// Moments, HSIC and a sharded fit over a synthetic stream, for one
+// pool size and shard-worker count.
+struct ShardedSyntheticResults {
+  ColumnMoments moments;
+  double hsic = 0.0;
+  std::vector<Matrix> params;
+};
+
+ShardedSyntheticResults RunShardedSynthetic(const SyntheticModel& model,
+                                            int pool_workers,
+                                            int64_t shard_workers) {
+  const int restore_workers = ThreadPool::GlobalParallelism() - 1;
+  ThreadPool::ResetGlobalForTest(pool_workers);
+  // 300 unbiased rows in chunks of 64 (a 44-row tail), read in 48-row
+  // shards, so waves start and end inside chunks.
+  SyntheticBlockReader reader(&model, 300, /*rho=*/1.0, 17,
+                              /*chunk_rows=*/64);
+  ShardedOptions opts;
+  opts.shard_rows = 48;
+  opts.workers = shard_workers;
+  ShardedSyntheticResults out;
+  StatusOr<ColumnMoments> moments = ShardedColumnMoments(reader, opts);
+  EXPECT_TRUE(moments.ok());
+  if (moments.ok()) out.moments = std::move(*moments);
+  EXPECT_TRUE(reader.Reset().ok());
+  StatusOr<double> hsic =
+      ShardedHsicRff(reader, 0, kOutcomeColumn, 8, /*draw_seed=*/99, opts);
+  EXPECT_TRUE(hsic.ok());
+  if (hsic.ok()) out.hsic = *hsic;
+  ShardedTrainerConfig config = SmallTrainerConfig();
+  config.sharding = opts;
+  out.params = TrainParams(config, reader);
+  ThreadPool::ResetGlobalForTest(restore_workers);
+  return out;
+}
+
+TEST(SyntheticPrefetchTest, ShardedPassesBitwiseInvariantAcrossPoolAndWorkers) {
+  const SyntheticModel model(SyntheticDims{}, 7);
+  const ShardedSyntheticResults want = RunShardedSynthetic(model, 0, 1);
+  EXPECT_EQ(want.moments.rows, 300);
+  for (const int pool_workers : {0, 1, 3}) {
+    for (const int64_t shard_workers : {1, 2, 4}) {
+      SCOPED_TRACE("pool workers=" + std::to_string(pool_workers) +
+                   " shard workers=" + std::to_string(shard_workers));
+      const ShardedSyntheticResults got =
+          RunShardedSynthetic(model, pool_workers, shard_workers);
+      EXPECT_EQ(got.moments.rows, want.moments.rows);
+      EXPECT_TRUE(AllClose(got.moments.sum, want.moments.sum, 0.0));
+      EXPECT_TRUE(AllClose(got.moments.sum_sq, want.moments.sum_sq, 0.0));
+      EXPECT_EQ(got.hsic, want.hsic);  // bitwise
+      ExpectParamsBitwiseEqual(got.params, want.params);
+    }
+  }
 }
 
 }  // namespace
