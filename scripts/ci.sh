@@ -5,8 +5,8 @@
 # sanitizer subset (now including the CSV/streaming loader suites)
 # plus the fault drills, serving format suite, and precision-tier
 # suite under asan/ubsan, and the ThreadSanitizer subset (which
-# includes the serving micro-batcher concurrency suite and the sharded
-# streaming suite). Tier-1 runs three times at full parallelism. Mirrors the ROADMAP verify line;
+# includes the serving micro-batcher concurrency suite, the sharded
+# streaming suite and the large-n bench at smoke scale). Tier-1 runs three times at full parallelism. Mirrors the ROADMAP verify line;
 # .github/workflows/ci.yml calls this script, and it runs unchanged on
 # any box with cmake + gcc/clang + gtest (google-benchmark and doxygen
 # are optional — the corresponding targets/tests skip when absent).
@@ -68,7 +68,8 @@ echo "=== sanitized configuration (thread) ==="
 # The experiment engine's concurrency surfaces (sweep scheduler, session
 # shared cache, thread pool, thread-scoped ISA dispatch), the serving
 # micro-batcher, and the sharded waves with their parallel chunk
-# prefetch under ThreadSanitizer — the "no process-global mutable state touched by a
+# prefetch (streaming suite + bench_large_n at smoke scale) under
+# ThreadSanitizer — the "no process-global mutable state touched by a
 # run" contract, machine-checked.
 cmake -B "${PREFIX}-tsan" -S . -DSBRL_SANITIZE=thread
 cmake --build "${PREFIX}-tsan" -j "${JOBS}"

@@ -47,10 +47,10 @@ std::vector<int64_t> WeightedSampleWithoutReplacement(
   return out;
 }
 
-bool AcceptWithLogProb(double log_prob, Rng& rng) {
+bool AcceptWithLogProb(double log_prob, Mt19937_64Block& engine) {
   SBRL_CHECK_LE(log_prob, 1e-12) << "acceptance log-probability above 0";
   if (log_prob <= -700.0) return false;  // exp underflow: never accept
-  return rng.Uniform() < std::exp(log_prob);
+  return Canonical53(engine) < std::exp(log_prob);
 }
 
 }  // namespace sbrl

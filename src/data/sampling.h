@@ -24,8 +24,11 @@ double BiasedSelectionLogWeight(double ite,
 std::vector<int64_t> WeightedSampleWithoutReplacement(
     const std::vector<double>& log_weights, int64_t k, Rng& rng);
 
-/// Bernoulli acceptance with probability exp(log_prob) (log_prob <= 0).
-bool AcceptWithLogProb(double log_prob, Rng& rng);
+/// Bernoulli acceptance with probability exp(log_prob) (log_prob <= 0):
+/// one Canonical53 uniform compared `< exp(log_prob)`. At
+/// log_prob <= -700 exp underflows; the unit is rejected without
+/// drawing, which is part of the synthetic stream identity.
+bool AcceptWithLogProb(double log_prob, Mt19937_64Block& engine);
 
 }  // namespace sbrl
 

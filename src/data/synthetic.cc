@@ -1,6 +1,7 @@
 #include "data/synthetic.h"
 
 #include <cmath>
+#include <vector>
 
 #include "data/sampling.h"
 
@@ -28,14 +29,15 @@ SyntheticModel::SyntheticModel(const SyntheticDims& dims, uint64_t seed,
 
   // Calibrate the outcome thresholds on a large unbiased pool so the
   // structural equations (and hence P(Y|X)) are environment-invariant.
+  // The engine is seeded as rng.Fork() would seed a child Rng.
   SBRL_CHECK_GT(calibration_pool, 100);
-  Rng cal_rng = rng.Fork();
+  Mt19937_64Block cal_engine(rng.engine()());
   const double denom = 10.0 * static_cast<double>(dims.m_c + dims.m_a);
   double sum0 = 0.0, sum1 = 0.0;
   for (int64_t i = 0; i < calibration_pool; ++i) {
     double z0 = 0.0, z1 = 0.0;
     for (int64_t j = 0; j < dims.m_c + dims.m_a; ++j) {
-      const double xj = cal_rng.Normal();
+      const double xj = StdNormal(cal_engine);
       z0 += theta_y0_(j, 0) * xj;
       z1 += theta_y1_(j, 0) * xj * xj;
     }
@@ -46,36 +48,9 @@ SyntheticModel::SyntheticModel(const SyntheticDims& dims, uint64_t seed,
   thr1_ = sum1 / static_cast<double>(calibration_pool);
 }
 
-SyntheticModel::Unit SyntheticModel::DrawUnit(Rng& rng) const {
-  Unit unit;
-  const int64_t m = dims_.total();
-  unit.x.resize(static_cast<size_t>(m));
-  for (int64_t j = 0; j < m; ++j) {
-    unit.x[static_cast<size_t>(j)] = rng.Normal();
-  }
-  // Treatment from instruments + confounders (paper: z = theta_t.X_IC/10 + xi).
-  double zt = 0.0;
-  for (int64_t j = 0; j < dims_.m_i + dims_.m_c; ++j) {
-    zt += theta_t_(j, 0) * unit.x[static_cast<size_t>(j)];
-  }
-  zt = zt / 10.0 + rng.Normal();
-  unit.t = rng.Bernoulli(Sigmoid(zt)) ? 1 : 0;
-  // Potential outcomes from confounders + adjusters.
-  const double denom = 10.0 * static_cast<double>(dims_.m_c + dims_.m_a);
-  double z0 = 0.0, z1 = 0.0;
-  for (int64_t j = 0; j < dims_.m_c + dims_.m_a; ++j) {
-    const double xj = unit.x[static_cast<size_t>(dims_.m_i + j)];
-    z0 += theta_y0_(j, 0) * xj;
-    z1 += theta_y1_(j, 0) * xj * xj;
-  }
-  unit.y0 = (z0 / denom > thr0_) ? 1.0 : 0.0;
-  unit.y1 = (z1 / denom > thr1_) ? 1.0 : 0.0;
-  return unit;
-}
-
 namespace {
 
-/// splitmix64-style mix of (env_seed, chunk_index) into a chunk Rng
+/// splitmix64-style mix of (env_seed, chunk_index) into a chunk engine
 /// seed; a pure counter-based draw keyed the same way as the RFF slot
 /// seeds, so chunk content is traversal-order independent.
 uint64_t ChunkSeed(uint64_t env_seed, uint64_t chunk_index) {
@@ -90,59 +65,75 @@ uint64_t ChunkSeed(uint64_t env_seed, uint64_t chunk_index) {
 CausalDataset SyntheticModel::SampleEnvironmentChunk(
     int64_t rows, double rho, uint64_t env_seed, int64_t chunk_index) const {
   SBRL_CHECK_GE(chunk_index, 0);
-  Rng rng(ChunkSeed(env_seed, static_cast<uint64_t>(chunk_index)));
-  if (rho == 1.0) {
-    return SampleWithRng(rows, /*biased=*/false, rho, rng);
-  }
+  const uint64_t seed = ChunkSeed(env_seed, static_cast<uint64_t>(chunk_index));
+  if (rho == 1.0) return SampleSeeded(rows, /*biased=*/false, rho, seed);
   SBRL_CHECK_GT(std::abs(rho), 1.0) << "bias rate must satisfy |rho| > 1";
-  return SampleWithRng(rows, /*biased=*/true, rho, rng);
+  return SampleSeeded(rows, /*biased=*/true, rho, seed);
 }
 
 CausalDataset SyntheticModel::SampleEnvironment(int64_t n, double rho,
                                                 uint64_t env_seed) const {
   SBRL_CHECK_GT(n, 0);
   SBRL_CHECK_GT(std::abs(rho), 1.0) << "bias rate must satisfy |rho| > 1";
-  Rng rng(env_seed);
-  return SampleWithRng(n, /*biased=*/true, rho, rng);
+  return SampleSeeded(n, /*biased=*/true, rho, env_seed);
 }
 
-CausalDataset SyntheticModel::SampleWithRng(int64_t n, bool biased,
-                                            double rho, Rng& rng) const {
+CausalDataset SyntheticModel::SampleSeeded(int64_t n, bool biased, double rho,
+                                           uint64_t seed) const {
   SBRL_CHECK_GT(n, 0);
+  const int64_t m = dims_.total();
   CausalDataset data;
-  data.x = Matrix(n, dims_.total());
+  data.x = Matrix(n, m);
   data.y = Matrix(n, 1);
   data.mu0 = Matrix(n, 1);
   data.mu1 = Matrix(n, 1);
   data.t.resize(static_cast<size_t>(n));
   data.binary_outcome = true;
 
+  Mt19937_64Block engine(seed);
+  const int64_t m_ca = dims_.m_c + dims_.m_a;
+  const double denom = 10.0 * static_cast<double>(m_ca);
+  std::vector<double> unstable(static_cast<size_t>(dims_.m_v));
   const int64_t max_attempts = n * 100000;
   int64_t accepted = 0;
   int64_t attempts = 0;
-  std::vector<double> unstable(static_cast<size_t>(dims_.m_v));
   while (accepted < n) {
     SBRL_CHECK_LT(attempts, max_attempts)
         << "rejection sampling failed to reach n=" << n
         << " at rho=" << rho << "; acceptance rate too low";
     ++attempts;
-    Unit unit = DrawUnit(rng);
+    // A candidate is drawn into the next free row; a rejected one is
+    // overwritten by the following candidate.
+    double* x = data.x.data() + accepted * m;
+    for (int64_t j = 0; j < m; ++j) x[j] = StdNormal(engine);
+    // Treatment from instruments + confounders (paper: z = theta_t.X_IC/10 + xi).
+    double zt = 0.0;
+    for (int64_t j = 0; j < dims_.m_i + dims_.m_c; ++j) {
+      zt += theta_t_(j, 0) * x[j];
+    }
+    zt = zt / 10.0 + StdNormal(engine);
+    // std::bernoulli_distribution(p): one canonical draw, `< p`.
+    const int t = Canonical53(engine) < Sigmoid(zt) ? 1 : 0;
+    // Potential outcomes from confounders + adjusters.
+    double z0 = 0.0, z1 = 0.0;
+    for (int64_t j = 0; j < m_ca; ++j) {
+      const double xj = x[dims_.m_i + j];
+      z0 += theta_y0_(j, 0) * xj;
+      z1 += theta_y1_(j, 0) * xj * xj;
+    }
+    const double y0 = (z0 / denom > thr0_) ? 1.0 : 0.0;
+    const double y1 = (z1 / denom > thr1_) ? 1.0 : 0.0;
     if (biased) {
       for (int64_t v = 0; v < dims_.m_v; ++v) {
-        unstable[static_cast<size_t>(v)] =
-            unit.x[static_cast<size_t>(unstable_begin() + v)];
+        unstable[static_cast<size_t>(v)] = x[unstable_begin() + v];
       }
-      const double log_w =
-          BiasedSelectionLogWeight(unit.y1 - unit.y0, unstable, rho);
-      if (!AcceptWithLogProb(log_w, rng)) continue;
+      const double log_w = BiasedSelectionLogWeight(y1 - y0, unstable, rho);
+      if (!AcceptWithLogProb(log_w, engine)) continue;
     }
-    for (int64_t j = 0; j < dims_.total(); ++j) {
-      data.x(accepted, j) = unit.x[static_cast<size_t>(j)];
-    }
-    data.t[static_cast<size_t>(accepted)] = unit.t;
-    data.mu0(accepted, 0) = unit.y0;
-    data.mu1(accepted, 0) = unit.y1;
-    data.y(accepted, 0) = unit.t == 1 ? unit.y1 : unit.y0;
+    data.t[static_cast<size_t>(accepted)] = t;
+    data.mu0(accepted, 0) = y0;
+    data.mu1(accepted, 0) = y1;
+    data.y(accepted, 0) = t == 1 ? y1 : y0;
     ++accepted;
   }
   return data;
@@ -151,8 +142,7 @@ CausalDataset SyntheticModel::SampleWithRng(int64_t n, bool biased,
 CausalDataset SyntheticModel::SampleUnbiased(int64_t n,
                                              uint64_t env_seed) const {
   SBRL_CHECK_GT(n, 0);
-  Rng rng(env_seed);
-  return SampleWithRng(n, /*biased=*/false, /*rho=*/1.0, rng);
+  return SampleSeeded(n, /*biased=*/false, /*rho=*/1.0, env_seed);
 }
 
 }  // namespace sbrl

@@ -4,7 +4,6 @@
 #include <cstdint>
 
 #include "data/causal_dataset.h"
-#include "tensor/random.h"
 
 namespace sbrl {
 
@@ -53,7 +52,7 @@ class SyntheticModel {
   CausalDataset SampleUnbiased(int64_t n, uint64_t env_seed) const;
 
   /// Chunk `chunk_index` of a streamed environment: `rows` units drawn
-  /// from an Rng seeded purely by (env_seed, chunk_index), so chunk
+  /// from an engine seeded purely by (env_seed, chunk_index), so chunk
   /// content never depends on how many chunks were generated before it
   /// or on which thread asks — the determinism requirement of the
   /// streaming reader (data/streaming.h). `rho == 1.0` means unbiased
@@ -79,21 +78,13 @@ class SyntheticModel {
   }
 
  private:
-  struct Unit {
-    std::vector<double> x;
-    int t;
-    double y0, y1;
-  };
-
-  Unit DrawUnit(Rng& rng) const;
-
-  /// Shared sampling loop: draws until `n` units are accepted,
-  /// applying the rho-biased rejection only when `biased` is set. The
-  /// Rng consumption pattern per unit is identical to the pre-chunking
-  /// loops, so SampleEnvironment / SampleUnbiased streams are
-  /// unchanged bit for bit.
-  CausalDataset SampleWithRng(int64_t n, bool biased, double rho,
-                              Rng& rng) const;
+  /// Shared sampling loop over a Mt19937_64Block seeded with `seed`:
+  /// draws until `n` units are accepted, applying the rho-biased
+  /// rejection only when `biased` is set. Engine outputs are consumed
+  /// in the order that defines the stream (docs/ARCHITECTURE.md
+  /// "Synthetic stream identity").
+  CausalDataset SampleSeeded(int64_t n, bool biased, double rho,
+                             uint64_t seed) const;
 
   SyntheticDims dims_;
   Matrix theta_t_;   // (m_i + m_c) x 1

@@ -1,6 +1,8 @@
 #ifndef SBRL_TENSOR_RANDOM_H_
 #define SBRL_TENSOR_RANDOM_H_
 
+#include <array>
+#include <cmath>
 #include <cstdint>
 #include <random>
 #include <vector>
@@ -20,7 +22,11 @@ class Rng {
   /// Uniform double in [lo, hi).
   double Uniform(double lo = 0.0, double hi = 1.0);
 
-  /// Standard normal (or N(mean, stddev)) draw.
+  /// Standard normal (or N(mean, stddev)) draw. Each call builds a
+  /// fresh std::normal_distribution, so the polar method's second value
+  /// is discarded; that per-call distribution is part of the stream
+  /// identity (docs/ARCHITECTURE.md "Synthetic stream identity") and
+  /// must not be replaced by a cached one.
   double Normal(double mean = 0.0, double stddev = 1.0);
 
   /// Bernoulli draw with success probability p (clamped to [0,1]).
@@ -52,6 +58,76 @@ class Rng {
  private:
   std::mt19937_64 engine_;
 };
+
+/// MT19937-64 producing exactly the output sequence of
+/// std::mt19937_64 seeded with the same value, refilled a block at a
+/// time: the twist is branch-free and all 312 outputs are tempered in
+/// one pass, so a draw is a buffer read. Used for bulk synthetic data,
+/// where libstdc++'s per-draw branches on random bits dominate; Rng
+/// keeps std::mt19937_64 because its state is checkpointed.
+class Mt19937_64Block {
+ public:
+  /// Engine output type (UniformRandomBitGenerator requirements).
+  using result_type = uint64_t;
+
+  /// Engine in the state of std::mt19937_64(seed).
+  explicit Mt19937_64Block(uint64_t seed);
+
+  /// Smallest output.
+  static constexpr result_type min() { return 0; }
+  /// Largest output.
+  static constexpr result_type max() { return ~result_type{0}; }
+
+  /// Next output; equal to the std engine's next operator() result.
+  result_type operator()() {
+    if (next_ == kStateSize) Refill();
+    return out_[next_++];
+  }
+
+ private:
+  static constexpr int kStateSize = 312;
+
+  void Refill();
+
+  std::array<uint64_t, kStateSize> state_{};
+  std::array<uint64_t, kStateSize> out_{};
+  int next_ = kStateSize;
+};
+
+// Exact replicas of the libstdc++ distribution algorithms the
+// synthetic generator draws through, for any engine with 64-bit
+// outputs spanning [0, 2^64). Each consumes the same engine outputs and
+// returns the same bits as its std counterpart (tests/matrix_test.cc
+// checks both under __GLIBCXX__). std::bernoulli_distribution(p) is
+// one Canonical53 draw compared `< p`.
+
+/// std::generate_canonical<double, 53>(engine): one 64-bit output `u`,
+/// double(u) / 2^64, clamped below 1. double(u) is formed as the
+/// correctly rounded sum hi * 2^32 + lo (both terms exact), which
+/// avoids the sign-bit branch of a plain u64 -> double conversion.
+template <class Engine>
+double Canonical53(Engine& engine) {
+  const uint64_t u = engine();
+  const double hi = static_cast<double>(static_cast<uint32_t>(u >> 32));
+  const double lo = static_cast<double>(static_cast<uint32_t>(u));
+  const double r = (hi * 0x1p32 + lo) * 0x1p-64;
+  return r < 1.0 ? r : 0x1.fffffffffffffp-1;  // nextafter(1.0, 0.0)
+}
+
+/// One draw of a fresh std::normal_distribution<double>(0, 1):
+/// Marsaglia polar on canonical pairs, the saved x-value discarded.
+template <class Engine>
+double StdNormal(Engine& engine) {
+  double y, r2;
+  do {
+    const double x = 2.0 * Canonical53(engine) - 1.0;
+    y = 2.0 * Canonical53(engine) - 1.0;
+    r2 = x * x + y * y;
+  } while (r2 > 1.0 || r2 == 0.0);
+  // `+ 0.0` is the std epilogue `ret * stddev + mean` at (1, 0): it
+  // turns the -0.0 of r2 == 1 (sqrt(-0.0)) into +0.0.
+  return y * std::sqrt(-2.0 * std::log(r2) / r2) + 0.0;
+}
 
 }  // namespace sbrl
 

@@ -7,6 +7,7 @@
 #include <limits>
 #include <locale>
 #include <numeric>
+#include <string>
 
 #include "data/causal_dataset.h"
 #include "data/csv.h"
@@ -123,11 +124,23 @@ TEST(SamplingTest, WeightedSampleReturnsDistinctIndices) {
 }
 
 TEST(SamplingTest, AcceptWithLogProbExtremes) {
-  Rng rng(3);
-  EXPECT_FALSE(AcceptWithLogProb(-800.0, rng));
+  Mt19937_64Block engine(3);
+  // Below the -700 underflow cut the unit is rejected without a draw:
+  // the engine's next output is still its first.
+  const Mt19937_64Block fresh = engine;
+  EXPECT_FALSE(AcceptWithLogProb(-800.0, engine));
+  EXPECT_FALSE(AcceptWithLogProb(-700.0, engine));
+  Mt19937_64Block untouched = fresh;
+  EXPECT_EQ(engine(), untouched());
+  // Above it every call reads one uniform, and log_prob 0 always accepts.
+  engine = fresh;
   int accepts = 0;
-  for (int i = 0; i < 100; ++i) accepts += AcceptWithLogProb(0.0, rng);
+  for (int i = 0; i < 100; ++i) accepts += AcceptWithLogProb(0.0, engine);
   EXPECT_EQ(accepts, 100);
+  untouched = fresh;
+  for (int i = 0; i < 100; ++i) untouched();
+  EXPECT_EQ(engine(), untouched());
+  EXPECT_DEATH(AcceptWithLogProb(1e-3, engine), "above 0");
 }
 
 TEST(SplitTest, IndicesPartitionCompletely) {
@@ -249,6 +262,84 @@ TEST(SyntheticModelTest, Syn16VariantHasLargerDimension) {
   CausalDataset data = model.SampleUnbiased(100, 5);
   EXPECT_EQ(data.dim(), 50);
   EXPECT_EQ(model.unstable_begin(), 48);
+}
+
+// FNV-1a 64 over raw bytes, chained through `h`.
+uint64_t Fnv1a64(uint64_t h, const void* bytes, size_t n) {
+  const auto* p = static_cast<const unsigned char*>(bytes);
+  for (size_t i = 0; i < n; ++i) {
+    h ^= p[i];
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+uint64_t SyntheticHash(const SyntheticModel& model, const CausalDataset& d) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (const Matrix* m : {&d.x, &d.y, &d.mu0, &d.mu1}) {
+    h = Fnv1a64(h, m->data(), static_cast<size_t>(m->size()) * sizeof(double));
+  }
+  h = Fnv1a64(h, d.t.data(), d.t.size() * sizeof(int));
+  const double thr[2] = {model.threshold0(), model.threshold1()};
+  return Fnv1a64(h, thr, sizeof(thr));
+}
+
+// Pins the synthetic stream bit for bit: every dataset the generator
+// produces (biased environments on both sides of rho, unbiased draws,
+// streamed chunks) hashes to the value the reference implementation
+// produced. Any change to engine consumption order, rejection order
+// or arithmetic shows up here, not as a silent distribution shift.
+TEST(SyntheticStreamLockTest, HashesMatchPinnedStream) {
+  const std::vector<SyntheticDims> grid = {
+      {8, 8, 8, 2}, {2, 3, 2, 1}, {8, 8, 8, 3}};
+  const std::vector<double> rhos = {1.05, -1.05, 1.3, -1.3, 1.5,
+                                    -1.5, 2.5,   -2.5, 3.0, -3.0};
+  std::vector<uint64_t> got;
+  for (size_t g = 0; g < grid.size(); ++g) {
+    const SyntheticModel model(grid[g], 31 + g);
+    for (size_t r = 0; r < rhos.size(); ++r) {
+      got.push_back(SyntheticHash(
+          model, model.SampleEnvironment(40, rhos[r], 100 + r)));
+    }
+    got.push_back(SyntheticHash(model, model.SampleUnbiased(64, 7)));
+    for (double rho : {1.0, 2.5}) {
+      for (int64_t chunk = 0; chunk < 3; ++chunk) {
+        got.push_back(SyntheticHash(
+            model, model.SampleEnvironmentChunk(24, rho, 11, chunk)));
+      }
+    }
+  }
+  const std::vector<uint64_t> want = {
+      // dims {8,8,8,2}: rho +-1.05 .. +-3.0, unbiased, chunks (rho 1, 2.5)
+      0x97fcf8dc0842d87dULL, 0xc112e3a986c235a1ULL, 0xe26f84b75c66eb5fULL,
+      0x2b7dbbbfc74f0ff8ULL, 0xeb23f3e150604471ULL, 0xd588dc8415d7010fULL,
+      0x576d3776492defafULL, 0x5a88ffa2af8e420eULL, 0xde75880af03448e7ULL,
+      0xd19e487c74ffcd5eULL, 0x0dcd44d4cab4aa3bULL, 0x43ed3d43c1dc586fULL,
+      0x2867b743e6a20e75ULL, 0x728792fd8c1ad4acULL, 0x6419344a1fd85d3cULL,
+      0x3a419aab1b328722ULL, 0xd041b0339c7da5d8ULL,
+      // dims {2,3,2,1}: rho +-1.05 .. +-3.0, unbiased, chunks (rho 1, 2.5)
+      0xc56eb8e123f980e4ULL, 0xa6e8cfcac92c0e40ULL, 0x9b305ae600902060ULL,
+      0x8f5c606a510129edULL, 0x22388c5d69045176ULL, 0x9af23bab4773ade4ULL,
+      0x414cd8d7293a5368ULL, 0xd2551b9c296b38cdULL, 0x02f4e37afe4194cfULL,
+      0xd7bbd03f3270b7dbULL, 0x74803203515f2bb7ULL, 0x51e840acd40cf9b2ULL,
+      0xefbb3d97fdb36b60ULL, 0x8ccdf7be65120579ULL, 0x463f00d173696061ULL,
+      0xa0a09076a0960437ULL, 0x38e413989e555d63ULL,
+      // dims {8,8,8,3}: rho +-1.05 .. +-3.0, unbiased, chunks (rho 1, 2.5)
+      0x1b88a1346722f5c3ULL, 0x3e8d6ea9c9a550b6ULL, 0xc84f269ff0bbcce3ULL,
+      0xfe590159746cd1bbULL, 0x66ea17b1ce0113a5ULL, 0xe2351f8902a2dd44ULL,
+      0xc9be0969719cbd5cULL, 0x4f4a0395bdf7a317ULL, 0x8da70a2a7d8e2079ULL,
+      0x0f36b46dbb7d092dULL, 0x014cb76ea68b3d02ULL, 0x552dcb310fa49cd9ULL,
+      0x3213e51738220e42ULL, 0xdbd1eeb56a91de2aULL, 0xfa01d8e1f36065a4ULL,
+      0x15c71bb43a6c2272ULL, 0x44d5a41c5d709c6aULL,
+  };
+  std::string dump;
+  for (uint64_t h : got) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "0x%016llxULL,",
+                  static_cast<unsigned long long>(h));
+    dump += buf;
+  }
+  EXPECT_EQ(got, want) << dump;
 }
 
 TEST(TwinsTest, SplitSizesMatchConfiguration) {

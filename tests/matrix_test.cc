@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <random>
+#include <vector>
+
 #include "common/aligned.h"
 #include "tensor/linalg.h"
 #include "tensor/matrix_f32.h"
@@ -343,6 +348,145 @@ TEST(RandomTest, BernoulliFrequency) {
   const int kTrials = 20000;
   for (int i = 0; i < kTrials; ++i) hits += rng.Bernoulli(0.3) ? 1 : 0;
   EXPECT_NEAR(static_cast<double>(hits) / kTrials, 0.3, 0.02);
+}
+
+TEST(Mt19937BlockTest, MatchesStdEngineAcrossRefills) {
+  // 2e6 draws cross ~6400 block refills per seed.
+  for (uint64_t seed : {uint64_t{0}, uint64_t{1}, uint64_t{42}, ~uint64_t{0}}) {
+    std::mt19937_64 reference(seed);
+    Mt19937_64Block block(seed);
+    int64_t mismatches = 0;
+    for (int i = 0; i < 2000000; ++i) mismatches += reference() != block();
+    EXPECT_EQ(mismatches, 0) << "seed " << seed;
+  }
+}
+
+TEST(Mt19937BlockTest, RngDrawsMatchReplicas) {
+  // The synthetic generator's calibration replaces Rng::Normal with
+  // StdNormal on a block engine; both must read the same stream.
+  Rng rng(2024);
+  Mt19937_64Block block(2024);
+  for (int i = 0; i < 100000; ++i) {
+    ASSERT_EQ(rng.Normal(), StdNormal(block)) << "draw " << i;
+    ASSERT_EQ(rng.Uniform(), Canonical53(block)) << "draw " << i;
+  }
+}
+
+#ifdef __GLIBCXX__
+// The replicas reproduce libstdc++'s algorithms, so the bitwise
+// comparison against the std distributions is only meaningful there.
+TEST(Mt19937BlockTest, ReplicasMatchStdDistributions) {
+  constexpr int kDraws = 1000000;
+  {
+    std::mt19937_64 reference(7);
+    Mt19937_64Block block(7);
+    int64_t mismatches = 0;
+    for (int i = 0; i < kDraws; ++i) {
+      mismatches += std::generate_canonical<double, 53>(reference) !=
+                    Canonical53(block);
+    }
+    EXPECT_EQ(mismatches, 0) << "generate_canonical";
+  }
+  {
+    std::mt19937_64 reference(8);
+    Mt19937_64Block block(8);
+    int64_t mismatches = 0;
+    for (int i = 0; i < kDraws; ++i) {
+      std::normal_distribution<double> fresh(0.0, 1.0);
+      mismatches += fresh(reference) != StdNormal(block);
+    }
+    EXPECT_EQ(mismatches, 0) << "normal_distribution";
+  }
+  {
+    std::mt19937_64 reference(9);
+    Mt19937_64Block block(9);
+    std::mt19937_64 p_source(10);
+    const double fixed_p[] = {0.0, 1.0, 0.5, 1e-300, 0.3};
+    int64_t mismatches = 0;
+    for (int i = 0; i < kDraws; ++i) {
+      const double p = i % 2 == 0 ? fixed_p[(i / 2) % 5]
+                                  : std::generate_canonical<double, 53>(p_source);
+      std::bernoulli_distribution dist(p);
+      // std::bernoulli_distribution(p) is one canonical draw, `< p`.
+      mismatches += dist(reference) != (Canonical53(block) < p);
+    }
+    EXPECT_EQ(mismatches, 0) << "bernoulli_distribution";
+  }
+}
+#endif  // __GLIBCXX__
+
+// Replays a fixed list of 64-bit outputs, to hit conversion edge cases
+// a seeded engine reaches only rarely.
+struct StubEngine {
+  using result_type = uint64_t;
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+  result_type operator()() { return values.at(next++); }
+  std::vector<uint64_t> values;
+  size_t next = 0;
+};
+
+TEST(Mt19937BlockTest, CanonicalEdgeCases) {
+  constexpr uint64_t kTop = uint64_t{1} << 63;
+  const std::vector<uint64_t> edges = {
+      0, 1, (uint64_t{1} << 53) + 1, kTop - 1, kTop, kTop + 1,
+      kTop + 1024,        // tie between 2^63 and its successor: to even
+      kTop + 3 * 1024,    // tie rounding up to the even neighbour
+      ~uint64_t{0} - 2048, ~uint64_t{0} - 1024,
+      ~uint64_t{0} - 1023,  // rounds up to 2^64: clamped
+      ~uint64_t{0}};
+  // Values fixed by IEEE round-to-nearest-even, independent of the
+  // standard library.
+  const auto canonical = [](uint64_t u) {
+    StubEngine stub{{u}};
+    return Canonical53(stub);
+  };
+  EXPECT_EQ(canonical(kTop), 0.5);
+  EXPECT_EQ(canonical(kTop + 1024), 0.5);
+  EXPECT_EQ(canonical(kTop + 3 * 1024), 0.5 + 0x1p-52);
+  EXPECT_EQ(canonical(~uint64_t{0} - 1024), std::nextafter(1.0, 0.0));
+  EXPECT_EQ(canonical(~uint64_t{0} - 1023), std::nextafter(1.0, 0.0));
+  EXPECT_EQ(canonical(~uint64_t{0}), std::nextafter(1.0, 0.0));
+  // A polar point with r2 == 1 exactly and y > 0: y = 1 - 2^-52 (the
+  // clamped canonical) and x = k * 2^-53 with x^2 within rounding of
+  // 2^-51. sqrt(-2 log r2 / r2) is then sqrt(-0.0) = -0.0, and the
+  // normal must still be +0.0, as std's `ret * stddev + mean` makes it.
+  constexpr uint64_t kUnitRadiusX = kTop + (uint64_t{189812532} << 10);
+  const std::vector<uint64_t> unit_radius = {kUnitRadiusX, ~uint64_t{0}};
+  {
+    const double x = 2.0 * canonical(kUnitRadiusX) - 1.0;
+    const double y = 2.0 * canonical(~uint64_t{0}) - 1.0;
+    ASSERT_EQ(x * x + y * y, 1.0);
+    StubEngine replica{unit_radius};
+    const double z = StdNormal(replica);
+    EXPECT_EQ(z, 0.0);
+    EXPECT_FALSE(std::signbit(z));
+  }
+#ifdef __GLIBCXX__
+  for (uint64_t u : edges) {
+    StubEngine stub{{u}};
+    const double reference = std::generate_canonical<double, 53>(stub);
+    EXPECT_EQ(reference, canonical(u)) << "u = " << u;
+  }
+  {
+    StubEngine reference{unit_radius};
+    std::normal_distribution<double> fresh(0.0, 1.0);
+    const double z = fresh(reference);
+    EXPECT_EQ(z, 0.0);
+    EXPECT_FALSE(std::signbit(z));
+  }
+  // Polar rejection: r2 == 0 (both canonicals 0.5), then r2 > 1 (both
+  // near 1), then an accepted point (-0.5, 0.5).
+  const std::vector<uint64_t> polar = {kTop, kTop, ~uint64_t{0}, ~uint64_t{0},
+                                       kTop >> 1, kTop + (kTop >> 1)};
+  StubEngine reference{polar};
+  StubEngine replica{polar};
+  std::normal_distribution<double> fresh(0.0, 1.0);
+  EXPECT_EQ(fresh(reference), StdNormal(replica));
+  EXPECT_EQ(replica.next, polar.size());
+#else
+  (void)edges;
+#endif  // __GLIBCXX__
 }
 
 }  // namespace
