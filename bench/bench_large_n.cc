@@ -18,14 +18,10 @@
 // shard rows and layer widths (PerWorkerBoundMb) — peak memory grows
 // with shard size and worker count, never with n x d.
 //
-// Precision lanes: the streamed column-moment + HSIC-RFF pass runs
-// once per tier (f64, then f32 block staging) with the kernel's
-// peak-RSS watermark reset in between (write "5" to
-// /proc/self/clear_refs, read VmHWM back — ru_maxrss is lifetime-
-// monotone and useless for phase deltas), and at non-smoke scales the
-// f32 lane's watermark must come in below the f64 one: the staged
-// wave holds float covariates, half the resident bytes. A 1-pass
-// f32-staged fit lane records the trainer's opt-in tier throughput.
+// Stats lane: one streamed column-moment + HSIC-RFF pass over the big
+// stream with the kernel's peak-RSS watermark reset first (write "5"
+// to /proc/self/clear_refs, read VmHWM back — ru_maxrss is lifetime-
+// monotone and useless for phase deltas), recording its time and peak.
 //
 // Generator lane: single-thread SampleEnvironmentChunk loops, unbiased
 // (rho = 1, what the streams above read) and biased (rho = 2.5, the
@@ -35,8 +31,6 @@
 #include <malloc.h>
 #include <sys/resource.h>
 
-#include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -106,30 +100,6 @@ constexpr bool kRssGuards = false;
 #else
 constexpr bool kRssGuards = true;
 #endif
-
-/// Pins SBRL_PRECISION for the lifetime of the object (restoring the
-/// previous state on destruction) so each lane runs the tier it is
-/// labeled with regardless of the ambient environment.
-class ScopedPrecisionEnv {
- public:
-  explicit ScopedPrecisionEnv(const char* value) {
-    const char* old = std::getenv("SBRL_PRECISION");
-    had_old_ = old != nullptr;
-    if (had_old_) old_ = old;
-    ::setenv("SBRL_PRECISION", value, 1);
-  }
-  ~ScopedPrecisionEnv() {
-    if (had_old_) {
-      ::setenv("SBRL_PRECISION", old_.c_str(), 1);
-    } else {
-      ::unsetenv("SBRL_PRECISION");
-    }
-  }
-
- private:
-  bool had_old_ = false;
-  std::string old_;
-};
 
 ShardedTrainerConfig TrainerConfig(const Scale& scale, int64_t iterations) {
   ShardedTrainerConfig config;
@@ -272,34 +242,28 @@ int Main() {
   const int64_t iterations = scale.name == "smoke" ? 2 : 4;
   const int64_t shard_rows = 8192;
 
-  // ---- Precision tiers of the streamed stats (f32 staging lanes). ----
-  // Runs BEFORE the big fit so the watermark deltas reflect the staged
-  // waves, not the trainer's pools. Each lane: release freed heap back
-  // to the OS, reset the watermark, stream one ColumnMoments +
-  // HSIC-RFF pass over the big stream, read VmHWM back.
+  // ---- Stats lane: streamed column moments + HSIC-RFF. ----
+  // Runs BEFORE the big fit so the watermark delta reflects the staged
+  // waves, not the trainer's pools: release freed heap back to the OS,
+  // reset the watermark, stream one ColumnMoments + HSIC-RFF pass over
+  // the big stream, read VmHWM back.
   //
   // The worker count is PINNED at 8, independent of the host's core
-  // count: what the lanes measure is wave residency (workers x
-  // shard_rows x d staged bytes), and the f32 tier's saving is the
-  // halved wave minus its one reused f64 stage block — a win only
-  // when several blocks are wave-resident at once. Worker count never
-  // changes a bit of either tier's result (ShardedReduce's contract),
-  // so pinning it only shapes the memory profile being measured.
+  // count: what the lane measures is wave residency (workers x
+  // shard_rows x d staged bytes). Worker count never changes a bit of
+  // the result (ShardedReduce's contract), so pinning it only shapes
+  // the memory profile being measured.
   const int64_t stats_workers = 8;
-  double stats_seconds[2] = {0.0, 0.0};
-  double stats_peak[2] = {-1.0, -1.0};
-  double stats_mean0[2] = {0.0, 0.0};
-  double stats_hsic[2] = {0.0, 0.0};
-  bool watermark_ok = true;
-  for (int tier = 0; tier < 2; ++tier) {
-    ScopedPrecisionEnv pin(tier == 0 ? "f64" : "f32");
+  double stats_peak = -1.0;
+  double stats_seconds = 0.0;
+  {
     ShardedOptions sopts;
     sopts.shard_rows = shard_rows;
     sopts.workers = stats_workers;
     SyntheticBlockReader stats_reader(&model, big_rows, /*rho=*/1.0,
                                       /*env_seed=*/42, shard_rows);
     malloc_trim(0);
-    watermark_ok = ResetPeakRss() && watermark_ok;
+    const bool watermark_ok = ResetPeakRss();
     Timer stats_timer;
     StatusOr<ColumnMoments> moments =
         ShardedColumnMoments(stats_reader, sopts);
@@ -309,32 +273,11 @@ int Main() {
         ShardedHsicRff(stats_reader, /*col_a=*/d - dims.m_v, kOutcomeColumn,
                        /*num_features=*/8, /*draw_seed=*/99, sopts);
     SBRL_CHECK(hsic.ok()) << hsic.status().ToString();
-    stats_seconds[tier] = stats_timer.ElapsedSeconds();
-    if (watermark_ok) stats_peak[tier] = VmHwmMb();
-    stats_mean0[tier] =
-        moments->sum(0, 0) / static_cast<double>(moments->rows);
-    stats_hsic[tier] = *hsic;
+    stats_seconds = stats_timer.ElapsedSeconds();
+    if (watermark_ok) stats_peak = VmHwmMb();
   }
-  // Tier agreement: the f32 lane stored each covariate with one float
-  // rounding and kept every accumulation in f64, so column means agree
-  // to ~1e-7 relative and the HSIC statistic to a few percent (the
-  // exact per-kernel budgets live in tests/precision_test.cc).
-  SBRL_CHECK_LT(std::abs(stats_mean0[1] - stats_mean0[0]), 1e-5)
-      << "f32-staged column mean drifted beyond the tier budget";
-  SBRL_CHECK_LT(std::abs(stats_hsic[1] - stats_hsic[0]),
-                1e-6 + 0.05 * std::abs(stats_hsic[0]))
-      << "f32-staged HSIC drifted beyond the tier budget";
-  std::cerr << "precision lanes: stats f64 " << FormatDouble(
-                   stats_seconds[0], 2)
-            << "s peak " << FormatDouble(stats_peak[0], 1) << " MiB, f32 "
-            << FormatDouble(stats_seconds[1], 2) << "s peak "
-            << FormatDouble(stats_peak[1], 1) << " MiB\n";
-  if (kRssGuards && watermark_ok && scale.name != "smoke") {
-    // Acceptance: f32 block staging cuts the streamed-stats peak (the
-    // staged wave holds float covariates — half the resident bytes).
-    SBRL_CHECK_LT(stats_peak[1], stats_peak[0])
-        << "f32 staging did not cut the streamed-stats peak RSS";
-  }
+  std::cerr << "stats lane: " << FormatDouble(stats_seconds, 2)
+            << "s peak " << FormatDouble(stats_peak, 1) << " MiB\n";
 
   // ---- Worker lanes: fit rows/s and peak RSS per shard-worker count. ----
   // One pass per lane over the big stream, each with its own
@@ -418,21 +361,6 @@ int Main() {
   // What the same sample would cost fully materialized.
   const double incore_mb = BlockMb(big_rows, d);
 
-  // ---- f32 block-staging fit lane (the opt-in trainer tier). ----
-  // One pass is enough to record the tier's throughput; the fitted
-  // bits differ from f64 by construction, so only health is CHECKed.
-  ShardedTrainDiagnostics diag32;
-  {
-    ScopedPrecisionEnv pin("f32");
-    ShardedTrainerConfig config32 = TrainerConfig(scale, /*iterations=*/1);
-    config32.sharding.shard_rows = shard_rows;
-    SBRL_CHECK(reader.Reset().ok());
-    ShardedTrainer trainer32(config32, d);
-    const Status trained32 = trainer32.Train(reader, &diag32);
-    SBRL_CHECK(trained32.ok()) << trained32.ToString();
-    SBRL_CHECK(diag32.precision == Precision::kF32);
-  }
-
   TablePrinter table({"metric", "value"});
   table.AddRow({"rows", std::to_string(big_rows)});
   table.AddRow({"passes", std::to_string(iterations)});
@@ -443,7 +371,6 @@ int Main() {
   table.AddRow({"in-core MiB (for comparison)", FormatDouble(incore_mb, 1)});
   table.AddRow({"streamed ATE", FormatDouble(*ate, 4)});
   table.AddRow({"HSIC_RFF(V0, Y)", FormatDouble(*hsic_vy, 6)});
-  table.AddRow({"f32 fit rows/sec", FormatDouble(diag32.rows_per_second, 0)});
   for (const WorkerLane& lane : lanes) {
     const std::string w = std::to_string(lane.workers);
     table.AddRow({"fit rows/sec, " + w + " shard workers",
@@ -456,8 +383,8 @@ int Main() {
                 FormatDouble(gen_unbiased_rps, 0)});
   table.AddRow({"synthetic biased (rho 2.5) rows/sec, 1 thread",
                 FormatDouble(gen_biased_rps, 0)});
-  table.AddRow({"stats peak f64 MiB", FormatDouble(stats_peak[0], 1)});
-  table.AddRow({"stats peak f32 MiB", FormatDouble(stats_peak[1], 1)});
+  table.AddRow({"stats seconds", FormatDouble(stats_seconds, 3)});
+  table.AddRow({"stats peak MiB", FormatDouble(stats_peak, 1)});
   table.Print(std::cout);
 
   BenchJsonWriter json("large_n", scale);
@@ -467,25 +394,10 @@ int Main() {
   json.Record("large_n/peak_rss_mb", rss_after_mb);
   json.Record("large_n/incore_equiv_mb", incore_mb);
   json.Record("large_n/hsic_seconds", hsic_seconds);
-  // Precision lanes. The staged-wave byte counts are analytic — the
-  // resident covariate bytes of one wave under each tier — so the
-  // traffic halving is recorded even where the watermark interface is
-  // unavailable.
-  json.Record("large_n/stats_f64_seconds", stats_seconds[0]);
-  json.Record("large_n/stats_f32_seconds", stats_seconds[1]);
-  if (stats_peak[0] >= 0.0) {
-    json.Record("large_n/stats_f64_peak_rss_mb", stats_peak[0]);
+  json.Record("large_n/stats_f64_seconds", stats_seconds);
+  if (stats_peak >= 0.0) {
+    json.Record("large_n/stats_f64_peak_rss_mb", stats_peak);
   }
-  if (stats_peak[1] >= 0.0) {
-    json.Record("large_n/stats_f32_peak_rss_mb", stats_peak[1]);
-  }
-  const double wave_doubles =
-      static_cast<double>(stats_workers * shard_rows * d);
-  json.Record("large_n/stats_wave_mb_f64",
-              wave_doubles * sizeof(double) / (1024.0 * 1024.0));
-  json.Record("large_n/stats_wave_mb_f32",
-              wave_doubles * sizeof(float) / (1024.0 * 1024.0));
-  json.Record("large_n/f32_fit_rows_per_sec", diag32.rows_per_second);
   json.Record("large_n/synthetic_unbiased_rows_per_sec", gen_unbiased_rps);
   json.Record("large_n/synthetic_biased_rows_per_sec", gen_biased_rps);
   for (const WorkerLane& lane : lanes) {

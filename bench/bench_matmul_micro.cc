@@ -105,12 +105,11 @@ int Main() {
     // forced via SetActiveIsa, so BENCH_matmul_micro.json tracks the
     // dispatch win (and each level's result is re-checked against the
     // reference). The trans_b lane tracks the blocked-panel wide
-    // kernel, and the f32 lanes the float kernel family on the same
-    // tables (checked against the f64 reference under the tier's
+    // kernel, and the f32 lane the serving tier's float matmul on the
+    // same tables (checked against the f64 reference under the tier's
     // rounding budget). The auto-resolved level is restored afterwards.
     const MatrixF32 a32 = MatrixF32::FromF64(a);
     const MatrixF32 b32 = MatrixF32::FromF64(b);
-    const MatrixF32 bt32 = MatrixF32::FromF64(bt);
     for (Isa isa : {Isa::kBaseline, Isa::kAvx2, Isa::kAvx512}) {
       if (isa > MaxSupportedIsa()) continue;
       // A SBRL_ISA env override outranks the forced choice; skip levels
@@ -139,17 +138,9 @@ int Main() {
           << IsaName(isa) << " MatmulF32 diverges at " << tag;
       json.Record(std::string("matmul_f32_") + IsaName(isa) + "/" + tag,
                   f32_s);
-      const double tb32_s = TimeOpF32(
-          [&] { return MatmulTransBF32(a32, bt32); }, reps, &f32_out);
-      SBRL_CHECK(AllClose(ref_out, f32_out.ToF64(), 5e-3))
-          << IsaName(isa) << " MatmulTransBF32 diverges at " << tag;
-      json.Record(std::string("matmul_trans_b_f32_") + IsaName(isa) + "/" +
-                      tag,
-                  tb32_s);
       std::cout << "  " << IsaName(isa) << ": " << isa_s * 1e3
                 << " ms (trans_b " << tb_s * 1e3 << " ms, f32 "
-                << f32_s * 1e3 << " ms, trans_b f32 " << tb32_s * 1e3
-                << " ms)\n";
+                << f32_s * 1e3 << " ms)\n";
     }
     SetActiveIsa(IsaChoice::kAuto);
   }

@@ -40,8 +40,9 @@ ctest --test-dir "${PREFIX}" -L serving --output-on-failure -j "${JOBS}"
 # large-n smoke guard); tier1-labeled, run explicitly as a labeling
 # guard.
 ctest --test-dir "${PREFIX}" -L large_n --output-on-failure -j "${JOBS}"
-# Precision tier (f32 serving + streaming-stats error budgets, its
-# threads2/isa_baseline variants, the serving bench's f32 lanes);
+# Precision tier (f32 serving error budgets — serving is the only f32
+# tier — its threads2/isa_baseline variants, the serving bench's f32
+# lanes);
 # tier1-labeled, run explicitly as a labeling guard.
 ctest --test-dir "${PREFIX}" -L precision --output-on-failure -j "${JOBS}"
 
@@ -59,8 +60,8 @@ ctest --test-dir "${PREFIX}-sanitize" -L faults --output-on-failure \
 # (serve/write + serve/read fault sites over raw byte buffers).
 ctest --test-dir "${PREFIX}-sanitize" -L serving --output-on-failure \
       -j "${JOBS}"
-# The f32 tier's kernels under asan/ubsan: the wide kernels' tail
-# lanes and the narrow/widen staging buffers are the risk surface.
+# The f32 serving tier's kernels under asan/ubsan: the wide kernels'
+# tail lanes and the narrow/widen buffers are the risk surface.
 ctest --test-dir "${PREFIX}-sanitize" -L precision --output-on-failure \
       -j "${JOBS}"
 

@@ -1,8 +1,24 @@
 #include "common/precision.h"
 
+#include <atomic>
 #include <cstdlib>
 
+#include "common/logging.h"
+
 namespace sbrl {
+
+namespace {
+
+/// Warns once per process about an unparseable SBRL_PRECISION value.
+void WarnBadEnvOnce(const char* env) {
+  static std::atomic<bool> warned{false};
+  if (!warned.exchange(true)) {
+    SBRL_LOG(Warning) << "ignoring unparseable SBRL_PRECISION value '" << env
+                      << "' (expected f64|f32)";
+  }
+}
+
+}  // namespace
 
 const char* PrecisionName(Precision p) {
   switch (p) {
@@ -26,9 +42,10 @@ bool ParsePrecision(const std::string& text, Precision* out) {
 
 Precision ResolvePrecision(Precision fallback) {
   const char* env = std::getenv("SBRL_PRECISION");
-  if (env != nullptr) {
+  if (env != nullptr && *env != '\0') {
     Precision parsed;
     if (ParsePrecision(env, &parsed)) return parsed;
+    WarnBadEnvOnce(env);
   }
   return fallback;
 }

@@ -5,22 +5,19 @@
 
 namespace sbrl {
 
-/// Numeric storage tier of a compute path. Follows the repo's
+/// Numeric storage tier of the serving forward. Follows the repo's
 /// mode-knob pattern (CosineMode / BatchedHsicMode / NetStepMode): a
 /// reference tier that every contract is stated against, plus a cheap
-/// tier that is opt-in per path and tolerance-bounded against the
-/// reference.
+/// tier that is opt-in and tolerance-bounded against the reference.
 ///
-/// The tier governs STORAGE width only. Paths that run under kF32
-/// still accumulate long reductions (column moments, HSIC cross
-/// products, matmul dot chains where the error budget demands it) in
-/// double — see ARCHITECTURE.md "Precision tiers" for the per-path
-/// budget table. Training always runs kF64: the bitwise
-/// cross-ISA/cross-thread training contract is stated on doubles and
-/// is not renegotiated by this knob.
+/// Serving (serve/serving_model.h) is the only f32 tier — see
+/// ARCHITECTURE.md "Precision tiers" for its budgets. Training and the
+/// streamed sharded passes always run in f64: the bitwise
+/// cross-ISA/cross-thread contracts are stated on doubles and are not
+/// renegotiated by this knob.
 enum class Precision {
   kF64,  ///< double storage everywhere — reference tier, the default.
-  kF32,  ///< float storage on eligible serving / streaming-stats paths.
+  kF32,  ///< float storage of the serving forward.
 };
 
 /// "f64" / "f32" — used in logs, bench JSON lane names, and knob
@@ -31,10 +28,11 @@ const char* PrecisionName(Precision p);
 /// and leaves `*out` untouched.
 bool ParsePrecision(const std::string& text, Precision* out);
 
-/// Resolves the effective tier: SBRL_PRECISION env var when set to a
-/// valid name (takes precedence, same override pattern as SBRL_ISA /
-/// SBRL_RECOVERY), otherwise `fallback`. An invalid env value is
-/// ignored, not fatal — the reference tier is always a safe answer.
+/// Resolves the effective serving tier: SBRL_PRECISION env var when set
+/// to a valid name (takes precedence, same override pattern as SBRL_ISA
+/// / SBRL_RECOVERY), otherwise `fallback`. An invalid env value is
+/// ignored, not fatal — it logs one warning per process naming the
+/// accepted values and falls back.
 Precision ResolvePrecision(Precision fallback);
 
 }  // namespace sbrl

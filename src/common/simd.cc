@@ -22,18 +22,15 @@ namespace simd_detail {
 // why the resolved level is pinned per process (common/cpu.h).
 void VecCosSerial(const double* x, double* y, int64_t n);
 void ScaledCosSerialInPlace(double* x, int64_t n, double scale);
-void ScaledCosSerialInPlaceF32(float* x, int64_t n, float scale);
 void EluSerialInPlaceF32(float* x, int64_t n);
 #if defined(SBRL_HAVE_ISA_AVX2)
 void VecCosSerialAvx2(const double* x, double* y, int64_t n);
 void ScaledCosSerialInPlaceAvx2(double* x, int64_t n, double scale);
-void ScaledCosSerialInPlaceF32Avx2(float* x, int64_t n, float scale);
 void EluSerialInPlaceF32Avx2(float* x, int64_t n);
 #endif
 #if defined(SBRL_HAVE_ISA_AVX512)
 void VecCosSerialAvx512(const double* x, double* y, int64_t n);
 void ScaledCosSerialInPlaceAvx512(double* x, int64_t n, double scale);
-void ScaledCosSerialInPlaceF32Avx512(float* x, int64_t n, float scale);
 void EluSerialInPlaceF32Avx512(float* x, int64_t n);
 #endif
 }  // namespace simd_detail
@@ -45,7 +42,6 @@ namespace {
 struct CosKernels {
   void (*vec_cos)(const double* x, double* y, int64_t n);
   void (*scaled_cos)(double* x, int64_t n, double scale);
-  void (*scaled_cos_f32)(float* x, int64_t n, float scale);
   void (*elu_f32)(float* x, int64_t n);
 };
 
@@ -58,20 +54,17 @@ CosKernels ActiveCosKernels() {
     case Isa::kAvx2:
       return {simd_detail::VecCosSerialAvx2,
               simd_detail::ScaledCosSerialInPlaceAvx2,
-              simd_detail::ScaledCosSerialInPlaceF32Avx2,
               simd_detail::EluSerialInPlaceF32Avx2};
 #endif
 #if defined(SBRL_HAVE_ISA_AVX512)
     case Isa::kAvx512:
       return {simd_detail::VecCosSerialAvx512,
               simd_detail::ScaledCosSerialInPlaceAvx512,
-              simd_detail::ScaledCosSerialInPlaceF32Avx512,
               simd_detail::EluSerialInPlaceF32Avx512};
 #endif
     default:
       return {simd_detail::VecCosSerial,
               simd_detail::ScaledCosSerialInPlace,
-              simd_detail::ScaledCosSerialInPlaceF32,
               simd_detail::EluSerialInPlaceF32};
   }
 }
@@ -79,11 +72,6 @@ CosKernels ActiveCosKernels() {
 /// Exact reference: plain scalar std::cos in a normally compiled TU, so
 /// the compiler cannot substitute the vector variant.
 void ScaledCosExactSerialInPlace(double* x, int64_t n, double scale) {
-  for (int64_t i = 0; i < n; ++i) x[i] = scale * std::cos(x[i]);
-}
-
-/// f32 exact reference (scalar float std::cos, normally compiled).
-void ScaledCosExactSerialF32InPlace(float* x, int64_t n, float scale) {
   for (int64_t i = 0; i < n; ++i) x[i] = scale * std::cos(x[i]);
 }
 
@@ -175,48 +163,6 @@ void ScaledCosRowsInPlace(double* x, int64_t rows, int64_t cols,
       }
     }
   });
-  t_cos_sweep_nanos += static_cast<int64_t>(timer.ElapsedSeconds() * 1e9);
-}
-
-void ScaledCosRowsF32InPlace(float* x, int64_t rows, int64_t cols,
-                             int64_t stride, float scale, CosineMode mode) {
-  SBRL_CHECK_GE(rows, 0);
-  SBRL_CHECK_GE(cols, 0);
-  SBRL_CHECK_GE(stride, cols);
-  Timer timer;
-  const bool vectorized = mode == CosineMode::kVectorized;
-  const CosKernels kernels = ActiveCosKernels();
-  if (stride == cols) {  // contiguous: one flat block-aligned sweep
-    const int64_t n = rows * cols;
-    const int64_t nblocks = (n + kCosSweepBlock - 1) / kCosSweepBlock;
-    const int64_t grain = std::max<int64_t>(
-        1, SerialCutoff() / (kCosSweepBlock * kCosFlopWeight));
-    ParallelFor(0, nblocks, grain, [&](int64_t lo, int64_t hi) {
-      const int64_t b0 = lo * kCosSweepBlock;
-      const int64_t b1 = std::min(hi * kCosSweepBlock, n);
-      if (vectorized) {
-        kernels.scaled_cos_f32(x + b0, b1 - b0, scale);
-      } else {
-        ScaledCosExactSerialF32InPlace(x + b0, b1 - b0, scale);
-      }
-    });
-  } else {
-    // Strided block: each row is its own contiguous run (same
-    // row-restart argument as ScaledCosRowsInPlace).
-    const int64_t row_work = cols * kCosFlopWeight;
-    const int64_t grain = std::max<int64_t>(
-        1, SerialCutoff() / std::max<int64_t>(1, row_work));
-    ParallelFor(0, rows, grain, [&](int64_t lo, int64_t hi) {
-      for (int64_t r = lo; r < hi; ++r) {
-        float* row = x + r * stride;
-        if (vectorized) {
-          kernels.scaled_cos_f32(row, cols, scale);
-        } else {
-          ScaledCosExactSerialF32InPlace(row, cols, scale);
-        }
-      }
-    });
-  }
   t_cos_sweep_nanos += static_cast<int64_t>(timer.ElapsedSeconds() * 1e9);
 }
 

@@ -74,16 +74,9 @@ void ScaledCosInPlace(double* x, int64_t n, double scale, CosineMode mode);
 void ScaledCosRowsInPlace(double* x, int64_t rows, int64_t cols,
                           int64_t stride, double scale, CosineMode mode);
 
-/// f32 twin of ScaledCosRowsInPlace for the f32 serving tier: same
-/// strided-row contract and block alignment, swept through the f32
-/// libmvec cosine (_ZGVbN4v_cosf / _ZGVdN8v_cosf / _ZGVeN16v_cosf per
-/// ISA level) in kVectorized mode, scalar float std::cos in kExact.
-/// The kVecCosMaxUlp bound holds restated on float spacing.
-void ScaledCosRowsF32InPlace(float* x, int64_t rows, int64_t cols,
-                             int64_t stride, float scale, CosineMode mode);
-
 /// In-place f32 ELU sweep x[i] = x[i] > 0 ? x[i] : exp(x[i]) - 1 for
-/// the f32 serving tier's tape-free value kernels, routed through the
+/// the tape-free value kernels of the f32 serving tier (the only f32
+/// tier; every other sweep here is f64), routed through the
 /// per-ISA vectorized exponential (_ZGVbN4v_expf / _ZGVdN8v_expf /
 /// _ZGVeN16v_expf). The negative branch evaluates exp(x) - 1 rather
 /// than expm1 (libmvec carries no expm1f), costing at most ~1.2e-7

@@ -23,13 +23,6 @@ void ScaledCosSerialInPlace(double* x, int64_t n, double scale) {
   for (int64_t i = 0; i < n; ++i) x[i] = scale * std::cos(x[i]);
 }
 
-// f32 twin for the f32 serving tier: cosf lowers to the 4-lane SSE
-// libmvec variant (_ZGVbN4v_cosf) under the same flags, with the same
-// 4-ulp bound stated on float spacing.
-void ScaledCosSerialInPlaceF32(float* x, int64_t n, float scale) {
-  for (int64_t i = 0; i < n; ++i) x[i] = scale * std::cos(x[i]);
-}
-
 // f32 ELU sweep for the tape-free serving kernels, written branchless
 // (max(v,0) + expf(min(v,0)) - 1) so if-conversion leaves a plain
 // vectorizable expf call that lowers to libmvec (_ZGVbN4v_expf here).

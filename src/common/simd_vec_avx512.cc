@@ -21,11 +21,6 @@ void ScaledCosSerialInPlaceAvx512(double* x, int64_t n, double scale) {
   for (int64_t i = 0; i < n; ++i) x[i] = scale * std::cos(x[i]);
 }
 
-// f32 twin: cosf lowers to the 16-lane variant (_ZGVeN16v_cosf).
-void ScaledCosSerialInPlaceF32Avx512(float* x, int64_t n, float scale) {
-  for (int64_t i = 0; i < n; ++i) x[i] = scale * std::cos(x[i]);
-}
-
 // f32 ELU sweep (see simd_vec.cc for the branchless form and the
 // exp-vs-expm1 accuracy note); expf lowers to _ZGVeN16v_expf here.
 void EluSerialInPlaceF32Avx512(float* x, int64_t n) {

@@ -97,7 +97,7 @@ struct NetworkConfig {
   /// Scale representation rows to unit L2 norm (CFR's rep normalization).
   bool rep_normalization = false;
   /// Hidden-layer nonlinearity.
-  Activation activation = Activation::kElu;
+  ops::ActKind activation = ops::ActKind::kElu;
 };
 
 /// CFR-specific knobs.

@@ -137,29 +137,12 @@ Status ShardedTrainer::Train(DatasetBlockReader& reader,
   diag->train_loss.clear();
   diag->shard_rows = opts.shard_rows;
   diag->workers = opts.workers;
-  diag->precision = opts.precision;
 
   const auto leaf = [this](int64_t /*shard*/, int64_t slot,
                            const CausalDataset& block) {
     return ComputeShard(block,
                         slot_pools_[static_cast<size_t>(slot)].get());
   };
-  // f32 block-staging leaf: widen this lane's shard into its scratch
-  // just in time for the f64 tape — the wave itself stays f32, so the
-  // fit consumes float-rounded covariates (the opt-in tier).
-  const auto leaf32 = [this](int64_t /*shard*/, int64_t slot,
-                             const CausalBlockF32& block) {
-    CausalDataset& stage = slot_stage_[static_cast<size_t>(slot)];
-    block.x.WidenInto(&stage.x);
-    stage.t = block.t;
-    stage.y.ResetCopyOf(block.y);
-    stage.binary_outcome = block.binary_outcome;
-    return ComputeShard(stage,
-                        slot_pools_[static_cast<size_t>(slot)].get());
-  };
-  if (opts.precision == Precision::kF32) {
-    slot_stage_.resize(static_cast<size_t>(opts.workers));
-  }
   const auto combine = [](ShardStats a, ShardStats b) {
     a.rows += b.rows;
     a.loss_sum += b.loss_sum;
@@ -178,11 +161,8 @@ Status ShardedTrainer::Train(DatasetBlockReader& reader,
     int64_t shards = 0;
     SBRL_ASSIGN_OR_RETURN(
         ShardStats total,
-        opts.precision == Precision::kF32
-            ? ShardedReduceF32<ShardStats>(reader, opts, leaf32, combine,
-                                           &rows, &shards)
-            : ShardedReduce<ShardStats>(reader, opts, leaf, combine, &rows,
-                                        &shards));
+        ShardedReduce<ShardStats>(reader, opts, leaf, combine, &rows,
+                                  &shards));
     const double inv_n = 1.0 / static_cast<double>(rows);
     for (size_t i = 0; i < params_.size(); ++i) {
       total.grads[i] *= inv_n;
@@ -238,28 +218,6 @@ StatusOr<double> ShardedTrainer::EstimateAte(DatasetBlockReader& reader) {
     a.sum += b.sum;
     return a;
   };
-  if (opts.precision == Precision::kF32) {
-    slot_stage_.resize(static_cast<size_t>(opts.workers));
-    SBRL_ASSIGN_OR_RETURN(
-        const IteSum total,
-        ShardedReduceF32<IteSum>(
-            reader, opts,
-            [this](int64_t /*shard*/, int64_t slot,
-                   const CausalBlockF32& block) {
-              // Only the covariates are needed: widen them into this
-              // lane's scratch matrix and score from there.
-              Matrix& xs = slot_stage_[static_cast<size_t>(slot)].x;
-              block.x.WidenInto(&xs);
-              const Matrix ite = PredictIteWithPool(
-                  xs, slot_pools_[static_cast<size_t>(slot)].get());
-              IteSum s;
-              s.rows = block.n();
-              for (int64_t i = 0; i < ite.rows(); ++i) s.sum += ite(i, 0);
-              return s;
-            },
-            combine));
-    return total.sum / static_cast<double>(total.rows);
-  }
   SBRL_ASSIGN_OR_RETURN(
       const IteSum total,
       ShardedReduce<IteSum>(

@@ -6,7 +6,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/precision.h"
 #include "common/statusor.h"
 #include "core/backbone.h"
 #include "core/config.h"
@@ -44,15 +43,8 @@ struct ShardedTrainerConfig {
   /// Outcome family: sigmoid cross-entropy when true, squared error
   /// otherwise.
   bool binary_outcome = true;
-  /// Shard size / worker-lane / staging-tier knobs (see
-  /// stats/sharded.h); resolved once at Train() entry so one fit uses
-  /// one fixed decomposition. `sharding.precision == kF32` (or
-  /// SBRL_PRECISION=f32) turns on f32 block staging: the wave's
-  /// resident blocks hold f32 covariates — half the streaming bytes of
-  /// the f64 wave — and each lane widens its shard into lane-scoped
-  /// scratch just in time for the f64 tape, so the fit runs over
-  /// float-rounded covariates. An opt-in tier: the bitwise
-  /// golden-trace contract is stated on the default kF64 staging.
+  /// Shard size / worker-lane knobs (see stats/sharded.h); resolved
+  /// once at Train() entry so one fit uses one fixed decomposition.
   ShardedOptions sharding;
   /// Log one line per pass.
   bool verbose = false;
@@ -72,9 +64,6 @@ struct ShardedTrainDiagnostics {
   int64_t shard_rows = 0;
   /// Resolved worker-lane count of the fit.
   int64_t workers = 0;
-  /// Resolved block-staging tier of the fit (the bench JSON precision
-  /// lane records this).
-  Precision precision = Precision::kF64;
   /// Treated / control row counts (accumulated per shard).
   int64_t treated_rows = 0;
   /// See treated_rows.
@@ -102,10 +91,8 @@ struct ShardedTrainDiagnostics {
 /// every worker count, and identical whether the stream comes from
 /// CSV, the chunked synthetic generator, or an in-core dataset with
 /// the same rows. Peak memory is O(workers x shard_rows x d), never
-/// O(n x d). Both invariances hold under the f32 staging tier too
-/// (narrowing is per-element and source-independent), but an f32-staged
-/// fit is a DIFFERENT fit than the f64 one — only the default kF64
-/// staging is bitwise comparable to the in-core trainer.
+/// O(n x d). The fit is always f64: SBRL_PRECISION selects the serving
+/// tier only.
 class ShardedTrainer {
  public:
   /// Builds and initializes the backbone (TARNet, seeded by
@@ -158,10 +145,6 @@ class ShardedTrainer {
   /// One value-transparent scratch pool per worker lane, reused across
   /// waves and passes.
   std::vector<std::unique_ptr<MatrixPool>> slot_pools_;
-  /// Lane-scoped f64 widen scratch of the f32 block-staging tier: each
-  /// lane re-materializes its shard's covariates here (storage reused
-  /// across waves) right before the f64 tape consumes them.
-  std::vector<CausalDataset> slot_stage_;
 };
 
 }  // namespace sbrl

@@ -322,23 +322,6 @@ void SyntheticBlockReader::Prefetch(int64_t blocks, int64_t max_rows) {
 }
 
 // ---------------------------------------------------------------------------
-// NextBlockF32
-// ---------------------------------------------------------------------------
-
-StatusOr<int64_t> NextBlockF32(DatasetBlockReader& reader, int64_t max_rows,
-                               CausalDataset* stage, CausalBlockF32* block) {
-  SBRL_CHECK(stage != nullptr);
-  SBRL_CHECK(block != nullptr);
-  SBRL_ASSIGN_OR_RETURN(const int64_t rows, reader.NextBlock(max_rows, stage));
-  if (rows == 0) return rows;
-  block->x.ResetNarrowOf(stage->x);
-  block->t = stage->t;
-  block->y.ResetCopyOf(stage->y);
-  block->binary_outcome = stage->binary_outcome;
-  return rows;
-}
-
-// ---------------------------------------------------------------------------
 // ReadAllRows
 // ---------------------------------------------------------------------------
 

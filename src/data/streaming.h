@@ -12,7 +12,6 @@
 #include "common/statusor.h"
 #include "data/causal_dataset.h"
 #include "data/synthetic.h"
-#include "tensor/matrix_f32.h"
 
 namespace sbrl {
 
@@ -59,37 +58,6 @@ class DatasetBlockReader {
   /// ignored. The default does nothing.
   virtual void Prefetch(int64_t /*blocks*/, int64_t /*max_rows*/) {}
 };
-
-/// An f32-staged covariate block — the unit of the f32 block-staging
-/// mode (Precision::kF32 on stats/sharded.h's ShardedOptions):
-/// covariates are held in f32 storage, half the resident bytes of a
-/// CausalDataset block, while outcomes and treatment stay exact (y is
-/// a single column; t is integral). Consumers either read the f32
-/// covariates directly (the streamed moment accumulators) or widen
-/// them once into lane-scoped scratch (the sharded trainer), so the
-/// staging rounds each stored covariate exactly once.
-struct CausalBlockF32 {
-  MatrixF32 x;         ///< (n x d) covariates in f32 storage.
-  std::vector<int> t;  ///< Treatment indicators (length n, each 0 or 1).
-  Matrix y;            ///< (n x 1) factual outcome (exact, f64).
-  bool binary_outcome = true;  ///< Outcome family flag of the stream.
-
-  /// Rows in the block.
-  int64_t n() const { return x.rows(); }
-  /// Covariate dimension.
-  int64_t dim() const { return x.cols(); }
-};
-
-/// The f32 block-staging pull of a reader: NextBlock into `*stage` (a
-/// caller-owned f64 scratch block whose storage is reused across
-/// pulls), then narrows the covariates into `block->x` in place
-/// (MatrixF32::ResetNarrowOf) and copies the exact columns over —
-/// steady state allocates nothing. Returns the rows produced (0 means
-/// end of stream) or the stream error. The staged stream is a pure
-/// function of the underlying reader's stream: the same rows, with
-/// each covariate rounded once to float.
-StatusOr<int64_t> NextBlockF32(DatasetBlockReader& reader, int64_t max_rows,
-                               CausalDataset* stage, CausalBlockF32* block);
 
 /// Streams a CSV written by `SaveCausalDatasetCsv` (or matching its
 /// layout) in row blocks, holding one block plus one line in memory at

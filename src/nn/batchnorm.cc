@@ -47,7 +47,7 @@ Var BatchNorm::Forward(ParamBinder& binder, Var x, bool training) const {
 
 Var BatchNorm::ForwardFusedAffine(ParamBinder& binder, const Dense& dense,
                                   Var x, bool training,
-                                  Activation act) const {
+                                  ops::ActKind act) const {
   SBRL_CHECK_EQ(dense.out_dim(), dim());
   Var w, b;
   dense.BindParams(binder, &w, &b);
@@ -55,12 +55,11 @@ Var BatchNorm::ForwardFusedAffine(ParamBinder& binder, const Dense& dense,
   Var beta = binder.Bind(beta_);
   if (!training) {
     return ops::AffineBatchNormInferAct(x, w, b, gamma, beta, running_mean_,
-                                        running_var_, eps_,
-                                        ToActKind(act));
+                                        running_var_, eps_, act);
   }
   Matrix batch_mean, batch_var;
-  Var out = ops::AffineBatchNormAct(x, w, b, gamma, beta, eps_,
-                                    ToActKind(act), &batch_mean, &batch_var);
+  Var out = ops::AffineBatchNormAct(x, w, b, gamma, beta, eps_, act,
+                                    &batch_mean, &batch_var);
   // Same running-statistics update as the unfused path: the fused op
   // reports batch mean / biased variance bitwise equal to ColMean's.
   running_mean_ =

@@ -33,7 +33,7 @@ class BatchNorm {
   /// update the unfused path performs. `dense` supplies the affine
   /// parameters; its output width must equal dim().
   Var ForwardFusedAffine(ParamBinder& binder, const Dense& dense, Var x,
-                         bool training, Activation act) const;
+                         bool training, ops::ActKind act) const;
 
   void CollectParams(std::vector<Param*>* out);
 

@@ -15,7 +15,7 @@ Var Dense::Forward(ParamBinder& binder, Var x) const {
   return ops::Affine(x, w, b);
 }
 
-Var Dense::ForwardAct(ParamBinder& binder, Var x, Activation act,
+Var Dense::ForwardAct(ParamBinder& binder, Var x, ops::ActKind act,
                       NetStepMode mode) const {
   if (mode == NetStepMode::kReference) {
     return ApplyActivation(Forward(binder, x), act);
@@ -24,7 +24,7 @@ Var Dense::ForwardAct(ParamBinder& binder, Var x, Activation act,
       << "Dense '" << weight_.name << "' expects input dim " << in_dim();
   Var w = binder.Bind(weight_);
   Var b = binder.Bind(bias_);
-  return ops::AffineAct(x, w, b, ToActKind(act));
+  return ops::AffineAct(x, w, b, act);
 }
 
 void Dense::BindParams(ParamBinder& binder, Var* w, Var* b) const {

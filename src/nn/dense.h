@@ -27,7 +27,7 @@ class Dense {
   /// NetStepMode::kFused, the Affine + activation pair under
   /// kReference. The layer step of the fused network-step engine (see
   /// nn/net_step.h); Mlp routes every non-batch-norm layer through it.
-  Var ForwardAct(ParamBinder& binder, Var x, Activation act,
+  Var ForwardAct(ParamBinder& binder, Var x, ops::ActKind act,
                  NetStepMode mode) const;
 
   /// Binds this layer's parameters on the binder's tape (`*w` = weight,

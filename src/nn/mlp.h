@@ -16,7 +16,7 @@ struct MlpConfig {
   /// Width of each hidden layer; e.g. {128, 128, 128} is the paper's
   /// d_r = 3, h_r = 128 representation network.
   std::vector<int64_t> hidden;
-  Activation activation = Activation::kElu;
+  ops::ActKind activation = ops::ActKind::kElu;
   /// Insert a BatchNorm after each affine layer (before activation).
   bool batchnorm = false;
   InitKind init = InitKind::kGlorotNormal;

@@ -10,28 +10,16 @@ const char* NetStepModeName(NetStepMode mode) {
   return "?";
 }
 
-Var ApplyActivation(Var x, Activation act) {
+Var ApplyActivation(Var x, ops::ActKind act) {
   switch (act) {
-    case Activation::kElu: return ops::Elu(x);
-    case Activation::kRelu: return ops::Relu(x);
-    case Activation::kTanh: return ops::Tanh(x);
-    case Activation::kSigmoid: return ops::Sigmoid(x);
-    case Activation::kLinear: return x;
+    case ops::ActKind::kIdentity: return x;
+    case ops::ActKind::kElu: return ops::Elu(x);
+    case ops::ActKind::kRelu: return ops::Relu(x);
+    case ops::ActKind::kTanh: return ops::Tanh(x);
+    case ops::ActKind::kSigmoid: return ops::Sigmoid(x);
   }
   SBRL_CHECK(false) << "unreachable";
   return x;
-}
-
-ops::ActKind ToActKind(Activation act) {
-  switch (act) {
-    case Activation::kElu: return ops::ActKind::kElu;
-    case Activation::kRelu: return ops::ActKind::kRelu;
-    case Activation::kTanh: return ops::ActKind::kTanh;
-    case Activation::kSigmoid: return ops::ActKind::kSigmoid;
-    case Activation::kLinear: return ops::ActKind::kIdentity;
-  }
-  SBRL_CHECK(false) << "unreachable";
-  return ops::ActKind::kIdentity;
 }
 
 }  // namespace sbrl

@@ -31,15 +31,13 @@ enum class NetStepMode {
 /// Human-readable NetStepMode name ("fused" / "reference").
 const char* NetStepModeName(NetStepMode mode);
 
-/// Activation functions available to MLP layers. The paper trains all
-/// networks with ELU.
-enum class Activation { kElu, kRelu, kTanh, kSigmoid, kLinear };
+/// Short name of ops::ActKind, the one activation enum of MLP layers,
+/// the fused network-step ops and the serving forward. The paper trains
+/// all networks with ELU; kIdentity is the linear activation.
+using Activation = ops::ActKind;
 
 /// Applies `act` to `x` on the tape (reference path: one UnaryOp node).
-Var ApplyActivation(Var x, Activation act);
-
-/// The fused-op activation tag corresponding to `act`.
-ops::ActKind ToActKind(Activation act);
+Var ApplyActivation(Var x, ops::ActKind act);
 
 }  // namespace sbrl
 

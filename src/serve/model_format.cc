@@ -30,6 +30,23 @@ constexpr uint32_t kSectionState = 3;
 constexpr uint32_t kSectionOod = 4;
 constexpr uint32_t kSectionWeightsF32 = 5;
 
+/// On-disk activation codes, indexed by code: elu 0, relu 1, tanh 2,
+/// sigmoid 3, linear 4. Fixed by the file format, independent of
+/// ops::ActKind's declaration order.
+constexpr ops::ActKind kActivationByCode[] = {
+    ops::ActKind::kElu, ops::ActKind::kRelu, ops::ActKind::kTanh,
+    ops::ActKind::kSigmoid, ops::ActKind::kIdentity};
+constexpr uint32_t kActivationCodes =
+    sizeof(kActivationByCode) / sizeof(kActivationByCode[0]);
+
+uint32_t EncodeActivation(ops::ActKind act) {
+  for (uint32_t code = 0; code < kActivationCodes; ++code) {
+    if (kActivationByCode[code] == act) return code;
+  }
+  SBRL_CHECK(false) << "activation has no on-disk code";
+  return 0;
+}
+
 std::string EncodeMeta(const ServingMeta& meta) {
   std::string out;
   AppendScalar<uint32_t>(&out, static_cast<uint32_t>(meta.backbone));
@@ -45,7 +62,7 @@ std::string EncodeMeta(const ServingMeta& meta) {
   AppendScalar<int64_t>(&out, meta.network.head_width);
   AppendScalar<uint32_t>(&out, meta.network.batchnorm ? 1 : 0);
   AppendScalar<uint32_t>(&out, meta.network.rep_normalization ? 1 : 0);
-  AppendScalar<uint32_t>(&out, static_cast<uint32_t>(meta.network.activation));
+  AppendScalar<uint32_t>(&out, EncodeActivation(meta.network.activation));
   AppendScalar<int32_t>(&out, static_cast<int32_t>(meta.isa));
   AppendScalar<double>(&out, meta.bn_eps);
   return out;
@@ -72,7 +89,7 @@ bool DecodeMeta(ByteReader* reader, ServingMeta* meta) {
   // newer build must fail decode, not smuggle an out-of-range value.
   if (backbone > static_cast<uint32_t>(BackboneKind::kDerCfr)) return false;
   if (framework > static_cast<uint32_t>(FrameworkKind::kSbrlHap)) return false;
-  if (activation > static_cast<uint32_t>(Activation::kLinear)) return false;
+  if (activation >= kActivationCodes) return false;
   if (isa < static_cast<int32_t>(IsaChoice::kAuto) ||
       isa > static_cast<int32_t>(IsaChoice::kAvx512)) {
     return false;
@@ -83,7 +100,7 @@ bool DecodeMeta(ByteReader* reader, ServingMeta* meta) {
   meta->binary_outcome = binary != 0;
   meta->network.batchnorm = batchnorm != 0;
   meta->network.rep_normalization = rep_norm != 0;
-  meta->network.activation = static_cast<Activation>(activation);
+  meta->network.activation = kActivationByCode[activation];
   meta->isa = static_cast<IsaChoice>(isa);
   return true;
 }

@@ -200,7 +200,7 @@ StatusOr<ServingModel> ServingModel::Load(const std::string& path) {
 }
 
 Matrix ServingModel::RunStack(const Stack& stack, const Matrix& x) const {
-  const ops::ActKind act = ToActKind(meta_.network.activation);
+  const ops::ActKind act = meta_.network.activation;
   Matrix h = x;
   for (const Layer& layer : stack.layers) {
     if (layer.has_bn) {
@@ -231,7 +231,7 @@ Matrix ServingModel::Representation(const Matrix& x) const {
 
 MatrixF32 ServingModel::RunStackF32(const StackF32& stack,
                                     const MatrixF32& x) const {
-  const ops::ActKind act = ToActKind(meta_.network.activation);
+  const ops::ActKind act = meta_.network.activation;
   MatrixF32 h = x;
   for (const LayerF32& layer : stack.layers) {
     if (layer.has_bn) {

@@ -1,13 +1,10 @@
 #include "stats/sharded.h"
 
-#include <cmath>
 #include <utility>
 
 #include "common/env.h"
-#include "common/simd.h"
 #include "stats/rff.h"
 #include "tensor/linalg.h"
-#include "tensor/linalg_f32.h"
 
 namespace sbrl {
 
@@ -22,9 +19,6 @@ ShardedOptions ResolveShardedOptions(const ShardedOptions& options) {
         ParseEnvInt64("SBRL_SHARD_WORKERS", /*min_value=*/1,
                       /*fallback=*/ThreadPool::GlobalParallelism());
   }
-  // Env wins over the field (the SBRL_ISA-style override pattern);
-  // resolution is idempotent, so already-resolved options pass through.
-  resolved.precision = ResolvePrecision(options.precision);
   return resolved;
 }
 
@@ -40,29 +34,6 @@ StatusOr<ColumnMoments> ShardedColumnMoments(DatasetBlockReader& reader,
                                              const ShardedOptions& options) {
   const int64_t d = reader.dim();
   const ShardedOptions opts = ResolveShardedOptions(options);
-  if (opts.precision == Precision::kF32) {
-    return ShardedReduceF32<ColumnMoments>(
-        reader, opts,
-        [d](int64_t /*shard*/, int64_t /*slot*/, const CausalBlockF32& block) {
-          // f32 storage, f64 accumulation: each stored covariate was
-          // rounded once at staging; the running sums stay double so
-          // accumulation error does not grow with n.
-          ColumnMoments m;
-          m.rows = block.n();
-          m.sum = Matrix(1, d);
-          m.sum_sq = Matrix(1, d);
-          for (int64_t i = 0; i < block.n(); ++i) {
-            const float* row = block.x.data() + i * d;
-            for (int64_t j = 0; j < d; ++j) {
-              const double v = static_cast<double>(row[j]);
-              m.sum(0, j) += v;
-              m.sum_sq(0, j) += v * v;
-            }
-          }
-          return m;
-        },
-        &CombineColumnMoments);
-  }
   return ShardedReduce<ColumnMoments>(
       reader, opts,
       [d](int64_t /*shard*/, int64_t /*slot*/, const CausalDataset& block) {
@@ -119,46 +90,6 @@ Matrix BlockFeatures(const CausalDataset& block, int64_t col,
   return ApplyRffToColumn(proj, block.x, col, CosineMode::kExact);
 }
 
-/// f32-tier feature map of the selected column of an f32-staged block
-/// (`w` / `phi` are the projection narrowed once by the caller): the
-/// angle pass runs in f32 and the sqrt(2)-cosine epilogue goes through
-/// the f32 sweep kernels — this is the tier's point, so it takes the
-/// vectorized sweep rather than the f64 path's kExact (the f32 tier's
-/// cross-ISA contract is tolerance, not bitwise).
-MatrixF32 BlockFeaturesF32(const CausalBlockF32& block, int64_t col,
-                           const MatrixF32& w, const MatrixF32& phi) {
-  const int64_t n = block.n();
-  const int64_t kf = w.cols();
-  const float* wd = w.data();
-  const float* pd = phi.data();
-  MatrixF32 out(n, kf);
-  float* od = out.data();
-  for (int64_t i = 0; i < n; ++i) {
-    const float v = col == kOutcomeColumn
-                        ? static_cast<float>(block.y(i, 0))
-                        : block.x(i, col);
-    float* orow = od + i * kf;
-    for (int64_t f = 0; f < kf; ++f) orow[f] = v * wd[f] + pd[f];
-  }
-  ScaledCosRowsF32InPlace(od, n, kf, kf,
-                          static_cast<float>(std::sqrt(2.0)),
-                          CosineMode::kVectorized);
-  return out;
-}
-
-/// Per-column sums of an f32 matrix, accumulated in f64 (1 x cols) —
-/// the "f32 storage, f64 accumulation" half of the HSIC f32 leaf.
-Matrix ColSumWidened(const MatrixF32& m) {
-  Matrix out(1, m.cols());
-  double* od = out.data();
-  const float* md = m.data();
-  for (int64_t i = 0; i < m.rows(); ++i) {
-    const float* row = md + i * m.cols();
-    for (int64_t j = 0; j < m.cols(); ++j) od[j] += static_cast<double>(row[j]);
-  }
-  return out;
-}
-
 }  // namespace
 
 StatusOr<double> ShardedHsicRff(DatasetBlockReader& reader, int64_t col_a,
@@ -177,36 +108,6 @@ StatusOr<double> ShardedHsicRff(DatasetBlockReader& reader, int64_t col_a,
   const RffProjection proj_b = SampleRffSlot(draw_seed, 1, num_features, 1);
   const ShardedOptions opts = ResolveShardedOptions(options);
   int64_t rows = 0;
-  if (opts.precision == Precision::kF32) {
-    // Narrow the projections once; every shard then works from the
-    // same f32 frequencies/phases no matter when it is processed.
-    const MatrixF32 wa = MatrixF32::FromF64(proj_a.w);
-    const MatrixF32 pa = MatrixF32::FromF64(proj_a.phi);
-    const MatrixF32 wb = MatrixF32::FromF64(proj_b.w);
-    const MatrixF32 pb = MatrixF32::FromF64(proj_b.phi);
-    SBRL_ASSIGN_OR_RETURN(
-        const HsicRffMoments reduced,
-        ShardedReduceF32<HsicRffMoments>(
-            reader, opts,
-            [&](int64_t /*shard*/, int64_t /*slot*/,
-                const CausalBlockF32& block) {
-              const MatrixF32 phi = BlockFeaturesF32(block, col_a, wa, pa);
-              const MatrixF32 psi = BlockFeaturesF32(block, col_b, wb, pb);
-              HsicRffMoments m;
-              m.rows = block.n();
-              // Feature sums accumulate in f64 straight from the f32
-              // features; the cross products run on the f32 matmul
-              // tables WITHIN the shard (<= shard_rows f32 dot terms,
-              // the tier's documented budget) and widen once — all
-              // cross-shard accumulation is f64 via the combine.
-              m.sum_a = ColSumWidened(phi);
-              m.sum_b = ColSumWidened(psi);
-              m.cross = MatmulTransAF32(phi, psi).ToF64();
-              return m;
-            },
-            &CombineHsicRffMoments, &rows));
-    return FinalizeHsicRff(reduced);
-  }
   SBRL_ASSIGN_OR_RETURN(
       const HsicRffMoments reduced,
       ShardedReduce<HsicRffMoments>(

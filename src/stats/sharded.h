@@ -7,7 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/precision.h"
 #include "common/statusor.h"
 #include "common/thread_pool.h"
 #include "data/streaming.h"
@@ -18,7 +17,9 @@ namespace sbrl {
 /// Knobs of the sharded accumulation paths (stats below and
 /// core/sharded_trainer.h). Resolution order per knob: explicit
 /// positive value > SBRL_* env > default — the repo's standard
-/// pattern, through the shared ParseEnvInt64 semantics.
+/// pattern, through the shared ParseEnvInt64 semantics. Every streamed
+/// pass stores and accumulates in f64; SBRL_PRECISION does not reach
+/// it (serving is the only f32 tier, common/precision.h).
 struct ShardedOptions {
   /// Rows per shard (= the `max_rows` each NextBlock pull asks for).
   /// 0 resolves SBRL_SHARD_ROWS, default 8192. Shard size is part of
@@ -31,16 +32,6 @@ struct ShardedOptions {
   /// global pool parallelism. Results are bitwise identical for ANY
   /// worker count — see FixedOrderTreeReducer.
   int64_t workers = 0;
-  /// Storage tier of the streamed pass (common/precision.h), resolved
-  /// through ResolvePrecision — so SBRL_PRECISION=f32 flips it without
-  /// touching call sites, and kF64 (the default) remains the reference
-  /// tier every bitwise contract is stated against. Under kF32 the
-  /// wave's staged blocks hold f32 covariates (ShardedReduceF32) —
-  /// half the resident block bytes and reader-to-wave traffic — while
-  /// the moment accumulators keep accumulating in f64 (see
-  /// ShardedColumnMoments / ShardedHsicRff) and the sharded trainer
-  /// widens per lane just in time for the f64 tape.
-  Precision precision = Precision::kF64;
 };
 
 /// Copy of `options` with every 0 field resolved from its env knob /
@@ -189,66 +180,6 @@ StatusOr<T> ShardedReduce(
   return reducer.Finish();
 }
 
-/// f32-staged twin of ShardedReduce: the same wave / fixed-order
-/// reducer mechanics, but each wave slot is a CausalBlockF32 — pulled
-/// through ONE reused f64 scratch block and narrowed in place
-/// (NextBlockF32), so the resident wave holds `workers` f32 covariate
-/// blocks instead of f64 ones. The same leaf-purity contract applies,
-/// and so does its consequence: narrowing is per-element and
-/// deterministic, so results stay bitwise identical for every worker
-/// count. Callers route here when the resolved options carry
-/// Precision::kF32. Unlike ShardedReduce it issues no Prefetch: a
-/// prefetched wave would sit resident in f64 beside the f32 one and
-/// cancel the tier's memory saving.
-template <typename T>
-StatusOr<T> ShardedReduceF32(
-    DatasetBlockReader& reader, const ShardedOptions& options,
-    const std::function<T(int64_t, int64_t, const CausalBlockF32&)>& leaf,
-    const typename FixedOrderTreeReducer<T>::Combine& combine,
-    int64_t* total_rows = nullptr, int64_t* total_shards = nullptr) {
-  const ShardedOptions opts = ResolveShardedOptions(options);
-  const int64_t wave_width = opts.workers;
-  FixedOrderTreeReducer<T> reducer(combine);
-  CausalDataset stage;  // the single f64 pull scratch, reused per pull
-  std::vector<CausalBlockF32> wave(static_cast<size_t>(wave_width));
-  std::vector<T> results(static_cast<size_t>(wave_width));
-  int64_t shard_index = 0;
-  int64_t rows_total = 0;
-  for (;;) {
-    int64_t filled = 0;
-    while (filled < wave_width) {
-      SBRL_ASSIGN_OR_RETURN(
-          const int64_t rows,
-          NextBlockF32(reader, opts.shard_rows, &stage,
-                       &wave[static_cast<size_t>(filled)]));
-      if (rows == 0) break;
-      rows_total += rows;
-      ++filled;
-    }
-    if (filled == 0) break;
-    const int64_t base = shard_index;
-    ParallelFor(0, filled, 1, [&](int64_t lo, int64_t hi) {
-      for (int64_t s = lo; s < hi; ++s) {
-        results[static_cast<size_t>(s)] =
-            leaf(base + s, s, wave[static_cast<size_t>(s)]);
-      }
-    });
-    // Reduction order is ascending shard index, independent of which
-    // lane computed what.
-    for (int64_t s = 0; s < filled; ++s) {
-      reducer.Push(std::move(results[static_cast<size_t>(s)]));
-    }
-    shard_index += filled;
-    if (filled < wave_width) break;  // stream exhausted mid-wave
-  }
-  if (shard_index == 0) {
-    return Status::InvalidArgument("empty dataset stream");
-  }
-  if (total_rows != nullptr) *total_rows = rows_total;
-  if (total_shards != nullptr) *total_shards = shard_index;
-  return reducer.Finish();
-}
-
 /// Per-shard covariate column sums: rows, per-column sum and
 /// sum-of-squares (each 1 x d). The building block of streamed
 /// standardization / diagnostics at n that never materializes.
@@ -266,12 +197,7 @@ struct ColumnMoments {
 ColumnMoments CombineColumnMoments(ColumnMoments a, ColumnMoments b);
 
 /// Streams `reader` and returns its tree-reduced covariate column
-/// moments. Bitwise identical for every worker count. Under
-/// `options.precision == kF32` the blocks are staged in f32 storage
-/// and each stored covariate is rounded once to float, while the
-/// running sums still accumulate in f64 — so the tier's error budget
-/// is one rounding per element, independent of n (bounds in
-/// tests/precision_test.cc).
+/// moments. Bitwise identical for every worker count.
 StatusOr<ColumnMoments> ShardedColumnMoments(DatasetBlockReader& reader,
                                              const ShardedOptions& options);
 
@@ -311,16 +237,6 @@ double FinalizeHsicRff(const HsicRffMoments& moments);
 /// traversal. Bitwise identical for every worker count; exact (modulo
 /// fixed-bracketing rounding) match of the in-core estimator on the
 /// same stream.
-///
-/// Under `options.precision == kF32` the feature maps are computed in
-/// f32 (angle pass over the narrowed projection, cosine epilogue
-/// through the f32 sweep kernels of common/simd.h), the per-shard
-/// cross products run on the f32 matmul dispatch tables (at most
-/// shard_rows f32-accumulated terms), and everything cross-shard —
-/// feature sums and the k x k cross matrix — accumulates in f64. The
-/// worker-count bitwise invariance holds per ISA level; unlike the
-/// kExact f64 path, cross-ISA agreement of the f32 tier is
-/// tolerance-bounded, not bitwise (tests/precision_test.cc).
 StatusOr<double> ShardedHsicRff(DatasetBlockReader& reader, int64_t col_a,
                                 int64_t col_b, int64_t num_features,
                                 uint64_t draw_seed,

@@ -25,8 +25,6 @@ constexpr LinalgKernels kBaselineTable = {
 
 constexpr LinalgKernelsF32 kBaselineTableF32 = {
     lk::BaselineMatmulRowsF32,
-    lk::BaselineMatmulTransARowsF32,
-    lk::BaselineMatmulTransBRowsF32,
 };
 
 #if defined(SBRL_HAVE_ISA_AVX2)
@@ -64,8 +62,6 @@ constexpr LinalgKernels kAvx2Table = {
 
 constexpr LinalgKernelsF32 kAvx2TableF32 = {
     lk::Avx2MatmulRowsF32,
-    lk::Avx2MatmulTransARowsF32,
-    lk::Avx2MatmulTransBRowsF32,
 };
 
 #else
@@ -116,8 +112,6 @@ constexpr LinalgKernels kAvx512Table = {
 
 constexpr LinalgKernelsF32 kAvx512TableF32 = {
     lk::Avx512MatmulRowsF32,
-    lk::Avx512MatmulTransARowsF32,
-    lk::Avx512MatmulTransBRowsF32,
 };
 
 #else

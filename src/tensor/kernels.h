@@ -106,37 +106,21 @@ const LinalgKernels& ActiveLinalgKernels();
 /// Function-pointer table of the f32-tier matmul kernels (see
 /// common/precision.h). Same dispatch mechanics as LinalgKernels —
 /// one table per Isa level, resolved per public entry point in
-/// tensor/linalg_f32.cc — and the same per-kernel determinism split
-/// restated on floats:
-///  - matmul_rows / matmul_trans_a_rows vectorize only the independent
-///    output dimension with each element's multiply-then-add chain in
-///    ascending reduction order, so the f32 result is bitwise
-///    identical across every Isa level (it tracks the f64 kernels only
-///    to f32 rounding — the cross-TIER budget lives in
-///    tests/precision_test.cc).
-///  - matmul_trans_b_rows is dot-shaped: wider levels use f32 FMA
-///    lanes plus a fixed-shape horizontal sum, deterministic and
-///    chunk-invariant within a level, tolerance-bounded vs baseline.
+/// tensor/linalg_f32.cc. The f32 tier is serving-only, so the table
+/// holds just the serving forward's matmul: matmul_rows vectorizes
+/// only the independent output dimension with each element's
+/// multiply-then-add chain in ascending reduction order, so the f32
+/// result is bitwise identical across every Isa level (it tracks the
+/// f64 kernels only to f32 rounding — the cross-TIER budget lives in
+/// tests/precision_test.cc).
 struct LinalgKernelsF32 {
   /// Rows [r0, r1) of out += a * b, a (n x k), b (k x m), all float.
   using MatmulRowsF32Fn = void (*)(const float* a, const float* b, float* o,
                                    int64_t k, int64_t m, int64_t r0,
                                    int64_t r1);
-  /// Rows [r0, r1) of out += a^T * b, a (k x n), b (k x m), all float.
-  using MatmulTransARowsF32Fn = void (*)(const float* a, const float* b,
-                                         float* o, int64_t k, int64_t n,
-                                         int64_t m, int64_t r0, int64_t r1);
-  /// Rows [r0, r1) of out += a * b^T, a (n x k), b (m x k), all float.
-  using MatmulTransBRowsF32Fn = void (*)(const float* a, const float* b,
-                                         float* o, int64_t k, int64_t m,
-                                         int64_t r0, int64_t r1);
 
   /// f32 matmul tile kernel of this level.
   MatmulRowsF32Fn matmul_rows;
-  /// f32 MatmulTransA tile kernel of this level.
-  MatmulTransARowsF32Fn matmul_trans_a_rows;
-  /// f32 MatmulTransB tile kernel of this level.
-  MatmulTransBRowsF32Fn matmul_trans_b_rows;
 };
 
 /// The f32 kernel table of one Isa level (levels not compiled in alias

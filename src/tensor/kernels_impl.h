@@ -44,18 +44,10 @@ void BaselineBlockCrossFwdGeneric(const double* ad, int64_t acols,
                                   int64_t block,
                                   const std::pair<int64_t, int64_t>* pd,
                                   int64_t p0, int64_t p1);
-/// f32-tier baseline kernels: the same loop shapes as the f64 baseline
-/// set restated on floats.
+/// f32-tier baseline matmul: the f64 baseline loop shape restated on
+/// floats.
 void BaselineMatmulRowsF32(const float* a, const float* b, float* o,
                            int64_t k, int64_t m, int64_t r0, int64_t r1);
-/// See LinalgKernelsF32::MatmulTransARowsF32Fn.
-void BaselineMatmulTransARowsF32(const float* a, const float* b, float* o,
-                                 int64_t k, int64_t n, int64_t m, int64_t r0,
-                                 int64_t r1);
-/// See LinalgKernelsF32::MatmulTransBRowsF32Fn.
-void BaselineMatmulTransBRowsF32(const float* a, const float* b, float* o,
-                                 int64_t k, int64_t m, int64_t r0,
-                                 int64_t r1);
 
 #if defined(SBRL_HAVE_ISA_AVX2)
 /// AVX2 (x86-64-v3, -ffp-contract=off) kernels. The matmul / trans-A /
@@ -90,17 +82,10 @@ void Avx2BlockCrossFwdGeneric(const double* ad, int64_t acols,
                               int64_t block,
                               const std::pair<int64_t, int64_t>* pd,
                               int64_t p0, int64_t p1);
-/// f32-tier AVX2 kernels (8-lane ymm): matmul / trans-A bitwise equal
-/// to the f32 baseline, trans-B FMA lanes + fixed horizontal sum.
+/// f32-tier AVX2 matmul (8-lane ymm), bitwise equal to the f32
+/// baseline.
 void Avx2MatmulRowsF32(const float* a, const float* b, float* o, int64_t k,
                        int64_t m, int64_t r0, int64_t r1);
-/// See LinalgKernelsF32::MatmulTransARowsF32Fn.
-void Avx2MatmulTransARowsF32(const float* a, const float* b, float* o,
-                             int64_t k, int64_t n, int64_t m, int64_t r0,
-                             int64_t r1);
-/// See LinalgKernelsF32::MatmulTransBRowsF32Fn.
-void Avx2MatmulTransBRowsF32(const float* a, const float* b, float* o,
-                             int64_t k, int64_t m, int64_t r0, int64_t r1);
 #endif  // SBRL_HAVE_ISA_AVX2
 
 #if defined(SBRL_HAVE_ISA_AVX512)
@@ -133,17 +118,10 @@ void Avx512BlockCrossFwdGeneric(const double* ad, int64_t acols,
                                 int64_t block,
                                 const std::pair<int64_t, int64_t>* pd,
                                 int64_t p0, int64_t p1);
-/// f32-tier AVX-512 kernels (16-lane zmm); same split as the AVX2 f32
-/// set.
+/// f32-tier AVX-512 matmul (16-lane zmm), bitwise equal to the f32
+/// baseline.
 void Avx512MatmulRowsF32(const float* a, const float* b, float* o, int64_t k,
                          int64_t m, int64_t r0, int64_t r1);
-/// See LinalgKernelsF32::MatmulTransARowsF32Fn.
-void Avx512MatmulTransARowsF32(const float* a, const float* b, float* o,
-                               int64_t k, int64_t n, int64_t m, int64_t r0,
-                               int64_t r1);
-/// See LinalgKernelsF32::MatmulTransBRowsF32Fn.
-void Avx512MatmulTransBRowsF32(const float* a, const float* b, float* o,
-                               int64_t k, int64_t m, int64_t r0, int64_t r1);
 #endif  // SBRL_HAVE_ISA_AVX512
 
 }  // namespace linalg_kernels

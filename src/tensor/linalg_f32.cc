@@ -48,60 +48,4 @@ MatrixF32 MatmulF32(const MatrixF32& a, const MatrixF32& b) {
   return out;
 }
 
-void MatmulTransAF32Into(const MatrixF32& a, const MatrixF32& b,
-                         MatrixF32* out) {
-  SBRL_CHECK_EQ(a.rows(), b.rows())
-      << "MatmulTransAF32 shape mismatch " << a.ShapeString() << "^T * "
-      << b.ShapeString();
-  SBRL_CHECK(out->rows() == a.cols() && out->cols() == b.cols())
-      << "MatmulTransAF32 output shape " << out->ShapeString();
-  const int64_t k = a.rows(), n = a.cols(), m = b.cols();
-  if (n == 0 || k == 0 || m == 0) return;
-  const float* ad = a.data();
-  const float* bd = b.data();
-  float* od = out->data();
-  const auto kernel = ActiveLinalgKernelsF32().matmul_trans_a_rows;
-  if (n * k * m <= SerialCutoff()) {
-    kernel(ad, bd, od, k, n, m, 0, n);
-    return;
-  }
-  ParallelFor(0, n, GrainRows(k * m), [=](int64_t r0, int64_t r1) {
-    kernel(ad, bd, od, k, n, m, r0, r1);
-  });
-}
-
-MatrixF32 MatmulTransAF32(const MatrixF32& a, const MatrixF32& b) {
-  MatrixF32 out(a.cols(), b.cols());
-  MatmulTransAF32Into(a, b, &out);
-  return out;
-}
-
-void MatmulTransBF32Into(const MatrixF32& a, const MatrixF32& b,
-                         MatrixF32* out) {
-  SBRL_CHECK_EQ(a.cols(), b.cols())
-      << "MatmulTransBF32 shape mismatch " << a.ShapeString() << " * "
-      << b.ShapeString() << "^T";
-  SBRL_CHECK(out->rows() == a.rows() && out->cols() == b.rows())
-      << "MatmulTransBF32 output shape " << out->ShapeString();
-  const int64_t n = a.rows(), k = a.cols(), m = b.rows();
-  if (n == 0 || k == 0 || m == 0) return;
-  const float* ad = a.data();
-  const float* bd = b.data();
-  float* od = out->data();
-  const auto kernel = ActiveLinalgKernelsF32().matmul_trans_b_rows;
-  if (n * k * m <= SerialCutoff()) {
-    kernel(ad, bd, od, k, m, 0, n);
-    return;
-  }
-  ParallelFor(0, n, GrainRows(k * m), [=](int64_t r0, int64_t r1) {
-    kernel(ad, bd, od, k, m, r0, r1);
-  });
-}
-
-MatrixF32 MatmulTransBF32(const MatrixF32& a, const MatrixF32& b) {
-  MatrixF32 out(a.rows(), b.rows());
-  MatmulTransBF32Into(a, b, &out);
-  return out;
-}
-
 }  // namespace sbrl

@@ -8,29 +8,16 @@ namespace sbrl {
 /// f32-tier dense matmul entry points (see common/precision.h). Same
 /// shape checks, serial cutoffs, and ParallelFor chunking as the f64
 /// entry points in tensor/linalg.h — the arithmetic runs through the
-/// LinalgKernelsF32 per-ISA tables, so Matmul/MatmulTransA results are
-/// bitwise identical across ISA levels while MatmulTransB is
-/// tolerance-bounded vs the f32 baseline (tensor/kernels.h). Used by
-/// the f32 serving path and benchmarks only; training stays f64.
+/// LinalgKernelsF32 per-ISA tables, so results are bitwise identical
+/// across ISA levels (tensor/kernels.h). Used by the f32 serving path
+/// and benchmarks only; training and the streamed passes stay f64.
 
 /// Dense product a(n x k) * b(k x m) -> (n x m) in f32 storage.
 MatrixF32 MatmulF32(const MatrixF32& a, const MatrixF32& b);
 
-/// a^T * b where a is (k x n): (n x m) without materializing a^T.
-MatrixF32 MatmulTransAF32(const MatrixF32& a, const MatrixF32& b);
-
-/// a * b^T where b is (m x k): (n x m) without materializing b^T.
-MatrixF32 MatmulTransBF32(const MatrixF32& a, const MatrixF32& b);
-
-/// Accumulating in-place variants: the product is ADDED into `*out`
+/// Accumulating in-place variant: the product is ADDED into `*out`
 /// (same contract as the f64 *Into family).
 void MatmulF32Into(const MatrixF32& a, const MatrixF32& b, MatrixF32* out);
-/// Accumulating in-place a^T * b.
-void MatmulTransAF32Into(const MatrixF32& a, const MatrixF32& b,
-                         MatrixF32* out);
-/// Accumulating in-place a * b^T.
-void MatmulTransBF32Into(const MatrixF32& a, const MatrixF32& b,
-                         MatrixF32* out);
 
 }  // namespace sbrl
 

@@ -47,18 +47,6 @@ inline double Hsum256(__m256d v) {
   return _mm_cvtsd_f64(_mm_add_sd(pair, swap));
 }
 
-/// Fixed-shape f32 horizontal sum of 8 lanes: halves fold
-/// ((v0+v4)+(v2+v6)) + ((v1+v5)+(v3+v7)) — the one tree every f32
-/// dot-shaped kernel at this level collapses through.
-inline float Hsum256Ps(__m256 v) {
-  const __m128 lo = _mm256_castps256_ps128(v);
-  const __m128 hi = _mm256_extractf128_ps(v, 1);
-  const __m128 quad = _mm_add_ps(lo, hi);
-  const __m128 pair = _mm_add_ps(quad, _mm_movehl_ps(quad, quad));
-  const __m128 one = _mm_add_ss(pair, _mm_shuffle_ps(pair, pair, 0x1));
-  return _mm_cvtss_f32(one);
-}
-
 }  // namespace
 
 // The matmul tile kernel is the shared baseline SOURCE, auto-vectorized
@@ -414,122 +402,6 @@ bool Avx2BlockCrossGradDw(int64_t block, const double* gd, const double* fd,
       BlockCrossGradDwImpl<8>(gd, fd, dwd, fcols, pd, num_pairs, r0, r1);
       return true;
     default: return false;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// f32 tier (8-lane ymm). Same determinism split as the f64 kernels
-// above: trans-A widens the independent j dimension only (bitwise the
-// f32 baseline); trans-B uses f32 FMA lanes + the fixed Hsum256Ps
-// tree (tolerance vs the f32 baseline, chunk-invariant within level).
-// ---------------------------------------------------------------------------
-
-void Avx2MatmulTransARowsF32(const float* __restrict ad,
-                             const float* __restrict bd,
-                             float* __restrict od, int64_t k, int64_t n,
-                             int64_t m, int64_t r0, int64_t r1) {
-  for (int64_t p = 0; p < k; ++p) {
-    const float* acol = ad + p * n;
-    const float* brow = bd + p * m;
-    for (int64_t i = r0; i < r1; ++i) {
-      const __m256 av = _mm256_set1_ps(acol[i]);
-      float* orow = od + i * m;
-      int64_t j = 0;
-      for (; j + 8 <= m; j += 8) {
-        const __m256 bv = _mm256_loadu_ps(brow + j);
-        const __m256 ov = _mm256_loadu_ps(orow + j);
-        _mm256_storeu_ps(orow + j, _mm256_add_ps(ov, _mm256_mul_ps(av, bv)));
-      }
-      const float avs = acol[i];
-      for (; j < m; ++j) orow[j] += avs * brow[j];
-    }
-  }
-}
-
-namespace {
-
-/// One f32 (i, j) dot product over k: 8-lane FMA chain ascending p,
-/// Hsum256Ps, then the scalar remainder added last.
-inline float DotAvx2F32(const float* __restrict a, const float* __restrict b,
-                        int64_t k) {
-  __m256 acc = _mm256_setzero_ps();
-  int64_t p = 0;
-  for (; p + 8 <= k; p += 8) {
-    acc = _mm256_fmadd_ps(_mm256_loadu_ps(a + p), _mm256_loadu_ps(b + p),
-                          acc);
-  }
-  float total = Hsum256Ps(acc);
-  for (; p < k; ++p) total += a[p] * b[p];
-  return total;
-}
-
-}  // namespace
-
-void Avx2MatmulTransBRowsF32(const float* __restrict ad,
-                             const float* __restrict bd,
-                             float* __restrict od, int64_t k, int64_t m,
-                             int64_t r0, int64_t r1) {
-  // Same blocked-panel shape as the f64 kernel (2 A rows x 4 B rows
-  // per ascending-k pass); every element runs DotAvx2F32's sequence.
-  int64_t i = r0;
-  for (; i + 2 <= r1; i += 2) {
-    const float* a0 = ad + i * k;
-    const float* a1 = a0 + k;
-    float* o0 = od + i * m;
-    float* o1 = o0 + m;
-    int64_t j = 0;
-    for (; j + 4 <= m; j += 4) {
-      const float* b0 = bd + j * k;
-      const float* b1 = b0 + k;
-      const float* b2 = b1 + k;
-      const float* b3 = b2 + k;
-      __m256 c00 = _mm256_setzero_ps(), c01 = _mm256_setzero_ps();
-      __m256 c02 = _mm256_setzero_ps(), c03 = _mm256_setzero_ps();
-      __m256 c10 = _mm256_setzero_ps(), c11 = _mm256_setzero_ps();
-      __m256 c12 = _mm256_setzero_ps(), c13 = _mm256_setzero_ps();
-      int64_t p = 0;
-      for (; p + 8 <= k; p += 8) {
-        const __m256 va0 = _mm256_loadu_ps(a0 + p);
-        const __m256 va1 = _mm256_loadu_ps(a1 + p);
-        const __m256 vb0 = _mm256_loadu_ps(b0 + p);
-        c00 = _mm256_fmadd_ps(va0, vb0, c00);
-        c10 = _mm256_fmadd_ps(va1, vb0, c10);
-        const __m256 vb1 = _mm256_loadu_ps(b1 + p);
-        c01 = _mm256_fmadd_ps(va0, vb1, c01);
-        c11 = _mm256_fmadd_ps(va1, vb1, c11);
-        const __m256 vb2 = _mm256_loadu_ps(b2 + p);
-        c02 = _mm256_fmadd_ps(va0, vb2, c02);
-        c12 = _mm256_fmadd_ps(va1, vb2, c12);
-        const __m256 vb3 = _mm256_loadu_ps(b3 + p);
-        c03 = _mm256_fmadd_ps(va0, vb3, c03);
-        c13 = _mm256_fmadd_ps(va1, vb3, c13);
-      }
-      float t00 = Hsum256Ps(c00), t01 = Hsum256Ps(c01);
-      float t02 = Hsum256Ps(c02), t03 = Hsum256Ps(c03);
-      float t10 = Hsum256Ps(c10), t11 = Hsum256Ps(c11);
-      float t12 = Hsum256Ps(c12), t13 = Hsum256Ps(c13);
-      for (; p < k; ++p) {
-        const float a0p = a0[p], a1p = a1[p];
-        t00 += a0p * b0[p]; t01 += a0p * b1[p];
-        t02 += a0p * b2[p]; t03 += a0p * b3[p];
-        t10 += a1p * b0[p]; t11 += a1p * b1[p];
-        t12 += a1p * b2[p]; t13 += a1p * b3[p];
-      }
-      o0[j] += t00; o0[j + 1] += t01; o0[j + 2] += t02; o0[j + 3] += t03;
-      o1[j] += t10; o1[j + 1] += t11; o1[j + 2] += t12; o1[j + 3] += t13;
-    }
-    for (; j < m; ++j) {
-      const float* brow = bd + j * k;
-      o0[j] += DotAvx2F32(a0, brow, k);
-      o1[j] += DotAvx2F32(a1, brow, k);
-    }
-  }
-  for (; i < r1; ++i) {
-    const float* arow = ad + i * k;
-    float* orow = od + i * m;
-    for (int64_t j = 0; j < m; ++j) {
-      orow[j] += DotAvx2F32(arow, bd + j * k, k);
-    }
   }
 }
 

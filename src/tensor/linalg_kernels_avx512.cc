@@ -388,126 +388,6 @@ bool Avx512BlockCrossGradDw(int64_t block, const double* gd, const double* fd,
   }
 }
 
-void Avx512MatmulTransARowsF32(const float* __restrict ad,
-                               const float* __restrict bd,
-                               float* __restrict od, int64_t k, int64_t n,
-                               int64_t m, int64_t r0, int64_t r1) {
-  // f32 restatement of Avx512MatmulTransARows: reduction index p stays
-  // outermost-ascending, 16-lane zmm over the independent output
-  // columns with separate multiply and add — bitwise identical to the
-  // f32 baseline.
-  for (int64_t p = 0; p < k; ++p) {
-    const float* arow = ad + p * n;
-    const float* brow = bd + p * m;
-    for (int64_t i = r0; i < r1; ++i) {
-      const float av = arow[i];
-      const __m512 avv = _mm512_set1_ps(av);
-      float* orow = od + i * m;
-      int64_t j = 0;
-      for (; j + 16 <= m; j += 16) {
-        const __m512 bv = _mm512_loadu_ps(brow + j);
-        const __m512 ov = _mm512_loadu_ps(orow + j);
-        _mm512_storeu_ps(orow + j, _mm512_add_ps(ov, _mm512_mul_ps(avv, bv)));
-      }
-      for (; j < m; ++j) orow[j] += av * brow[j];
-    }
-  }
-}
-
-namespace {
-
-/// 16-lane f32 dot product: FMA accumulator lanes in ascending p, one
-/// fixed-shape _mm512_reduce_add_ps, scalar remainder last. The f32
-/// trans-B determinism shape (chunk-invariant within this level,
-/// tolerance vs the f32 baseline).
-inline float DotAvx512F32(const float* __restrict a,
-                          const float* __restrict b, int64_t k) {
-  __m512 acc = _mm512_setzero_ps();
-  int64_t p = 0;
-  for (; p + 16 <= k; p += 16) {
-    acc = _mm512_fmadd_ps(_mm512_loadu_ps(a + p), _mm512_loadu_ps(b + p),
-                          acc);
-  }
-  float t = _mm512_reduce_add_ps(acc);
-  for (; p < k; ++p) t += a[p] * b[p];
-  return t;
-}
-
-}  // namespace
-
-void Avx512MatmulTransBRowsF32(const float* __restrict ad,
-                               const float* __restrict bd,
-                               float* __restrict od, int64_t k, int64_t m,
-                               int64_t r0, int64_t r1) {
-  // f32 blocked panel, same shape as the f64 kernel above: 2 A rows x
-  // 4 B rows share one ascending-p FMA pass; each element runs exactly
-  // DotAvx512F32's operation sequence.
-  int64_t i = r0;
-  for (; i + 2 <= r1; i += 2) {
-    const float* a0 = ad + i * k;
-    const float* a1 = a0 + k;
-    float* o0 = od + i * m;
-    float* o1 = o0 + m;
-    int64_t j = 0;
-    for (; j + 4 <= m; j += 4) {
-      const float* b0 = bd + j * k;
-      const float* b1 = b0 + k;
-      const float* b2 = b1 + k;
-      const float* b3 = b2 + k;
-      __m512 c00 = _mm512_setzero_ps(), c01 = _mm512_setzero_ps();
-      __m512 c02 = _mm512_setzero_ps(), c03 = _mm512_setzero_ps();
-      __m512 c10 = _mm512_setzero_ps(), c11 = _mm512_setzero_ps();
-      __m512 c12 = _mm512_setzero_ps(), c13 = _mm512_setzero_ps();
-      int64_t p = 0;
-      for (; p + 16 <= k; p += 16) {
-        const __m512 va0 = _mm512_loadu_ps(a0 + p);
-        const __m512 va1 = _mm512_loadu_ps(a1 + p);
-        const __m512 vb0 = _mm512_loadu_ps(b0 + p);
-        c00 = _mm512_fmadd_ps(va0, vb0, c00);
-        c10 = _mm512_fmadd_ps(va1, vb0, c10);
-        const __m512 vb1 = _mm512_loadu_ps(b1 + p);
-        c01 = _mm512_fmadd_ps(va0, vb1, c01);
-        c11 = _mm512_fmadd_ps(va1, vb1, c11);
-        const __m512 vb2 = _mm512_loadu_ps(b2 + p);
-        c02 = _mm512_fmadd_ps(va0, vb2, c02);
-        c12 = _mm512_fmadd_ps(va1, vb2, c12);
-        const __m512 vb3 = _mm512_loadu_ps(b3 + p);
-        c03 = _mm512_fmadd_ps(va0, vb3, c03);
-        c13 = _mm512_fmadd_ps(va1, vb3, c13);
-      }
-      float t00 = _mm512_reduce_add_ps(c00);
-      float t01 = _mm512_reduce_add_ps(c01);
-      float t02 = _mm512_reduce_add_ps(c02);
-      float t03 = _mm512_reduce_add_ps(c03);
-      float t10 = _mm512_reduce_add_ps(c10);
-      float t11 = _mm512_reduce_add_ps(c11);
-      float t12 = _mm512_reduce_add_ps(c12);
-      float t13 = _mm512_reduce_add_ps(c13);
-      for (; p < k; ++p) {
-        const float a0p = a0[p], a1p = a1[p];
-        t00 += a0p * b0[p]; t01 += a0p * b1[p];
-        t02 += a0p * b2[p]; t03 += a0p * b3[p];
-        t10 += a1p * b0[p]; t11 += a1p * b1[p];
-        t12 += a1p * b2[p]; t13 += a1p * b3[p];
-      }
-      o0[j] += t00; o0[j + 1] += t01; o0[j + 2] += t02; o0[j + 3] += t03;
-      o1[j] += t10; o1[j + 1] += t11; o1[j + 2] += t12; o1[j + 3] += t13;
-    }
-    for (; j < m; ++j) {
-      const float* brow = bd + j * k;
-      o0[j] += DotAvx512F32(a0, brow, k);
-      o1[j] += DotAvx512F32(a1, brow, k);
-    }
-  }
-  for (; i < r1; ++i) {
-    const float* arow = ad + i * k;
-    float* orow = od + i * m;
-    for (int64_t j = 0; j < m; ++j) {
-      orow[j] += DotAvx512F32(arow, bd + j * k, k);
-    }
-  }
-}
-
 }  // namespace linalg_kernels
 }  // namespace sbrl
 

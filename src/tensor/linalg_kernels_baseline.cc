@@ -254,81 +254,5 @@ void BaselineMatmulTransBRows(const double* __restrict ad,
   }
 }
 
-// ---------------------------------------------------------------------------
-// f32 tier: the f64 baseline loop shapes restated on floats. These are
-// the bitwise anchors of the f32 tier's cross-ISA contract, exactly as
-// the f64 kernels above anchor theirs.
-// ---------------------------------------------------------------------------
-
-void BaselineMatmulTransARowsF32(const float* __restrict ad,
-                                 const float* __restrict bd,
-                                 float* __restrict od, int64_t k, int64_t n,
-                                 int64_t m, int64_t r0, int64_t r1) {
-  // Same structure as BaselineMatmulTransARows: the reduction index p
-  // stays outermost and ascending for every element.
-  for (int64_t p = 0; p < k; ++p) {
-    const float* acol = ad + p * n;
-    const float* brow = bd + p * m;
-    for (int64_t i = r0; i < r1; ++i) {
-      const float av = acol[i];
-      float* orow = od + i * m;
-      for (int64_t j = 0; j < m; ++j) orow[j] += av * brow[j];
-    }
-  }
-}
-
-void BaselineMatmulTransBRowsF32(const float* __restrict ad,
-                                 const float* __restrict bd,
-                                 float* __restrict od, int64_t k, int64_t m,
-                                 int64_t r0, int64_t r1) {
-  // Same 2x2 micro-kernel as BaselineMatmulTransBRows: per-element
-  // accumulators, k ascending.
-  int64_t i = r0;
-  for (; i + 2 <= r1; i += 2) {
-    const float* a0 = ad + i * k;
-    const float* a1 = a0 + k;
-    float* o0 = od + i * m;
-    float* o1 = o0 + m;
-    int64_t j = 0;
-    for (; j + 2 <= m; j += 2) {
-      const float* b0 = bd + j * k;
-      const float* b1 = b0 + k;
-      float acc00 = 0.0f, acc01 = 0.0f, acc10 = 0.0f, acc11 = 0.0f;
-      for (int64_t p = 0; p < k; ++p) {
-        const float a0p = a0[p], a1p = a1[p];
-        const float b0p = b0[p], b1p = b1[p];
-        acc00 += a0p * b0p;
-        acc01 += a0p * b1p;
-        acc10 += a1p * b0p;
-        acc11 += a1p * b1p;
-      }
-      o0[j] += acc00;
-      o0[j + 1] += acc01;
-      o1[j] += acc10;
-      o1[j + 1] += acc11;
-    }
-    for (; j < m; ++j) {
-      const float* brow = bd + j * k;
-      float acc0 = 0.0f, acc1 = 0.0f;
-      for (int64_t p = 0; p < k; ++p) {
-        acc0 += a0[p] * brow[p];
-        acc1 += a1[p] * brow[p];
-      }
-      o0[j] += acc0;
-      o1[j] += acc1;
-    }
-  }
-  for (; i < r1; ++i) {
-    const float* arow = ad + i * k;
-    float* orow = od + i * m;
-    for (int64_t j = 0; j < m; ++j) {
-      const float* brow = bd + j * k;
-      float acc = 0.0f;
-      for (int64_t p = 0; p < k; ++p) acc += arow[p] * brow[p];
-      orow[j] += acc;
-    }
-  }
-}
-
 }  // namespace linalg_kernels
 }  // namespace sbrl

@@ -14,9 +14,9 @@ namespace sbrl {
 /// precision tier (common/precision.h). Deliberately a separate type
 /// rather than a template parameter on Matrix: the autodiff tape, the
 /// pools, and every training-path contract stay double-only by
-/// construction, and the few f32-eligible paths (serving forwards,
-/// streamed-stats staging, the f32 kernel family in
-/// tensor/linalg_f32.h) opt in explicitly by naming this type.
+/// construction, and the f32 serving forward (with its kernels in
+/// tensor/linalg_f32.h and common/simd.h) opts in explicitly by naming
+/// this type.
 ///
 /// Same layout and alignment contract as Matrix: contiguous row-major
 /// storage, 64-byte-aligned (IsTensorAligned(data()) always holds).
@@ -96,13 +96,12 @@ class MatrixF32 {
   void Fill(float v);
 
   /// Reshapes in place to (rows x cols) with every element zero,
-  /// reusing the backing storage when its capacity suffices — the
-  /// recycling primitive the f32 block-staging wave relies on.
+  /// reusing the backing storage when its capacity suffices.
   void ResetZero(int64_t rows, int64_t cols);
 
   /// Reshapes to `src`'s shape and narrows its contents in one pass,
   /// reusing the backing storage when possible. The in-place twin of
-  /// FromF64 for steady-state staging loops.
+  /// FromF64.
   void ResetNarrowOf(const Matrix& src);
 
   /// Elements the backing storage can hold without reallocating
