@@ -110,7 +110,11 @@ int main() {
             << diag.train_loss.size() << " evals, final train loss "
             << diag.train_loss.back() << ")\n";
 
-  // Manual prediction pass using the backbone directly.
+  // Manual prediction pass: the built-in backbones predict through the
+  // tape-free InferenceNet (core/inference_net.h), which only knows
+  // their tensor layout. A custom backbone has no InferenceNet, so it
+  // predicts through its own tape forward with training=false — the
+  // same forward SbrlTrainer uses for its validation loss.
   Tape tape;
   ParamBinder binder(&tape);
   std::vector<int> dummy_t(static_cast<size_t>(shifted.n()), 0);

@@ -983,7 +983,7 @@ void AffineBackwardFromDpre(Tape* t, int xi, int wi, int bi, Matrix&& dpre) {
 
 /// Broadcast-adds the (1 x m) row at `bd` to every row of the
 /// (n x m) buffer at `pd`, in place. Shared by the tape ops and the
-/// serving value kernels so both paths add the bias in the same order.
+/// inference value kernels so both paths add the bias in the same order.
 void AddRowBroadcastInPlace(int64_t n, int64_t m, double* pd,
                             const double* bd) {
   RowwiseFor(n, m, [pd, bd, m](int64_t r0, int64_t r1) {
@@ -997,8 +997,8 @@ void AddRowBroadcastInPlace(int64_t n, int64_t m, double* pd,
 /// Bias add and activation in one pass over a matmul output at `od`,
 /// in place; the pre-activation is overwritten and never kept. This is
 /// THE fused-affine forward loop — AffineAct's tape node and
-/// AffineActValue both run it, which is what makes serving forwards
-/// bitwise identical to training-path inference forwards.
+/// AffineActValue both run it, which is what makes InferenceNet
+/// forwards bitwise identical to the tape forward.
 template <typename Act>
 void BiasActInPlace(int64_t n, int64_t m, double* od, const double* bd) {
   RowwiseFor(n, m, [od, bd, m](int64_t r0, int64_t r1) {
@@ -1015,7 +1015,7 @@ void BiasActInPlace(int64_t n, int64_t m, double* od, const double* bd) {
 /// affine output at `od`, in place: h = (od - mean) * inv_std,
 /// od = act(h * gamma + beta). When `hd` is non-null the normalized
 /// activations are also stored there (the tape op keeps them for its
-/// backward); the serving value kernel passes nullptr. Shared for the
+/// backward); the inference value kernel passes nullptr. Shared for the
 /// same bitwise-parity reason as BiasActInPlace.
 template <typename Act>
 void BnInferActInPlace(int64_t n, int64_t m, double* od, double* hd,
@@ -1327,11 +1327,11 @@ Var AffineBatchNormInferAct(Var x, Var w, Var b, Var gamma, Var beta,
 }
 
 Matrix AffineActValue(const Matrix& x, const Matrix& w, const Matrix& b,
-                      ActKind act) {
+                      ActKind act, MatrixPool* pool) {
   SBRL_CHECK_EQ(x.cols(), w.rows());
   SBRL_CHECK(b.rows() == 1 && b.cols() == w.cols());
   const int64_t n = x.rows(), m = w.cols();
-  Matrix out(n, m);
+  Matrix out = pool != nullptr ? pool->AcquireZero(n, m) : Matrix(n, m);
   MatmulInto(x, w, &out);
   DispatchAct(act, [&](auto policy) {
     BiasActInPlace<decltype(policy)>(n, m, out.data(), b.data());
@@ -1344,7 +1344,7 @@ Matrix AffineBatchNormInferActValue(const Matrix& x, const Matrix& w,
                                     const Matrix& beta,
                                     const Matrix& running_mean,
                                     const Matrix& running_var, double eps,
-                                    ActKind act) {
+                                    ActKind act, MatrixPool* pool) {
   SBRL_CHECK_EQ(x.cols(), w.rows());
   SBRL_CHECK(b.rows() == 1 && b.cols() == w.cols());
   SBRL_CHECK(gamma.rows() == 1 && gamma.cols() == w.cols());
@@ -1352,7 +1352,7 @@ Matrix AffineBatchNormInferActValue(const Matrix& x, const Matrix& w,
   SBRL_CHECK(running_mean.rows() == 1 && running_mean.cols() == w.cols());
   SBRL_CHECK(running_var.same_shape(running_mean));
   const int64_t n = x.rows(), m = w.cols();
-  Matrix pre(n, m);
+  Matrix pre = pool != nullptr ? pool->AcquireZero(n, m) : Matrix(n, m);
   MatmulInto(x, w, &pre);
   AddRowBroadcastInPlace(n, m, pre.data(), b.data());
   Matrix inv_std(1, m);

@@ -170,18 +170,20 @@ Var AffineBatchNormInferAct(Var x, Var w, Var b, Var gamma, Var beta,
                             ActKind act);
 
 // ---------------------------------------------------------------------------
-// Tape-free value kernels for the serving path (src/serve). Each one
-// evaluates EXACTLY the forward arithmetic of the corresponding tape
-// op — same loops, same per-element formulas, same accumulation order
-// — by sharing the fused ops' forward helpers, so a serving forward is
-// bitwise identical to the in-process inference forward while
-// allocating no tape nodes and recording no backward closures.
+// Tape-free value kernels of the one inference forward (InferenceNet,
+// core/inference_net.h). Each one evaluates EXACTLY the forward
+// arithmetic of the corresponding tape op — same loops, same
+// per-element formulas, same accumulation order — by sharing the fused
+// ops' forward helpers, so a prediction is bitwise identical to the
+// tape forward it replaces while allocating no tape nodes and
+// recording no backward closures. The affine kernels take their output
+// buffer from `pool` when one is given (storage reuse only).
 // ---------------------------------------------------------------------------
 
 /// Value-only AffineAct: act(x W + broadcast b). Bitwise identical to
 /// AffineAct(...)'s forward output.
 Matrix AffineActValue(const Matrix& x, const Matrix& w, const Matrix& b,
-                      ActKind act);
+                      ActKind act, MatrixPool* pool = nullptr);
 
 /// Value-only AffineBatchNormInferAct:
 /// act(gamma .* (x W + b - mean) / sqrt(var + eps) + beta) with frozen
@@ -191,7 +193,7 @@ Matrix AffineBatchNormInferActValue(const Matrix& x, const Matrix& w,
                                     const Matrix& beta,
                                     const Matrix& running_mean,
                                     const Matrix& running_var, double eps,
-                                    ActKind act);
+                                    ActKind act, MatrixPool* pool = nullptr);
 
 /// Value-only NormalizeRows: each row scaled by
 /// 1 / sqrt(sum_c a(r,c)^2 + eps), with the row sum accumulated in

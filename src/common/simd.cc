@@ -104,14 +104,6 @@ void BlockAlignedSweep(int64_t n, const SerialFn& serial_fn) {
 
 }  // namespace
 
-const char* CosineModeName(CosineMode mode) {
-  switch (mode) {
-    case CosineMode::kVectorized: return "vectorized";
-    case CosineMode::kExact: return "exact";
-  }
-  return "?";
-}
-
 void VecCos(const double* x, double* y, int64_t n) {
   SBRL_CHECK_GE(n, 0);
   const CosKernels kernels = ActiveCosKernels();

@@ -30,9 +30,6 @@ enum class CosineMode {
   kExact,       ///< scalar std::cos reference, bitwise reproducible
 };
 
-/// Human-readable CosineMode name ("vectorized" / "exact").
-const char* CosineModeName(CosineMode mode);
-
 /// Documented accuracy bound of the kVectorized cosine relative to
 /// std::cos, in units in the last place (glibc's libmvec guarantee).
 constexpr int64_t kVecCosMaxUlp = 4;
@@ -79,10 +76,11 @@ void ScaledCosRowsInPlace(double* x, int64_t rows, int64_t cols,
 /// tier; every other sweep here is f64), routed through the
 /// per-ISA vectorized exponential (_ZGVbN4v_expf / _ZGVdN8v_expf /
 /// _ZGVeN16v_expf). The negative branch evaluates exp(x) - 1 rather
-/// than expm1 (libmvec carries no expm1f), costing at most ~1.2e-7
-/// absolute error near zero on top of expf's 4-ulp bound — inside the
-/// f32 tier's documented rounding budget (the bitwise f64 tier keeps
-/// scalar expm1). Elementwise and chunked on kCosSweepBlock boundaries
+/// than expm1, costing at most ~1.2e-7 absolute error near zero on top
+/// of expf's 4-ulp bound — inside the f32 tier's documented rounding
+/// budget (the bitwise f64 tier keeps scalar expm1). glibc >= 2.35
+/// also exports vector expm1f (_ZGV{b,c,d,e}N*v_expm1f); this sweep
+/// does not use it yet. Elementwise and chunked on kCosSweepBlock boundaries
 /// like the cosine sweeps, so results are bitwise invariant to the
 /// worker-thread count at a fixed ISA level.
 void EluF32InPlace(float* x, int64_t n);

@@ -26,8 +26,9 @@ void ScaledCosSerialInPlace(double* x, int64_t n, double scale) {
 // f32 ELU sweep for the tape-free serving kernels, written branchless
 // (max(v,0) + expf(min(v,0)) - 1) so if-conversion leaves a plain
 // vectorizable expf call that lowers to libmvec (_ZGVbN4v_expf here).
-// libmvec has no expm1f, so the negative branch is exp(v) - 1: near
-// zero that costs up to one ulp of 1 in absolute error (~1.2e-7) where
+// The negative branch is exp(v) - 1, not expm1f (which glibc >= 2.35
+// also vectorizes as _ZGV*v_expm1f, unused here so far): near zero
+// that costs up to one ulp of 1 in absolute error (~1.2e-7) where
 // expm1 would be exact — inside the f32 tier's rounding budget, which
 // is why the f64 tier (bitwise expm1) stays the reference.
 void EluSerialInPlaceF32(float* x, int64_t n) {

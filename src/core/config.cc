@@ -20,22 +20,6 @@ const char* FrameworkName(FrameworkKind kind) {
   return "?";
 }
 
-const char* BatchedHsicModeName(BatchedHsicMode mode) {
-  switch (mode) {
-    case BatchedHsicMode::kExact: return "exact";
-    case BatchedHsicMode::kBatched: return "batched";
-  }
-  return "?";
-}
-
-const char* RecoveryModeName(RecoveryMode mode) {
-  switch (mode) {
-    case RecoveryMode::kOff: return "off";
-    case RecoveryMode::kRollback: return "rollback";
-  }
-  return "?";
-}
-
 std::string MethodName(BackboneKind backbone, FrameworkKind framework) {
   std::string name = BackboneName(backbone);
   if (framework != FrameworkKind::kVanilla) name += FrameworkName(framework);

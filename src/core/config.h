@@ -72,10 +72,6 @@ enum class RecoveryMode {
 const char* BackboneName(BackboneKind kind);
 /// Human-readable framework suffix ("vanilla" / "+SBRL" / "+SBRL-HAP").
 const char* FrameworkName(FrameworkKind kind);
-/// Human-readable BatchedHsicMode name ("exact" / "batched").
-const char* BatchedHsicModeName(BatchedHsicMode mode);
-/// Human-readable RecoveryMode name ("off" / "rollback").
-const char* RecoveryModeName(RecoveryMode mode);
 
 /// Returns e.g. "CFR+SBRL-HAP" — the method names used in the paper's
 /// tables.

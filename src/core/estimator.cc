@@ -1,7 +1,5 @@
 #include "core/estimator.h"
 
-#include <cmath>
-
 #include "common/cpu.h"
 #include "core/dercfr.h"
 #include "tensor/linalg.h"
@@ -27,32 +25,34 @@ Status HteEstimator::Fit(const CausalDataset& train,
           "validation outcome type differs from training");
     }
   }
-  binary_outcome_ = train.binary_outcome;
+  spec_ = InferenceSpec();
+  spec_.backbone = config_.backbone;
+  spec_.network = config_.network;
+  spec_.input_dim = train.dim();
+  spec_.binary_outcome = train.binary_outcome;
 
   // Standardize continuous outcomes for stable head training; the
   // statistics are inverted at prediction time.
   CausalDataset train_std = train;
   CausalDataset valid_std;
-  if (!binary_outcome_) {
-    y_mean_ = train.y.Mean();
-    y_std_ = StdDev(train.y);
-    if (y_std_ < 1e-12) {
+  if (!spec_.binary_outcome) {
+    spec_.y_mean = train.y.Mean();
+    spec_.y_std = StdDev(train.y);
+    if (spec_.y_std < 1e-12) {
       return Status::FailedPrecondition(
           "outcome has zero variance; nothing to learn");
     }
     for (int64_t i = 0; i < train_std.n(); ++i) {
-      train_std.y(i, 0) = (train_std.y(i, 0) - y_mean_) / y_std_;
+      train_std.y(i, 0) = (train_std.y(i, 0) - spec_.y_mean) / spec_.y_std;
     }
     if (valid != nullptr) {
       valid_std = *valid;
       for (int64_t i = 0; i < valid_std.n(); ++i) {
-        valid_std.y(i, 0) = (valid_std.y(i, 0) - y_mean_) / y_std_;
+        valid_std.y(i, 0) =
+            (valid_std.y(i, 0) - spec_.y_mean) / spec_.y_std;
       }
       valid = &valid_std;
     }
-  } else {
-    y_mean_ = 0.0;
-    y_std_ = 1.0;
   }
 
   Rng rng(config_.train.seed);
@@ -62,23 +62,15 @@ Status HteEstimator::Fit(const CausalDataset& train,
   }
 
   diag_ = TrainDiagnostics();
-  SbrlTrainer trainer(config_, backbone_.get(), binary_outcome_, ctx);
+  SbrlTrainer trainer(config_, backbone_.get(), spec_.binary_outcome, ctx);
   SBRL_RETURN_IF_ERROR(trainer.Train(train_std, valid, &diag_, &weights_));
   fitted_ = true;
   return Status::OK();
 }
 
-BackboneForward HteEstimator::PredictForward(ParamBinder& binder,
-                                             const Matrix& x) const {
+InferenceNet HteEstimator::Net() const {
   SBRL_CHECK(fitted_) << "call Fit before predicting";
-  SBRL_CHECK_EQ(x.cols(), backbone_->input_dim());
-  Tape* tape = binder.tape();
-  // Treatment assignment only affects factual-layer selection and
-  // training-time losses; predictions for both arms are always emitted.
-  std::vector<int> dummy_t(static_cast<size_t>(x.rows()), 0);
-  Var w_uniform = tape->Constant(Matrix::Ones(x.rows(), 1));
-  return backbone_->Forward(binder, x, dummy_t, w_uniform,
-                            /*training=*/false);
+  return InferenceNet::FromBackbone(*backbone_, spec_);
 }
 
 Matrix HteEstimator::PredictPotentialOutcomes(const Matrix& x) const {
@@ -86,24 +78,8 @@ Matrix HteEstimator::PredictPotentialOutcomes(const Matrix& x) const {
   // thread-locally (concurrent sweep evaluation must not depend on the
   // process-wide default).
   ScopedThreadIsa isa_scope(config_.sbrl.isa);
-  Tape tape;
-  ParamBinder binder(&tape);
-  BackboneForward fwd = PredictForward(binder, x);
-  Matrix out(x.rows(), 2);
-  for (int64_t i = 0; i < x.rows(); ++i) {
-    double y0 = fwd.y0.value()(i, 0);
-    double y1 = fwd.y1.value()(i, 0);
-    if (binary_outcome_) {
-      y0 = 1.0 / (1.0 + std::exp(-y0));
-      y1 = 1.0 / (1.0 + std::exp(-y1));
-    } else {
-      y0 = y0 * y_std_ + y_mean_;
-      y1 = y1 * y_std_ + y_mean_;
-    }
-    out(i, 0) = y0;
-    out(i, 1) = y1;
-  }
-  return out;
+  const InferenceNet net = Net();
+  return net.ToOutcomes(net.Heads(x));
 }
 
 std::vector<double> HteEstimator::PredictIte(const Matrix& x) const {
@@ -125,10 +101,7 @@ double HteEstimator::PredictAte(const Matrix& x) const {
 
 Matrix HteEstimator::RepresentationOf(const Matrix& x) const {
   ScopedThreadIsa isa_scope(config_.sbrl.isa);
-  Tape tape;
-  ParamBinder binder(&tape);
-  BackboneForward fwd = PredictForward(binder, x);
-  return fwd.rep.value();
+  return Net().Representation(x);
 }
 
 }  // namespace sbrl

@@ -6,6 +6,7 @@
 
 #include "common/statusor.h"
 #include "core/backbone.h"
+#include "core/inference_net.h"
 #include "core/trainer.h"
 #include "data/causal_dataset.h"
 
@@ -41,7 +42,8 @@ class HteEstimator {
 
   /// Predicted potential outcomes for each row of `x` -> (n x 2)
   /// matrix, column 0 = y0_hat, column 1 = y1_hat. Binary outcomes are
-  /// returned as probabilities.
+  /// returned as probabilities. Runs the tape-free InferenceNet over
+  /// the fitted tensors, pinned to the configured ISA choice.
   Matrix PredictPotentialOutcomes(const Matrix& x) const;
 
   /// Predicted individual treatment effects y1_hat - y0_hat.
@@ -68,28 +70,23 @@ class HteEstimator {
   /// parameters and BatchNorm state); null before Fit(). Non-const
   /// because the parameter-collection interface is non-const.
   Backbone* fitted_backbone() { return backbone_.get(); }
-  /// Whether the last Fit() saw a binary outcome (predictions are
-  /// probabilities) or a continuous one (de-standardized).
-  bool binary_outcome() const { return binary_outcome_; }
-  /// Training-set outcome mean used for continuous de-standardization.
-  double outcome_mean() const { return y_mean_; }
-  /// Training-set outcome stddev used for continuous de-standardization.
-  double outcome_std() const { return y_std_; }
+  /// What prediction needs beyond the fitted tensors: architecture,
+  /// input dimension, and the outcome scale of the last Fit() (binary
+  /// probabilities, or y_mean / y_std de-standardization).
+  const InferenceSpec& inference_spec() const { return spec_; }
 
  private:
   explicit HteEstimator(const EstimatorConfig& config) : config_(config) {}
 
-  BackboneForward PredictForward(ParamBinder& binder,
-                                 const Matrix& x) const;
+  /// The fitted network as an InferenceNet; CHECK-fails before Fit.
+  InferenceNet Net() const;
 
   EstimatorConfig config_;
   std::shared_ptr<Backbone> backbone_;  // shared: keeps estimator movable
   Matrix weights_;
   TrainDiagnostics diag_;
   bool fitted_ = false;
-  bool binary_outcome_ = true;
-  double y_mean_ = 0.0;
-  double y_std_ = 1.0;
+  InferenceSpec spec_;
 };
 
 }  // namespace sbrl

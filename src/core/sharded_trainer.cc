@@ -19,6 +19,21 @@ double StableSigmoid(double z) {
   return e / (1.0 + e);
 }
 
+// Per-row ITE from the raw head outputs: sigmoid-probability
+// difference for binary outcomes, raw difference otherwise.
+Matrix IteOf(const InferenceNet& net, const Matrix& x, MatrixPool* pool) {
+  const Matrix heads = net.Heads(x, pool);
+  Matrix ite(x.rows(), 1);
+  for (int64_t i = 0; i < x.rows(); ++i) {
+    const double y0 = heads(i, 0);
+    const double y1 = heads(i, 1);
+    ite(i, 0) = net.spec().binary_outcome
+                    ? StableSigmoid(y1) - StableSigmoid(y0)
+                    : y1 - y0;
+  }
+  return ite;
+}
+
 // Factual per-row losses, mirroring SbrlTrainer's FactualLosses.
 Var ShardFactualLosses(Var y0, Var y1, const std::vector<int>& t,
                        const Matrix& y, bool binary) {
@@ -209,6 +224,7 @@ StatusOr<double> ShardedTrainer::EstimateAte(DatasetBlockReader& reader) {
     slot_pools_.push_back(std::make_unique<MatrixPool>());
   }
   SBRL_RETURN_IF_ERROR(reader.Reset());
+  const InferenceNet net = Net();
   struct IteSum {
     int64_t rows = 0;
     double sum = 0.0;
@@ -222,10 +238,10 @@ StatusOr<double> ShardedTrainer::EstimateAte(DatasetBlockReader& reader) {
       const IteSum total,
       ShardedReduce<IteSum>(
           reader, opts,
-          [this](int64_t /*shard*/, int64_t slot,
-                 const CausalDataset& block) {
-            const Matrix ite = PredictIteWithPool(
-                block.x, slot_pools_[static_cast<size_t>(slot)].get());
+          [this, &net](int64_t /*shard*/, int64_t slot,
+                       const CausalDataset& block) {
+            const Matrix ite = IteOf(
+                net, block.x, slot_pools_[static_cast<size_t>(slot)].get());
             IteSum s;
             s.rows = block.n();
             for (int64_t i = 0; i < ite.rows(); ++i) s.sum += ite(i, 0);
@@ -235,29 +251,17 @@ StatusOr<double> ShardedTrainer::EstimateAte(DatasetBlockReader& reader) {
   return total.sum / static_cast<double>(total.rows);
 }
 
-Matrix ShardedTrainer::PredictIte(const Matrix& x) {
-  return PredictIteWithPool(x, nullptr);
+InferenceNet ShardedTrainer::Net() const {
+  InferenceSpec spec;
+  spec.backbone = BackboneKind::kTarnet;
+  spec.network = config_.network;
+  spec.input_dim = input_dim_;
+  spec.binary_outcome = config_.binary_outcome;
+  return InferenceNet::FromBackbone(*backbone_, spec);
 }
 
-Matrix ShardedTrainer::PredictIteWithPool(const Matrix& x, MatrixPool* pool) {
-  SBRL_CHECK_EQ(x.cols(), input_dim_);
-  Tape tape(pool);
-  ParamBinder binder(&tape);
-  const std::vector<int> t(static_cast<size_t>(x.rows()), 0);
-  Var w = tape.Constant(Matrix::Ones(x.rows(), 1));
-  BackboneForward fwd = backbone_->Forward(binder, x, t, w,
-                                           /*training=*/false);
-  const Matrix& y0 = fwd.y0.value();
-  const Matrix& y1 = fwd.y1.value();
-  Matrix ite(x.rows(), 1);
-  for (int64_t i = 0; i < x.rows(); ++i) {
-    if (config_.binary_outcome) {
-      ite(i, 0) = StableSigmoid(y1(i, 0)) - StableSigmoid(y0(i, 0));
-    } else {
-      ite(i, 0) = y1(i, 0) - y0(i, 0);
-    }
-  }
-  return ite;
+Matrix ShardedTrainer::PredictIte(const Matrix& x) const {
+  return IteOf(Net(), x, nullptr);
 }
 
 void ShardedTrainer::CollectParamValues(std::vector<Matrix>* out) const {

@@ -9,6 +9,7 @@
 #include "common/statusor.h"
 #include "core/backbone.h"
 #include "core/config.h"
+#include "core/inference_net.h"
 #include "data/streaming.h"
 #include "stats/sharded.h"
 #include "tensor/pool.h"
@@ -108,13 +109,15 @@ class ShardedTrainer {
 
   /// Streamed ATE estimate after Train: mean predicted ITE over the
   /// stream, accumulated shard-wise (sigmoid-probability difference
-  /// for binary outcomes, raw head difference otherwise). Resets the
+  /// for binary outcomes, raw head difference otherwise). Every shard
+  /// runs one shared InferenceNet of the fitted parameters. Resets the
   /// reader first. Bitwise worker-count invariant like Train.
   StatusOr<double> EstimateAte(DatasetBlockReader& reader);
 
   /// In-core ITE predictions (n x 1) for `x` (no sharding; for tests
-  /// and small scoring batches).
-  Matrix PredictIte(const Matrix& x);
+  /// and small scoring batches), bitwise equal to EstimateAte's
+  /// per-row terms.
+  Matrix PredictIte(const Matrix& x) const;
 
   /// Appends a copy of every parameter value in canonical
   /// CollectParams order — the bitwise-comparison surface of the
@@ -131,9 +134,8 @@ class ShardedTrainer {
   /// loss/arm sums and per-param gradient sums aligned to `params_`.
   ShardStats ComputeShard(const CausalDataset& block, MatrixPool* pool);
 
-  /// PredictIte recording on `pool` (nullable) — the shard-scoped
-  /// scoring primitive behind EstimateAte.
-  Matrix PredictIteWithPool(const Matrix& x, MatrixPool* pool);
+  /// The fitted TARNet as an InferenceNet (spec from config_).
+  InferenceNet Net() const;
 
   ShardedTrainerConfig config_;
   int64_t input_dim_ = 0;

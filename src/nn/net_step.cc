@@ -2,14 +2,6 @@
 
 namespace sbrl {
 
-const char* NetStepModeName(NetStepMode mode) {
-  switch (mode) {
-    case NetStepMode::kFused: return "fused";
-    case NetStepMode::kReference: return "reference";
-  }
-  return "?";
-}
-
 Var ApplyActivation(Var x, ops::ActKind act) {
   switch (act) {
     case ops::ActKind::kIdentity: return x;

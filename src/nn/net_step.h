@@ -28,9 +28,6 @@ enum class NetStepMode {
   kReference,  ///< per-primitive tape ops — the reference formulation
 };
 
-/// Human-readable NetStepMode name ("fused" / "reference").
-const char* NetStepModeName(NetStepMode mode);
-
 /// Short name of ops::ActKind, the one activation enum of MLP layers,
 /// the fused network-step ops and the serving forward. The paper trains
 /// all networks with ELU; kIdentity is the linear activation.

@@ -42,10 +42,6 @@ double AdamOptimizer::Step(double lr) {
   return digest;
 }
 
-void AdamOptimizer::ZeroGrad() {
-  for (Param* p : params_) p->grad.Fill(0.0);
-}
-
 SgdOptimizer::SgdOptimizer(std::vector<Param*> params)
     : params_(std::move(params)) {
   for (Param* p : params_) {

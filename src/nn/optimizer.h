@@ -35,9 +35,6 @@ class AdamOptimizer {
   /// docs/ARCHITECTURE.md "Failure handling & recovery").
   double Step(double lr);
 
-  /// Zeroes all gradients without updating (e.g. after a skipped step).
-  void ZeroGrad();
-
   int64_t step_count() const { return step_count_; }
   /// Restores the bias-correction position (checkpoint resume /
   /// divergence rollback); `count` must be >= 0.

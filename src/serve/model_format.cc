@@ -48,42 +48,44 @@ uint32_t EncodeActivation(ops::ActKind act) {
 }
 
 std::string EncodeMeta(const ServingMeta& meta) {
+  const InferenceSpec& spec = meta.spec;
   std::string out;
-  AppendScalar<uint32_t>(&out, static_cast<uint32_t>(meta.backbone));
+  AppendScalar<uint32_t>(&out, static_cast<uint32_t>(spec.backbone));
   AppendScalar<uint32_t>(&out, static_cast<uint32_t>(meta.framework));
   AppendString(&out, meta.method_name);
-  AppendScalar<int64_t>(&out, meta.input_dim);
-  AppendScalar<uint32_t>(&out, meta.binary_outcome ? 1 : 0);
-  AppendScalar<double>(&out, meta.y_mean);
-  AppendScalar<double>(&out, meta.y_std);
-  AppendScalar<int64_t>(&out, meta.network.rep_layers);
-  AppendScalar<int64_t>(&out, meta.network.rep_width);
-  AppendScalar<int64_t>(&out, meta.network.head_layers);
-  AppendScalar<int64_t>(&out, meta.network.head_width);
-  AppendScalar<uint32_t>(&out, meta.network.batchnorm ? 1 : 0);
-  AppendScalar<uint32_t>(&out, meta.network.rep_normalization ? 1 : 0);
-  AppendScalar<uint32_t>(&out, EncodeActivation(meta.network.activation));
+  AppendScalar<int64_t>(&out, spec.input_dim);
+  AppendScalar<uint32_t>(&out, spec.binary_outcome ? 1 : 0);
+  AppendScalar<double>(&out, spec.y_mean);
+  AppendScalar<double>(&out, spec.y_std);
+  AppendScalar<int64_t>(&out, spec.network.rep_layers);
+  AppendScalar<int64_t>(&out, spec.network.rep_width);
+  AppendScalar<int64_t>(&out, spec.network.head_layers);
+  AppendScalar<int64_t>(&out, spec.network.head_width);
+  AppendScalar<uint32_t>(&out, spec.network.batchnorm ? 1 : 0);
+  AppendScalar<uint32_t>(&out, spec.network.rep_normalization ? 1 : 0);
+  AppendScalar<uint32_t>(&out, EncodeActivation(spec.network.activation));
   AppendScalar<int32_t>(&out, static_cast<int32_t>(meta.isa));
-  AppendScalar<double>(&out, meta.bn_eps);
+  AppendScalar<double>(&out, spec.bn_eps);
   return out;
 }
 
 bool DecodeMeta(ByteReader* reader, ServingMeta* meta) {
+  InferenceSpec& spec = meta->spec;
   uint32_t backbone = 0, framework = 0, binary = 0, batchnorm = 0;
   uint32_t rep_norm = 0, activation = 0;
   int32_t isa = 0;
   const bool read =
       reader->ReadScalar(&backbone) && reader->ReadScalar(&framework) &&
       reader->ReadString(&meta->method_name) &&
-      reader->ReadScalar(&meta->input_dim) && reader->ReadScalar(&binary) &&
-      reader->ReadScalar(&meta->y_mean) && reader->ReadScalar(&meta->y_std) &&
-      reader->ReadScalar(&meta->network.rep_layers) &&
-      reader->ReadScalar(&meta->network.rep_width) &&
-      reader->ReadScalar(&meta->network.head_layers) &&
-      reader->ReadScalar(&meta->network.head_width) &&
+      reader->ReadScalar(&spec.input_dim) && reader->ReadScalar(&binary) &&
+      reader->ReadScalar(&spec.y_mean) && reader->ReadScalar(&spec.y_std) &&
+      reader->ReadScalar(&spec.network.rep_layers) &&
+      reader->ReadScalar(&spec.network.rep_width) &&
+      reader->ReadScalar(&spec.network.head_layers) &&
+      reader->ReadScalar(&spec.network.head_width) &&
       reader->ReadScalar(&batchnorm) && reader->ReadScalar(&rep_norm) &&
       reader->ReadScalar(&activation) && reader->ReadScalar(&isa) &&
-      reader->ReadScalar(&meta->bn_eps) && reader->exhausted();
+      reader->ReadScalar(&spec.bn_eps) && reader->exhausted();
   if (!read) return false;
   // Range-check every enum before the cast: a CRC-valid file from a
   // newer build must fail decode, not smuggle an out-of-range value.
@@ -94,13 +96,13 @@ bool DecodeMeta(ByteReader* reader, ServingMeta* meta) {
       isa > static_cast<int32_t>(IsaChoice::kAvx512)) {
     return false;
   }
-  if (meta->input_dim < 1 || meta->bn_eps <= 0.0) return false;
-  meta->backbone = static_cast<BackboneKind>(backbone);
+  if (spec.input_dim < 1 || spec.bn_eps <= 0.0) return false;
+  spec.backbone = static_cast<BackboneKind>(backbone);
   meta->framework = static_cast<FrameworkKind>(framework);
-  meta->binary_outcome = binary != 0;
-  meta->network.batchnorm = batchnorm != 0;
-  meta->network.rep_normalization = rep_norm != 0;
-  meta->network.activation = kActivationByCode[activation];
+  spec.binary_outcome = binary != 0;
+  spec.network.batchnorm = batchnorm != 0;
+  spec.network.rep_normalization = rep_norm != 0;
+  spec.network.activation = kActivationByCode[activation];
   meta->isa = static_cast<IsaChoice>(isa);
   return true;
 }
@@ -273,28 +275,12 @@ StatusOr<ServingModelData> ExportServingData(
   }
   const EstimatorConfig& config = estimator.config();
   ServingModelData data;
-  data.meta.backbone = config.backbone;
+  data.meta.spec = estimator.inference_spec();
   data.meta.framework = config.framework;
   data.meta.method_name = MethodName(config.backbone, config.framework);
-  data.meta.input_dim = estimator.fitted_backbone()->input_dim();
-  data.meta.binary_outcome = estimator.binary_outcome();
-  data.meta.y_mean = estimator.outcome_mean();
-  data.meta.y_std = estimator.outcome_std();
-  data.meta.network = config.network;
   data.meta.isa = config.sbrl.isa;
 
-  std::vector<Param*> params;
-  estimator.fitted_backbone()->CollectParams(&params);
-  data.weights.reserve(params.size());
-  for (const Param* p : params) {
-    data.weights.push_back({p->name, p->value});
-  }
-  std::vector<NamedStateRef> state;
-  estimator.fitted_backbone()->CollectStateMatrices(&state);
-  data.state.reserve(state.size());
-  for (const NamedStateRef& s : state) {
-    data.state.push_back({s.name, *s.value});
-  }
+  CaptureTensors(*estimator.fitted_backbone(), &data.weights, &data.state);
   if (ood_detector != nullptr) {
     data.has_ood = true;
     data.ood = ood_detector->ExportState();

@@ -9,6 +9,7 @@
 #include "common/statusor.h"
 #include "core/config.h"
 #include "core/estimator.h"
+#include "core/inference_net.h"
 #include "core/ood_detector.h"
 #include "tensor/matrix.h"
 #include "tensor/matrix_f32.h"
@@ -17,47 +18,24 @@ namespace sbrl {
 namespace serve {
 
 /// Everything the scorer needs to know about a fitted estimator beyond
-/// its raw tensors: which architecture to rebuild, how to post-process
-/// head outputs, and which ISA the training run was pinned to.
+/// its raw tensors: the architecture and outcome scale its InferenceNet
+/// is built from, plus provenance and the ISA pin.
 struct ServingMeta {
-  /// Backbone architecture the weights belong to.
-  BackboneKind backbone = BackboneKind::kTarnet;
+  /// Architecture the weight names resolve against, and how head
+  /// outputs map to potential outcomes.
+  InferenceSpec spec;
   /// Training framework (recorded for provenance; scoring is
   /// framework-independent once the weights are fixed).
   FrameworkKind framework = FrameworkKind::kVanilla;
   /// MethodName(backbone, framework) at export time.
   std::string method_name;
-  /// Covariate dimension the network was built for.
-  int64_t input_dim = 0;
-  /// True: head outputs are logits, scored through a sigmoid. False:
-  /// outputs are standardized values, de-standardized with
-  /// y_mean/y_std.
-  bool binary_outcome = true;
-  /// Training-set outcome mean (continuous outcomes only).
-  double y_mean = 0.0;
-  /// Training-set outcome stddev (continuous outcomes only).
-  double y_std = 1.0;
-  /// Network architecture the weight names are resolved against.
-  NetworkConfig network;
   /// ISA choice the estimator predicts under; the scorer pins the same
   /// choice so serving forwards are bitwise identical to Predict.
   IsaChoice isa = IsaChoice::kAuto;
-  /// BatchNorm epsilon used by the inference normalization.
-  double bn_eps = 1e-5;
 };
 
-/// One named tensor of the exported model (a trainable parameter or a
-/// BatchNorm running statistic), keyed by the module naming scheme
-/// ("rep.l0.W", "heads.h1.bn2.running_var", ...).
-struct NamedMatrix {
-  /// Unique module-scoped tensor name.
-  std::string name;
-  /// The tensor value.
-  Matrix value;
-};
-
-/// f32 counterpart of NamedMatrix, used by the optional f32 weights
-/// section (see ServingModelData::weights_f32).
+/// f32 counterpart of NamedMatrix (core/inference_net.h), used by the
+/// optional f32 weights section (see ServingModelData::weights_f32).
 struct NamedMatrixF32 {
   /// Unique module-scoped tensor name.
   std::string name;

@@ -1,12 +1,15 @@
 #ifndef SBRL_SERVE_SERVING_MODEL_H_
 #define SBRL_SERVE_SERVING_MODEL_H_
 
+#include <array>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/precision.h"
 #include "common/statusor.h"
+#include "core/inference_net.h"
 #include "core/ood_detector.h"
 #include "serve/model_format.h"
 #include "tensor/matrix.h"
@@ -17,13 +20,13 @@ namespace serve {
 
 /// Immutable scorer over an exported model: load once, share freely
 /// across threads. The score path takes no locks, allocates no tape,
-/// and mutates no member state — every forward runs the tape-free
-/// value kernels (ops::AffineActValue / AffineBatchNormInferActValue)
-/// over tensors frozen at construction, pinned to the exported ISA
-/// choice, so ScoreOutcomes is bitwise identical to the fitted
-/// estimator's PredictPotentialOutcomes. Each output row depends only
-/// on its input row, which is what lets the micro-batcher coalesce
-/// requests without changing any result bit (see MicroBatcher).
+/// and mutates no member state — the f64 forward is the same
+/// InferenceNet the fitted estimator predicts through, built from the
+/// decoded tensors and pinned to the exported ISA choice, so
+/// ScoreOutcomes is bitwise identical to PredictPotentialOutcomes.
+/// Each output row depends only on its input row, which is what lets
+/// the micro-batcher coalesce requests without changing any result bit
+/// (see MicroBatcher).
 class ServingModel {
  public:
   /// Per-request scoring knobs.
@@ -131,69 +134,30 @@ class ServingModel {
   bool has_ood_detector() const { return detector_.has_value(); }
 
   /// Covariate dimension every request row must have.
-  int64_t input_dim() const { return meta_.input_dim; }
+  int64_t input_dim() const { return meta_.spec.input_dim; }
 
   /// The decoded meta section (method name, config, ISA pin, ...).
   const ServingMeta& meta() const { return meta_; }
 
  private:
-  /// One affine (+ optional frozen BatchNorm) + activation layer.
-  struct Layer {
-    Matrix w;  ///< (in x out) weight
-    Matrix b;  ///< (1 x out) bias
-    bool has_bn = false;  ///< BatchNorm folded into this layer
-    Matrix gamma;         ///< (1 x out) BN scale
-    Matrix beta;          ///< (1 x out) BN shift
-    Matrix running_mean;  ///< (1 x out) frozen BN mean
-    Matrix running_var;   ///< (1 x out) frozen BN variance
-  };
-  /// An MLP as a sequence of layers (empty for a degenerate stack).
-  struct Stack {
-    std::vector<Layer> layers;
-  };
-  /// f32 twin of Layer, backing the f32 scoring tier.
-  struct LayerF32 {
-    MatrixF32 w;
-    MatrixF32 b;
-    bool has_bn = false;
-    MatrixF32 gamma;
-    MatrixF32 beta;
-    MatrixF32 running_mean;
-    MatrixF32 running_var;
-  };
-  /// f32 twin of Stack.
-  struct StackF32 {
-    std::vector<LayerF32> layers;
-  };
+  /// f32 twin of one InferenceNet layer, backing the f32 scoring tier.
+  using LayerF32 = AffineLayer<MatrixF32>;
+  /// f32 twin of InferenceNet::Stack.
+  using StackF32 = std::vector<LayerF32>;
 
-  ServingModel() = default;
+  explicit ServingModel(InferenceNet net) : net_(std::move(net)) {}
 
-  /// Runs `stack` over `x` with the exported activation/BN settings.
-  Matrix RunStack(const Stack& stack, const Matrix& x) const;
-  /// The balanced representation of `x` (rep stack(s), normalization,
-  /// DeR-CFR concat) — the input of both outcome heads.
-  Matrix Representation(const Matrix& x) const;
-  /// f32 twins of RunStack / Representation.
+  /// f32 twins of InferenceNet::Run / Representation.
   MatrixF32 RunStackF32(const StackF32& stack, const MatrixF32& x) const;
   MatrixF32 RepresentationF32(const MatrixF32& x) const;
 
   ServingMeta meta_;
-  Stack rep_;     // TARNet/CFR representation ("rep")
-  Stack rep_c_;   // DeR-CFR confounder stack ("C")
-  Stack rep_a_;   // DeR-CFR adjustment stack ("A")
-  Stack body0_;   // control head body ("heads.h0")
-  Stack body1_;   // treated head body ("heads.h1")
-  Layer out0_;    // control head output unit ("heads.h0.out")
-  Layer out1_;    // treated head output unit ("heads.h1.out")
-  // f32 twins of the stacks above (always built: from the exported f32
+  /// The f64 forward, shared with HteEstimator and ShardedTrainer.
+  InferenceNet net_;
+  // f32 twins of net_'s stacks (always built: from the exported f32
   // section when present, else narrowed from the f64 tensors).
-  StackF32 rep32_;
-  StackF32 rep_c32_;
-  StackF32 rep_a32_;
-  StackF32 body032_;
-  StackF32 body132_;
-  LayerF32 out032_;
-  LayerF32 out132_;
+  std::vector<StackF32> reps32_;
+  std::array<StackF32, 2> heads32_;
   Precision precision_ = Precision::kF64;
   std::optional<OodLevelDetector> detector_;
   double row_null_q95_ = 0.0;

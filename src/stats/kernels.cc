@@ -32,8 +32,4 @@ double MedianHeuristicBandwidth(const Matrix& x) {
   return median > 1e-12 ? median : 1.0;
 }
 
-Matrix LinearKernel(const Matrix& a, const Matrix& b) {
-  return MatmulTransB(a, b);
-}
-
 }  // namespace sbrl

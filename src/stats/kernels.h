@@ -13,9 +13,6 @@ Matrix RbfKernel(const Matrix& a, const Matrix& b, double bandwidth);
 /// `x`. Falls back to 1.0 when all points coincide.
 double MedianHeuristicBandwidth(const Matrix& x);
 
-/// Linear kernel matrix: K = a b^T.
-Matrix LinearKernel(const Matrix& a, const Matrix& b);
-
 }  // namespace sbrl
 
 #endif  // SBRL_STATS_KERNELS_H_

@@ -62,8 +62,4 @@ Matrix WeightedCrossCovariance(const Matrix& u, const Matrix& v,
   return e_uv;
 }
 
-double WeightedVariance(const Matrix& col, const Matrix& w) {
-  return WeightedCovariance(col, col, w);
-}
-
 }  // namespace sbrl

@@ -25,9 +25,6 @@ double WeightedCovariance(const Matrix& a, const Matrix& b, const Matrix& w);
 Matrix WeightedCrossCovariance(const Matrix& u, const Matrix& v,
                                const Matrix& w);
 
-/// Weighted variance of an (n x 1) column.
-double WeightedVariance(const Matrix& col, const Matrix& w);
-
 }  // namespace sbrl
 
 #endif  // SBRL_STATS_WEIGHTED_H_

@@ -29,8 +29,8 @@ std::string TestPath(const std::string& name) {
 ServingModelData MakeData(ops::ActKind act) {
   ServingModelData data;
   data.meta.method_name = "codes";
-  data.meta.input_dim = 2;
-  data.meta.network.activation = act;
+  data.meta.spec.input_dim = 2;
+  data.meta.spec.network.activation = act;
   return data;
 }
 
@@ -68,7 +68,7 @@ TEST(ActivationCodesTest, OnDiskCodesAreFixed) {
     EXPECT_EQ(ReadU32(ReadBytes(path), ActivationOffset(data)), code);
     StatusOr<ServingModelData> loaded = LoadServingModel(path);
     ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-    EXPECT_EQ(loaded->meta.network.activation, act);
+    EXPECT_EQ(loaded->meta.spec.network.activation, act);
   }
   std::remove(path.c_str());
 }
@@ -96,7 +96,7 @@ TEST(ActivationCodesTest, UnknownCodeFailsToLoad) {
   PatchActivationCode(path, data, 3);  // a known code still loads
   StatusOr<ServingModelData> patched = LoadServingModel(path);
   ASSERT_TRUE(patched.ok()) << patched.status().ToString();
-  EXPECT_EQ(patched->meta.network.activation, ops::ActKind::kSigmoid);
+  EXPECT_EQ(patched->meta.spec.network.activation, ops::ActKind::kSigmoid);
   PatchActivationCode(path, data, 5);
   EXPECT_FALSE(LoadServingModel(path).ok());
   std::remove(path.c_str());

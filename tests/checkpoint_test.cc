@@ -24,8 +24,10 @@
 namespace sbrl {
 namespace {
 
+// Per-process, so the suite's ctest variants (and its sanitized twin)
+// can run concurrently.
 std::string TestPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
+  return ::testing::TempDir() + "/" + std::to_string(::getpid()) + "_" + name;
 }
 
 // Staging files of commits to `path` still present in its directory.

@@ -30,17 +30,17 @@ constexpr int64_t kHeadWidth = 5;
 ServingModelData MakeModelData() {
   Rng rng(7);
   ServingModelData data;
-  data.meta.backbone = BackboneKind::kCfr;
+  data.meta.spec.backbone = BackboneKind::kCfr;
   data.meta.framework = FrameworkKind::kVanilla;
   data.meta.method_name = "handcrafted";
-  data.meta.input_dim = kDim;
-  data.meta.binary_outcome = true;
-  data.meta.network.rep_layers = 2;
-  data.meta.network.rep_width = kRepWidth;
-  data.meta.network.head_layers = 1;
-  data.meta.network.head_width = kHeadWidth;
-  data.meta.network.batchnorm = true;
-  data.meta.network.activation = Activation::kElu;
+  data.meta.spec.input_dim = kDim;
+  data.meta.spec.binary_outcome = true;
+  data.meta.spec.network.rep_layers = 2;
+  data.meta.spec.network.rep_width = kRepWidth;
+  data.meta.spec.network.head_layers = 1;
+  data.meta.spec.network.head_width = kHeadWidth;
+  data.meta.spec.network.batchnorm = true;
+  data.meta.spec.network.activation = Activation::kElu;
 
   auto add_layer = [&](const std::string& prefix, int64_t index, int64_t in,
                        int64_t out) {

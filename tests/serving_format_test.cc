@@ -8,6 +8,7 @@
 #include "serve/model_format.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <fstream>
@@ -22,27 +23,30 @@ namespace sbrl {
 namespace serve {
 namespace {
 
+// Per-process, so the suite's ctest variants (and its sanitized twin)
+// can run concurrently.
 std::string TestPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
+  return ::testing::TempDir() + "/" + std::to_string(::getpid()) + "_" + name;
 }
 
 ServingModelData MakeData() {
   Rng rng(99);
   ServingModelData data;
-  data.meta.backbone = BackboneKind::kCfr;
+  data.meta.spec.backbone = BackboneKind::kCfr;
   data.meta.framework = FrameworkKind::kSbrlHap;
-  data.meta.method_name = MethodName(data.meta.backbone, data.meta.framework);
-  data.meta.input_dim = 5;
-  data.meta.binary_outcome = false;
-  data.meta.y_mean = 1.75;
-  data.meta.y_std = 0.5;
-  data.meta.network.rep_layers = 2;
-  data.meta.network.rep_width = 3;
-  data.meta.network.head_layers = 1;
-  data.meta.network.head_width = 4;
-  data.meta.network.batchnorm = true;
-  data.meta.network.rep_normalization = true;
-  data.meta.network.activation = Activation::kRelu;
+  data.meta.method_name =
+      MethodName(data.meta.spec.backbone, data.meta.framework);
+  data.meta.spec.input_dim = 5;
+  data.meta.spec.binary_outcome = false;
+  data.meta.spec.y_mean = 1.75;
+  data.meta.spec.y_std = 0.5;
+  data.meta.spec.network.rep_layers = 2;
+  data.meta.spec.network.rep_width = 3;
+  data.meta.spec.network.head_layers = 1;
+  data.meta.spec.network.head_width = 4;
+  data.meta.spec.network.batchnorm = true;
+  data.meta.spec.network.rep_normalization = true;
+  data.meta.spec.network.activation = Activation::kRelu;
   data.meta.isa = IsaChoice::kBaseline;
   data.weights.push_back({"rep.l0.W", rng.Randn(5, 3)});
   data.weights.push_back({"rep.l0.b", rng.Randn(1, 3)});
@@ -75,23 +79,24 @@ TEST(ServingFormatTest, RoundTripPreservesEverySection) {
   StatusOr<ServingModelData> loaded = LoadServingModel(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   const ServingModelData& got = loaded.value();
-  EXPECT_EQ(got.meta.backbone, data.meta.backbone);
+  EXPECT_EQ(got.meta.spec.backbone, data.meta.spec.backbone);
   EXPECT_EQ(got.meta.framework, data.meta.framework);
   EXPECT_EQ(got.meta.method_name, data.meta.method_name);
-  EXPECT_EQ(got.meta.input_dim, data.meta.input_dim);
-  EXPECT_EQ(got.meta.binary_outcome, data.meta.binary_outcome);
-  EXPECT_EQ(got.meta.y_mean, data.meta.y_mean);
-  EXPECT_EQ(got.meta.y_std, data.meta.y_std);
-  EXPECT_EQ(got.meta.network.rep_layers, data.meta.network.rep_layers);
-  EXPECT_EQ(got.meta.network.rep_width, data.meta.network.rep_width);
-  EXPECT_EQ(got.meta.network.head_layers, data.meta.network.head_layers);
-  EXPECT_EQ(got.meta.network.head_width, data.meta.network.head_width);
-  EXPECT_EQ(got.meta.network.batchnorm, data.meta.network.batchnorm);
-  EXPECT_EQ(got.meta.network.rep_normalization,
-            data.meta.network.rep_normalization);
-  EXPECT_EQ(got.meta.network.activation, data.meta.network.activation);
+  EXPECT_EQ(got.meta.spec.input_dim, data.meta.spec.input_dim);
+  EXPECT_EQ(got.meta.spec.binary_outcome, data.meta.spec.binary_outcome);
+  EXPECT_EQ(got.meta.spec.y_mean, data.meta.spec.y_mean);
+  EXPECT_EQ(got.meta.spec.y_std, data.meta.spec.y_std);
+  const NetworkConfig& got_net = got.meta.spec.network;
+  const NetworkConfig& want_net = data.meta.spec.network;
+  EXPECT_EQ(got_net.rep_layers, want_net.rep_layers);
+  EXPECT_EQ(got_net.rep_width, want_net.rep_width);
+  EXPECT_EQ(got_net.head_layers, want_net.head_layers);
+  EXPECT_EQ(got_net.head_width, want_net.head_width);
+  EXPECT_EQ(got_net.batchnorm, want_net.batchnorm);
+  EXPECT_EQ(got_net.rep_normalization, want_net.rep_normalization);
+  EXPECT_EQ(got_net.activation, want_net.activation);
   EXPECT_EQ(got.meta.isa, data.meta.isa);
-  EXPECT_EQ(got.meta.bn_eps, data.meta.bn_eps);
+  EXPECT_EQ(got.meta.spec.bn_eps, data.meta.spec.bn_eps);
   ASSERT_EQ(got.weights.size(), data.weights.size());
   for (size_t i = 0; i < data.weights.size(); ++i) {
     EXPECT_EQ(got.weights[i].name, data.weights[i].name);
@@ -136,11 +141,11 @@ TEST(ServingFormatTest, SaveOverwritesAtomically) {
   const std::string path = TestPath("overwrite.model");
   ServingModelData data = MakeData();
   ASSERT_TRUE(SaveServingModel(data, path).ok());
-  data.meta.input_dim = 7;
+  data.meta.spec.input_dim = 7;
   ASSERT_TRUE(SaveServingModel(data, path).ok());
   StatusOr<ServingModelData> loaded = LoadServingModel(path);
   ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded->meta.input_dim, 7);
+  EXPECT_EQ(loaded->meta.spec.input_dim, 7);
   std::ifstream tmp(path + ".tmp");
   EXPECT_FALSE(tmp.is_open()) << "stale temp file left behind";
   std::remove(path.c_str());
@@ -243,7 +248,7 @@ TEST(ServingFormatTest, InjectedWriteFaultFailsSaveAndPreservesOldFile) {
   const std::string path = TestPath("write_fault.model");
   ServingModelData data = MakeData();
   ASSERT_TRUE(SaveServingModel(data, path).ok());
-  data.meta.input_dim = 1000;
+  data.meta.spec.input_dim = 1000;
   ArmFault("serve/write", /*hit=*/0);
   const Status failed = SaveServingModel(data, path);
   DisarmFaults();
@@ -255,7 +260,7 @@ TEST(ServingFormatTest, InjectedWriteFaultFailsSaveAndPreservesOldFile) {
   // file was committed.
   StatusOr<ServingModelData> loaded = LoadServingModel(path);
   ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded->meta.input_dim, 5);
+  EXPECT_EQ(loaded->meta.spec.input_dim, 5);
   std::remove(path.c_str());
 }
 

@@ -6,6 +6,7 @@
 // which other rows share the batch.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <string>
@@ -23,8 +24,10 @@ namespace sbrl {
 namespace serve {
 namespace {
 
+// Per-process, so the suite's ctest variants (and its sanitized twin)
+// can run concurrently.
 std::string TestPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
+  return ::testing::TempDir() + "/" + std::to_string(::getpid()) + "_" + name;
 }
 
 // A minimal CFR-shaped model over 4 covariates carrying `detector`'s
@@ -32,14 +35,14 @@ std::string TestPath(const std::string& name) {
 // OOD stamps.
 ServingModelData MakeDataWithDetector(const OodLevelDetector& detector) {
   ServingModelData data;
-  data.meta.backbone = BackboneKind::kCfr;
+  data.meta.spec.backbone = BackboneKind::kCfr;
   data.meta.framework = FrameworkKind::kVanilla;
   data.meta.method_name = "handcrafted";
-  data.meta.input_dim = 4;
-  data.meta.network.rep_layers = 1;
-  data.meta.network.rep_width = 3;
-  data.meta.network.head_layers = 1;
-  data.meta.network.head_width = 3;
+  data.meta.spec.input_dim = 4;
+  data.meta.spec.network.rep_layers = 1;
+  data.meta.spec.network.rep_width = 3;
+  data.meta.spec.network.head_layers = 1;
+  data.meta.spec.network.head_width = 3;
   Rng rng(7);
   auto dense = [&](const std::string& name, int64_t in, int64_t out) {
     data.weights.push_back({name + ".W", rng.Randn(in, out)});

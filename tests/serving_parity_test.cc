@@ -1,18 +1,27 @@
-// Serving parity lockdown: for every one of the paper's nine methods,
+// Inference parity lockdown. The estimator and the serving model both
+// predict through one tape-free InferenceNet, so comparing them with
+// each other would prove nothing about that forward. Both are instead
+// held BITWISE equal to an independent oracle: the fitted backbone's
+// own tape forward (Backbone::Forward with training=false) followed by
+// the literal sigmoid / de-standardization. For every one of the
+// paper's nine methods, Train -> PredictPotentialOutcomes and
 // Train -> ExportServingModel -> ServingModel::Load -> ScoreOutcomes
-// must be BITWISE equal to the fitted estimator's
-// PredictPotentialOutcomes — across architectures (BatchNorm on/off,
+// must each match that oracle — across architectures (BatchNorm on/off,
 // representation normalization, DeR-CFR's split stacks), outcome types
 // (binary probabilities and de-standardized continuous outcomes), and
-// ISA backends (pinned baseline vs auto dispatch).
+// ISA backends (pinned baseline vs auto dispatch). RepresentationOf is
+// held to the oracle's rep the same way.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "common/cpu.h"
 #include "core/estimator.h"
 #include "data/synthetic.h"
 #include "eval/experiment.h"
@@ -23,8 +32,9 @@
 namespace sbrl {
 namespace {
 
+// Per-process, so the suite's ctest variants can run concurrently.
 std::string TestPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
+  return ::testing::TempDir() + "/" + std::to_string(::getpid()) + "_" + name;
 }
 
 // Small-but-real training setup: every layer type in play, a few dozen
@@ -61,40 +71,87 @@ ParityData MakeParityData() {
   return data;
 }
 
-// Trains `config`, exports through the on-disk format, reloads, and
-// requires bitwise equality of serving scores and estimator
-// predictions on `queries`.
-void ExpectServeMatchesPredict(const EstimatorConfig& config,
-                               const CausalDataset& train,
-                               const Matrix& queries,
-                               const std::string& tag) {
-  StatusOr<HteEstimator> estimator = HteEstimator::Create(config);
-  ASSERT_TRUE(estimator.ok()) << estimator.status().ToString();
-  ASSERT_TRUE(estimator->Fit(train).ok()) << tag;
+// The tape oracle's view of one prediction.
+struct TapeOracle {
+  Matrix outcomes;  ///< (n x 2) potential outcomes
+  Matrix rep;       ///< balanced representation
+};
 
-  const std::string path = TestPath("parity_" + tag + ".model");
-  ASSERT_TRUE(
-      serve::ExportServingModel(*estimator, /*detector=*/nullptr, path).ok())
-      << tag;
-  StatusOr<serve::ServingModel> model = serve::ServingModel::Load(path);
-  ASSERT_TRUE(model.ok()) << tag << ": " << model.status().ToString();
-  std::remove(path.c_str());
+// Records the fitted backbone's inference forward on a tape, pinned to
+// the estimator's ISA choice, and maps the head outputs through the
+// literal sigmoid / de-standardization.
+TapeOracle RunTapeOracle(HteEstimator& estimator, const Matrix& x) {
+  ScopedThreadIsa isa_scope(estimator.config().sbrl.isa);
+  Tape tape;
+  ParamBinder binder(&tape);
+  const std::vector<int> t0(static_cast<size_t>(x.rows()), 0);
+  Var ones = tape.Constant(Matrix::Ones(x.rows(), 1));
+  BackboneForward fwd = estimator.fitted_backbone()->Forward(
+      binder, x, t0, ones, /*training=*/false);
+  const InferenceSpec& spec = estimator.inference_spec();
+  TapeOracle oracle;
+  oracle.outcomes = Matrix(x.rows(), 2);
+  for (int64_t i = 0; i < x.rows(); ++i) {
+    double y0 = fwd.y0.value()(i, 0);
+    double y1 = fwd.y1.value()(i, 0);
+    if (spec.binary_outcome) {
+      y0 = 1.0 / (1.0 + std::exp(-y0));
+      y1 = 1.0 / (1.0 + std::exp(-y1));
+    } else {
+      y0 = y0 * spec.y_std + spec.y_mean;
+      y1 = y1 * spec.y_std + spec.y_mean;
+    }
+    oracle.outcomes(i, 0) = y0;
+    oracle.outcomes(i, 1) = y1;
+  }
+  oracle.rep = fwd.rep.value();
+  return oracle;
+}
 
-  const Matrix predicted = estimator->PredictPotentialOutcomes(queries);
-  const Matrix served = model->ScoreOutcomes(queries);
-  ASSERT_EQ(served.rows(), predicted.rows());
-  ASSERT_EQ(served.cols(), 2);
-  for (int64_t i = 0; i < predicted.size(); ++i) {
-    EXPECT_EQ(served[i], predicted[i])
-        << tag << ": serving diverged at element " << i;
+void ExpectBitwiseEqual(const Matrix& got, const Matrix& want,
+                        const std::string& what) {
+  ASSERT_EQ(got.rows(), want.rows()) << what;
+  ASSERT_EQ(got.cols(), want.cols()) << what;
+  for (int64_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i], want[i]) << what << " diverged at element " << i;
   }
 }
 
-TEST(ServingParityTest, AllNineMethodsScoreBitwiseEqualToPredict) {
+StatusOr<serve::ServingModel> ExportAndLoad(HteEstimator& estimator,
+                                            const std::string& tag) {
+  const std::string path = TestPath("parity_" + tag + ".model");
+  const Status exported =
+      serve::ExportServingModel(estimator, /*detector=*/nullptr, path);
+  if (!exported.ok()) return exported;
+  StatusOr<serve::ServingModel> model = serve::ServingModel::Load(path);
+  std::remove(path.c_str());
+  return model;
+}
+
+// Trains `config`, exports through the on-disk format, reloads, and
+// requires the estimator's predictions and the serving scores on
+// `queries` to each be bitwise equal to the tape oracle.
+void ExpectMatchesOracle(const EstimatorConfig& config,
+                         const CausalDataset& train, const Matrix& queries,
+                         const std::string& tag) {
+  StatusOr<HteEstimator> estimator = HteEstimator::Create(config);
+  ASSERT_TRUE(estimator.ok()) << estimator.status().ToString();
+  ASSERT_TRUE(estimator->Fit(train).ok()) << tag;
+  StatusOr<serve::ServingModel> model = ExportAndLoad(*estimator, tag);
+  ASSERT_TRUE(model.ok()) << tag << ": " << model.status().ToString();
+
+  const TapeOracle oracle = RunTapeOracle(*estimator, queries);
+  ExpectBitwiseEqual(estimator->PredictPotentialOutcomes(queries),
+                     oracle.outcomes, tag + " predict");
+  ExpectBitwiseEqual(model->ScoreOutcomes(queries), oracle.outcomes,
+                     tag + " serve");
+}
+
+TEST(ServingParityTest, AllNineMethodsMatchTapeOracleBitwise) {
   const ParityData data = MakeParityData();
   for (const MethodSpec& spec : AllNineMethods()) {
-    ExpectServeMatchesPredict(ParityConfig(spec), data.train, data.queries,
-                              spec.name());
+    ExpectMatchesOracle(ParityConfig(spec), data.train, data.queries,
+                        spec.name());
   }
 }
 
@@ -106,7 +163,7 @@ TEST(ServingParityTest, BatchNormRunningStatsSurviveExport) {
   MethodSpec spec{BackboneKind::kCfr, FrameworkKind::kSbrlHap};
   EstimatorConfig config = ParityConfig(spec);
   config.network.batchnorm = true;
-  ExpectServeMatchesPredict(config, data.train, data.queries, "batchnorm");
+  ExpectMatchesOracle(config, data.train, data.queries, "batchnorm");
 }
 
 TEST(ServingParityTest, RepNormalizationSurvivesExport) {
@@ -114,7 +171,7 @@ TEST(ServingParityTest, RepNormalizationSurvivesExport) {
   MethodSpec spec{BackboneKind::kCfr, FrameworkKind::kVanilla};
   EstimatorConfig config = ParityConfig(spec);
   config.network.rep_normalization = true;
-  ExpectServeMatchesPredict(config, data.train, data.queries, "rep_norm");
+  ExpectMatchesOracle(config, data.train, data.queries, "rep_norm");
 }
 
 TEST(ServingParityTest, ContinuousOutcomeDestandardizationMatches) {
@@ -132,45 +189,70 @@ TEST(ServingParityTest, ContinuousOutcomeDestandardizationMatches) {
     data.train.y(i, 0) = 3.0 + 2.0 * base + 0.1 * noise(i, 0);
   }
   MethodSpec spec{BackboneKind::kTarnet, FrameworkKind::kSbrl};
-  ExpectServeMatchesPredict(ParityConfig(spec), data.train, data.queries,
+  ExpectMatchesOracle(ParityConfig(spec), data.train, data.queries,
                             "continuous");
 }
 
 TEST(ServingParityTest, IsaPinnedBaselineStaysBitwiseAndNearAuto) {
-  // Pinning SBRL_ISA=baseline must keep serving bitwise equal to the
-  // estimator (both paths re-dispatch together), and the baseline vs
-  // auto-dispatched serving scores may differ only by vectorized
-  // summation order — tolerance-bounded, not bitwise.
+  // Pinning SBRL_ISA=baseline must keep both the estimator and serving
+  // bitwise equal to the tape oracle (all three re-dispatch together),
+  // and the baseline vs auto-dispatched serving scores may differ only
+  // by vectorized summation order — tolerance-bounded, not bitwise.
   const ParityData data = MakeParityData();
   MethodSpec spec{BackboneKind::kCfr, FrameworkKind::kSbrlHap};
   StatusOr<HteEstimator> estimator =
       HteEstimator::Create(ParityConfig(spec));
   ASSERT_TRUE(estimator.ok());
   ASSERT_TRUE(estimator->Fit(data.train).ok());
-
-  const std::string path = TestPath("parity_isa.model");
-  ASSERT_TRUE(
-      serve::ExportServingModel(*estimator, /*detector=*/nullptr, path).ok());
-  StatusOr<serve::ServingModel> model = serve::ServingModel::Load(path);
+  StatusOr<serve::ServingModel> model = ExportAndLoad(*estimator, "isa");
   ASSERT_TRUE(model.ok()) << model.status().ToString();
-  std::remove(path.c_str());
 
   const Matrix served_auto = model->ScoreOutcomes(data.queries);
 
+  // Restore the caller's pin afterwards: the suite also runs as an
+  // SBRL_ISA=baseline ctest variant.
+  const char* previous = std::getenv("SBRL_ISA");
+  const std::string saved = previous != nullptr ? previous : "";
   setenv("SBRL_ISA", "baseline", /*overwrite=*/1);
+  const TapeOracle oracle = RunTapeOracle(*estimator, data.queries);
   const Matrix predicted_base =
       estimator->PredictPotentialOutcomes(data.queries);
   const Matrix served_base = model->ScoreOutcomes(data.queries);
-  unsetenv("SBRL_ISA");
-
-  ASSERT_EQ(served_base.size(), predicted_base.size());
-  for (int64_t i = 0; i < predicted_base.size(); ++i) {
-    EXPECT_EQ(served_base[i], predicted_base[i])
-        << "baseline-pinned serving diverged at element " << i;
+  if (previous != nullptr) {
+    setenv("SBRL_ISA", saved.c_str(), /*overwrite=*/1);
+  } else {
+    unsetenv("SBRL_ISA");
   }
+
+  ExpectBitwiseEqual(predicted_base, oracle.outcomes, "baseline predict");
+  ExpectBitwiseEqual(served_base, oracle.outcomes, "baseline serve");
   for (int64_t i = 0; i < served_auto.size(); ++i) {
     EXPECT_NEAR(served_base[i], served_auto[i], 1e-7)
         << "baseline vs auto drifted too far at element " << i;
+  }
+}
+
+TEST(ServingParityTest, RepresentationOfMatchesTapeOracle) {
+  // RepresentationOf is the input of both heads (and the paper's Fig. 5
+  // decorrelation surface): the rep stack(s), the optional row
+  // normalization, and DeR-CFR's [C, A] concat must all reproduce the
+  // tape forward's rep bit for bit.
+  const ParityData data = MakeParityData();
+  for (const BackboneKind backbone :
+       {BackboneKind::kTarnet, BackboneKind::kCfr, BackboneKind::kDerCfr}) {
+    for (const bool rep_norm : {false, true}) {
+      EstimatorConfig config =
+          ParityConfig(MethodSpec{backbone, FrameworkKind::kVanilla});
+      config.network.rep_normalization = rep_norm;
+      const std::string tag = std::string(BackboneName(backbone)) +
+                              (rep_norm ? "/rep_norm" : "/plain");
+      StatusOr<HteEstimator> estimator = HteEstimator::Create(config);
+      ASSERT_TRUE(estimator.ok()) << tag;
+      ASSERT_TRUE(estimator->Fit(data.train).ok()) << tag;
+      const TapeOracle oracle = RunTapeOracle(*estimator, data.queries);
+      ExpectBitwiseEqual(estimator->RepresentationOf(data.queries),
+                         oracle.rep, tag + " rep");
+    }
   }
 }
 

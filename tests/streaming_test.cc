@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -568,6 +569,72 @@ TEST(ShardedTrainerTest, EstimateAteAndPredictIteConsistent) {
   StatusOr<double> ate4 = trainer4.EstimateAte(reader);
   ASSERT_TRUE(ate4.ok());
   EXPECT_EQ(*ate1, *ate4);  // bitwise
+}
+
+// The literal stable logistic of the sharded ITE.
+double StableSigmoid(double z) {
+  if (z >= 0.0) return 1.0 / (1.0 + std::exp(-z));
+  const double e = std::exp(z);
+  return e / (1.0 + e);
+}
+
+// Tape oracle of ShardedTrainer::PredictIte: a fresh TARNet built from
+// the same network config, loaded with the trainer's parameter values,
+// recorded through Backbone::Forward(training=false), and mapped to the
+// ITE with the same StableSigmoid difference (raw difference for
+// continuous outcomes).
+Matrix TapeOracleIte(const ShardedTrainerConfig& config,
+                     const ShardedTrainer& trainer, const Matrix& x) {
+  EstimatorConfig tarnet;
+  tarnet.backbone = BackboneKind::kTarnet;
+  tarnet.framework = FrameworkKind::kVanilla;
+  tarnet.network = config.network;
+  Rng rng(config.seed);
+  std::unique_ptr<Backbone> backbone = CreateBackbone(tarnet, x.cols(), rng);
+  std::vector<Param*> params;
+  backbone->CollectParams(&params);
+  std::vector<Matrix> values;
+  trainer.CollectParamValues(&values);
+  SBRL_CHECK_EQ(params.size(), values.size());
+  for (size_t i = 0; i < params.size(); ++i) params[i]->value = values[i];
+
+  Tape tape;
+  ParamBinder binder(&tape);
+  const std::vector<int> t0(static_cast<size_t>(x.rows()), 0);
+  Var ones = tape.Constant(Matrix::Ones(x.rows(), 1));
+  BackboneForward fwd =
+      backbone->Forward(binder, x, t0, ones, /*training=*/false);
+  Matrix ite(x.rows(), 1);
+  for (int64_t i = 0; i < x.rows(); ++i) {
+    const double y0 = fwd.y0.value()(i, 0);
+    const double y1 = fwd.y1.value()(i, 0);
+    ite(i, 0) = config.binary_outcome ? StableSigmoid(y1) - StableSigmoid(y0)
+                                      : y1 - y0;
+  }
+  return ite;
+}
+
+TEST(ShardedTrainerTest, PredictIteMatchesTapeOracleBitwise) {
+  const SyntheticModel model(SyntheticDims{}, 7);
+  for (const bool binary : {true, false}) {
+    CausalDataset data = model.SampleUnbiased(200, 3);
+    data.binary_outcome = binary;
+    InMemoryBlockReader reader(&data);
+    ShardedTrainerConfig config = SmallTrainerConfig();
+    config.iterations = 2;
+    config.binary_outcome = binary;
+    ShardedTrainer trainer(config, data.dim());
+    ASSERT_TRUE(trainer.Train(reader).ok());
+
+    const Matrix ite = trainer.PredictIte(data.x);
+    const Matrix want = TapeOracleIte(config, trainer, data.x);
+    ASSERT_EQ(ite.rows(), want.rows());
+    ASSERT_EQ(ite.cols(), 1);
+    for (int64_t i = 0; i < want.rows(); ++i) {
+      EXPECT_EQ(ite(i, 0), want(i, 0))
+          << (binary ? "binary" : "continuous") << " row " << i;
+    }
+  }
 }
 
 TEST(ShardedTrainerTest, ContinuousOutcomeFamilySupported) {
