@@ -11,17 +11,13 @@
 // finite, which the ctest smoke perf guard relies on.
 //
 // Every method records a "<name>/net_step" entry with the seconds
-// spent inside the network step (the phase the fused network-step
-// engine targets); for every weight-learning method, a
+// spent inside the network step; for every weight-learning method, a
 // "<name>/weight_step" entry records the seconds spent inside the
 // sample-weight phase, and a "<name>/rff_cos" entry the seconds
 // inside the RFF cosine sweeps, so the JSON captures the phase shares
-// of training across PRs. SBRL_HSIC_MODE=exact reruns the suite on
-// the per-pair reference path, SBRL_COS_MODE=exact on the scalar
-// std::cos path, and SBRL_NET_STEP_MODE=reference on the unfused
-// per-primitive network step, at otherwise identical scale/flags —
-// the before/after comparisons documented in README "Weight-loss
-// batching" / "Vectorized RFF cosine" / "Fused network step".
+// of training over time. SBRL_COS_MODE=exact reruns the suite on the
+// scalar std::cos path at otherwise identical scale/flags — the
+// comparison documented in README "Vectorized RFF cosine".
 
 #include <benchmark/benchmark.h>
 
@@ -52,27 +48,6 @@ ExperimentSession& Session() {
   return *session;
 }
 
-BatchedHsicMode HsicModeFromEnv() {
-  const char* env = std::getenv("SBRL_HSIC_MODE");
-  if (env == nullptr || *env == '\0' || std::strcmp(env, "batched") == 0) {
-    return BatchedHsicMode::kBatched;
-  }
-  SBRL_CHECK(std::strcmp(env, "exact") == 0)
-      << "SBRL_HSIC_MODE must be 'exact' or 'batched', got '" << env << "'";
-  return BatchedHsicMode::kExact;
-}
-
-NetStepMode NetStepModeFromEnv() {
-  const char* env = std::getenv("SBRL_NET_STEP_MODE");
-  if (env == nullptr || *env == '\0' || std::strcmp(env, "fused") == 0) {
-    return NetStepMode::kFused;
-  }
-  SBRL_CHECK(std::strcmp(env, "reference") == 0)
-      << "SBRL_NET_STEP_MODE must be 'fused' or 'reference', got '" << env
-      << "'";
-  return NetStepMode::kReference;
-}
-
 CosineMode CosModeFromEnv() {
   const char* env = std::getenv("SBRL_COS_MODE");
   if (env == nullptr || *env == '\0' ||
@@ -95,9 +70,7 @@ void TrainOnIhdp(benchmark::State& state, const MethodSpec& spec) {
   for (auto _ : state) {
     EstimatorConfig config = WithMethod(BaseConfig(scale, 112), spec);
     config.train.eval_every = 0;  // measure the raw optimization loop
-    config.sbrl.hsic_mode = HsicModeFromEnv();
     config.sbrl.rff_cos_mode = CosModeFromEnv();
-    config.sbrl.net_step_mode = NetStepModeFromEnv();
     auto estimator = HteEstimator::Create(config);
     SBRL_CHECK(estimator.ok());
     ExperimentSession::RunLease lease = Session().AcquireRun();

@@ -1391,71 +1391,6 @@ Matrix ConcatColsValue(const Matrix& a, const Matrix& b) {
   return out;
 }
 
-Var MatmulTransACols(Var a, int64_t a_start, int64_t a_cols, Var b,
-                     int64_t b_start, int64_t b_cols) {
-  Tape* t = SameTape(a, b);
-  SBRL_CHECK_EQ(a.rows(), b.rows());
-  SBRL_CHECK(a_start >= 0 && a_cols >= 1 && a_start + a_cols <= a.cols());
-  SBRL_CHECK(b_start >= 0 && b_cols >= 1 && b_start + b_cols <= b.cols());
-  const Matrix& av = a.value();
-  const Matrix& bv = b.value();
-  const int64_t p = av.rows();
-  const int64_t a_stride = av.cols(), b_stride = bv.cols();
-  Matrix out = t->NewZero(a_cols, b_cols);
-  {
-    const double* ad = av.data();
-    const double* bd = bv.data();
-    double* od = out.data();
-    // Ascending-row accumulation per output element: bitwise identical
-    // to MatmulTransA on copied column slices.
-    for (int64_t r = 0; r < p; ++r) {
-      const double* arow = ad + r * a_stride + a_start;
-      const double* brow = bd + r * b_stride + b_start;
-      for (int64_t i = 0; i < a_cols; ++i) {
-        const double a_ri = arow[i];
-        double* orow = od + i * b_cols;
-        for (int64_t j = 0; j < b_cols; ++j) orow[j] += a_ri * brow[j];
-      }
-    }
-  }
-  const int ai = a.id(), bi = b.id(), self = t->size();
-  return t->MakeNode(std::move(out), {a, b},
-                     [ai, bi, self, a_start, a_cols, b_start,
-                      b_cols](Tape* t) {
-    const Matrix& g = t->grad(self);  // (a_cols x b_cols)
-    const Matrix& av = t->value(ai);
-    const Matrix& bv = t->value(bi);
-    const int64_t p = av.rows();
-    const int64_t a_stride = av.cols(), b_stride = bv.cols();
-    if (t->requires_grad(ai)) {
-      // da[:, a_window] = b[:, b_window] * g^T, window-sized only.
-      Matrix da = t->NewZero(p, a_cols);
-      for (int64_t r = 0; r < p; ++r) {
-        const double* brow = bv.data() + r * b_stride + b_start;
-        for (int64_t i = 0; i < a_cols; ++i) {
-          double acc = 0.0;
-          for (int64_t j = 0; j < b_cols; ++j) acc += brow[j] * g(i, j);
-          da(r, i) = acc;
-        }
-      }
-      t->AccumulateGradCols(ai, a_start, std::move(da));
-    }
-    if (t->requires_grad(bi)) {
-      // db[:, b_window] = a[:, a_window] * g, window-sized only.
-      Matrix db = t->NewZero(p, b_cols);
-      for (int64_t r = 0; r < p; ++r) {
-        const double* arow = av.data() + r * a_stride + a_start;
-        for (int64_t j = 0; j < b_cols; ++j) {
-          double acc = 0.0;
-          for (int64_t i = 0; i < a_cols; ++i) acc += arow[i] * g(i, j);
-          db(r, j) = acc;
-        }
-      }
-      t->AccumulateGradCols(bi, b_start, std::move(db));
-    }
-  });
-}
-
 Var SigmoidCrossEntropyWithLogits(Var logits, const Matrix& labels) {
   Tape* t = logits.tape();
   SBRL_CHECK(logits.valid());

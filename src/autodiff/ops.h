@@ -213,18 +213,6 @@ Matrix ConcatColsValue(const Matrix& a, const Matrix& b);
 /// HSIC-RFF weight loss, which builds weighted cross-covariances.
 Var MatmulTransA(Var a, Var b);
 
-/// Column-window view product: a[:, a_start : a_start + a_cols]^T *
-/// b[:, b_start : b_start + b_cols] -> (a_cols x b_cols), reading both
-/// operands in place — neither slice is ever materialized, as a tape
-/// node or otherwise. Each output element accumulates its row terms in
-/// ascending order, so the result is bitwise identical to MatmulTransA
-/// on copied slices. Backward pushes window-sized contributions through
-/// Tape::AccumulateGradCols. This is what lets the exact-mode HSIC
-/// pair loop share ONE stacked feature constant across every pair
-/// instead of allocating two (n x k) constants per pair.
-Var MatmulTransACols(Var a, int64_t a_start, int64_t a_cols, Var b,
-                     int64_t b_start, int64_t b_cols);
-
 /// Batched HSIC pair cross-products: `a` and `b` are (n x d*block)
 /// stacks of d per-feature column blocks. The result stacks, for each
 /// pair p = (ai, bi) of `pairs`, the (block x block) product
@@ -264,8 +252,8 @@ Var PairwiseSqDist(Var a, Var b);
 /// Fuses the per-pair outer product, subtraction, square and sum into
 /// one node with no (block x block) temporaries. Accumulation runs
 /// pair-major with row-major element order inside each pair — the same
-/// left-fold the exact per-pair Add chain performs, so the batched loss
-/// tracks the exact loss to rounding error.
+/// left-fold as a per-pair Add chain, so the loss tracks the per-pair
+/// reference formulation (tests/hsic_batched_test.cc) to rounding error.
 Var PairHsicFrobenius(Var cross, Var means, int64_t block,
                       const std::vector<std::pair<int64_t, int64_t>>& pairs);
 

@@ -101,32 +101,6 @@ void Tape::AccumulateGrad(int id, Matrix&& delta) {
   }
 }
 
-void Tape::AccumulateGradCols(int id, int64_t col_start, Matrix&& delta) {
-  SBRL_DCHECK(id >= 0 && id < static_cast<int>(nodes_.size()));
-  Node& node = nodes_[static_cast<size_t>(id)];
-  if (!node.requires_grad) {
-    Recycle(std::move(delta));
-    return;
-  }
-  SBRL_CHECK(delta.rows() == node.value.rows() && col_start >= 0 &&
-             col_start + delta.cols() <= node.value.cols())
-      << "gradient window " << delta.ShapeString() << " at column "
-      << col_start << " vs value " << node.value.ShapeString();
-  if (delta.cols() == node.value.cols()) {
-    AccumulateGrad(id, std::move(delta));
-    return;
-  }
-  if (node.grad.empty()) {
-    node.grad = NewZero(node.value.rows(), node.value.cols());
-  }
-  for (int64_t r = 0; r < delta.rows(); ++r) {
-    for (int64_t c = 0; c < delta.cols(); ++c) {
-      node.grad(r, col_start + c) += delta(r, c);
-    }
-  }
-  Recycle(std::move(delta));
-}
-
 void Tape::Backward(const Var& loss) {
   SBRL_CHECK(loss.tape() == this);
   SBRL_CHECK(!backward_done_) << "Backward may run once per tape";

@@ -85,14 +85,6 @@ class Tape {
   /// contribution in a NewZero buffer and hand it off through this.
   void AccumulateGrad(int id, Matrix&& delta);
 
-  /// Adds `delta` into columns [col_start, col_start + delta.cols()) of
-  /// node `id`'s gradient, materializing a full-shape zero gradient on
-  /// first touch. Lets view ops (ops::MatmulTransACols) push a window
-  /// contribution without ever building a full-width delta — the
-  /// exact-mode HSIC pair loop stays allocation-free per pair.
-  /// Consumes `delta` (recycled through the pool).
-  void AccumulateGradCols(int id, int64_t col_start, Matrix&& delta);
-
   /// Zeroed (rows x cols) buffer from the pool (plain allocation when
   /// the tape has no pool).
   Matrix NewZero(int64_t rows, int64_t cols);

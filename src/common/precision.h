@@ -5,10 +5,10 @@
 
 namespace sbrl {
 
-/// Numeric storage tier of the serving forward. Follows the repo's
-/// mode-knob pattern (CosineMode / BatchedHsicMode / NetStepMode): a
-/// reference tier that every contract is stated against, plus a cheap
-/// tier that is opt-in and tolerance-bounded against the reference.
+/// Numeric storage tier of the serving forward, in the pattern of
+/// CosineMode: a reference tier that every contract is stated against,
+/// plus a cheap tier that is opt-in and tolerance-bounded against the
+/// reference.
 ///
 /// Serving (serve/serving_model.h) is the only f32 tier — see
 /// ARCHITECTURE.md "Precision tiers" for its budgets. Training and the

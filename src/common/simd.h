@@ -6,8 +6,8 @@
 namespace sbrl {
 
 /// How transcendental sweeps (today: the RFF cosine epilogue) are
-/// evaluated. Mirrors BatchedHsicMode: a fast production path plus an
-/// exact reference path selectable per call / per config.
+/// evaluated: a fast production path plus an exact reference path
+/// selectable per call / per config. The f64 sharded stats run kExact.
 ///
 /// kVectorized routes each contiguous run through a SIMD cosine kernel
 /// (glibc libmvec via compiler auto-vectorization when available, see

@@ -170,7 +170,16 @@ void ThreadPool::ParallelFor(int64_t begin, int64_t end, int64_t min_grain,
   }
   wake_.notify_all();
 
-  if (job->error) std::rethrow_exception(job->error);
+  // Take the exception out of the job under its mutex: a worker may
+  // still hold the last reference to the job, and the exception_ptr's
+  // refcount lives in uninstrumented libstdc++, so the job's destructor
+  // must never be the one to release the exception.
+  std::exception_ptr error;
+  {
+    std::lock_guard<std::mutex> lock(job->mu);
+    error = std::move(job->error);
+  }
+  if (error) std::rethrow_exception(error);
 }
 
 namespace {

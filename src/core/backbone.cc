@@ -29,22 +29,22 @@ OutcomeHeads::OutcomeHeads(const std::string& name, int64_t in_dim,
 
 OutcomeHeads::Result OutcomeHeads::Forward(ParamBinder& binder, Var rep,
                                            const std::vector<int>& t,
-                                           bool training,
-                                           NetStepMode mode) const {
+                                           bool training) const {
   std::vector<int64_t> treated, control;
-  if (mode == NetStepMode::kFused && training && !body0_.batchnorm()) {
+  if (training && !body0_.batchnorm()) {
     for (size_t i = 0; i < t.size(); ++i) {
       (t[i] == 1 ? treated : control).push_back(static_cast<int64_t>(i));
     }
   }
-  // Arm-split fast path of the fused network step: during training
-  // every head output is consumed on its FACTUAL rows only (the
-  // Select below discards the counterfactual half, so its gradient is
-  // identically zero), so each body runs on its own arm — half the
-  // head-body compute — and the factual rows are scattered back.
-  // Row-wise layers make the per-row values, and the zero rows make
-  // the parameter gradients, bitwise identical to the full-batch
-  // recording (golden_trace_test locks this down). Batch norm couples
+  // Arm-split fast path of the network step: during training every
+  // head output is consumed on its FACTUAL rows only (the Select below
+  // discards the counterfactual half, so its gradient is identically
+  // zero), so each body runs on its own arm — half the head-body
+  // compute — and the factual rows are scattered back. Row-wise layers
+  // make the per-row values, and the zero rows make the parameter
+  // gradients, bitwise identical to the full-batch recording
+  // (golden_trace_test holds CFR to the full-batch reference of
+  // tests/reference_net.h). Batch norm couples
   // rows through the batch statistics, so that configuration keeps the
   // full-batch path; inference needs both potential outcomes
   // everywhere and always runs full-batch.
@@ -52,10 +52,8 @@ OutcomeHeads::Result OutcomeHeads::Forward(ParamBinder& binder, Var rep,
     Tape* tape = binder.tape();
     Var rep_t = ops::GatherRows(rep, treated);
     Var rep_c = ops::GatherRows(rep, control);
-    std::vector<Var> h1 = body1_.ForwardCollect(binder, rep_t, training,
-                                                mode);
-    std::vector<Var> h0 = body0_.ForwardCollect(binder, rep_c, training,
-                                                mode);
+    std::vector<Var> h1 = body1_.ForwardCollect(binder, rep_t, training);
+    std::vector<Var> h0 = body0_.ForwardCollect(binder, rep_c, training);
     Result result;
     // The counterfactual halves of y0 / y1 were never computed; zero
     // constants stand in so downstream Select shapes are unchanged.
@@ -75,8 +73,8 @@ OutcomeHeads::Result OutcomeHeads::Forward(ParamBinder& binder, Var rep,
     return result;
   }
   // Intentional const_cast-free design: Mlp::ForwardCollect is const.
-  std::vector<Var> h0 = body0_.ForwardCollect(binder, rep, training, mode);
-  std::vector<Var> h1 = body1_.ForwardCollect(binder, rep, training, mode);
+  std::vector<Var> h0 = body0_.ForwardCollect(binder, rep, training);
+  std::vector<Var> h1 = body1_.ForwardCollect(binder, rep, training);
   Result result;
   result.y0 = out0_.Forward(binder, h0.back());
   result.y1 = out1_.Forward(binder, h1.back());

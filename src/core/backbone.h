@@ -88,12 +88,10 @@ class OutcomeHeads {
   };
 
   /// Forward through both heads; `t` selects each unit's factual head
-  /// when assembling z_p / hidden. `mode` selects the fused or
-  /// reference network-step recording for the head bodies (see
-  /// NetStepMode in nn/net_step.h).
+  /// when assembling z_p / hidden. Training without batch norm runs
+  /// each head body on its own arm only (see the definition).
   Result Forward(ParamBinder& binder, Var rep, const std::vector<int>& t,
-                 bool training,
-                 NetStepMode mode = NetStepMode::kReference) const;
+                 bool training) const;
 
   /// Appends all trainable parameters of both heads to `*out`.
   void CollectParams(std::vector<Param*>* out);

@@ -29,20 +29,6 @@ enum class FrameworkKind {
 /// Integral probability metric used for representation balancing.
 enum class IpmKind { kLinearMmd, kRbfMmd };
 
-/// How the pairwise HSIC-RFF decorrelation loss L_D is evaluated.
-///
-/// kBatched stacks every feature's RFF block into one n x (d*k) matrix
-/// and measures all selected pairs through one block cross-covariance
-/// kernel — the production path. kExact keeps the original per-pair op
-/// loop as a reference. The two paths evaluate the same estimator on
-/// the same pair set and RFF draws; only floating-point summation
-/// order differs, so their losses agree to a relative tolerance of
-/// 1e-9 (enforced by ctest; see README "Weight-loss batching").
-enum class BatchedHsicMode {
-  kExact,    ///< per-pair tape ops — the reference formulation
-  kBatched,  ///< block-diagonal batched kernels (default)
-};
-
 /// How SbrlTrainer responds when its health monitor detects a
 /// divergence (a non-finite loss term, a non-finite gradient digest,
 /// or a loss explosion past SbrlConfig::recovery_explosion_factor).
@@ -145,23 +131,14 @@ struct SbrlConfig {
   /// Random feature-pair subsample per decorrelation loss evaluation;
   /// 0 measures every pair (StableNet-style stochastic decorrelation).
   int64_t hsic_pair_budget = 48;
-  /// Batched vs per-pair evaluation of L_D (see BatchedHsicMode).
-  BatchedHsicMode hsic_mode = BatchedHsicMode::kBatched;
   /// Cosine path of the RFF feature sweeps inside L_D: the SIMD
   /// vectorized kernel (default) or the scalar std::cos reference.
-  /// Mirrors hsic_mode: kExact evaluates every cosine with scalar
-  /// std::cos, bit for bit (see CosineMode in common/simd.h). Note
+  /// kExact evaluates every cosine with scalar std::cos, bit for bit
+  /// (see CosineMode in common/simd.h). Note
   /// the projection DRAWS are slot-keyed per epoch either way, so
   /// neither mode reproduces the pre-PR-3 sequential-rng training
   /// trajectories — kExact pins down the evaluation, not history.
   CosineMode rff_cos_mode = CosineMode::kVectorized;
-  /// How the network step records the head forward/backward chain:
-  /// one fused tape node per layer (default) or the per-primitive
-  /// reference formulation. Mirrors hsic_mode / rff_cos_mode. Without
-  /// batch norm the two modes train bitwise identically; with batch
-  /// norm they agree to rounding error in the backward pass (see
-  /// NetStepMode in nn/net_step.h and tests/golden_trace_test.cc).
-  NetStepMode net_step_mode = NetStepMode::kFused;
   /// Requested kernel instruction-set level (see Isa / IsaChoice in
   /// common/cpu.h). kAuto (default) resolves to the widest level the
   /// host CPU and this build support; kBaseline forces the portable
@@ -172,15 +149,8 @@ struct SbrlConfig {
   /// process-wide at Train() entry and records the resolved level in
   /// TrainDiagnostics::isa.
   IsaChoice isa = IsaChoice::kAuto;
-  /// Memoize per-slot RFF projection draws across the HAP tiers of one
-  /// weight step (they share the in_dim = 1, k = rff_features stream).
-  /// Value-transparent: training is bitwise identical with the cache
-  /// on or off — the flag only trades memory for repeated sampling
-  /// work (see RffProjectionCache in stats/rff.h).
-  bool rff_projection_cache = true;
   /// Divergence response of the training health monitor (see
-  /// RecoveryMode). Mode knob following hsic_mode / rff_cos_mode /
-  /// net_step_mode; overridable via the SBRL_RECOVERY env variable.
+  /// RecoveryMode); overridable via the SBRL_RECOVERY env variable.
   RecoveryMode recovery_mode = RecoveryMode::kRollback;
   /// Multiplicative learning-rate shrink applied on every divergence
   /// rollback (in (0, 1]); compounds across rollbacks and applies to

@@ -30,7 +30,6 @@ DerCfrBackbone::DerCfrBackbone(const EstimatorConfig& config,
                                int64_t input_dim, Rng& rng)
     : input_dim_(input_dim),
       network_(config.network),
-      net_step_mode_(config.sbrl.net_step_mode),
       config_(config.dercfr),
       i_net_("I", RepConfig("I", input_dim, config.network), rng),
       c_net_("C", RepConfig("C", input_dim, config.network), rng),
@@ -52,12 +51,9 @@ BackboneForward DerCfrBackbone::Forward(ParamBinder& binder, const Matrix& x,
   Tape* tape = binder.tape();
   Var input = tape->Constant(x);
 
-  std::vector<Var> i_layers =
-      i_net_.ForwardCollect(binder, input, training, net_step_mode_);
-  std::vector<Var> c_layers =
-      c_net_.ForwardCollect(binder, input, training, net_step_mode_);
-  std::vector<Var> a_layers =
-      a_net_.ForwardCollect(binder, input, training, net_step_mode_);
+  std::vector<Var> i_layers = i_net_.ForwardCollect(binder, input, training);
+  std::vector<Var> c_layers = c_net_.ForwardCollect(binder, input, training);
+  std::vector<Var> a_layers = a_net_.ForwardCollect(binder, input, training);
   Var rep_i = i_layers.back();
   Var rep_c = c_layers.back();
   Var rep_a = a_layers.back();
@@ -68,8 +64,7 @@ BackboneForward DerCfrBackbone::Forward(ParamBinder& binder, const Matrix& x,
   }
 
   Var rep_ca = ops::ConcatCols(rep_c, rep_a);  // outcome representation
-  OutcomeHeads::Result heads =
-      heads_.Forward(binder, rep_ca, t, training, net_step_mode_);
+  OutcomeHeads::Result heads = heads_.Forward(binder, rep_ca, t, training);
 
   BackboneForward out;
   out.y0 = heads.y0;

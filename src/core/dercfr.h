@@ -59,7 +59,6 @@ class DerCfrBackbone : public Backbone {
  private:
   int64_t input_dim_;
   NetworkConfig network_;
-  NetStepMode net_step_mode_;
   DerCfrConfig config_;
   Mlp i_net_;
   Mlp c_net_;

@@ -26,8 +26,7 @@ Var BuildWeightLoss(Var w, const WeightLossInputs& inputs,
   const auto decorrelation = [&](const Matrix& z) {
     return HsicRffDecorrelationLoss(z, w, config.rff_features,
                                     config.hsic_pair_budget, rng,
-                                    config.hsic_mode, config.rff_cos_mode,
-                                    &epoch);
+                                    config.rff_cos_mode, &epoch);
   };
 
   // R_w anchor: keeps weights near 1 so no unit dominates or vanishes.

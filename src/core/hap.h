@@ -34,9 +34,9 @@ struct WeightLossInputs {
 /// One RFF draw epoch is derived from `rng` per call (i.e. per weight
 /// step) and shared by every decorrelation tier, so tiers reuse the
 /// per-column projection draws they have in common. `proj_cache`, when
-/// non-null, memoizes those draws across the tiers (the trainer passes
-/// its cache when SbrlConfig::rff_projection_cache is set); results
-/// are bitwise identical with or without it.
+/// non-null, memoizes those draws across the tiers (the trainer always
+/// passes its session cache); results are bitwise identical with or
+/// without it.
 Var BuildWeightLoss(Var w, const WeightLossInputs& inputs,
                     const SbrlConfig& config, FrameworkKind framework,
                     double alpha_br, IpmKind ipm, double rbf_bandwidth,

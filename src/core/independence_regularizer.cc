@@ -8,33 +8,9 @@
 
 namespace sbrl {
 
-namespace {
-
-/// Weighted cross-covariance Frobenius norm between the column blocks
-/// [a*k, (a+1)*k) and [b*k, (b+1)*k) of the stacked feature constant
-/// `f_const`, read in place through slice-view ops. `fw` is the
-/// row-weighted stack MulCol(f_const, w_norm), built once and shared
-/// by every pair — the per-pair math is the seed formulation
-/// E_w[u^T v] - E_w[u]^T E_w[v], kept as the reference for
-/// BatchedHsicMode::kBatched, but no per-pair feature block is ever
-/// materialized (as a tape constant or otherwise).
-Var PairLoss(Var f_const, Var fw, Var w_norm, int64_t a, int64_t b,
-             int64_t k) {
-  // E_w[u_i v_j] = (u .* w)^T v with w normalized to sum 1; the view
-  // op keeps the three a^T b products transpose- and slice-free.
-  Var e_uv = ops::MatmulTransACols(fw, a * k, k, f_const, b * k, k);
-  Var e_u = ops::MatmulTransACols(w_norm, 0, 1, f_const, a * k, k);
-  Var e_v = ops::MatmulTransACols(w_norm, 0, 1, f_const, b * k, k);
-  Var outer = ops::MatmulTransA(e_u, e_v);          // (k x k)
-  return ops::SumAll(ops::Square(ops::Sub(e_uv, outer)));
-}
-
-}  // namespace
-
 Var HsicRffDecorrelationLoss(const Matrix& z, Var w, int64_t rff_features,
                              int64_t pair_budget, Rng& rng,
-                             BatchedHsicMode mode, CosineMode cos_mode,
-                             const RffDrawEpoch* epoch) {
+                             CosineMode cos_mode, const RffDrawEpoch* epoch) {
   Tape* tape = w.tape();
   SBRL_CHECK(w.valid());
   SBRL_CHECK_EQ(w.cols(), 1);
@@ -48,9 +24,8 @@ Var HsicRffDecorrelationLoss(const Matrix& z, Var w, int64_t rff_features,
   Var w_norm = ops::DivScalar(w, ops::SumAll(w));
 
   // Pair subset first — a small budget on a wide layer skips most of
-  // the cosine work. Both modes consume `rng` in exactly this order
-  // (pairs, then the epoch-seed draw of the standalone path), so they
-  // see identical pairs and features.
+  // the cosine work. `rng` is consumed in exactly this order (pairs,
+  // then the epoch-seed draw of the standalone path).
   FeaturePairSelection sel = SelectFeaturePairs(d, pair_budget, rng);
   CompactPairBlocks blocks = CompactUsedColumns(d, sel.pairs);
   const std::vector<std::pair<int64_t, int64_t>>& block_pairs =
@@ -91,29 +66,16 @@ Var HsicRffDecorrelationLoss(const Matrix& z, Var w, int64_t rff_features,
                                    cos_mode);
   }
 
-  // Both modes share ONE stacked-feature constant; no other n-row node
-  // scales with the pair count (asserted by hsic_batched_test).
   Var f_const = tape->Constant(std::move(stacked));
 
-  if (mode == BatchedHsicMode::kExact) {
-    // Per-pair reference formulation over slice views of f_const: the
-    // only per-pair tape nodes are the (k x k) / (1 x k) op outputs.
-    Var fw = ops::MulCol(f_const, w_norm);
-    Var loss = tape->Constant(Matrix::Zeros(1, 1));
-    for (const auto& [a, b] : block_pairs) {
-      loss = ops::Add(loss, PairLoss(f_const, fw, w_norm, a, b, k));
-    }
-    // Rescale a sampled subset to estimate the full pairwise sum.
-    return ops::Scale(loss, sel.Rescale());
-  }
-
-  // Batched block-diagonal path: E_w[U^T V], E_w[U] and E_w[V] for all
-  // selected pairs land in two kernel dispatches — one fused
-  // weighted block cross-product over every pair and one means product
-  // — instead of O(pairs) sub-64K-flop tape ops.
+  // Block-diagonal batching: E_w[U^T V], E_w[U] and E_w[V] for all
+  // selected pairs land in two kernel dispatches — one fused weighted
+  // block cross-product over every pair and one means product —
+  // instead of O(pairs) sub-64K-flop tape ops.
   Var cross = ops::BlockWeightedCrossCov(f_const, w_norm, k, block_pairs);
   Var means = ops::MatmulTransA(w_norm, f_const);  // 1 x n_used*k
   Var loss = ops::PairHsicFrobenius(cross, means, k, block_pairs);
+  // Rescale a sampled subset to estimate the full pairwise sum.
   return ops::Scale(loss, sel.Rescale());
 }
 

@@ -41,15 +41,14 @@ struct RffDrawEpoch {
 /// and rescales to the full-pair total, keeping the per-step cost
 /// bounded for wide layers; 0 measures every pair.
 ///
-/// `mode` selects the evaluation strategy. kBatched (default) stacks
-/// all per-column RFF blocks into one n x (d*k) matrix and measures
-/// every selected pair through one block cross-covariance node —
-/// O(pairs) small tape ops collapse into three kernel dispatches.
-/// kExact keeps the per-pair op loop as the reference. Both modes
-/// consume `rng` identically (same pair subset, same epoch seed, hence
-/// the same RFF draws) and agree to a relative tolerance of 1e-9 —
-/// only FP summation order differs (see README "Weight-loss
-/// batching").
+/// All per-column RFF blocks are stacked into one n x (d*k) matrix and
+/// every selected pair is measured through one block cross-covariance
+/// node, so O(pairs) small tape ops collapse into three kernel
+/// dispatches. The per-pair formulation E_w[u^T v] - E_w[u]^T E_w[v]
+/// over sliced feature blocks is the reference it is tested against
+/// (tests/hsic_batched_test.cc): same pair subset and RFF draws, only
+/// FP summation order differs, relative tolerance 1e-9 (see README
+/// "Weight-loss batching").
 ///
 /// `cos_mode` selects the cosine sweep of the feature evaluation
 /// (SIMD vectorized vs scalar std::cos reference; see CosineMode).
@@ -62,7 +61,6 @@ struct RffDrawEpoch {
 /// epoch (and one cache) across all HAP tiers of a weight step.
 Var HsicRffDecorrelationLoss(const Matrix& z, Var w, int64_t rff_features,
                              int64_t pair_budget, Rng& rng,
-                             BatchedHsicMode mode = BatchedHsicMode::kBatched,
                              CosineMode cos_mode = CosineMode::kVectorized,
                              const RffDrawEpoch* epoch = nullptr);
 

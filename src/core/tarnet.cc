@@ -22,7 +22,6 @@ TarnetBackbone::TarnetBackbone(const EstimatorConfig& config,
                                int64_t input_dim, Rng& rng, double alpha_ipm)
     : input_dim_(input_dim),
       network_(config.network),
-      net_step_mode_(config.sbrl.net_step_mode),
       alpha_ipm_(alpha_ipm),
       ipm_kind_(config.cfr.ipm),
       rbf_bandwidth_(config.cfr.rbf_bandwidth),
@@ -36,12 +35,11 @@ BackboneForward TarnetBackbone::Forward(ParamBinder& binder, const Matrix& x,
   Tape* tape = binder.tape();
   Var input = tape->Constant(x);
   std::vector<Var> rep_layers =
-      rep_net_.ForwardCollect(binder, input, training, net_step_mode_);
+      rep_net_.ForwardCollect(binder, input, training);
   Var rep = rep_layers.back();
   if (network_.rep_normalization) rep = ops::NormalizeRows(rep);
 
-  OutcomeHeads::Result heads =
-      heads_.Forward(binder, rep, t, training, net_step_mode_);
+  OutcomeHeads::Result heads = heads_.Forward(binder, rep, t, training);
 
   BackboneForward out;
   out.y0 = heads.y0;

@@ -38,7 +38,6 @@ class TarnetBackbone : public Backbone {
  private:
   int64_t input_dim_;
   NetworkConfig network_;
-  NetStepMode net_step_mode_;
   double alpha_ipm_;
   IpmKind ipm_kind_;
   double rbf_bandwidth_;

@@ -348,9 +348,7 @@ Status SbrlTrainer::Train(const CausalDataset& train,
       Var w_loss = BuildWeightLoss(w_var, inputs, config_.sbrl,
                                    config_.framework, effective_alpha_br_,
                                    br_ipm_, br_rbf_bandwidth_, hsic_rng,
-                                   config_.sbrl.rff_projection_cache
-                                       ? rff_proj_cache_
-                                       : nullptr);
+                                   rff_proj_cache_);
       weight_loss_value = w_loss.value().scalar();
       w_tape.Backward(w_loss);
       w_binder.FlushGrads();

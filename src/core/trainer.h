@@ -36,9 +36,9 @@ struct TrainDiagnostics {
   /// Wall-clock seconds of `train_seconds` spent inside the network
   /// step (Algorithm 1 step A: recording the head forward chain,
   /// differentiating the weighted factual loss, and applying the Adam
-  /// updates). The share the fused network-step engine targets
-  /// (SbrlConfig::net_step_mode); BENCH_table6.json records it as
-  /// `<method>/net_step` so the fusion win is tracked across PRs.
+  /// updates). The share the fused layer recording targets (see
+  /// nn/net_step.h); BENCH_table6.json records it as
+  /// `<method>/net_step` so the network-step cost is tracked over time.
   double net_step_seconds = 0.0;
   /// Wall-clock seconds of `train_seconds` spent inside the RFF cosine
   /// sweeps (the sqrt(2) cos epilogue of every decorrelation-loss
@@ -122,9 +122,9 @@ class SbrlTrainer {
   /// of reallocating them. Session-leased (RunContext) or owned.
   MatrixPool* tape_pool_;
   /// Per-weight-step memoizer of the RFF projection draws shared by the
-  /// HAP tiers; handed to BuildWeightLoss when
-  /// SbrlConfig::rff_projection_cache is set (value-transparent either
-  /// way). Session-leased (RunContext) or owned.
+  /// HAP tiers; handed to every BuildWeightLoss call (value-transparent:
+  /// cached and uncached draws are bitwise equal). Session-leased
+  /// (RunContext) or owned.
   RffProjectionCache* rff_proj_cache_;
 };
 

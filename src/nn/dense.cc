@@ -15,11 +15,7 @@ Var Dense::Forward(ParamBinder& binder, Var x) const {
   return ops::Affine(x, w, b);
 }
 
-Var Dense::ForwardAct(ParamBinder& binder, Var x, ops::ActKind act,
-                      NetStepMode mode) const {
-  if (mode == NetStepMode::kReference) {
-    return ApplyActivation(Forward(binder, x), act);
-  }
+Var Dense::ForwardAct(ParamBinder& binder, Var x, ops::ActKind act) const {
   SBRL_CHECK_EQ(x.cols(), in_dim())
       << "Dense '" << weight_.name << "' expects input dim " << in_dim();
   Var w = binder.Bind(weight_);

@@ -23,12 +23,10 @@ class Dense {
   /// Records x W + b on the binder's tape.
   Var Forward(ParamBinder& binder, Var x) const;
 
-  /// Records act(x W + b): one fused ops::AffineAct node under
-  /// NetStepMode::kFused, the Affine + activation pair under
-  /// kReference. The layer step of the fused network-step engine (see
-  /// nn/net_step.h); Mlp routes every non-batch-norm layer through it.
-  Var ForwardAct(ParamBinder& binder, Var x, ops::ActKind act,
-                 NetStepMode mode) const;
+  /// Records act(x W + b) as one fused ops::AffineAct node. The layer
+  /// step of the fused network step (see nn/net_step.h); Mlp routes
+  /// every non-batch-norm layer through it.
+  Var ForwardAct(ParamBinder& binder, Var x, ops::ActKind act) const;
 
   /// Binds this layer's parameters on the binder's tape (`*w` = weight,
   /// `*b` = bias) without recording any computation — the hook the

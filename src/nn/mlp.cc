@@ -19,32 +19,23 @@ Mlp::Mlp(const std::string& name, const MlpConfig& config, Rng& rng)
 }
 
 std::vector<Var> Mlp::ForwardCollect(ParamBinder& binder, Var x,
-                                     bool training, NetStepMode mode) const {
+                                     bool training) const {
   std::vector<Var> outputs;
   outputs.reserve(layers_.size());
   Var h = x;
   for (size_t i = 0; i < layers_.size(); ++i) {
-    if (config_.batchnorm) {
-      if (mode == NetStepMode::kFused) {
-        h = norms_[i].ForwardFusedAffine(binder, layers_[i], h, training,
-                                         config_.activation);
-      } else {
-        h = layers_[i].Forward(binder, h);
-        h = norms_[i].Forward(binder, h, training);
-        h = ApplyActivation(h, config_.activation);
-      }
-    } else {
-      h = layers_[i].ForwardAct(binder, h, config_.activation, mode);
-    }
+    h = config_.batchnorm
+            ? norms_[i].ForwardFusedAffine(binder, layers_[i], h, training,
+                                           config_.activation)
+            : layers_[i].ForwardAct(binder, h, config_.activation);
     outputs.push_back(h);
   }
   if (outputs.empty()) outputs.push_back(x);  // degenerate identity MLP
   return outputs;
 }
 
-Var Mlp::Forward(ParamBinder& binder, Var x, bool training,
-                 NetStepMode mode) const {
-  return ForwardCollect(binder, x, training, mode).back();
+Var Mlp::Forward(ParamBinder& binder, Var x, bool training) const {
+  return ForwardCollect(binder, x, training).back();
 }
 
 void Mlp::CollectParams(std::vector<Param*>* out) {

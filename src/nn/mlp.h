@@ -31,17 +31,14 @@ class Mlp {
   Mlp(const std::string& name, const MlpConfig& config, Rng& rng);
 
   /// Runs the full stack, returning every post-activation layer output
-  /// in order; back() is the network output. `mode` selects how each
-  /// layer is recorded: NetStepMode::kFused collapses every
-  /// Dense (+BatchNorm) + activation chain into one fused tape node,
-  /// kReference (the default) keeps the per-primitive formulation.
-  std::vector<Var> ForwardCollect(
-      ParamBinder& binder, Var x, bool training,
-      NetStepMode mode = NetStepMode::kReference) const;
+  /// in order; back() is the network output. Each Dense (+BatchNorm) +
+  /// activation layer is recorded as one fused tape node (see
+  /// nn/net_step.h).
+  std::vector<Var> ForwardCollect(ParamBinder& binder, Var x,
+                                  bool training) const;
 
   /// Runs the full stack, returning only the final output.
-  Var Forward(ParamBinder& binder, Var x, bool training,
-              NetStepMode mode = NetStepMode::kReference) const;
+  Var Forward(ParamBinder& binder, Var x, bool training) const;
 
   void CollectParams(std::vector<Param*>* out);
 

@@ -5,35 +5,25 @@
 
 namespace sbrl {
 
-/// How the per-iteration network step records the head forward/backward
-/// chain (Dense -> optional BatchNorm -> activation) on the tape.
-/// Mirrors BatchedHsicMode / CosineMode: a fast production path plus a
-/// reference path selectable per call / per config.
-///
-/// kFused records each layer as ONE tape node (ops::AffineAct, or
-/// ops::AffineBatchNormAct when batch norm is on): the pre-activation
-/// is consumed in-pass instead of living on the tape, and the fused
-/// backward emits dx / dW / db from pooled temporaries. Without batch
-/// norm, values AND gradients are bitwise identical to kReference (the
-/// same kernels run in the same order); with batch norm, forward values
-/// are bitwise identical and the closed-form backward agrees with the
-/// reference chain to rounding error (see tests/golden_trace_test.cc).
-///
-/// kReference keeps the seed formulation — one tape node per primitive
-/// (Affine, ColMean, Sqrt, ..., activation) — as the formulation the
-/// golden-trace tests pin down. Both modes are bitwise invariant to the
-/// worker-thread count.
-enum class NetStepMode {
-  kFused,      ///< one fused tape node per layer (default)
-  kReference,  ///< per-primitive tape ops — the reference formulation
-};
+// The network step records each MLP layer (Dense -> optional
+// BatchNorm -> activation) as ONE tape node: ops::AffineAct, or
+// ops::AffineBatchNormAct when batch norm is on. The pre-activation is
+// consumed in-pass instead of living on the tape, and the fused
+// backward emits dx / dW / db from pooled temporaries. The
+// per-primitive chain (Dense::Forward, BatchNorm::Forward,
+// ApplyActivation) is the reference the tests hold it to: without
+// batch norm values AND gradients are bitwise equal (the same kernels
+// run in the same order); with batch norm forward values are bitwise
+// equal and the closed-form backward agrees to rounding error (see
+// tests/reference_net.h). Either recording is bitwise invariant to the
+// worker-thread count.
 
 /// Short name of ops::ActKind, the one activation enum of MLP layers,
 /// the fused network-step ops and the serving forward. The paper trains
 /// all networks with ELU; kIdentity is the linear activation.
 using Activation = ops::ActKind;
 
-/// Applies `act` to `x` on the tape (reference path: one UnaryOp node).
+/// Applies `act` to `x` on the tape as one unfused UnaryOp node.
 Var ApplyActivation(Var x, ops::ActKind act);
 
 }  // namespace sbrl

@@ -834,23 +834,6 @@ TEST(FusedOpsTest, AffineBatchNormInferActMatchesReferenceAndGradChecks) {
       beta0, 1e-4);
 }
 
-TEST(FusedOpsTest, MatmulTransAColsMatchesSlicedCopiesBitwise) {
-  Rng rng(55);
-  Matrix a0 = rng.Randn(7, 6);
-  Matrix b0 = Rng(53).Randn(7, 8);
-  const int64_t a_start = 2, a_cols = 3, b_start = 4, b_cols = 2;
-  Tape t;
-  Var view = ops::MatmulTransACols(t.Constant(a0), a_start, a_cols,
-                                   t.Constant(b0), b_start, b_cols);
-  Var sliced = ops::MatmulTransA(
-      ops::SliceCols(t.Constant(a0), a_start, a_cols),
-      ops::SliceCols(t.Constant(b0), b_start, b_cols));
-  ASSERT_TRUE(view.value().same_shape(sliced.value()));
-  for (int64_t i = 0; i < view.value().size(); ++i) {
-    EXPECT_EQ(view.value()[i], sliced.value()[i]) << "element " << i;
-  }
-}
-
 TEST(FusedOpsTest, ScatterRowsByTreatmentInvertsSelect) {
   Rng rng(57);
   const std::vector<int> t_assign = {1, 0, 0, 1, 0};
@@ -888,24 +871,6 @@ TEST(GradCheckTest, ScatterRowsByTreatmentBothArms) {
             ops::ScatterRowsByTreatment(t.Leaf(a0), v, t_assign)));
       },
       b0, 1e-5);
-}
-
-TEST(GradCheckTest, MatmulTransAColsBothSides) {
-  Rng rng(56);
-  Matrix a0 = rng.Randn(6, 5);
-  Matrix b0 = Rng(52).Randn(6, 4);
-  const auto loss = [](Var a, Var b) {
-    // Two overlapping windows of `a` exercise AccumulateGradCols'
-    // scatter-add into a shared parent gradient.
-    Var first = ops::MatmulTransACols(a, 1, 3, b, 0, 2);
-    Var second = ops::MatmulTransACols(a, 2, 2, b, 2, 2);
-    return ops::Add(ops::SumAll(ops::Square(first)),
-                    ops::SumAll(ops::Square(second)));
-  };
-  CheckGradient(
-      [&](Tape& t, Var v) { return loss(v, t.Leaf(b0)); }, a0, 1e-4);
-  CheckGradient(
-      [&](Tape& t, Var v) { return loss(t.Leaf(a0), v); }, b0, 1e-4);
 }
 
 // Parameterized sweep: gradients hold across shapes for core binary ops.

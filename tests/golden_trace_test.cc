@@ -1,13 +1,15 @@
-// Golden-trace lockdown of the training hot path (PR 4). A fixed-seed
-// short training run records a per-iteration loss trace plus a final
+// Golden-trace lockdown of the training hot path. A fixed-seed short
+// training run records a per-iteration loss trace plus a final
 // parameter / sample-weight digest; the suite then asserts
 //
-//   1. the reference NetStepMode reproduces the trace bitwise run over
-//      run and across worker-thread counts (the determinism contract of
-//      docs/ARCHITECTURE.md, now pinned at whole-training granularity),
-//   2. the fused NetStepMode is bitwise identical to the reference
-//      formulation when batch norm is off (the fused ops run the same
-//      kernels in the same order), and
+//   1. the production trace reproduces bitwise run over run and across
+//      worker-thread counts, for CFR and DeR-CFR (the determinism
+//      contract of docs/ARCHITECTURE.md, pinned at whole-training
+//      granularity),
+//   2. CFR's production trace — fused layer nodes, arm-split heads — is
+//      bitwise identical to the per-primitive, full-batch reference of
+//      tests/reference_net.h when batch norm is off (the fused ops run
+//      the same kernels in the same order), and
 //   3. with batch norm on, the fused closed-form backward stays
 //      grad-consistent with the reference chain: identical first-step
 //      losses and tightly matching loss/parameter trajectories.
@@ -30,6 +32,7 @@
 #include "core/dercfr.h"
 #include "core/trainer.h"
 #include "data/causal_dataset.h"
+#include "reference_net.h"
 #include "tensor/random.h"
 
 namespace sbrl {
@@ -90,13 +93,10 @@ EstimatorConfig SmallConfig(bool batchnorm) {
   return config;
 }
 
-Trace RunTrace(EstimatorConfig config, NetStepMode mode) {
-  config.sbrl.net_step_mode = mode;
-  const CausalDataset data = MakeDataset();
-  Rng rng(config.train.seed);
-  std::unique_ptr<Backbone> backbone =
-      CreateBackbone(config, data.dim(), rng);
-  SbrlTrainer trainer(config, backbone.get(), /*binary_outcome=*/false);
+/// Trains `backbone` on `data` and records its trace.
+Trace TraceOf(const EstimatorConfig& config, Backbone* backbone,
+              const CausalDataset& data) {
+  SbrlTrainer trainer(config, backbone, /*binary_outcome=*/false);
   TrainDiagnostics diag;
   Matrix weights;
   const Status status =
@@ -116,6 +116,28 @@ Trace RunTrace(EstimatorConfig config, NetStepMode mode) {
     trace.weights.push_back(weights[i]);
   }
   return trace;
+}
+
+/// The production trace: the backbone the estimator would build.
+Trace RunTrace(const EstimatorConfig& config) {
+  const CausalDataset data = MakeDataset();
+  Rng rng(config.train.seed);
+  std::unique_ptr<Backbone> backbone =
+      CreateBackbone(config, data.dim(), rng);
+  if (config.backbone == BackboneKind::kDerCfr) {
+    static_cast<DerCfrBackbone*>(backbone.get())->SetOutcomes(data.y);
+  }
+  return TraceOf(config, backbone.get(), data);
+}
+
+/// The reference trace of a CFR config: the same initial parameters
+/// trained through the per-primitive, full-batch ReferenceCfr.
+Trace RunReferenceTrace(const EstimatorConfig& config) {
+  SBRL_CHECK(config.backbone == BackboneKind::kCfr);
+  const CausalDataset data = MakeDataset();
+  Rng rng(config.train.seed);
+  reference::ReferenceCfr backbone(config, data.dim(), rng);
+  return TraceOf(config, &backbone, data);
 }
 
 void ExpectTracesBitwiseEqual(const Trace& a, const Trace& b) {
@@ -150,48 +172,42 @@ void ExpectTracesClose(const Trace& a, const Trace& b, double rel_tol) {
   }
 }
 
-/// Runs one trace under `workers` background threads, restoring the
-/// process-wide pool to its previous worker count afterwards.
-Trace TraceWithWorkers(const EstimatorConfig& config, NetStepMode mode,
-                       int workers) {
+/// Runs one production trace under `workers` background threads,
+/// restoring the process-wide pool to its previous worker count
+/// afterwards.
+Trace TraceWithWorkers(const EstimatorConfig& config, int workers) {
   const int restore_workers = ThreadPool::GlobalParallelism() - 1;
   ThreadPool::ResetGlobalForTest(workers);
-  Trace trace = RunTrace(config, mode);
+  Trace trace = RunTrace(config);
   ThreadPool::ResetGlobalForTest(restore_workers);
   return trace;
 }
 
-TEST(GoldenTraceTest, ReferenceModeIsDeterministic) {
+TEST(GoldenTraceTest, TraceIsDeterministic) {
   const EstimatorConfig config = SmallConfig(/*batchnorm=*/false);
-  const Trace first = RunTrace(config, NetStepMode::kReference);
-  const Trace second = RunTrace(config, NetStepMode::kReference);
+  const Trace first = RunTrace(config);
+  const Trace second = RunTrace(config);
   ASSERT_EQ(first.train_loss.size(), static_cast<size_t>(kIterations));
   EXPECT_TRUE(std::isfinite(first.train_loss.back()));
   ExpectTracesBitwiseEqual(first, second);
 }
 
-TEST(GoldenTraceTest, ReferenceModeBitwiseStableAcrossThreadCounts) {
+TEST(GoldenTraceTest, TraceBitwiseStableAcrossThreadCounts) {
   const EstimatorConfig config = SmallConfig(/*batchnorm=*/false);
-  const Trace serial = TraceWithWorkers(config, NetStepMode::kReference, 0);
-  const Trace threaded =
-      TraceWithWorkers(config, NetStepMode::kReference, 2);
-  ExpectTracesBitwiseEqual(serial, threaded);
-}
-
-TEST(GoldenTraceTest, FusedModeBitwiseStableAcrossThreadCounts) {
-  const EstimatorConfig config = SmallConfig(/*batchnorm=*/false);
-  const Trace serial = TraceWithWorkers(config, NetStepMode::kFused, 0);
-  const Trace threaded = TraceWithWorkers(config, NetStepMode::kFused, 2);
+  const Trace serial = TraceWithWorkers(config, 0);
+  const Trace threaded = TraceWithWorkers(config, 2);
   ExpectTracesBitwiseEqual(serial, threaded);
 }
 
 TEST(GoldenTraceTest, FusedMatchesReferenceBitwiseWithoutBatchNorm) {
   // Without batch norm the fused ops run the same kernels in the same
-  // order as the reference composition: the whole training trajectory
-  // — losses, learned weights, final parameters — is bit-identical.
+  // order as the reference composition, and the arm-split heads leave
+  // exact zeros where the full-batch heads compute discarded rows: the
+  // whole training trajectory — losses, learned weights, final
+  // parameters — is bit-identical.
   const EstimatorConfig config = SmallConfig(/*batchnorm=*/false);
-  const Trace reference = RunTrace(config, NetStepMode::kReference);
-  const Trace fused = RunTrace(config, NetStepMode::kFused);
+  const Trace reference = RunReferenceTrace(config);
+  const Trace fused = RunTrace(config);
   ExpectTracesBitwiseEqual(reference, fused);
 }
 
@@ -201,11 +217,26 @@ TEST(GoldenTraceTest, FusedTracksReferenceWithBatchNorm) {
   // first recorded loss is computed before any update), and the short
   // trajectory stays within tight relative tolerance.
   const EstimatorConfig config = SmallConfig(/*batchnorm=*/true);
-  const Trace reference = RunTrace(config, NetStepMode::kReference);
-  const Trace fused = RunTrace(config, NetStepMode::kFused);
+  const Trace reference = RunReferenceTrace(config);
+  const Trace fused = RunTrace(config);
   ASSERT_FALSE(reference.train_loss.empty());
   EXPECT_EQ(reference.train_loss[0], fused.train_loss[0]);
   ExpectTracesClose(reference, fused, 1e-6);
+}
+
+TEST(GoldenTraceTest, DerCfrTraceIsDeterministicAcrossRunsAndThreadCounts) {
+  // DeR-CFR routes three representation networks and the arm-split
+  // heads through the fused layers; its trace must reproduce bit for
+  // bit run over run and with or without background workers.
+  EstimatorConfig config = SmallConfig(/*batchnorm=*/false);
+  config.backbone = BackboneKind::kDerCfr;
+  const Trace first = TraceWithWorkers(config, 0);
+  const Trace second = TraceWithWorkers(config, 0);
+  const Trace threaded = TraceWithWorkers(config, 2);
+  ASSERT_EQ(first.train_loss.size(), static_cast<size_t>(kIterations));
+  EXPECT_TRUE(std::isfinite(first.train_loss.back()));
+  ExpectTracesBitwiseEqual(first, second);
+  ExpectTracesBitwiseEqual(first, threaded);
 }
 
 /// One full training observation for the checkpoint/resume lockdown:
@@ -322,37 +353,9 @@ TEST(CheckpointResumeTest, RecoveryEnabledIsBitwiseFreeWhenHealthy) {
   off.sbrl.recovery_mode = RecoveryMode::kOff;
   EstimatorConfig on = SmallConfig(/*batchnorm=*/false);
   on.sbrl.recovery_mode = RecoveryMode::kRollback;
-  const Trace trace_off = RunTrace(off, NetStepMode::kReference);
-  const Trace trace_on = RunTrace(on, NetStepMode::kReference);
+  const Trace trace_off = RunTrace(off);
+  const Trace trace_on = RunTrace(on);
   ExpectTracesBitwiseEqual(trace_off, trace_on);
-}
-
-TEST(GoldenTraceTest, FusedModeChangesNoObservableForDerCfr) {
-  // The DeR-CFR backbone routes three representation networks and the
-  // heads through the engine; without batch norm fused must remain a
-  // pure re-recording there too.
-  EstimatorConfig config = SmallConfig(/*batchnorm=*/false);
-  config.backbone = BackboneKind::kDerCfr;
-  const CausalDataset data = MakeDataset();
-  const auto run = [&](NetStepMode mode) {
-    EstimatorConfig c = config;
-    c.sbrl.net_step_mode = mode;
-    Rng rng(c.train.seed);
-    std::unique_ptr<Backbone> backbone = CreateBackbone(c, data.dim(), rng);
-    auto* dercfr = static_cast<DerCfrBackbone*>(backbone.get());
-    dercfr->SetOutcomes(data.y);
-    SbrlTrainer trainer(c, backbone.get(), /*binary_outcome=*/false);
-    TrainDiagnostics diag;
-    Matrix weights;
-    SBRL_CHECK(trainer.Train(data, nullptr, &diag, &weights).ok());
-    return diag.train_loss;
-  };
-  const std::vector<double> reference = run(NetStepMode::kReference);
-  const std::vector<double> fused = run(NetStepMode::kFused);
-  ASSERT_EQ(reference.size(), fused.size());
-  for (size_t i = 0; i < reference.size(); ++i) {
-    EXPECT_EQ(reference[i], fused[i]) << "loss at iteration " << i;
-  }
 }
 
 }  // namespace

@@ -1,9 +1,10 @@
 // Equivalence and gradient coverage for the batched block-diagonal
-// HSIC-RFF pair kernel: BatchedHsicMode::kBatched must agree with the
-// per-pair kExact reference to the documented tolerance (relative
-// 1e-9; both modes consume the rng identically, so they see the same
-// RFF draws and pair subsets and differ only in FP summation order),
-// and the new block tensor ops must pass numerical grad checks.
+// HSIC-RFF pair kernel: HsicRffDecorrelationLoss must agree with the
+// per-pair reference formulation below to the documented tolerance
+// (relative 1e-9; the reference consumes the rng identically, so it
+// sees the same RFF draws and pair subsets and differs only in FP
+// summation order), and the block tensor ops must pass numerical grad
+// checks.
 
 #include <gtest/gtest.h>
 
@@ -15,33 +16,71 @@
 #include "autodiff/grad_check.h"
 #include "core/independence_regularizer.h"
 #include "stats/feature_pairs.h"
+#include "stats/rff.h"
 #include "tensor/linalg.h"
 #include "tensor/random.h"
 
 namespace sbrl {
 namespace {
 
-/// The documented agreement bound between exact and batched losses:
-/// |exact - batched| <= kHsicModeRelTol * max(1, |exact|).
+/// The documented agreement bound between the per-pair reference and
+/// the batched loss: |reference - batched| <= kHsicModeRelTol *
+/// max(1, |reference|), for the loss and each gradient element.
 constexpr double kHsicModeRelTol = 1e-9;
 
-double LossWithMode(const Matrix& z, const Matrix& w_val, int64_t k,
-                    int64_t budget, uint64_t seed, BatchedHsicMode mode,
-                    Matrix* grad_out = nullptr) {
+/// Per-pair reference formulation of HsicRffDecorrelationLoss (its
+/// standalone path: no caller-supplied epoch, vectorized cosines). It
+/// consumes `rng` in the same order — pair subset, compact column map,
+/// then one epoch-seed draw — samples the same per-column slots and
+/// stacks the same features, then sums, over sliced (n x k) feature
+/// blocks u, v of every selected pair, the weighted HSIC-RFF statistic
+///   || E_w[u^T v] - E_w[u]^T E_w[v] ||_F^2
+/// one small tape op at a time.
+Var PerPairReferenceLoss(const Matrix& z, Var w, int64_t k, int64_t budget,
+                         Rng& rng) {
+  Tape* tape = w.tape();
+  const int64_t d = z.cols();
+  Var w_norm = ops::DivScalar(w, ops::SumAll(w));
+  const FeaturePairSelection sel = SelectFeaturePairs(d, budget, rng);
+  const CompactPairBlocks blocks = CompactUsedColumns(d, sel.pairs);
+  const uint64_t epoch_seed = rng.engine()();
+  std::vector<RffProjection> projs;
+  for (int64_t col : blocks.used_cols) {
+    projs.push_back(SampleRffSlot(epoch_seed, 1, k, col));
+  }
+  Matrix stacked(z.rows(), static_cast<int64_t>(projs.size()) * k);
+  StackRffColumnsWithProjections(z, blocks.used_cols, projs, k, &stacked);
+  Var f = tape->Constant(std::move(stacked));
+  Var fw = ops::MulCol(f, w_norm);
+  Var loss = tape->Constant(Matrix::Zeros(1, 1));
+  for (const auto& [a, b] : blocks.block_pairs) {
+    Var e_uv = ops::MatmulTransA(ops::SliceCols(fw, a * k, k),
+                                 ops::SliceCols(f, b * k, k));
+    Var e_u = ops::MatmulTransA(w_norm, ops::SliceCols(f, a * k, k));
+    Var e_v = ops::MatmulTransA(w_norm, ops::SliceCols(f, b * k, k));
+    Var outer = ops::MatmulTransA(e_u, e_v);
+    loss = ops::Add(loss, ops::SumAll(ops::Square(ops::Sub(e_uv, outer))));
+  }
+  return ops::Scale(loss, sel.Rescale());
+}
+
+/// Loss value and weight gradient of the production loss, or of the
+/// per-pair reference when `reference` is set, under rng seed `seed`.
+double LossAndGrad(const Matrix& z, const Matrix& w_val, int64_t k,
+                   int64_t budget, uint64_t seed, bool reference,
+                   Matrix* grad_out) {
   Tape tape;
   Var w = tape.Leaf(w_val);
   Rng rng(seed);
-  Var loss = HsicRffDecorrelationLoss(z, w, k, budget, rng, mode);
-  const double value = loss.value().scalar();
-  if (grad_out != nullptr) {
-    tape.Backward(loss);
-    *grad_out = w.grad();
-  }
-  return value;
+  Var loss = reference ? PerPairReferenceLoss(z, w, k, budget, rng)
+                       : HsicRffDecorrelationLoss(z, w, k, budget, rng);
+  tape.Backward(loss);
+  *grad_out = w.grad();
+  return loss.value().scalar();
 }
 
 // ---------------------------------------------------------------------------
-// Exact-vs-batched agreement across shapes and budgets.
+// Reference-vs-batched agreement across shapes and budgets.
 // ---------------------------------------------------------------------------
 
 class HsicModeEquivalence
@@ -53,19 +92,19 @@ TEST_P(HsicModeEquivalence, LossesAgreeWithinDocumentedTolerance) {
   Rng data_rng(1000 + static_cast<uint64_t>(d));
   Matrix z = data_rng.Randn(n, d);
   Matrix w_val = data_rng.Rand(n, 1, 0.5, 2.0);  // non-uniform weights
-  Matrix grad_exact, grad_batched;
-  const double exact = LossWithMode(z, w_val, 5, budget, 42,
-                                    BatchedHsicMode::kExact, &grad_exact);
-  const double batched = LossWithMode(z, w_val, 5, budget, 42,
-                                      BatchedHsicMode::kBatched,
-                                      &grad_batched);
-  EXPECT_GT(exact, 0.0);
-  EXPECT_NEAR(batched, exact, kHsicModeRelTol * std::max(1.0, exact));
+  Matrix grad_reference, grad_batched;
+  const double reference = LossAndGrad(z, w_val, 5, budget, 42,
+                                       /*reference=*/true, &grad_reference);
+  const double batched = LossAndGrad(z, w_val, 5, budget, 42,
+                                     /*reference=*/false, &grad_batched);
+  EXPECT_GT(reference, 0.0);
+  EXPECT_NEAR(batched, reference,
+              kHsicModeRelTol * std::max(1.0, reference));
   // The weight gradient must agree too — it is what the optimizer sees.
-  ASSERT_TRUE(grad_exact.same_shape(grad_batched));
-  for (int64_t i = 0; i < grad_exact.size(); ++i) {
-    EXPECT_NEAR(grad_batched[i], grad_exact[i],
-                kHsicModeRelTol * std::max(1.0, std::abs(grad_exact[i])))
+  ASSERT_TRUE(grad_reference.same_shape(grad_batched));
+  for (int64_t i = 0; i < grad_reference.size(); ++i) {
+    EXPECT_NEAR(grad_batched[i], grad_reference[i],
+                kHsicModeRelTol * std::max(1.0, std::abs(grad_reference[i])))
         << "grad element " << i;
   }
 }
@@ -224,64 +263,15 @@ TEST(BlockOpsGradTest, BatchedDecorrelationLossGradChecksEndToEnd) {
   Tape tape;
   Var w = tape.Leaf(w0);
   Rng rng(11);
-  Var loss = HsicRffDecorrelationLoss(z, w, 4, 0, rng,
-                                      BatchedHsicMode::kBatched);
+  Var loss = HsicRffDecorrelationLoss(z, w, 4, 0, rng);
   tape.Backward(loss);
   const auto f = [&](const Matrix& w_val) {
     Tape t;
     Var wv = t.Leaf(w_val);
     Rng r(11);  // same RFF draws on every evaluation
-    return HsicRffDecorrelationLoss(z, wv, 4, 0, r,
-                                    BatchedHsicMode::kBatched)
-        .value()
-        .scalar();
+    return HsicRffDecorrelationLoss(z, wv, 4, 0, r).value().scalar();
   };
   EXPECT_LT(MaxGradientError(f, w0, w.grad()), 1e-5);
-}
-
-// ---------------------------------------------------------------------------
-// Exact-mode slice views: the per-pair reference loop reads column
-// windows of ONE stacked feature constant. No per-pair (n x k) block is
-// ever put on the tape — the node set whose row count equals the sample
-// count stays fixed (w leaf, normalized weights, stacked constant,
-// weighted stack) no matter how many pairs are measured.
-// ---------------------------------------------------------------------------
-
-TEST(ExactModeViewsTest, SampleSizedTapeNodesIndependentOfPairCount) {
-  const int64_t n = 40, k = 5;
-  Rng data_rng(31);
-  Matrix w_val = data_rng.Rand(n, 1, 0.5, 2.0);
-  int64_t nodes_small = -1;
-  int64_t pairs_small = -1;
-  // d = 4 measures 6 pairs, d = 9 measures 36: a 6x pair-count increase
-  // must add ZERO sample-sized tape allocations.
-  for (int64_t d : {int64_t{4}, int64_t{9}}) {
-    Matrix z = data_rng.Randn(n, d);
-    Tape tape;
-    Var w = tape.Leaf(w_val);
-    Rng rng(77);
-    Var loss = HsicRffDecorrelationLoss(z, w, k, /*pair_budget=*/0, rng,
-                                        BatchedHsicMode::kExact);
-    EXPECT_GT(loss.value().scalar(), 0.0);
-    int64_t sample_sized = 0;
-    for (int id = 0; id < tape.size(); ++id) {
-      if (tape.value(id).rows() == n) ++sample_sized;
-    }
-    const int64_t num_pairs = d * (d - 1) / 2;
-    if (nodes_small < 0) {
-      nodes_small = sample_sized;
-      pairs_small = num_pairs;
-      // The fixed set: w leaf, w_norm, stacked constant, weighted stack.
-      EXPECT_EQ(sample_sized, 4);
-    } else {
-      EXPECT_GT(num_pairs, pairs_small);
-      EXPECT_EQ(sample_sized, nodes_small)
-          << "exact mode allocated sample-sized nodes per pair";
-    }
-    // Backward still works against the shared views.
-    tape.Backward(loss);
-    EXPECT_GT(w.grad().Norm(), 0.0);
-  }
 }
 
 // ---------------------------------------------------------------------------

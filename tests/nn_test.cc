@@ -10,6 +10,7 @@
 #include "nn/lr_schedule.h"
 #include "nn/mlp.h"
 #include "nn/optimizer.h"
+#include "reference_net.h"
 #include "tensor/linalg.h"
 #include "tensor/random.h"
 
@@ -165,6 +166,88 @@ TEST(MlpTest, EndToEndGradCheckThroughTwoLayers) {
   EXPECT_LT(MaxGradientError(f, at, analytic), 1e-5);
   w0->value = at;
 }
+
+/// One training step of a freshly built layer stack: the tape size
+/// right after the forward, the last output, and every parameter
+/// gradient (in CollectParams order) of a fixed random projection
+/// loss.
+struct StackStep {
+  int tape_nodes = 0;
+  Matrix output;
+  std::vector<Matrix> grads;
+};
+
+template <typename Stack>
+StackStep RunStackStep(Stack& stack, const Matrix& x, const Matrix& probe) {
+  Tape tape;
+  ParamBinder binder(&tape);
+  Var out = stack.ForwardCollect(binder, tape.Constant(x), true).back();
+  StackStep step;
+  step.tape_nodes = tape.size();
+  step.output = out.value();
+  tape.Backward(
+      ops::SumAll(ops::Square(ops::Mul(out, tape.Constant(probe)))));
+  binder.FlushGrads();
+  std::vector<Param*> params;
+  stack.CollectParams(&params);
+  for (Param* p : params) step.grads.push_back(p->grad);
+  return step;
+}
+
+class MlpReferenceChainTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(MlpReferenceChainTest, StandaloneMlpRecordsFusedLayersEqualToChain) {
+  // A standalone Mlp records ONE fused tape node per layer, and that
+  // node is numerically the per-primitive Dense -> BatchNorm ->
+  // activation chain: bitwise in values and gradients without batch
+  // norm, bitwise in values and within 1e-12 in gradients with it.
+  const bool batchnorm = GetParam();
+  MlpConfig config;
+  config.input_dim = 5;
+  config.hidden = {7, 6, 4};
+  config.batchnorm = batchnorm;
+  Rng rng_fused(31), rng_chain(31);
+  Mlp mlp("m", config, rng_fused);
+  reference::ReferenceMlp chain("m", config, rng_chain);
+  const Matrix x = Rng(32).Randn(9, 5);
+  const Matrix probe = Rng(33).Randn(9, 4);
+  const StackStep fused = RunStackStep(mlp, x, probe);
+  const StackStep want = RunStackStep(chain, x, probe);
+
+  // Input constant + per layer: its bound parameters and one node.
+  const int params_per_layer = batchnorm ? 4 : 2;
+  EXPECT_EQ(fused.tape_nodes, 1 + 3 * (params_per_layer + 1));
+
+  ASSERT_TRUE(fused.output.same_shape(want.output));
+  for (int64_t i = 0; i < want.output.size(); ++i) {
+    EXPECT_EQ(fused.output[i], want.output[i]) << "output element " << i;
+  }
+  ASSERT_EQ(fused.grads.size(), want.grads.size());
+  for (size_t p = 0; p < want.grads.size(); ++p) {
+    ASSERT_TRUE(fused.grads[p].same_shape(want.grads[p]));
+    for (int64_t i = 0; i < want.grads[p].size(); ++i) {
+      const double tol =
+          batchnorm ? 1e-12 * std::max(1.0, std::abs(want.grads[p][i]))
+                    : 0.0;
+      EXPECT_NEAR(fused.grads[p][i], want.grads[p][i], tol)
+          << "parameter " << p << " element " << i;
+    }
+  }
+  std::vector<NamedStateRef> fused_state, want_state;
+  mlp.CollectStateMatrices(&fused_state);
+  chain.CollectStateMatrices(&want_state);
+  ASSERT_EQ(fused_state.size(), want_state.size());
+  for (size_t s = 0; s < want_state.size(); ++s) {
+    EXPECT_EQ(fused_state[s].name, want_state[s].name);
+    for (int64_t i = 0; i < want_state[s].value->size(); ++i) {
+      EXPECT_EQ((*fused_state[s].value)[i], (*want_state[s].value)[i])
+          << want_state[s].name << " element " << i;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(BatchNormOffOn, MlpReferenceChainTest,
+                         ::testing::Bool());
 
 TEST(BatchNormTest, TrainingOutputIsStandardized) {
   Rng rng(11);
