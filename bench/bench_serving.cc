@@ -21,6 +21,7 @@
 #include <iostream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/string_util.h"
@@ -79,18 +80,24 @@ class ScopedPrecisionEnv {
   std::string old_;
 };
 
-/// Times `reps` direct ScoreOutcomes calls over `queries` and returns
-/// the per-call latencies (one warm-up call runs first, untimed).
-std::vector<double> TimeDirectScoring(const serve::ServingModel& model,
-                                      const Matrix& queries, int reps) {
-  g_sink = g_sink + model.ScoreOutcomes(queries)[0];
-  std::vector<double> latencies;
-  latencies.reserve(static_cast<size_t>(reps));
+/// Times `reps` direct ScoreOutcomes calls over `queries` on each of
+/// `a` and `b` and returns their per-call latencies (one warm-up call
+/// each runs first, untimed). The calls alternate between the models,
+/// so load from other processes on a shared host lands on both lanes
+/// alike instead of on whichever lane ran second.
+std::pair<std::vector<double>, std::vector<double>> TimeDirectScoring(
+    const serve::ServingModel& a, const serve::ServingModel& b,
+    const Matrix& queries, int reps) {
+  g_sink = g_sink + a.ScoreOutcomes(queries)[0] + b.ScoreOutcomes(queries)[0];
+  std::pair<std::vector<double>, std::vector<double>> latencies;
   for (int r = 0; r < reps; ++r) {
-    const auto start = Clock::now();
-    const Matrix out = model.ScoreOutcomes(queries);
-    latencies.push_back(SecondsSince(start));
-    g_sink = g_sink + out[0];
+    for (const serve::ServingModel* model : {&a, &b}) {
+      const auto start = Clock::now();
+      const Matrix out = model->ScoreOutcomes(queries);
+      (model == &a ? latencies.first : latencies.second)
+          .push_back(SecondsSince(start));
+      g_sink = g_sink + out[0];
+    }
   }
   return latencies;
 }
@@ -189,9 +196,8 @@ int Main() {
     }
 
     const int reps = scale.name == "smoke" ? 10 : 40;
-    std::vector<double> lat64 = TimeDirectScoring(*model, lane_queries, reps);
-    std::vector<double> lat32 =
-        TimeDirectScoring(*model32, lane_queries, reps);
+    auto [lat64, lat32] =
+        TimeDirectScoring(*model, *model32, lane_queries, reps);
     std::sort(lat64.begin(), lat64.end());
     std::sort(lat32.begin(), lat32.end());
     const double p50_64 = Quantile(lat64, 0.50);

@@ -1,12 +1,17 @@
 #!/usr/bin/env bash
 # CI entry point: builds the default and sanitized configurations and
 # runs the tier-1 suite (which includes the threads2, isa_baseline,
-# faults, serving, large_n, and precision variants), then the
-# sanitizer subset (now including the CSV/streaming loader suites)
-# plus the fault drills, serving format suite, and precision-tier
-# suite under asan/ubsan, and the ThreadSanitizer subset (which
-# includes the serving micro-batcher concurrency suite, the sharded
-# streaming suite and the large-n bench at smoke scale). Tier-1 runs three times at full parallelism. Mirrors the ROADMAP verify line;
+# faults, serving, large_n, and precision variants, and the training
+# lock at SBRL_ISA=baseline and under
+# GLIBC_TUNABLES=glibc.cpu.hwcaps=-AVX2,-FMA), then the sanitizer
+# subset (including the CSV/streaming loader suites and the SIMD
+# sweeps, whose per-ISA f64 ELU kernels have masked and padded tail
+# lanes) plus the fault drills, serving format suite, and
+# precision-tier suite under asan/ubsan, and the ThreadSanitizer subset
+# (which includes the serving micro-batcher concurrency suite, the
+# sharded streaming suite and the large-n bench at smoke scale).
+# Tier-1 runs three times at full parallelism. Mirrors the ROADMAP
+# verify line;
 # .github/workflows/ci.yml calls this script, and it runs unchanged on
 # any box with cmake + gcc/clang + gtest (google-benchmark and doxygen
 # are optional — the corresponding targets/tests skip when absent).

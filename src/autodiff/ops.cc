@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/thread_pool.h"
+#include "tensor/kernels.h"
 #include "tensor/linalg.h"
 
 namespace sbrl {
@@ -83,36 +84,79 @@ double StableSoftplus(double x) {
   return std::max(x, 0.0) + std::log1p(std::exp(-std::abs(x)));
 }
 
-/// Static activation policies for the fused network-step ops: F is the
-/// forward value (the same formulas the standalone UnaryOp activations
-/// evaluate, so fused and reference forwards are bitwise identical);
-/// D reconstructs the derivative from the POST-activation value alone.
-/// Every ActKind admits D(y) (it is the membership criterion): for
-/// elu, y > 0 iff x > 0 and y = expm1(x) on the negative branch, so
-/// the reference rule x > 0 ? 1 : y + 1 equals y > 0 ? 1 : y + 1 bit
-/// for bit; relu / tanh / sigmoid are standard. The policies are
-/// dispatched ONCE per op call (DispatchAct), so the per-element loops
-/// inline the activation exactly like the reference UnaryOp lambdas.
+/// Static activation policies shared by the fused layer ops and the
+/// standalone activations, so fused and reference forwards are bitwise
+/// identical by construction: Row applies the activation in place over
+/// a contiguous run; D reconstructs the derivative from the
+/// POST-activation value alone. Every ActKind admits D(y) (it is the
+/// membership criterion): for elu, y > 0 iff x > 0 and y = expm1(x) on
+/// the negative branch, so dy/dx = y > 0 ? 1 : y + 1; relu / tanh /
+/// sigmoid are standard. ELU's Row is the per-ISA kernel
+/// (LinalgKernels::elu), the library's one ELU formula; the others map
+/// a scalar F. The policies are dispatched ONCE per op call
+/// (DispatchAct), so the per-element loops inline.
+template <typename Act>
+struct PointwiseRow {
+  static void Row(double* x, int64_t n) {
+    for (int64_t i = 0; i < n; ++i) x[i] = Act::F(x[i]);
+  }
+};
 struct IdentityAct {
-  static double F(double x) { return x; }
+  static void Row(double*, int64_t) {}
   static double D(double) { return 1.0; }
 };
 struct EluAct {
-  static double F(double x) { return x > 0.0 ? x : std::expm1(x); }
+  static void Row(double* x, int64_t n) { ActiveLinalgKernels().elu(x, n); }
   static double D(double y) { return y > 0.0 ? 1.0 : y + 1.0; }
 };
-struct ReluAct {
+struct ReluAct : PointwiseRow<ReluAct> {
   static double F(double x) { return x > 0.0 ? x : 0.0; }
   static double D(double y) { return y > 0.0 ? 1.0 : 0.0; }
 };
-struct TanhAct {
+struct TanhAct : PointwiseRow<TanhAct> {
   static double F(double x) { return std::tanh(x); }
   static double D(double y) { return 1.0 - y * y; }
 };
-struct SigmoidAct {
+struct SigmoidAct : PointwiseRow<SigmoidAct> {
   static double F(double x) { return StableSigmoid(x); }
   static double D(double y) { return y * (1.0 - y); }
 };
+
+/// d(pre-activation) of an activation node, reconstructed from the
+/// upstream gradient and the stored POST-activation output alone (see
+/// the Act policy contract above). Returned in a pooled buffer.
+template <typename Act>
+Matrix DpreFromOutput(Tape* t, const Matrix& g, const Matrix& yv) {
+  Matrix dpre = t->NewZero(yv.rows(), yv.cols());
+  const double* gd = g.data();
+  const double* yd = yv.data();
+  double* pd = dpre.data();
+  ElementwiseFor(yv.size(), [gd, yd, pd](int64_t lo, int64_t hi) {
+    for (int64_t i = lo; i < hi; ++i) pd[i] = gd[i] * Act::D(yd[i]);
+  });
+  return dpre;
+}
+
+/// Standalone activation node y = act(x): Act::Row over a copy of x in
+/// elementwise chunks, backward through DpreFromOutput — the same
+/// kernels the fused layer ops run.
+template <typename Act>
+Var ActOp(Var a) {
+  Tape* t = a.tape();
+  SBRL_CHECK(a.valid());
+  Matrix out = t->NewZero(a.rows(), a.cols());
+  const double* xd = a.value().data();
+  double* od = out.data();
+  ElementwiseFor(out.size(), [xd, od](int64_t lo, int64_t hi) {
+    std::copy(xd + lo, xd + hi, od + lo);
+    Act::Row(od + lo, hi - lo);
+  });
+  const int ai = a.id(), self = t->size();
+  return t->MakeNode(std::move(out), {a}, [ai, self](Tape* t) {
+    t->AccumulateGrad(ai,
+                      DpreFromOutput<Act>(t, t->grad(self), t->value(self)));
+  });
+}
 
 /// Calls fn with the activation policy type selected by `act`.
 template <typename Fn>
@@ -448,17 +492,9 @@ Var Abs(Var a) {
       [](double x, double) { return x > 0.0 ? 1.0 : (x < 0.0 ? -1.0 : 0.0); });
 }
 
-Var Sigmoid(Var a) {
-  return UnaryOp(
-      a, [](double x) { return StableSigmoid(x); },
-      [](double, double y) { return y * (1.0 - y); });
-}
+Var Sigmoid(Var a) { return ActOp<SigmoidAct>(a); }
 
-Var Tanh(Var a) {
-  return UnaryOp(
-      a, [](double x) { return std::tanh(x); },
-      [](double, double y) { return 1.0 - y * y; });
-}
+Var Tanh(Var a) { return ActOp<TanhAct>(a); }
 
 Var Softplus(Var a) {
   return UnaryOp(
@@ -466,17 +502,9 @@ Var Softplus(Var a) {
       [](double x, double) { return StableSigmoid(x); });
 }
 
-Var Elu(Var a) {
-  return UnaryOp(
-      a, [](double x) { return x > 0.0 ? x : std::expm1(x); },
-      [](double x, double y) { return x > 0.0 ? 1.0 : y + 1.0; });
-}
+Var Elu(Var a) { return ActOp<EluAct>(a); }
 
-Var Relu(Var a) {
-  return UnaryOp(
-      a, [](double x) { return x > 0.0 ? x : 0.0; },
-      [](double x, double) { return x > 0.0 ? 1.0 : 0.0; });
-}
+Var Relu(Var a) { return ActOp<ReluAct>(a); }
 
 Var Cos(Var a) {
   return UnaryOp(
@@ -994,19 +1022,19 @@ void AddRowBroadcastInPlace(int64_t n, int64_t m, double* pd,
   });
 }
 
-/// Bias add and activation in one pass over a matmul output at `od`,
-/// in place; the pre-activation is overwritten and never kept. This is
-/// THE fused-affine forward loop — AffineAct's tape node and
-/// AffineActValue both run it, which is what makes InferenceNet
-/// forwards bitwise identical to the tape forward.
+/// Bias add and activation over a matmul output at `od`, in place, row
+/// by row (the activation is each row's epilogue); the pre-activation
+/// is overwritten and never kept. This is THE fused-affine forward loop
+/// — AffineAct's tape node and AffineActValue both run it, which is
+/// what makes InferenceNet forwards bitwise identical to the tape
+/// forward.
 template <typename Act>
 void BiasActInPlace(int64_t n, int64_t m, double* od, const double* bd) {
   RowwiseFor(n, m, [od, bd, m](int64_t r0, int64_t r1) {
     for (int64_t r = r0; r < r1; ++r) {
       double* orow = od + r * m;
-      for (int64_t c = 0; c < m; ++c) {
-        orow[c] = Act::F(orow[c] + bd[c]);
-      }
+      for (int64_t c = 0; c < m; ++c) orow[c] += bd[c];
+      Act::Row(orow, m);
     }
   });
 }
@@ -1027,8 +1055,9 @@ void BnInferActInPlace(int64_t n, int64_t m, double* od, double* hd,
         const int64_t i = r * m + c;
         const double h = (od[i] + -1.0 * md[c]) * sd[c];
         if (hd != nullptr) hd[i] = h;
-        od[i] = Act::F(h * gd[c] + bd[c]);
+        od[i] = h * gd[c] + bd[c];
       }
+      Act::Row(od + r * m, m);
     }
   });
 }
@@ -1043,23 +1072,8 @@ Matrix AffineForwardInto(Tape* t, const Matrix& xv, const Matrix& wv,
   return pre;
 }
 
-/// d(pre-activation) of a fused op, reconstructed from the upstream
-/// gradient and the stored POST-activation output alone (see the Act
-/// policy contract above). Returned in a pooled buffer.
-template <typename Act>
-Matrix DpreFromOutput(Tape* t, const Matrix& g, const Matrix& yv) {
-  Matrix dpre = t->NewZero(yv.rows(), yv.cols());
-  const double* gd = g.data();
-  const double* yd = yv.data();
-  double* pd = dpre.data();
-  ElementwiseFor(yv.size(), [gd, yd, pd](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) pd[i] = gd[i] * Act::D(yd[i]);
-  });
-  return dpre;
-}
-
 /// AffineAct body, templated on the activation policy so the
-/// per-element calls inline like the reference UnaryOp lambdas.
+/// per-element calls inline.
 template <typename Act>
 Var AffineActImpl(Var x, Var w, Var b) {
   Tape* t = SameTape(x, w);
@@ -1158,24 +1172,12 @@ Var AffineBatchNormActImpl(Var x, Var w, Var b, Var gamma, Var beta,
     for (int64_t c = 0; c < m; ++c) mu(0, c) += pre(r, c);
   }
   for (int64_t c = 0; c < m; ++c) mu(0, c) = inv_n * mu(0, c);
-  // centered = pre + (-mu), written into the xhat buffer.
-  Matrix xhat = t->NewZero(n, m);
-  {
-    double* hd = xhat.data();
-    const double* pd = pre.data();
-    const double* md = mu.data();
-    RowwiseFor(n, m, [hd, pd, md, m](int64_t r0, int64_t r1) {
-      for (int64_t r = r0; r < r1; ++r) {
-        for (int64_t c = 0; c < m; ++c) {
-          hd[r * m + c] = pd[r * m + c] + -1.0 * md[c];
-        }
-      }
-    });
-  }
+  // Biased variance of centered = pre + (-mu), ascending row order.
   Matrix var(1, m);
   for (int64_t r = 0; r < n; ++r) {
     for (int64_t c = 0; c < m; ++c) {
-      var(0, c) += xhat(r, c) * xhat(r, c);
+      const double centered = pre(r, c) + -1.0 * mu(0, c);
+      var(0, c) += centered * centered;
     }
   }
   for (int64_t c = 0; c < m; ++c) var(0, c) = inv_n * var(0, c);
@@ -1183,24 +1185,15 @@ Var AffineBatchNormActImpl(Var x, Var w, Var b, Var gamma, Var beta,
   for (int64_t c = 0; c < m; ++c) {
     inv_std(0, c) = 1.0 / std::sqrt(var(0, c) + eps);
   }
-  // xhat = centered * inv_std; out = act(xhat * gamma + beta) reuses
+  // xhat = (pre - mu) * inv_std; out = act(xhat * gamma + beta) reuses
   // the pre buffer — the pre-activation is consumed, never recorded.
-  {
-    double* hd = xhat.data();
-    double* od = pre.data();
-    const double* sd = inv_std.data();
-    const double* gd = gamma.value().data();
-    const double* bd = beta.value().data();
-    RowwiseFor(n, m, [hd, od, sd, gd, bd, m](int64_t r0, int64_t r1) {
-      for (int64_t r = r0; r < r1; ++r) {
-        for (int64_t c = 0; c < m; ++c) {
-          const double h = hd[r * m + c] * sd[c];
-          hd[r * m + c] = h;
-          od[r * m + c] = Act::F(h * gd[c] + bd[c]);
-        }
-      }
-    });
-  }
+  // The frozen-statistics pass run with the batch statistics: it
+  // centers exactly as above, so training and inference share one
+  // normalize + activation loop.
+  Matrix xhat = t->NewZero(n, m);
+  BnInferActInPlace<Act>(n, m, pre.data(), xhat.data(), mu.data(),
+                         inv_std.data(), gamma.value().data(),
+                         beta.value().data());
   *batch_mean = std::move(mu);
   *batch_var = std::move(var);
 

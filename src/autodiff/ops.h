@@ -75,7 +75,9 @@ Var Sigmoid(Var a);
 Var Tanh(Var a);
 /// Numerically stable log(1 + exp(a)).
 Var Softplus(Var a);
-/// Exponential linear unit with alpha = 1 (the paper's activation).
+/// Exponential linear unit with alpha = 1 (the paper's activation),
+/// through the per-ISA ELU kernel (LinalgKernels::elu) like every
+/// other ELU in the library.
 Var Elu(Var a);
 Var Relu(Var a);
 Var Cos(Var a);
@@ -136,7 +138,8 @@ Var Affine(Var x, Var w, Var b);
 /// emits dx / dW / db directly — the pre-activation never exists as a
 /// tape node. Values and gradients are bitwise identical to the
 /// reference composition ApplyActivation(Affine(x, w, b)): the same
-/// kernels accumulate in the same order, only the node count changes.
+/// kernels accumulate in the same order and the activations share one
+/// policy (for ELU, the per-ISA kernel), only the node count changes.
 /// dx is skipped when `x` is a constant (first-layer input).
 Var AffineAct(Var x, Var w, Var b, ActKind act);
 

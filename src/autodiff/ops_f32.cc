@@ -14,13 +14,10 @@ namespace {
 
 /// Float restatements of the activation policies in ops.cc (forward
 /// only — these kernels are tape-free). Same formulas evaluated in
-/// float math; the elu negative branch uses expm1 on float, sigmoid
-/// the stable split.
+/// float math, sigmoid the stable split. ELU has no policy: both
+/// callers run it as the vectorized EluF32InPlace sweep.
 struct IdentityActF32 {
   static float F(float x) { return x; }
-};
-struct EluActF32 {
-  static float F(float x) { return x > 0.0f ? x : std::expm1(x); }
 };
 struct ReluActF32 {
   static float F(float x) { return x > 0.0f ? x : 0.0f; }
@@ -41,10 +38,10 @@ template <typename Fn>
 auto DispatchActF32(ActKind act, Fn&& fn) {
   switch (act) {
     case ActKind::kIdentity: return fn(IdentityActF32{});
-    case ActKind::kElu: return fn(EluActF32{});
     case ActKind::kRelu: return fn(ReluActF32{});
     case ActKind::kTanh: return fn(TanhActF32{});
     case ActKind::kSigmoid: return fn(SigmoidActF32{});
+    case ActKind::kElu: break;  // the callers' EluF32InPlace sweep
   }
   SBRL_CHECK(false) << "unreachable";
   return fn(IdentityActF32{});
@@ -102,12 +99,9 @@ MatrixF32 AffineActValueF32(const MatrixF32& x, const MatrixF32& w,
   MatrixF32 out(n, m);
   MatmulF32Into(x, w, &out);
   if (act == ActKind::kElu) {
-    // The serving hot path: bias add as a plain sweep, then the ELU
-    // through the per-ISA vectorized exponential (common/simd.h) —
-    // the scalar expm1f per element would otherwise dominate the
-    // whole f32 forward.
-    BiasActF32InPlace<IdentityActF32>(n, m, out.data(), b.data());
-    EluF32InPlace(out.data(), n * m);
+    // The serving hot path: bias add and the ELU through the per-ISA
+    // vectorized exponential (common/simd.h) in one parallel pass.
+    EluF32InPlace(out.data(), n * m, b.data(), m);
     return out;
   }
   DispatchActF32(act, [&](auto policy) {

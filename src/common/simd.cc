@@ -158,8 +158,10 @@ void ScaledCosRowsInPlace(double* x, int64_t rows, int64_t cols,
   t_cos_sweep_nanos += static_cast<int64_t>(timer.ElapsedSeconds() * 1e9);
 }
 
-void EluF32InPlace(float* x, int64_t n) {
+void EluF32InPlace(float* x, int64_t n, const float* row_bias,
+                   int64_t row_width) {
   SBRL_CHECK_GE(n, 0);
+  SBRL_CHECK(row_bias == nullptr || row_width > 0);
   // Same block-aligned fan-out as the cosine sweeps (and the same flop
   // weight: one libm-class exponential per element), so an element's
   // SIMD-lane position never depends on the worker count. Unlike the
@@ -172,6 +174,12 @@ void EluF32InPlace(float* x, int64_t n) {
   ParallelFor(0, nblocks, grain, [&](int64_t lo, int64_t hi) {
     const int64_t b0 = lo * kCosSweepBlock;
     const int64_t b1 = std::min(hi * kCosSweepBlock, n);
+    if (row_bias != nullptr) {
+      for (int64_t i = b0, c = b0 % row_width; i < b1; ++i) {
+        x[i] += row_bias[c];
+        if (++c == row_width) c = 0;
+      }
+    }
     kernels.elu_f32(x + b0, b1 - b0);
   });
 }

@@ -78,12 +78,18 @@ void ScaledCosRowsInPlace(double* x, int64_t rows, int64_t cols,
 /// _ZGVeN16v_expf). The negative branch evaluates exp(x) - 1 rather
 /// than expm1, costing at most ~1.2e-7 absolute error near zero on top
 /// of expf's 4-ulp bound — inside the f32 tier's documented rounding
-/// budget (the bitwise f64 tier keeps scalar expm1). glibc >= 2.35
-/// also exports vector expm1f (_ZGV{b,c,d,e}N*v_expm1f); this sweep
-/// does not use it yet. Elementwise and chunked on kCosSweepBlock boundaries
+/// budget. (The f64 ELU is LinalgKernels::elu in tensor/kernels.h:
+/// libmvec's vector expm1 at the wide levels, scalar std::expm1 at
+/// baseline.) glibc >= 2.35 also exports vector expm1f
+/// (_ZGV{b,c,d,e}N*v_expm1f); this sweep does not use it yet.
+/// Elementwise and chunked on kCosSweepBlock boundaries
 /// like the cosine sweeps, so results are bitwise invariant to the
-/// worker-thread count at a fixed ISA level.
-void EluF32InPlace(float* x, int64_t n);
+/// worker-thread count at a fixed ISA level. When `row_bias` is
+/// non-null, x holds rows of `row_width` and each block first adds
+/// row_bias[column] to its elements — bitwise equal to a separate bias
+/// pass, without the extra parallel pass over the activations.
+void EluF32InPlace(float* x, int64_t n, const float* row_bias = nullptr,
+                   int64_t row_width = 0);
 
 /// Monotonically increasing PER-THREAD total of wall-clock seconds
 /// spent inside the cosine sweeps above, measured on the thread that

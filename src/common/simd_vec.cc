@@ -29,8 +29,10 @@ void ScaledCosSerialInPlace(double* x, int64_t n, double scale) {
 // The negative branch is exp(v) - 1, not expm1f (which glibc >= 2.35
 // also vectorizes as _ZGV*v_expm1f, unused here so far): near zero
 // that costs up to one ulp of 1 in absolute error (~1.2e-7) where
-// expm1 would be exact — inside the f32 tier's rounding budget, which
-// is why the f64 tier (bitwise expm1) stays the reference.
+// expm1 would be exact — inside the f32 tier's rounding budget. The
+// f64 ELU is not here but in the strict-IEEE kernel TUs
+// (LinalgKernels::elu): -ffinite-math-only could fold away its NaN
+// and -0.0 handling.
 void EluSerialInPlaceF32(float* x, int64_t n) {
   for (int64_t i = 0; i < n; ++i) {
     const float v = x[i];

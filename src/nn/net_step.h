@@ -23,7 +23,7 @@ namespace sbrl {
 /// all networks with ELU; kIdentity is the linear activation.
 using Activation = ops::ActKind;
 
-/// Applies `act` to `x` on the tape as one unfused UnaryOp node.
+/// Applies `act` to `x` on the tape as one unfused activation node.
 Var ApplyActivation(Var x, ops::ActKind act);
 
 }  // namespace sbrl

@@ -9,9 +9,9 @@
 namespace sbrl {
 
 /// Function-pointer table of the per-tile linear-algebra kernels behind
-/// the three hot kernel families (dense matmuls, the block-pair HSIC
-/// cross kernels, and — resolved separately in common/simd.cc for
-/// layering — the RFF cosine sweep). One table exists per Isa level;
+/// the hot kernel families (dense matmuls, the block-pair HSIC cross
+/// kernels, the f64 ELU, and — resolved separately in common/simd.cc
+/// for layering — the RFF cosine sweep). One table exists per Isa level;
 /// tensor/linalg.cc fetches ActiveLinalgKernels() at each public entry
 /// point and hands tiles to the resolved kernels, so the shape checks,
 /// serial cutoffs, and ParallelFor chunking live in exactly one place
@@ -31,6 +31,12 @@ namespace sbrl {
 ///    sum, so they are deterministic and thread-count-invariant WITHIN
 ///    a level but agree with baseline only to rounding (bounded by
 ///    tests/cpu_dispatch_test.cc).
+///  - elu is the single f64 ELU of the library. Baseline is scalar
+///    std::expm1; the wide levels call libmvec's vector expm1 (at most
+///    4 ulp from std::expm1, kVecCosMaxUlp's libmvec ceiling). At every
+///    level each output is a pure function of its input alone —
+///    independent of lane position, run length, and chunking — so it
+///    is bitwise thread- and position-invariant within a level.
 struct LinalgKernels {
   /// Rows [r0, r1) of out += a * b, a (n x k), b (k x m): each output
   /// element accumulates its k terms in ascending order.
@@ -78,6 +84,10 @@ struct LinalgKernels {
                                           int64_t n, int64_t block,
                                           const std::pair<int64_t, int64_t>* pd,
                                           int64_t p0, int64_t p1);
+  /// In-place ELU over a contiguous run: x[i] = x[i] > 0 ? x[i] :
+  /// expm1(x[i]). The ordered compare keeps NaN -> NaN, -inf -> -1 and
+  /// -0.0 -> -0.0; positive inputs pass through bit-exact.
+  using EluFn = void (*)(double* x, int64_t n);
 
   /// Matmul tile kernel of this level.
   MatmulRowsFn matmul_rows;
@@ -91,6 +101,8 @@ struct LinalgKernels {
   BlockCrossGradDwFn block_cross_grad_dw;
   /// Generic block-pair forward fallback of this level.
   BlockCrossFwdGenericFn block_cross_fwd_generic;
+  /// ELU kernel of this level.
+  EluFn elu;
 };
 
 /// The kernel table of one Isa level. Levels not compiled into this

@@ -44,6 +44,8 @@ void BaselineBlockCrossFwdGeneric(const double* ad, int64_t acols,
                                   int64_t block,
                                   const std::pair<int64_t, int64_t>* pd,
                                   int64_t p0, int64_t p1);
+/// See LinalgKernels::EluFn: scalar std::expm1 on the negative branch.
+void BaselineElu(double* x, int64_t n);
 /// f32-tier baseline matmul: the f64 baseline loop shape restated on
 /// floats.
 void BaselineMatmulRowsF32(const float* a, const float* b, float* o,
@@ -82,6 +84,8 @@ void Avx2BlockCrossFwdGeneric(const double* ad, int64_t acols,
                               int64_t block,
                               const std::pair<int64_t, int64_t>* pd,
                               int64_t p0, int64_t p1);
+/// See LinalgKernels::EluFn: libmvec _ZGVdN4v_expm1, padded-copy tail.
+void Avx2Elu(double* x, int64_t n);
 /// f32-tier AVX2 matmul (8-lane ymm), bitwise equal to the f32
 /// baseline.
 void Avx2MatmulRowsF32(const float* a, const float* b, float* o, int64_t k,
@@ -118,6 +122,8 @@ void Avx512BlockCrossFwdGeneric(const double* ad, int64_t acols,
                                 int64_t block,
                                 const std::pair<int64_t, int64_t>* pd,
                                 int64_t p0, int64_t p1);
+/// See LinalgKernels::EluFn: libmvec _ZGVeN8v_expm1, masked tail.
+void Avx512Elu(double* x, int64_t n);
 /// f32-tier AVX-512 matmul (16-lane zmm), bitwise equal to the f32
 /// baseline.
 void Avx512MatmulRowsF32(const float* a, const float* b, float* o, int64_t k,

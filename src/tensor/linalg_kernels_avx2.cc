@@ -27,6 +27,10 @@
 
 #include <algorithm>
 
+// libmvec's 4-lane AVX2 expm1 (glibc >= 2.35), called directly: each
+// lane's result depends on that lane's input alone.
+extern "C" __m256d _ZGVdN4v_expm1(__m256d);
+
 namespace sbrl {
 namespace linalg_kernels {
 
@@ -35,6 +39,15 @@ namespace {
 // Same j-panel width as the baseline kernel: a (k x 128) slab of B
 // stays hot in L2 across the rows of an i-range.
 constexpr int64_t kJBlock = 128;
+
+/// ELU of four lanes: the ordered compare x > 0 passes positive lanes
+/// through and sends the rest (negatives, -0.0, -inf, NaN) to expm1;
+/// positive lanes enter expm1 as +0.0 so they never take its slow path.
+inline __m256d EluLanes(__m256d v) {
+  const __m256d pos = _mm256_cmp_pd(v, _mm256_setzero_pd(), _CMP_GT_OQ);
+  const __m256d e = _ZGVdN4v_expm1(_mm256_andnot_pd(pos, v));
+  return _mm256_blendv_pd(e, v, pos);
+}
 
 /// Fixed-shape horizontal sum: (v0 + v2) + (v1 + v3). Every dot-shaped
 /// kernel in this file collapses its lanes through this exact tree, so
@@ -402,6 +415,20 @@ bool Avx2BlockCrossGradDw(int64_t block, const double* gd, const double* fd,
       BlockCrossGradDwImpl<8>(gd, fd, dwd, fcols, pd, num_pairs, r0, r1);
       return true;
     default: return false;
+  }
+}
+
+void Avx2Elu(double* x, int64_t n) {
+  int64_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    _mm256_storeu_pd(x + i, EluLanes(_mm256_loadu_pd(x + i)));
+  }
+  if (i < n) {
+    // Zero-padded copy: the tail runs through the same vector call.
+    double pad[4] = {0.0, 0.0, 0.0, 0.0};
+    std::copy(x + i, x + n, pad);
+    _mm256_storeu_pd(pad, EluLanes(_mm256_loadu_pd(pad)));
+    std::copy(pad, pad + (n - i), x + i);
   }
 }
 

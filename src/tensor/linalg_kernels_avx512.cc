@@ -18,6 +18,10 @@
 
 #include <algorithm>
 
+// libmvec's 8-lane AVX-512 expm1 (glibc >= 2.35), called directly: each
+// lane's result depends on that lane's input alone.
+extern "C" __m512d _ZGVeN8v_expm1(__m512d);
+
 namespace sbrl {
 namespace linalg_kernels {
 
@@ -29,6 +33,13 @@ constexpr int64_t kJBlock = 128;
 /// Lane mask selecting the low 5 doubles of a zmm — the B = 5 block
 /// kernels below keep 5-wide rows in masked 8-lane registers.
 constexpr __mmask8 kMask5 = 0x1F;
+
+/// ELU of eight lanes; see EluLanes in linalg_kernels_avx2.cc.
+inline __m512d EluLanes(__m512d v) {
+  const __mmask8 pos = _mm512_cmp_pd_mask(v, _mm512_setzero_pd(), _CMP_GT_OQ);
+  const __m512d e = _ZGVeN8v_expm1(_mm512_maskz_mov_pd(~pos, v));
+  return _mm512_mask_blend_pd(pos, e, v);
+}
 
 }  // namespace
 
@@ -385,6 +396,19 @@ bool Avx512BlockCrossGradDw(int64_t block, const double* gd, const double* fd,
       BlockCrossGradDwImpl<8>(gd, fd, dwd, fcols, pd, num_pairs, r0, r1);
       return true;
     default: return false;
+  }
+}
+
+void Avx512Elu(double* x, int64_t n) {
+  int64_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    _mm512_storeu_pd(x + i, EluLanes(_mm512_loadu_pd(x + i)));
+  }
+  if (i < n) {
+    // Masked tail: the absent lanes load as +0.0 and are never stored.
+    const __mmask8 tail = static_cast<__mmask8>((1u << (n - i)) - 1u);
+    _mm512_mask_storeu_pd(x + i, tail,
+                          EluLanes(_mm512_maskz_loadu_pd(tail, x + i)));
   }
 }
 

@@ -7,6 +7,7 @@
 // linalg_kernels_avx2.cc / linalg_kernels_avx512.cc.
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <utility>
 
@@ -252,6 +253,10 @@ void BaselineMatmulTransBRows(const double* __restrict ad,
       orow[j] += acc;
     }
   }
+}
+
+void BaselineElu(double* x, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) x[i] = x[i] > 0.0 ? x[i] : std::expm1(x[i]);
 }
 
 }  // namespace linalg_kernels

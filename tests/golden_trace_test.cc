@@ -29,106 +29,22 @@
 
 #include "common/thread_pool.h"
 #include "core/backbone.h"
-#include "core/dercfr.h"
 #include "core/trainer.h"
 #include "data/causal_dataset.h"
 #include "reference_net.h"
 #include "tensor/random.h"
+#include "training_trace.h"
 
 namespace sbrl {
 namespace {
 
-// Large enough that the first-layer matmul (n * d * rep_width flops)
-// crosses the ~64K-flop serial cutoff, so the thread-count-invariance
-// assertions actually exercise the parallel kernels.
-constexpr int64_t kSamples = 600;
-constexpr int64_t kDim = 10;
-constexpr int64_t kIterations = 6;
-
-/// Everything one training run pins down: the per-iteration loss trace
-/// (eval_every = 1) and the final parameter / weight values.
-struct Trace {
-  std::vector<double> train_loss;
-  std::vector<double> weight_loss;
-  std::vector<double> params;
-  std::vector<double> weights;
-};
-
-CausalDataset MakeDataset() {
-  Rng rng(2024);
-  CausalDataset data;
-  data.x = rng.Randn(kSamples, kDim);
-  data.t.resize(static_cast<size_t>(kSamples));
-  data.y = Matrix(kSamples, 1);
-  data.mu0 = Matrix(kSamples, 1);
-  data.mu1 = Matrix(kSamples, 1);
-  data.binary_outcome = false;
-  for (int64_t i = 0; i < kSamples; ++i) {
-    // Both arms guaranteed non-empty by the alternating fallback.
-    const bool treated = i < 2 ? (i == 0) : rng.Bernoulli(0.45);
-    data.t[static_cast<size_t>(i)] = treated ? 1 : 0;
-    const double base = 0.8 * data.x(i, 0) - 0.5 * data.x(i, 1);
-    const double effect = 1.0 + 0.3 * data.x(i, 2);
-    data.mu0(i, 0) = base;
-    data.mu1(i, 0) = base + effect;
-    data.y(i, 0) = (treated ? data.mu1(i, 0) : data.mu0(i, 0)) +
-                   rng.Normal(0.0, 0.1);
-  }
-  return data;
-}
-
-EstimatorConfig SmallConfig(bool batchnorm) {
-  EstimatorConfig config;
-  config.backbone = BackboneKind::kCfr;
-  config.framework = FrameworkKind::kSbrlHap;
-  config.network.rep_layers = 2;
-  config.network.rep_width = 16;
-  config.network.head_layers = 2;
-  config.network.head_width = 8;
-  config.network.batchnorm = batchnorm;
-  config.train.iterations = kIterations;
-  config.train.eval_every = 1;  // record the loss at every iteration
-  config.train.seed = 7;
-  config.sbrl.hsic_pair_budget = 12;
-  return config;
-}
-
-/// Trains `backbone` on `data` and records its trace.
-Trace TraceOf(const EstimatorConfig& config, Backbone* backbone,
-              const CausalDataset& data) {
-  SbrlTrainer trainer(config, backbone, /*binary_outcome=*/false);
-  TrainDiagnostics diag;
-  Matrix weights;
-  const Status status =
-      trainer.Train(data, /*valid=*/nullptr, &diag, &weights);
-  SBRL_CHECK(status.ok()) << status.ToString();
-  Trace trace;
-  trace.train_loss = diag.train_loss;
-  trace.weight_loss = diag.weight_loss;
-  std::vector<Param*> params;
-  backbone->CollectParams(&params);
-  for (const Param* p : params) {
-    for (int64_t i = 0; i < p->value.size(); ++i) {
-      trace.params.push_back(p->value[i]);
-    }
-  }
-  for (int64_t i = 0; i < weights.size(); ++i) {
-    trace.weights.push_back(weights[i]);
-  }
-  return trace;
-}
-
-/// The production trace: the backbone the estimator would build.
-Trace RunTrace(const EstimatorConfig& config) {
-  const CausalDataset data = MakeDataset();
-  Rng rng(config.train.seed);
-  std::unique_ptr<Backbone> backbone =
-      CreateBackbone(config, data.dim(), rng);
-  if (config.backbone == BackboneKind::kDerCfr) {
-    static_cast<DerCfrBackbone*>(backbone.get())->SetOutcomes(data.y);
-  }
-  return TraceOf(config, backbone.get(), data);
-}
+using trace::kIterations;
+using trace::kSamples;
+using trace::MakeDataset;
+using trace::RunTrace;
+using trace::SmallConfig;
+using trace::Trace;
+using trace::TraceOf;
 
 /// The reference trace of a CFR config: the same initial parameters
 /// trained through the per-primitive, full-batch ReferenceCfr.

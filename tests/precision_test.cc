@@ -140,6 +140,22 @@ TEST(PrecisionKernelTest, EluSweepF32StaysInsideBudget) {
   }
 }
 
+TEST(PrecisionKernelTest, EluSweepF32RowBiasEqualsSeparateBiasPass) {
+  // 700 rows of 13 straddle several sweep blocks mid-row.
+  Rng rng(505);
+  const int64_t rows = 700, width = 13;
+  const MatrixF32 x = MatrixF32::FromF64(rng.Randn(rows, width));
+  const MatrixF32 bias = MatrixF32::FromF64(rng.Randn(1, width));
+  MatrixF32 fused = x;
+  EluF32InPlace(fused.data(), rows * width, bias.data(), width);
+  MatrixF32 separate = x;
+  for (int64_t i = 0; i < rows * width; ++i) separate[i] += bias[i % width];
+  EluF32InPlace(separate.data(), rows * width);
+  for (int64_t i = 0; i < rows * width; ++i) {
+    ASSERT_EQ(fused[i], separate[i]) << i;
+  }
+}
+
 // ---------------------------------------------------------------------
 // The streamed sharded passes are f64 only: SBRL_PRECISION must not
 // reach them.

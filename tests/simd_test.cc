@@ -7,9 +7,16 @@
 //  - RffProjectionCache must be value-transparent: the decorrelation
 //    loss and its weight gradient are bitwise identical with the cache
 //    on and off, in both cosine modes (the cache never touches the
-//    numerics).
+//    numerics);
+//  - the f64 ELU kernel (LinalgKernels::elu) is lane-pure at every
+//    compiled level (an element's output equals its input run alone,
+//    whatever the run length or offset), stays within kVecCosMaxUlp of
+//    std::expm1 over an edge grid, passes positives through, equals
+//    std::expm1 at baseline, and keeps fused == reference and
+//    thread-count invariance bitwise.
 // The threads2 ctest variant reruns this suite under SBRL_NUM_THREADS=2,
-// exercising the block-aligned parallel fan-out of the sweeps.
+// exercising the block-aligned parallel fan-out of the sweeps. The
+// asan/ubsan build runs it too, covering the ELU kernels' tail lanes.
 
 #include <gtest/gtest.h>
 
@@ -22,8 +29,14 @@
 #include <utility>
 #include <vector>
 
+#include "autodiff/ops.h"
+#include "autodiff/tape.h"
+#include "common/cpu.h"
 #include "common/simd.h"
+#include "common/thread_pool.h"
 #include "core/independence_regularizer.h"
+#include "nn/net_step.h"
+#include "tensor/kernels.h"
 #include "tensor/random.h"
 
 namespace sbrl {
@@ -274,6 +287,186 @@ TEST(RffStackTest, ExactModeStackMatchesScalarFormulaBitwise) {
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// The f64 ELU kernel of each ISA level.
+// ---------------------------------------------------------------------------
+
+/// Every level this binary + host can run.
+std::vector<Isa> SupportedIsas() {
+  std::vector<Isa> isas = {Isa::kBaseline};
+  if (Isa::kAvx2 <= MaxSupportedIsa()) isas.push_back(Isa::kAvx2);
+  if (Isa::kAvx512 <= MaxSupportedIsa()) isas.push_back(Isa::kAvx512);
+  return isas;
+}
+
+double Bits(uint64_t u) {
+  double d;
+  std::memcpy(&d, &u, sizeof(d));
+  return d;
+}
+
+/// ELU through `isa`'s kernel, one element at a time.
+double EluAlone(Isa isa, double x) {
+  LinalgKernelsForIsa(isa).elu(&x, 1);
+  return x;
+}
+
+/// The non-positive edge grid of the ELU's expm1 branch.
+std::vector<double> EluEdgeInputs() {
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> xs = {
+      -0.0,   0.0,    Bits(1),  -Bits(1), -Bits(0x000fffffffffffffULL),
+      -1e-310, -2.2250738585072014e-308, -1e-300, -1e-17, -1e-8,
+      -0.5,   -1.0,   -37.5,   -709.9,  -745.2, -1000.0, -inf};
+  Rng rng(811);
+  for (int i = 0; i < 20000; ++i) xs.push_back(rng.Uniform(-40.0, 0.0));
+  for (int i = 0; i < 2000; ++i) xs.push_back(-std::exp(rng.Uniform(-60, 1)));
+  return xs;
+}
+
+TEST(EluKernelTest, EachOutputEqualsItsInputRunAlone) {
+  // Lane purity: lengths 1-67 at every offset 0-7 cover full vectors,
+  // every tail length and unaligned starts; the neighbours outside the
+  // run must stay untouched.
+  Rng rng(812);
+  std::vector<double> pool(75);
+  for (Isa isa : SupportedIsas()) {
+    SCOPED_TRACE(IsaName(isa));
+    for (int64_t len = 1; len <= 67; ++len) {
+      for (int64_t off = 0; off < 8; ++off) {
+        for (double& v : pool) v = rng.Normal(-1.0, 3.0);
+        pool[static_cast<size_t>(off + len / 2)] =
+            std::numeric_limits<double>::quiet_NaN();
+        std::vector<double> run = pool;
+        LinalgKernelsForIsa(isa).elu(run.data() + off, len);
+        for (int64_t i = 0; i < static_cast<int64_t>(pool.size()); ++i) {
+          const double x = pool[static_cast<size_t>(i)];
+          const double want = i < off || i >= off + len ? x : EluAlone(isa, x);
+          ASSERT_EQ(std::memcmp(&run[static_cast<size_t>(i)], &want,
+                                sizeof(double)),
+                    0)
+              << "len " << len << " offset " << off << " element " << i
+              << " x = " << x;
+        }
+      }
+    }
+  }
+}
+
+TEST(EluKernelTest, WithinUlpBoundOfStdExpm1OverEdgeGrid) {
+  const std::vector<double> xs = EluEdgeInputs();
+  for (Isa isa : SupportedIsas()) {
+    SCOPED_TRACE(IsaName(isa));
+    std::vector<double> ys = xs;
+    LinalgKernelsForIsa(isa).elu(ys.data(), static_cast<int64_t>(ys.size()));
+    for (size_t i = 0; i < xs.size(); ++i) {
+      const double want = xs[i] > 0.0 ? xs[i] : std::expm1(xs[i]);
+      EXPECT_LE(UlpDiff(want, ys[i]), kVecCosMaxUlp) << "x = " << xs[i];
+      EXPECT_EQ(std::signbit(want), std::signbit(ys[i])) << "x = " << xs[i];
+    }
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    EXPECT_TRUE(std::isnan(EluAlone(isa, nan)));
+    EXPECT_TRUE(std::isnan(EluAlone(isa, -nan)));
+    EXPECT_EQ(EluAlone(isa, -inf), -1.0);
+    EXPECT_TRUE(std::signbit(EluAlone(isa, -0.0)));
+    EXPECT_EQ(EluAlone(isa, -0.0), 0.0);
+  }
+}
+
+TEST(EluKernelTest, PositiveInputsPassThroughBitExact) {
+  std::vector<double> xs = {Bits(1), 1e-310, 1e-300, 1e-17, 0.5,   1.0,
+                            37.5,    709.9,  745.2,  1e300, 1.7976931348623157e308,
+                            std::numeric_limits<double>::infinity()};
+  Rng rng(813);
+  for (int i = 0; i < 1000; ++i) xs.push_back(rng.Uniform(0.0, 50.0));
+  for (Isa isa : SupportedIsas()) {
+    std::vector<double> ys = xs;
+    LinalgKernelsForIsa(isa).elu(ys.data(), static_cast<int64_t>(ys.size()));
+    for (size_t i = 0; i < xs.size(); ++i) {
+      EXPECT_EQ(ys[i], xs[i]) << IsaName(isa) << " x = " << xs[i];
+    }
+  }
+}
+
+TEST(EluKernelTest, BaselineIsScalarStdExpm1Bitwise) {
+  std::vector<double> xs = EluEdgeInputs();
+  xs.push_back(std::numeric_limits<double>::quiet_NaN());
+  std::vector<double> ys = xs;
+  LinalgKernelsForIsa(Isa::kBaseline).elu(ys.data(),
+                                          static_cast<int64_t>(ys.size()));
+  for (size_t i = 0; i < xs.size(); ++i) {
+    const double want = xs[i] > 0.0 ? xs[i] : std::expm1(xs[i]);
+    EXPECT_EQ(std::memcmp(&ys[i], &want, sizeof(double)), 0)
+        << "x = " << xs[i];
+  }
+}
+
+TEST(EluKernelTest, FusedAffineActEqualsReferenceCompositionAtOddWidth) {
+  // m = 13 leaves a tail in every row at every vector width, and the
+  // fused op runs the kernel per row while the reference runs it over
+  // elementwise chunks of the whole matrix.
+  const Matrix x0 = Rng(814).Randn(37, 6);
+  const Matrix w0 = Rng(815).Randn(6, 13);
+  const Matrix b0 = Rng(816).Randn(1, 13);
+  for (Isa isa : SupportedIsas()) {
+    SCOPED_TRACE(IsaName(isa));
+    ScopedThreadIsa pin(isa);
+    Tape t1;
+    Var x1 = t1.Leaf(x0), w1 = t1.Leaf(w0), b1 = t1.Leaf(b0);
+    Var fused = ops::AffineAct(x1, w1, b1, ops::ActKind::kElu);
+    t1.Backward(ops::SumAll(ops::Square(fused)));
+    Tape t2;
+    Var x2 = t2.Leaf(x0), w2 = t2.Leaf(w0), b2 = t2.Leaf(b0);
+    Var reference =
+        ApplyActivation(ops::Affine(x2, w2, b2), ops::ActKind::kElu);
+    t2.Backward(ops::SumAll(ops::Square(reference)));
+    const Matrix served =
+        ops::AffineActValue(x0, w0, b0, ops::ActKind::kElu, nullptr);
+    for (int64_t i = 0; i < fused.value().size(); ++i) {
+      ASSERT_EQ(fused.value()[i], reference.value()[i]) << "element " << i;
+      ASSERT_EQ(fused.value()[i], served[i]) << "element " << i;
+    }
+    for (int64_t i = 0; i < w0.size(); ++i) {
+      ASSERT_EQ(w1.grad()[i], w2.grad()[i]) << "dw element " << i;
+    }
+    for (int64_t i = 0; i < x0.size(); ++i) {
+      ASSERT_EQ(x1.grad()[i], x2.grad()[i]) << "dx element " << i;
+    }
+  }
+}
+
+TEST(EluKernelTest, LargeSweepBitwiseEqualAcrossThreadCounts) {
+  // 65,536 x 64 through both callers: the elementwise op (chunked by
+  // ElementwiseFor) and the fused bias + ELU rows (RowwiseFor).
+  const Matrix pre = Rng(817).Randn(65536, 64);
+  const Matrix x0 = Rng(818).Randn(65536, 3);
+  const Matrix w0 = Rng(819).Randn(3, 64);
+  const Matrix b0 = Rng(820).Randn(1, 64);
+  const int restore_workers = ThreadPool::GlobalParallelism() - 1;
+  for (Isa isa : SupportedIsas()) {
+    SCOPED_TRACE(IsaName(isa));
+    ScopedThreadIsa pin(isa);
+    std::vector<Matrix> elu, fused;
+    for (int threads : {1, 2, 4}) {
+      ThreadPool::ResetGlobalForTest(threads - 1);
+      Tape t;
+      elu.push_back(ops::Elu(t.Constant(pre)).value());
+      fused.push_back(
+          ops::AffineActValue(x0, w0, b0, ops::ActKind::kElu, nullptr));
+    }
+    for (size_t k = 1; k < elu.size(); ++k) {
+      EXPECT_EQ(std::memcmp(elu[0].data(), elu[k].data(),
+                            sizeof(double) * elu[0].size()),
+                0);
+      EXPECT_EQ(std::memcmp(fused[0].data(), fused[k].data(),
+                            sizeof(double) * fused[0].size()),
+                0);
+    }
+  }
+  ThreadPool::ResetGlobalForTest(restore_workers);
 }
 
 }  // namespace
