@@ -1,23 +1,27 @@
 // Microbenchmark of the dense-linalg hot kernels: the tiled parallel
 // Matmul against the seed repo's naive triple-loop kernel
 // (MatmulReference), plus the transpose-product kernels used by every
-// backward pass. The 256^3 case is this PR's acceptance gate: the tiled
-// kernel must beat the seed kernel even single-threaded
+// backward pass and the per-level ELU backward kernel. The tiled
+// kernel must beat the seed kernel at 256^3 even single-threaded
 // (SBRL_NUM_THREADS=1).
 //
 // Timings are written to BENCH_matmul_micro.json; the tiled kernel's
 // result is CHECKed AllClose against the reference on every shape, so
 // this bench doubles as an integration check of the blocked kernels.
 
+#include <algorithm>
+#include <cstring>
 #include <functional>
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/cpu.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
 #include "harness.h"
+#include "tensor/kernels.h"
 #include "tensor/linalg.h"
 #include "tensor/linalg_f32.h"
 #include "tensor/matrix_f32.h"
@@ -143,6 +147,42 @@ int Main() {
                 << f32_s * 1e3 << " ms)\n";
     }
     SetActiveIsa(IsaChoice::kAuto);
+  }
+
+  // ELU backward kernel (LinalgKernels::elu_grad) of every level the
+  // host supports, one serial call per rep at a stream shard layer
+  // (4096 x 64) and a sweep cell layer (300 x 32). Recorded as seconds
+  // per element; each level must reproduce the baseline bit for bit.
+  const int64_t grad_elems = scale.name == "smoke" ? 1 << 22 : 1 << 26;
+  for (const auto& [rows, cols] :
+       {std::pair<int64_t, int64_t>{4096, 64}, {300, 32}}) {
+    const int64_t n = rows * cols;
+    const Matrix g = rng.Randn(rows, cols);
+    Matrix y = rng.Randn(rows, cols);
+    LinalgKernelsForIsa(Isa::kBaseline).elu(y.data(), n);
+    Matrix want(rows, cols), out(rows, cols);
+    LinalgKernelsForIsa(Isa::kBaseline)
+        .elu_grad(g.data(), y.data(), want.data(), n);
+    const std::string tag = std::to_string(rows) + "x" + std::to_string(cols);
+    const int64_t grad_reps = std::max<int64_t>(1, grad_elems / n);
+    for (Isa isa : {Isa::kBaseline, Isa::kAvx2, Isa::kAvx512}) {
+      if (isa > MaxSupportedIsa()) continue;
+      const LinalgKernels& kernels = LinalgKernelsForIsa(isa);
+      kernels.elu_grad(g.data(), y.data(), out.data(), n);  // warm-up
+      Timer t;
+      for (int64_t r = 0; r < grad_reps; ++r) {
+        kernels.elu_grad(g.data(), y.data(), out.data(), n);
+        g_sink = g_sink + out.data()[r % n];
+      }
+      const double per_elem = t.ElapsedSeconds() / (grad_reps * n);
+      SBRL_CHECK(std::memcmp(out.data(), want.data(), sizeof(double) * n) ==
+                 0)
+          << IsaName(isa) << " elu_grad is not bitwise baseline at " << tag;
+      json.Record(std::string("elu_grad_") + IsaName(isa) + "/" + tag,
+                  per_elem);
+      std::cout << "elu_grad " << tag << " " << IsaName(isa) << ": "
+                << per_elem * 1e9 << " ns/element\n";
+    }
   }
   std::cout << "wrote " << json.WriteOrDie() << "\n";
   return 0;

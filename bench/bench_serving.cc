@@ -11,7 +11,8 @@
 // tier (SBRL_PRECISION=f32) and both tiers are timed on DIRECT batch
 // scoring — the micro-batched p50 includes the batcher's linger
 // window, so the tier comparison must not go through it. A smoke
-// guard CHECKs that the f32 direct p50 beats f64.
+// guard CHECKs that the f32 direct p50 beats f64; when it fails, it
+// prints each rep's f64 and f32 latency in call order.
 
 #include <algorithm>
 #include <chrono>
@@ -19,6 +20,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -198,6 +200,12 @@ int Main() {
     const int reps = scale.name == "smoke" ? 10 : 40;
     auto [lat64, lat32] =
         TimeDirectScoring(*model, *model32, lane_queries, reps);
+    // Each rep's pair in call order, for the guard's failure message.
+    std::ostringstream per_rep;
+    for (size_t r = 0; r < lat64.size(); ++r) {
+      per_rep << "\n  rep " << r << ": f64 " << lat64[r] * 1e6 << " us, f32 "
+              << lat32[r] * 1e6 << " us";
+    }
     std::sort(lat64.begin(), lat64.end());
     std::sort(lat32.begin(), lat32.end());
     const double p50_64 = Quantile(lat64, 0.50);
@@ -219,7 +227,7 @@ int Main() {
     // every scale, or the cheap tier is not earning its keep.
     SBRL_CHECK_LT(p50_32, p50_64)
         << "f32 serving p50 did not beat f64 (" << p50_32 << " vs "
-        << p50_64 << " s)";
+        << p50_64 << " s); per rep:" << per_rep.str();
   }
   TablePrinter table({"clients", "requests", "p50 us", "p99 us", "rows/sec",
                       "batches"});

@@ -9,7 +9,8 @@
 # lanes) plus the fault drills, serving format suite, and
 # precision-tier suite under asan/ubsan, and the ThreadSanitizer subset
 # (which includes the serving micro-batcher concurrency suite, the
-# sharded streaming suite and the large-n bench at smoke scale).
+# sharded streaming suite and the large-n bench at smoke scale), whose
+# thread-pool suite then repeats until it fails, up to 20 times.
 # Tier-1 runs three times at full parallelism. Mirrors the ROADMAP
 # verify line;
 # .github/workflows/ci.yml calls this script, and it runs unchanged on
@@ -80,5 +81,10 @@ echo "=== sanitized configuration (thread) ==="
 cmake -B "${PREFIX}-tsan" -S . -DSBRL_SANITIZE=thread
 cmake --build "${PREFIX}-tsan" -j "${JOBS}"
 ctest --test-dir "${PREFIX}-tsan" -L tsan --output-on-failure -j "${JOBS}"
+# The pool's exception and contention paths are timing-dependent under
+# tsan; repeat its suite so a rare interleaving fails CI instead of
+# hiding behind one lucky pass.
+ctest --test-dir "${PREFIX}-tsan" -L tsan -R thread_pool --output-on-failure \
+      --repeat until-fail:20
 
 echo "=== CI OK ==="

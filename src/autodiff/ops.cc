@@ -87,37 +87,43 @@ double StableSoftplus(double x) {
 /// Static activation policies shared by the fused layer ops and the
 /// standalone activations, so fused and reference forwards are bitwise
 /// identical by construction: Row applies the activation in place over
-/// a contiguous run; D reconstructs the derivative from the
-/// POST-activation value alone. Every ActKind admits D(y) (it is the
-/// membership criterion): for elu, y > 0 iff x > 0 and y = expm1(x) on
-/// the negative branch, so dy/dx = y > 0 ? 1 : y + 1; relu / tanh /
-/// sigmoid are standard. ELU's Row is the per-ISA kernel
-/// (LinalgKernels::elu), the library's one ELU formula; the others map
-/// a scalar F. The policies are dispatched ONCE per op call
-/// (DispatchAct), so the per-element loops inline.
+/// a contiguous run; Grad maps the upstream g to g * D(y), with the
+/// derivative D read off the POST-activation value alone. Every ActKind
+/// admits D(y) (it is the membership criterion): for elu, y > 0 iff
+/// x > 0 and y = expm1(x) on the negative branch, so dy/dx is 1 or
+/// y + 1; relu / tanh / sigmoid are standard. ELU's Row and Grad are
+/// the per-ISA kernels (LinalgKernels::elu / elu_grad), the library's
+/// one ELU forward and backward; the others map a scalar F and D. The
+/// policies are dispatched ONCE per op call (DispatchAct), so the
+/// per-element loops inline.
 template <typename Act>
-struct PointwiseRow {
+struct Pointwise {
   static void Row(double* x, int64_t n) {
     for (int64_t i = 0; i < n; ++i) x[i] = Act::F(x[i]);
   }
+  static void Grad(const double* g, const double* y, double* out, int64_t n) {
+    for (int64_t i = 0; i < n; ++i) out[i] = g[i] * Act::D(y[i]);
+  }
 };
-struct IdentityAct {
+struct IdentityAct : Pointwise<IdentityAct> {
   static void Row(double*, int64_t) {}
   static double D(double) { return 1.0; }
 };
 struct EluAct {
   static void Row(double* x, int64_t n) { ActiveLinalgKernels().elu(x, n); }
-  static double D(double y) { return y > 0.0 ? 1.0 : y + 1.0; }
+  static void Grad(const double* g, const double* y, double* out, int64_t n) {
+    ActiveLinalgKernels().elu_grad(g, y, out, n);
+  }
 };
-struct ReluAct : PointwiseRow<ReluAct> {
+struct ReluAct : Pointwise<ReluAct> {
   static double F(double x) { return x > 0.0 ? x : 0.0; }
   static double D(double y) { return y > 0.0 ? 1.0 : 0.0; }
 };
-struct TanhAct : PointwiseRow<TanhAct> {
+struct TanhAct : Pointwise<TanhAct> {
   static double F(double x) { return std::tanh(x); }
   static double D(double y) { return 1.0 - y * y; }
 };
-struct SigmoidAct : PointwiseRow<SigmoidAct> {
+struct SigmoidAct : Pointwise<SigmoidAct> {
   static double F(double x) { return StableSigmoid(x); }
   static double D(double y) { return y * (1.0 - y); }
 };
@@ -132,7 +138,7 @@ Matrix DpreFromOutput(Tape* t, const Matrix& g, const Matrix& yv) {
   const double* yd = yv.data();
   double* pd = dpre.data();
   ElementwiseFor(yv.size(), [gd, yd, pd](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) pd[i] = gd[i] * Act::D(yd[i]);
+    Act::Grad(gd + lo, yd + lo, pd + lo, hi - lo);
   });
   return dpre;
 }

@@ -13,8 +13,9 @@ namespace sbrl {
 
 namespace {
 
-/// True inside a pool worker thread; nested ParallelFor calls from a
-/// worker run inline to avoid self-deadlock.
+/// True inside a pool worker thread, and on a caller thread while it
+/// runs chunks; nested ParallelFor calls there run inline as one call
+/// to avoid self-deadlock.
 thread_local bool t_inside_worker = false;
 
 /// Runtime serial cutoff; 0 means "not yet resolved from the env".
@@ -77,6 +78,8 @@ void ThreadPool::RunChunks(Job& job) {
   // Execute at the dispatcher's kernel level (a no-op on the caller
   // thread itself, where this re-pins the level already active).
   ScopedThreadIsa isa_scope(job.caller_isa);
+  const bool was_inside = t_inside_worker;
+  t_inside_worker = true;
   // Chunks are independent, so an exception does not cancel the rest of
   // the loop — the first one is recorded and rethrown after the drain.
   for (;;) {
@@ -96,6 +99,7 @@ void ThreadPool::RunChunks(Job& job) {
       job.all_done.notify_all();
     }
   }
+  t_inside_worker = was_inside;
 }
 
 void ThreadPool::WorkerLoop() {
@@ -143,17 +147,16 @@ void ThreadPool::ParallelFor(int64_t begin, int64_t end, int64_t min_grain,
   job->chunks_total = (total + job->chunk - 1) / job->chunk;
   job->next.store(begin, std::memory_order_relaxed);
 
+  bool published = false;
   {
     std::unique_lock<std::mutex> lock(mu_, std::try_to_lock);
     // Another thread's loop is in flight (or dispatch is contended):
-    // run this one serially rather than waiting.
-    if (!lock.owns_lock() || job_ != nullptr) {
-      body(begin, end);
-      return;
-    }
-    job_ = job;
+    // the caller runs this job's chunks alone rather than waiting, so a
+    // throwing chunk does not skip the rest of the loop.
+    published = lock.owns_lock() && job_ == nullptr;
+    if (published) job_ = job;
   }
-  wake_.notify_all();
+  if (published) wake_.notify_all();
 
   RunChunks(*job);  // the caller is a full participant
 
@@ -164,11 +167,13 @@ void ThreadPool::ParallelFor(int64_t begin, int64_t end, int64_t min_grain,
              job->chunks_total;
     });
   }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    job_ = nullptr;
+  if (published) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      job_ = nullptr;
+    }
+    wake_.notify_all();
   }
-  wake_.notify_all();
 
   // Take the exception out of the job under its mutex: a worker may
   // still hold the last reference to the job, and the exception_ptr's

@@ -60,9 +60,10 @@ class ThreadPool {
   /// blocking until every chunk finished. Chunks hold at least
   /// `min_grain` indices (>= 1). The first exception thrown by any chunk
   /// is rethrown on the calling thread after the loop drains. Calls from
-  /// inside a worker (nested parallelism) and calls that arrive while
-  /// another loop is in flight run serially inline, so ParallelFor is
-  /// safe to use anywhere without deadlocking.
+  /// inside a chunk on any lane (nested parallelism) run serially inline
+  /// as one body(begin, end) call; calls from another thread while a
+  /// loop is in flight run their own chunks serially on that thread.
+  /// Either way ParallelFor is safe to use anywhere without deadlocking.
   void ParallelFor(int64_t begin, int64_t end, int64_t min_grain,
                    const std::function<void(int64_t, int64_t)>& body);
 

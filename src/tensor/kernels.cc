@@ -21,7 +21,7 @@ constexpr LinalgKernels kBaselineTable = {
     lk::BaselineMatmulRows,      lk::BaselineMatmulTransARows,
     lk::BaselineMatmulTransBRows, lk::BaselineBlockCrossFwd,
     lk::BaselineBlockCrossGradDw, lk::BaselineBlockCrossFwdGeneric,
-    lk::BaselineElu,
+    lk::BaselineElu, lk::BaselineEluGrad,
 };
 
 constexpr LinalgKernelsF32 kBaselineTableF32 = {
@@ -59,7 +59,7 @@ constexpr LinalgKernels kAvx2Table = {
     lk::Avx2MatmulRows,      lk::Avx2MatmulTransARows,
     lk::Avx2MatmulTransBRows, Avx2BlockCrossFwdOrBaseline,
     Avx2BlockCrossGradDwOrBaseline, lk::Avx2BlockCrossFwdGeneric,
-    lk::Avx2Elu,
+    lk::Avx2Elu, lk::Avx2EluGrad,
 };
 
 constexpr LinalgKernelsF32 kAvx2TableF32 = {
@@ -110,7 +110,7 @@ constexpr LinalgKernels kAvx512Table = {
     lk::Avx512MatmulRows,      lk::Avx512MatmulTransARows,
     lk::Avx512MatmulTransBRows, Avx512BlockCrossFwdOrBaseline,
     Avx512BlockCrossGradDwOrBaseline, lk::Avx512BlockCrossFwdGeneric,
-    lk::Avx512Elu,
+    lk::Avx512Elu, lk::Avx512EluGrad,
 };
 
 constexpr LinalgKernelsF32 kAvx512TableF32 = {

@@ -10,12 +10,12 @@ namespace sbrl {
 
 /// Function-pointer table of the per-tile linear-algebra kernels behind
 /// the hot kernel families (dense matmuls, the block-pair HSIC cross
-/// kernels, the f64 ELU, and — resolved separately in common/simd.cc
-/// for layering — the RFF cosine sweep). One table exists per Isa level;
-/// tensor/linalg.cc fetches ActiveLinalgKernels() at each public entry
-/// point and hands tiles to the resolved kernels, so the shape checks,
-/// serial cutoffs, and ParallelFor chunking live in exactly one place
-/// while the arithmetic inner loops are ISA-specialized.
+/// kernels, the f64 ELU and its backward, and — resolved separately in
+/// common/simd.cc for layering — the RFF cosine sweep). One table exists
+/// per Isa level; tensor/linalg.cc fetches ActiveLinalgKernels() at each
+/// public entry point and hands tiles to the resolved kernels, so the
+/// shape checks, serial cutoffs, and ParallelFor chunking live in
+/// exactly one place while the arithmetic inner loops are ISA-specialized.
 ///
 /// Determinism contract (docs/ARCHITECTURE.md "ISA dispatch"):
 ///  - The baseline table is the pre-dispatch scalar code verbatim:
@@ -37,6 +37,9 @@ namespace sbrl {
 ///    level each output is a pure function of its input alone —
 ///    independent of lane position, run length, and chunking — so it
 ///    is bitwise thread- and position-invariant within a level.
+///  - elu_grad is the single f64 ELU backward. Its compare, add, blend
+///    and multiply are exact, so it is bitwise identical across every
+///    level and thread count.
 struct LinalgKernels {
   /// Rows [r0, r1) of out += a * b, a (n x k), b (k x m): each output
   /// element accumulates its k terms in ascending order.
@@ -88,6 +91,11 @@ struct LinalgKernels {
   /// expm1(x[i]). The ordered compare keeps NaN -> NaN, -inf -> -1 and
   /// -0.0 -> -0.0; positive inputs pass through bit-exact.
   using EluFn = void (*)(double* x, int64_t n);
+  /// ELU backward from the POST-activation output over a contiguous
+  /// run: out[i] = g[i] * (y[i] > 0 ? 1 : y[i] + 1). The ordered
+  /// compare sends NaN y to the y + 1 branch, so NaN propagates.
+  using EluGradFn = void (*)(const double* g, const double* y, double* out,
+                             int64_t n);
 
   /// Matmul tile kernel of this level.
   MatmulRowsFn matmul_rows;
@@ -103,6 +111,8 @@ struct LinalgKernels {
   BlockCrossFwdGenericFn block_cross_fwd_generic;
   /// ELU kernel of this level.
   EluFn elu;
+  /// ELU backward kernel of this level.
+  EluGradFn elu_grad;
 };
 
 /// The kernel table of one Isa level. Levels not compiled into this

@@ -46,6 +46,8 @@ void BaselineBlockCrossFwdGeneric(const double* ad, int64_t acols,
                                   int64_t p0, int64_t p1);
 /// See LinalgKernels::EluFn: scalar std::expm1 on the negative branch.
 void BaselineElu(double* x, int64_t n);
+/// See LinalgKernels::EluGradFn: the scalar compare-and-select formula.
+void BaselineEluGrad(const double* g, const double* y, double* out, int64_t n);
 /// f32-tier baseline matmul: the f64 baseline loop shape restated on
 /// floats.
 void BaselineMatmulRowsF32(const float* a, const float* b, float* o,
@@ -86,6 +88,8 @@ void Avx2BlockCrossFwdGeneric(const double* ad, int64_t acols,
                               int64_t p0, int64_t p1);
 /// See LinalgKernels::EluFn: libmvec _ZGVdN4v_expm1, padded-copy tail.
 void Avx2Elu(double* x, int64_t n);
+/// See LinalgKernels::EluGradFn: 4-lane blend, scalar tail.
+void Avx2EluGrad(const double* g, const double* y, double* out, int64_t n);
 /// f32-tier AVX2 matmul (8-lane ymm), bitwise equal to the f32
 /// baseline.
 void Avx2MatmulRowsF32(const float* a, const float* b, float* o, int64_t k,
@@ -124,6 +128,8 @@ void Avx512BlockCrossFwdGeneric(const double* ad, int64_t acols,
                                 int64_t p0, int64_t p1);
 /// See LinalgKernels::EluFn: libmvec _ZGVeN8v_expm1, masked tail.
 void Avx512Elu(double* x, int64_t n);
+/// See LinalgKernels::EluGradFn: 8-lane masked blend, masked tail.
+void Avx512EluGrad(const double* g, const double* y, double* out, int64_t n);
 /// f32-tier AVX-512 matmul (16-lane zmm), bitwise equal to the f32
 /// baseline.
 void Avx512MatmulRowsF32(const float* a, const float* b, float* o, int64_t k,

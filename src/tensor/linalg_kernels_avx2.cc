@@ -49,6 +49,15 @@ inline __m256d EluLanes(__m256d v) {
   return _mm256_blendv_pd(e, v, pos);
 }
 
+/// ELU backward of four lanes: g * (y > 0 ? 1 : y + 1), the ordered
+/// compare sending NaN y to y + 1. Every step is exact per lane, so
+/// the lanes match the baseline's scalar formula bit for bit.
+inline __m256d EluGradLanes(__m256d g, __m256d y) {
+  const __m256d one = _mm256_set1_pd(1.0);
+  const __m256d pos = _mm256_cmp_pd(y, _mm256_setzero_pd(), _CMP_GT_OQ);
+  return _mm256_mul_pd(g, _mm256_blendv_pd(_mm256_add_pd(y, one), one, pos));
+}
+
 /// Fixed-shape horizontal sum: (v0 + v2) + (v1 + v3). Every dot-shaped
 /// kernel in this file collapses its lanes through this exact tree, so
 /// a given element's bits never depend on the call site.
@@ -430,6 +439,15 @@ void Avx2Elu(double* x, int64_t n) {
     _mm256_storeu_pd(pad, EluLanes(_mm256_loadu_pd(pad)));
     std::copy(pad, pad + (n - i), x + i);
   }
+}
+
+void Avx2EluGrad(const double* g, const double* y, double* out, int64_t n) {
+  int64_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    _mm256_storeu_pd(out + i, EluGradLanes(_mm256_loadu_pd(g + i),
+                                           _mm256_loadu_pd(y + i)));
+  }
+  for (; i < n; ++i) out[i] = g[i] * (y[i] > 0.0 ? 1.0 : y[i] + 1.0);
 }
 
 }  // namespace linalg_kernels

@@ -41,6 +41,15 @@ inline __m512d EluLanes(__m512d v) {
   return _mm512_mask_blend_pd(pos, e, v);
 }
 
+/// ELU backward of eight lanes; see EluGradLanes in
+/// linalg_kernels_avx2.cc.
+inline __m512d EluGradLanes(__m512d g, __m512d y) {
+  const __m512d one = _mm512_set1_pd(1.0);
+  const __mmask8 pos = _mm512_cmp_pd_mask(y, _mm512_setzero_pd(), _CMP_GT_OQ);
+  return _mm512_mul_pd(g,
+                       _mm512_mask_blend_pd(pos, _mm512_add_pd(y, one), one));
+}
+
 }  // namespace
 
 // The matmul tile kernel is the shared baseline SOURCE, auto-vectorized
@@ -409,6 +418,21 @@ void Avx512Elu(double* x, int64_t n) {
     const __mmask8 tail = static_cast<__mmask8>((1u << (n - i)) - 1u);
     _mm512_mask_storeu_pd(x + i, tail,
                           EluLanes(_mm512_maskz_loadu_pd(tail, x + i)));
+  }
+}
+
+void Avx512EluGrad(const double* g, const double* y, double* out, int64_t n) {
+  int64_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    _mm512_storeu_pd(out + i, EluGradLanes(_mm512_loadu_pd(g + i),
+                                           _mm512_loadu_pd(y + i)));
+  }
+  if (i < n) {
+    const __mmask8 tail = static_cast<__mmask8>((1u << (n - i)) - 1u);
+    _mm512_mask_storeu_pd(
+        out + i, tail,
+        EluGradLanes(_mm512_maskz_loadu_pd(tail, g + i),
+                     _mm512_maskz_loadu_pd(tail, y + i)));
   }
 }
 

@@ -259,5 +259,12 @@ void BaselineElu(double* x, int64_t n) {
   for (int64_t i = 0; i < n; ++i) x[i] = x[i] > 0.0 ? x[i] : std::expm1(x[i]);
 }
 
+void BaselineEluGrad(const double* g, const double* y, double* out,
+                     int64_t n) {
+  for (int64_t i = 0; i < n; ++i) {
+    out[i] = g[i] * (y[i] > 0.0 ? 1.0 : y[i] + 1.0);
+  }
+}
+
 }  // namespace linalg_kernels
 }  // namespace sbrl

@@ -13,7 +13,10 @@
 //    whatever the run length or offset), stays within kVecCosMaxUlp of
 //    std::expm1 over an edge grid, passes positives through, equals
 //    std::expm1 at baseline, and keeps fused == reference and
-//    thread-count invariance bitwise.
+//    thread-count invariance bitwise;
+//  - the f64 ELU backward kernel (LinalgKernels::elu_grad) equals the
+//    scalar formula g * (y > 0 ? 1 : y + 1) bit for bit at every level,
+//    run length, offset, edge value and thread count.
 // The threads2 ctest variant reruns this suite under SBRL_NUM_THREADS=2,
 // exercising the block-aligned parallel fan-out of the sweeps. The
 // asan/ubsan build runs it too, covering the ELU kernels' tail lanes.
@@ -307,6 +310,24 @@ double Bits(uint64_t u) {
   return d;
 }
 
+/// The baseline's scalar ELU backward formula, the contract of every
+/// level.
+double EluGradFormula(double g, double y) {
+  return g * (y > 0.0 ? 1.0 : y + 1.0);
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/// Gradient of sum(elu(x) .* u) with respect to x, through ops::Elu.
+Matrix EluBackward(const Matrix& x, const Matrix& u) {
+  Tape t;
+  Var xv = t.Leaf(x);
+  t.Backward(ops::SumAll(ops::Mul(ops::Elu(xv), t.Constant(u))));
+  return xv.grad();
+}
+
 /// ELU through `isa`'s kernel, one element at a time.
 double EluAlone(Isa isa, double x) {
   LinalgKernelsForIsa(isa).elu(&x, 1);
@@ -435,13 +456,19 @@ TEST(EluKernelTest, FusedAffineActEqualsReferenceCompositionAtOddWidth) {
     for (int64_t i = 0; i < x0.size(); ++i) {
       ASSERT_EQ(x1.grad()[i], x2.grad()[i]) << "dx element " << i;
     }
+    for (int64_t i = 0; i < b0.size(); ++i) {
+      ASSERT_EQ(b1.grad()[i], b2.grad()[i]) << "db element " << i;
+    }
   }
 }
 
 TEST(EluKernelTest, LargeSweepBitwiseEqualAcrossThreadCounts) {
   // 65,536 x 64 through both callers: the elementwise op (chunked by
-  // ElementwiseFor) and the fused bias + ELU rows (RowwiseFor).
+  // ElementwiseFor) and the fused bias + ELU rows (RowwiseFor); and the
+  // backward kernel over ElementwiseFor chunks, which must also give
+  // the scalar formula's bits.
   const Matrix pre = Rng(817).Randn(65536, 64);
+  const Matrix u = Rng(824).Randn(65536, 64);
   const Matrix x0 = Rng(818).Randn(65536, 3);
   const Matrix w0 = Rng(819).Randn(3, 64);
   const Matrix b0 = Rng(820).Randn(1, 64);
@@ -449,15 +476,23 @@ TEST(EluKernelTest, LargeSweepBitwiseEqualAcrossThreadCounts) {
   for (Isa isa : SupportedIsas()) {
     SCOPED_TRACE(IsaName(isa));
     ScopedThreadIsa pin(isa);
-    std::vector<Matrix> elu, fused;
+    std::vector<Matrix> elu, fused, grad;
     for (int threads : {1, 2, 4}) {
       ThreadPool::ResetGlobalForTest(threads - 1);
       Tape t;
       elu.push_back(ops::Elu(t.Constant(pre)).value());
       fused.push_back(
           ops::AffineActValue(x0, w0, b0, ops::ActKind::kElu, nullptr));
+      grad.push_back(EluBackward(pre, u));
+    }
+    for (int64_t i = 0; i < pre.size(); ++i) {
+      ASSERT_TRUE(SameBits(grad[0][i], EluGradFormula(u[i], elu[0][i])))
+          << "element " << i;
     }
     for (size_t k = 1; k < elu.size(); ++k) {
+      EXPECT_EQ(std::memcmp(grad[0].data(), grad[k].data(),
+                            sizeof(double) * grad[0].size()),
+                0);
       EXPECT_EQ(std::memcmp(elu[0].data(), elu[k].data(),
                             sizeof(double) * elu[0].size()),
                 0);
@@ -467,6 +502,98 @@ TEST(EluKernelTest, LargeSweepBitwiseEqualAcrossThreadCounts) {
     }
   }
   ThreadPool::ResetGlobalForTest(restore_workers);
+}
+
+// ---------------------------------------------------------------------------
+// The f64 ELU backward kernel of each ISA level.
+// ---------------------------------------------------------------------------
+
+TEST(EluGradKernelTest, EqualsScalarFormulaAtEveryLengthAndOffset) {
+  // Lengths 1-67 at offsets 0-7 cover full vectors, every tail length
+  // and unaligned starts; y straddles 0 and -1 and holds a NaN, and the
+  // outputs outside the run must stay untouched.
+  Rng rng(821);
+  const double sentinel = -123.25;
+  std::vector<double> g(75), y(75);
+  for (Isa isa : SupportedIsas()) {
+    SCOPED_TRACE(IsaName(isa));
+    for (int64_t len = 1; len <= 67; ++len) {
+      for (int64_t off = 0; off < 8; ++off) {
+        for (size_t i = 0; i < g.size(); ++i) {
+          g[i] = rng.Normal(0.0, 2.0);
+          y[i] = rng.Normal(-0.5, 1.0);
+        }
+        y[static_cast<size_t>(off + len / 2)] =
+            std::numeric_limits<double>::quiet_NaN();
+        std::vector<double> out(g.size(), sentinel);
+        LinalgKernelsForIsa(isa).elu_grad(g.data() + off, y.data() + off,
+                                          out.data() + off, len);
+        for (int64_t i = 0; i < static_cast<int64_t>(out.size()); ++i) {
+          const size_t k = static_cast<size_t>(i);
+          const double want = i < off || i >= off + len
+                                  ? sentinel
+                                  : EluGradFormula(g[k], y[k]);
+          ASSERT_TRUE(SameBits(out[k], want))
+              << "len " << len << " offset " << off << " element " << i
+              << " g = " << g[k] << " y = " << y[k] << ": " << out[k]
+              << " vs " << want;
+        }
+      }
+    }
+  }
+}
+
+TEST(EluGradKernelTest, EqualsScalarFormulaOverEdgeGrid) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> ys = {
+      0.0, -0.0, Bits(1), -Bits(1), -1.0, std::nextafter(-1.0, 0.0),
+      0x1p-60, inf, -inf, nan};
+  const std::vector<double> gs = {0.0, -0.0, 1.0, -1.0, inf, -inf, nan, 1e308};
+  std::vector<double> g, y;
+  for (double yv : ys) {
+    for (double gv : gs) {
+      g.push_back(gv);
+      y.push_back(yv);
+    }
+  }
+  const int64_t n = static_cast<int64_t>(g.size());
+  for (Isa isa : SupportedIsas()) {
+    SCOPED_TRACE(IsaName(isa));
+    std::vector<double> out(g.size());
+    LinalgKernelsForIsa(isa).elu_grad(g.data(), y.data(), out.data(), n);
+    for (size_t i = 0; i < out.size(); ++i) {
+      EXPECT_TRUE(SameBits(out[i], EluGradFormula(g[i], y[i])))
+          << "g = " << g[i] << " y = " << y[i] << ": " << out[i];
+    }
+  }
+  // The ordered compare sends a NaN y to the y + 1 branch.
+  for (Isa isa : SupportedIsas()) {
+    double one = 1.0, out = 0.0;
+    LinalgKernelsForIsa(isa).elu_grad(&one, &nan, &out, 1);
+    EXPECT_TRUE(std::isnan(out)) << IsaName(isa);
+  }
+}
+
+TEST(EluGradKernelTest, BitwiseEqualAcrossLevels) {
+  Rng rng(822);
+  const int64_t n = 100003;
+  std::vector<double> g(static_cast<size_t>(n)), y(g.size());
+  for (size_t i = 0; i < g.size(); ++i) {
+    g[i] = rng.Normal(0.0, 3.0);
+    y[i] = i % 3 == 0 ? std::expm1(rng.Uniform(-40.0, 0.0))
+                      : rng.Normal(0.0, 1.0);
+  }
+  std::vector<double> want(g.size());
+  LinalgKernelsForIsa(Isa::kBaseline)
+      .elu_grad(g.data(), y.data(), want.data(), n);
+  for (Isa isa : SupportedIsas()) {
+    std::vector<double> out(g.size());
+    LinalgKernelsForIsa(isa).elu_grad(g.data(), y.data(), out.data(), n);
+    EXPECT_EQ(std::memcmp(out.data(), want.data(), sizeof(double) * g.size()),
+              0)
+        << IsaName(isa);
+  }
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Tests for the ThreadPool / ParallelFor backend: coverage of every
-// index exactly once, 0/1-worker edge cases, exception propagation,
-// nested use, and grain-based serial fallback.
+// index exactly once, 0/1-worker edge cases, exception propagation
+// (also on the contended path, where a loop arrives while another is
+// in flight), nested use, and grain-based serial fallback.
 
 #include "common/thread_pool.h"
 
@@ -89,6 +90,41 @@ TEST(ThreadPoolTest, PropagatesFirstException) {
   EXPECT_GT(completed.load(), 0);
 }
 
+TEST(ThreadPoolTest, PropagatesFirstExceptionWhileAnotherLoopIsInFlight) {
+  // The contended path, forced: a first loop holds every lane until
+  // released, so a second thread's loop finds the pool busy and runs
+  // its chunks alone on that thread. A throwing first chunk must not
+  // skip the others there either.
+  ThreadPool pool(2);
+  std::atomic<bool> first_loop_running{false};
+  std::atomic<bool> release{false};
+  std::thread first([&] {
+    pool.ParallelFor(0, 3, 1, [&](int64_t, int64_t) {
+      first_loop_running.store(true);
+      while (!release.load()) std::this_thread::yield();
+    });
+  });
+  while (!first_loop_running.load()) std::this_thread::yield();
+
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int64_t> completed{0};
+  try {
+    pool.ParallelFor(0, 1000, 1, [&](int64_t lo, int64_t hi) {
+      EXPECT_EQ(std::this_thread::get_id(), caller);
+      if (lo == 0) throw std::runtime_error("chunk failed");
+      completed.fetch_add(hi - lo);
+    });
+    ADD_FAILURE() << "expected exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "chunk failed");
+  }
+  release.store(true);
+  first.join();
+  // Every chunk but the throwing one ran before the rethrow.
+  EXPECT_GT(completed.load(), 0);
+  EXPECT_LT(completed.load(), 1000);
+}
+
 TEST(ThreadPoolTest, PoolStaysUsableAfterException) {
   // Robustness contract: a throwing chunk must not wedge workers or
   // poison pool state — the very next ParallelFor on the same pool has
@@ -141,6 +177,21 @@ TEST(ThreadPoolTest, NestedParallelForRunsInline) {
     }
   });
   EXPECT_EQ(total.load(), 80);
+}
+
+TEST(ThreadPoolTest, NestedLoopIsOneCallOnEveryLaneCallerIncluded) {
+  // A nested loop never chunks, whichever lane runs the outer chunk:
+  // the caller's lane must not pay the contended path's partition.
+  ThreadPool pool(2);
+  std::atomic<int> split_calls{0};
+  pool.ParallelFor(0, 12, 1, [&](int64_t lo, int64_t hi) {
+    for (int64_t i = lo; i < hi; ++i) {
+      pool.ParallelFor(0, 100, 1, [&](int64_t l2, int64_t h2) {
+        if (l2 != 0 || h2 != 100) split_calls.fetch_add(1);
+      });
+    }
+  });
+  EXPECT_EQ(split_calls.load(), 0);
 }
 
 TEST(ThreadPoolTest, ReusableAcrossManyLoops) {
