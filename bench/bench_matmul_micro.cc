@@ -23,8 +23,6 @@
 #include "harness.h"
 #include "tensor/kernels.h"
 #include "tensor/linalg.h"
-#include "tensor/linalg_f32.h"
-#include "tensor/matrix_f32.h"
 #include "tensor/random.h"
 
 namespace sbrl {
@@ -44,17 +42,6 @@ double TimeOp(const std::function<Matrix()>& op, int reps, Matrix* witness) {
   for (int r = 0; r < reps; ++r) {
     Matrix out = op();
     g_sink = g_sink + out.data()[0];
-  }
-  return t.ElapsedSeconds() / reps;
-}
-
-double TimeOpF32(const std::function<MatrixF32()>& op, int reps,
-                 MatrixF32* witness) {
-  *witness = op();  // warm-up, kept for the correctness check
-  Timer t;
-  for (int r = 0; r < reps; ++r) {
-    MatrixF32 out = op();
-    g_sink = g_sink + static_cast<double>(out.data()[0]);
   }
   return t.ElapsedSeconds() / reps;
 }
@@ -109,11 +96,7 @@ int Main() {
     // forced via SetActiveIsa, so BENCH_matmul_micro.json tracks the
     // dispatch win (and each level's result is re-checked against the
     // reference). The trans_b lane tracks the blocked-panel wide
-    // kernel, and the f32 lane the serving tier's float matmul on the
-    // same tables (checked against the f64 reference under the tier's
-    // rounding budget). The auto-resolved level is restored afterwards.
-    const MatrixF32 a32 = MatrixF32::FromF64(a);
-    const MatrixF32 b32 = MatrixF32::FromF64(b);
+    // kernel. The auto-resolved level is restored afterwards.
     for (Isa isa : {Isa::kBaseline, Isa::kAvx2, Isa::kAvx512}) {
       if (isa > MaxSupportedIsa()) continue;
       // A SBRL_ISA env override outranks the forced choice; skip levels
@@ -135,16 +118,8 @@ int Main() {
           << IsaName(isa) << " MatmulTransB diverges at " << tag;
       json.Record(std::string("matmul_trans_b_") + IsaName(isa) + "/" + tag,
                   tb_s);
-      MatrixF32 f32_out;
-      const double f32_s = TimeOpF32([&] { return MatmulF32(a32, b32); },
-                                     reps, &f32_out);
-      SBRL_CHECK(AllClose(ref_out, f32_out.ToF64(), 5e-3))
-          << IsaName(isa) << " MatmulF32 diverges at " << tag;
-      json.Record(std::string("matmul_f32_") + IsaName(isa) + "/" + tag,
-                  f32_s);
       std::cout << "  " << IsaName(isa) << ": " << isa_s * 1e3
-                << " ms (trans_b " << tb_s * 1e3 << " ms, f32 "
-                << f32_s * 1e3 << " ms)\n";
+                << " ms (trans_b " << tb_s * 1e3 << " ms)\n";
     }
     SetActiveIsa(IsaChoice::kAuto);
   }

@@ -1,29 +1,21 @@
 // Benchmarks the CATE serving stack end to end: trains CFR + SBRL-HAP
-// at the bench scale, exports it (with a fitted OOD detector and the
-// optional f32 weights section) through the on-disk model format,
-// reloads it as a ServingModel, CHECKs that micro-batched serving is
-// bitwise equal to direct scoring, and then drives the MicroBatcher
-// with concurrent client threads, recording per-request p50/p99
-// latency and sustained throughput at each client count into
-// BENCH_serving.json (directory overridable via SBRL_BENCH_JSON_DIR).
+// at the bench scale, exports it (with a fitted OOD detector) through
+// the on-disk model format, reloads it as a ServingModel, CHECKs that
+// micro-batched serving is bitwise equal to direct scoring, and then
+// drives the MicroBatcher with concurrent client threads, recording
+// per-request p50/p99 latency and sustained throughput at each client
+// count into BENCH_serving.json (directory overridable via
+// SBRL_BENCH_JSON_DIR).
 //
-// Precision lanes: the same file is additionally loaded under the f32
-// tier (SBRL_PRECISION=f32) and both tiers are timed on DIRECT batch
-// scoring — the micro-batched p50 includes the batcher's linger
-// window, so the tier comparison must not go through it. A smoke
-// guard CHECKs that the f32 direct p50 beats f64; when it fails, it
-// prints each rep's f64 and f32 latency in call order.
+// Direct lane: the forward alone is also timed on DIRECT batch scoring
+// (the micro-batched p50 includes the batcher's linger window).
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "common/string_util.h"
@@ -57,49 +49,17 @@ double Quantile(const std::vector<double>& sorted, double q) {
 // Keeps the timed scoring loops from being optimized away.
 volatile double g_sink = 0.0;
 
-/// Pins SBRL_PRECISION for the lifetime of the object, restoring the
-/// previous value (or unset state) on destruction — the benches force
-/// each tier explicitly so lanes stay labeled correctly even when the
-/// ambient environment carries its own override.
-class ScopedPrecisionEnv {
- public:
-  explicit ScopedPrecisionEnv(const char* value) {
-    const char* old = std::getenv("SBRL_PRECISION");
-    had_old_ = old != nullptr;
-    if (had_old_) old_ = old;
-    ::setenv("SBRL_PRECISION", value, 1);
-  }
-  ~ScopedPrecisionEnv() {
-    if (had_old_) {
-      ::setenv("SBRL_PRECISION", old_.c_str(), 1);
-    } else {
-      ::unsetenv("SBRL_PRECISION");
-    }
-  }
-
- private:
-  bool had_old_ = false;
-  std::string old_;
-};
-
-/// Times `reps` direct ScoreOutcomes calls over `queries` on each of
-/// `a` and `b` and returns their per-call latencies (one warm-up call
-/// each runs first, untimed). The calls alternate between the models,
-/// so load from other processes on a shared host lands on both lanes
-/// alike instead of on whichever lane ran second.
-std::pair<std::vector<double>, std::vector<double>> TimeDirectScoring(
-    const serve::ServingModel& a, const serve::ServingModel& b,
-    const Matrix& queries, int reps) {
-  g_sink = g_sink + a.ScoreOutcomes(queries)[0] + b.ScoreOutcomes(queries)[0];
-  std::pair<std::vector<double>, std::vector<double>> latencies;
+/// Times `reps` direct ScoreOutcomes calls over `queries` and returns
+/// their per-call latencies (one warm-up call runs first, untimed).
+std::vector<double> TimeDirectScoring(const serve::ServingModel& model,
+                                      const Matrix& queries, int reps) {
+  g_sink = g_sink + model.ScoreOutcomes(queries)[0];
+  std::vector<double> latencies;
   for (int r = 0; r < reps; ++r) {
-    for (const serve::ServingModel* model : {&a, &b}) {
-      const auto start = Clock::now();
-      const Matrix out = model->ScoreOutcomes(queries);
-      (model == &a ? latencies.first : latencies.second)
-          .push_back(SecondsSince(start));
-      g_sink = g_sink + out[0];
-    }
+    const auto start = Clock::now();
+    const Matrix out = model.ScoreOutcomes(queries);
+    latencies.push_back(SecondsSince(start));
+    g_sink = g_sink + out[0];
   }
   return latencies;
 }
@@ -128,25 +88,12 @@ int Main() {
   StatusOr<OodLevelDetector> detector = OodLevelDetector::Fit(train.x);
   SBRL_CHECK(detector.ok()) << detector.status().ToString();
 
-  // Export through the real on-disk format (with the optional f32
-  // weights section) and serve from the reload — once per tier, each
-  // load pinned to its precision explicitly.
+  // Export through the real on-disk format and serve from the reload.
   const std::string model_path = ProcessScratchPath("BENCH_serving_model");
-  SBRL_CHECK(serve::ExportServingModel(*estimator, &*detector, model_path,
-                                       /*include_f32=*/true)
-                 .ok());
-  StatusOr<serve::ServingModel> model = [&] {
-    ScopedPrecisionEnv pin("f64");
-    return serve::ServingModel::Load(model_path);
-  }();
+  SBRL_CHECK(
+      serve::ExportServingModel(*estimator, &*detector, model_path).ok());
+  StatusOr<serve::ServingModel> model = serve::ServingModel::Load(model_path);
   SBRL_CHECK(model.ok()) << model.status().ToString();
-  SBRL_CHECK(model->precision() == Precision::kF64);
-  StatusOr<serve::ServingModel> model32 = [&] {
-    ScopedPrecisionEnv pin("f32");
-    return serve::ServingModel::Load(model_path);
-  }();
-  SBRL_CHECK(model32.ok()) << model32.status().ToString();
-  SBRL_CHECK(model32->precision() == Precision::kF32);
   std::remove(model_path.c_str());
 
   // Request stream: the far-OOD environment, the serving-time
@@ -171,63 +118,28 @@ int Main() {
       scale.name == "smoke" ? 200 : (scale.name == "full" ? 4000 : 1000);
   BenchJsonWriter json("serving", scale);
 
-  // ---- Precision lanes: direct batch scoring, f64 vs f32 tier. ----
+  // ---- Direct lane: batch scoring without the batcher. ----
   {
-    // Score parity first: the f32 tier must agree with the reference
-    // scorer within the serving tolerance before its timing counts
-    // (the per-method budgets live in tests/precision_test.cc; this is
-    // the flagship method's sanity bound on probabilities).
-    const Matrix scored64 = model->ScoreOutcomes(queries);
-    const Matrix scored32 = model32->ScoreOutcomes(queries);
-    double max_diff = 0.0;
-    for (int64_t i = 0; i < scored64.size(); ++i) {
-      max_diff = std::max(max_diff, std::abs(scored64[i] - scored32[i]));
-    }
-    SBRL_CHECK_LT(max_diff, 5e-3)
-        << "f32 serving diverged from f64 beyond the sanity bound";
-
-    // Timing batch: the tier targets bulk scoring, where the matmuls
-    // dominate — a tiny smoke batch is overhead-bound and says nothing
-    // about either tier, so the lane tiles the query set up to a fixed
-    // batch size before timing.
+    // Timing batch: a tiny smoke batch is overhead-bound and says
+    // nothing about the forward, so the lane tiles the query set up to
+    // a fixed batch size before timing.
     const int64_t lane_rows = std::max<int64_t>(queries.rows(), 4096);
     Matrix lane_queries(lane_rows, dim);
     for (int64_t i = 0; i < lane_rows; ++i) {
       const int64_t q = i % queries.rows();
       for (int64_t j = 0; j < dim; ++j) lane_queries(i, j) = queries(q, j);
     }
-
     const int reps = scale.name == "smoke" ? 10 : 40;
-    auto [lat64, lat32] =
-        TimeDirectScoring(*model, *model32, lane_queries, reps);
-    // Each rep's pair in call order, for the guard's failure message.
-    std::ostringstream per_rep;
-    for (size_t r = 0; r < lat64.size(); ++r) {
-      per_rep << "\n  rep " << r << ": f64 " << lat64[r] * 1e6 << " us, f32 "
-              << lat32[r] * 1e6 << " us";
-    }
-    std::sort(lat64.begin(), lat64.end());
-    std::sort(lat32.begin(), lat32.end());
-    const double p50_64 = Quantile(lat64, 0.50);
-    const double p50_32 = Quantile(lat32, 0.50);
-    const double rows = static_cast<double>(lane_rows);
-    const double rps64 = rows / p50_64;
-    const double rps32 = rows / p50_32;
-    json.Record("serving/direct_f64/p50", p50_64);
-    json.Record("serving/direct_f32/p50", p50_32);
-    json.Record("serving/direct_f64/rows_per_sec", rps64);
-    json.Record("serving/direct_f32/rows_per_sec", rps32);
-    json.Record("serving/direct_f32_speedup", rps32 / rps64);
-    json.Record("serving/f32_max_abs_diff", max_diff);
-    std::cout << "direct scoring (" << lane_rows << " rows/batch): f64 "
-              << p50_64 * 1e6 << " us p50, f32 " << p50_32 * 1e6
-              << " us p50 (" << FormatDouble(rps32 / rps64, 2)
-              << "x rows/sec, max |diff| " << max_diff << ")\n";
-    // The tier's smoke guard: f32 direct scoring must beat f64 at
-    // every scale, or the cheap tier is not earning its keep.
-    SBRL_CHECK_LT(p50_32, p50_64)
-        << "f32 serving p50 did not beat f64 (" << p50_32 << " vs "
-        << p50_64 << " s); per rep:" << per_rep.str();
+    std::vector<double> latencies =
+        TimeDirectScoring(*model, lane_queries, reps);
+    std::sort(latencies.begin(), latencies.end());
+    const double p50 = Quantile(latencies, 0.50);
+    const double rows_per_sec = static_cast<double>(lane_rows) / p50;
+    json.Record("serving/direct_f64/p50", p50);
+    json.Record("serving/direct_f64/rows_per_sec", rows_per_sec);
+    std::cout << "direct scoring (" << lane_rows << " rows/batch): "
+              << p50 * 1e6 << " us p50, "
+              << FormatDouble(rows_per_sec, 0) << " rows/sec\n";
   }
   TablePrinter table({"clients", "requests", "p50 us", "p99 us", "rows/sec",
                       "batches"});

@@ -15,15 +15,11 @@
 // "<name>/weight_step" entry records the seconds spent inside the
 // sample-weight phase, and a "<name>/rff_cos" entry the seconds
 // inside the RFF cosine sweeps, so the JSON captures the phase shares
-// of training over time. SBRL_COS_MODE=exact reruns the suite on the
-// scalar std::cos path at otherwise identical scale/flags — the
-// comparison documented in README "Vectorized RFF cosine".
+// of training over time.
 
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
 
 #include "common/timer.h"
@@ -48,18 +44,6 @@ ExperimentSession& Session() {
   return *session;
 }
 
-CosineMode CosModeFromEnv() {
-  const char* env = std::getenv("SBRL_COS_MODE");
-  if (env == nullptr || *env == '\0' ||
-      std::strcmp(env, "vectorized") == 0) {
-    return CosineMode::kVectorized;
-  }
-  SBRL_CHECK(std::strcmp(env, "exact") == 0)
-      << "SBRL_COS_MODE must be 'exact' or 'vectorized', got '" << env
-      << "'";
-  return CosineMode::kExact;
-}
-
 void TrainOnIhdp(benchmark::State& state, const MethodSpec& spec) {
   Scale scale = GetScale();
   // Table VI measures one execution; keep the iteration budget modest
@@ -70,7 +54,6 @@ void TrainOnIhdp(benchmark::State& state, const MethodSpec& spec) {
   for (auto _ : state) {
     EstimatorConfig config = WithMethod(BaseConfig(scale, 112), spec);
     config.train.eval_every = 0;  // measure the raw optimization loop
-    config.sbrl.rff_cos_mode = CosModeFromEnv();
     auto estimator = HteEstimator::Create(config);
     SBRL_CHECK(estimator.ok());
     ExperimentSession::RunLease lease = Session().AcquireRun();

@@ -11,7 +11,6 @@
 #include <utility>
 
 #include "common/cpu.h"
-#include "common/precision.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "data/split.h"
@@ -217,8 +216,6 @@ std::string BenchJsonWriter::WriteOrDie() const {
      << "  \"scale\": \"" << scale_name_ << "\",\n"
      << "  \"threads\": " << ThreadPool::GlobalParallelism() << ",\n"
      << "  \"isa\": \"" << IsaName(ActiveIsa()) << "\",\n"
-     << "  \"precision\": \""
-     << PrecisionName(ResolvePrecision(Precision::kF64)) << "\",\n"
      << "  \"cpu\": \"" << CpuFeatureString() << "\",\n"
      << "  \"build\": \"" << BuildFlagsString() << "\",\n"
      << "  \"entries\": [\n";

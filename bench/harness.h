@@ -85,10 +85,9 @@ void PrintBanner(const std::string& experiment,
 ///
 /// Alongside the timings, every file records the run metadata that
 /// makes numbers comparable across hosts: the resolved kernel ISA
-/// ("isa"), the ambient precision tier ("precision", the
-/// SBRL_PRECISION resolution at write time), the detected CPU feature
-/// set ("cpu"), the worker-lane count ("threads"), and the compiler +
-/// flags of the build ("build"). A perf delta without a matching metadata delta is a real
+/// ("isa"), the detected CPU feature set ("cpu"), the worker-lane
+/// count ("threads"), and the compiler + flags of the build ("build").
+/// A perf delta without a matching metadata delta is a real
 /// regression; one with a different ISA or host is not comparable.
 ///
 /// Every recorded timing is CHECKed finite and non-negative at write

@@ -1,13 +1,13 @@
 #!/usr/bin/env bash
 # CI entry point: builds the default and sanitized configurations and
 # runs the tier-1 suite (which includes the threads2, isa_baseline,
-# faults, serving, large_n, and precision variants, and the training
-# lock at SBRL_ISA=baseline and under
+# faults, serving, and large_n variants, and the training lock at
+# SBRL_ISA=baseline and under
 # GLIBC_TUNABLES=glibc.cpu.hwcaps=-AVX2,-FMA), then the sanitizer
 # subset (including the CSV/streaming loader suites and the SIMD
 # sweeps, whose per-ISA f64 ELU kernels have masked and padded tail
-# lanes) plus the fault drills, serving format suite, and
-# precision-tier suite under asan/ubsan, and the ThreadSanitizer subset
+# lanes) plus the fault drills and serving format suite under
+# asan/ubsan, and the ThreadSanitizer subset
 # (which includes the serving micro-batcher concurrency suite, the
 # sharded streaming suite and the large-n bench at smoke scale), whose
 # thread-pool suite then repeats until it fails, up to 20 times.
@@ -46,11 +46,6 @@ ctest --test-dir "${PREFIX}" -L serving --output-on-failure -j "${JOBS}"
 # large-n smoke guard); tier1-labeled, run explicitly as a labeling
 # guard.
 ctest --test-dir "${PREFIX}" -L large_n --output-on-failure -j "${JOBS}"
-# Precision tier (f32 serving error budgets — serving is the only f32
-# tier — its threads2/isa_baseline variants, the serving bench's f32
-# lanes);
-# tier1-labeled, run explicitly as a labeling guard.
-ctest --test-dir "${PREFIX}" -L precision --output-on-failure -j "${JOBS}"
 
 echo "=== sanitized configuration (address,undefined) ==="
 cmake -B "${PREFIX}-sanitize" -S . -DSBRL_SANITIZE=address,undefined
@@ -65,10 +60,6 @@ ctest --test-dir "${PREFIX}-sanitize" -L faults --output-on-failure \
 # The serving format suite rides along sanitized for the same reason
 # (serve/write + serve/read fault sites over raw byte buffers).
 ctest --test-dir "${PREFIX}-sanitize" -L serving --output-on-failure \
-      -j "${JOBS}"
-# The f32 serving tier's kernels under asan/ubsan: the wide kernels'
-# tail lanes and the narrow/widen buffers are the risk surface.
-ctest --test-dir "${PREFIX}-sanitize" -L precision --output-on-failure \
       -j "${JOBS}"
 
 echo "=== sanitized configuration (thread) ==="

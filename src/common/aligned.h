@@ -8,14 +8,13 @@
 
 namespace sbrl {
 
-/// Byte alignment of every Matrix / MatrixF32 backing allocation. 64
-/// bytes is one full AVX-512 vector (8 doubles / 16 floats) AND one
-/// x86 cache line, so a zmm load from data() + any multiple of the
-/// vector width is an aligned access and a row of either element type
-/// never straddles a line it did not have to. The dispatch kernels
-/// still use unaligned load instructions (loadu is penalty-free on
-/// aligned addresses since Nehalem) — alignment buys the memory
-/// system, not the decoder.
+/// Byte alignment of every Matrix backing allocation. 64 bytes is one
+/// full AVX-512 vector (8 doubles) AND one x86 cache line, so a zmm
+/// load from data() + any multiple of the vector width is an aligned
+/// access and a row never straddles a line it did not have to. The
+/// dispatch kernels still use unaligned load instructions (loadu is
+/// penalty-free on aligned addresses since Nehalem) — alignment buys
+/// the memory system, not the decoder.
 inline constexpr size_t kTensorAlignment = 64;
 
 /// Minimal C++17 allocator that over-aligns every allocation to
@@ -60,10 +59,9 @@ class AlignedAllocator {
 };
 
 /// std::vector with kTensorAlignment-aligned storage — the backing
-/// container of Matrix and MatrixF32, and the staging-buffer type the
-/// streaming CSV loader hands through Matrix::FromFlat (the zero-copy
-/// adoption seam requires the loader and the matrix to agree on the
-/// allocator).
+/// container of Matrix, and the staging-buffer type the streaming CSV
+/// loader hands through Matrix::FromFlat (the zero-copy adoption seam
+/// requires the loader and the matrix to agree on the allocator).
 template <typename T>
 using AlignedVector = std::vector<T, AlignedAllocator<T>>;
 

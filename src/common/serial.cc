@@ -46,13 +46,6 @@ void AppendMatrix(std::string* out, const Matrix& m) {
               static_cast<size_t>(m.size()) * sizeof(double));
 }
 
-void AppendMatrixF32(std::string* out, const MatrixF32& m) {
-  AppendScalar<uint64_t>(out, static_cast<uint64_t>(m.rows()));
-  AppendScalar<uint64_t>(out, static_cast<uint64_t>(m.cols()));
-  out->append(reinterpret_cast<const char*>(m.data()),
-              static_cast<size_t>(m.size()) * sizeof(float));
-}
-
 void AppendDoubleVector(std::string* out, const std::vector<double>& v) {
   AppendScalar<uint64_t>(out, v.size());
   out->append(reinterpret_cast<const char*>(v.data()),
@@ -81,16 +74,8 @@ bool ByteReader::ReadMatrix(Matrix* out) {
   return true;
 }
 
-bool ByteReader::ReadMatrixF32(MatrixF32* out) {
-  uint64_t rows = 0, cols = 0;
-  if (!ReadScalar(&rows) || !ReadScalar(&cols)) return false;
-  if (rows > (1ull << 30) || cols > (1ull << 30)) return false;
-  const uint64_t bytes = rows * cols * sizeof(float);
-  if (size_ - pos_ < bytes) return false;
-  *out = MatrixF32(static_cast<int64_t>(rows), static_cast<int64_t>(cols));
-  std::memcpy(out->data(), data_ + pos_, bytes);
-  pos_ += bytes;
-  return true;
+bool ByteReader::ReadCount(uint64_t* count, size_t min_item_bytes) {
+  return ReadScalar(count) && *count <= (size_ - pos_) / min_item_bytes;
 }
 
 bool ByteReader::ReadDoubleVector(std::vector<double>* out) {
@@ -233,6 +218,12 @@ StatusOr<std::vector<Section>> ReadSectionedFile(const FormatSpec& spec,
     return Status::Internal("truncated " + what + " header: " + path);
   }
 
+  // Each section takes at least its tag, size and CRC; a forged count
+  // beyond what the file can hold is truncation, not an allocation.
+  constexpr size_t kMinSectionBytes = 2 * sizeof(uint32_t) + sizeof(uint64_t);
+  if (section_count > (bytes.size() - pos) / kMinSectionBytes) {
+    return Status::Internal("truncated " + what + " section: " + path);
+  }
   std::vector<Section> sections;
   sections.reserve(section_count);
   for (uint32_t s = 0; s < section_count; ++s) {

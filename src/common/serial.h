@@ -9,7 +9,6 @@
 #include "common/status.h"
 #include "common/statusor.h"
 #include "tensor/matrix.h"
-#include "tensor/matrix_f32.h"
 
 namespace sbrl {
 namespace serial {
@@ -38,15 +37,16 @@ void AppendScalar(std::string* out, T v) {
   out->append(buf, sizeof(T));
 }
 
+/// Smallest encodings of a string and of a matrix: the length or shape
+/// prefix of an empty one (the per-item floors passed to ReadCount).
+constexpr size_t kMinStringBytes = sizeof(uint64_t);
+constexpr size_t kMinMatrixBytes = 2 * sizeof(uint64_t);
+
 /// Appends a u64 length prefix followed by the raw bytes of `s`.
 void AppendString(std::string* out, const std::string& s);
 
 /// Appends u64 rows, u64 cols, then the row-major f64 payload of `m`.
 void AppendMatrix(std::string* out, const Matrix& m);
-
-/// Appends u64 rows, u64 cols, then the row-major f32 payload of `m`
-/// (the serving model's optional f32 weights section).
-void AppendMatrixF32(std::string* out, const MatrixF32& m);
 
 /// Appends a u64 element count followed by the raw f64 payload of `v`.
 void AppendDoubleVector(std::string* out, const std::vector<double>& v);
@@ -77,9 +77,11 @@ class ByteReader {
   /// shapes beyond 2^30 per dimension (corrupted-size overflow guard).
   bool ReadMatrix(Matrix* out);
 
-  /// Reads a shape-prefixed f32 matrix written by AppendMatrixF32,
-  /// with the same 2^30-per-dimension overflow guard.
-  bool ReadMatrixF32(MatrixF32* out);
+  /// Reads a u64 item count for a list whose items each encode to at
+  /// least `min_item_bytes` bytes; false when that many items cannot
+  /// fit in the bytes left. Decoders size containers from the count,
+  /// so a forged count fails here instead of in an allocation.
+  bool ReadCount(uint64_t* count, size_t min_item_bytes);
 
   /// Reads a count-prefixed f64 vector written by AppendDoubleVector.
   bool ReadDoubleVector(std::vector<double>* out);

@@ -22,16 +22,13 @@ namespace simd_detail {
 // why the resolved level is pinned per process (common/cpu.h).
 void VecCosSerial(const double* x, double* y, int64_t n);
 void ScaledCosSerialInPlace(double* x, int64_t n, double scale);
-void EluSerialInPlaceF32(float* x, int64_t n);
 #if defined(SBRL_HAVE_ISA_AVX2)
 void VecCosSerialAvx2(const double* x, double* y, int64_t n);
 void ScaledCosSerialInPlaceAvx2(double* x, int64_t n, double scale);
-void EluSerialInPlaceF32Avx2(float* x, int64_t n);
 #endif
 #if defined(SBRL_HAVE_ISA_AVX512)
 void VecCosSerialAvx512(const double* x, double* y, int64_t n);
 void ScaledCosSerialInPlaceAvx512(double* x, int64_t n, double scale);
-void EluSerialInPlaceF32Avx512(float* x, int64_t n);
 #endif
 }  // namespace simd_detail
 
@@ -42,7 +39,6 @@ namespace {
 struct CosKernels {
   void (*vec_cos)(const double* x, double* y, int64_t n);
   void (*scaled_cos)(double* x, int64_t n, double scale);
-  void (*elu_f32)(float* x, int64_t n);
 };
 
 /// Vectorized-mode kernels of the active ISA level; levels not
@@ -53,19 +49,15 @@ CosKernels ActiveCosKernels() {
 #if defined(SBRL_HAVE_ISA_AVX2)
     case Isa::kAvx2:
       return {simd_detail::VecCosSerialAvx2,
-              simd_detail::ScaledCosSerialInPlaceAvx2,
-              simd_detail::EluSerialInPlaceF32Avx2};
+              simd_detail::ScaledCosSerialInPlaceAvx2};
 #endif
 #if defined(SBRL_HAVE_ISA_AVX512)
     case Isa::kAvx512:
       return {simd_detail::VecCosSerialAvx512,
-              simd_detail::ScaledCosSerialInPlaceAvx512,
-              simd_detail::EluSerialInPlaceF32Avx512};
+              simd_detail::ScaledCosSerialInPlaceAvx512};
 #endif
     default:
-      return {simd_detail::VecCosSerial,
-              simd_detail::ScaledCosSerialInPlace,
-              simd_detail::EluSerialInPlaceF32};
+      return {simd_detail::VecCosSerial, simd_detail::ScaledCosSerialInPlace};
   }
 }
 
@@ -156,32 +148,6 @@ void ScaledCosRowsInPlace(double* x, int64_t rows, int64_t cols,
     }
   });
   t_cos_sweep_nanos += static_cast<int64_t>(timer.ElapsedSeconds() * 1e9);
-}
-
-void EluF32InPlace(float* x, int64_t n, const float* row_bias,
-                   int64_t row_width) {
-  SBRL_CHECK_GE(n, 0);
-  SBRL_CHECK(row_bias == nullptr || row_width > 0);
-  // Same block-aligned fan-out as the cosine sweeps (and the same flop
-  // weight: one libm-class exponential per element), so an element's
-  // SIMD-lane position never depends on the worker count. Unlike the
-  // cosine sweeps this one does not accrue to the cosine-seconds
-  // counter — it belongs to the serving forward, not the RFF epilogue.
-  const CosKernels kernels = ActiveCosKernels();
-  const int64_t nblocks = (n + kCosSweepBlock - 1) / kCosSweepBlock;
-  const int64_t grain = std::max<int64_t>(
-      1, SerialCutoff() / (kCosSweepBlock * kCosFlopWeight));
-  ParallelFor(0, nblocks, grain, [&](int64_t lo, int64_t hi) {
-    const int64_t b0 = lo * kCosSweepBlock;
-    const int64_t b1 = std::min(hi * kCosSweepBlock, n);
-    if (row_bias != nullptr) {
-      for (int64_t i = b0, c = b0 % row_width; i < b1; ++i) {
-        x[i] += row_bias[c];
-        if (++c == row_width) c = 0;
-      }
-    }
-    kernels.elu_f32(x + b0, b1 - b0);
-  });
 }
 
 double CosSweepSecondsThisThread() {

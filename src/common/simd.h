@@ -7,7 +7,8 @@ namespace sbrl {
 
 /// How transcendental sweeps (today: the RFF cosine epilogue) are
 /// evaluated: a fast production path plus an exact reference path
-/// selectable per call / per config. The f64 sharded stats run kExact.
+/// selectable per call. Training runs kVectorized; the f64 sharded
+/// stats run kExact.
 ///
 /// kVectorized routes each contiguous run through a SIMD cosine kernel
 /// (glibc libmvec via compiler auto-vectorization when available, see
@@ -70,26 +71,6 @@ void ScaledCosInPlace(double* x, int64_t n, double scale, CosineMode mode);
 /// in a wider stacked matrix without copying it out.
 void ScaledCosRowsInPlace(double* x, int64_t rows, int64_t cols,
                           int64_t stride, double scale, CosineMode mode);
-
-/// In-place f32 ELU sweep x[i] = x[i] > 0 ? x[i] : exp(x[i]) - 1 for
-/// the tape-free value kernels of the f32 serving tier (the only f32
-/// tier; every other sweep here is f64), routed through the
-/// per-ISA vectorized exponential (_ZGVbN4v_expf / _ZGVdN8v_expf /
-/// _ZGVeN16v_expf). The negative branch evaluates exp(x) - 1 rather
-/// than expm1, costing at most ~1.2e-7 absolute error near zero on top
-/// of expf's 4-ulp bound — inside the f32 tier's documented rounding
-/// budget. (The f64 ELU is LinalgKernels::elu in tensor/kernels.h:
-/// libmvec's vector expm1 at the wide levels, scalar std::expm1 at
-/// baseline.) glibc >= 2.35 also exports vector expm1f
-/// (_ZGV{b,c,d,e}N*v_expm1f); this sweep does not use it yet.
-/// Elementwise and chunked on kCosSweepBlock boundaries
-/// like the cosine sweeps, so results are bitwise invariant to the
-/// worker-thread count at a fixed ISA level. When `row_bias` is
-/// non-null, x holds rows of `row_width` and each block first adds
-/// row_bias[column] to its elements — bitwise equal to a separate bias
-/// pass, without the extra parallel pass over the activations.
-void EluF32InPlace(float* x, int64_t n, const float* row_bias = nullptr,
-                   int64_t row_width = 0);
 
 /// Monotonically increasing PER-THREAD total of wall-clock seconds
 /// spent inside the cosine sweeps above, measured on the thread that

@@ -22,17 +22,6 @@ void ScaledCosSerialInPlaceAvx2(double* x, int64_t n, double scale) {
   for (int64_t i = 0; i < n; ++i) x[i] = scale * std::cos(x[i]);
 }
 
-// f32 ELU sweep (see simd_vec.cc for the branchless form and the
-// exp-vs-expm1 accuracy note); expf lowers to _ZGVdN8v_expf here.
-void EluSerialInPlaceF32Avx2(float* x, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) {
-    const float v = x[i];
-    const float neg = std::exp(v < 0.0f ? v : 0.0f) - 1.0f;
-    const float pos = v > 0.0f ? v : 0.0f;
-    x[i] = pos + neg;
-  }
-}
-
 }  // namespace simd_detail
 }  // namespace sbrl
 

@@ -16,6 +16,8 @@ using serial::AppendMatrix;
 using serial::AppendScalar;
 using serial::AppendString;
 using serial::ByteReader;
+using serial::kMinMatrixBytes;
+using serial::kMinStringBytes;
 
 constexpr serial::FormatSpec kCheckpointFormat = {
     /*magic=*/"SBRLCKPT",
@@ -84,7 +86,9 @@ std::string EncodeParams(const std::vector<ParamCheckpoint>& params) {
 
 bool DecodeParams(ByteReader* reader, std::vector<ParamCheckpoint>* out) {
   uint64_t count = 0;
-  if (!reader->ReadScalar(&count)) return false;
+  if (!reader->ReadCount(&count, kMinStringBytes + 3 * kMinMatrixBytes)) {
+    return false;
+  }
   out->clear();
   out->reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
@@ -110,7 +114,9 @@ std::string EncodeState(const std::vector<StateCheckpoint>& state) {
 
 bool DecodeState(ByteReader* reader, std::vector<StateCheckpoint>* out) {
   uint64_t count = 0;
-  if (!reader->ReadScalar(&count)) return false;
+  if (!reader->ReadCount(&count, kMinStringBytes + kMinMatrixBytes)) {
+    return false;
+  }
   out->clear();
   out->reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
@@ -132,7 +138,7 @@ std::string EncodeBestSnapshot(const std::vector<Matrix>& snapshot) {
 
 bool DecodeBestSnapshot(ByteReader* reader, std::vector<Matrix>* out) {
   uint64_t count = 0;
-  if (!reader->ReadScalar(&count)) return false;
+  if (!reader->ReadCount(&count, kMinMatrixBytes)) return false;
   out->clear();
   out->reserve(count);
   for (uint64_t i = 0; i < count; ++i) {

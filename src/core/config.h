@@ -5,7 +5,6 @@
 #include <string>
 
 #include "common/cpu.h"
-#include "common/simd.h"
 #include "common/status.h"
 #include "nn/mlp.h"
 
@@ -131,14 +130,6 @@ struct SbrlConfig {
   /// Random feature-pair subsample per decorrelation loss evaluation;
   /// 0 measures every pair (StableNet-style stochastic decorrelation).
   int64_t hsic_pair_budget = 48;
-  /// Cosine path of the RFF feature sweeps inside L_D: the SIMD
-  /// vectorized kernel (default) or the scalar std::cos reference.
-  /// kExact evaluates every cosine with scalar std::cos, bit for bit
-  /// (see CosineMode in common/simd.h). Note
-  /// the projection DRAWS are slot-keyed per epoch either way, so
-  /// neither mode reproduces the pre-PR-3 sequential-rng training
-  /// trajectories — kExact pins down the evaluation, not history.
-  CosineMode rff_cos_mode = CosineMode::kVectorized;
   /// Requested kernel instruction-set level (see Isa / IsaChoice in
   /// common/cpu.h). kAuto (default) resolves to the widest level the
   /// host CPU and this build support; kBaseline forces the portable

@@ -26,7 +26,7 @@ Var BuildWeightLoss(Var w, const WeightLossInputs& inputs,
   const auto decorrelation = [&](const Matrix& z) {
     return HsicRffDecorrelationLoss(z, w, config.rff_features,
                                     config.hsic_pair_budget, rng,
-                                    config.rff_cos_mode, &epoch);
+                                    CosineMode::kVectorized, &epoch);
   };
 
   // R_w anchor: keeps weights near 1 so no unit dominates or vanishes.

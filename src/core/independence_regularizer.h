@@ -4,6 +4,7 @@
 #include <cstdint>
 
 #include "autodiff/ops.h"
+#include "common/simd.h"
 #include "core/config.h"
 #include "stats/rff.h"
 #include "tensor/random.h"

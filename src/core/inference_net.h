@@ -51,19 +51,17 @@ struct InferenceSpec {
   double y_std = 1.0;
 };
 
-/// One affine (+ optional frozen BatchNorm) + activation layer over
-/// matrix type M: Matrix in InferenceNet, MatrixF32 in the f32 twins
-/// the serving tier builds from it.
-template <typename M>
+/// One affine (+ optional frozen BatchNorm) + activation layer of an
+/// InferenceNet.
 struct AffineLayer {
   std::string name;     ///< dense module name ("rep.l0")
-  M w;                  ///< (in x out) weight
-  M b;                  ///< (1 x out) bias
+  Matrix w;             ///< (in x out) weight
+  Matrix b;             ///< (1 x out) bias
   std::string bn_name;  ///< BatchNorm module name; empty without BN
-  M gamma;              ///< (1 x out) BN scale
-  M beta;               ///< (1 x out) BN shift
-  M running_mean;       ///< (1 x out) frozen BN mean
-  M running_var;        ///< (1 x out) frozen BN variance
+  Matrix gamma;         ///< (1 x out) BN scale
+  Matrix beta;          ///< (1 x out) BN shift
+  Matrix running_mean;  ///< (1 x out) frozen BN mean
+  Matrix running_var;   ///< (1 x out) frozen BN variance
   /// Activation applied after the affine (and BN).
   ops::ActKind act = ops::ActKind::kIdentity;
   /// True when a frozen BatchNorm sits between affine and activation.
@@ -80,8 +78,8 @@ struct AffineLayer {
 /// without synchronization; callers pin the ISA level.
 class InferenceNet {
  public:
-  using Layer = AffineLayer<Matrix>;  ///< one f64 layer
-  using Stack = std::vector<Layer>;   ///< layers applied in order
+  using Layer = AffineLayer;         ///< one layer
+  using Stack = std::vector<Layer>;  ///< layers applied in order
 
   /// Resolves the Mlp tensor names of `spec`'s architecture
   /// ("<prefix>.l<i>.W", "<prefix>.bn<i>.running_mean", ...) against

@@ -92,8 +92,7 @@ struct ShardedTrainDiagnostics {
 /// every worker count, and identical whether the stream comes from
 /// CSV, the chunked synthetic generator, or an in-core dataset with
 /// the same rows. Peak memory is O(workers x shard_rows x d), never
-/// O(n x d). The fit is always f64: SBRL_PRECISION selects the serving
-/// tier only.
+/// O(n x d).
 class ShardedTrainer {
  public:
   /// Builds and initializes the backbone (TARNet, seeded by

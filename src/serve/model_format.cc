@@ -12,6 +12,8 @@ using serial::AppendMatrix;
 using serial::AppendScalar;
 using serial::AppendString;
 using serial::ByteReader;
+using serial::kMinMatrixBytes;
+using serial::kMinStringBytes;
 
 constexpr serial::FormatSpec kServingFormat = {
     /*magic=*/"SBRLMODL",
@@ -23,12 +25,13 @@ constexpr serial::FormatSpec kServingFormat = {
 
 // Section tags. A section is (u32 tag, u64 payload_size, payload,
 // u32 crc32(payload)); the OOD section is present only when a fitted
-// detector was exported.
+// detector was exported. Tag 5 held f32 copies of the weights in files
+// from builds with an f32 serving tier; the loader skips it.
 constexpr uint32_t kSectionMeta = 1;
 constexpr uint32_t kSectionWeights = 2;
 constexpr uint32_t kSectionState = 3;
 constexpr uint32_t kSectionOod = 4;
-constexpr uint32_t kSectionWeightsF32 = 5;
+constexpr uint32_t kSectionLegacyNarrowedWeights = 5;
 
 /// On-disk activation codes, indexed by code: elu 0, relu 1, tanh 2,
 /// sigmoid 3, linear 4. Fixed by the file format, independent of
@@ -119,39 +122,14 @@ std::string EncodeNamedMatrices(const std::vector<NamedMatrix>& items) {
 
 bool DecodeNamedMatrices(ByteReader* reader, std::vector<NamedMatrix>* out) {
   uint64_t count = 0;
-  if (!reader->ReadScalar(&count)) return false;
+  if (!reader->ReadCount(&count, kMinStringBytes + kMinMatrixBytes)) {
+    return false;
+  }
   out->clear();
   out->reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
     NamedMatrix item;
     if (!reader->ReadString(&item.name) || !reader->ReadMatrix(&item.value)) {
-      return false;
-    }
-    out->push_back(std::move(item));
-  }
-  return reader->exhausted();
-}
-
-std::string EncodeNamedMatricesF32(const std::vector<NamedMatrixF32>& items) {
-  std::string out;
-  AppendScalar<uint64_t>(&out, items.size());
-  for (const NamedMatrixF32& item : items) {
-    AppendString(&out, item.name);
-    serial::AppendMatrixF32(&out, item.value);
-  }
-  return out;
-}
-
-bool DecodeNamedMatricesF32(ByteReader* reader,
-                            std::vector<NamedMatrixF32>* out) {
-  uint64_t count = 0;
-  if (!reader->ReadScalar(&count)) return false;
-  out->clear();
-  out->reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    NamedMatrixF32 item;
-    if (!reader->ReadString(&item.name) ||
-        !reader->ReadMatrixF32(&item.value)) {
       return false;
     }
     out->push_back(std::move(item));
@@ -187,7 +165,7 @@ bool DecodeOod(ByteReader* reader, OodLevelDetector::State* state) {
     return false;
   }
   uint64_t pairs = 0;
-  if (!reader->ReadScalar(&pairs) || pairs > (1ull << 30)) return false;
+  if (!reader->ReadCount(&pairs, 2 * sizeof(int64_t))) return false;
   state->quad_pairs.clear();
   state->quad_pairs.reserve(pairs);
   for (uint64_t q = 0; q < pairs; ++q) {
@@ -211,10 +189,6 @@ Status SaveServingModel(const ServingModelData& data,
   sections.push_back({kSectionState, EncodeNamedMatrices(data.state)});
   if (data.has_ood) {
     sections.push_back({kSectionOod, EncodeOod(data.ood)});
-  }
-  if (data.has_f32) {
-    sections.push_back(
-        {kSectionWeightsF32, EncodeNamedMatricesF32(data.weights_f32)});
   }
   return serial::WriteSectionedFile(kServingFormat, sections, path);
 }
@@ -244,9 +218,7 @@ StatusOr<ServingModelData> LoadServingModel(const std::string& path) {
         decoded = DecodeOod(&reader, &data.ood);
         data.has_ood = decoded;
         break;
-      case kSectionWeightsF32:
-        decoded = DecodeNamedMatricesF32(&reader, &data.weights_f32);
-        data.has_f32 = decoded;
+      case kSectionLegacyNarrowedWeights:
         break;
       default:
         // Unknown sections are a forward-compat error at version parity:
@@ -267,8 +239,7 @@ StatusOr<ServingModelData> LoadServingModel(const std::string& path) {
 }
 
 StatusOr<ServingModelData> ExportServingData(
-    HteEstimator& estimator, const OodLevelDetector* ood_detector,
-    bool include_f32) {
+    HteEstimator& estimator, const OodLevelDetector* ood_detector) {
   if (!estimator.fitted()) {
     return Status::FailedPrecondition(
         "cannot export an unfitted estimator as a serving model");
@@ -285,22 +256,14 @@ StatusOr<ServingModelData> ExportServingData(
     data.has_ood = true;
     data.ood = ood_detector->ExportState();
   }
-  if (include_f32) {
-    data.has_f32 = true;
-    data.weights_f32.reserve(data.weights.size());
-    for (const NamedMatrix& item : data.weights) {
-      data.weights_f32.push_back({item.name, MatrixF32::FromF64(item.value)});
-    }
-  }
   return data;
 }
 
 Status ExportServingModel(HteEstimator& estimator,
                           const OodLevelDetector* ood_detector,
-                          const std::string& path, bool include_f32) {
+                          const std::string& path) {
   SBRL_ASSIGN_OR_RETURN(ServingModelData data,
-                        ExportServingData(estimator, ood_detector,
-                                          include_f32));
+                        ExportServingData(estimator, ood_detector));
   return SaveServingModel(data, path);
 }
 

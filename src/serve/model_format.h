@@ -12,7 +12,6 @@
 #include "core/inference_net.h"
 #include "core/ood_detector.h"
 #include "tensor/matrix.h"
-#include "tensor/matrix_f32.h"
 
 namespace sbrl {
 namespace serve {
@@ -34,15 +33,6 @@ struct ServingMeta {
   IsaChoice isa = IsaChoice::kAuto;
 };
 
-/// f32 counterpart of NamedMatrix (core/inference_net.h), used by the
-/// optional f32 weights section (see ServingModelData::weights_f32).
-struct NamedMatrixF32 {
-  /// Unique module-scoped tensor name.
-  std::string name;
-  /// The tensor value in f32 storage.
-  MatrixF32 value;
-};
-
 /// In-memory image of one serving model file: the decoded sections of
 /// the "SBRLMODL" format, still architecture-agnostic (ServingModel
 /// resolves names against the meta's network config).
@@ -57,21 +47,14 @@ struct ServingModelData {
   bool has_ood = false;
   /// The exported detector state (meaningful only when has_ood).
   OodLevelDetector::State ood;
-  /// True when the optional f32 weights section was exported/loaded.
-  /// The f64 weights stay the source of truth; the f32 copies exist so
-  /// the f32 serving tier scores the exact narrowed tensors that were
-  /// written, independent of the loader's own narrowing.
-  bool has_f32 = false;
-  /// Trainable parameters narrowed to f32, in collection order
-  /// (meaningful only when has_f32).
-  std::vector<NamedMatrixF32> weights_f32;
 };
 
 /// The on-disk format version SaveServingModel writes. Bump on any
 /// layout change; LoadServingModel rejects other versions with
 /// FailedPrecondition (no silent cross-version reinterpretation).
-/// v2: adds the optional f32 weights section (tag 5) for the f32
-/// serving tier.
+/// v2 files may carry a legacy f32 weights section (tag 5), written by
+/// builds that had an f32 serving tier; LoadServingModel accepts and
+/// ignores it, since the f64 weights were always the source of truth.
 constexpr uint32_t kServingFormatVersion = 2;
 
 /// Serializes `data` to `path` atomically via the shared sectioned
@@ -92,19 +75,15 @@ StatusOr<ServingModelData> LoadServingModel(const std::string& path);
 /// Captures a fitted estimator (and optionally a fitted OOD detector)
 /// as a ServingModelData: parameter values via Backbone::CollectParams,
 /// BatchNorm running statistics via CollectStateMatrices, and the
-/// method/config/outcome metadata scoring needs. When `include_f32` is
-/// true the weights are additionally narrowed into the optional f32
-/// section (see ServingModelData::weights_f32). Returns
+/// method/config/outcome metadata scoring needs. Returns
 /// FailedPrecondition when `estimator` has not been fitted.
 StatusOr<ServingModelData> ExportServingData(
-    HteEstimator& estimator, const OodLevelDetector* ood_detector,
-    bool include_f32 = false);
+    HteEstimator& estimator, const OodLevelDetector* ood_detector);
 
-/// ExportServingData + SaveServingModel in one step. `include_f32`
-/// adds the optional f32 weights section to the file.
+/// ExportServingData + SaveServingModel in one step.
 Status ExportServingModel(HteEstimator& estimator,
                           const OodLevelDetector* ood_detector,
-                          const std::string& path, bool include_f32 = false);
+                          const std::string& path);
 
 }  // namespace serve
 }  // namespace sbrl

@@ -1,26 +1,23 @@
 #ifndef SBRL_SERVE_SERVING_MODEL_H_
 #define SBRL_SERVE_SERVING_MODEL_H_
 
-#include <array>
 #include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "common/precision.h"
 #include "common/statusor.h"
 #include "core/inference_net.h"
 #include "core/ood_detector.h"
 #include "serve/model_format.h"
 #include "tensor/matrix.h"
-#include "tensor/matrix_f32.h"
 
 namespace sbrl {
 namespace serve {
 
 /// Immutable scorer over an exported model: load once, share freely
 /// across threads. The score path takes no locks, allocates no tape,
-/// and mutates no member state — the f64 forward is the same
+/// and mutates no member state — the forward is the same
 /// InferenceNet the fitted estimator predicts through, built from the
 /// decoded tensors and pinned to the exported ISA choice, so
 /// ScoreOutcomes is bitwise identical to PredictPotentialOutcomes.
@@ -79,27 +76,10 @@ class ServingModel {
 
   /// Potential outcomes for each row of `x` -> (n x 2) matrix, column
   /// 0 = y0_hat, column 1 = y1_hat; binary outcomes are probabilities.
-  /// Under the default f64 precision tier, bitwise identical to the
-  /// exporting estimator's PredictPotentialOutcomes on the same rows,
-  /// for any batching of the rows. Under Precision::kF32 (the
-  /// SBRL_PRECISION=f32 knob, resolved once at load) this routes to
-  /// ScoreOutcomesF32. Thread-safe without synchronization.
+  /// Bitwise identical to the exporting estimator's
+  /// PredictPotentialOutcomes on the same rows, for any batching of the
+  /// rows. Thread-safe without synchronization.
   Matrix ScoreOutcomes(const Matrix& x) const;
-
-  /// f32-tier scoring: the forward runs entirely in f32 storage and
-  /// arithmetic (LinalgKernelsF32 matmuls, float activations) over
-  /// weights taken from the exported f32 section when present and
-  /// narrowed from the f64 tensors otherwise; only the final
-  /// sigmoid/de-standardization runs in f64 on the widened head
-  /// outputs, shared with the f64 path. Agrees with the f64 scorer to
-  /// the per-method budgets in tests/precision_test.cc, never bitwise.
-  /// Deterministic per ISA level and batching-invariant like the f64
-  /// path. Thread-safe without synchronization.
-  Matrix ScoreOutcomesF32(const Matrix& x) const;
-
-  /// The precision tier ScoreOutcomes routes through (resolved from
-  /// SBRL_PRECISION once at construction; default f64).
-  Precision precision() const { return precision_; }
 
   /// Scores a batch and stamps it with the detector's population-level
   /// shift verdict (OodLevelDetector::LevelOf over all of `x`).
@@ -140,25 +120,11 @@ class ServingModel {
   const ServingMeta& meta() const { return meta_; }
 
  private:
-  /// f32 twin of one InferenceNet layer, backing the f32 scoring tier.
-  using LayerF32 = AffineLayer<MatrixF32>;
-  /// f32 twin of InferenceNet::Stack.
-  using StackF32 = std::vector<LayerF32>;
-
   explicit ServingModel(InferenceNet net) : net_(std::move(net)) {}
 
-  /// f32 twins of InferenceNet::Run / Representation.
-  MatrixF32 RunStackF32(const StackF32& stack, const MatrixF32& x) const;
-  MatrixF32 RepresentationF32(const MatrixF32& x) const;
-
   ServingMeta meta_;
-  /// The f64 forward, shared with HteEstimator and ShardedTrainer.
+  /// The forward, shared with HteEstimator and ShardedTrainer.
   InferenceNet net_;
-  // f32 twins of net_'s stacks (always built: from the exported f32
-  // section when present, else narrowed from the f64 tensors).
-  std::vector<StackF32> reps32_;
-  std::array<StackF32, 2> heads32_;
-  Precision precision_ = Precision::kF64;
   std::optional<OodLevelDetector> detector_;
   double row_null_q95_ = 0.0;
   double row_null_scale_ = 1.0;

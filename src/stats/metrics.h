@@ -7,8 +7,8 @@
 
 namespace sbrl {
 
-/// Precision in Estimation of Heterogeneous Effect (Hill 2011):
-/// sqrt(mean((ite_hat_i - ite_true_i)^2)). The paper's primary
+/// PEHE, the precision in estimation of heterogeneous effect (Hill
+/// 2011): sqrt(mean((ite_hat_i - ite_true_i)^2)). The paper's primary
 /// individual-level error metric.
 double Pehe(const std::vector<double>& ite_hat,
             const std::vector<double>& ite_true);

@@ -18,8 +18,7 @@ namespace sbrl {
 /// core/sharded_trainer.h). Resolution order per knob: explicit
 /// positive value > SBRL_* env > default — the repo's standard
 /// pattern, through the shared ParseEnvInt64 semantics. Every streamed
-/// pass stores and accumulates in f64; SBRL_PRECISION does not reach
-/// it (serving is the only f32 tier, common/precision.h).
+/// pass stores and accumulates in f64.
 struct ShardedOptions {
   /// Rows per shard (= the `max_rows` each NextBlock pull asks for).
   /// 0 resolves SBRL_SHARD_ROWS, default 8192. Shard size is part of

@@ -24,10 +24,6 @@ constexpr LinalgKernels kBaselineTable = {
     lk::BaselineElu, lk::BaselineEluGrad,
 };
 
-constexpr LinalgKernelsF32 kBaselineTableF32 = {
-    lk::BaselineMatmulRowsF32,
-};
-
 #if defined(SBRL_HAVE_ISA_AVX2)
 
 bool Avx2BlockCrossFwdOrBaseline(int64_t block, const double* fd,
@@ -62,13 +58,8 @@ constexpr LinalgKernels kAvx2Table = {
     lk::Avx2Elu, lk::Avx2EluGrad,
 };
 
-constexpr LinalgKernelsF32 kAvx2TableF32 = {
-    lk::Avx2MatmulRowsF32,
-};
-
 #else
 constexpr LinalgKernels kAvx2Table = kBaselineTable;
-constexpr LinalgKernelsF32 kAvx2TableF32 = kBaselineTableF32;
 #endif  // SBRL_HAVE_ISA_AVX2
 
 #if defined(SBRL_HAVE_ISA_AVX512)
@@ -113,13 +104,8 @@ constexpr LinalgKernels kAvx512Table = {
     lk::Avx512Elu, lk::Avx512EluGrad,
 };
 
-constexpr LinalgKernelsF32 kAvx512TableF32 = {
-    lk::Avx512MatmulRowsF32,
-};
-
 #else
 constexpr LinalgKernels kAvx512Table = kAvx2Table;
-constexpr LinalgKernelsF32 kAvx512TableF32 = kAvx2TableF32;
 #endif  // SBRL_HAVE_ISA_AVX512
 
 }  // namespace
@@ -135,19 +121,6 @@ const LinalgKernels& LinalgKernelsForIsa(Isa isa) {
 
 const LinalgKernels& ActiveLinalgKernels() {
   return LinalgKernelsForIsa(ActiveIsa());
-}
-
-const LinalgKernelsF32& LinalgKernelsF32ForIsa(Isa isa) {
-  switch (isa) {
-    case Isa::kBaseline: return kBaselineTableF32;
-    case Isa::kAvx2: return kAvx2TableF32;
-    case Isa::kAvx512: return kAvx512TableF32;
-  }
-  return kBaselineTableF32;
-}
-
-const LinalgKernelsF32& ActiveLinalgKernelsF32() {
-  return LinalgKernelsF32ForIsa(ActiveIsa());
 }
 
 }  // namespace sbrl

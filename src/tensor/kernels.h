@@ -125,33 +125,6 @@ const LinalgKernels& LinalgKernelsForIsa(Isa isa);
 /// index; called once per public linalg entry point, not per tile).
 const LinalgKernels& ActiveLinalgKernels();
 
-/// Function-pointer table of the f32-tier matmul kernels (see
-/// common/precision.h). Same dispatch mechanics as LinalgKernels —
-/// one table per Isa level, resolved per public entry point in
-/// tensor/linalg_f32.cc. The f32 tier is serving-only, so the table
-/// holds just the serving forward's matmul: matmul_rows vectorizes
-/// only the independent output dimension with each element's
-/// multiply-then-add chain in ascending reduction order, so the f32
-/// result is bitwise identical across every Isa level (it tracks the
-/// f64 kernels only to f32 rounding — the cross-TIER budget lives in
-/// tests/precision_test.cc).
-struct LinalgKernelsF32 {
-  /// Rows [r0, r1) of out += a * b, a (n x k), b (k x m), all float.
-  using MatmulRowsF32Fn = void (*)(const float* a, const float* b, float* o,
-                                   int64_t k, int64_t m, int64_t r0,
-                                   int64_t r1);
-
-  /// f32 matmul tile kernel of this level.
-  MatmulRowsF32Fn matmul_rows;
-};
-
-/// The f32 kernel table of one Isa level (levels not compiled in alias
-/// baseline, exactly like LinalgKernelsForIsa).
-const LinalgKernelsF32& LinalgKernelsF32ForIsa(Isa isa);
-
-/// The f32 table of the currently active ISA.
-const LinalgKernelsF32& ActiveLinalgKernelsF32();
-
 }  // namespace sbrl
 
 #endif  // SBRL_TENSOR_KERNELS_H_

@@ -48,10 +48,6 @@ void BaselineBlockCrossFwdGeneric(const double* ad, int64_t acols,
 void BaselineElu(double* x, int64_t n);
 /// See LinalgKernels::EluGradFn: the scalar compare-and-select formula.
 void BaselineEluGrad(const double* g, const double* y, double* out, int64_t n);
-/// f32-tier baseline matmul: the f64 baseline loop shape restated on
-/// floats.
-void BaselineMatmulRowsF32(const float* a, const float* b, float* o,
-                           int64_t k, int64_t m, int64_t r0, int64_t r1);
 
 #if defined(SBRL_HAVE_ISA_AVX2)
 /// AVX2 (x86-64-v3, -ffp-contract=off) kernels. The matmul / trans-A /
@@ -90,10 +86,6 @@ void Avx2BlockCrossFwdGeneric(const double* ad, int64_t acols,
 void Avx2Elu(double* x, int64_t n);
 /// See LinalgKernels::EluGradFn: 4-lane blend, scalar tail.
 void Avx2EluGrad(const double* g, const double* y, double* out, int64_t n);
-/// f32-tier AVX2 matmul (8-lane ymm), bitwise equal to the f32
-/// baseline.
-void Avx2MatmulRowsF32(const float* a, const float* b, float* o, int64_t k,
-                       int64_t m, int64_t r0, int64_t r1);
 #endif  // SBRL_HAVE_ISA_AVX2
 
 #if defined(SBRL_HAVE_ISA_AVX512)
@@ -130,10 +122,6 @@ void Avx512BlockCrossFwdGeneric(const double* ad, int64_t acols,
 void Avx512Elu(double* x, int64_t n);
 /// See LinalgKernels::EluGradFn: 8-lane masked blend, masked tail.
 void Avx512EluGrad(const double* g, const double* y, double* out, int64_t n);
-/// f32-tier AVX-512 matmul (16-lane zmm), bitwise equal to the f32
-/// baseline.
-void Avx512MatmulRowsF32(const float* a, const float* b, float* o, int64_t k,
-                         int64_t m, int64_t r0, int64_t r1);
 #endif  // SBRL_HAVE_ISA_AVX512
 
 }  // namespace linalg_kernels

@@ -80,15 +80,6 @@ inline double Hsum256(__m256d v) {
 #include "tensor/matmul_rows_kernel.inc"
 #undef SBRL_MATMUL_ROWS_KERNEL_NAME
 
-// f32 matmul tile: the same shared source on floats, auto-vectorized
-// to 8-lane ymm at this TU's -march level — bitwise identical to the
-// f32 baseline by the same argument as the f64 pair.
-#define SBRL_MATMUL_ROWS_KERNEL_NAME Avx2MatmulRowsF32
-#define SBRL_MATMUL_ROWS_KERNEL_TYPE float
-#include "tensor/matmul_rows_kernel.inc"
-#undef SBRL_MATMUL_ROWS_KERNEL_TYPE
-#undef SBRL_MATMUL_ROWS_KERNEL_NAME
-
 void Avx2MatmulTransARows(const double* __restrict ad,
                           const double* __restrict bd, double* __restrict od,
                           int64_t k, int64_t n, int64_t m, int64_t r0,

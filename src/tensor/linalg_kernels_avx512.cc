@@ -59,15 +59,6 @@ inline __m512d EluGradLanes(__m512d g, __m512d y) {
 #include "tensor/matmul_rows_kernel.inc"
 #undef SBRL_MATMUL_ROWS_KERNEL_NAME
 
-// f32 matmul tile: the shared source on floats, auto-vectorized to
-// 16-lane zmm — bitwise identical to the f32 baseline by the same
-// argument as the f64 pair.
-#define SBRL_MATMUL_ROWS_KERNEL_NAME Avx512MatmulRowsF32
-#define SBRL_MATMUL_ROWS_KERNEL_TYPE float
-#include "tensor/matmul_rows_kernel.inc"
-#undef SBRL_MATMUL_ROWS_KERNEL_TYPE
-#undef SBRL_MATMUL_ROWS_KERNEL_NAME
-
 void Avx512MatmulTransARows(const double* __restrict ad,
                             const double* __restrict bd, double* __restrict od,
                             int64_t k, int64_t n, int64_t m, int64_t r0,

@@ -176,15 +176,6 @@ void BaselineBlockCrossFwdGeneric(const double* ad, int64_t acols,
 #include "tensor/matmul_rows_kernel.inc"
 #undef SBRL_MATMUL_ROWS_KERNEL_NAME
 
-// The f32 matmul tile kernel reuses the shared source with the scalar
-// type switched to float — the identical chain structure is what makes
-// the f32 tier bitwise invariant across ISA levels (tensor/kernels.h).
-#define SBRL_MATMUL_ROWS_KERNEL_NAME BaselineMatmulRowsF32
-#define SBRL_MATMUL_ROWS_KERNEL_TYPE float
-#include "tensor/matmul_rows_kernel.inc"
-#undef SBRL_MATMUL_ROWS_KERNEL_TYPE
-#undef SBRL_MATMUL_ROWS_KERNEL_NAME
-
 void BaselineMatmulTransARows(const double* __restrict ad,
                               const double* __restrict bd,
                               double* __restrict od, int64_t k, int64_t n,

@@ -1,9 +1,9 @@
 // Checkpoint format lockdown: round-trip fidelity of every
 // TrainingCheckpoint field, atomicity of the temp-file-plus-rename
 // commit, and — the robustness half — that every corruption mode
-// (bad magic, version skew, truncation, bit flips, injected I/O
-// faults) surfaces as the documented typed Status instead of silently
-// loading garbage.
+// (bad magic, version skew, truncation, bit flips, forged item
+// counts, injected I/O faults) surfaces as the documented typed Status
+// instead of silently loading garbage.
 
 #include "core/checkpoint.h"
 
@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "common/fault.h"
+#include "common/serial.h"
 #include "tensor/random.h"
 
 namespace sbrl {
@@ -239,6 +240,41 @@ TEST(CheckpointTest, InjectedReadFaultFailsLoad) {
   ArmFault("checkpoint/read", /*hit=*/0);
   StatusOr<TrainingCheckpoint> loaded = LoadCheckpoint(path);
   DisarmFaults();
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInternal);
+  std::remove(path.c_str());
+}
+
+// A CRC-valid section whose item count claims far more items than its
+// payload holds (params, state and best-snapshot lists alike) is a
+// corrupt section, not an allocation request.
+TEST(CheckpointTest, ForgedItemCountIsInternal) {
+  const serial::FormatSpec spec = {"SBRLCKPT", kCheckpointFormatVersion,
+                                   "checkpoint", "checkpoint/write",
+                                   "checkpoint/read"};
+  std::string forged;
+  serial::AppendScalar<uint64_t>(&forged, uint64_t{1} << 61);
+  for (const uint32_t tag : {2u, 3u, 4u}) {
+    SCOPED_TRACE("section tag " + std::to_string(tag));
+    const std::string path = TestPath("forged_count.ckpt");
+    ASSERT_TRUE(serial::WriteSectionedFile(spec, {{tag, forged}}, path).ok());
+    StatusOr<TrainingCheckpoint> loaded = LoadCheckpoint(path);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInternal);
+    std::remove(path.c_str());
+  }
+}
+
+// A header whose section count cannot fit in the file is truncation.
+TEST(CheckpointTest, ForgedSectionCountIsInternal) {
+  const std::string path = TestPath("forged_sections.ckpt");
+  {
+    std::ofstream out(path, std::ios::binary);
+    out.write("SBRLCKPT", 8);
+    const uint32_t header[2] = {kCheckpointFormatVersion, 0xFFFFFFFFu};
+    out.write(reinterpret_cast<const char*>(header), sizeof(header));
+  }
+  StatusOr<TrainingCheckpoint> loaded = LoadCheckpoint(path);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kInternal);
   std::remove(path.c_str());

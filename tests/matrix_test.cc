@@ -9,7 +9,6 @@
 
 #include "common/aligned.h"
 #include "tensor/linalg.h"
-#include "tensor/matrix_f32.h"
 #include "tensor/pool.h"
 #include "tensor/random.h"
 
@@ -115,9 +114,8 @@ TEST(MatrixTest, AllCloseDetectsDifferences) {
 }
 
 // Alignment contract (common/aligned.h): every backing allocation —
-// plain-constructed, FromFlat-adopted, pool-recycled, and the f32
-// tier — starts on a 64-byte boundary so AVX-512 loads from data()
-// hit aligned paths on both element widths.
+// plain-constructed, FromFlat-adopted, and pool-recycled — starts on
+// a 64-byte boundary so AVX-512 loads from data() hit aligned paths.
 TEST(MatrixTest, BackingStorageIs64ByteAligned) {
   // Odd shapes so alignment cannot fall out of size rounding.
   Matrix plain(7, 5);
@@ -126,9 +124,6 @@ TEST(MatrixTest, BackingStorageIs64ByteAligned) {
   AlignedVector<double> flat(21, 1.5);
   Matrix adopted = Matrix::FromFlat(3, 7, std::move(flat));
   EXPECT_TRUE(IsTensorAligned(adopted.data()));
-
-  MatrixF32 f32(9, 3);
-  EXPECT_TRUE(IsTensorAligned(f32.data()));
 
   MatrixPool pool;
   Matrix pooled = pool.AcquireZero(11, 3);
@@ -139,8 +134,8 @@ TEST(MatrixTest, BackingStorageIs64ByteAligned) {
   EXPECT_TRUE(IsTensorAligned(recycled.data()));
 }
 
-// Capacity survives shrinking Resets on both tiers — the invariant
-// MatrixPool keys its free list on.
+// Capacity survives shrinking Resets — the invariant MatrixPool keys
+// its free list on.
 TEST(MatrixTest, CapacitySurvivesShrinkingReset) {
   Matrix m(16, 16);
   const int64_t cap = m.capacity();
@@ -148,30 +143,6 @@ TEST(MatrixTest, CapacitySurvivesShrinkingReset) {
   m.ResetZero(4, 4);
   EXPECT_GE(m.capacity(), cap);
   EXPECT_TRUE(IsTensorAligned(m.data()));
-
-  MatrixF32 f(16, 16);
-  const int64_t fcap = f.capacity();
-  EXPECT_GE(fcap, f.size());
-  f.ResetZero(4, 4);
-  EXPECT_GE(f.capacity(), fcap);
-  EXPECT_TRUE(IsTensorAligned(f.data()));
-}
-
-TEST(MatrixF32Test, NarrowWidenRoundTrip) {
-  Matrix src = Matrix::FromRows({{1.5, -2.25}, {0.0, 3.0}});
-  MatrixF32 narrow = MatrixF32::FromF64(src);
-  EXPECT_EQ(narrow.rows(), 2);
-  EXPECT_EQ(narrow.cols(), 2);
-  // These values are exactly representable in float, so the round
-  // trip is lossless.
-  Matrix wide = narrow.ToF64();
-  EXPECT_TRUE(AllClose(src, wide, 0.0));
-
-  // ResetNarrowOf reuses storage and rounds to nearest float.
-  Matrix fine = Matrix::FromRows({{1.0 + 1e-12}});
-  narrow.ResetNarrowOf(fine);
-  EXPECT_EQ(narrow.rows(), 1);
-  EXPECT_FLOAT_EQ(narrow(0, 0), 1.0f);
 }
 
 TEST(LinalgTest, MatmulSmall) {

@@ -2,8 +2,10 @@
 // (meta, weights, BatchNorm state, fitted OOD detector), atomicity of
 // the temp-file-plus-rename commit, and the full corruption taxonomy
 // shared with the checkpoint format — bad magic, version skew,
-// truncation, bit flips, injected I/O faults at the serve/write and
-// serve/read sites — each surfacing as the documented typed Status.
+// truncation, bit flips, forged item counts, injected I/O faults at
+// the serve/write and serve/read sites — each surfacing as the
+// documented typed Status — and the legacy section older v2 files may
+// carry.
 
 #include "serve/model_format.h"
 
@@ -11,12 +13,18 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "common/fault.h"
+#include "common/serial.h"
+#include "core/estimator.h"
 #include "core/ood_detector.h"
+#include "data/synthetic.h"
+#include "eval/experiment.h"
+#include "serve/serving_model.h"
 #include "tensor/random.h"
 
 namespace sbrl {
@@ -65,6 +73,11 @@ ServingModelData MakeData() {
   data.ood = detector->ExportState();
   return data;
 }
+
+// The serving model's on-disk identity, for writing sections directly.
+constexpr serial::FormatSpec kSpec = {"SBRLMODL", kServingFormatVersion,
+                                      "serving model", "serve/write",
+                                      "serve/read"};
 
 void ExpectMatrixEq(const Matrix& a, const Matrix& b) {
   ASSERT_EQ(a.rows(), b.rows());
@@ -273,6 +286,80 @@ TEST(ServingFormatTest, InjectedReadFaultFailsLoad) {
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kInternal);
   std::remove(path.c_str());
+}
+
+// A CRC-valid section whose item count claims far more tensors than
+// its payload holds is a corrupt section, not an allocation request.
+TEST(ServingFormatTest, ForgedItemCountIsInternal) {
+  std::string forged;
+  serial::AppendScalar<uint64_t>(&forged, uint64_t{1} << 61);
+  for (const uint32_t tag : {2u, 3u}) {
+    SCOPED_TRACE("section tag " + std::to_string(tag));
+    const std::string path = TestPath("forged_count.model");
+    ASSERT_TRUE(serial::WriteSectionedFile(kSpec, {{tag, forged}}, path).ok());
+    StatusOr<ServingModelData> loaded = LoadServingModel(path);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInternal);
+    std::remove(path.c_str());
+  }
+}
+
+// v2 files from builds with an f32 serving tier carry a tag-5 section
+// of f32-narrowed weights. The loader skips it: the f64 weights were
+// always the source of truth, so such a file scores exactly like the
+// estimator that exported it.
+TEST(ServingFormatTest, LegacyNarrowedWeightsSectionIsIgnored) {
+  SyntheticDims dims;
+  dims.m_i = 3;
+  dims.m_c = 3;
+  dims.m_a = 3;
+  dims.m_v = 1;
+  SyntheticModel synthetic(dims, 501);
+  const CausalDataset train = synthetic.SampleEnvironment(120, 2.5, 502);
+  const Matrix queries = synthetic.SampleEnvironment(40, -2.5, 503).x;
+  EstimatorConfig config;
+  config.network.rep_width = 8;
+  config.network.head_width = 8;
+  config.train.iterations = 20;
+  config.train.eval_every = 0;
+  config.sbrl.hsic_pair_budget = 8;
+  StatusOr<HteEstimator> estimator = HteEstimator::Create(
+      WithMethod(config, {BackboneKind::kCfr, FrameworkKind::kSbrlHap}));
+  ASSERT_TRUE(estimator.ok()) << estimator.status().ToString();
+  ASSERT_TRUE(estimator->Fit(train).ok());
+  StatusOr<ServingModelData> data = ExportServingData(*estimator, nullptr);
+  ASSERT_TRUE(data.ok()) << data.status().ToString();
+
+  // The legacy layout: u64 count, then per weight its name, u64 rows,
+  // u64 cols and the row-major f32 values.
+  std::string legacy;
+  serial::AppendScalar<uint64_t>(&legacy, data->weights.size());
+  for (const NamedMatrix& item : data->weights) {
+    serial::AppendString(&legacy, item.name);
+    serial::AppendScalar<uint64_t>(&legacy, item.value.rows());
+    serial::AppendScalar<uint64_t>(&legacy, item.value.cols());
+    for (int64_t i = 0; i < item.value.size(); ++i) {
+      serial::AppendScalar<float>(&legacy, static_cast<float>(item.value[i]));
+    }
+  }
+  const std::string path = TestPath("legacy_tag5.model");
+  ASSERT_TRUE(SaveServingModel(*data, path).ok());
+  StatusOr<std::vector<serial::Section>> sections =
+      serial::ReadSectionedFile(kSpec, path);
+  ASSERT_TRUE(sections.ok()) << sections.status().ToString();
+  sections->push_back({5, legacy});
+  ASSERT_TRUE(serial::WriteSectionedFile(kSpec, *sections, path).ok());
+
+  StatusOr<ServingModel> model = ServingModel::Load(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(model.ok()) << model.status().ToString();
+  const Matrix predicted = estimator->PredictPotentialOutcomes(queries);
+  const Matrix served = model->ScoreOutcomes(queries);
+  ASSERT_EQ(served.rows(), predicted.rows());
+  ASSERT_EQ(served.cols(), predicted.cols());
+  EXPECT_EQ(std::memcmp(served.data(), predicted.data(),
+                        sizeof(double) * static_cast<size_t>(served.size())),
+            0);
 }
 
 }  // namespace
