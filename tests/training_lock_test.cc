@@ -14,7 +14,8 @@
 // fingerprint hashes std::expm1 / std::exp / std::log1p / std::tanh /
 // std::cos over a fixed probe grid, plus libmvec's vector expm1 of that
 // level at the wide levels. The suite runs at SBRL_ISA=baseline and at
-// the resolved level. An unknown key fails with the hashes this host
+// the resolved level; the `_isa_avx2` ctest variant pins the middle
+// level on hosts that resolve to avx512. An unknown key fails with the hashes this host
 // produced and instructions for adding them; it is never skipped.
 //
 // Estimator stability over fixed replications (Kuenzel et al.,
@@ -176,6 +177,11 @@ constexpr LockSet kLockSets[] = {
       0xdefefd664c514e91ULL, 0x42b5a9865660ffc6ULL, 0x4fe3f9c07db1b98eULL,
       0xe325c8a5e52df701ULL, 0xa39447e1c1c3655cULL, 0xbac94266f595a367ULL,
       0xb71dc6086d12bf7cULL}},
+    {"avx2", 0x342c1c04c36730d0ULL,
+     {0x1dc6900eacbed56dULL, 0x13c6806997be5a1cULL, 0x18a997c9f0e4af54ULL,
+      0xa21d668bfb9ebdd9ULL, 0x18cdf9560278b8cbULL, 0x076f5294e706e629ULL,
+      0xba28714c7b64c680ULL, 0x8be30174ef2057fcULL, 0x478aa623c08f05dcULL,
+      0xbc56c1b01059b987ULL}},
     {"avx512", 0xa39c74ce1303e07dULL,
      {0xb48ae3b18093da2aULL, 0xd7409fc650c4d5aeULL, 0xb4e7fed3212f68f9ULL,
       0x34468ce3b90afe58ULL, 0x88db7c9b33770a0bULL, 0x3d459f5804e648f3ULL,
@@ -188,6 +194,11 @@ constexpr LockSet kLockSets[] = {
       0x30c9a92fff95d1f4ULL, 0x49c2fb483366ca23ULL, 0x3b582f9cd294af8eULL,
       0xac8f326a5fccddd9ULL, 0x4678e5afc5a18aa8ULL, 0xc599c5a906a097e0ULL,
       0xeb4eabc017590ac5ULL}},
+    {"avx2", 0x5b82c98607745cbbULL,
+     {0x1e1c68e358c48e60ULL, 0xd3bfb9f841940388ULL, 0x3a88a5b2a2f80620ULL,
+      0x8e4e680549528383ULL, 0x20a413006724da19ULL, 0x33ea3a1154f5ae04ULL,
+      0xbf94a68e2473413fULL, 0xd716efe6e1e8121eULL, 0xb2a64cce65ac1541ULL,
+      0x8117c54d60394f1fULL}},
     {"avx512", 0x8dd8541ce2301a6fULL,
      {0xb48ae3b18093da2aULL, 0xd7409fc650c4d5aeULL, 0xb4e7fed3212f68f9ULL,
       0x34468ce3b90afe58ULL, 0x88db7c9b33770a0bULL, 0xfa5a6b380e78ec80ULL,
