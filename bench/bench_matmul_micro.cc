@@ -1,7 +1,8 @@
 // Microbenchmark of the dense-linalg hot kernels: the tiled parallel
 // Matmul against the seed repo's naive triple-loop kernel
 // (MatmulReference), plus the transpose-product kernels used by every
-// backward pass and the per-level ELU backward kernel. The tiled
+// backward pass, the per-level ELU backward kernel and the per-level
+// RFF scaled cosine kernel. The tiled
 // kernel must beat the seed kernel at 256^3 even single-threaded
 // (SBRL_NUM_THREADS=1).
 //
@@ -10,6 +11,7 @@
 // this bench doubles as an integration check of the blocked kernels.
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <functional>
 #include <iostream>
@@ -158,6 +160,43 @@ int Main() {
       std::cout << "elu_grad " << tag << " " << IsaName(isa) << ": "
                 << per_elem * 1e9 << " ns/element\n";
     }
+  }
+  // Scaled cosine kernel (LinalgKernels::scaled_cos) of every level the
+  // host supports, one serial call per run over a buffer of fresh
+  // angles: 4096-element runs (a long flat sweep) and 5-element runs
+  // (one strided row of k = 5 features, where the 8-lane masked tail
+  // pays most). Recorded as seconds per element; the outputs of the two
+  // run lengths must agree bit for bit (the kernel is lane-pure).
+  const int64_t cos_elems = 4096 * 60;  // a multiple of both run lengths
+  const int cos_reps = scale.name == "smoke" ? 4 : 40;
+  const Matrix angles = rng.Rand(1, cos_elems, -20.0, 20.0);
+  for (Isa isa : {Isa::kBaseline, Isa::kAvx2, Isa::kAvx512}) {
+    if (isa > MaxSupportedIsa()) continue;
+    const LinalgKernels& kernels = LinalgKernelsForIsa(isa);
+    std::vector<Matrix> outs;
+    for (const int64_t run : {int64_t{4096}, int64_t{5}}) {
+      Matrix work = angles;
+      double seconds = 0.0;
+      for (int r = 0; r <= cos_reps; ++r) {  // rep 0 is the warm-up
+        std::memcpy(work.data(), angles.data(), sizeof(double) * cos_elems);
+        Timer t;
+        for (int64_t i = 0; i < cos_elems; i += run) {
+          kernels.scaled_cos(work.data() + i, run, std::sqrt(2.0));
+        }
+        if (r > 0) seconds += t.ElapsedSeconds();
+        g_sink = g_sink + work.data()[r];
+      }
+      const double per_elem = seconds / (cos_reps * cos_elems);
+      json.Record(std::string("scaled_cos_") + IsaName(isa) + "/" +
+                      std::to_string(run),
+                  per_elem);
+      std::cout << "scaled_cos run " << run << " " << IsaName(isa) << ": "
+                << per_elem * 1e9 << " ns/element\n";
+      outs.push_back(std::move(work));
+    }
+    SBRL_CHECK(std::memcmp(outs[0].data(), outs[1].data(),
+                           sizeof(double) * cos_elems) == 0)
+        << IsaName(isa) << " scaled_cos depends on the run length";
   }
   std::cout << "wrote " << json.WriteOrDie() << "\n";
   return 0;

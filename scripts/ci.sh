@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
-# CI entry point: builds the default and sanitized configurations and
+# CI entry point: fails on any value-changing math flag (-ffast-math,
+# -ffinite-math-only) in a CMakeLists.txt or under src/, then builds the
+# default and sanitized configurations and
 # runs the tier-1 suite (which includes the threads2, isa_baseline,
 # faults, serving, and large_n variants, and the training lock at
-# SBRL_ISA=baseline and under
+# SBRL_ISA=baseline, at SBRL_ISA=avx2 and under
 # GLIBC_TUNABLES=glibc.cpu.hwcaps=-AVX2,-FMA), then the sanitizer
-# subset (including the CSV/streaming loader suites and the SIMD
-# sweeps, whose per-ISA f64 ELU kernels have masked and padded tail
-# lanes) plus the fault drills and serving format suite under
+# subset (including the CSV/streaming loader suites and the per-ISA
+# cosine and ELU kernels with their masked and padded tail lanes) plus the fault drills and serving format suite under
 # asan/ubsan, and the ThreadSanitizer subset
 # (which includes the serving micro-batcher concurrency suite, the
 # sharded streaming suite and the large-n bench at smoke scale), whose
@@ -23,6 +24,18 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 PREFIX="${1:-build-ci}"
 JOBS="$(nproc 2>/dev/null || echo 2)"
+
+echo "=== strict IEEE lint ==="
+# The determinism contract (docs/ARCHITECTURE.md) holds only under
+# strict IEEE semantics: no CMakeLists.txt and no source file may turn
+# on a value-changing math flag.
+FAST_MATH_RE='-ffast-math|-ffinite-math-only'
+if grep -rnE --include=CMakeLists.txt --exclude-dir='build*' \
+       --exclude-dir=.bench_build -e "${FAST_MATH_RE}" . ||
+   grep -rnE -e "${FAST_MATH_RE}" src; then
+  echo "value-changing math flag found above; keep every TU strict IEEE" >&2
+  exit 1
+fi
 
 echo "=== default configuration ==="
 cmake -B "${PREFIX}" -S .

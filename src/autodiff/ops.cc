@@ -262,42 +262,6 @@ Var Mul(Var a, Var b) {
   });
 }
 
-Var Div(Var a, Var b) {
-  Tape* t = SameTape(a, b);
-  SBRL_CHECK(a.value().same_shape(b.value()))
-      << a.value().ShapeString() << " vs " << b.value().ShapeString();
-  Matrix out = t->NewZero(a.rows(), a.cols());
-  {
-    const double* ad = a.value().data();
-    const double* bd = b.value().data();
-    double* od = out.data();
-    ElementwiseFor(out.size(), [ad, bd, od](int64_t lo, int64_t hi) {
-      for (int64_t i = lo; i < hi; ++i) od[i] = ad[i] / bd[i];
-    });
-  }
-  const int ai = a.id(), bi = b.id(), self = t->size();
-  return t->MakeNode(std::move(out), {a, b}, [ai, bi, self](Tape* t) {
-    const Matrix& g = t->grad(self);
-    const Matrix& av = t->value(ai);
-    const Matrix& bv = t->value(bi);
-    Matrix da = t->NewZero(av.rows(), av.cols());
-    Matrix db = t->NewZero(av.rows(), av.cols());
-    const double* gd = g.data();
-    const double* ad = av.data();
-    const double* bd = bv.data();
-    double* dad = da.data();
-    double* dbd = db.data();
-    ElementwiseFor(av.size(), [gd, ad, bd, dad, dbd](int64_t lo, int64_t hi) {
-      for (int64_t i = lo; i < hi; ++i) {
-        dad[i] = gd[i] / bd[i];
-        dbd[i] = -gd[i] * ad[i] / (bd[i] * bd[i]);
-      }
-    });
-    t->AccumulateGrad(ai, std::move(da));
-    t->AccumulateGrad(bi, std::move(db));
-  });
-}
-
 Var AddRow(Var a, Var row) {
   Tape* t = SameTape(a, row);
   SBRL_CHECK_EQ(row.rows(), 1);
@@ -317,31 +281,6 @@ Var AddRow(Var a, Var row) {
       for (int64_t c = 0; c < g.cols(); ++c) dr(0, c) += g(r, c);
     }
     t->AccumulateGrad(ri, std::move(dr));
-  });
-}
-
-Var AddCol(Var a, Var col) {
-  Tape* t = SameTape(a, col);
-  SBRL_CHECK_EQ(col.cols(), 1);
-  SBRL_CHECK_EQ(col.rows(), a.rows());
-  const Matrix& av = a.value();
-  const Matrix& cv = col.value();
-  Matrix out = t->NewCopy(av);
-  for (int64_t r = 0; r < av.rows(); ++r) {
-    const double add = cv(r, 0);
-    for (int64_t c = 0; c < av.cols(); ++c) out(r, c) += add;
-  }
-  const int ai = a.id(), ci = col.id(), self = t->size();
-  return t->MakeNode(std::move(out), {a, col}, [ai, ci, self](Tape* t) {
-    const Matrix& g = t->grad(self);
-    t->AccumulateGrad(ai, g);
-    Matrix dc = t->NewZero(g.rows(), 1);
-    for (int64_t r = 0; r < g.rows(); ++r) {
-      double acc = 0.0;
-      for (int64_t c = 0; c < g.cols(); ++c) acc += g(r, c);
-      dc(r, 0) = acc;
-    }
-    t->AccumulateGrad(ci, std::move(dc));
   });
 }
 
@@ -408,24 +347,6 @@ Var MulCol(Var a, Var col) {
     }
     if (need_a) t->AccumulateGrad(ai, std::move(da));
     if (need_c) t->AccumulateGrad(ci, std::move(dc));
-  });
-}
-
-Var MulScalar(Var a, Var s) {
-  Tape* t = SameTape(a, s);
-  SBRL_CHECK(s.value().is_scalar());
-  Matrix out = t->NewCopy(a.value());
-  out *= s.value().scalar();
-  const int ai = a.id(), si = s.id(), self = t->size();
-  return t->MakeNode(std::move(out), {a, s}, [ai, si, self](Tape* t) {
-    const Matrix& g = t->grad(self);
-    const double sv = t->value(si).scalar();
-    Matrix da = t->NewCopy(g);
-    da *= sv;
-    t->AccumulateGrad(ai, std::move(da));
-    Matrix ds = t->NewZero(1, 1);
-    ds(0, 0) = Dot(g, t->value(ai));
-    t->AccumulateGrad(si, std::move(ds));
   });
 }
 
@@ -511,12 +432,6 @@ Var Softplus(Var a) {
 Var Elu(Var a) { return ActOp<EluAct>(a); }
 
 Var Relu(Var a) { return ActOp<ReluAct>(a); }
-
-Var Cos(Var a) {
-  return UnaryOp(
-      a, [](double x) { return std::cos(x); },
-      [](double x, double) { return -std::sin(x); });
-}
 
 Var Transpose(Var a) {
   Tape* t = a.tape();

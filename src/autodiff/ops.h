@@ -33,22 +33,16 @@ enum class ActKind {
 Var Add(Var a, Var b);
 Var Sub(Var a, Var b);
 Var Mul(Var a, Var b);
-/// Elementwise a / b. The caller guarantees b is bounded away from zero.
-Var Div(Var a, Var b);
 
 // ---------------------------------------------------------------------------
 // Broadcast arithmetic.
 // ---------------------------------------------------------------------------
 /// (n x d) + (1 x d): adds `row` to every row (bias add).
 Var AddRow(Var a, Var row);
-/// (n x d) + (n x 1): adds `col` to every column.
-Var AddCol(Var a, Var col);
 /// (n x d) * (1 x d): scales every row elementwise by `row`.
 Var MulRow(Var a, Var row);
 /// (n x d) * (n x 1): scales row i of `a` by col(i) (sample weighting).
 Var MulCol(Var a, Var col);
-/// a * s where s is a differentiable (1 x 1) scalar node.
-Var MulScalar(Var a, Var s);
 /// a / s where s is a differentiable (1 x 1) scalar node.
 Var DivScalar(Var a, Var s);
 
@@ -80,7 +74,6 @@ Var Softplus(Var a);
 /// other ELU in the library.
 Var Elu(Var a);
 Var Relu(Var a);
-Var Cos(Var a);
 
 // ---------------------------------------------------------------------------
 // Shape manipulation.

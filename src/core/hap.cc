@@ -25,8 +25,7 @@ Var BuildWeightLoss(Var w, const WeightLossInputs& inputs,
   const RffDrawEpoch epoch{epoch_seed, proj_cache};
   const auto decorrelation = [&](const Matrix& z) {
     return HsicRffDecorrelationLoss(z, w, config.rff_features,
-                                    config.hsic_pair_budget, rng,
-                                    CosineMode::kVectorized, &epoch);
+                                    config.hsic_pair_budget, rng, &epoch);
   };
 
   // R_w anchor: keeps weights near 1 so no unit dominates or vanishes.

@@ -10,7 +10,7 @@ namespace sbrl {
 
 Var HsicRffDecorrelationLoss(const Matrix& z, Var w, int64_t rff_features,
                              int64_t pair_budget, Rng& rng,
-                             CosineMode cos_mode, const RffDrawEpoch* epoch) {
+                             const RffDrawEpoch* epoch) {
   Tape* tape = w.tape();
   SBRL_CHECK(w.valid());
   SBRL_CHECK_EQ(w.cols(), 1);
@@ -54,16 +54,14 @@ Var HsicRffDecorrelationLoss(const Matrix& z, Var w, int64_t rff_features,
     }
   }
   // F = [u_c0 | u_c1 | ...] over the used columns (n x n_used*k):
-  // angles land in one flat buffer, then a single vectorized (or
-  // exact, per cos_mode) cosine sweep finishes every feature at once.
+  // angles land in one flat buffer, then a single cosine sweep
+  // finishes every feature at once.
   Matrix stacked(z.rows(),
                  static_cast<int64_t>(blocks.used_cols.size()) * k);
   if (cache != nullptr) {
-    StackRffColumnsWithProjections(z, blocks.used_cols, projs, k, &stacked,
-                                   cos_mode);
+    StackRffColumnsWithProjections(z, blocks.used_cols, projs, k, &stacked);
   } else {
-    StackRffColumnsWithProjections(z, blocks.used_cols, drawn, k, &stacked,
-                                   cos_mode);
+    StackRffColumnsWithProjections(z, blocks.used_cols, drawn, k, &stacked);
   }
 
   Var f_const = tape->Constant(std::move(stacked));

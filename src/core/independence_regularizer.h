@@ -4,7 +4,6 @@
 #include <cstdint>
 
 #include "autodiff/ops.h"
-#include "common/simd.h"
 #include "core/config.h"
 #include "stats/rff.h"
 #include "tensor/random.h"
@@ -51,9 +50,6 @@ struct RffDrawEpoch {
 /// FP summation order differs, relative tolerance 1e-9 (see README
 /// "Weight-loss batching").
 ///
-/// `cos_mode` selects the cosine sweep of the feature evaluation
-/// (SIMD vectorized vs scalar std::cos reference; see CosineMode).
-///
 /// `epoch` supplies the projection draw epoch. When null, the epoch
 /// seed is drawn from `rng` (one engine draw after pair selection) and
 /// slots are sampled uncached — the standalone-call path. When set,
@@ -62,7 +58,6 @@ struct RffDrawEpoch {
 /// epoch (and one cache) across all HAP tiers of a weight step.
 Var HsicRffDecorrelationLoss(const Matrix& z, Var w, int64_t rff_features,
                              int64_t pair_budget, Rng& rng,
-                             CosineMode cos_mode = CosineMode::kVectorized,
                              const RffDrawEpoch* epoch = nullptr);
 
 }  // namespace sbrl

@@ -11,12 +11,12 @@
 #include "common/cpu.h"
 #include "common/fault.h"
 #include "common/logging.h"
-#include "common/simd.h"
 #include "common/timer.h"
 #include "core/checkpoint.h"
 #include "core/hap.h"
 #include "nn/lr_schedule.h"
 #include "nn/optimizer.h"
+#include "stats/rff.h"
 
 namespace sbrl {
 

@@ -45,9 +45,8 @@ struct TrainDiagnostics {
   /// feature evaluation) — the delta of the run thread's
   /// CosSweepSecondsThisThread() across Train(), so overlapping runs of
   /// a concurrent sweep never leak sweep time into each other and
-  /// rff_cos_seconds <= train_seconds always holds. The dominant slice
-  /// of `weight_step_seconds` that the
-  /// vectorized CosineMode targets; BENCH_table6.json records it as
+  /// rff_cos_seconds <= train_seconds always holds. A slice of
+  /// `weight_step_seconds`; BENCH_table6.json records it as
   /// `<method>/rff_cos` so the cosine share is tracked across PRs.
   double rff_cos_seconds = 0.0;
   /// Resolved kernel ISA level this run trained with ("baseline" /

@@ -37,7 +37,7 @@ Matrix PearsonCorrelationMatrix(const Matrix& x) {
 
 Matrix PairwiseHsicRffMatrix(const Matrix& x, const Matrix& w,
                              int64_t num_features, Rng& rng,
-                             int64_t max_dims, CosineMode mode) {
+                             int64_t max_dims) {
   int64_t d = x.cols();
   std::vector<int64_t> dims;
   if (max_dims > 0 && max_dims < d) {
@@ -55,10 +55,8 @@ Matrix PairwiseHsicRffMatrix(const Matrix& x, const Matrix& w,
     for (int64_t j = i + 1; j < d; ++j) {
       RffProjection proj_a = SampleRff(rng, 1, num_features);
       RffProjection proj_b = SampleRff(rng, 1, num_features);
-      Matrix u = ApplyRffToColumn(proj_a, x, dims[static_cast<size_t>(i)],
-                                  mode);
-      Matrix v = ApplyRffToColumn(proj_b, x, dims[static_cast<size_t>(j)],
-                                  mode);
+      Matrix u = ApplyRffToColumn(proj_a, x, dims[static_cast<size_t>(i)]);
+      Matrix v = ApplyRffToColumn(proj_b, x, dims[static_cast<size_t>(j)]);
       Matrix cov = WeightedCrossCovariance(u, v, w);
       double frob2 = 0.0;
       for (int64_t e = 0; e < cov.size(); ++e) frob2 += cov[e] * cov[e];

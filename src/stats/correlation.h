@@ -3,7 +3,6 @@
 
 #include <cstdint>
 
-#include "common/simd.h"
 #include "tensor/matrix.h"
 #include "tensor/random.h"
 
@@ -18,13 +17,11 @@ Matrix PearsonCorrelationMatrix(const Matrix& x);
 /// nonlinear-correlation heat map; `max_dims > 0` restricts to a random
 /// subset of columns (the paper samples 25 representation dimensions).
 /// Per-pair feature draws come from `rng` exactly as WeightedHsicRff
-/// makes them; the cosine features evaluate through the shared sweep
-/// selected by `mode`, so the statistic and the stacked loss path use
-/// the same epilogue.
+/// makes them; the cosine features evaluate through the shared sweep,
+/// so the statistic and the stacked loss path use the same epilogue.
 Matrix PairwiseHsicRffMatrix(const Matrix& x, const Matrix& w,
                              int64_t num_features, Rng& rng,
-                             int64_t max_dims = 0,
-                             CosineMode mode = CosineMode::kVectorized);
+                             int64_t max_dims = 0);
 
 /// Mean of the off-diagonal entries of a square symmetric matrix — the
 /// summary number the paper quotes for Fig. 5 (0.85 / 0.64 / 0.58).

@@ -50,20 +50,20 @@ double Hsic(const Matrix& a, const Matrix& b) {
 }
 
 double HsicRff(const Matrix& a, const Matrix& b, int64_t num_features,
-               Rng& rng, CosineMode mode) {
+               Rng& rng) {
   Matrix uniform = Matrix::Ones(a.rows(), 1);
-  return WeightedHsicRff(a, b, uniform, num_features, rng, mode);
+  return WeightedHsicRff(a, b, uniform, num_features, rng);
 }
 
 double WeightedHsicRff(const Matrix& a, const Matrix& b, const Matrix& w,
-                       int64_t num_features, Rng& rng, CosineMode mode) {
+                       int64_t num_features, Rng& rng) {
   SBRL_CHECK_EQ(a.cols(), 1);
   SBRL_CHECK_EQ(b.cols(), 1);
   SBRL_CHECK_EQ(a.rows(), b.rows());
   RffProjection proj_a = SampleRff(rng, 1, num_features);
   RffProjection proj_b = SampleRff(rng, 1, num_features);
-  Matrix u = ApplyRff(proj_a, a, mode);  // (n x k)
-  Matrix v = ApplyRff(proj_b, b, mode);  // (n x k)
+  Matrix u = ApplyRff(proj_a, a);  // (n x k)
+  Matrix v = ApplyRff(proj_b, b);  // (n x k)
   Matrix cov = WeightedCrossCovariance(u, v, w);
   double frob2 = 0.0;
   for (int64_t i = 0; i < cov.size(); ++i) frob2 += cov[i] * cov[i];
@@ -72,7 +72,7 @@ double WeightedHsicRff(const Matrix& a, const Matrix& b, const Matrix& w,
 
 double PairwiseWeightedHsicRff(const Matrix& x, const Matrix& w,
                                int64_t num_features, Rng& rng,
-                               int64_t max_pairs, CosineMode mode) {
+                               int64_t max_pairs) {
   const int64_t d = x.cols();
   const int64_t k = num_features;
   SBRL_CHECK_GT(d, 1);
@@ -98,8 +98,7 @@ double PairwiseWeightedHsicRff(const Matrix& x, const Matrix& w,
   }
   Matrix stacked(x.rows(),
                  static_cast<int64_t>(blocks.used_cols.size()) * k);
-  StackRffColumnsWithProjections(x, blocks.used_cols, projs, k, &stacked,
-                                 mode);
+  StackRffColumnsWithProjections(x, blocks.used_cols, projs, k, &stacked);
   Matrix wn = NormalizeWeights(w);
   Matrix means = MatmulTransA(wn, stacked);  // (1 x n_used*k)
 

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 
-#include "common/simd.h"
 #include "stats/rff.h"
 #include "tensor/matrix.h"
 #include "tensor/random.h"
@@ -23,18 +22,16 @@ double Hsic(const Matrix& a, const Matrix& b);
 /// HSIC with Random Fourier Features (paper Eq. 7): the squared
 /// Frobenius norm of the cross-covariance between `num_features` random
 /// cosine features of each variable. `a` and `b` are (n x 1) columns.
-/// Fresh feature draws come from `rng`; `mode` selects the cosine
-/// evaluation path.
+/// Fresh feature draws come from `rng`.
 double HsicRff(const Matrix& a, const Matrix& b, int64_t num_features,
-               Rng& rng, CosineMode mode = CosineMode::kVectorized);
+               Rng& rng);
 
 /// Weighted HSIC-RFF (paper Eq. 9): covariances are computed under the
 /// normalized sample weights `w` (n x 1, non-negative). Consumes two
 /// SampleRff draws from `rng` (one per variable), then evaluates the
-/// cosine features through the sweep selected by `mode`.
+/// cosine features through the shared sweep (ScaledCosInPlace).
 double WeightedHsicRff(const Matrix& a, const Matrix& b, const Matrix& w,
-                       int64_t num_features, Rng& rng,
-                       CosineMode mode = CosineMode::kVectorized);
+                       int64_t num_features, Rng& rng);
 
 /// Sum of WeightedHsicRff over all unordered column pairs (a < b) of
 /// `x` (n x d) — the paper's decorrelation loss L_D (Eq. 10) as a
@@ -48,8 +45,7 @@ double WeightedHsicRff(const Matrix& a, const Matrix& b, const Matrix& w,
 /// projections are slot draws keyed by (epoch, k, column index).
 double PairwiseWeightedHsicRff(const Matrix& x, const Matrix& w,
                                int64_t num_features, Rng& rng,
-                               int64_t max_pairs = 0,
-                               CosineMode mode = CosineMode::kVectorized);
+                               int64_t max_pairs = 0);
 
 }  // namespace sbrl
 

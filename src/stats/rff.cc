@@ -5,11 +5,29 @@
 #include <vector>
 
 #include "common/thread_pool.h"
+#include "common/timer.h"
+#include "tensor/kernels.h"
 #include "tensor/linalg.h"
 
 namespace sbrl {
 
 namespace {
+
+/// Relative cost weight of one cosine evaluation in units of the
+/// cache-blocked matmul flops that calibrate the shared serial cutoff:
+/// a libm cosine costs roughly this many multiply-adds, so the sweeps
+/// weigh their element count by it before comparing against
+/// SerialCutoff().
+constexpr int64_t kCosFlopWeight = 16;
+
+/// Per-thread cosine-sweep wall-clock total, in nanoseconds. Thread-
+/// local so concurrent runs (which each execute on one thread) never
+/// see each other's sweep time in their deltas.
+thread_local int64_t t_cos_sweep_nanos = 0;
+
+void AccrueCosSweep(const Timer& timer) {
+  t_cos_sweep_nanos += static_cast<int64_t>(timer.ElapsedSeconds() * 1e9);
+}
 
 /// splitmix64 finalizer: a fast, well-mixed 64-bit hash used to derive
 /// independent per-slot seeds from (epoch, in_dim, k, slot).
@@ -55,7 +73,7 @@ void WriteRffAnglesToColumnInto(const RffProjection& proj, const Matrix& x,
 /// contiguous scaled-cosine sweep over the whole flat buffer.
 void StackRffColumnsImpl(const Matrix& x, const std::vector<int64_t>& cols,
                          const std::vector<const RffProjection*>& projs,
-                         int64_t k, Matrix* out, CosineMode mode) {
+                         int64_t k, Matrix* out) {
   const int64_t n_cols = static_cast<int64_t>(cols.size());
   SBRL_CHECK_EQ(static_cast<int64_t>(projs.size()), n_cols);
   SBRL_CHECK_EQ(out->rows(), x.rows());
@@ -75,10 +93,44 @@ void StackRffColumnsImpl(const Matrix& x, const std::vector<int64_t>& cols,
   // Flat-angle epilogue: the full (n x n_cols*k) buffer is one
   // contiguous run, so the vectorized kernel sees long trip counts
   // instead of k-wide inner loops.
-  ScaledCosInPlace(out->data(), out->size(), std::sqrt(2.0), mode);
+  ScaledCosInPlace(out->data(), out->size(), std::sqrt(2.0));
 }
 
 }  // namespace
+
+void ScaledCosInPlace(double* x, int64_t n, double scale) {
+  SBRL_CHECK_GE(n, 0);
+  Timer timer;
+  const auto scaled_cos = ActiveLinalgKernels().scaled_cos;
+  const int64_t grain = std::max<int64_t>(1, SerialCutoff() / kCosFlopWeight);
+  ParallelFor(0, n, grain, [x, scale, scaled_cos](int64_t lo, int64_t hi) {
+    scaled_cos(x + lo, hi - lo, scale);
+  });
+  AccrueCosSweep(timer);
+}
+
+void ScaledCosRowsInPlace(double* x, int64_t rows, int64_t cols,
+                          int64_t stride, double scale) {
+  SBRL_CHECK_GE(rows, 0);
+  SBRL_CHECK_GE(cols, 0);
+  SBRL_CHECK_GE(stride, cols);
+  if (stride == cols) {  // the block is contiguous: one flat sweep
+    ScaledCosInPlace(x, rows * cols, scale);
+    return;
+  }
+  Timer timer;
+  const auto scaled_cos = ActiveLinalgKernels().scaled_cos;
+  const int64_t grain = std::max<int64_t>(
+      1, SerialCutoff() / std::max<int64_t>(1, cols * kCosFlopWeight));
+  ParallelFor(0, rows, grain, [&](int64_t lo, int64_t hi) {
+    for (int64_t r = lo; r < hi; ++r) scaled_cos(x + r * stride, cols, scale);
+  });
+  AccrueCosSweep(timer);
+}
+
+double CosSweepSecondsThisThread() {
+  return static_cast<double>(t_cos_sweep_nanos) * 1e-9;
+}
 
 RffProjection SampleRff(Rng& rng, int64_t in_dim, int64_t num_features) {
   SBRL_CHECK_GT(in_dim, 0);
@@ -187,8 +239,7 @@ const RffProjection& RffProjectionCache::Slot(int64_t in_dim,
   return entry;
 }
 
-Matrix ApplyRff(const RffProjection& proj, const Matrix& x,
-                CosineMode mode) {
+Matrix ApplyRff(const RffProjection& proj, const Matrix& x) {
   SBRL_CHECK_EQ(x.cols(), proj.in_dim());
   // Angle pass: the projection sum accumulates over in_dim in ascending
   // order exactly like Matmul, so angles match the former Matmul +
@@ -209,32 +260,28 @@ Matrix ApplyRff(const RffProjection& proj, const Matrix& x,
       orow[f] = acc + phid[f];
     }
   }
-  ScaledCosInPlace(out.data(), out.size(), std::sqrt(2.0), mode);
+  ScaledCosInPlace(out.data(), out.size(), std::sqrt(2.0));
   return out;
 }
 
 Matrix ApplyRffToColumn(const RffProjection& proj, const Matrix& x,
-                        int64_t col, CosineMode mode) {
+                        int64_t col) {
   Matrix out(x.rows(), proj.num_features());
-  ApplyRffToColumnInto(proj, x, col, &out, 0, mode);
+  ApplyRffToColumnInto(proj, x, col, &out, 0);
   return out;
 }
 
 void ApplyRffToColumnInto(const RffProjection& proj, const Matrix& x,
-                          int64_t col, Matrix* out, int64_t col_offset,
-                          CosineMode mode) {
+                          int64_t col, Matrix* out, int64_t col_offset) {
   WriteRffAnglesToColumnInto(proj, x, col, out, col_offset);
   // Shared epilogue: one strided sweep over the written block (a flat
-  // sweep when the block spans all of *out), so exact/vectorized mode
-  // selection applies here exactly as in the stacked loss path.
+  // sweep when the block spans all of *out).
   ScaledCosRowsInPlace(out->data() + col_offset, out->rows(),
-                       proj.num_features(), out->cols(), std::sqrt(2.0),
-                       mode);
+                       proj.num_features(), out->cols(), std::sqrt(2.0));
 }
 
 void StackRffColumns(const Matrix& x, const std::vector<int64_t>& cols,
-                     int64_t num_features, Rng& rng, Matrix* out,
-                     CosineMode mode) {
+                     int64_t num_features, Rng& rng, Matrix* out) {
   // Projections come out of `rng` serially so the stream never depends
   // on the worker count; only the angle fill and sweep are parallel.
   std::vector<RffProjection> projs;
@@ -242,29 +289,29 @@ void StackRffColumns(const Matrix& x, const std::vector<int64_t>& cols,
   for (size_t i = 0; i < cols.size(); ++i) {
     projs.push_back(SampleRff(rng, 1, num_features));
   }
-  StackRffColumnsWithProjections(x, cols, projs, num_features, out, mode);
+  StackRffColumnsWithProjections(x, cols, projs, num_features, out);
 }
 
 void StackRffColumnsWithProjections(
     const Matrix& x, const std::vector<int64_t>& cols,
     const std::vector<const RffProjection*>& projs, int64_t num_features,
-    Matrix* out, CosineMode mode) {
+    Matrix* out) {
   for (const RffProjection* p : projs) {
     SBRL_CHECK(p != nullptr);
     SBRL_CHECK_EQ(p->in_dim(), 1);
     SBRL_CHECK_EQ(p->num_features(), num_features);
   }
-  StackRffColumnsImpl(x, cols, projs, num_features, out, mode);
+  StackRffColumnsImpl(x, cols, projs, num_features, out);
 }
 
 void StackRffColumnsWithProjections(
     const Matrix& x, const std::vector<int64_t>& cols,
     const std::vector<RffProjection>& projs, int64_t num_features,
-    Matrix* out, CosineMode mode) {
+    Matrix* out) {
   std::vector<const RffProjection*> views;
   views.reserve(projs.size());
   for (const RffProjection& p : projs) views.push_back(&p);
-  StackRffColumnsWithProjections(x, cols, views, num_features, out, mode);
+  StackRffColumnsWithProjections(x, cols, views, num_features, out);
 }
 
 }  // namespace sbrl

@@ -9,7 +9,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/simd.h"
 #include "tensor/matrix.h"
 #include "tensor/random.h"
 
@@ -164,34 +163,55 @@ class RffProjectionCache {
   std::map<std::pair<int64_t, int64_t>, std::deque<RffProjection>> slots_;
 };
 
+/// In-place scaled cosine sweep x[i] = scale * cos(x[i]) over a
+/// contiguous run — the shared sqrt(2) * cos(angle) epilogue of every
+/// RFF evaluation path, through the active level's
+/// LinalgKernels::scaled_cos. Fans out across the pool above the
+/// shared serial cutoff (a cosine weighs as 16 matmul flops). Each
+/// output is a pure function of its input at a level, so the result is
+/// bitwise invariant to the worker count and to where the element
+/// sits in the run. Seconds spent here accrue to the calling thread's
+/// CosSweepSecondsThisThread().
+void ScaledCosInPlace(double* x, int64_t n, double scale);
+
+/// ScaledCosInPlace over a strided (rows x cols) block whose row r
+/// starts at x + r * stride (stride >= cols), one kernel call per row,
+/// rows fanned out across the pool. Collapses to one flat sweep when
+/// stride == cols; bitwise identical to sweeping each row alone.
+void ScaledCosRowsInPlace(double* x, int64_t rows, int64_t cols,
+                          int64_t stride, double scale);
+
+/// Monotonically increasing PER-THREAD total of wall-clock seconds
+/// spent inside the cosine sweeps above, measured on the thread that
+/// issued them (the sweep blocks its caller, so pool fan-out time is
+/// included; time spent by pool workers executing someone else's sweep
+/// does not accrue here). Callers snapshot it before and after a
+/// region to attribute cosine cost — TrainDiagnostics::rff_cos_seconds
+/// is the delta across one Train() call. Run-scoped by construction:
+/// each run of a concurrent sweep executes on one thread, so deltas
+/// never include another run's sweeps and rff_cos_seconds <=
+/// train_seconds always holds.
+double CosSweepSecondsThisThread();
+
 /// Applies the projection to samples `x` (n x in_dim), returning the
 /// (n x num_features) feature matrix sqrt(2) cos(x w + phi). The
 /// projection sum accumulates over in_dim in ascending order; the
-/// cosine epilogue runs through the shared sweep selected by `mode`.
-Matrix ApplyRff(const RffProjection& proj, const Matrix& x,
-                CosineMode mode = CosineMode::kVectorized);
+/// cosine epilogue runs through ScaledCosInPlace.
+Matrix ApplyRff(const RffProjection& proj, const Matrix& x);
 
 /// ApplyRff of column `col` of `x`, read in place through a strided
 /// pointer — no Matrix::Col copy. `proj` must have in_dim() == 1.
-/// Identical output to ApplyRff(proj, x.Col(col), mode).
+/// Identical output to ApplyRff(proj, x.Col(col)).
 Matrix ApplyRffToColumn(const RffProjection& proj, const Matrix& x,
-                        int64_t col,
-                        CosineMode mode = CosineMode::kVectorized);
+                        int64_t col);
 
 /// ApplyRffToColumn writing its (n x num_features) block into columns
 /// [col_offset, col_offset + num_features) of `*out` (n rows) instead
-/// of allocating. Lets callers assemble the stacked n x (d * k) feature
-/// matrix of the batched HSIC pair loss with one buffer and no
-/// per-feature copies. The angles land first and the sqrt(2) cos
-/// epilogue runs through the shared sweep. In kExact mode — and in
-/// either mode when the block spans all of `*out` (out->cols() ==
-/// num_features) — values are bitwise identical to ApplyRffToColumn;
-/// in kVectorized mode a block embedded in a WIDER matrix sweeps each
-/// row as its own short SIMD run, whose scalar-tail elements may
-/// differ from the flat layout's by the usual <= kVecCosMaxUlp.
+/// of allocating. The angles land first and the sqrt(2) cos epilogue
+/// runs through ScaledCosRowsInPlace, so values are bitwise identical
+/// to ApplyRffToColumn whatever the width of `*out`.
 void ApplyRffToColumnInto(const RffProjection& proj, const Matrix& x,
-                          int64_t col, Matrix* out, int64_t col_offset,
-                          CosineMode mode = CosineMode::kVectorized);
+                          int64_t col, Matrix* out, int64_t col_offset);
 
 /// Builds the stacked feature matrix of the batched HSIC pair loss:
 /// block i of `*out` (columns [i*k, (i+1)*k), k = num_features) holds
@@ -203,8 +223,7 @@ void ApplyRffToColumnInto(const RffProjection& proj, const Matrix& x,
 /// flat-angle layout that lets the dominant cost of the decorrelation
 /// loss vectorize). `*out` must be (x.rows() x cols.size()*k).
 void StackRffColumns(const Matrix& x, const std::vector<int64_t>& cols,
-                     int64_t num_features, Rng& rng, Matrix* out,
-                     CosineMode mode = CosineMode::kVectorized);
+                     int64_t num_features, Rng& rng, Matrix* out);
 
 /// StackRffColumns with the per-column projections supplied by the
 /// caller (projs[i] applies to column cols[i]; every projection must
@@ -217,12 +236,12 @@ void StackRffColumns(const Matrix& x, const std::vector<int64_t>& cols,
 void StackRffColumnsWithProjections(
     const Matrix& x, const std::vector<int64_t>& cols,
     const std::vector<const RffProjection*>& projs, int64_t num_features,
-    Matrix* out, CosineMode mode = CosineMode::kVectorized);
+    Matrix* out);
 /// Value-vector convenience overload of the above.
 void StackRffColumnsWithProjections(
     const Matrix& x, const std::vector<int64_t>& cols,
     const std::vector<RffProjection>& projs, int64_t num_features,
-    Matrix* out, CosineMode mode = CosineMode::kVectorized);
+    Matrix* out);
 
 }  // namespace sbrl
 

@@ -85,9 +85,9 @@ namespace {
 Matrix BlockFeatures(const CausalDataset& block, int64_t col,
                      const RffProjection& proj) {
   if (col == kOutcomeColumn) {
-    return ApplyRff(proj, block.y, CosineMode::kExact);
+    return ApplyRff(proj, block.y);
   }
-  return ApplyRffToColumn(proj, block.x, col, CosineMode::kExact);
+  return ApplyRffToColumn(proj, block.x, col);
 }
 
 }  // namespace

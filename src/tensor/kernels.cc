@@ -21,7 +21,7 @@ constexpr LinalgKernels kBaselineTable = {
     lk::BaselineMatmulRows,      lk::BaselineMatmulTransARows,
     lk::BaselineMatmulTransBRows, lk::BaselineBlockCrossFwd,
     lk::BaselineBlockCrossGradDw, lk::BaselineBlockCrossFwdGeneric,
-    lk::BaselineElu, lk::BaselineEluGrad,
+    lk::BaselineElu, lk::BaselineEluGrad, lk::BaselineScaledCos,
 };
 
 #if defined(SBRL_HAVE_ISA_AVX2)
@@ -55,7 +55,7 @@ constexpr LinalgKernels kAvx2Table = {
     lk::Avx2MatmulRows,      lk::Avx2MatmulTransARows,
     lk::Avx2MatmulTransBRows, Avx2BlockCrossFwdOrBaseline,
     Avx2BlockCrossGradDwOrBaseline, lk::Avx2BlockCrossFwdGeneric,
-    lk::Avx2Elu, lk::Avx2EluGrad,
+    lk::Avx2Elu, lk::Avx2EluGrad, lk::Avx2ScaledCos,
 };
 
 #else
@@ -101,7 +101,7 @@ constexpr LinalgKernels kAvx512Table = {
     lk::Avx512MatmulRows,      lk::Avx512MatmulTransARows,
     lk::Avx512MatmulTransBRows, Avx512BlockCrossFwdOrBaseline,
     Avx512BlockCrossGradDwOrBaseline, lk::Avx512BlockCrossFwdGeneric,
-    lk::Avx512Elu, lk::Avx512EluGrad,
+    lk::Avx512Elu, lk::Avx512EluGrad, lk::Avx512ScaledCos,
 };
 
 #else

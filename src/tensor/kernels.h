@@ -8,14 +8,21 @@
 
 namespace sbrl {
 
+/// Accuracy bound of every libmvec call the wide tables make (the vector
+/// cos of scaled_cos, the vector expm1 of elu) relative to the scalar
+/// libm function, in units in the last place — glibc's documented
+/// libmvec guarantee, enforced by tests/simd_test.cc over edge grids.
+constexpr int64_t kVecCosMaxUlp = 4;
+
 /// Function-pointer table of the per-tile linear-algebra kernels behind
 /// the hot kernel families (dense matmuls, the block-pair HSIC cross
-/// kernels, the f64 ELU and its backward, and — resolved separately in
-/// common/simd.cc for layering — the RFF cosine sweep). One table exists
-/// per Isa level; tensor/linalg.cc fetches ActiveLinalgKernels() at each
-/// public entry point and hands tiles to the resolved kernels, so the
+/// kernels, the f64 ELU and its backward, and the RFF scaled cosine).
+/// One table exists per Isa level; tensor/linalg.cc (and the RFF
+/// cosine sweeps in stats/rff.cc) fetch ActiveLinalgKernels() at each
+/// public entry point and hand tiles to the resolved kernels, so the
 /// shape checks, serial cutoffs, and ParallelFor chunking live in
-/// exactly one place while the arithmetic inner loops are ISA-specialized.
+/// exactly one place while the arithmetic inner loops are
+/// ISA-specialized.
 ///
 /// Determinism contract (docs/ARCHITECTURE.md "ISA dispatch"):
 ///  - The baseline table is the pre-dispatch scalar code verbatim:
@@ -40,6 +47,13 @@ namespace sbrl {
 ///  - elu_grad is the single f64 ELU backward. Its compare, add, blend
 ///    and multiply are exact, so it is bitwise identical across every
 ///    level and thread count.
+///  - scaled_cos is the single cosine of the library (the sqrt(2) cos
+///    epilogue of every RFF feature). Baseline is scalar std::cos; the
+///    wide levels call libmvec's vector cos (at most kVecCosMaxUlp from
+///    std::cos). The trailing multiply by the scale is a separate IEEE
+///    multiply at every level. Like elu, each output is a pure function
+///    of its input alone at a level, so strided and flat layouts, run
+///    lengths and chunkings all give the same bits.
 struct LinalgKernels {
   /// Rows [r0, r1) of out += a * b, a (n x k), b (k x m): each output
   /// element accumulates its k terms in ascending order.
@@ -96,6 +110,9 @@ struct LinalgKernels {
   /// compare sends NaN y to the y + 1 branch, so NaN propagates.
   using EluGradFn = void (*)(const double* g, const double* y, double* out,
                              int64_t n);
+  /// In-place scaled cosine over a contiguous run: x[i] = scale *
+  /// cos(x[i]).
+  using ScaledCosFn = void (*)(double* x, int64_t n, double scale);
 
   /// Matmul tile kernel of this level.
   MatmulRowsFn matmul_rows;
@@ -113,6 +130,8 @@ struct LinalgKernels {
   EluFn elu;
   /// ELU backward kernel of this level.
   EluGradFn elu_grad;
+  /// Scaled cosine kernel of this level.
+  ScaledCosFn scaled_cos;
 };
 
 /// The kernel table of one Isa level. Levels not compiled into this

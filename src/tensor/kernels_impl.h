@@ -48,6 +48,8 @@ void BaselineBlockCrossFwdGeneric(const double* ad, int64_t acols,
 void BaselineElu(double* x, int64_t n);
 /// See LinalgKernels::EluGradFn: the scalar compare-and-select formula.
 void BaselineEluGrad(const double* g, const double* y, double* out, int64_t n);
+/// See LinalgKernels::ScaledCosFn: scalar std::cos, then the multiply.
+void BaselineScaledCos(double* x, int64_t n, double scale);
 
 #if defined(SBRL_HAVE_ISA_AVX2)
 /// AVX2 (x86-64-v3, -ffp-contract=off) kernels. The matmul / trans-A /
@@ -86,6 +88,8 @@ void Avx2BlockCrossFwdGeneric(const double* ad, int64_t acols,
 void Avx2Elu(double* x, int64_t n);
 /// See LinalgKernels::EluGradFn: 4-lane blend, scalar tail.
 void Avx2EluGrad(const double* g, const double* y, double* out, int64_t n);
+/// See LinalgKernels::ScaledCosFn: libmvec _ZGVdN4v_cos, padded-copy tail.
+void Avx2ScaledCos(double* x, int64_t n, double scale);
 #endif  // SBRL_HAVE_ISA_AVX2
 
 #if defined(SBRL_HAVE_ISA_AVX512)
@@ -122,6 +126,8 @@ void Avx512BlockCrossFwdGeneric(const double* ad, int64_t acols,
 void Avx512Elu(double* x, int64_t n);
 /// See LinalgKernels::EluGradFn: 8-lane masked blend, masked tail.
 void Avx512EluGrad(const double* g, const double* y, double* out, int64_t n);
+/// See LinalgKernels::ScaledCosFn: libmvec _ZGVeN8v_cos, masked tail.
+void Avx512ScaledCos(double* x, int64_t n, double scale);
 #endif  // SBRL_HAVE_ISA_AVX512
 
 }  // namespace linalg_kernels

@@ -27,9 +27,10 @@
 
 #include <algorithm>
 
-// libmvec's 4-lane AVX2 expm1 (glibc >= 2.35), called directly: each
-// lane's result depends on that lane's input alone.
+// libmvec's 4-lane AVX2 expm1 (glibc >= 2.35) and cos, called
+// directly: each lane's result depends on that lane's input alone.
 extern "C" __m256d _ZGVdN4v_expm1(__m256d);
+extern "C" __m256d _ZGVdN4v_cos(__m256d);
 
 namespace sbrl {
 namespace linalg_kernels {
@@ -439,6 +440,23 @@ void Avx2EluGrad(const double* g, const double* y, double* out, int64_t n) {
                                            _mm256_loadu_pd(y + i)));
   }
   for (; i < n; ++i) out[i] = g[i] * (y[i] > 0.0 ? 1.0 : y[i] + 1.0);
+}
+
+void Avx2ScaledCos(double* x, int64_t n, double scale) {
+  const __m256d s = _mm256_set1_pd(scale);
+  int64_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    _mm256_storeu_pd(x + i,
+                     _mm256_mul_pd(s, _ZGVdN4v_cos(_mm256_loadu_pd(x + i))));
+  }
+  if (i < n) {
+    // Zero-padded copy: the tail runs through the same vector call.
+    double pad[4] = {0.0, 0.0, 0.0, 0.0};
+    std::copy(x + i, x + n, pad);
+    _mm256_storeu_pd(pad,
+                     _mm256_mul_pd(s, _ZGVdN4v_cos(_mm256_loadu_pd(pad))));
+    std::copy(pad, pad + (n - i), x + i);
+  }
 }
 
 }  // namespace linalg_kernels

@@ -18,9 +18,10 @@
 
 #include <algorithm>
 
-// libmvec's 8-lane AVX-512 expm1 (glibc >= 2.35), called directly: each
-// lane's result depends on that lane's input alone.
+// libmvec's 8-lane AVX-512 expm1 (glibc >= 2.35) and cos, called
+// directly: each lane's result depends on that lane's input alone.
 extern "C" __m512d _ZGVeN8v_expm1(__m512d);
+extern "C" __m512d _ZGVeN8v_cos(__m512d);
 
 namespace sbrl {
 namespace linalg_kernels {
@@ -424,6 +425,22 @@ void Avx512EluGrad(const double* g, const double* y, double* out, int64_t n) {
         out + i, tail,
         EluGradLanes(_mm512_maskz_loadu_pd(tail, g + i),
                      _mm512_maskz_loadu_pd(tail, y + i)));
+  }
+}
+
+void Avx512ScaledCos(double* x, int64_t n, double scale) {
+  const __m512d s = _mm512_set1_pd(scale);
+  int64_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    _mm512_storeu_pd(x + i,
+                     _mm512_mul_pd(s, _ZGVeN8v_cos(_mm512_loadu_pd(x + i))));
+  }
+  if (i < n) {
+    // Masked tail: the absent lanes load as +0.0 and are never stored.
+    const __mmask8 tail = static_cast<__mmask8>((1u << (n - i)) - 1u);
+    _mm512_mask_storeu_pd(
+        x + i, tail,
+        _mm512_mul_pd(s, _ZGVeN8v_cos(_mm512_maskz_loadu_pd(tail, x + i))));
   }
 }
 

@@ -257,5 +257,9 @@ void BaselineEluGrad(const double* g, const double* y, double* out,
   }
 }
 
+void BaselineScaledCos(double* x, int64_t n, double scale) {
+  for (int64_t i = 0; i < n; ++i) x[i] = scale * std::cos(x[i]);
+}
+
 }  // namespace linalg_kernels
 }  // namespace sbrl

@@ -75,14 +75,13 @@ TEST(TapeTest, ShapeMismatchDies) {
   EXPECT_DEATH(ops::Add(a, b), "CHECK failed");
 }
 
-TEST(OpsForwardTest, AddSubMulDivValues) {
+TEST(OpsForwardTest, AddSubMulValues) {
   Tape tape;
   Var a = tape.Constant(Matrix::FromRows({{4, 9}}));
   Var b = tape.Constant(Matrix::FromRows({{2, 3}}));
   EXPECT_TRUE(AllClose(ops::Add(a, b).value(), Matrix::FromRows({{6, 12}})));
   EXPECT_TRUE(AllClose(ops::Sub(a, b).value(), Matrix::FromRows({{2, 6}})));
   EXPECT_TRUE(AllClose(ops::Mul(a, b).value(), Matrix::FromRows({{8, 27}})));
-  EXPECT_TRUE(AllClose(ops::Div(a, b).value(), Matrix::FromRows({{2, 3}})));
 }
 
 TEST(OpsForwardTest, ActivationValues) {
@@ -151,14 +150,16 @@ TEST(GradCheckTest, AddThenSum) {
       x);
 }
 
-TEST(GradCheckTest, SubMulDivComposite) {
+TEST(GradCheckTest, SubMulReciprocalComposite) {
   Rng rng(22);
   Matrix x = rng.Rand(3, 3, 0.5, 2.0);
   CheckGradient(
       [](Tape& t, Var v) {
         Var c = t.Constant(Matrix::Constant(3, 3, 1.5));
-        Var d = ops::Div(ops::Mul(v, v), ops::Add(ops::Sub(v, c),
-                  t.Constant(Matrix::Constant(3, 3, 3.0))));
+        Var d = ops::Mul(ops::Mul(v, v),
+                         ops::Reciprocal(ops::Add(
+                             ops::Sub(v, c),
+                             t.Constant(Matrix::Constant(3, 3, 3.0)))));
         return ops::SumAll(d);
       },
       x, 1e-5);
@@ -171,17 +172,6 @@ TEST(GradCheckTest, AddRowBroadcast) {
       [](Tape& t, Var v) {
         Var a = t.Constant(Rng(99).Randn(5, 4));
         return ops::SumAll(ops::Square(ops::AddRow(a, v)));
-      },
-      x);
-}
-
-TEST(GradCheckTest, AddColBroadcast) {
-  Rng rng(24);
-  Matrix x = rng.Randn(5, 1);
-  CheckGradient(
-      [](Tape& t, Var v) {
-        Var a = t.Constant(Rng(98).Randn(5, 4));
-        return ops::SumAll(ops::Square(ops::AddCol(a, v)));
       },
       x);
 }
@@ -208,15 +198,14 @@ TEST(GradCheckTest, MulColBroadcastBothSides) {
       x);
 }
 
-TEST(GradCheckTest, MulScalarAndDivScalar) {
+TEST(GradCheckTest, DivScalarScalarSide) {
   Rng rng(27);
   Matrix x = rng.Rand(1, 1, 0.5, 2.0);
   CheckGradient(
       [](Tape& t, Var v) {
         Var a = t.Constant(Rng(95).Randn(4, 2));
-        Var scaled = ops::MulScalar(a, v);
-        Var divided = ops::DivScalar(scaled, ops::AddConst(v, 1.0));
-        return ops::SumAll(ops::Square(divided));
+        return ops::SumAll(
+            ops::Square(ops::DivScalar(a, ops::AddConst(v, 1.0))));
       },
       x, 1e-5);
 }
@@ -237,7 +226,6 @@ TEST(GradCheckTest, UnaryActivations) {
       {"tanh", [](Var v) { return ops::Tanh(v); }, -2.0, 2.0},
       {"softplus", [](Var v) { return ops::Softplus(v); }, -3.0, 3.0},
       {"elu", [](Var v) { return ops::Elu(v); }, -2.0, 2.0},
-      {"cos", [](Var v) { return ops::Cos(v); }, -3.0, 3.0},
       {"abs", [](Var v) { return ops::Abs(v); }, 0.3, 2.0},
       {"neg", [](Var v) { return ops::Neg(v); }, -2.0, 2.0},
       {"addconst", [](Var v) { return ops::AddConst(v, 3.0); }, -2.0, 2.0},
@@ -441,7 +429,7 @@ TEST(GradCheckTest, Relu) {
 }
 
 TEST(GradCheckTest, BroadcastOpsMatrixSide) {
-  // AddRow / AddCol / MulRow previously only checked the broadcast
+  // AddRow / MulRow previously only checked the broadcast
   // operand; differentiate the full matrix side here.
   Rng rng(44);
   Matrix x = rng.Randn(4, 3);
@@ -453,12 +441,6 @@ TEST(GradCheckTest, BroadcastOpsMatrixSide) {
       x, 1e-5);
   CheckGradient(
       [](Tape& t, Var v) {
-        Var col = t.Leaf(Rng(82).Randn(4, 1));
-        return ops::SumAll(ops::Square(ops::AddCol(v, col)));
-      },
-      x, 1e-5);
-  CheckGradient(
-      [](Tape& t, Var v) {
         Var row = t.Leaf(Rng(81).Randn(1, 3));
         return ops::SumAll(ops::Square(ops::MulRow(v, row)));
       },
@@ -466,15 +448,9 @@ TEST(GradCheckTest, BroadcastOpsMatrixSide) {
 }
 
 TEST(GradCheckTest, ScalarOpsMatrixSide) {
-  // MulScalar / DivScalar previously only differentiated the scalar.
+  // DivScalar previously only differentiated the scalar.
   Rng rng(45);
   Matrix x = rng.Randn(3, 4);
-  CheckGradient(
-      [](Tape& t, Var v) {
-        Var s = t.Leaf(Matrix::Constant(1, 1, 1.7));
-        return ops::SumAll(ops::Square(ops::MulScalar(v, s)));
-      },
-      x, 1e-5);
   CheckGradient(
       [](Tape& t, Var v) {
         Var s = t.Leaf(Matrix::Constant(1, 1, 1.7));

@@ -1,5 +1,5 @@
 // Coverage of the runtime ISA-dispatch layer (common/cpu.h +
-// tensor/kernels.h + the per-ISA cosine sweep):
+// tensor/kernels.h + the RFF cosine sweep of stats/rff.h):
 //
 //  - cpuid feature detection is internally consistent and agrees with
 //    the resolvable ISA levels,
@@ -10,8 +10,8 @@
 //    MatmulTransA, the block-cross forward) are EXACTLY equal across
 //    every supported level, and the dot-shaped kernels (MatmulTransB,
 //    the dw backward) stay within a tight tolerance of baseline,
-//  - every level's vectorized cosine stays within the documented
-//    4-ulp bound of std::cos,
+//  - every level's cosine sweep stays within the documented 4-ulp
+//    bound of std::cos,
 //  - within a level, results are bitwise invariant to the worker
 //    count (the determinism contract, re-proven per ISA).
 
@@ -28,8 +28,8 @@
 #include <vector>
 
 #include "common/cpu.h"
-#include "common/simd.h"
 #include "common/thread_pool.h"
+#include "stats/rff.h"
 #include "tensor/kernels.h"
 #include "tensor/linalg.h"
 #include "tensor/random.h"
@@ -334,7 +334,7 @@ TEST(CrossIsaTest, BlockCrossFwdBitwiseAndGradDwBounded) {
 // Per-ISA cosine sweep: accuracy bound and worker-count invariance.
 // ---------------------------------------------------------------------------
 
-TEST(CrossIsaTest, VecCosWithinUlpBoundAtEveryLevel) {
+TEST(CrossIsaTest, CosSweepWithinUlpBoundAtEveryLevel) {
   const int64_t n = 10000;
   std::vector<double> xs(n), ys(n);
   Rng rng(304);
@@ -347,7 +347,8 @@ TEST(CrossIsaTest, VecCosWithinUlpBoundAtEveryLevel) {
   xs[3] = 1e300;
   for (Isa isa : SupportedIsas()) {
     IsaGuard guard(isa);
-    VecCos(xs.data(), ys.data(), n);
+    ys = xs;
+    ScaledCosInPlace(ys.data(), n, 1.0);
     for (int64_t i = 0; i < n; ++i) {
       EXPECT_LE(UlpDiff(std::cos(xs[i]), ys[i]), kVecCosMaxUlp)
           << IsaName(isa) << " at x = " << xs[i];
@@ -371,13 +372,11 @@ TEST(CrossIsaTest, ResultsBitwiseInvariantToWorkerCountPerLevel) {
     ThreadPool::ResetGlobalForTest(0);
     mm_serial = Matmul(a, b);
     ScaledCosInPlace(cos_serial.data(),
-                     static_cast<int64_t>(cos_serial.size()), 2.0,
-                     CosineMode::kVectorized);
+                     static_cast<int64_t>(cos_serial.size()), 2.0);
     ThreadPool::ResetGlobalForTest(2);
     mm_parallel = Matmul(a, b);
     ScaledCosInPlace(cos_parallel.data(),
-                     static_cast<int64_t>(cos_parallel.size()), 2.0,
-                     CosineMode::kVectorized);
+                     static_cast<int64_t>(cos_parallel.size()), 2.0);
     ThreadPool::ResetGlobalForTest(0);
 
     EXPECT_TRUE(AllClose(mm_serial, mm_parallel, 0.0)) << IsaName(isa);

@@ -1,25 +1,25 @@
-// Coverage for the vectorized cosine engine (common/simd.h) and the
-// projection-slot draw discipline it feeds (stats/rff.h):
-//  - VecCos must stay within the documented kVecCosMaxUlp of std::cos
-//    over edge angles (signed zero, pi multiples, huge arguments,
-//    denormals) and broad random ranges;
-//  - the exact CosineMode must reproduce scalar std::cos bitwise;
+// Coverage for the library's two libmvec-backed kernels and the RFF
+// machinery around the cosine (stats/rff.h):
+//  - the scaled cosine kernel (LinalgKernels::scaled_cos) is lane-pure
+//    at every compiled level (an element's output equals its input run
+//    alone, whatever the run length or offset), stays within
+//    kVecCosMaxUlp of std::cos over an edge grid, equals std::cos at
+//    baseline, and its flat, strided and parallel sweeps give the same
+//    bits;
 //  - RffProjectionCache must be value-transparent: the decorrelation
 //    loss and its weight gradient are bitwise identical with the cache
-//    on and off, in both cosine modes (the cache never touches the
-//    numerics);
+//    on and off, at every level (the cache never touches the numerics);
 //  - the f64 ELU kernel (LinalgKernels::elu) is lane-pure at every
-//    compiled level (an element's output equals its input run alone,
-//    whatever the run length or offset), stays within kVecCosMaxUlp of
-//    std::expm1 over an edge grid, passes positives through, equals
-//    std::expm1 at baseline, and keeps fused == reference and
-//    thread-count invariance bitwise;
+//    compiled level, stays within kVecCosMaxUlp of std::expm1 over an
+//    edge grid, passes positives through, equals std::expm1 at
+//    baseline, and keeps fused == reference and thread-count
+//    invariance bitwise;
 //  - the f64 ELU backward kernel (LinalgKernels::elu_grad) equals the
 //    scalar formula g * (y > 0 ? 1 : y + 1) bit for bit at every level,
 //    run length, offset, edge value and thread count.
 // The threads2 ctest variant reruns this suite under SBRL_NUM_THREADS=2,
-// exercising the block-aligned parallel fan-out of the sweeps. The
-// asan/ubsan build runs it too, covering the ELU kernels' tail lanes.
+// exercising the parallel fan-out of the sweeps. The asan/ubsan build
+// runs it too, covering the kernels' masked and padded tail lanes.
 
 #include <gtest/gtest.h>
 
@@ -35,9 +35,9 @@
 #include "autodiff/ops.h"
 #include "autodiff/tape.h"
 #include "common/cpu.h"
-#include "common/simd.h"
 #include "common/thread_pool.h"
 #include "core/independence_regularizer.h"
+#include "stats/rff.h"
 #include "nn/net_step.h"
 #include "tensor/kernels.h"
 #include "tensor/random.h"
@@ -88,60 +88,117 @@ std::vector<double> TestAngles() {
   return xs;
 }
 
-TEST(VecCosTest, WithinDocumentedUlpOfStdCosOverEdgeAngles) {
-  std::vector<double> xs = TestAngles();
-  std::vector<double> ys(xs.size());
-  VecCos(xs.data(), ys.data(), static_cast<int64_t>(xs.size()));
-  int64_t max_ulp = 0;
-  double worst = 0.0;
-  for (size_t i = 0; i < xs.size(); ++i) {
-    const int64_t u = UlpDiff(std::cos(xs[i]), ys[i]);
-    if (u > max_ulp) {
-      max_ulp = u;
-      worst = xs[i];
+/// Every level this binary + host can run.
+std::vector<Isa> SupportedIsas() {
+  std::vector<Isa> isas = {Isa::kBaseline};
+  if (Isa::kAvx2 <= MaxSupportedIsa()) isas.push_back(Isa::kAvx2);
+  if (Isa::kAvx512 <= MaxSupportedIsa()) isas.push_back(Isa::kAvx512);
+  return isas;
+}
+
+double Bits(uint64_t u) {
+  double d;
+  std::memcpy(&d, &u, sizeof(d));
+  return d;
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/// scale * cos(x) through `isa`'s kernel, one element at a time.
+double CosAlone(Isa isa, double x, double scale) {
+  LinalgKernelsForIsa(isa).scaled_cos(&x, 1, scale);
+  return x;
+}
+
+// ---------------------------------------------------------------------------
+// The scaled cosine kernel of each ISA level and the sweeps around it.
+// ---------------------------------------------------------------------------
+
+TEST(CosKernelTest, EachOutputEqualsItsInputRunAlone) {
+  // Lane purity: lengths 1-67 at every offset 0-7 cover full vectors,
+  // every tail length and unaligned starts; the neighbours outside the
+  // run must stay untouched.
+  Rng rng(831);
+  const double scale = std::sqrt(2.0);
+  std::vector<double> pool(75);
+  for (Isa isa : SupportedIsas()) {
+    SCOPED_TRACE(IsaName(isa));
+    for (int64_t len = 1; len <= 67; ++len) {
+      for (int64_t off = 0; off < 8; ++off) {
+        for (double& v : pool) v = rng.Uniform(-20.0, 20.0);
+        pool[static_cast<size_t>(off + len / 2)] =
+            std::numeric_limits<double>::quiet_NaN();
+        std::vector<double> run = pool;
+        LinalgKernelsForIsa(isa).scaled_cos(run.data() + off, len, scale);
+        for (int64_t i = 0; i < static_cast<int64_t>(pool.size()); ++i) {
+          const double x = pool[static_cast<size_t>(i)];
+          const double want =
+              i < off || i >= off + len ? x : CosAlone(isa, x, scale);
+          ASSERT_TRUE(SameBits(run[static_cast<size_t>(i)], want))
+              << "len " << len << " offset " << off << " element " << i
+              << " x = " << x;
+        }
+      }
     }
   }
-  EXPECT_LE(max_ulp, kVecCosMaxUlp) << "worst angle " << worst;
 }
 
-TEST(VecCosTest, InPlaceMatchesOutOfPlace) {
-  std::vector<double> xs = TestAngles();
-  std::vector<double> ys(xs.size());
-  VecCos(xs.data(), ys.data(), static_cast<int64_t>(xs.size()));
-  std::vector<double> inplace = xs;
-  VecCos(inplace.data(), inplace.data(),
-         static_cast<int64_t>(inplace.size()));
-  for (size_t i = 0; i < xs.size(); ++i) {
-    EXPECT_EQ(inplace[i], ys[i]) << "element " << i;
+TEST(CosKernelTest, WithinUlpBoundOfStdCosOverEdgeGrid) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> xs = TestAngles();
+  for (Isa isa : SupportedIsas()) {
+    SCOPED_TRACE(IsaName(isa));
+    std::vector<double> ys = xs;
+    LinalgKernelsForIsa(isa).scaled_cos(ys.data(),
+                                        static_cast<int64_t>(ys.size()), 1.0);
+    int64_t max_ulp = 0;
+    double worst = 0.0;
+    for (size_t i = 0; i < xs.size(); ++i) {
+      const int64_t u = UlpDiff(std::cos(xs[i]), ys[i]);
+      if (u > max_ulp) {
+        max_ulp = u;
+        worst = xs[i];
+      }
+    }
+    EXPECT_LE(max_ulp, kVecCosMaxUlp) << "worst angle " << worst;
+    EXPECT_TRUE(std::isnan(CosAlone(isa, inf, 1.0)));
+    EXPECT_TRUE(std::isnan(CosAlone(isa, -inf, 1.0)));
+    EXPECT_TRUE(std::isnan(CosAlone(isa, nan, 1.0)));
+    EXPECT_EQ(CosAlone(isa, 0.0, 1.0), 1.0);
+    EXPECT_EQ(CosAlone(isa, -0.0, 1.0), 1.0);
+    EXPECT_EQ(CosAlone(isa, Bits(1), 1.0), 1.0);
   }
 }
 
-TEST(ScaledCosTest, ExactModeReproducesScalarStdCosBitwise) {
+TEST(CosKernelTest, BaselineIsScalarStdCosBitwise) {
   std::vector<double> xs = TestAngles();
+  xs.push_back(std::numeric_limits<double>::infinity());
+  xs.push_back(std::numeric_limits<double>::quiet_NaN());
+  const double scale = std::sqrt(2.0);
+  std::vector<double> ys = xs;
+  LinalgKernelsForIsa(Isa::kBaseline)
+      .scaled_cos(ys.data(), static_cast<int64_t>(ys.size()), scale);
+  for (size_t i = 0; i < xs.size(); ++i) {
+    ASSERT_TRUE(SameBits(ys[i], scale * std::cos(xs[i])))
+        << "element " << i << " angle " << xs[i];
+  }
+}
+
+TEST(ScaledCosTest, BaselineSweepReproducesScalarStdCosBitwise) {
+  // The sweep pinned to baseline is exactly the scalar std::cos loop,
+  // chunked across the pool or not.
+  ScopedThreadIsa pin(Isa::kBaseline);
+  const std::vector<double> xs = TestAngles();
   std::vector<double> swept = xs;
   const double scale = std::sqrt(2.0);
-  ScaledCosInPlace(swept.data(), static_cast<int64_t>(swept.size()), scale,
-                   CosineMode::kExact);
+  ScaledCosInPlace(swept.data(), static_cast<int64_t>(swept.size()), scale);
   for (size_t i = 0; i < xs.size(); ++i) {
-    const double want = scale * std::cos(xs[i]);
-    EXPECT_EQ(swept[i], want) << "element " << i << " angle " << xs[i];
+    ASSERT_EQ(swept[i], scale * std::cos(xs[i]))
+        << "element " << i << " angle " << xs[i];
   }
-}
-
-TEST(ScaledCosTest, ModesAgreeWithinCosineUlpBound) {
-  std::vector<double> xs = TestAngles();
-  std::vector<double> vec = xs, exact = xs;
-  const double scale = std::sqrt(2.0);
-  const int64_t n = static_cast<int64_t>(xs.size());
-  ScaledCosInPlace(vec.data(), n, scale, CosineMode::kVectorized);
-  ScaledCosInPlace(exact.data(), n, scale, CosineMode::kExact);
-  int64_t max_ulp = 0;
-  for (int64_t i = 0; i < n; ++i) {
-    max_ulp = std::max(max_ulp, UlpDiff(vec[i], exact[i]));
-  }
-  // Both modes multiply by the identical scale, so the disagreement is
-  // the cosine bound alone.
-  EXPECT_LE(max_ulp, kVecCosMaxUlp);
 }
 
 TEST(ScaledCosTest, SweepSecondsAccrueToTheCallingThreadOnly) {
@@ -155,40 +212,62 @@ TEST(ScaledCosTest, SweepSecondsAccrueToTheCallingThreadOnly) {
   }
   const double before = CosSweepSecondsThisThread();
   std::thread other([xs]() mutable {
-    ScaledCosInPlace(xs.data(), static_cast<int64_t>(xs.size()), 1.0,
-                     CosineMode::kVectorized);
+    ScaledCosInPlace(xs.data(), static_cast<int64_t>(xs.size()), 1.0);
   });
   other.join();
   EXPECT_EQ(CosSweepSecondsThisThread(), before);
-  ScaledCosInPlace(xs.data(), static_cast<int64_t>(xs.size()), 1.0,
-                   CosineMode::kVectorized);
+  ScaledCosInPlace(xs.data(), static_cast<int64_t>(xs.size()), 1.0);
   EXPECT_GT(CosSweepSecondsThisThread(), before);
 }
 
-TEST(ScaledCosTest, StridedRowsMatchContiguousPerRow) {
-  // A (rows x cols) block embedded at column 3 of a wider matrix must
-  // sweep exactly like each row swept alone.
+TEST(ScaledCosTest, StridedRowsEqualFlatSweepBitwise) {
+  // A (rows x cols) block embedded at column 3 of a wider matrix swept
+  // row by row must give exactly the bits of one flat sweep over the
+  // same values; columns outside the block stay untouched.
   const int64_t rows = 40, cols = 5, stride = 12;
-  Rng rng(9);
-  Matrix wide = rng.Rand(rows, stride, -10.0, 10.0);
-  Matrix expect = wide;
-  for (CosineMode mode : {CosineMode::kVectorized, CosineMode::kExact}) {
+  const Matrix wide = Rng(9).Rand(rows, stride, -10.0, 10.0);
+  for (Isa isa : SupportedIsas()) {
+    SCOPED_TRACE(IsaName(isa));
+    ScopedThreadIsa pin(isa);
     Matrix got = wide;
-    ScaledCosRowsInPlace(got.data() + 3, rows, cols, stride, 2.0, mode);
+    ScaledCosRowsInPlace(got.data() + 3, rows, cols, stride, 2.0);
+    std::vector<double> flat;
     for (int64_t r = 0; r < rows; ++r) {
-      std::vector<double> row(cols);
-      for (int64_t c = 0; c < cols; ++c) row[c] = expect(r, 3 + c);
-      ScaledCosInPlace(row.data(), cols, 2.0, mode);
-      for (int64_t c = 0; c < cols; ++c) {
-        EXPECT_EQ(got(r, 3 + c), row[c]) << "row " << r << " col " << c;
-      }
-      // Columns outside the block are untouched.
-      for (int64_t c = 0; c < 3; ++c) EXPECT_EQ(got(r, c), expect(r, c));
-      for (int64_t c = 8; c < stride; ++c) {
-        EXPECT_EQ(got(r, c), expect(r, c));
+      for (int64_t c = 0; c < cols; ++c) flat.push_back(wide(r, 3 + c));
+    }
+    ScaledCosInPlace(flat.data(), static_cast<int64_t>(flat.size()), 2.0);
+    for (int64_t r = 0; r < rows; ++r) {
+      for (int64_t c = 0; c < stride; ++c) {
+        const bool in_block = c >= 3 && c < 3 + cols;
+        const double want = in_block
+                                ? flat[static_cast<size_t>(r * cols + c - 3)]
+                                : wide(r, c);
+        ASSERT_TRUE(SameBits(got(r, c), want)) << "row " << r << " col " << c;
       }
     }
   }
+}
+
+TEST(ScaledCosTest, LargeSweepBitwiseEqualAcrossThreadCounts) {
+  // 65,536 angles through the flat sweep at 1, 2 and 4 threads: every
+  // chunking gives the bits of the kernel applied element by element.
+  const Matrix angles = Rng(832).Rand(1, 65536, -50.0, 50.0);
+  const double scale = std::sqrt(2.0);
+  const int restore_workers = ThreadPool::GlobalParallelism() - 1;
+  for (Isa isa : SupportedIsas()) {
+    SCOPED_TRACE(IsaName(isa));
+    ScopedThreadIsa pin(isa);
+    for (int threads : {1, 2, 4}) {
+      ThreadPool::ResetGlobalForTest(threads - 1);
+      Matrix swept = angles;
+      ScaledCosInPlace(swept.data(), swept.size(), scale);
+      for (int64_t i = 0; i < swept.size(); ++i) {
+        ASSERT_TRUE(SameBits(swept[i], CosAlone(isa, angles[i], scale)))
+            << threads << " threads, element " << i;
+      }
+    }
+  }
+  ThreadPool::ResetGlobalForTest(restore_workers);
 }
 
 // ---------------------------------------------------------------------------
@@ -237,13 +316,13 @@ TEST(RffProjectionCacheTest, MemoizesWithinEpochAndResetsAcrossEpochs) {
 /// Loss and weight gradient of one decorrelation evaluation under a
 /// fixed draw epoch, optionally memoized.
 std::pair<double, Matrix> LossAndGrad(const Matrix& z, const Matrix& w_val,
-                                      uint64_t seed, CosineMode cos_mode,
+                                      uint64_t seed,
                                       RffProjectionCache* cache) {
   Tape tape;
   Var w = tape.Leaf(w_val);
   Rng rng(seed);
   RffDrawEpoch epoch{seed * 77 + 1, cache};
-  Var loss = HsicRffDecorrelationLoss(z, w, 5, 0, rng, cos_mode, &epoch);
+  Var loss = HsicRffDecorrelationLoss(z, w, 5, 0, rng, &epoch);
   tape.Backward(loss);
   return {loss.value().scalar(), w.grad()};
 }
@@ -252,12 +331,12 @@ TEST(RffProjectionCacheTest, LossAndGradBitwiseIdenticalWithCacheOnAndOff) {
   Rng data_rng(1001);
   Matrix z = data_rng.Randn(60, 6);
   Matrix w_val = data_rng.Rand(60, 1, 0.5, 2.0);
-  for (CosineMode cos_mode : {CosineMode::kExact, CosineMode::kVectorized}) {
+  for (Isa isa : SupportedIsas()) {
+    SCOPED_TRACE(IsaName(isa));
+    ScopedThreadIsa pin(isa);
     RffProjectionCache cache;
-    const auto [loss_off, grad_off] =
-        LossAndGrad(z, w_val, 5, cos_mode, nullptr);
-    const auto [loss_on, grad_on] =
-        LossAndGrad(z, w_val, 5, cos_mode, &cache);
+    const auto [loss_off, grad_off] = LossAndGrad(z, w_val, 5, nullptr);
+    const auto [loss_on, grad_on] = LossAndGrad(z, w_val, 5, &cache);
     EXPECT_EQ(loss_on, loss_off);
     ASSERT_TRUE(grad_on.same_shape(grad_off));
     for (int64_t i = 0; i < grad_on.size(); ++i) {
@@ -267,26 +346,33 @@ TEST(RffProjectionCacheTest, LossAndGradBitwiseIdenticalWithCacheOnAndOff) {
   }
 }
 
-TEST(RffStackTest, ExactModeStackMatchesScalarFormulaBitwise) {
-  // The flat-angle restructure must not change exact-mode values: each
-  // stacked feature equals sqrt(2) * std::cos(v * w_f + phi_f) exactly
-  // as the pre-flat per-element loop computed it.
+TEST(RffStackTest, StackMatchesPerElementFormulaBitwise) {
+  // The flat-angle sweep must not change values: each stacked feature
+  // equals the level's cosine of its angle v * w_f + phi_f alone, and
+  // at baseline that is sqrt(2) * std::cos exactly as the per-element
+  // loop computed it.
   Rng data_rng(31);
   Matrix x = data_rng.Randn(50, 4);
   std::vector<int64_t> cols = {0, 2, 3};
   const int64_t k = 5;
-  Rng draw_a(8), draw_b(8);
-  Matrix stacked(50, static_cast<int64_t>(cols.size()) * k);
-  StackRffColumns(x, cols, k, draw_a, &stacked, CosineMode::kExact);
   const double root2 = std::sqrt(2.0);
-  for (size_t ci = 0; ci < cols.size(); ++ci) {
-    RffProjection proj = SampleRff(draw_b, 1, k);
-    for (int64_t i = 0; i < x.rows(); ++i) {
-      for (int64_t f = 0; f < k; ++f) {
-        const double want =
-            root2 * std::cos(x(i, cols[ci]) * proj.w(0, f) + proj.phi(0, f));
-        EXPECT_EQ(stacked(i, static_cast<int64_t>(ci) * k + f), want)
-            << "col " << cols[ci] << " row " << i << " feature " << f;
+  for (Isa isa : SupportedIsas()) {
+    SCOPED_TRACE(IsaName(isa));
+    ScopedThreadIsa pin(isa);
+    Rng draw_a(8), draw_b(8);
+    Matrix stacked(50, static_cast<int64_t>(cols.size()) * k);
+    StackRffColumns(x, cols, k, draw_a, &stacked);
+    for (size_t ci = 0; ci < cols.size(); ++ci) {
+      RffProjection proj = SampleRff(draw_b, 1, k);
+      for (int64_t i = 0; i < x.rows(); ++i) {
+        for (int64_t f = 0; f < k; ++f) {
+          const double angle = x(i, cols[ci]) * proj.w(0, f) + proj.phi(0, f);
+          const double want = isa == Isa::kBaseline
+                                  ? root2 * std::cos(angle)
+                                  : CosAlone(isa, angle, root2);
+          EXPECT_EQ(stacked(i, static_cast<int64_t>(ci) * k + f), want)
+              << "col " << cols[ci] << " row " << i << " feature " << f;
+        }
       }
     }
   }
@@ -296,28 +382,10 @@ TEST(RffStackTest, ExactModeStackMatchesScalarFormulaBitwise) {
 // The f64 ELU kernel of each ISA level.
 // ---------------------------------------------------------------------------
 
-/// Every level this binary + host can run.
-std::vector<Isa> SupportedIsas() {
-  std::vector<Isa> isas = {Isa::kBaseline};
-  if (Isa::kAvx2 <= MaxSupportedIsa()) isas.push_back(Isa::kAvx2);
-  if (Isa::kAvx512 <= MaxSupportedIsa()) isas.push_back(Isa::kAvx512);
-  return isas;
-}
-
-double Bits(uint64_t u) {
-  double d;
-  std::memcpy(&d, &u, sizeof(d));
-  return d;
-}
-
 /// The baseline's scalar ELU backward formula, the contract of every
 /// level.
 double EluGradFormula(double g, double y) {
   return g * (y > 0.0 ? 1.0 : y + 1.0);
-}
-
-bool SameBits(double a, double b) {
-  return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
 /// Gradient of sum(elu(x) .* u) with respect to x, through ops::Elu.

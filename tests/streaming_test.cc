@@ -17,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "common/simd.h"
 #include "common/thread_pool.h"
 #include "core/sharded_trainer.h"
 #include "data/csv.h"
@@ -395,9 +394,8 @@ TEST(ShardedStatsTest, HsicRffWorkerInvariantAndMatchesInCore) {
   // In-core reference from the same counter-based projection draws.
   const RffProjection proj_a = SampleRffSlot(draw_seed, 1, k, 0);
   const RffProjection proj_b = SampleRffSlot(draw_seed, 1, k, 1);
-  const Matrix phi =
-      ApplyRffToColumn(proj_a, data.x, col, CosineMode::kExact);
-  const Matrix psi = ApplyRff(proj_b, data.y, CosineMode::kExact);
+  const Matrix phi = ApplyRffToColumn(proj_a, data.x, col);
+  const Matrix psi = ApplyRff(proj_b, data.y);
   const double inv_n = 1.0 / static_cast<double>(data.n());
   double frob2 = 0.0;
   for (int64_t p = 0; p < k; ++p) {

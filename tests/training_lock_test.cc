@@ -12,8 +12,9 @@
 // (expm1 is an ifunc whose FMA and non-FMA variants round differently),
 // so the constants are keyed by (ISA level, libm fingerprint). The
 // fingerprint hashes std::expm1 / std::exp / std::log1p / std::tanh /
-// std::cos over a fixed probe grid, plus libmvec's vector expm1 of that
-// level at the wide levels. The suite runs at SBRL_ISA=baseline and at
+// std::cos over a fixed probe grid, plus libmvec's vector expm1 and cos
+// of that level at the wide levels (the ELU and RFF cosine kernels call
+// them directly). The suite runs at SBRL_ISA=baseline and at
 // the resolved level; the `_isa_avx2` ctest variant pins the middle
 // level on hosts that resolve to avx512. An unknown key fails with the hashes this host
 // produced and instructions for adding them; it is never skipped.
@@ -41,6 +42,8 @@
 extern "C" {
 __m256d _ZGVdN4v_expm1(__m256d);
 __m512d _ZGVeN8v_expm1(__m512d);
+__m256d _ZGVdN4v_cos(__m256d);
+__m512d _ZGVeN8v_cos(__m512d);
 }
 #endif
 
@@ -72,18 +75,19 @@ std::vector<double> ProbeInputs() {
 }
 
 #if defined(__x86_64__)
-__attribute__((target("avx2"))) void VectorExpm1Avx2(std::vector<double>* v) {
+/// Applies a 4-lane libmvec function over `v` (size a multiple of 4).
+__attribute__((target("avx2"))) void MapAvx2(__m256d (*fn)(__m256d),
+                                             std::vector<double>* v) {
   for (size_t i = 0; i < v->size(); i += 4) {
-    _mm256_storeu_pd(v->data() + i,
-                     _ZGVdN4v_expm1(_mm256_loadu_pd(v->data() + i)));
+    _mm256_storeu_pd(v->data() + i, fn(_mm256_loadu_pd(v->data() + i)));
   }
 }
 
-__attribute__((target("avx512f"))) void VectorExpm1Avx512(
-    std::vector<double>* v) {
+/// Applies an 8-lane libmvec function over `v` (size a multiple of 8).
+__attribute__((target("avx512f"))) void MapAvx512(__m512d (*fn)(__m512d),
+                                                  std::vector<double>* v) {
   for (size_t i = 0; i < v->size(); i += 8) {
-    _mm512_storeu_pd(v->data() + i,
-                     _ZGVeN8v_expm1(_mm512_loadu_pd(v->data() + i)));
+    _mm512_storeu_pd(v->data() + i, fn(_mm512_loadu_pd(v->data() + i)));
   }
 }
 #endif
@@ -101,13 +105,17 @@ uint64_t LibmFingerprint(const std::string& isa) {
   }
   uint64_t h = HashDoubles(0xcbf29ce484222325ULL, ys);
 #if defined(__x86_64__)
-  std::vector<double> vec = xs;
+  std::vector<double> expm1 = xs, cos = xs;
   if (isa == "avx2") {
-    VectorExpm1Avx2(&vec);
-    h = HashDoubles(h, vec);
+    MapAvx2(_ZGVdN4v_expm1, &expm1);
+    MapAvx2(_ZGVdN4v_cos, &cos);
   } else if (isa == "avx512") {
-    VectorExpm1Avx512(&vec);
-    h = HashDoubles(h, vec);
+    MapAvx512(_ZGVeN8v_expm1, &expm1);
+    MapAvx512(_ZGVeN8v_cos, &cos);
+  }
+  if (isa == "avx2" || isa == "avx512") {
+    h = HashDoubles(h, expm1);
+    h = HashDoubles(h, cos);
   }
 #endif
   return h;
@@ -167,22 +175,31 @@ struct LockSet {
 };
 
 // Order: TARNet, CFR, DeR-CFR x {vanilla, SBRL, SBRL-HAP}, then
-// CFR+SBRL-HAP with batch norm. The f64 ELU runs scalar std::expm1 in
-// the baseline sets and libmvec's vector expm1 in the wide-level sets.
+// CFR+SBRL-HAP with batch norm. The f64 ELU and the RFF cosine run
+// scalar std::expm1 / std::cos in the baseline sets and libmvec's
+// vector expm1 / cos in the wide-level sets. Re-pinned when the cosine
+// moved from the fast-math auto-vectorized TUs into the per-ISA kernel
+// tables: the baseline SBRL sets moved because baseline now runs scalar
+// std::cos instead of the SSE2 _ZGVbN2v_cos; the wide-level training
+// hashes kept their bits except avx512 under the non-FMA libm, whose
+// CFR / DeR-CFR SBRL-HAP fits lost the 4-lane _ZGVdN4v_cos epilogue
+// (masked to its SSE fallback there) and now equal the default-libm
+// hashes; every wide-level fingerprint moved because it now hashes the
+// vector cos too.
 constexpr LockSet kLockSets[] = {
     // glibc 2.36 (x86-64), default ifunc selection: the FMA variants of
     // libm on an AVX-512 host.
     {"baseline", 0x296efd9dca7b4971ULL,
-     {0x2df71dda796a8c15ULL, 0xd89cd68d7c1d6061ULL, 0x3932414d0f3443e8ULL,
-      0xdefefd664c514e91ULL, 0x42b5a9865660ffc6ULL, 0x4fe3f9c07db1b98eULL,
-      0xe325c8a5e52df701ULL, 0xa39447e1c1c3655cULL, 0xbac94266f595a367ULL,
-      0xb71dc6086d12bf7cULL}},
-    {"avx2", 0x342c1c04c36730d0ULL,
+     {0x2df71dda796a8c15ULL, 0x8039ded953d05ab8ULL, 0x20822a2bae4a4b0eULL,
+      0xdefefd664c514e91ULL, 0xa4d8916ae9600181ULL, 0x396418d43d4069bdULL,
+      0xe325c8a5e52df701ULL, 0xbaad365154bf00c9ULL, 0xcf8d77bad4c8ff81ULL,
+      0xe15efb4234e76415ULL}},
+    {"avx2", 0xba69368c9aefea63ULL,
      {0x1dc6900eacbed56dULL, 0x13c6806997be5a1cULL, 0x18a997c9f0e4af54ULL,
       0xa21d668bfb9ebdd9ULL, 0x18cdf9560278b8cbULL, 0x076f5294e706e629ULL,
       0xba28714c7b64c680ULL, 0x8be30174ef2057fcULL, 0x478aa623c08f05dcULL,
       0xbc56c1b01059b987ULL}},
-    {"avx512", 0xa39c74ce1303e07dULL,
+    {"avx512", 0x32a8dac73cffd60aULL,
      {0xb48ae3b18093da2aULL, 0xd7409fc650c4d5aeULL, 0xb4e7fed3212f68f9ULL,
       0x34468ce3b90afe58ULL, 0x88db7c9b33770a0bULL, 0x3d459f5804e648f3ULL,
       0xcf8187ea99bb04cfULL, 0x146a9e2f331cb360ULL, 0x5e487519e99a328fULL,
@@ -190,19 +207,19 @@ constexpr LockSet kLockSets[] = {
     // glibc 2.36 (x86-64) with GLIBC_TUNABLES=glibc.cpu.hwcaps=-AVX2,-FMA:
     // the non-FMA libm / libmvec variants on the same host.
     {"baseline", 0xc066b524dd642bcfULL,
-     {0x57ce552f66c502e9ULL, 0xb4d9bec02c938047ULL, 0x0954da7d81c1efceULL,
-      0x30c9a92fff95d1f4ULL, 0x49c2fb483366ca23ULL, 0x3b582f9cd294af8eULL,
-      0xac8f326a5fccddd9ULL, 0x4678e5afc5a18aa8ULL, 0xc599c5a906a097e0ULL,
-      0xeb4eabc017590ac5ULL}},
-    {"avx2", 0x5b82c98607745cbbULL,
+     {0x57ce552f66c502e9ULL, 0x3d5166c4c85b0febULL, 0x9bbd2665bc0842a4ULL,
+      0x30c9a92fff95d1f4ULL, 0x5abaf6c1f98dd401ULL, 0x64641c0508006be4ULL,
+      0xac8f326a5fccddd9ULL, 0x60daf2b3b46a26baULL, 0xfe8359658e18e04eULL,
+      0x441c1c59563d0b68ULL}},
+    {"avx2", 0x82c72ea53b53090dULL,
      {0x1e1c68e358c48e60ULL, 0xd3bfb9f841940388ULL, 0x3a88a5b2a2f80620ULL,
       0x8e4e680549528383ULL, 0x20a413006724da19ULL, 0x33ea3a1154f5ae04ULL,
       0xbf94a68e2473413fULL, 0xd716efe6e1e8121eULL, 0xb2a64cce65ac1541ULL,
       0x8117c54d60394f1fULL}},
-    {"avx512", 0x8dd8541ce2301a6fULL,
+    {"avx512", 0x1edc2b80edcd3a1cULL,
      {0xb48ae3b18093da2aULL, 0xd7409fc650c4d5aeULL, 0xb4e7fed3212f68f9ULL,
-      0x34468ce3b90afe58ULL, 0x88db7c9b33770a0bULL, 0xfa5a6b380e78ec80ULL,
-      0xc0d2cc4aae7edc53ULL, 0x346eed18a67736caULL, 0xc0b236e43b11cd72ULL,
+      0x34468ce3b90afe58ULL, 0x88db7c9b33770a0bULL, 0x3d459f5804e648f3ULL,
+      0xc0d2cc4aae7edc53ULL, 0x346eed18a67736caULL, 0x5e487519e99a328fULL,
       0xf55a17da6f5f84b4ULL}},
 };
 
