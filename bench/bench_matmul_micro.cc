@@ -164,7 +164,7 @@ int Main() {
   // Scaled cosine kernel (LinalgKernels::scaled_cos) of every level the
   // host supports, one serial call per run over a buffer of fresh
   // angles: 4096-element runs (a long flat sweep) and 5-element runs
-  // (one strided row of k = 5 features, where the 8-lane masked tail
+  // (one row of k = 5 features, where the 8-lane masked tail
   // pays most). Recorded as seconds per element; the outputs of the two
   // run lengths must agree bit for bit (the kernel is lane-pure).
   const int64_t cos_elems = 4096 * 60;  // a multiple of both run lengths

@@ -35,10 +35,9 @@ namespace {
 BenchJsonWriter* g_json = nullptr;
 
 // One session for the whole suite: every measured fit trains on a
-// session-leased resource set, so later methods reuse the warm tape
-// pools and shared projection cache the way engine sweeps do (results
-// are bitwise identical to standalone fits; the timings are what the
-// engine actually delivers).
+// session-leased tape pool, so later methods reuse warm buffers the way
+// engine sweeps do (results are bitwise identical to standalone fits;
+// the timings are what the engine actually delivers).
 ExperimentSession& Session() {
   static ExperimentSession* session = new ExperimentSession();
   return *session;
@@ -59,7 +58,7 @@ void TrainOnIhdp(benchmark::State& state, const MethodSpec& spec) {
     ExperimentSession::RunLease lease = Session().AcquireRun();
     Timer fit_timer;
     SBRL_CHECK(
-        estimator->Fit(splits.train, &splits.valid, lease.context()).ok());
+        estimator->Fit(splits.train, &splits.valid, lease.tape_pool()).ok());
     if (g_json != nullptr) {
       g_json->Record(spec.name(), fit_timer.ElapsedSeconds());
       g_json->Record(spec.name() + "/net_step",

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI entry point: fails on any value-changing math flag (-ffast-math,
-# -ffinite-math-only) in a CMakeLists.txt or under src/, then builds the
-# default and sanitized configurations and
+# -ffinite-math-only) in a CMakeLists.txt or under src/, prints the
+# src/ line count, then builds the default and sanitized configurations
+# and
 # runs the tier-1 suite (which includes the threads2, isa_baseline,
 # faults, serving, and large_n variants, and the training lock at
 # SBRL_ISA=baseline, at SBRL_ISA=avx2 and under
@@ -36,6 +37,10 @@ if grep -rnE --include=CMakeLists.txt --exclude-dir='build*' \
   echo "value-changing math flag found above; keep every TU strict IEEE" >&2
   exit 1
 fi
+
+echo "=== src/ line count ==="
+# The library's size, the number ROADMAP's "less code" north star tracks.
+wc -l src/*/*.{h,cc,inc} | tail -1
 
 echo "=== default configuration ==="
 cmake -B "${PREFIX}" -S .
@@ -77,7 +82,7 @@ ctest --test-dir "${PREFIX}-sanitize" -L serving --output-on-failure \
 
 echo "=== sanitized configuration (thread) ==="
 # The experiment engine's concurrency surfaces (sweep scheduler, session
-# shared cache, thread pool, thread-scoped ISA dispatch), the serving
+# leases, thread pool, thread-scoped ISA dispatch), the serving
 # micro-batcher, and the sharded waves with their parallel chunk
 # prefetch (streaming suite + bench_large_n at smoke scale) under
 # ThreadSanitizer — the "no process-global mutable state touched by a

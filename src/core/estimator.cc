@@ -12,7 +12,7 @@ StatusOr<HteEstimator> HteEstimator::Create(const EstimatorConfig& config) {
 }
 
 Status HteEstimator::Fit(const CausalDataset& train,
-                         const CausalDataset* valid, RunContext* ctx) {
+                         const CausalDataset* valid, MatrixPool* tape_pool) {
   SBRL_RETURN_IF_ERROR(train.Validate());
   if (valid != nullptr) {
     SBRL_RETURN_IF_ERROR(valid->Validate());
@@ -62,7 +62,8 @@ Status HteEstimator::Fit(const CausalDataset& train,
   }
 
   diag_ = TrainDiagnostics();
-  SbrlTrainer trainer(config_, backbone_.get(), spec_.binary_outcome, ctx);
+  SbrlTrainer trainer(config_, backbone_.get(), spec_.binary_outcome,
+                      tape_pool);
   SBRL_RETURN_IF_ERROR(trainer.Train(train_std, valid, &diag_, &weights_));
   fitted_ = true;
   return Status::OK();

@@ -33,12 +33,12 @@ class HteEstimator {
   /// Trains on `train` with optional validation-based early stopping.
   /// Binary vs continuous outcome handling follows
   /// `train.binary_outcome`; continuous outcomes are standardized
-  /// internally and de-standardized at prediction time. `ctx`, when
-  /// non-null, supplies session-leased run resources (an
-  /// ExperimentSession lease; see core/run_context.h) — results are
+  /// internally and de-standardized at prediction time. `tape_pool`,
+  /// when non-null, is a session-leased buffer arena for the training
+  /// tapes (ExperimentSession::RunLease::tape_pool) — results are
   /// bitwise identical with or without one.
   Status Fit(const CausalDataset& train, const CausalDataset* valid = nullptr,
-             RunContext* ctx = nullptr);
+             MatrixPool* tape_pool = nullptr);
 
   /// Predicted potential outcomes for each row of `x` -> (n x 2)
   /// matrix, column 0 = y0_hat, column 1 = y1_hat. Binary outcomes are

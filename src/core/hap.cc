@@ -8,7 +8,7 @@ namespace sbrl {
 Var BuildWeightLoss(Var w, const WeightLossInputs& inputs,
                     const SbrlConfig& config, FrameworkKind framework,
                     double alpha_br, IpmKind ipm, double rbf_bandwidth,
-                    Rng& rng, RffProjectionCache* proj_cache) {
+                    Rng& rng) {
   SBRL_CHECK(framework != FrameworkKind::kVanilla)
       << "vanilla models learn no sample weights";
   Tape* tape = w.tape();
@@ -16,16 +16,13 @@ Var BuildWeightLoss(Var w, const WeightLossInputs& inputs,
   // One projection-draw epoch per weight step, shared by every
   // decorrelation tier below: tiers decorrelate with the same
   // (in_dim = 1, k) stream, so common column indices reuse the same
-  // slot draws — and the cache, when present, samples each slot once
-  // instead of once per tier. The epoch seed is drawn unconditionally
-  // so the rng stream position never depends on the tier set or on
-  // whether a cache is plugged in.
-  const uint64_t epoch_seed = rng.engine()();
-  if (proj_cache != nullptr) proj_cache->BeginEpoch(epoch_seed);
-  const RffDrawEpoch epoch{epoch_seed, proj_cache};
+  // slot draws, each sampled once. The epoch seed is drawn
+  // unconditionally so the rng stream position never depends on the
+  // tier set.
+  RffSlotDraws draws{rng.engine()(), {}};
   const auto decorrelation = [&](const Matrix& z) {
     return HsicRffDecorrelationLoss(z, w, config.rff_features,
-                                    config.hsic_pair_budget, rng, &epoch);
+                                    config.hsic_pair_budget, rng, &draws);
   };
 
   // R_w anchor: keeps weights near 1 so no unit dominates or vanishes.

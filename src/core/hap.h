@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "core/config.h"
-#include "stats/rff.h"
 #include "tensor/random.h"
 
 namespace sbrl {
@@ -32,15 +31,13 @@ struct WeightLossInputs {
 /// TARNet backbones); `ipm` / `rbf_bandwidth` choose the L_B metric.
 ///
 /// One RFF draw epoch is derived from `rng` per call (i.e. per weight
-/// step) and shared by every decorrelation tier, so tiers reuse the
-/// per-column projection draws they have in common. `proj_cache`, when
-/// non-null, memoizes those draws across the tiers (the trainer always
-/// passes its session cache); results are bitwise identical with or
-/// without it.
+/// step). Its slot draws live in one RffSlotDraws for the duration of
+/// the call, shared by every decorrelation tier, so each column's
+/// projection is drawn once per step however many tiers use it.
 Var BuildWeightLoss(Var w, const WeightLossInputs& inputs,
                     const SbrlConfig& config, FrameworkKind framework,
                     double alpha_br, IpmKind ipm, double rbf_bandwidth,
-                    Rng& rng, RffProjectionCache* proj_cache = nullptr);
+                    Rng& rng);
 
 }  // namespace sbrl
 

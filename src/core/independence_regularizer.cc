@@ -10,7 +10,7 @@ namespace sbrl {
 
 Var HsicRffDecorrelationLoss(const Matrix& z, Var w, int64_t rff_features,
                              int64_t pair_budget, Rng& rng,
-                             const RffDrawEpoch* epoch) {
+                             RffSlotDraws* draws) {
   Tape* tape = w.tape();
   SBRL_CHECK(w.valid());
   SBRL_CHECK_EQ(w.cols(), 1);
@@ -32,37 +32,20 @@ Var HsicRffDecorrelationLoss(const Matrix& z, Var w, int64_t rff_features,
       blocks.block_pairs;
 
   // Projections are per-column slot draws of the epoch: slot index =
-  // original column index, so every evaluation sharing the epoch (the
-  // HAP tiers of one weight step) reuses the draws of the columns it
-  // has in common with the others. The cache only memoizes — cached
-  // and uncached slots are bitwise identical (see RffSlotSeed).
-  const uint64_t epoch_seed =
-      epoch != nullptr ? epoch->seed : rng.engine()();
-  RffProjectionCache* cache = epoch != nullptr ? epoch->cache : nullptr;
-  std::vector<RffProjection> drawn;       // uncached-path storage
-  std::vector<const RffProjection*> projs;  // cached-path views
-  if (cache != nullptr) {
-    cache->BeginEpoch(epoch_seed);  // no-op when already current
-    projs.reserve(blocks.used_cols.size());
-    for (int64_t col : blocks.used_cols) {
-      projs.push_back(&cache->Slot(1, k, col));
-    }
-  } else {
-    drawn.reserve(blocks.used_cols.size());
-    for (int64_t col : blocks.used_cols) {
-      drawn.push_back(SampleRffSlot(epoch_seed, 1, k, col));
-    }
+  // original column index, so every evaluation sharing the draw set
+  // (the HAP tiers of one weight step) reuses the draws of the columns
+  // it has in common with the others.
+  RffSlotDraws own_draws;
+  if (draws == nullptr) {
+    own_draws.epoch_seed = rng.engine()();
+    draws = &own_draws;
   }
   // F = [u_c0 | u_c1 | ...] over the used columns (n x n_used*k):
   // angles land in one flat buffer, then a single cosine sweep
   // finishes every feature at once.
   Matrix stacked(z.rows(),
                  static_cast<int64_t>(blocks.used_cols.size()) * k);
-  if (cache != nullptr) {
-    StackRffColumnsWithProjections(z, blocks.used_cols, projs, k, &stacked);
-  } else {
-    StackRffColumnsWithProjections(z, blocks.used_cols, drawn, k, &stacked);
-  }
+  StackRffColumns(z, blocks.used_cols, k, draws, &stacked);
 
   Var f_const = tape->Constant(std::move(stacked));
 

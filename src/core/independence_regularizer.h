@@ -10,21 +10,6 @@
 
 namespace sbrl {
 
-/// Source of the RFF projection draws of one decorrelation-loss call.
-/// The projections of a draw epoch are counter-based slot draws keyed
-/// by (seed, in_dim, k, column index) — see RffSlotSeed — so every
-/// evaluation sharing an epoch sees the same per-column projections
-/// regardless of call order, threading, or whether a cache memoizes
-/// the sampling work. BuildWeightLoss derives one epoch per weight
-/// step so all HAP tiers share their draws.
-struct RffDrawEpoch {
-  /// Seed the epoch's slot streams derive from.
-  uint64_t seed = 0;
-  /// Optional memoizer for the epoch's draws; nullptr re-samples each
-  /// slot on use (bitwise-identical results either way).
-  RffProjectionCache* cache = nullptr;
-};
-
 /// Differentiable decorrelation loss L_D(Z, w) of the Independence
 /// Regularizer (paper Eqs. 9-10): the sum over feature pairs (a, b) of
 /// the weighted HSIC-RFF statistic
@@ -50,15 +35,16 @@ struct RffDrawEpoch {
 /// FP summation order differs, relative tolerance 1e-9 (see README
 /// "Weight-loss batching").
 ///
-/// `epoch` supplies the projection draw epoch. When null, the epoch
-/// seed is drawn from `rng` (one engine draw after pair selection) and
-/// slots are sampled uncached — the standalone-call path. When set,
-/// the caller-provided seed/cache are used and `rng` is only consumed
-/// for the pair subset — the path BuildWeightLoss uses to share one
-/// epoch (and one cache) across all HAP tiers of a weight step.
+/// Projections are per-column slot draws of one epoch (see
+/// RffSlotDraws): slot index = column index. When `draws` is null the
+/// call builds its own set, its epoch seed drawn from `rng` (one engine
+/// draw after pair selection) — the standalone path. When set, the
+/// caller's set is used and filled, and `rng` is only consumed for the
+/// pair subset — the path BuildWeightLoss uses to share one set across
+/// all HAP tiers of a weight step.
 Var HsicRffDecorrelationLoss(const Matrix& z, Var w, int64_t rff_features,
                              int64_t pair_budget, Rng& rng,
-                             const RffDrawEpoch* epoch = nullptr);
+                             RffSlotDraws* draws = nullptr);
 
 }  // namespace sbrl
 

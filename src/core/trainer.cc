@@ -52,15 +52,12 @@ RecoveryMode ResolveRecoveryMode(RecoveryMode config_mode) {
 }  // namespace
 
 SbrlTrainer::SbrlTrainer(const EstimatorConfig& config, Backbone* backbone,
-                         bool binary_outcome, RunContext* ctx)
+                         bool binary_outcome, MatrixPool* tape_pool)
     : config_(config),
       backbone_(backbone),
       binary_outcome_(binary_outcome),
-      tape_pool_(ctx != nullptr ? ctx->tape_pool : &owned_tape_pool_),
-      rff_proj_cache_(ctx != nullptr ? ctx->rff_cache : &owned_rff_cache_) {
+      tape_pool_(tape_pool != nullptr ? tape_pool : &owned_tape_pool_) {
   SBRL_CHECK(backbone != nullptr);
-  SBRL_CHECK(tape_pool_ != nullptr && rff_proj_cache_ != nullptr)
-      << "RunContext with null resources";
   // Paper Table IV footnote: TARNet has no balancing term, so its SBRL
   // variants drop L_B (alpha = 0).
   effective_alpha_br_ =
@@ -347,8 +344,7 @@ Status SbrlTrainer::Train(const CausalDataset& train,
       Var w_var = w_binder.Bind(weights.param());
       Var w_loss = BuildWeightLoss(w_var, inputs, config_.sbrl,
                                    config_.framework, effective_alpha_br_,
-                                   br_ipm_, br_rbf_bandwidth_, hsic_rng,
-                                   rff_proj_cache_);
+                                   br_ipm_, br_rbf_bandwidth_, hsic_rng);
       weight_loss_value = w_loss.value().scalar();
       w_tape.Backward(w_loss);
       w_binder.FlushGrads();

@@ -6,10 +6,8 @@
 
 #include "common/status.h"
 #include "core/backbone.h"
-#include "core/run_context.h"
 #include "core/sample_weights.h"
 #include "data/causal_dataset.h"
-#include "stats/rff.h"
 #include "tensor/pool.h"
 
 namespace sbrl {
@@ -88,14 +86,13 @@ struct TrainDiagnostics {
 class SbrlTrainer {
  public:
   /// `backbone` must outlive the trainer. `binary_outcome` selects
-  /// cross-entropy vs squared-error heads. `ctx`, when non-null, makes
-  /// the trainer borrow the run's session-leased resources (tape pool,
-  /// RFF projection cache) instead of owning fresh ones — both must
-  /// outlive the trainer; null keeps the self-contained standalone
-  /// behavior. Borrowed and owned resources produce bitwise identical
-  /// training (value-transparent pooling; see core/run_context.h).
+  /// cross-entropy vs squared-error heads. `tape_pool`, when non-null,
+  /// is a session-leased buffer arena the trainer borrows instead of
+  /// owning a fresh one (it must outlive the trainer). Borrowed and
+  /// owned pools produce bitwise identical training, since
+  /// MatrixPool::AcquireZero zeroes recycled buffers.
   SbrlTrainer(const EstimatorConfig& config, Backbone* backbone,
-              bool binary_outcome, RunContext* ctx = nullptr);
+              bool binary_outcome, MatrixPool* tape_pool = nullptr);
 
   /// Trains on `train`, early-stopping on `valid` (optional). On
   /// success writes the learned sample weights (uniform for vanilla
@@ -112,19 +109,13 @@ class SbrlTrainer {
   double effective_alpha_br_;
   IpmKind br_ipm_;
   double br_rbf_bandwidth_;
-  /// Standalone fallback instances behind the pointers below, used only
-  /// when no RunContext was supplied at construction.
+  /// Standalone fallback behind `tape_pool_`, used only when no pool
+  /// was supplied at construction.
   MatrixPool owned_tape_pool_;
-  RffProjectionCache owned_rff_cache_;
   /// Buffer arena shared by every per-iteration tape: node shapes repeat
   /// across iterations, so steady-state training reuses buffers instead
-  /// of reallocating them. Session-leased (RunContext) or owned.
+  /// of reallocating them. Session-leased or owned.
   MatrixPool* tape_pool_;
-  /// Per-weight-step memoizer of the RFF projection draws shared by the
-  /// HAP tiers; handed to every BuildWeightLoss call (value-transparent:
-  /// cached and uncached draws are bitwise equal). Session-leased
-  /// (RunContext) or owned.
-  RffProjectionCache* rff_proj_cache_;
 };
 
 }  // namespace sbrl

@@ -1,53 +1,37 @@
 #include "eval/session.h"
 
 #include "common/check.h"
-#include "tensor/pool.h"
 
 namespace sbrl {
 
-// The unit of recycling: one run's worth of exclusive mutable state.
-struct ExperimentSession::ResourceSet {
-  MatrixPool tape_pool;
-  RffProjectionCache rff_cache;
-  RunContext ctx;
-};
-
-ExperimentSession::ExperimentSession() = default;
-ExperimentSession::~ExperimentSession() = default;
-
 ExperimentSession::RunLease::~RunLease() {
-  if (session_ != nullptr) session_->Release(set_);
+  if (session_ != nullptr) session_->Release(pool_);
 }
 
-RunContext* ExperimentSession::RunLease::context() {
-  SBRL_CHECK(set_ != nullptr) << "lease was moved from";
-  return &static_cast<ResourceSet*>(set_)->ctx;
+MatrixPool* ExperimentSession::RunLease::tape_pool() {
+  SBRL_CHECK(pool_ != nullptr) << "lease was moved from";
+  return pool_;
 }
 
 ExperimentSession::RunLease ExperimentSession::AcquireRun() {
   std::lock_guard<std::mutex> lock(mu_);
-  if (!free_sets_.empty()) {
-    ResourceSet* set = free_sets_.back();
-    free_sets_.pop_back();
-    return RunLease(this, set);
+  if (!free_pools_.empty()) {
+    MatrixPool* pool = free_pools_.back();
+    free_pools_.pop_back();
+    return RunLease(this, pool);
   }
-  auto set = std::make_unique<ResourceSet>();
-  set->rff_cache.set_shared(&shared_rff_);
-  set->ctx.tape_pool = &set->tape_pool;
-  set->ctx.rff_cache = &set->rff_cache;
-  ResourceSet* raw = set.get();
-  all_sets_.push_back(std::move(set));
-  return RunLease(this, raw);
+  all_pools_.push_back(std::make_unique<MatrixPool>());
+  return RunLease(this, all_pools_.back().get());
 }
 
-void ExperimentSession::Release(void* set) {
+void ExperimentSession::Release(MatrixPool* pool) {
   std::lock_guard<std::mutex> lock(mu_);
-  free_sets_.push_back(static_cast<ResourceSet*>(set));
+  free_pools_.push_back(pool);
 }
 
 int64_t ExperimentSession::resource_sets_created() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return static_cast<int64_t>(all_sets_.size());
+  return static_cast<int64_t>(all_pools_.size());
 }
 
 }  // namespace sbrl

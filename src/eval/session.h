@@ -5,91 +5,69 @@
 #include <mutex>
 #include <vector>
 
-#include "core/run_context.h"
-#include "stats/rff.h"
+#include "tensor/pool.h"
 
 namespace sbrl {
 
-/// Owner of every resource an in-process experiment sweep shares or
-/// recycles across runs — the session-scoped home of state that used to
-/// be process-global or trainer-owned:
-///
-///   resource                     | scope      | concurrency
-///   -----------------------------|------------|---------------------------
-///   SharedRffProjectionCache     | session    | mutex-protected, shared by
-///                                |            | every run's local cache
-///   MatrixPool (tape arena)      | per run    | exclusive to one run at a
-///                                |            | time, recycled via leases
-///   RffProjectionCache (local)   | per run    | exclusive, recycled, wired
-///                                |            | to the shared cache
-///
-/// Runs check resources out through AcquireRun() leases; returning a
-/// lease parks the resource set for the next run, so a steady-state
-/// sweep keeps warm buffer pools instead of reallocating per run.
-/// Which run gets which recycled set is schedule-dependent, but
-/// recycling is value-transparent (zeroed-on-acquire buffers, pure
-/// slot-keyed draws), so results stay bitwise independent of the
-/// schedule — the sweep-determinism contract (docs/ARCHITECTURE.md
-/// "Experiment engine").
+/// Owner of the tape buffer arenas an in-process experiment sweep
+/// recycles across runs. Each run checks one MatrixPool out through an
+/// AcquireRun() lease and owns it exclusively while it trains;
+/// returning the lease parks the pool for the next run, so a
+/// steady-state sweep keeps warm buffers instead of reallocating per
+/// run. Which run gets which recycled pool is schedule-dependent, but
+/// MatrixPool::AcquireZero zeroes recycled buffers, so results stay
+/// bitwise independent of the schedule — the sweep-determinism
+/// contract (docs/ARCHITECTURE.md "Experiment engine").
 ///
 /// Thread-safe: AcquireRun() / lease release may be called from any
-/// thread; the resources INSIDE a lease belong to exactly one run.
+/// thread; the pool INSIDE a lease belongs to exactly one run.
 class ExperimentSession {
  public:
-  ExperimentSession();
-  ~ExperimentSession();  // out of line: ResourceSet is private/opaque
+  ExperimentSession() = default;
   ExperimentSession(const ExperimentSession&) = delete;
   ExperimentSession& operator=(const ExperimentSession&) = delete;
 
-  /// RAII lease of one run's resource set; returns it to the session's
+  /// RAII lease of one run's tape pool; returns it to the session's
   /// free list on destruction. Move-only. The lease must not outlive
   /// the session.
   class RunLease {
    public:
     RunLease(RunLease&& other) noexcept
-        : session_(other.session_), set_(other.set_) {
+        : session_(other.session_), pool_(other.pool_) {
       other.session_ = nullptr;
-      other.set_ = nullptr;
+      other.pool_ = nullptr;
     }
     RunLease& operator=(RunLease&&) = delete;
     RunLease(const RunLease&) = delete;
     RunLease& operator=(const RunLease&) = delete;
     ~RunLease();
 
-    /// The leased run resources, valid for the lease lifetime.
-    RunContext* context();
+    /// The leased buffer arena, valid for the lease lifetime.
+    MatrixPool* tape_pool();
 
    private:
     friend class ExperimentSession;
-    RunLease(ExperimentSession* session, void* set)
-        : session_(session), set_(set) {}
+    RunLease(ExperimentSession* session, MatrixPool* pool)
+        : session_(session), pool_(pool) {}
 
     ExperimentSession* session_;
-    void* set_;  // ResourceSet*, opaque to keep the type private
+    MatrixPool* pool_;
   };
 
-  /// Checks out a resource set for one run: a recycled set when one is
-  /// parked, else a freshly created one (its local projection cache
-  /// wired to the session's shared cache).
+  /// Checks out a tape pool for one run: a recycled pool when one is
+  /// parked, else a freshly created one.
   RunLease AcquireRun();
 
-  /// The session-wide projection store every leased run cache consults
-  /// on local misses. Exposed for tests and diagnostics.
-  SharedRffProjectionCache* shared_rff_cache() { return &shared_rff_; }
-
-  /// Resource sets created so far — equals the peak number of
-  /// concurrently leased runs, letting tests assert recycling happens.
+  /// Pools created so far — equals the peak number of concurrently
+  /// leased runs, letting tests assert recycling happens.
   int64_t resource_sets_created() const;
 
  private:
-  struct ResourceSet;
-
-  void Release(void* set);
+  void Release(MatrixPool* pool);
 
   mutable std::mutex mu_;
-  SharedRffProjectionCache shared_rff_;
-  std::vector<std::unique_ptr<ResourceSet>> all_sets_;
-  std::vector<ResourceSet*> free_sets_;
+  std::vector<std::unique_ptr<MatrixPool>> all_pools_;
+  std::vector<MatrixPool*> free_pools_;
 };
 
 }  // namespace sbrl

@@ -44,7 +44,7 @@ void RunOne(const RunPlan& plan, const std::vector<SweepDatasets>& data,
   }
   ExperimentSession::RunLease lease = session->AcquireRun();
   const Status fit = estimator->Fit(
-      d.train, d.use_valid ? &d.valid : nullptr, lease.context());
+      d.train, d.use_valid ? &d.valid : nullptr, lease.tape_pool());
   if (!fit.ok()) {
     out->status = fit;
     return;
@@ -103,8 +103,7 @@ SweepResult RunSweep(const RunPlan& plan, ExperimentSession* session,
                      std::vector<RunResult>(static_cast<size_t>(num_seeds)));
 
   // Run index r decomposes as (seed_index, method_index) with the
-  // method fastest: one replication's methods are adjacent, so shared
-  // projection draws land in the session cache while still hot.
+  // method fastest: one replication's methods are adjacent.
   auto run_cell = [&](int64_t r) {
     const int64_t seed_index = r / num_methods;
     const int64_t method_index = r % num_methods;

@@ -90,15 +90,10 @@ double PairwiseWeightedHsicRff(const Matrix& x, const Matrix& w,
   CompactPairBlocks blocks = CompactUsedColumns(d, sel.pairs);
   const std::vector<std::pair<int64_t, int64_t>>& block_pairs =
       blocks.block_pairs;
-  const uint64_t epoch_seed = rng.engine()();
-  std::vector<RffProjection> projs;
-  projs.reserve(blocks.used_cols.size());
-  for (int64_t col : blocks.used_cols) {
-    projs.push_back(SampleRffSlot(epoch_seed, 1, k, col));
-  }
+  RffSlotDraws draws{rng.engine()(), {}};
   Matrix stacked(x.rows(),
                  static_cast<int64_t>(blocks.used_cols.size()) * k);
-  StackRffColumnsWithProjections(x, blocks.used_cols, projs, k, &stacked);
+  StackRffColumns(x, blocks.used_cols, k, &draws, &stacked);
   Matrix wn = NormalizeWeights(w);
   Matrix means = MatmulTransA(wn, stacked);  // (1 x n_used*k)
 

@@ -39,10 +39,10 @@ double WeightedHsicRff(const Matrix& a, const Matrix& b, const Matrix& w,
 /// of that many pairs is measured and the sum is rescaled to the full
 /// pair count. Evaluated through the batched block-diagonal kernel
 /// (one stacked feature matrix, one cross-product dispatch for every
-/// pair) — the non-differentiable mirror of the kBatched mode of
-/// HsicRffDecorrelationLoss, with the same rng discipline: the pair
-/// subset comes out of `rng`, then one epoch seed, and per-column
-/// projections are slot draws keyed by (epoch, k, column index).
+/// pair) — the non-differentiable mirror of HsicRffDecorrelationLoss,
+/// with the same rng discipline: the pair subset comes out of `rng`,
+/// then one epoch seed, and per-column projections are slot draws
+/// keyed by (epoch, k, column index).
 double PairwiseWeightedHsicRff(const Matrix& x, const Matrix& w,
                                int64_t num_features, Rng& rng,
                                int64_t max_pairs = 0);

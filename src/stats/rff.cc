@@ -68,34 +68,6 @@ void WriteRffAnglesToColumnInto(const RffProjection& proj, const Matrix& x,
   }
 }
 
-/// Shared body of the two StackRffColumns overloads once the per-column
-/// projections are in hand: parallel per-column angle fill, then ONE
-/// contiguous scaled-cosine sweep over the whole flat buffer.
-void StackRffColumnsImpl(const Matrix& x, const std::vector<int64_t>& cols,
-                         const std::vector<const RffProjection*>& projs,
-                         int64_t k, Matrix* out) {
-  const int64_t n_cols = static_cast<int64_t>(cols.size());
-  SBRL_CHECK_EQ(static_cast<int64_t>(projs.size()), n_cols);
-  SBRL_CHECK_EQ(out->rows(), x.rows());
-  SBRL_CHECK_EQ(out->cols(), n_cols * k);
-  // The angle fill is ~2 flops per element; weigh columns accordingly
-  // so the serial cutoff engages at comparable wall cost to the matmul
-  // kernels. (The cosine cost moved to the flat sweep below.)
-  const int64_t work_per_col = x.rows() * k * 2;
-  const int64_t grain = std::max<int64_t>(
-      1, SerialCutoff() / std::max<int64_t>(1, work_per_col));
-  ParallelFor(0, n_cols, grain, [&](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) {
-      WriteRffAnglesToColumnInto(*projs[static_cast<size_t>(i)], x,
-                                 cols[static_cast<size_t>(i)], out, i * k);
-    }
-  });
-  // Flat-angle epilogue: the full (n x n_cols*k) buffer is one
-  // contiguous run, so the vectorized kernel sees long trip counts
-  // instead of k-wide inner loops.
-  ScaledCosInPlace(out->data(), out->size(), std::sqrt(2.0));
-}
-
 }  // namespace
 
 void ScaledCosInPlace(double* x, int64_t n, double scale) {
@@ -105,25 +77,6 @@ void ScaledCosInPlace(double* x, int64_t n, double scale) {
   const int64_t grain = std::max<int64_t>(1, SerialCutoff() / kCosFlopWeight);
   ParallelFor(0, n, grain, [x, scale, scaled_cos](int64_t lo, int64_t hi) {
     scaled_cos(x + lo, hi - lo, scale);
-  });
-  AccrueCosSweep(timer);
-}
-
-void ScaledCosRowsInPlace(double* x, int64_t rows, int64_t cols,
-                          int64_t stride, double scale) {
-  SBRL_CHECK_GE(rows, 0);
-  SBRL_CHECK_GE(cols, 0);
-  SBRL_CHECK_GE(stride, cols);
-  if (stride == cols) {  // the block is contiguous: one flat sweep
-    ScaledCosInPlace(x, rows * cols, scale);
-    return;
-  }
-  Timer timer;
-  const auto scaled_cos = ActiveLinalgKernels().scaled_cos;
-  const int64_t grain = std::max<int64_t>(
-      1, SerialCutoff() / std::max<int64_t>(1, cols * kCosFlopWeight));
-  ParallelFor(0, rows, grain, [&](int64_t lo, int64_t hi) {
-    for (int64_t r = lo; r < hi; ++r) scaled_cos(x + r * stride, cols, scale);
   });
   AccrueCosSweep(timer);
 }
@@ -155,87 +108,16 @@ RffProjection SampleRffSlot(uint64_t epoch_seed, int64_t in_dim,
   return SampleRff(rng, in_dim, num_features);
 }
 
-bool SharedRffProjectionCache::Lookup(uint64_t epoch_seed, int64_t in_dim,
-                                      int64_t num_features, int64_t slot,
-                                      RffProjection* out) const {
-  SBRL_CHECK(out != nullptr);
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = entries_.find({epoch_seed, in_dim, num_features, slot});
-  if (it == entries_.end()) return false;
-  *out = it->second;  // copy under the lock: eviction can never dangle
-  ++hits_;
-  return true;
-}
-
-void SharedRffProjectionCache::Insert(uint64_t epoch_seed, int64_t in_dim,
-                                      int64_t num_features, int64_t slot,
-                                      const RffProjection& proj) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const Key key{epoch_seed, in_dim, num_features, slot};
-  const auto inserted = entries_.emplace(key, proj);
-  if (!inserted.second) return;  // concurrent duplicate: first wins
-  auto epoch_it = epoch_keys_.find(epoch_seed);
-  if (epoch_it == epoch_keys_.end()) {
-    epoch_order_.push_back(epoch_seed);
-    epoch_it = epoch_keys_.emplace(epoch_seed, std::vector<Key>()).first;
+const RffProjection& RffSlotDraws::Slot(int64_t col, int64_t num_features) {
+  SBRL_CHECK_GE(col, 0);
+  if (static_cast<int64_t>(slots.size()) <= col) {
+    slots.resize(static_cast<size_t>(col) + 1);
   }
-  epoch_it->second.push_back(key);
-  EvictOldEpochsLocked();
-}
-
-int64_t SharedRffProjectionCache::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return static_cast<int64_t>(entries_.size());
-}
-
-int64_t SharedRffProjectionCache::hits() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return hits_;
-}
-
-void SharedRffProjectionCache::EvictOldEpochsLocked() {
-  while (static_cast<int64_t>(epoch_order_.size()) > kMaxEpochs) {
-    const uint64_t victim = epoch_order_.front();
-    epoch_order_.pop_front();
-    const auto it = epoch_keys_.find(victim);
-    SBRL_CHECK(it != epoch_keys_.end());
-    for (const Key& key : it->second) entries_.erase(key);
-    epoch_keys_.erase(it);
-  }
-}
-
-void RffProjectionCache::BeginEpoch(uint64_t epoch_seed) {
-  if (has_epoch_ && epoch_seed_ == epoch_seed) return;
-  epoch_seed_ = epoch_seed;
-  has_epoch_ = true;
-  draws_this_epoch_ = 0;
-  slots_.clear();
-}
-
-const RffProjection& RffProjectionCache::Slot(int64_t in_dim,
-                                              int64_t num_features,
-                                              int64_t slot) {
-  SBRL_CHECK(has_epoch_) << "RffProjectionCache::Slot before BeginEpoch";
-  SBRL_CHECK_GE(slot, 0);
-  std::deque<RffProjection>& stream = slots_[{in_dim, num_features}];
-  if (static_cast<int64_t>(stream.size()) <= slot) {
-    stream.resize(static_cast<size_t>(slot) + 1);
-  }
-  RffProjection& entry = stream[static_cast<size_t>(slot)];
+  RffProjection& entry = slots[static_cast<size_t>(col)];
   if (entry.w.rows() == 0) {  // sentinel: not drawn yet
-    // Second level: the session-shared cache may already hold another
-    // run's draw of this slot (bitwise identical by slot purity). The
-    // hit is COPIED into local deque storage so the reference contract
-    // of Slot() never depends on shared-cache eviction.
-    if (shared_ == nullptr ||
-        !shared_->Lookup(epoch_seed_, in_dim, num_features, slot, &entry)) {
-      entry = SampleRffSlot(epoch_seed_, in_dim, num_features, slot);
-      ++draws_this_epoch_;
-      if (shared_ != nullptr) {
-        shared_->Insert(epoch_seed_, in_dim, num_features, slot, entry);
-      }
-    }
+    entry = SampleRffSlot(epoch_seed, 1, num_features, col);
   }
+  SBRL_CHECK_EQ(entry.num_features(), num_features);
   return entry;
 }
 
@@ -267,51 +149,39 @@ Matrix ApplyRff(const RffProjection& proj, const Matrix& x) {
 Matrix ApplyRffToColumn(const RffProjection& proj, const Matrix& x,
                         int64_t col) {
   Matrix out(x.rows(), proj.num_features());
-  ApplyRffToColumnInto(proj, x, col, &out, 0);
+  WriteRffAnglesToColumnInto(proj, x, col, &out, 0);
+  ScaledCosInPlace(out.data(), out.size(), std::sqrt(2.0));
   return out;
 }
 
-void ApplyRffToColumnInto(const RffProjection& proj, const Matrix& x,
-                          int64_t col, Matrix* out, int64_t col_offset) {
-  WriteRffAnglesToColumnInto(proj, x, col, out, col_offset);
-  // Shared epilogue: one strided sweep over the written block (a flat
-  // sweep when the block spans all of *out).
-  ScaledCosRowsInPlace(out->data() + col_offset, out->rows(),
-                       proj.num_features(), out->cols(), std::sqrt(2.0));
-}
-
 void StackRffColumns(const Matrix& x, const std::vector<int64_t>& cols,
-                     int64_t num_features, Rng& rng, Matrix* out) {
-  // Projections come out of `rng` serially so the stream never depends
-  // on the worker count; only the angle fill and sweep are parallel.
-  std::vector<RffProjection> projs;
+                     int64_t num_features, RffSlotDraws* draws, Matrix* out) {
+  const int64_t n_cols = static_cast<int64_t>(cols.size());
+  const int64_t k = num_features;
+  SBRL_CHECK_EQ(out->rows(), x.rows());
+  SBRL_CHECK_EQ(out->cols(), n_cols * k);
+  // Draw the missing slots serially first (the slot vector may grow),
+  // then take the views the parallel fill reads.
+  for (int64_t col : cols) draws->Slot(col, k);
+  std::vector<const RffProjection*> projs;
   projs.reserve(cols.size());
-  for (size_t i = 0; i < cols.size(); ++i) {
-    projs.push_back(SampleRff(rng, 1, num_features));
-  }
-  StackRffColumnsWithProjections(x, cols, projs, num_features, out);
-}
-
-void StackRffColumnsWithProjections(
-    const Matrix& x, const std::vector<int64_t>& cols,
-    const std::vector<const RffProjection*>& projs, int64_t num_features,
-    Matrix* out) {
-  for (const RffProjection* p : projs) {
-    SBRL_CHECK(p != nullptr);
-    SBRL_CHECK_EQ(p->in_dim(), 1);
-    SBRL_CHECK_EQ(p->num_features(), num_features);
-  }
-  StackRffColumnsImpl(x, cols, projs, num_features, out);
-}
-
-void StackRffColumnsWithProjections(
-    const Matrix& x, const std::vector<int64_t>& cols,
-    const std::vector<RffProjection>& projs, int64_t num_features,
-    Matrix* out) {
-  std::vector<const RffProjection*> views;
-  views.reserve(projs.size());
-  for (const RffProjection& p : projs) views.push_back(&p);
-  StackRffColumnsWithProjections(x, cols, views, num_features, out);
+  for (int64_t col : cols) projs.push_back(&draws->Slot(col, k));
+  // The angle fill is ~2 flops per element; weigh columns accordingly
+  // so the serial cutoff engages at comparable wall cost to the matmul
+  // kernels. (The cosine cost moved to the flat sweep below.)
+  const int64_t work_per_col = x.rows() * k * 2;
+  const int64_t grain = std::max<int64_t>(
+      1, SerialCutoff() / std::max<int64_t>(1, work_per_col));
+  ParallelFor(0, n_cols, grain, [&](int64_t lo, int64_t hi) {
+    for (int64_t i = lo; i < hi; ++i) {
+      WriteRffAnglesToColumnInto(*projs[static_cast<size_t>(i)], x,
+                                 cols[static_cast<size_t>(i)], out, i * k);
+    }
+  });
+  // Flat-angle epilogue: the full (n x n_cols*k) buffer is one
+  // contiguous run, so the vectorized kernel sees long trip counts
+  // instead of k-wide inner loops.
+  ScaledCosInPlace(out->data(), out->size(), std::sqrt(2.0));
 }
 
 }  // namespace sbrl

@@ -52,8 +52,8 @@ constexpr int64_t kVecCosMaxUlp = 4;
 ///    wide levels call libmvec's vector cos (at most kVecCosMaxUlp from
 ///    std::cos). The trailing multiply by the scale is a separate IEEE
 ///    multiply at every level. Like elu, each output is a pure function
-///    of its input alone at a level, so strided and flat layouts, run
-///    lengths and chunkings all give the same bits.
+///    of its input alone at a level, so offsets, run lengths and
+///    chunkings all give the same bits.
 struct LinalgKernels {
   /// Rows [r0, r1) of out += a * b, a (n x k), b (k x m): each output
   /// element accumulates its k terms in ascending order.

@@ -43,13 +43,9 @@ Var PerPairReferenceLoss(const Matrix& z, Var w, int64_t k, int64_t budget,
   Var w_norm = ops::DivScalar(w, ops::SumAll(w));
   const FeaturePairSelection sel = SelectFeaturePairs(d, budget, rng);
   const CompactPairBlocks blocks = CompactUsedColumns(d, sel.pairs);
-  const uint64_t epoch_seed = rng.engine()();
-  std::vector<RffProjection> projs;
-  for (int64_t col : blocks.used_cols) {
-    projs.push_back(SampleRffSlot(epoch_seed, 1, k, col));
-  }
-  Matrix stacked(z.rows(), static_cast<int64_t>(projs.size()) * k);
-  StackRffColumnsWithProjections(z, blocks.used_cols, projs, k, &stacked);
+  RffSlotDraws draws{rng.engine()(), {}};
+  Matrix stacked(z.rows(), static_cast<int64_t>(blocks.used_cols.size()) * k);
+  StackRffColumns(z, blocks.used_cols, k, &draws, &stacked);
   Var f = tape->Constant(std::move(stacked));
   Var fw = ops::MulCol(f, w_norm);
   Var loss = tape->Constant(Matrix::Zeros(1, 1));

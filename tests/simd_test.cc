@@ -4,11 +4,11 @@
 //    at every compiled level (an element's output equals its input run
 //    alone, whatever the run length or offset), stays within
 //    kVecCosMaxUlp of std::cos over an edge grid, equals std::cos at
-//    baseline, and its flat, strided and parallel sweeps give the same
-//    bits;
-//  - RffProjectionCache must be value-transparent: the decorrelation
-//    loss and its weight gradient are bitwise identical with the cache
-//    on and off, at every level (the cache never touches the numerics);
+//    baseline, and its serial and parallel sweeps give the same bits;
+//  - the per-step RffSlotDraws memo must be value-transparent: memoized
+//    slots equal the pure slot draws, and the HAP weight loss and its
+//    gradient are bitwise identical whether the tiers share one draw
+//    set or each draws afresh, at every level;
 //  - the f64 ELU kernel (LinalgKernels::elu) is lane-pure at every
 //    compiled level, stays within kVecCosMaxUlp of std::expm1 over an
 //    edge grid, passes positives through, equals std::expm1 at
@@ -36,6 +36,7 @@
 #include "autodiff/tape.h"
 #include "common/cpu.h"
 #include "common/thread_pool.h"
+#include "core/hap.h"
 #include "core/independence_regularizer.h"
 #include "stats/rff.h"
 #include "nn/net_step.h"
@@ -220,34 +221,6 @@ TEST(ScaledCosTest, SweepSecondsAccrueToTheCallingThreadOnly) {
   EXPECT_GT(CosSweepSecondsThisThread(), before);
 }
 
-TEST(ScaledCosTest, StridedRowsEqualFlatSweepBitwise) {
-  // A (rows x cols) block embedded at column 3 of a wider matrix swept
-  // row by row must give exactly the bits of one flat sweep over the
-  // same values; columns outside the block stay untouched.
-  const int64_t rows = 40, cols = 5, stride = 12;
-  const Matrix wide = Rng(9).Rand(rows, stride, -10.0, 10.0);
-  for (Isa isa : SupportedIsas()) {
-    SCOPED_TRACE(IsaName(isa));
-    ScopedThreadIsa pin(isa);
-    Matrix got = wide;
-    ScaledCosRowsInPlace(got.data() + 3, rows, cols, stride, 2.0);
-    std::vector<double> flat;
-    for (int64_t r = 0; r < rows; ++r) {
-      for (int64_t c = 0; c < cols; ++c) flat.push_back(wide(r, 3 + c));
-    }
-    ScaledCosInPlace(flat.data(), static_cast<int64_t>(flat.size()), 2.0);
-    for (int64_t r = 0; r < rows; ++r) {
-      for (int64_t c = 0; c < stride; ++c) {
-        const bool in_block = c >= 3 && c < 3 + cols;
-        const double want = in_block
-                                ? flat[static_cast<size_t>(r * cols + c - 3)]
-                                : wide(r, c);
-        ASSERT_TRUE(SameBits(got(r, c), want)) << "row " << r << " col " << c;
-      }
-    }
-  }
-}
-
 TEST(ScaledCosTest, LargeSweepBitwiseEqualAcrossThreadCounts) {
   // 65,536 angles through the flat sweep at 1, 2 and 4 threads: every
   // chunking gives the bits of the kernel applied element by element.
@@ -271,7 +244,7 @@ TEST(ScaledCosTest, LargeSweepBitwiseEqualAcrossThreadCounts) {
 }
 
 // ---------------------------------------------------------------------------
-// Slot draws and the projection cache.
+// Slot draws and the per-step draw set.
 // ---------------------------------------------------------------------------
 
 TEST(RffSlotTest, SlotDrawsAreDeterministicAndIndependent) {
@@ -287,62 +260,81 @@ TEST(RffSlotTest, SlotDrawsAreDeterministicAndIndependent) {
   EXPECT_NE(RffSlotSeed(123, 1, 5, 7), RffSlotSeed(123, 2, 5, 7));
 }
 
-TEST(RffProjectionCacheTest, MemoizesWithinEpochAndResetsAcrossEpochs) {
-  RffProjectionCache cache;
-  cache.BeginEpoch(42);
-  const RffProjection& first = cache.Slot(1, 5, 3);
-  const RffProjection uncached = SampleRffSlot(42, 1, 5, 3);
-  for (int64_t i = 0; i < first.w.size(); ++i) {
-    EXPECT_EQ(first.w[i], uncached.w[i]);
-  }
-  EXPECT_EQ(cache.draws_this_epoch(), 1);
-  // Second lookup of the same slot is a hit — including through a
-  // redundant BeginEpoch with the same seed (the cross-tier pattern).
-  cache.BeginEpoch(42);
-  const RffProjection& again = cache.Slot(1, 5, 3);
-  EXPECT_EQ(&again, &first);
-  EXPECT_EQ(cache.draws_this_epoch(), 1);
-  // References stay valid while later slots force storage growth.
-  const RffProjection& late = cache.Slot(1, 5, 200);
-  EXPECT_EQ(late.w.cols(), 5);
-  EXPECT_EQ(first.w[0], uncached.w[0]);
-  // A new epoch redraws.
-  cache.BeginEpoch(43);
-  EXPECT_EQ(cache.draws_this_epoch(), 0);
-  const RffProjection& fresh = cache.Slot(1, 5, 3);
-  EXPECT_NE(fresh.w[0], uncached.w[0]);
-}
-
-/// Loss and weight gradient of one decorrelation evaluation under a
-/// fixed draw epoch, optionally memoized.
-std::pair<double, Matrix> LossAndGrad(const Matrix& z, const Matrix& w_val,
-                                      uint64_t seed,
-                                      RffProjectionCache* cache) {
+/// Loss and weight gradient of an SBRL-HAP weight loss whose every
+/// decorrelation tier draws from a fresh RffSlotDraws of the step's
+/// epoch seed — BuildWeightLoss's term order, with no balancing term.
+std::pair<double, Matrix> FreshDrawsPerTier(const WeightLossInputs& inputs,
+                                            const SbrlConfig& config,
+                                            const Matrix& w_val,
+                                            uint64_t seed) {
   Tape tape;
   Var w = tape.Leaf(w_val);
   Rng rng(seed);
-  RffDrawEpoch epoch{seed * 77 + 1, cache};
-  Var loss = HsicRffDecorrelationLoss(z, w, 5, 0, rng, &epoch);
+  const uint64_t epoch_seed = rng.engine()();
+  Var loss = ops::MeanAll(ops::Square(ops::AddConst(w, -1.0)));
+  const auto add_tier = [&](const Matrix& z, double gamma) {
+    RffSlotDraws fresh{epoch_seed, {}};
+    loss = ops::Add(
+        loss, ops::Scale(HsicRffDecorrelationLoss(z, w, config.rff_features,
+                                                  config.hsic_pair_budget,
+                                                  rng, &fresh),
+                         gamma));
+  };
+  add_tier(inputs.z_p, config.gamma1);
+  add_tier(inputs.z_r, config.gamma2);
+  for (const Matrix& z : inputs.z_o) add_tier(z, config.gamma3);
   tape.Backward(loss);
   return {loss.value().scalar(), w.grad()};
 }
 
-TEST(RffProjectionCacheTest, LossAndGradBitwiseIdenticalWithCacheOnAndOff) {
+TEST(RffSlotDrawsTest, SharedDrawSetIsValueTransparent) {
+  // Memoized slots, asked for out of order and repeatedly, are the
+  // pure slot draws of their own column.
+  RffSlotDraws draws{42, {}};
+  for (int64_t col : {5, 0, 3, 5, 1, 0}) {
+    const RffProjection want = SampleRffSlot(42, 1, 5, col);
+    const RffProjection& got = draws.Slot(col, 5);
+    ASSERT_EQ(got.w.size(), want.w.size());
+    for (int64_t i = 0; i < want.w.size(); ++i) {
+      EXPECT_TRUE(SameBits(got.w[i], want.w[i])) << "col " << col;
+      EXPECT_TRUE(SameBits(got.phi[i], want.phi[i])) << "col " << col;
+    }
+  }
+  // BuildWeightLoss shares one draw set across the HAP tiers; each tier
+  // drawing afresh from the same epoch must give the same bits. Under a
+  // budget of two pairs the tiers start from different columns, so a
+  // memo that lost the column would hand a later tier the wrong draws.
   Rng data_rng(1001);
-  Matrix z = data_rng.Randn(60, 6);
-  Matrix w_val = data_rng.Rand(60, 1, 0.5, 2.0);
+  const int64_t n = 60;
+  WeightLossInputs inputs;
+  inputs.z_p = data_rng.Randn(n, 6);
+  inputs.z_r = data_rng.Randn(n, 8);
+  inputs.z_o = {data_rng.Randn(n, 5), data_rng.Randn(n, 7)};
+  for (int64_t i = 0; i < n; ++i) inputs.t.push_back(i % 2);
+  const Matrix w_val = data_rng.Rand(n, 1, 0.5, 2.0);
+  SbrlConfig config;
+  config.gamma1 = 1.0;
+  config.gamma2 = 0.5;
+  config.gamma3 = 0.25;
+  config.hsic_pair_budget = 2;
   for (Isa isa : SupportedIsas()) {
     SCOPED_TRACE(IsaName(isa));
     ScopedThreadIsa pin(isa);
-    RffProjectionCache cache;
-    const auto [loss_off, grad_off] = LossAndGrad(z, w_val, 5, nullptr);
-    const auto [loss_on, grad_on] = LossAndGrad(z, w_val, 5, &cache);
-    EXPECT_EQ(loss_on, loss_off);
-    ASSERT_TRUE(grad_on.same_shape(grad_off));
-    for (int64_t i = 0; i < grad_on.size(); ++i) {
-      EXPECT_EQ(grad_on[i], grad_off[i]) << "grad element " << i;
+    Tape tape;
+    Var w = tape.Leaf(w_val);
+    Rng rng(5);
+    Var shared = BuildWeightLoss(w, inputs, config, FrameworkKind::kSbrlHap,
+                                 /*alpha_br=*/0.0, IpmKind::kLinearMmd, 1.0,
+                                 rng);
+    tape.Backward(shared);
+    const auto [fresh_loss, fresh_grad] =
+        FreshDrawsPerTier(inputs, config, w_val, 5);
+    EXPECT_TRUE(SameBits(shared.value().scalar(), fresh_loss));
+    ASSERT_TRUE(w.grad().same_shape(fresh_grad));
+    for (int64_t i = 0; i < fresh_grad.size(); ++i) {
+      EXPECT_TRUE(SameBits(w.grad()[i], fresh_grad[i]))
+          << "grad element " << i;
     }
-    EXPECT_GT(cache.draws_this_epoch(), 0);
   }
 }
 
@@ -359,11 +351,11 @@ TEST(RffStackTest, StackMatchesPerElementFormulaBitwise) {
   for (Isa isa : SupportedIsas()) {
     SCOPED_TRACE(IsaName(isa));
     ScopedThreadIsa pin(isa);
-    Rng draw_a(8), draw_b(8);
+    RffSlotDraws draws{8, {}};
     Matrix stacked(50, static_cast<int64_t>(cols.size()) * k);
-    StackRffColumns(x, cols, k, draw_a, &stacked);
+    StackRffColumns(x, cols, k, &draws, &stacked);
     for (size_t ci = 0; ci < cols.size(); ++ci) {
-      RffProjection proj = SampleRff(draw_b, 1, k);
+      RffProjection proj = SampleRffSlot(8, 1, k, cols[ci]);
       for (int64_t i = 0; i < x.rows(); ++i) {
         for (int64_t f = 0; f < k; ++f) {
           const double angle = x(i, cols[ci]) * proj.w(0, f) + proj.phi(0, f);

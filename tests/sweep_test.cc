@@ -1,15 +1,12 @@
 // Tests of the experiment engine (eval/session.h + eval/sweep.h): the
 // sweep-determinism contract (bitwise identical grids for any outer
 // worker count and any pool size, identical to standalone per-cell
-// fits), session resource recycling and shared-cache value
-// transparency, run-scoped timing attribution, and per-cell failure
-// isolation.
+// fits), session tape-pool recycling, run-scoped timing attribution,
+// and per-cell failure isolation.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <thread>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -18,7 +15,6 @@
 #include "eval/experiment.h"
 #include "eval/session.h"
 #include "eval/sweep.h"
-#include "stats/rff.h"
 
 namespace sbrl {
 namespace {
@@ -26,7 +22,7 @@ namespace {
 // A tiny but fully featured plan: all nine methods x three seeds on a
 // small synthetic OOD construction, a few iterations each, with a
 // weight step every iteration so the SBRL/HAP cells exercise the RFF
-// projection caches.
+// slot draws.
 RunPlan TinyNineMethodPlan(int num_seeds) {
   RunPlan plan;
   plan.methods = AllNineMethods();
@@ -132,8 +128,8 @@ TEST(SweepTest, BitwiseIdenticalAcrossPoolSizes) {
 
 TEST(SweepTest, MatchesStandalonePerCellFits) {
   // The engine must reproduce what a caller gets from fitting every
-  // cell by hand with owned (non-session) resources — pooling and the
-  // shared projection cache are value-transparent.
+  // cell by hand with owned (non-session) resources — pooling is
+  // value-transparent.
   const RunPlan plan = TinyNineMethodPlan(/*num_seeds=*/2);
   const SweepResult sweep = RunWithWorkers(plan, 3);
   for (size_t s = 0; s < plan.seeds.size(); ++s) {
@@ -162,7 +158,7 @@ TEST(SweepTest, MatchesStandalonePerCellFits) {
   }
 }
 
-TEST(SweepTest, SessionRecyclesResourceSetsAndSharesProjections) {
+TEST(SweepTest, SessionRecyclesResourceSets) {
   const RunPlan plan = TinyNineMethodPlan(/*num_seeds=*/2);
   ExperimentSession session;
   SweepOptions options;
@@ -172,10 +168,6 @@ TEST(SweepTest, SessionRecyclesResourceSetsAndSharesProjections) {
   Fingerprint(sweep);  // asserts every cell succeeded
   // 18 runs through at most 2 concurrent lanes: leases must recycle.
   EXPECT_LE(session.resource_sets_created(), 2);
-  // Methods of one replication share a train seed, hence identical
-  // epoch-seed sequences — later runs must hit projections published
-  // by earlier ones.
-  EXPECT_GT(session.shared_rff_cache()->hits(), 0);
 }
 
 TEST(SweepTest, RffCosSecondsStaysWithinEachRun) {
@@ -215,65 +207,6 @@ TEST(SweepTest, FailedCellIsIsolated) {
   // Aggregation skips the failed cell and works off the healthy ones.
   const ReplicationStats stats = AggregateCell(sweep, 0, 0);
   EXPECT_TRUE(stats.pehe.mean == stats.pehe.mean);  // finite, not NaN
-}
-
-TEST(SharedRffProjectionCacheTest, ConcurrentInsertLookupIsConsistent) {
-  // Hammer one cache from several threads with overlapping keys; every
-  // successful lookup must return exactly the pure draw for its key
-  // (first-writer-wins insertion can never publish a different value).
-  SharedRffProjectionCache cache;
-  constexpr int kThreads = 4;
-  constexpr int kSlots = 16;
-  std::vector<std::thread> threads;
-  std::atomic<int> mismatches{0};
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&cache, &mismatches, t]() {
-      for (int pass = 0; pass < 3; ++pass) {
-        for (int64_t slot = 0; slot < kSlots; ++slot) {
-          const uint64_t epoch_seed = 900 + static_cast<uint64_t>(
-                                                (t + pass + slot) % 2);
-          RffProjection expected = SampleRffSlot(epoch_seed, 6, 4, slot);
-          RffProjection got;
-          if (!cache.Lookup(epoch_seed, 6, 4, slot, &got)) {
-            got = expected;
-            cache.Insert(epoch_seed, 6, 4, slot, got);
-          }
-          if (got.w.rows() != expected.w.rows() ||
-              got.w.cols() != expected.w.cols()) {
-            ++mismatches;
-            continue;
-          }
-          for (int64_t i = 0; i < got.w.rows(); ++i) {
-            for (int64_t j = 0; j < got.w.cols(); ++j) {
-              if (got.w(i, j) != expected.w(i, j)) ++mismatches;
-            }
-          }
-          for (int64_t j = 0; j < got.phi.cols(); ++j) {
-            if (got.phi(0, j) != expected.phi(0, j)) ++mismatches;
-          }
-        }
-      }
-    });
-  }
-  for (auto& thread : threads) thread.join();
-  EXPECT_EQ(mismatches.load(), 0);
-  EXPECT_GT(cache.size(), 0);
-  EXPECT_GT(cache.hits(), 0);
-}
-
-TEST(SharedRffProjectionCacheTest, EvictsOldEpochsInFifoOrder) {
-  SharedRffProjectionCache cache;
-  const int64_t overflow = SharedRffProjectionCache::kMaxEpochs + 8;
-  for (int64_t epoch = 0; epoch < overflow; ++epoch) {
-    cache.Insert(static_cast<uint64_t>(epoch), 4, 3, 0,
-                 SampleRffSlot(static_cast<uint64_t>(epoch), 4, 3, 0));
-  }
-  EXPECT_LE(cache.size(), SharedRffProjectionCache::kMaxEpochs);
-  // The oldest epochs are gone, the newest are still resident.
-  RffProjection out;
-  EXPECT_FALSE(cache.Lookup(0, 4, 3, 0, &out));
-  EXPECT_TRUE(cache.Lookup(static_cast<uint64_t>(overflow - 1), 4, 3, 0,
-                           &out));
 }
 
 }  // namespace
