@@ -1,8 +1,9 @@
 // Microbenchmark of the dense-linalg hot kernels: the tiled parallel
 // Matmul against the seed repo's naive triple-loop kernel
 // (MatmulReference), plus the transpose-product kernels used by every
-// backward pass, the per-level ELU backward kernel and the per-level
-// RFF scaled cosine kernel. The tiled
+// backward pass, the per-level ELU backward kernel, the per-level
+// RFF scaled cosine kernel, the register-tiled TransA on training
+// shapes and one fused HSIC-RFF tier. The tiled
 // kernel must beat the seed kernel at 256^3 even single-threaded
 // (SBRL_NUM_THREADS=1).
 //
@@ -19,12 +20,15 @@
 #include <utility>
 #include <vector>
 
+#include "autodiff/tape.h"
 #include "common/cpu.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
+#include "core/independence_regularizer.h"
 #include "harness.h"
 #include "tensor/kernels.h"
 #include "tensor/linalg.h"
+#include "tensor/pool.h"
 #include "tensor/random.h"
 
 namespace sbrl {
@@ -197,6 +201,62 @@ int Main() {
     SBRL_CHECK(std::memcmp(outs[0].data(), outs[1].data(),
                            sizeof(double) * cos_elems) == 0)
         << IsaName(isa) << " scaled_cos depends on the run length";
+  }
+  // The fit's hot batch reductions at every level the host supports:
+  // the register-tiled TransA on training shapes (tags read reduction x
+  // output rows x output columns: dW of a 32-wide hidden layer, of a
+  // 64 -> 1 output unit, and the 1-row means shape of a 26-column HSIC
+  // tier), and one fused HSIC-RFF tier, forward + backward (n = 1000
+  // rows, d = 32 columns, pair budget 24, k = 5, the projections drawn
+  // once up front as within a weight step). Seconds per call; every
+  // level's TransA must reproduce the baseline bit for bit.
+  const int layer_reps = scale.name == "smoke" ? 5 : 200;
+  for (const Shape& s : {Shape{1000, 32, 32}, Shape{1000, 64, 1},
+                         Shape{1000, 1, 130}}) {
+    const Matrix a = rng.Randn(s.n, s.k);  // (reduction x output rows)
+    const Matrix b = rng.Randn(s.n, s.m);
+    const std::string tag = std::to_string(s.n) + "x" + std::to_string(s.k) +
+                            "x" + std::to_string(s.m);
+    Matrix want;
+    for (Isa isa : {Isa::kBaseline, Isa::kAvx2, Isa::kAvx512}) {
+      if (isa > MaxSupportedIsa()) continue;
+      ScopedThreadIsa pin(isa);
+      Matrix got;
+      const double ta_s =
+          TimeOp([&] { return MatmulTransA(a, b); }, layer_reps, &got);
+      if (isa == Isa::kBaseline) want = got;
+      SBRL_CHECK(std::memcmp(got.data(), want.data(),
+                             sizeof(double) * want.size()) == 0)
+          << IsaName(isa) << " MatmulTransA is not bitwise baseline at "
+          << tag;
+      json.Record(std::string("matmul_trans_a_") + IsaName(isa) + "/" + tag,
+                  ta_s);
+      std::cout << "matmul_trans_a " << tag << " " << IsaName(isa) << ": "
+                << ta_s * 1e6 << " us\n";
+    }
+  }
+  const Matrix z = rng.Randn(1000, 32);
+  const Matrix w_val = rng.Rand(1000, 1, 0.5, 2.0);
+  MatrixPool pool;
+  for (Isa isa : {Isa::kBaseline, Isa::kAvx2, Isa::kAvx512}) {
+    if (isa > MaxSupportedIsa()) continue;
+    ScopedThreadIsa pin(isa);
+    RffSlotDraws draws{17, {}};
+    Matrix witness;
+    const double tier_s = TimeOp(
+        [&] {
+          Tape tape(&pool);
+          Var w = tape.Leaf(w_val);
+          Rng pair_rng(5);
+          tape.Backward(HsicRffDecorrelationLoss(z, w, 5, 24, pair_rng,
+                                                 &draws));
+          return w.grad();
+        },
+        layer_reps, &witness);
+    json.Record(std::string("hsic_tier_") + IsaName(isa) + "/1000x32",
+                tier_s);
+    std::cout << "hsic_tier 1000x32 " << IsaName(isa) << ": "
+              << tier_s * 1e6 << " us\n";
   }
   std::cout << "wrote " << json.WriteOrDie() << "\n";
   return 0;

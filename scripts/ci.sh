@@ -7,9 +7,11 @@
 # faults, serving, and large_n variants, and the training lock at
 # SBRL_ISA=baseline, at SBRL_ISA=avx2 and under
 # GLIBC_TUNABLES=glibc.cpu.hwcaps=-AVX2,-FMA), then the sanitizer
-# subset (including the CSV/streaming loader suites and the per-ISA
-# cosine and ELU kernels with their masked and padded tail lanes) plus the fault drills and serving format suite under
-# asan/ubsan, and the ThreadSanitizer subset
+# subset (including the CSV/streaming loader suites, the per-ISA
+# cosine and ELU kernels with their masked and padded tail lanes, the
+# fused HSIC-RFF tier's row blocks and the register-tiled TransA
+# kernels' column and row tails) plus the fault drills and serving
+# format suite under asan/ubsan, and the ThreadSanitizer subset
 # (which includes the serving micro-batcher concurrency suite, the
 # sharded streaming suite and the large-n bench at smoke scale), whose
 # thread-pool suite then repeats until it fails, up to 20 times.

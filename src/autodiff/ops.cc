@@ -748,116 +748,6 @@ Var BlockMatmulTransA(Var a, Var b, int64_t block,
   });
 }
 
-Var BlockWeightedCrossCov(
-    Var f, Var w, int64_t block,
-    const std::vector<std::pair<int64_t, int64_t>>& pairs) {
-  Tape* t = SameTape(f, w);
-  SBRL_CHECK_GT(block, 0);
-  SBRL_CHECK_EQ(w.cols(), 1);
-  SBRL_CHECK_EQ(w.rows(), f.rows());
-  const int64_t num_pairs = static_cast<int64_t>(pairs.size());
-  SBRL_CHECK_GT(num_pairs, 0);
-  Matrix out = t->NewZero(num_pairs * block, block);
-  BlockPairWeightedCrossInto(f.value(), w.value(), block, pairs, &out);
-  const int fi = f.id(), wi = w.id(), self = t->size();
-  return t->MakeNode(std::move(out), {f, w},
-                     [fi, wi, self, block, pairs](Tape* t) {
-    const Matrix& g = t->grad(self);
-    const Matrix& fv = t->value(fi);
-    const Matrix& wv = t->value(wi);
-    const bool need_f = t->requires_grad(fi);
-    const bool need_w = t->requires_grad(wi);
-    Matrix df, dw;
-    if (need_f) df = t->NewZero(fv.rows(), fv.cols());
-    if (need_w) dw = t->NewZero(wv.rows(), 1);
-    BlockPairWeightedCrossGradInto(g, fv, wv, block, pairs,
-                                   need_f ? &df : nullptr,
-                                   need_w ? &dw : nullptr);
-    if (need_f) t->AccumulateGrad(fi, std::move(df));
-    if (need_w) t->AccumulateGrad(wi, std::move(dw));
-  });
-}
-
-Var PairHsicFrobenius(Var cross, Var means, int64_t block,
-                      const std::vector<std::pair<int64_t, int64_t>>& pairs) {
-  Tape* t = SameTape(cross, means);
-  SBRL_CHECK_GT(block, 0);
-  const int64_t num_pairs = static_cast<int64_t>(pairs.size());
-  SBRL_CHECK(cross.rows() == num_pairs * block && cross.cols() == block)
-      << "cross blocks shape " << cross.value().ShapeString();
-  SBRL_CHECK_EQ(means.rows(), 1);
-  for (const auto& [pa, pb] : pairs) {
-    SBRL_CHECK(pa >= 0 && (pa + 1) * block <= means.cols());
-    SBRL_CHECK(pb >= 0 && (pb + 1) * block <= means.cols());
-  }
-  const Matrix& cv = cross.value();
-  const Matrix& mv = means.value();
-  const double* cd = cv.data();
-  const double* md = mv.data();
-  Matrix out = t->NewZero(1, 1);
-  double acc = 0.0;
-  for (int64_t p = 0; p < num_pairs; ++p) {
-    const double* ma = md + pairs[static_cast<size_t>(p)].first * block;
-    const double* mb = md + pairs[static_cast<size_t>(p)].second * block;
-    const double* cblock = cd + p * block * block;
-    double sub = 0.0;
-    for (int64_t r = 0; r < block; ++r) {
-      const double mar = ma[r];
-      const double* crow = cblock + r * block;
-      for (int64_t c = 0; c < block; ++c) {
-        const double v = crow[c] - mar * mb[c];
-        sub += v * v;
-      }
-    }
-    acc += sub;
-  }
-  out(0, 0) = acc;
-  const int ci = cross.id(), mi = means.id(), self = t->size();
-  return t->MakeNode(std::move(out), {cross, means},
-                     [ci, mi, self, block, pairs](Tape* t) {
-    const double g = t->grad(self).scalar();
-    const Matrix& cv = t->value(ci);
-    const Matrix& mv = t->value(mi);
-    const double* cd = cv.data();
-    const double* md = mv.data();
-    const int64_t num_pairs = static_cast<int64_t>(pairs.size());
-    const bool need_c = t->requires_grad(ci);
-    const bool need_m = t->requires_grad(mi);
-    Matrix dc, dm;
-    if (need_c) dc = t->NewZero(cv.rows(), cv.cols());
-    if (need_m) dm = t->NewZero(1, mv.cols());
-    double* dcd = need_c ? dc.data() : nullptr;
-    double* dmd = need_m ? dm.data() : nullptr;
-    // d/d cross_p(r, c) = 2 g resid; d/d mu_a(r) = -2 g sum_c resid
-    // mu_b(c) and symmetrically for mu_b. The residual is recomputed
-    // from the stored forward values instead of being kept alive.
-    for (int64_t p = 0; p < num_pairs; ++p) {
-      const int64_t ca = pairs[static_cast<size_t>(p)].first * block;
-      const int64_t cb = pairs[static_cast<size_t>(p)].second * block;
-      const double* ma = md + ca;
-      const double* mb = md + cb;
-      const double* cblock = cd + p * block * block;
-      for (int64_t r = 0; r < block; ++r) {
-        const double mar = ma[r];
-        const double* crow = cblock + r * block;
-        double dma_acc = 0.0;
-        for (int64_t c = 0; c < block; ++c) {
-          const double resid = crow[c] - mar * mb[c];
-          const double dresid = 2.0 * g * resid;
-          if (need_c) dcd[p * block * block + r * block + c] = dresid;
-          if (need_m) {
-            dma_acc += dresid * mb[c];
-            dmd[cb + c] -= dresid * mar;
-          }
-        }
-        if (need_m) dmd[ca + r] -= dma_acc;
-      }
-    }
-    if (need_c) t->AccumulateGrad(ci, std::move(dc));
-    if (need_m) t->AccumulateGrad(mi, std::move(dm));
-  });
-}
-
 Var Affine(Var x, Var w, Var b) {
   Tape* t = SameTape(x, w);
   SameTape(w, b);

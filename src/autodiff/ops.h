@@ -220,16 +220,6 @@ Var MatmulTransA(Var a, Var b);
 Var BlockMatmulTransA(Var a, Var b, int64_t block,
                       const std::vector<std::pair<int64_t, int64_t>>& pairs);
 
-/// Weighted batched pair cross-covariances E_w[U^T V]: for each pair
-/// p = (ai, bi), the (block x block) product
-/// (f[:, ai-block] .* w)^T * f[:, bi-block] stacked into rows
-/// [p*block, (p+1)*block), with `w` an (n x 1) weight column. Fuses
-/// the MulCol row-scaling of the stacked feature matrix into the block
-/// product — no n x (d*block) weighted copy on the tape — and is
-/// bitwise identical to BlockMatmulTransA(MulCol(f, w), f, ...).
-Var BlockWeightedCrossCov(Var f, Var w, int64_t block,
-                          const std::vector<std::pair<int64_t, int64_t>>& pairs);
-
 // ---------------------------------------------------------------------------
 // Fused numerical kernels.
 // ---------------------------------------------------------------------------
@@ -240,18 +230,6 @@ Var SigmoidCrossEntropyWithLogits(Var logits, const Matrix& labels);
 /// Pairwise squared Euclidean distances between rows of a (n x d) and
 /// rows of b (m x d) -> (n x m). Used by RBF-kernel MMD.
 Var PairwiseSqDist(Var a, Var b);
-
-/// Scalar HSIC-RFF pair loss from stacked cross-covariance blocks
-/// `cross` (pairs.size()*block x block, the BlockMatmulTransA layout)
-/// and weighted feature means `means` (1 x d*block):
-///   sum_p || cross_p - mu_{a_p} mu_{b_p}^T ||_F^2.
-/// Fuses the per-pair outer product, subtraction, square and sum into
-/// one node with no (block x block) temporaries. Accumulation runs
-/// pair-major with row-major element order inside each pair — the same
-/// left-fold as a per-pair Add chain, so the loss tracks the per-pair
-/// reference formulation (tests/hsic_batched_test.cc) to rounding error.
-Var PairHsicFrobenius(Var cross, Var means, int64_t block,
-                      const std::vector<std::pair<int64_t, int64_t>>& pairs);
 
 // ---------------------------------------------------------------------------
 // Composite helpers (built from primitives; gradients flow through).

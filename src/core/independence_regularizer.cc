@@ -1,9 +1,11 @@
 #include "core/independence_regularizer.h"
 
+#include <memory>
 #include <utility>
 #include <vector>
 
 #include "stats/feature_pairs.h"
+#include "stats/hsic.h"
 #include "stats/rff.h"
 
 namespace sbrl {
@@ -28,8 +30,6 @@ Var HsicRffDecorrelationLoss(const Matrix& z, Var w, int64_t rff_features,
   // then the epoch-seed draw of the standalone path).
   FeaturePairSelection sel = SelectFeaturePairs(d, pair_budget, rng);
   CompactPairBlocks blocks = CompactUsedColumns(d, sel.pairs);
-  const std::vector<std::pair<int64_t, int64_t>>& block_pairs =
-      blocks.block_pairs;
 
   // Projections are per-column slot draws of the epoch: slot index =
   // original column index, so every evaluation sharing the draw set
@@ -40,22 +40,31 @@ Var HsicRffDecorrelationLoss(const Matrix& z, Var w, int64_t rff_features,
     own_draws.epoch_seed = rng.engine()();
     draws = &own_draws;
   }
-  // F = [u_c0 | u_c1 | ...] over the used columns (n x n_used*k):
-  // angles land in one flat buffer, then a single cosine sweep
-  // finishes every feature at once.
-  Matrix stacked(z.rows(),
-                 static_cast<int64_t>(blocks.used_cols.size()) * k);
-  StackRffColumns(z, blocks.used_cols, k, draws, &stacked);
-
-  Var f_const = tape->Constant(std::move(stacked));
-
-  // Block-diagonal batching: E_w[U^T V], E_w[U] and E_w[V] for all
-  // selected pairs land in two kernel dispatches — one fused weighted
-  // block cross-product over every pair and one means product —
-  // instead of O(pairs) sub-64K-flop tape ops.
-  Var cross = ops::BlockWeightedCrossCov(f_const, w_norm, k, block_pairs);
-  Var means = ops::MatmulTransA(w_norm, f_const);  // 1 x n_used*k
-  Var loss = ops::PairHsicFrobenius(cross, means, k, block_pairs);
+  // One tape node for the whole tier: F = [u_c0 | u_c1 | ...] over the
+  // used columns (n x n_used*k), the block-diagonal cross products
+  // E_w[U^T V] of every selected pair and the means E_w[F] come out of
+  // one pass over F, and the node's backward walks F once more. F
+  // lives as long as the node, as the constant it replaces did.
+  const int64_t n = z.rows();
+  const int64_t fcols = static_cast<int64_t>(blocks.used_cols.size()) * k;
+  auto tier = std::make_shared<HsicRffTier>();
+  tier->num_features = k;
+  tier->pairs = std::move(blocks.block_pairs);
+  tier->features = Matrix(n, fcols);
+  tier->cross = tape->NewZero(static_cast<int64_t>(tier->pairs.size()) * k, k);
+  tier->means = tape->NewZero(1, fcols);
+  Matrix value = tape->NewZero(1, 1);
+  value(0, 0) = HsicRffTierForward(z, blocks.used_cols, w_norm.value(), draws,
+                                   tier.get());
+  const int wi = w_norm.id(), self = tape->size();
+  Var loss = tape->MakeNode(std::move(value), {w_norm},
+                            [tier, wi, self, n](Tape* t) {
+    Matrix dw = t->NewZero(n, 1);
+    HsicRffTierBackward(*tier, t->grad(self).scalar(), &dw);
+    t->AccumulateGrad(wi, std::move(dw));
+    t->Recycle(std::move(tier->cross));
+    t->Recycle(std::move(tier->means));
+  });
   // Rescale a sampled subset to estimate the full pairwise sum.
   return ops::Scale(loss, sel.Rescale());
 }

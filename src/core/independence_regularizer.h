@@ -26,14 +26,16 @@ namespace sbrl {
 /// and rescales to the full-pair total, keeping the per-step cost
 /// bounded for wide layers; 0 measures every pair.
 ///
-/// All per-column RFF blocks are stacked into one n x (d*k) matrix and
-/// every selected pair is measured through one block cross-covariance
-/// node, so O(pairs) small tape ops collapse into three kernel
-/// dispatches. The per-pair formulation E_w[u^T v] - E_w[u]^T E_w[v]
-/// over sliced feature blocks is the reference it is tested against
-/// (tests/hsic_batched_test.cc): same pair subset and RFF draws, only
-/// FP summation order differs, relative tolerance 1e-9 (see README
-/// "Weight-loss batching").
+/// The RFF blocks of the used columns are stacked into one n x (d*k)
+/// matrix F and every selected pair is measured by ONE tape node: its
+/// forward (HsicRffTierForward) fills F and accumulates every pair's
+/// cross-covariance and the weighted means in one pass over F's row
+/// blocks, its backward (HsicRffTierBackward) walks F once more. The
+/// unfused chain (block cross-cov, means product and pair-Frobenius
+/// nodes over a constant F) is the bitwise oracle, and the per-pair
+/// formulation E_w[u^T v] - E_w[u]^T E_w[v] over sliced feature blocks
+/// the 1e-9 relative one (tests/hsic_batched_test.cc: same pair subset
+/// and RFF draws; see README "Weight-loss batching").
 ///
 /// Projections are per-column slot draws of one epoch (see
 /// RffSlotDraws): slot index = column index. When `draws` is null the

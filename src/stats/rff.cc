@@ -39,29 +39,22 @@ uint64_t SplitMix64(uint64_t x) {
 }
 
 /// Writes the angle block v * w[f] + phi[f] (no cosine, no scale) of
-/// column `col` into columns [col_offset, col_offset + k) of `*out` —
-/// the first half of every column RFF evaluation. The cosine epilogue
-/// is applied afterwards by the shared sweep, over as large a
-/// contiguous run as the caller can arrange.
+/// column `col` into columns [0, k) of `*out` — the first half of a
+/// single-column RFF evaluation; ScaledCosInPlace finishes it.
 void WriteRffAnglesToColumnInto(const RffProjection& proj, const Matrix& x,
-                                int64_t col, Matrix* out,
-                                int64_t col_offset) {
+                                int64_t col, Matrix* out) {
   SBRL_CHECK_EQ(proj.in_dim(), 1);
   SBRL_CHECK(col >= 0 && col < x.cols());
   const int64_t n = x.rows(), kf = proj.num_features();
-  SBRL_CHECK_EQ(out->rows(), n);
-  SBRL_CHECK(col_offset >= 0 && col_offset + kf <= out->cols())
-      << "feature block [" << col_offset << ", " << col_offset + kf
-      << ") out of range for " << out->ShapeString();
+  SBRL_CHECK(out->rows() == n && out->cols() == kf);
   const double* xcol = x.data() + col;
   const int64_t stride = x.cols();
   const double* wd = proj.w.data();
   const double* phid = proj.phi.data();
-  const int64_t ocols = out->cols();
-  double* od = out->data() + col_offset;
+  double* od = out->data();
   for (int64_t i = 0; i < n; ++i) {
     const double v = xcol[i * stride];
-    double* orow = od + i * ocols;
+    double* orow = od + i * kf;
     for (int64_t f = 0; f < kf; ++f) {
       orow[f] = v * wd[f] + phid[f];
     }
@@ -121,6 +114,23 @@ const RffProjection& RffSlotDraws::Slot(int64_t col, int64_t num_features) {
   return entry;
 }
 
+RffStack MakeRffStack(const std::vector<int64_t>& cols, int64_t num_features,
+                      RffSlotDraws* draws) {
+  const int64_t k = num_features;
+  RffStack stack;
+  stack.cols = cols;
+  stack.num_features = k;
+  stack.w.resize(cols.size() * static_cast<size_t>(k));
+  stack.phi.resize(stack.w.size());
+  for (size_t i = 0; i < cols.size(); ++i) {
+    const RffProjection& proj = draws->Slot(cols[i], k);
+    std::copy(proj.w.data(), proj.w.data() + k, stack.w.data() + i * k);
+    std::copy(proj.phi.data(), proj.phi.data() + k,
+              stack.phi.data() + i * k);
+  }
+  return stack;
+}
+
 Matrix ApplyRff(const RffProjection& proj, const Matrix& x) {
   SBRL_CHECK_EQ(x.cols(), proj.in_dim());
   // Angle pass: the projection sum accumulates over in_dim in ascending
@@ -149,39 +159,63 @@ Matrix ApplyRff(const RffProjection& proj, const Matrix& x) {
 Matrix ApplyRffToColumn(const RffProjection& proj, const Matrix& x,
                         int64_t col) {
   Matrix out(x.rows(), proj.num_features());
-  WriteRffAnglesToColumnInto(proj, x, col, &out, 0);
+  WriteRffAnglesToColumnInto(proj, x, col, &out);
   ScaledCosInPlace(out.data(), out.size(), std::sqrt(2.0));
   return out;
 }
 
+namespace {
+
+/// One row of angles: out[i*K + f] = v_i * w[i*K + f] + phi[i*K + f]
+/// with v_i = xrow[cols[i]]. K > 0 fixes the block width at compile
+/// time (the common feature counts unroll fully); K = 0 reads it from
+/// `k`. Every width runs the same multiply-then-add per element.
+template <int64_t K>
+void WriteAngleRow(const double* __restrict xrow, const int64_t* cols,
+                   int64_t n_cols, int64_t k, const double* __restrict w,
+                   const double* __restrict phi, double* __restrict orow) {
+  const int64_t kk = K > 0 ? K : k;
+  for (int64_t i = 0; i < n_cols; ++i) {
+    const double v = xrow[cols[i]];
+    const double* wi = w + i * kk;
+    const double* pi = phi + i * kk;
+    double* oi = orow + i * kk;
+    for (int64_t f = 0; f < kk; ++f) oi[f] = v * wi[f] + pi[f];
+  }
+}
+
+}  // namespace
+
+void StackRffRows(const Matrix& x, const RffStack& stack, int64_t r0,
+                  int64_t r1, Matrix* out) {
+  const int64_t n_cols = static_cast<int64_t>(stack.cols.size());
+  const int64_t k = stack.num_features;
+  const int64_t ocols = out->cols();
+  SBRL_CHECK_EQ(out->rows(), x.rows());
+  SBRL_CHECK_EQ(ocols, n_cols * k);
+  SBRL_CHECK_EQ(static_cast<int64_t>(stack.w.size()), n_cols * k);
+  SBRL_CHECK_EQ(static_cast<int64_t>(stack.phi.size()), n_cols * k);
+  SBRL_CHECK(0 <= r0 && r0 <= r1 && r1 <= x.rows());
+  for (int64_t col : stack.cols) SBRL_CHECK(col >= 0 && col < x.cols());
+  const auto write_row = k == 4   ? WriteAngleRow<4>
+                         : k == 5 ? WriteAngleRow<5>
+                         : k == 8 ? WriteAngleRow<8>
+                                  : WriteAngleRow<0>;
+  const double* xd = x.data();
+  double* od = out->data();
+  for (int64_t i = r0; i < r1; ++i) {
+    write_row(xd + i * x.cols(), stack.cols.data(), n_cols, k,
+              stack.w.data(), stack.phi.data(), od + i * ocols);
+  }
+  Timer timer;
+  ActiveLinalgKernels().scaled_cos(od + r0 * ocols, (r1 - r0) * ocols,
+                                   std::sqrt(2.0));
+  AccrueCosSweep(timer);
+}
+
 void StackRffColumns(const Matrix& x, const std::vector<int64_t>& cols,
                      int64_t num_features, RffSlotDraws* draws, Matrix* out) {
-  const int64_t n_cols = static_cast<int64_t>(cols.size());
-  const int64_t k = num_features;
-  SBRL_CHECK_EQ(out->rows(), x.rows());
-  SBRL_CHECK_EQ(out->cols(), n_cols * k);
-  // Draw the missing slots serially first (the slot vector may grow),
-  // then take the views the parallel fill reads.
-  for (int64_t col : cols) draws->Slot(col, k);
-  std::vector<const RffProjection*> projs;
-  projs.reserve(cols.size());
-  for (int64_t col : cols) projs.push_back(&draws->Slot(col, k));
-  // The angle fill is ~2 flops per element; weigh columns accordingly
-  // so the serial cutoff engages at comparable wall cost to the matmul
-  // kernels. (The cosine cost moved to the flat sweep below.)
-  const int64_t work_per_col = x.rows() * k * 2;
-  const int64_t grain = std::max<int64_t>(
-      1, SerialCutoff() / std::max<int64_t>(1, work_per_col));
-  ParallelFor(0, n_cols, grain, [&](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) {
-      WriteRffAnglesToColumnInto(*projs[static_cast<size_t>(i)], x,
-                                 cols[static_cast<size_t>(i)], out, i * k);
-    }
-  });
-  // Flat-angle epilogue: the full (n x n_cols*k) buffer is one
-  // contiguous run, so the vectorized kernel sees long trip counts
-  // instead of k-wide inner loops.
-  ScaledCosInPlace(out->data(), out->size(), std::sqrt(2.0));
+  StackRffRows(x, MakeRffStack(cols, num_features, draws), 0, x.rows(), out);
 }
 
 }  // namespace sbrl

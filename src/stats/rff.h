@@ -64,6 +64,25 @@ struct RffSlotDraws {
   const RffProjection& Slot(int64_t col, int64_t num_features);
 };
 
+/// The projections of one stacked feature matrix, laid out for the row
+/// fill: block i (entries [i*k, (i+1)*k), k = num_features) of `w` and
+/// `phi` is the in_dim = 1 projection of column cols[i].
+struct RffStack {
+  /// Source column of each block.
+  std::vector<int64_t> cols;
+  /// k: features per block.
+  int64_t num_features = 0;
+  /// Concatenated frequency rows (cols.size() * k).
+  std::vector<double> w;
+  /// Concatenated phase rows (cols.size() * k).
+  std::vector<double> phi;
+};
+
+/// The stack of columns `cols` under draws->Slot(col, num_features),
+/// drawing the missing slots serially in `cols` order.
+RffStack MakeRffStack(const std::vector<int64_t>& cols, int64_t num_features,
+                      RffSlotDraws* draws);
+
 /// In-place scaled cosine sweep x[i] = scale * cos(x[i]) over a
 /// contiguous run — the shared sqrt(2) * cos(angle) epilogue of every
 /// RFF evaluation path, through the active level's
@@ -76,10 +95,10 @@ struct RffSlotDraws {
 void ScaledCosInPlace(double* x, int64_t n, double scale);
 
 /// Monotonically increasing PER-THREAD total of wall-clock seconds
-/// spent inside the cosine sweeps above, measured on the thread that
-/// issued them (the sweep blocks its caller, so pool fan-out time is
-/// included; time spent by pool workers executing someone else's sweep
-/// does not accrue here). Callers snapshot it before and after a
+/// spent inside the cosine sweeps (ScaledCosInPlace and the cosine of
+/// StackRffRows), measured on the thread that issued them (a sweep
+/// blocks its caller, so pool fan-out time is included; time spent by
+/// pool workers executing someone else's sweep does not accrue here). Callers snapshot it before and after a
 /// region to attribute cosine cost — TrainDiagnostics::rff_cos_seconds
 /// is the delta across one Train() call. Run-scoped by construction:
 /// each run of a concurrent sweep executes on one thread, so deltas
@@ -99,16 +118,19 @@ Matrix ApplyRff(const RffProjection& proj, const Matrix& x);
 Matrix ApplyRffToColumn(const RffProjection& proj, const Matrix& x,
                         int64_t col);
 
-/// Builds the stacked feature matrix of the batched HSIC pair loss:
-/// block i of `*out` (columns [i*k, (i+1)*k), k = num_features) holds
-/// the RFF features of column cols[i] of `x` under the projection
-/// draws->Slot(cols[i], k). Missing slots are drawn serially first, so
-/// the draws never depend on threading. The evaluation materializes
-/// the full n x (cols.size()*k) ANGLE matrix with the blocked
-/// per-column kernels, then runs one contiguous scaled-cosine sweep
-/// over it (the flat-angle layout that lets the dominant cost of the
-/// decorrelation loss vectorize). `*out` must be
-/// (x.rows() x cols.size()*k).
+/// Rows [r0, r1) of the stacked feature matrix of the batched HSIC
+/// pair loss: block i of each row holds sqrt(2) cos(x(row, cols[i]) w_i
+/// + phi_i) under the stack's projection i. The angles are written row
+/// by row, then the active level's scaled cosine runs once over the
+/// rows' contiguous run, serially on the calling thread; its time
+/// accrues to CosSweepSecondsThisThread(). Each element is a pure
+/// function of its inputs, so any row split gives the same bits.
+/// `*out` must be (x.rows() x cols.size()*k).
+void StackRffRows(const Matrix& x, const RffStack& stack, int64_t r0,
+                  int64_t r1, Matrix* out);
+
+/// The whole stacked feature matrix: StackRffRows over every row of
+/// MakeRffStack(cols, num_features, draws).
 void StackRffColumns(const Matrix& x, const std::vector<int64_t>& cols,
                      int64_t num_features, RffSlotDraws* draws, Matrix* out);
 

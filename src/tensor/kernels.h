@@ -59,8 +59,12 @@ struct LinalgKernels {
   /// element accumulates its k terms in ascending order.
   using MatmulRowsFn = void (*)(const double* a, const double* b, double* o,
                                 int64_t k, int64_t m, int64_t r0, int64_t r1);
-  /// Rows [r0, r1) of out += a^T * b, a (k x n), b (k x m): the
-  /// reduction index stays outermost-ascending for every element.
+  /// Rows [r0, r1) of out += a^T * b, a (k x n), b (k x m): every
+  /// element continues from its stored value and takes its k terms in
+  /// ascending order. The wide levels hold register tiles of the output
+  /// across the whole reduction (4 rows x up to 32 columns, a 1-row
+  /// tile for the means shape, row-vectorized columns past the last
+  /// full vector) and store each element once.
   using MatmulTransARowsFn = void (*)(const double* a, const double* b,
                                       double* o, int64_t k, int64_t n,
                                       int64_t m, int64_t r0, int64_t r1);
@@ -69,8 +73,11 @@ struct LinalgKernels {
   using MatmulTransBRowsFn = void (*)(const double* a, const double* b,
                                       double* o, int64_t k, int64_t m,
                                       int64_t r0, int64_t r1);
-  /// Specialized-block-size weighted cross forward over pairs [p0, p1)
-  /// (see BlockPairWeightedCrossInto); returns false when `block` has
+  /// Specialized-block-size weighted cross forward over pairs [p0, p1):
+  /// out block p += sum_i w_i f(i, ca:ca+block)^T f(i, cb:cb+block).
+  /// Each accumulator is loaded from the stored partial sum, not
+  /// restarted at zero, so sweeping the rows in consecutive blocks gives
+  /// the bits of one call over all rows. Returns false when `block` has
   /// no specialization at this level so the caller falls back to the
   /// generic loop.
   using BlockCrossFwdFn = bool (*)(int64_t block, const double* fd,
@@ -78,8 +85,9 @@ struct LinalgKernels {
                                    int64_t fcols,
                                    const std::pair<int64_t, int64_t>* pd,
                                    int64_t p0, int64_t p1);
-  /// Specialized-block-size dw-only backward over rows [r0, r1) (see
-  /// BlockPairWeightedCrossGradInto); returns false when `block` has no
+  /// Specialized-block-size dw-only backward over rows [r0, r1):
+  /// dw_i += sum_p f(i, ca:ca+block) g_p f(i, cb:cb+block)^T (see
+  /// HsicRffTierBackward); returns false when `block` has no
   /// specialization at this level.
   using BlockCrossGradDwFn = bool (*)(int64_t block, const double* gd,
                                       const double* fd, double* dwd,

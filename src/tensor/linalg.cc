@@ -97,8 +97,10 @@ void MatmulTransAInto(const Matrix& a, const Matrix& b, Matrix* out) {
     kernel(ad, bd, od, k, n, m, 0, n);
     return;
   }
-  // Threads own disjoint ranges of output rows (columns of A).
-  ParallelFor(0, n, GrainRows(k * m), [=](int64_t r0, int64_t r1) {
+  // Threads own disjoint ranges of output rows (columns of A), whole
+  // 4-row register tiles of the wide kernels where the rows allow.
+  const int64_t grain = (GrainRows(k * m) + 3) / 4 * 4;
+  ParallelFor(0, n, grain, [=](int64_t r0, int64_t r1) {
     kernel(ad, bd, od, k, n, m, r0, r1);
   });
 }
@@ -197,120 +199,6 @@ void BlockPairMatmulTransAGradInto(
           }
         }
       }
-    }
-  };
-  if (n * flops_per_row <= SerialCutoff()) {
-    run_rows(0, n);
-    return;
-  }
-  ParallelFor(0, n, GrainRows(flops_per_row), run_rows);
-}
-
-void BlockPairWeightedCrossInto(
-    const Matrix& f, const Matrix& w, int64_t block,
-    const std::vector<std::pair<int64_t, int64_t>>& pairs, Matrix* out) {
-  SBRL_CHECK_GT(block, 0);
-  SBRL_CHECK_EQ(w.cols(), 1);
-  SBRL_CHECK_EQ(w.rows(), f.rows());
-  const int64_t n = f.rows();
-  const int64_t num_pairs = static_cast<int64_t>(pairs.size());
-  SBRL_CHECK(out->rows() == num_pairs * block && out->cols() == block)
-      << "BlockPairWeightedCross output shape " << out->ShapeString();
-  for (const auto& [pa, pb] : pairs) {
-    SBRL_CHECK(pa >= 0 && (pa + 1) * block <= f.cols())
-        << "pair block " << pa << " out of range for " << f.ShapeString();
-    SBRL_CHECK(pb >= 0 && (pb + 1) * block <= f.cols())
-        << "pair block " << pb << " out of range for " << f.ShapeString();
-  }
-  if (n == 0 || num_pairs == 0) return;
-  const double* fd = f.data();
-  const double* wd = w.data();
-  double* od = out->data();
-  const int64_t fcols = f.cols();
-  const std::pair<int64_t, int64_t>* pd = pairs.data();
-  // Specialized block sizes run the resolved ISA's register-accumulator
-  // kernel; other sizes fall back to the generic loop. All paths
-  // accumulate each output element's row terms in the same ascending
-  // order, so they are bitwise identical across specializations AND
-  // ISA levels (and == sliced MatmulTransA).
-  const LinalgKernels& kernels = ActiveLinalgKernels();
-  const auto block_cross_fwd = kernels.block_cross_fwd;
-  const auto fwd_generic = kernels.block_cross_fwd_generic;
-  const auto run_pairs = [=](int64_t p0, int64_t p1) {
-    if (block_cross_fwd(block, fd, wd, od, n, fcols, pd, p0, p1)) {
-      return;
-    }
-    fwd_generic(fd, fcols, fd, fcols, wd, od, n, block, pd, p0, p1);
-  };
-  const int64_t flops_per_pair = n * block * block;
-  if (num_pairs * flops_per_pair <= SerialCutoff()) {
-    run_pairs(0, num_pairs);
-    return;
-  }
-  ParallelFor(0, num_pairs, GrainRows(flops_per_pair), run_pairs);
-}
-
-void BlockPairWeightedCrossGradInto(
-    const Matrix& g, const Matrix& f, const Matrix& w, int64_t block,
-    const std::vector<std::pair<int64_t, int64_t>>& pairs, Matrix* df,
-    Matrix* dw) {
-  SBRL_CHECK_GT(block, 0);
-  SBRL_CHECK_EQ(w.cols(), 1);
-  SBRL_CHECK_EQ(w.rows(), f.rows());
-  const int64_t n = f.rows();
-  const int64_t num_pairs = static_cast<int64_t>(pairs.size());
-  SBRL_CHECK(g.rows() == num_pairs * block && g.cols() == block)
-      << "BlockPairWeightedCrossGrad gradient shape " << g.ShapeString();
-  if (df != nullptr) SBRL_CHECK(df->same_shape(f));
-  if (dw != nullptr) SBRL_CHECK(dw->same_shape(w));
-  if (n == 0 || num_pairs == 0 || (df == nullptr && dw == nullptr)) return;
-  const double* gd = g.data();
-  const double* fd = f.data();
-  const double* wd = w.data();
-  double* dfd = df != nullptr ? df->data() : nullptr;
-  double* dwd = dw != nullptr ? dw->data() : nullptr;
-  const int64_t fcols = f.cols();
-  const std::pair<int64_t, int64_t>* pd = pairs.data();
-  const int64_t flops_per_row = num_pairs * block * block;
-  // The decorrelation loss differentiates only through the sample
-  // weight (the stacked features are tape constants), so the dw-only
-  // case gets a dedicated branch-free kernel from the resolved ISA
-  // table; the general case keeps the fused loop. The baseline dw
-  // kernel keeps the generic summation order bitwise; wider ISAs
-  // regroup the dot products (deterministic within a level, bounded
-  // against baseline — see tensor/kernels.h).
-  const auto block_cross_grad_dw = ActiveLinalgKernels().block_cross_grad_dw;
-  const auto run_rows = [=](int64_t r0, int64_t r1) {
-    if (dfd == nullptr && dwd != nullptr &&
-        block_cross_grad_dw(block, gd, fd, dwd, fcols, pd, num_pairs,
-                            r0, r1)) {
-      return;
-    }
-    for (int64_t i = r0; i < r1; ++i) {
-      const double* frow = fd + i * fcols;
-      const double wi = wd[i];
-      double dw_acc = 0.0;
-      for (int64_t p = 0; p < num_pairs; ++p) {
-        const int64_t ca = pd[p].first * block;
-        const int64_t cb = pd[p].second * block;
-        const double* gblock = gd + p * block * block;
-        for (int64_t r = 0; r < block; ++r) {
-          const double* grow = gblock + r * block;
-          // s_r = sum_c g_p(r, c) f(i, bc) feeds both dw and df.
-          double s = 0.0;
-          for (int64_t c = 0; c < block; ++c) s += grow[c] * frow[cb + c];
-          dw_acc += frow[ca + r] * s;
-          if (dfd != nullptr) {
-            double* dfrow = dfd + i * fcols;
-            dfrow[ca + r] += wi * s;
-            const double av = wi * frow[ca + r];
-            for (int64_t c = 0; c < block; ++c) {
-              dfrow[cb + c] += av * grow[c];
-            }
-          }
-        }
-      }
-      if (dwd != nullptr) dwd[i] += dw_acc;
     }
   };
   if (n * flops_per_row <= SerialCutoff()) {

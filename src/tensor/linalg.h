@@ -58,35 +58,6 @@ void BlockPairMatmulTransAGradInto(
     const std::vector<std::pair<int64_t, int64_t>>& pairs, Matrix* da,
     Matrix* db);
 
-/// Weighted block cross-products E_w[U^T V] for every pair in one
-/// dispatch: ADDs (f[:, ai-block] .* w)^T * f[:, bi-block] into rows
-/// [p*block, (p+1)*block) of `*out` for each pair p = (ai, bi), where
-/// `w` is an (n x 1) weight column scaling each sample row. Fuses the
-/// row scaling into the product, so no weighted copy of `f` is ever
-/// materialized. Each scalar term is (f(i, ar) * w(i)) * f(i, bc) with
-/// the n terms accumulated in ascending row order. On a
-/// ZERO-INITIALIZED `*out` (how every in-tree caller uses it) the
-/// result is bitwise identical to MulColBroadcast followed by
-/// MatmulTransA on the column slices, for specialized and generic
-/// block sizes alike; accumulating into a nonzero `*out` is still
-/// correct but the specialized sizes (see linalg.cc) group the added
-/// terms differently, so only values-within-rounding is guaranteed.
-void BlockPairWeightedCrossInto(
-    const Matrix& f, const Matrix& w, int64_t block,
-    const std::vector<std::pair<int64_t, int64_t>>& pairs, Matrix* out);
-
-/// Adjoint of BlockPairWeightedCrossInto. Given upstream gradient `g`
-/// (pairs.size()*block x block), accumulates
-///   dw(i)          += sum_p sum_{r,c} g_p(r,c) f(i, ar) f(i, bc)
-///   df[:, ai-block] += w .* (f[:, bi-block] * g_p^T)
-///   df[:, bi-block] += w .* (f[:, ai-block] * g_p)
-/// `df` / `dw` may be null to skip that side. Parallel over sample
-/// rows (disjoint rows per worker, no races across pairs).
-void BlockPairWeightedCrossGradInto(
-    const Matrix& g, const Matrix& f, const Matrix& w, int64_t block,
-    const std::vector<std::pair<int64_t, int64_t>>& pairs, Matrix* df,
-    Matrix* dw);
-
 /// The seed repo's single-threaded triple-loop matmul, kept as the
 /// ground-truth reference for the tiled kernels' randomized tests and
 /// the before/after microbenchmark. Not for production use.

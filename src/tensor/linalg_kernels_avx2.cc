@@ -81,26 +81,114 @@ inline double Hsum256(__m256d v) {
 #include "tensor/matmul_rows_kernel.inc"
 #undef SBRL_MATMUL_ROWS_KERNEL_NAME
 
+namespace {
+
+/// Register tile of out += a^T b: R output rows x V ymm column vectors
+/// starting at (i, j). The tile is loaded from the output once, takes
+/// its k terms in ascending p as a separate multiply and add (the
+/// baseline chain, no FMA), and is stored once — the output never
+/// leaves the registers inside the reduction.
+template <int R, int V>
+inline void TransATile(const double* __restrict ad, const double* __restrict bd,
+                       double* __restrict od, int64_t k, int64_t n, int64_t m,
+                       int64_t i, int64_t j) {
+  __m256d acc[R][V];
+  for (int r = 0; r < R; ++r) {
+    for (int v = 0; v < V; ++v) {
+      acc[r][v] = _mm256_loadu_pd(od + (i + r) * m + j + 4 * v);
+    }
+  }
+  for (int64_t p = 0; p < k; ++p) {
+    const double* brow = bd + p * m + j;
+    const double* arow = ad + p * n + i;
+    __m256d bv[V];
+    for (int v = 0; v < V; ++v) bv[v] = _mm256_loadu_pd(brow + 4 * v);
+    for (int r = 0; r < R; ++r) {
+      const __m256d av = _mm256_set1_pd(arow[r]);
+      for (int v = 0; v < V; ++v) {
+        acc[r][v] = _mm256_add_pd(acc[r][v], _mm256_mul_pd(av, bv[v]));
+      }
+    }
+  }
+  for (int r = 0; r < R; ++r) {
+    for (int v = 0; v < V; ++v) {
+      _mm256_storeu_pd(od + (i + r) * m + j + 4 * v, acc[r][v]);
+    }
+  }
+}
+
+/// Output column j of rows [i, i + 4 * V) with the lanes over ROWS —
+/// the tail for columns past the last full ymm (the m = 1 output layer
+/// above all): column j of a^T b is a matrix-vector product whose a
+/// rows are contiguous. Same per-element chain as TransATile.
+template <int V>
+inline void TransAColumnTile(const double* __restrict ad,
+                             const double* __restrict bd,
+                             double* __restrict od, int64_t k, int64_t n,
+                             int64_t m, int64_t i, int64_t j) {
+  __m256d acc[V];
+  for (int v = 0; v < V; ++v) {
+    const double* o = od + (i + 4 * v) * m + j;
+    acc[v] = _mm256_set_pd(o[3 * m], o[2 * m], o[m], o[0]);
+  }
+  for (int64_t p = 0; p < k; ++p) {
+    const __m256d bv = _mm256_set1_pd(bd[p * m + j]);
+    const double* arow = ad + p * n + i;
+    for (int v = 0; v < V; ++v) {
+      acc[v] = _mm256_add_pd(acc[v],
+                             _mm256_mul_pd(_mm256_loadu_pd(arow + 4 * v), bv));
+    }
+  }
+  for (int v = 0; v < V; ++v) {
+    alignas(32) double lanes[4];
+    _mm256_store_pd(lanes, acc[v]);
+    double* o = od + (i + 4 * v) * m + j;
+    for (int l = 0; l < 4; ++l) o[l * m] = lanes[l];
+  }
+}
+
+/// One row-group of R output rows over the vector columns [0, mv):
+/// 8-column tiles (32 for a lone row, whose only independent chains
+/// are its columns), then one ymm at a time.
+template <int R>
+inline void TransARowGroup(const double* __restrict ad,
+                           const double* __restrict bd, double* __restrict od,
+                           int64_t k, int64_t n, int64_t m, int64_t mv,
+                           int64_t i) {
+  constexpr int kWide = R == 1 ? 8 : 2;
+  int64_t j = 0;
+  for (; j + 4 * kWide <= mv; j += 4 * kWide) {
+    TransATile<R, kWide>(ad, bd, od, k, n, m, i, j);
+  }
+  for (; j < mv; j += 4) TransATile<R, 1>(ad, bd, od, k, n, m, i, j);
+}
+
+}  // namespace
+
 void Avx2MatmulTransARows(const double* __restrict ad,
                           const double* __restrict bd, double* __restrict od,
                           int64_t k, int64_t n, int64_t m, int64_t r0,
                           int64_t r1) {
-  // Baseline loop order (p outermost-ascending), vector lanes over the
-  // independent j dimension.
-  for (int64_t p = 0; p < k; ++p) {
-    const double* acol = ad + p * n;
-    const double* brow = bd + p * m;
-    for (int64_t i = r0; i < r1; ++i) {
-      const __m256d av = _mm256_set1_pd(acol[i]);
-      double* orow = od + i * m;
-      int64_t j = 0;
-      for (; j + 4 <= m; j += 4) {
-        const __m256d bv = _mm256_loadu_pd(brow + j);
-        const __m256d ov = _mm256_loadu_pd(orow + j);
-        _mm256_storeu_pd(orow + j, _mm256_add_pd(ov, _mm256_mul_pd(av, bv)));
-      }
-      const double avs = acol[i];
-      for (; j < m; ++j) orow[j] += avs * brow[j];
+  // Register-tiled: every output element is loaded once, receives its k
+  // terms in the baseline's ascending-p multiply-then-add chain inside
+  // a register and is stored once, so the result is bitwise the
+  // baseline kernel's at any tiling, chunking or initial output.
+  const int64_t mv = m - m % 4;
+  int64_t i = r0;
+  for (; i + 4 <= r1; i += 4) TransARowGroup<4>(ad, bd, od, k, n, m, mv, i);
+  for (; i < r1; ++i) TransARowGroup<1>(ad, bd, od, k, n, m, mv, i);
+  for (int64_t j = mv; j < m; ++j) {
+    int64_t ic = r0;
+    for (; ic + 16 <= r1; ic += 16) {
+      TransAColumnTile<4>(ad, bd, od, k, n, m, ic, j);
+    }
+    for (; ic + 4 <= r1; ic += 4) {
+      TransAColumnTile<1>(ad, bd, od, k, n, m, ic, j);
+    }
+    for (; ic < r1; ++ic) {
+      double acc = od[ic * m + j];
+      for (int64_t p = 0; p < k; ++p) acc += ad[p * n + ic] * bd[p * m + j];
+      od[ic * m + j] = acc;
     }
   }
 }
@@ -200,8 +288,8 @@ void Avx2MatmulTransBRows(const double* __restrict ad,
 namespace {
 
 /// Forward weighted cross for B = 4: per pair, four 4-lane register
-/// accumulators swept over the rows in ascending order (bitwise the
-/// baseline chain) and flushed once.
+/// accumulators loaded from the output, swept over the rows in
+/// ascending order (bitwise the baseline chain) and stored once.
 void BlockCrossFwd4(const double* __restrict fd, const double* __restrict wd,
                     double* __restrict od, int64_t n, int64_t fcols,
                     const std::pair<int64_t, int64_t>* pd, int64_t p0,
@@ -209,10 +297,11 @@ void BlockCrossFwd4(const double* __restrict fd, const double* __restrict wd,
   for (int64_t p = p0; p < p1; ++p) {
     const int64_t ca = pd[p].first * 4;
     const int64_t cb = pd[p].second * 4;
-    __m256d acc0 = _mm256_setzero_pd();
-    __m256d acc1 = _mm256_setzero_pd();
-    __m256d acc2 = _mm256_setzero_pd();
-    __m256d acc3 = _mm256_setzero_pd();
+    double* ob = od + p * 16;
+    __m256d acc0 = _mm256_loadu_pd(ob);
+    __m256d acc1 = _mm256_loadu_pd(ob + 4);
+    __m256d acc2 = _mm256_loadu_pd(ob + 8);
+    __m256d acc3 = _mm256_loadu_pd(ob + 12);
     for (int64_t i = 0; i < n; ++i) {
       const double* frow = fd + i * fcols;
       const double wi = wd[i];
@@ -223,11 +312,10 @@ void BlockCrossFwd4(const double* __restrict fd, const double* __restrict wd,
       acc2 = _mm256_add_pd(acc2, _mm256_mul_pd(_mm256_set1_pd(arow[2] * wi), bv));
       acc3 = _mm256_add_pd(acc3, _mm256_mul_pd(_mm256_set1_pd(arow[3] * wi), bv));
     }
-    double* ob = od + p * 16;
-    _mm256_storeu_pd(ob, _mm256_add_pd(_mm256_loadu_pd(ob), acc0));
-    _mm256_storeu_pd(ob + 4, _mm256_add_pd(_mm256_loadu_pd(ob + 4), acc1));
-    _mm256_storeu_pd(ob + 8, _mm256_add_pd(_mm256_loadu_pd(ob + 8), acc2));
-    _mm256_storeu_pd(ob + 12, _mm256_add_pd(_mm256_loadu_pd(ob + 12), acc3));
+    _mm256_storeu_pd(ob, acc0);
+    _mm256_storeu_pd(ob + 4, acc1);
+    _mm256_storeu_pd(ob + 8, acc2);
+    _mm256_storeu_pd(ob + 12, acc3);
   }
 }
 
@@ -240,11 +328,12 @@ void BlockCrossFwd5(const double* __restrict fd, const double* __restrict wd,
   for (int64_t p = p0; p < p1; ++p) {
     const int64_t ca = pd[p].first * 5;
     const int64_t cb = pd[p].second * 5;
+    double* ob = od + p * 25;
     __m256d accv[5];
     double accs[5];
     for (int r = 0; r < 5; ++r) {
-      accv[r] = _mm256_setzero_pd();
-      accs[r] = 0.0;
+      accv[r] = _mm256_loadu_pd(ob + r * 5);
+      accs[r] = ob[r * 5 + 4];
     }
     for (int64_t i = 0; i < n; ++i) {
       const double* frow = fd + i * fcols;
@@ -259,11 +348,9 @@ void BlockCrossFwd5(const double* __restrict fd, const double* __restrict wd,
         accs[r] += av * b4;
       }
     }
-    double* ob = od + p * 25;
     for (int r = 0; r < 5; ++r) {
-      double* orow = ob + r * 5;
-      _mm256_storeu_pd(orow, _mm256_add_pd(_mm256_loadu_pd(orow), accv[r]));
-      orow[4] += accs[r];
+      _mm256_storeu_pd(ob + r * 5, accv[r]);
+      ob[r * 5 + 4] = accs[r];
     }
   }
 }
@@ -280,8 +367,9 @@ void BlockCrossFwd8(const double* __restrict fd, const double* __restrict wd,
     const int64_t cb = pd[p].second * 8;
     for (int half = 0; half < 2; ++half) {
       const int64_t coff = cb + half * 4;
+      double* ob = od + p * 64 + half * 4;
       __m256d acc[8];
-      for (int r = 0; r < 8; ++r) acc[r] = _mm256_setzero_pd();
+      for (int r = 0; r < 8; ++r) acc[r] = _mm256_loadu_pd(ob + r * 8);
       for (int64_t i = 0; i < n; ++i) {
         const double* frow = fd + i * fcols;
         const double wi = wd[i];
@@ -292,11 +380,7 @@ void BlockCrossFwd8(const double* __restrict fd, const double* __restrict wd,
               acc[r], _mm256_mul_pd(_mm256_set1_pd(arow[r] * wi), bv));
         }
       }
-      double* ob = od + p * 64 + half * 4;
-      for (int r = 0; r < 8; ++r) {
-        double* orow = ob + r * 8;
-        _mm256_storeu_pd(orow, _mm256_add_pd(_mm256_loadu_pd(orow), acc[r]));
-      }
+      for (int r = 0; r < 8; ++r) _mm256_storeu_pd(ob + r * 8, acc[r]);
     }
   }
 }

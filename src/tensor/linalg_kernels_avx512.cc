@@ -5,9 +5,10 @@
 // to baseline (8-lane zmm over the independent output dimension,
 // separate multiply and add, scalar tails repeating the same chain);
 // MatmulTransBRows / BlockCrossGradDw collapse FMA lanes through
-// _mm512_reduce_add_pd — a fixed reduction tree per build — so they
-// are deterministic and chunk-invariant within this level but agree
-// with baseline only to rounding.
+// _mm512_reduce_add_pd's fixed reduction tree (MatmulTransBRows runs
+// that tree for eight accumulators at once, ReduceAdd8) — so they are
+// deterministic and chunk-invariant within this level but agree with
+// baseline only to rounding.
 
 #include "tensor/kernels_impl.h"
 
@@ -60,24 +61,112 @@ inline __m512d EluGradLanes(__m512d g, __m512d y) {
 #include "tensor/matmul_rows_kernel.inc"
 #undef SBRL_MATMUL_ROWS_KERNEL_NAME
 
+namespace {
+
+/// Register tile of out += a^T b: R output rows x V zmm column vectors
+/// starting at (i, j). The tile is loaded from the output once, takes
+/// its k terms in ascending p as a separate multiply and add (the
+/// baseline chain, no FMA), and is stored once — the output never
+/// leaves the registers inside the reduction.
+template <int R, int V>
+inline void TransATile(const double* __restrict ad, const double* __restrict bd,
+                       double* __restrict od, int64_t k, int64_t n, int64_t m,
+                       int64_t i, int64_t j) {
+  __m512d acc[R][V];
+  for (int r = 0; r < R; ++r) {
+    for (int v = 0; v < V; ++v) {
+      acc[r][v] = _mm512_loadu_pd(od + (i + r) * m + j + 8 * v);
+    }
+  }
+  for (int64_t p = 0; p < k; ++p) {
+    const double* brow = bd + p * m + j;
+    const double* arow = ad + p * n + i;
+    __m512d bv[V];
+    for (int v = 0; v < V; ++v) bv[v] = _mm512_loadu_pd(brow + 8 * v);
+    for (int r = 0; r < R; ++r) {
+      const __m512d av = _mm512_set1_pd(arow[r]);
+      for (int v = 0; v < V; ++v) {
+        acc[r][v] = _mm512_add_pd(acc[r][v], _mm512_mul_pd(av, bv[v]));
+      }
+    }
+  }
+  for (int r = 0; r < R; ++r) {
+    for (int v = 0; v < V; ++v) {
+      _mm512_storeu_pd(od + (i + r) * m + j + 8 * v, acc[r][v]);
+    }
+  }
+}
+
+/// Output column j of rows [i, i + 8 * V) with the lanes over ROWS —
+/// the tail for columns past the last full zmm (the m = 1 output layer
+/// above all): column j of a^T b is a matrix-vector product whose a
+/// rows are contiguous. Same per-element chain as TransATile.
+template <int V>
+inline void TransAColumnTile(const double* __restrict ad,
+                             const double* __restrict bd,
+                             double* __restrict od, int64_t k, int64_t n,
+                             int64_t m, int64_t i, int64_t j) {
+  __m512d acc[V];
+  const __m512i idx = _mm512_set_epi64(7 * m, 6 * m, 5 * m, 4 * m, 3 * m,
+                                       2 * m, m, 0);
+  for (int v = 0; v < V; ++v) {
+    acc[v] = _mm512_i64gather_pd(idx, od + (i + 8 * v) * m + j, 8);
+  }
+  for (int64_t p = 0; p < k; ++p) {
+    const __m512d bv = _mm512_set1_pd(bd[p * m + j]);
+    const double* arow = ad + p * n + i;
+    for (int v = 0; v < V; ++v) {
+      acc[v] = _mm512_add_pd(acc[v],
+                             _mm512_mul_pd(_mm512_loadu_pd(arow + 8 * v), bv));
+    }
+  }
+  for (int v = 0; v < V; ++v) {
+    _mm512_i64scatter_pd(od + (i + 8 * v) * m + j, idx, acc[v], 8);
+  }
+}
+
+/// One row-group of R output rows over the vector columns [0, mv):
+/// 32-column tiles (64 for a lone row, whose only independent chains
+/// are its columns), then one zmm at a time.
+template <int R>
+inline void TransARowGroup(const double* __restrict ad,
+                           const double* __restrict bd, double* __restrict od,
+                           int64_t k, int64_t n, int64_t m, int64_t mv,
+                           int64_t i) {
+  constexpr int kWide = R == 1 ? 8 : 4;
+  int64_t j = 0;
+  for (; j + 8 * kWide <= mv; j += 8 * kWide) {
+    TransATile<R, kWide>(ad, bd, od, k, n, m, i, j);
+  }
+  for (; j < mv; j += 8) TransATile<R, 1>(ad, bd, od, k, n, m, i, j);
+}
+
+}  // namespace
+
 void Avx512MatmulTransARows(const double* __restrict ad,
                             const double* __restrict bd, double* __restrict od,
                             int64_t k, int64_t n, int64_t m, int64_t r0,
                             int64_t r1) {
-  for (int64_t p = 0; p < k; ++p) {
-    const double* acol = ad + p * n;
-    const double* brow = bd + p * m;
-    for (int64_t i = r0; i < r1; ++i) {
-      const __m512d av = _mm512_set1_pd(acol[i]);
-      double* orow = od + i * m;
-      int64_t j = 0;
-      for (; j + 8 <= m; j += 8) {
-        const __m512d bv = _mm512_loadu_pd(brow + j);
-        const __m512d ov = _mm512_loadu_pd(orow + j);
-        _mm512_storeu_pd(orow + j, _mm512_add_pd(ov, _mm512_mul_pd(av, bv)));
-      }
-      const double avs = acol[i];
-      for (; j < m; ++j) orow[j] += avs * brow[j];
+  // Register-tiled: every output element is loaded once, receives its k
+  // terms in the baseline's ascending-p multiply-then-add chain inside
+  // a register and is stored once, so the result is bitwise the
+  // baseline kernel's at any tiling, chunking or initial output.
+  const int64_t mv = m - m % 8;
+  int64_t i = r0;
+  for (; i + 4 <= r1; i += 4) TransARowGroup<4>(ad, bd, od, k, n, m, mv, i);
+  for (; i < r1; ++i) TransARowGroup<1>(ad, bd, od, k, n, m, mv, i);
+  for (int64_t j = mv; j < m; ++j) {
+    int64_t ic = r0;
+    for (; ic + 32 <= r1; ic += 32) {
+      TransAColumnTile<4>(ad, bd, od, k, n, m, ic, j);
+    }
+    for (; ic + 8 <= r1; ic += 8) {
+      TransAColumnTile<1>(ad, bd, od, k, n, m, ic, j);
+    }
+    for (; ic < r1; ++ic) {
+      double acc = od[ic * m + j];
+      for (int64_t p = 0; p < k; ++p) acc += ad[p * n + ic] * bd[p * m + j];
+      od[ic * m + j] = acc;
     }
   }
 }
@@ -99,6 +188,30 @@ inline double DotAvx512(const double* __restrict a, const double* __restrict b,
   return total;
 }
 
+/// _mm512_reduce_add_pd of eight accumulators at once: lane e of the
+/// result reduces c_e through the same tree (upper plus lower half at
+/// 256, then 128 bits, then the two remaining lanes), so every lane is
+/// bitwise the scalar reduction of its accumulator, at ~21 shuffles and
+/// adds for all eight instead of ~6 each.
+inline __m512d ReduceAdd8(__m512d c0, __m512d c1, __m512d c2, __m512d c3,
+                          __m512d c4, __m512d c5, __m512d c6, __m512d c7) {
+  // [a.lo256 + a.hi256 | b.lo256 + b.hi256]
+  const auto halves = [](__m512d a, __m512d b) {
+    return _mm512_add_pd(_mm512_shuffle_f64x2(a, b, 0x44),
+                         _mm512_shuffle_f64x2(a, b, 0xEE));
+  };
+  // Per 256-bit half h of x and y: h.lo128 + h.hi128, as
+  // [x.h0 | x.h1 | y.h0 | y.h1].
+  const auto quarters = [](__m512d x, __m512d y) {
+    return _mm512_add_pd(_mm512_shuffle_f64x2(x, y, 0x88),
+                         _mm512_shuffle_f64x2(x, y, 0xDD));
+  };
+  const __m512d even = quarters(halves(c0, c2), halves(c4, c6));
+  const __m512d odd = quarters(halves(c1, c3), halves(c5, c7));
+  return _mm512_add_pd(_mm512_unpacklo_pd(even, odd),
+                       _mm512_unpackhi_pd(even, odd));
+}
+
 }  // namespace
 
 void Avx512MatmulTransBRows(const double* __restrict ad,
@@ -110,6 +223,37 @@ void Avx512MatmulTransBRows(const double* __restrict ad,
   // panel kernel is bitwise identical to the 2x2-of-dots kernel it
   // replaces and chunk-invariant within this level.
   int64_t i = r0;
+  if (m < 4) {
+    // Too few output columns for a panel (the m = 1 weight-gradient
+    // shape above all): eight A rows share each B row's pass instead,
+    // and ReduceAdd8 collapses their eight DotAvx512 chains at once.
+    for (; i + 8 <= r1; i += 8) {
+      const double* a0 = ad + i * k;
+      for (int64_t j = 0; j < m; ++j) {
+        const double* brow = bd + j * k;
+        __m512d c[8];
+        for (int r = 0; r < 8; ++r) c[r] = _mm512_setzero_pd();
+        int64_t p = 0;
+        for (; p + 8 <= k; p += 8) {
+          const __m512d bv = _mm512_loadu_pd(brow + p);
+          for (int r = 0; r < 8; ++r) {
+            c[r] = _mm512_fmadd_pd(_mm512_loadu_pd(a0 + r * k + p), bv, c[r]);
+          }
+        }
+        __m512d t = ReduceAdd8(c[0], c[1], c[2], c[3], c[4], c[5], c[6],
+                               c[7]);
+        for (; p < k; ++p) {
+          const __m512d av = _mm512_set_pd(
+              a0[7 * k + p], a0[6 * k + p], a0[5 * k + p], a0[4 * k + p],
+              a0[3 * k + p], a0[2 * k + p], a0[k + p], a0[p]);
+          t = _mm512_add_pd(t, _mm512_mul_pd(av, _mm512_set1_pd(brow[p])));
+        }
+        alignas(64) double lanes[8];
+        _mm512_store_pd(lanes, t);
+        for (int r = 0; r < 8; ++r) od[(i + r) * m + j] += lanes[r];
+      }
+    }
+  }
   for (; i + 2 <= r1; i += 2) {
     const double* a0 = ad + i * k;
     const double* a1 = a0 + k;
@@ -142,23 +286,22 @@ void Avx512MatmulTransBRows(const double* __restrict ad,
         c03 = _mm512_fmadd_pd(va0, vb3, c03);
         c13 = _mm512_fmadd_pd(va1, vb3, c13);
       }
-      double t00 = _mm512_reduce_add_pd(c00);
-      double t01 = _mm512_reduce_add_pd(c01);
-      double t02 = _mm512_reduce_add_pd(c02);
-      double t03 = _mm512_reduce_add_pd(c03);
-      double t10 = _mm512_reduce_add_pd(c10);
-      double t11 = _mm512_reduce_add_pd(c11);
-      double t12 = _mm512_reduce_add_pd(c12);
-      double t13 = _mm512_reduce_add_pd(c13);
+      // t = [t00 t01 t02 t03 | t10 t11 t12 t13], each lane bitwise
+      // _mm512_reduce_add_pd of its accumulator; the scalar remainder
+      // and the final add to the output stay per-lane multiply-then-add.
+      __m512d t = ReduceAdd8(c00, c01, c02, c03, c10, c11, c12, c13);
       for (; p < k; ++p) {
-        const double a0p = a0[p], a1p = a1[p];
-        t00 += a0p * b0[p]; t01 += a0p * b1[p];
-        t02 += a0p * b2[p]; t03 += a0p * b3[p];
-        t10 += a1p * b0[p]; t11 += a1p * b1[p];
-        t12 += a1p * b2[p]; t13 += a1p * b3[p];
+        const __m512d av = _mm512_insertf64x4(_mm512_set1_pd(a0[p]),
+                                              _mm256_set1_pd(a1[p]), 1);
+        const __m512d bv = _mm512_broadcast_f64x4(
+            _mm256_set_pd(b3[p], b2[p], b1[p], b0[p]));
+        t = _mm512_add_pd(t, _mm512_mul_pd(av, bv));
       }
-      o0[j] += t00; o0[j + 1] += t01; o0[j + 2] += t02; o0[j + 3] += t03;
-      o1[j] += t10; o1[j + 1] += t11; o1[j + 2] += t12; o1[j + 3] += t13;
+      _mm256_storeu_pd(o0 + j, _mm256_add_pd(_mm256_loadu_pd(o0 + j),
+                                             _mm512_castpd512_pd256(t)));
+      _mm256_storeu_pd(o1 + j,
+                       _mm256_add_pd(_mm256_loadu_pd(o1 + j),
+                                     _mm512_extractf64x4_pd(t, 1)));
     }
     for (; j < m; ++j) {
       const double* brow = bd + j * k;
@@ -186,8 +329,9 @@ void BlockCrossFwd4(const double* __restrict fd, const double* __restrict wd,
   for (int64_t p = p0; p < p1; ++p) {
     const int64_t ca = pd[p].first * 4;
     const int64_t cb = pd[p].second * 4;
+    double* ob = od + p * 16;
     __m256d acc[4];
-    for (int r = 0; r < 4; ++r) acc[r] = _mm256_setzero_pd();
+    for (int r = 0; r < 4; ++r) acc[r] = _mm256_loadu_pd(ob + r * 4);
     for (int64_t i = 0; i < n; ++i) {
       const double* frow = fd + i * fcols;
       const double wi = wd[i];
@@ -198,11 +342,7 @@ void BlockCrossFwd4(const double* __restrict fd, const double* __restrict wd,
             acc[r], _mm256_mul_pd(_mm256_set1_pd(arow[r] * wi), bv));
       }
     }
-    double* ob = od + p * 16;
-    for (int r = 0; r < 4; ++r) {
-      double* orow = ob + r * 4;
-      _mm256_storeu_pd(orow, _mm256_add_pd(_mm256_loadu_pd(orow), acc[r]));
-    }
+    for (int r = 0; r < 4; ++r) _mm256_storeu_pd(ob + r * 4, acc[r]);
   }
 }
 
@@ -215,23 +355,34 @@ void BlockCrossFwd5(const double* __restrict fd, const double* __restrict wd,
   for (int64_t p = p0; p < p1; ++p) {
     const int64_t ca = pd[p].first * 5;
     const int64_t cb = pd[p].second * 5;
+    double* ob = od + p * 25;
     __m512d acc[5];
-    for (int r = 0; r < 5; ++r) acc[r] = _mm512_setzero_pd();
-    for (int64_t i = 0; i < n; ++i) {
-      const double* frow = fd + i * fcols;
-      const double wi = wd[i];
-      const double* arow = frow + ca;
-      const __m512d bv = _mm512_maskz_loadu_pd(kMask5, frow + cb);
-      for (int r = 0; r < 5; ++r) {
-        acc[r] = _mm512_add_pd(
-            acc[r], _mm512_mul_pd(_mm512_set1_pd(arow[r] * wi), bv));
+    for (int r = 0; r < 5; ++r) {
+      acc[r] = _mm512_maskz_loadu_pd(kMask5, ob + r * 5);
+    }
+    // The a(r) * w_i products of a run of rows go through memory first,
+    // so the row chains broadcast them with loads, not shuffles.
+    constexpr int64_t kRun = 32;
+    alignas(64) double av[kRun * 8];
+    for (int64_t i0 = 0; i0 < n; i0 += kRun) {
+      const int64_t run = std::min(kRun, n - i0);
+      for (int64_t i = 0; i < run; ++i) {
+        const double* frow = fd + (i0 + i) * fcols;
+        _mm512_store_pd(av + i * 8,
+                        _mm512_mul_pd(_mm512_maskz_loadu_pd(kMask5, frow + ca),
+                                      _mm512_set1_pd(wd[i0 + i])));
+      }
+      for (int64_t i = 0; i < run; ++i) {
+        const __m512d bv =
+            _mm512_maskz_loadu_pd(kMask5, fd + (i0 + i) * fcols + cb);
+        for (int r = 0; r < 5; ++r) {
+          acc[r] = _mm512_add_pd(
+              acc[r], _mm512_mul_pd(_mm512_set1_pd(av[i * 8 + r]), bv));
+        }
       }
     }
-    double* ob = od + p * 25;
     for (int r = 0; r < 5; ++r) {
-      double* orow = ob + r * 5;
-      const __m512d ov = _mm512_maskz_loadu_pd(kMask5, orow);
-      _mm512_mask_storeu_pd(orow, kMask5, _mm512_add_pd(ov, acc[r]));
+      _mm512_mask_storeu_pd(ob + r * 5, kMask5, acc[r]);
     }
   }
 }
@@ -245,8 +396,9 @@ void BlockCrossFwd8(const double* __restrict fd, const double* __restrict wd,
   for (int64_t p = p0; p < p1; ++p) {
     const int64_t ca = pd[p].first * 8;
     const int64_t cb = pd[p].second * 8;
+    double* ob = od + p * 64;
     __m512d acc[8];
-    for (int r = 0; r < 8; ++r) acc[r] = _mm512_setzero_pd();
+    for (int r = 0; r < 8; ++r) acc[r] = _mm512_loadu_pd(ob + r * 8);
     for (int64_t i = 0; i < n; ++i) {
       const double* frow = fd + i * fcols;
       const double wi = wd[i];
@@ -257,11 +409,7 @@ void BlockCrossFwd8(const double* __restrict fd, const double* __restrict wd,
             acc[r], _mm512_mul_pd(_mm512_set1_pd(arow[r] * wi), bv));
       }
     }
-    double* ob = od + p * 64;
-    for (int r = 0; r < 8; ++r) {
-      double* orow = ob + r * 8;
-      _mm512_storeu_pd(orow, _mm512_add_pd(_mm512_loadu_pd(orow), acc[r]));
-    }
+    for (int r = 0; r < 8; ++r) _mm512_storeu_pd(ob + r * 8, acc[r]);
   }
 }
 

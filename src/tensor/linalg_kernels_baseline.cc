@@ -32,10 +32,11 @@ constexpr int64_t kJBlock = 128;
 // specialized and generic paths are bitwise identical.
 
 /// Forward pairs [p0, p1): out block p += sum_i w_i u_a(i,:)^T u_b(i,:)
-/// with the (B x B) accumulator held in registers across the row sweep
-/// and flushed once. Flushing "+=" onto the zero-initialized output
-/// reproduces the generic element-by-element accumulation bitwise
-/// (both start the sum at +0.0 and add the same terms in order).
+/// with the (B x B) accumulator loaded from the output, held in
+/// registers across the row sweep and stored once. Continuing from the
+/// stored partial sum reproduces the generic element-by-element
+/// accumulation bitwise for any initial output, so a caller may sweep
+/// the rows in consecutive blocks and get the bits of one call.
 template <int64_t B>
 void BlockCrossFwdPairsKernel(const double* __restrict fd,
                               const double* __restrict wd,
@@ -46,7 +47,9 @@ void BlockCrossFwdPairsKernel(const double* __restrict fd,
   for (int64_t p = p0; p < p1; ++p) {
     const int64_t ca = pd[p].first * B;
     const int64_t cb = pd[p].second * B;
-    double acc[B * B] = {};
+    double* oblock = od + p * B * B;
+    double acc[B * B];
+    for (int64_t e = 0; e < B * B; ++e) acc[e] = oblock[e];
     for (int64_t i = 0; i < n; ++i) {
       const double* frow = fd + i * fcols;
       const double wi = wd[i];
@@ -57,8 +60,7 @@ void BlockCrossFwdPairsKernel(const double* __restrict fd,
         for (int64_t c = 0; c < B; ++c) acc[r * B + c] += av * brow[c];
       }
     }
-    double* oblock = od + p * B * B;
-    for (int64_t e = 0; e < B * B; ++e) oblock[e] += acc[e];
+    for (int64_t e = 0; e < B * B; ++e) oblock[e] = acc[e];
   }
 }
 
@@ -139,7 +141,7 @@ void BaselineBlockCrossFwdGeneric(const double* ad, int64_t acols,
                                   const std::pair<int64_t, int64_t>* pd,
                                   int64_t p0, int64_t p1) {
   // The pre-dispatch generic pair loops of tensor/linalg.cc, verbatim:
-  // the weighted branch is BlockPairWeightedCrossInto's fallback, the
+  // the weighted branch is the HSIC-RFF tier's cross fallback, the
   // unweighted branch BlockPairMatmulTransAInto's pair loop (no w
   // multiply — not a *1.0, so the arithmetic is untouched).
   for (int64_t p = p0; p < p1; ++p) {

@@ -258,6 +258,39 @@ TEST(CrossIsaTest, MatmulAndTransABitwiseIdenticalAcrossLevels) {
       }
     }
   }
+  // The register tiles of the wide TransA kernels: output columns on
+  // both sides of every vector width and tile width, output rows on
+  // both sides of the 4-row tile (1 = the means shape), reduction
+  // lengths from one term to a training batch, and a non-zero initial
+  // output (the Into entry points accumulate), all swept over split
+  // row ranges so every tile starts mid-matrix too.
+  for (int64_t m : {1, 5, 8, 9, 16, 31, 32, 33, 130}) {
+    for (int64_t rows : {1, 2, 3, 4, 5, 32}) {
+      for (int64_t k : {1, 7, 1000}) {
+        Matrix at = rng.Randn(k, rows);
+        Matrix b = rng.Randn(k, m);
+        const Matrix init = rng.Randn(rows, m);
+        const int64_t split = rows / 2;
+        Matrix want = init;
+        LinalgKernelsForIsa(Isa::kBaseline)
+            .matmul_trans_a_rows(at.data(), b.data(), want.data(), k, rows,
+                                 m, 0, rows);
+        for (Isa isa : SupportedIsas()) {
+          const LinalgKernels& t = LinalgKernelsForIsa(isa);
+          Matrix got = init;
+          t.matmul_trans_a_rows(at.data(), b.data(), got.data(), k, rows, m,
+                                0, split);
+          t.matmul_trans_a_rows(at.data(), b.data(), got.data(), k, rows, m,
+                                split, rows);
+          for (int64_t i = 0; i < want.size(); ++i) {
+            ASSERT_EQ(want[i], got[i])
+                << IsaName(isa) << " transA " << rows << "x" << k << "x" << m
+                << " flat index " << i;
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(CrossIsaTest, TransBWithinToleranceOfBaseline) {
