@@ -720,34 +720,6 @@ Var MatmulTransA(Var a, Var b) {
   });
 }
 
-Var BlockMatmulTransA(Var a, Var b, int64_t block,
-                      const std::vector<std::pair<int64_t, int64_t>>& pairs) {
-  Tape* t = SameTape(a, b);
-  SBRL_CHECK_GT(block, 0);
-  SBRL_CHECK_EQ(a.rows(), b.rows());
-  const int64_t num_pairs = static_cast<int64_t>(pairs.size());
-  SBRL_CHECK_GT(num_pairs, 0);
-  Matrix out = t->NewZero(num_pairs * block, block);
-  BlockPairMatmulTransAInto(a.value(), b.value(), block, pairs, &out);
-  const int ai = a.id(), bi = b.id(), self = t->size();
-  return t->MakeNode(std::move(out), {a, b},
-                     [ai, bi, self, block, pairs](Tape* t) {
-    const Matrix& g = t->grad(self);
-    const Matrix& av = t->value(ai);
-    const Matrix& bv = t->value(bi);
-    const bool need_a = t->requires_grad(ai);
-    const bool need_b = t->requires_grad(bi);
-    Matrix da, db;
-    if (need_a) da = t->NewZero(av.rows(), av.cols());
-    if (need_b) db = t->NewZero(bv.rows(), bv.cols());
-    BlockPairMatmulTransAGradInto(g, av, bv, block, pairs,
-                                  need_a ? &da : nullptr,
-                                  need_b ? &db : nullptr);
-    if (need_a) t->AccumulateGrad(ai, std::move(da));
-    if (need_b) t->AccumulateGrad(bi, std::move(db));
-  });
-}
-
 Var Affine(Var x, Var w, Var b) {
   Tape* t = SameTape(x, w);
   SameTape(w, b);

@@ -1,7 +1,6 @@
 #ifndef SBRL_AUTODIFF_OPS_H_
 #define SBRL_AUTODIFF_OPS_H_
 
-#include <utility>
 #include <vector>
 
 #include "autodiff/tape.h"
@@ -208,17 +207,6 @@ Matrix ConcatColsValue(const Matrix& a, const Matrix& b);
 /// same order — but skips the transpose node and its buffer. Hot in the
 /// HSIC-RFF weight loss, which builds weighted cross-covariances.
 Var MatmulTransA(Var a, Var b);
-
-/// Batched HSIC pair cross-products: `a` and `b` are (n x d*block)
-/// stacks of d per-feature column blocks. The result stacks, for each
-/// pair p = (ai, bi) of `pairs`, the (block x block) product
-/// a[:, ai-block]^T * b[:, bi-block] into rows [p*block, (p+1)*block).
-/// One tape node (one kernel dispatch forward, one backward) replaces a
-/// MatmulTransA node per pair on the weight-loss hot path; per-pair
-/// values are bitwise identical to the corresponding sliced
-/// MatmulTransA.
-Var BlockMatmulTransA(Var a, Var b, int64_t block,
-                      const std::vector<std::pair<int64_t, int64_t>>& pairs);
 
 // ---------------------------------------------------------------------------
 // Fused numerical kernels.

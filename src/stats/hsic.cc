@@ -128,11 +128,7 @@ double HsicRffTierForward(const Matrix& x, const std::vector<int64_t>& cols,
     StackRffRows(x, stack, r0, r1, &tier->features);
     const double* fb = fd + r0 * fcols;
     const double* wb = wd + r0;
-    if (!kernels.block_cross_fwd(k, fb, wb, cd, rows, fcols, pd, 0,
-                                 num_pairs)) {
-      kernels.block_cross_fwd_generic(fb, fcols, fb, fcols, wb, cd, rows, k,
-                                      pd, 0, num_pairs);
-    }
+    kernels.block_cross_fwd(k, fb, wb, cd, rows, fcols, pd, 0, num_pairs);
     // means += wb^T fb: the (rows x 1) weights as the transposed factor.
     kernels.matmul_trans_a_rows(wb, fb, md, rows, 1, fcols, 0, 1);
   }
@@ -209,25 +205,8 @@ void HsicRffTierBackward(const HsicRffTier& tier, double g, Matrix* dwn) {
       kernels.matmul_trans_b_rows(fb, dmd, ob, fcols, 1, 0, rows);
       // ... then the cross term, summed in its own zeroed buffer.
       std::fill(cross_term, cross_term + rows, 0.0);
-      if (!kernels.block_cross_grad_dw(k, dcd, fb, cross_term, fcols, pd,
-                                       num_pairs, 0, rows)) {
-        for (int64_t i = 0; i < rows; ++i) {
-          const double* frow = fb + i * fcols;
-          double dw_acc = 0.0;
-          for (int64_t p = 0; p < num_pairs; ++p) {
-            const int64_t ca = pd[p].first * k;
-            const int64_t cb = pd[p].second * k;
-            const double* gblock = dcd + p * k * k;
-            for (int64_t r = 0; r < k; ++r) {
-              const double* grow = gblock + r * k;
-              double s = 0.0;
-              for (int64_t c = 0; c < k; ++c) s += grow[c] * frow[cb + c];
-              dw_acc += frow[ca + r] * s;
-            }
-          }
-          cross_term[i] += dw_acc;
-        }
-      }
+      kernels.block_cross_grad_dw(k, dcd, fb, cross_term, fcols, pd,
+                                  num_pairs, 0, rows);
       for (int64_t i = 0; i < rows; ++i) ob[i] += cross_term[i];
     }
   };

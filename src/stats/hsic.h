@@ -60,9 +60,9 @@ struct HsicRffTier {
 /// returning the unscaled pair sum. One pass
 /// over F in row blocks sized for L1: each block's angles are written
 /// row by row, its cosine runs (StackRffRows), and the cross and means
-/// accumulators continue over it — block_cross_fwd (or the generic pair
-/// kernel) and matmul_trans_a_rows of the active level, which both
-/// resume from the stored partial sums. Every accumulator takes its
+/// accumulators continue over it — block_cross_fwd and
+/// matmul_trans_a_rows of the active level, which both resume from the
+/// stored partial sums. Every accumulator takes its
 /// rows in ascending order, so the result is bitwise the unblocked
 /// chain (stack, weighted block cross, means product, pair Frobenius
 /// sum). Runs on the calling thread.
@@ -75,9 +75,9 @@ double HsicRffTierForward(const Matrix& x, const std::vector<int64_t>& cols,
 /// The pair residuals give d cross and d means exactly as the
 /// Frobenius node of the unfused chain did; then one walk over the rows
 /// of F adds, per row, the means term (the level's matmul_trans_b_rows
-/// dot with d means) and the cross term (its block_cross_grad_dw sum,
-/// or the generic loop), each accumulated into a zeroed buffer — the
-/// bits of the unfused chain, whose two gradient contributions met in
+/// dot with d means) and the cross term (its block_cross_grad_dw sum),
+/// each accumulated into a zeroed buffer — the bits of the unfused
+/// chain, whose two gradient contributions met in
 /// the same order. Rows are independent, so the walk fans out over the
 /// pool with any chunking.
 void HsicRffTierBackward(const HsicRffTier& tier, double g, Matrix* dwn);

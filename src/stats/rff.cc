@@ -213,9 +213,4 @@ void StackRffRows(const Matrix& x, const RffStack& stack, int64_t r0,
   AccrueCosSweep(timer);
 }
 
-void StackRffColumns(const Matrix& x, const std::vector<int64_t>& cols,
-                     int64_t num_features, RffSlotDraws* draws, Matrix* out) {
-  StackRffRows(x, MakeRffStack(cols, num_features, draws), 0, x.rows(), out);
-}
-
 }  // namespace sbrl

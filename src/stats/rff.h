@@ -129,11 +129,6 @@ Matrix ApplyRffToColumn(const RffProjection& proj, const Matrix& x,
 void StackRffRows(const Matrix& x, const RffStack& stack, int64_t r0,
                   int64_t r1, Matrix* out);
 
-/// The whole stacked feature matrix: StackRffRows over every row of
-/// MakeRffStack(cols, num_features, draws).
-void StackRffColumns(const Matrix& x, const std::vector<int64_t>& cols,
-                     int64_t num_features, RffSlotDraws* draws, Matrix* out);
-
 }  // namespace sbrl
 
 #endif  // SBRL_STATS_RFF_H_

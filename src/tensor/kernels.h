@@ -15,14 +15,14 @@ namespace sbrl {
 constexpr int64_t kVecCosMaxUlp = 4;
 
 /// Function-pointer table of the per-tile linear-algebra kernels behind
-/// the hot kernel families (dense matmuls, the block-pair HSIC cross
-/// kernels, the f64 ELU and its backward, and the RFF scaled cosine).
-/// One table exists per Isa level; tensor/linalg.cc (and the RFF
-/// cosine sweeps in stats/rff.cc) fetch ActiveLinalgKernels() at each
-/// public entry point and hand tiles to the resolved kernels, so the
-/// shape checks, serial cutoffs, and ParallelFor chunking live in
-/// exactly one place while the arithmetic inner loops are
-/// ISA-specialized.
+/// the hot kernel families (dense matmuls, the two block-pair HSIC
+/// cross kernels, the f64 ELU and its backward, and the RFF scaled
+/// cosine). One table exists per Isa level; tensor/linalg.cc (and the
+/// RFF cosine sweeps in stats/rff.cc and the HSIC-RFF tier passes in
+/// stats/hsic.cc) fetch ActiveLinalgKernels() at each public entry
+/// point and hand tiles to the resolved kernels, so the shape checks,
+/// serial cutoffs, and ParallelFor chunking live in exactly one place
+/// while the arithmetic inner loops are ISA-specialized.
 ///
 /// Determinism contract (docs/ARCHITECTURE.md "ISA dispatch"):
 ///  - The baseline table is the pre-dispatch scalar code verbatim:
@@ -38,6 +38,10 @@ constexpr int64_t kVecCosMaxUlp = 4;
 ///    sum, so they are deterministic and thread-count-invariant WITHIN
 ///    a level but agree with baseline only to rounding (bounded by
 ///    tests/cpu_dispatch_test.cc).
+///  - The two block-cross entries accept any block size but have a
+///    wide kernel only at block = 5, the one size training runs; every
+///    other size runs the baseline loop at every level. The AVX-512
+///    table's dw entry is the AVX2 kernel.
 ///  - elu is the single f64 ELU of the library. Baseline is scalar
 ///    std::expm1; the wide levels call libmvec's vector expm1 (at most
 ///    4 ulp from std::expm1, kVecCosMaxUlp's libmvec ceiling). At every
@@ -73,42 +77,27 @@ struct LinalgKernels {
   using MatmulTransBRowsFn = void (*)(const double* a, const double* b,
                                       double* o, int64_t k, int64_t m,
                                       int64_t r0, int64_t r1);
-  /// Specialized-block-size weighted cross forward over pairs [p0, p1):
+  /// Weighted cross forward over pairs [p0, p1), any block size:
   /// out block p += sum_i w_i f(i, ca:ca+block)^T f(i, cb:cb+block).
-  /// Each accumulator is loaded from the stored partial sum, not
-  /// restarted at zero, so sweeping the rows in consecutive blocks gives
-  /// the bits of one call over all rows. Returns false when `block` has
-  /// no specialization at this level so the caller falls back to the
-  /// generic loop.
-  using BlockCrossFwdFn = bool (*)(int64_t block, const double* fd,
+  /// Each accumulator continues from the stored partial sum, so
+  /// sweeping the rows in consecutive blocks gives the bits of one call
+  /// over all rows. block = 5 (SbrlConfig::rff_features) runs the
+  /// level's register kernel; every other size runs the baseline loop.
+  using BlockCrossFwdFn = void (*)(int64_t block, const double* fd,
                                    const double* wd, double* od, int64_t n,
                                    int64_t fcols,
                                    const std::pair<int64_t, int64_t>* pd,
                                    int64_t p0, int64_t p1);
-  /// Specialized-block-size dw-only backward over rows [r0, r1):
+  /// dw-only backward over rows [r0, r1), any block size:
   /// dw_i += sum_p f(i, ca:ca+block) g_p f(i, cb:cb+block)^T (see
-  /// HsicRffTierBackward); returns false when `block` has no
-  /// specialization at this level.
-  using BlockCrossGradDwFn = bool (*)(int64_t block, const double* gd,
+  /// HsicRffTierBackward). block = 5 runs the level's register kernel;
+  /// every other size runs the baseline loop.
+  using BlockCrossGradDwFn = void (*)(int64_t block, const double* gd,
                                       const double* fd, double* dwd,
                                       int64_t fcols,
                                       const std::pair<int64_t, int64_t>* pd,
                                       int64_t num_pairs, int64_t r0,
                                       int64_t r1);
-  /// Generic (any-block-size) pair forward over pairs [p0, p1): out
-  /// block p += sum_i [w_i] a(i, ca:ca+block)^T b(i, cb:cb+block) with
-  /// `wd` nullable (treated as all-ones without the multiply, which is
-  /// how BlockPairMatmulTransAInto shares this kernel with the
-  /// weighted cross). Always succeeds; used when block_cross_fwd has
-  /// no specialization. Wider levels vectorize only the independent
-  /// output column dimension, so every level is bitwise == the sliced
-  /// MatmulTransA reference.
-  using BlockCrossFwdGenericFn = void (*)(const double* ad, int64_t acols,
-                                          const double* bd, int64_t bcols,
-                                          const double* wd, double* od,
-                                          int64_t n, int64_t block,
-                                          const std::pair<int64_t, int64_t>* pd,
-                                          int64_t p0, int64_t p1);
   /// In-place ELU over a contiguous run: x[i] = x[i] > 0 ? x[i] :
   /// expm1(x[i]). The ordered compare keeps NaN -> NaN, -inf -> -1 and
   /// -0.0 -> -0.0; positive inputs pass through bit-exact.
@@ -128,12 +117,10 @@ struct LinalgKernels {
   MatmulTransARowsFn matmul_trans_a_rows;
   /// MatmulTransB tile kernel of this level.
   MatmulTransBRowsFn matmul_trans_b_rows;
-  /// Specialized block-pair weighted-cross forward of this level.
+  /// Block-pair weighted-cross forward of this level.
   BlockCrossFwdFn block_cross_fwd;
-  /// Specialized block-pair dw-only backward of this level.
+  /// Block-pair dw-only backward of this level.
   BlockCrossGradDwFn block_cross_grad_dw;
-  /// Generic block-pair forward fallback of this level.
-  BlockCrossFwdGenericFn block_cross_fwd_generic;
   /// ELU kernel of this level.
   EluFn elu;
   /// ELU backward kernel of this level.
@@ -142,10 +129,11 @@ struct LinalgKernels {
   ScaledCosFn scaled_cos;
 };
 
-/// The kernel table of one Isa level. Levels not compiled into this
-/// binary alias the baseline table (but ActiveIsa can never resolve to
-/// them — see MaxSupportedIsa). Exposed so tests can compare levels
-/// directly without flipping process state.
+/// The kernel table of one Isa level. A level not compiled into this
+/// binary aliases the widest compiled level below it (AVX-512 without
+/// its TU is the AVX2 table, AVX2 without its TU the baseline table);
+/// ActiveIsa can never resolve to it — see MaxSupportedIsa. Exposed so
+/// tests can compare levels directly without flipping process state.
 const LinalgKernels& LinalgKernelsForIsa(Isa isa);
 
 /// The table of the currently active ISA (one atomic load + array

@@ -4,8 +4,8 @@
 // Private declarations of the per-ISA kernel entry points that fill the
 // LinalgKernels tables (tensor/kernels.h). Each set is defined in its
 // own translation unit compiled with that ISA's -march flags
-// (linalg_kernels_baseline.cc / _avx2.cc / _avx512.cc); only
-// tensor/kernels.cc includes this header. Signatures mirror the
+// (linalg_kernels_baseline.cc / _avx2.cc / _avx512.cc); only those
+// TUs and tensor/kernels.cc include this header. Signatures mirror the
 // function-pointer types on LinalgKernels exactly.
 
 #include <cstdint>
@@ -26,24 +26,20 @@ void BaselineMatmulTransARows(const double* a, const double* b, double* o,
 /// See LinalgKernels::MatmulTransBRowsFn.
 void BaselineMatmulTransBRows(const double* a, const double* b, double* o,
                               int64_t k, int64_t m, int64_t r0, int64_t r1);
-/// See LinalgKernels::BlockCrossFwdFn. Specializes block in {3, 4, 5, 8}.
-bool BaselineBlockCrossFwd(int64_t block, const double* fd, const double* wd,
+/// See LinalgKernels::BlockCrossFwdFn: fully unrolled at block = 5,
+/// the scalar any-block loop otherwise. The wide levels call it for
+/// every block but 5.
+void BaselineBlockCrossFwd(int64_t block, const double* fd, const double* wd,
                            double* od, int64_t n, int64_t fcols,
                            const std::pair<int64_t, int64_t>* pd, int64_t p0,
                            int64_t p1);
-/// See LinalgKernels::BlockCrossGradDwFn. Specializes block in {3, 4, 5, 8}.
-bool BaselineBlockCrossGradDw(int64_t block, const double* gd,
+/// See LinalgKernels::BlockCrossGradDwFn: fully unrolled at block = 5,
+/// the scalar any-block loop otherwise. The wide levels call it for
+/// every block but 5.
+void BaselineBlockCrossGradDw(int64_t block, const double* gd,
                               const double* fd, double* dwd, int64_t fcols,
                               const std::pair<int64_t, int64_t>* pd,
                               int64_t num_pairs, int64_t r0, int64_t r1);
-/// See LinalgKernels::BlockCrossFwdGenericFn: the pre-dispatch generic
-/// pair loop verbatim (scalar, any block size, nullable weights).
-void BaselineBlockCrossFwdGeneric(const double* ad, int64_t acols,
-                                  const double* bd, int64_t bcols,
-                                  const double* wd, double* od, int64_t n,
-                                  int64_t block,
-                                  const std::pair<int64_t, int64_t>* pd,
-                                  int64_t p0, int64_t p1);
 /// See LinalgKernels::EluFn: scalar std::expm1 on the negative branch.
 void BaselineElu(double* x, int64_t n);
 /// See LinalgKernels::EluGradFn: the scalar compare-and-select formula.
@@ -55,7 +51,7 @@ void BaselineScaledCos(double* x, int64_t n, double scale);
 /// AVX2 (x86-64-v3, -ffp-contract=off) kernels. The matmul / trans-A /
 /// block-cross-forward kernels are bitwise identical to baseline (wide
 /// lanes over the independent output dimension only); trans-B and the
-/// dw backward use FMA lanes + horizontal sums.
+/// block = 5 dw backward use FMA lanes + horizontal sums.
 void Avx2MatmulRows(const double* a, const double* b, double* o, int64_t k,
                     int64_t m, int64_t r0, int64_t r1);
 /// See LinalgKernels::MatmulTransARowsFn.
@@ -65,25 +61,18 @@ void Avx2MatmulTransARows(const double* a, const double* b, double* o,
 /// See LinalgKernels::MatmulTransBRowsFn.
 void Avx2MatmulTransBRows(const double* a, const double* b, double* o,
                           int64_t k, int64_t m, int64_t r0, int64_t r1);
-/// See LinalgKernels::BlockCrossFwdFn. Vectorizes block in {4, 5, 8};
-/// other sizes return false (kernels.cc falls back to baseline).
-bool Avx2BlockCrossFwd(int64_t block, const double* fd, const double* wd,
+/// See LinalgKernels::BlockCrossFwdFn. Vectorizes block = 5; other
+/// sizes run BaselineBlockCrossFwd.
+void Avx2BlockCrossFwd(int64_t block, const double* fd, const double* wd,
                        double* od, int64_t n, int64_t fcols,
                        const std::pair<int64_t, int64_t>* pd, int64_t p0,
                        int64_t p1);
-/// See LinalgKernels::BlockCrossGradDwFn. Vectorizes block in {4, 5, 8}.
-bool Avx2BlockCrossGradDw(int64_t block, const double* gd, const double* fd,
+/// See LinalgKernels::BlockCrossGradDwFn. Vectorizes block = 5; other
+/// sizes run BaselineBlockCrossGradDw. The AVX-512 table uses it too.
+void Avx2BlockCrossGradDw(int64_t block, const double* gd, const double* fd,
                           double* dwd, int64_t fcols,
                           const std::pair<int64_t, int64_t>* pd,
                           int64_t num_pairs, int64_t r0, int64_t r1);
-/// See LinalgKernels::BlockCrossFwdGenericFn: 4-lane vectors over the
-/// independent output columns, bitwise identical to baseline.
-void Avx2BlockCrossFwdGeneric(const double* ad, int64_t acols,
-                              const double* bd, int64_t bcols,
-                              const double* wd, double* od, int64_t n,
-                              int64_t block,
-                              const std::pair<int64_t, int64_t>* pd,
-                              int64_t p0, int64_t p1);
 /// See LinalgKernels::EluFn: libmvec _ZGVdN4v_expm1, padded-copy tail.
 void Avx2Elu(double* x, int64_t n);
 /// See LinalgKernels::EluGradFn: 4-lane blend, scalar tail.
@@ -104,24 +93,12 @@ void Avx512MatmulTransARows(const double* a, const double* b, double* o,
 /// See LinalgKernels::MatmulTransBRowsFn.
 void Avx512MatmulTransBRows(const double* a, const double* b, double* o,
                             int64_t k, int64_t m, int64_t r0, int64_t r1);
-/// See LinalgKernels::BlockCrossFwdFn. Vectorizes block in {4, 5, 8}.
-bool Avx512BlockCrossFwd(int64_t block, const double* fd, const double* wd,
+/// See LinalgKernels::BlockCrossFwdFn. Vectorizes block = 5; other
+/// sizes run BaselineBlockCrossFwd.
+void Avx512BlockCrossFwd(int64_t block, const double* fd, const double* wd,
                          double* od, int64_t n, int64_t fcols,
                          const std::pair<int64_t, int64_t>* pd, int64_t p0,
                          int64_t p1);
-/// See LinalgKernels::BlockCrossGradDwFn. Vectorizes block in {4, 5, 8}.
-bool Avx512BlockCrossGradDw(int64_t block, const double* gd, const double* fd,
-                            double* dwd, int64_t fcols,
-                            const std::pair<int64_t, int64_t>* pd,
-                            int64_t num_pairs, int64_t r0, int64_t r1);
-/// See LinalgKernels::BlockCrossFwdGenericFn: 8-lane zmm over the
-/// independent output columns, bitwise identical to baseline.
-void Avx512BlockCrossFwdGeneric(const double* ad, int64_t acols,
-                                const double* bd, int64_t bcols,
-                                const double* wd, double* od, int64_t n,
-                                int64_t block,
-                                const std::pair<int64_t, int64_t>* pd,
-                                int64_t p0, int64_t p1);
 /// See LinalgKernels::EluFn: libmvec _ZGVeN8v_expm1, masked tail.
 void Avx512Elu(double* x, int64_t n);
 /// See LinalgKernels::EluGradFn: 8-lane masked blend, masked tail.

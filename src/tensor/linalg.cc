@@ -111,103 +111,6 @@ Matrix MatmulTransA(const Matrix& a, const Matrix& b) {
   return out;
 }
 
-void BlockPairMatmulTransAInto(
-    const Matrix& a, const Matrix& b, int64_t block,
-    const std::vector<std::pair<int64_t, int64_t>>& pairs, Matrix* out) {
-  SBRL_CHECK_GT(block, 0);
-  SBRL_CHECK_EQ(a.rows(), b.rows());
-  const int64_t n = a.rows();
-  const int64_t num_pairs = static_cast<int64_t>(pairs.size());
-  SBRL_CHECK(out->rows() == num_pairs * block && out->cols() == block)
-      << "BlockPairMatmulTransA output shape " << out->ShapeString();
-  for (const auto& [pa, pb] : pairs) {
-    SBRL_CHECK(pa >= 0 && (pa + 1) * block <= a.cols())
-        << "pair block " << pa << " out of range for " << a.ShapeString();
-    SBRL_CHECK(pb >= 0 && (pb + 1) * block <= b.cols())
-        << "pair block " << pb << " out of range for " << b.ShapeString();
-  }
-  if (n == 0 || num_pairs == 0) return;
-  const double* ad = a.data();
-  const double* bd = b.data();
-  double* od = out->data();
-  const int64_t acols = a.cols(), bcols = b.cols();
-  const std::pair<int64_t, int64_t>* pd = pairs.data();
-  // Each pair's (block x block) slab is contiguous in the stacked
-  // output, and the reduction over n stays innermost-ascending per
-  // element (bitwise MatmulTransA-identical). The resolved ISA's
-  // generic pair kernel (nullable weights) widens only the independent
-  // output columns, preserving that contract at every level.
-  const auto fwd_generic = ActiveLinalgKernels().block_cross_fwd_generic;
-  const auto run_pairs = [=](int64_t p0, int64_t p1) {
-    fwd_generic(ad, acols, bd, bcols, /*wd=*/nullptr, od, n, block, pd, p0,
-                p1);
-  };
-  const int64_t flops_per_pair = n * block * block;
-  if (num_pairs * flops_per_pair <= SerialCutoff()) {
-    run_pairs(0, num_pairs);
-    return;
-  }
-  ParallelFor(0, num_pairs, GrainRows(flops_per_pair), run_pairs);
-}
-
-void BlockPairMatmulTransAGradInto(
-    const Matrix& g, const Matrix& a, const Matrix& b, int64_t block,
-    const std::vector<std::pair<int64_t, int64_t>>& pairs, Matrix* da,
-    Matrix* db) {
-  SBRL_CHECK_GT(block, 0);
-  SBRL_CHECK_EQ(a.rows(), b.rows());
-  const int64_t n = a.rows();
-  const int64_t num_pairs = static_cast<int64_t>(pairs.size());
-  SBRL_CHECK(g.rows() == num_pairs * block && g.cols() == block)
-      << "BlockPairMatmulTransAGrad gradient shape " << g.ShapeString();
-  if (da != nullptr) SBRL_CHECK(da->same_shape(a));
-  if (db != nullptr) SBRL_CHECK(db->same_shape(b));
-  if (n == 0 || num_pairs == 0 || (da == nullptr && db == nullptr)) return;
-  const double* gd = g.data();
-  const double* ad = a.data();
-  const double* bd = b.data();
-  double* dad = da != nullptr ? da->data() : nullptr;
-  double* dbd = db != nullptr ? db->data() : nullptr;
-  const int64_t acols = a.cols(), bcols = b.cols();
-  const std::pair<int64_t, int64_t>* pd = pairs.data();
-  // Row-parallel: a worker owns whole rows of da/db, so two pairs that
-  // touch the same feature block accumulate without racing.
-  const int64_t flops_per_row = num_pairs * block * block;
-  const auto run_rows = [=](int64_t r0, int64_t r1) {
-    for (int64_t i = r0; i < r1; ++i) {
-      for (int64_t p = 0; p < num_pairs; ++p) {
-        const int64_t ca = pd[p].first * block;
-        const int64_t cb = pd[p].second * block;
-        const double* gblock = gd + p * block * block;
-        const double* arow = ad + i * acols + ca;
-        const double* brow = bd + i * bcols + cb;
-        if (dad != nullptr) {
-          double* darow = dad + i * acols + ca;
-          for (int64_t r = 0; r < block; ++r) {
-            const double* grow = gblock + r * block;
-            double acc = 0.0;
-            for (int64_t c = 0; c < block; ++c) acc += grow[c] * brow[c];
-            darow[r] += acc;
-          }
-        }
-        if (dbd != nullptr) {
-          double* dbrow = dbd + i * bcols + cb;
-          for (int64_t r = 0; r < block; ++r) {
-            const double av = arow[r];
-            const double* grow = gblock + r * block;
-            for (int64_t c = 0; c < block; ++c) dbrow[c] += av * grow[c];
-          }
-        }
-      }
-    }
-  };
-  if (n * flops_per_row <= SerialCutoff()) {
-    run_rows(0, n);
-    return;
-  }
-  ParallelFor(0, n, GrainRows(flops_per_row), run_rows);
-}
-
 void MatmulTransBInto(const Matrix& a, const Matrix& b, Matrix* out) {
   SBRL_CHECK_EQ(a.cols(), b.cols())
       << "MatmulTransB shape mismatch " << a.ShapeString() << " * "

@@ -2,7 +2,6 @@
 #define SBRL_TENSOR_LINALG_H_
 
 #include <functional>
-#include <utility>
 #include <vector>
 
 #include "tensor/matrix.h"
@@ -31,32 +30,6 @@ void MatmulInto(const Matrix& a, const Matrix& b, Matrix* out);
 void MatmulTransAInto(const Matrix& a, const Matrix& b, Matrix* out);
 /// Accumulating in-place a * b^T (see MatmulInto for the contract).
 void MatmulTransBInto(const Matrix& a, const Matrix& b, Matrix* out);
-
-/// Batched block cross-products for the HSIC-RFF pair loss. `a` and `b`
-/// are (n x d*block) stacks of d per-feature column blocks of `block`
-/// columns each. For pair index p with `pairs[p] = (ai, bi)`, the
-/// (block x block) product a[:, ai-block]^T * b[:, bi-block] is ADDED
-/// into rows [p*block, (p+1)*block) of `*out`, which must be
-/// (pairs.size()*block x block). All pairs run in ONE parallel
-/// dispatch; every output element accumulates its n terms in ascending
-/// row order, so each pair's block is bitwise identical to
-/// MatmulTransA on the corresponding column slices, independent of
-/// thread count.
-void BlockPairMatmulTransAInto(
-    const Matrix& a, const Matrix& b, int64_t block,
-    const std::vector<std::pair<int64_t, int64_t>>& pairs, Matrix* out);
-
-/// Adjoint of BlockPairMatmulTransAInto: given the upstream gradient
-/// `g` (pairs.size()*block x block), accumulates
-///   da[:, ai-block] += b[:, bi-block] * g_p^T
-///   db[:, bi-block] += a[:, ai-block] * g_p
-/// for every pair p = (ai, bi). `da` / `db` may be null to skip that
-/// side. Parallel over sample rows — each worker owns disjoint rows of
-/// da/db, so pairs that share a feature block never race.
-void BlockPairMatmulTransAGradInto(
-    const Matrix& g, const Matrix& a, const Matrix& b, int64_t block,
-    const std::vector<std::pair<int64_t, int64_t>>& pairs, Matrix* da,
-    Matrix* db);
 
 /// The seed repo's single-threaded triple-loop matmul, kept as the
 /// ground-truth reference for the tiled kernels' randomized tests and

@@ -287,38 +287,6 @@ void Avx2MatmulTransBRows(const double* __restrict ad,
 
 namespace {
 
-/// Forward weighted cross for B = 4: per pair, four 4-lane register
-/// accumulators loaded from the output, swept over the rows in
-/// ascending order (bitwise the baseline chain) and stored once.
-void BlockCrossFwd4(const double* __restrict fd, const double* __restrict wd,
-                    double* __restrict od, int64_t n, int64_t fcols,
-                    const std::pair<int64_t, int64_t>* pd, int64_t p0,
-                    int64_t p1) {
-  for (int64_t p = p0; p < p1; ++p) {
-    const int64_t ca = pd[p].first * 4;
-    const int64_t cb = pd[p].second * 4;
-    double* ob = od + p * 16;
-    __m256d acc0 = _mm256_loadu_pd(ob);
-    __m256d acc1 = _mm256_loadu_pd(ob + 4);
-    __m256d acc2 = _mm256_loadu_pd(ob + 8);
-    __m256d acc3 = _mm256_loadu_pd(ob + 12);
-    for (int64_t i = 0; i < n; ++i) {
-      const double* frow = fd + i * fcols;
-      const double wi = wd[i];
-      const double* arow = frow + ca;
-      const __m256d bv = _mm256_loadu_pd(frow + cb);
-      acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(_mm256_set1_pd(arow[0] * wi), bv));
-      acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(_mm256_set1_pd(arow[1] * wi), bv));
-      acc2 = _mm256_add_pd(acc2, _mm256_mul_pd(_mm256_set1_pd(arow[2] * wi), bv));
-      acc3 = _mm256_add_pd(acc3, _mm256_mul_pd(_mm256_set1_pd(arow[3] * wi), bv));
-    }
-    _mm256_storeu_pd(ob, acc0);
-    _mm256_storeu_pd(ob + 4, acc1);
-    _mm256_storeu_pd(ob + 8, acc2);
-    _mm256_storeu_pd(ob + 12, acc3);
-  }
-}
-
 /// Forward weighted cross for B = 5: a 4-lane vector plus one scalar
 /// column per output row, same ascending-row chains as baseline.
 void BlockCrossFwd5(const double* __restrict fd, const double* __restrict wd,
@@ -355,81 +323,41 @@ void BlockCrossFwd5(const double* __restrict fd, const double* __restrict wd,
   }
 }
 
-/// Forward weighted cross for B = 8: two column-half passes per pair so
-/// the eight row accumulators of each half fit the register file. Each
-/// output element still receives its row terms in one ascending chain.
-void BlockCrossFwd8(const double* __restrict fd, const double* __restrict wd,
-                    double* __restrict od, int64_t n, int64_t fcols,
-                    const std::pair<int64_t, int64_t>* pd, int64_t p0,
-                    int64_t p1) {
-  for (int64_t p = p0; p < p1; ++p) {
-    const int64_t ca = pd[p].first * 8;
-    const int64_t cb = pd[p].second * 8;
-    for (int half = 0; half < 2; ++half) {
-      const int64_t coff = cb + half * 4;
-      double* ob = od + p * 64 + half * 4;
-      __m256d acc[8];
-      for (int r = 0; r < 8; ++r) acc[r] = _mm256_loadu_pd(ob + r * 8);
-      for (int64_t i = 0; i < n; ++i) {
-        const double* frow = fd + i * fcols;
-        const double wi = wd[i];
-        const double* arow = frow + ca;
-        const __m256d bv = _mm256_loadu_pd(frow + coff);
-        for (int r = 0; r < 8; ++r) {
-          acc[r] = _mm256_add_pd(
-              acc[r], _mm256_mul_pd(_mm256_set1_pd(arow[r] * wi), bv));
-        }
-      }
-      for (int r = 0; r < 8; ++r) _mm256_storeu_pd(ob + r * 8, acc[r]);
-    }
-  }
-}
-
-/// dw-only backward, vector core shared by B in {4, 5, 8}: per pair,
-/// the gradient block is transposed once (it is constant across the row
-/// range), then every row computes S_r = sum_c g(r, c) b(c) as an
-/// ascending-c FMA chain over column vectors and collapses
-/// sum_r a(r) S_r through Hsum256. dwd[i] accumulates one pair
-/// contribution at a time (ascending p), which regroups the baseline's
-/// flat sum — tolerance-bounded, chunk-invariant.
-template <int B>
-void BlockCrossGradDwImpl(const double* __restrict gd,
-                          const double* __restrict fd, double* __restrict dwd,
-                          int64_t fcols, const std::pair<int64_t, int64_t>* pd,
-                          int64_t num_pairs, int64_t r0, int64_t r1) {
-  static_assert(B == 4 || B == 5 || B == 8, "unsupported block");
+/// dw-only backward for B = 5: per pair, the gradient block is
+/// transposed once (it is constant across the row range), then every
+/// row computes S_r = sum_c g(r, c) b(c) as an ascending-c FMA chain
+/// (lanes r = 0..3, a scalar chain for r = 4) and collapses
+/// sum_r a(r) S_r through Hsum256 plus the fifth term. dwd[i]
+/// accumulates one pair contribution at a time (ascending p), which
+/// regroups the baseline's flat sum — tolerance-bounded, chunk-
+/// invariant.
+void BlockCrossGradDw5(const double* __restrict gd,
+                       const double* __restrict fd, double* __restrict dwd,
+                       int64_t fcols, const std::pair<int64_t, int64_t>* pd,
+                       int64_t num_pairs, int64_t r0, int64_t r1) {
   for (int64_t p = 0; p < num_pairs; ++p) {
-    const int64_t ca = pd[p].first * B;
-    const int64_t cb = pd[p].second * B;
-    const double* gblock = gd + p * B * B;
+    const int64_t ca = pd[p].first * 5;
+    const int64_t cb = pd[p].second * 5;
+    const double* gblock = gd + p * 25;
     // gt[c][r] = g(r, c): column c of the block as a contiguous row.
-    double gt[B * B];
-    for (int r = 0; r < B; ++r) {
-      for (int c = 0; c < B; ++c) gt[c * B + r] = gblock[r * B + c];
+    double gt[25];
+    for (int r = 0; r < 5; ++r) {
+      for (int c = 0; c < 5; ++c) gt[c * 5 + r] = gblock[r * 5 + c];
     }
     for (int64_t i = r0; i < r1; ++i) {
       const double* frow = fd + i * fcols;
       const double* arow = frow + ca;
       const double* brow = frow + cb;
-      __m256d s_lo = _mm256_setzero_pd();          // S_r for r = 0..3
-      __m256d s_hi = _mm256_setzero_pd();          // S_r for r = 4..7
-      double s4 = 0.0;                             // S_4 when B == 5
-      for (int c = 0; c < B; ++c) {
-        const __m256d bc = _mm256_set1_pd(brow[c]);
-        const double* gcol = gt + c * B;
-        s_lo = _mm256_fmadd_pd(bc, _mm256_loadu_pd(gcol), s_lo);
-        if (B == 8) {
-          s_hi = _mm256_fmadd_pd(bc, _mm256_loadu_pd(gcol + 4), s_hi);
-        } else if (B == 5) {
-          s4 += brow[c] * gcol[4];
-        }
+      __m256d s_lo = _mm256_setzero_pd();  // S_r for r = 0..3
+      double s4 = 0.0;                     // S_4
+      for (int c = 0; c < 5; ++c) {
+        const double* gcol = gt + c * 5;
+        s_lo = _mm256_fmadd_pd(_mm256_set1_pd(brow[c]), _mm256_loadu_pd(gcol),
+                               s_lo);
+        s4 += brow[c] * gcol[4];
       }
-      __m256d acc = _mm256_mul_pd(_mm256_loadu_pd(arow), s_lo);
-      if (B == 8) {
-        acc = _mm256_fmadd_pd(_mm256_loadu_pd(arow + 4), s_hi, acc);
-      }
-      double contrib = Hsum256(acc);
-      if (B == 5) contrib += arow[4] * s4;
+      double contrib = Hsum256(_mm256_mul_pd(_mm256_loadu_pd(arow), s_lo));
+      contrib += arow[4] * s4;
       dwd[i] += contrib;
     }
   }
@@ -437,70 +365,26 @@ void BlockCrossGradDwImpl(const double* __restrict gd,
 
 }  // namespace
 
-void Avx2BlockCrossFwdGeneric(const double* ad, int64_t acols,
-                              const double* bd, int64_t bcols,
-                              const double* wd, double* od, int64_t n,
-                              int64_t block,
-                              const std::pair<int64_t, int64_t>* pd,
-                              int64_t p0, int64_t p1) {
-  // Generic any-block-size pair forward: baseline loop order with
-  // 4-lane vectors over the independent output columns only (separate
-  // multiply and add, scalar tail repeating the same chain), so every
-  // output element keeps the baseline's ascending-(i, r) accumulation
-  // chain — bitwise == sliced MatmulTransA.
-  for (int64_t p = p0; p < p1; ++p) {
-    const int64_t ca = pd[p].first * block;
-    const int64_t cb = pd[p].second * block;
-    double* oblock = od + p * block * block;
-    for (int64_t i = 0; i < n; ++i) {
-      const double* arow = ad + i * acols + ca;
-      const double* brow = bd + i * bcols + cb;
-      const double wi = wd != nullptr ? wd[i] : 0.0;
-      for (int64_t r = 0; r < block; ++r) {
-        const double av = wd != nullptr ? arow[r] * wi : arow[r];
-        const __m256d avv = _mm256_set1_pd(av);
-        double* orow = oblock + r * block;
-        int64_t c = 0;
-        for (; c + 4 <= block; c += 4) {
-          const __m256d bv = _mm256_loadu_pd(brow + c);
-          const __m256d ov = _mm256_loadu_pd(orow + c);
-          _mm256_storeu_pd(orow + c,
-                           _mm256_add_pd(ov, _mm256_mul_pd(avv, bv)));
-        }
-        for (; c < block; ++c) orow[c] += av * brow[c];
-      }
-    }
-  }
-}
-
-bool Avx2BlockCrossFwd(int64_t block, const double* fd, const double* wd,
+void Avx2BlockCrossFwd(int64_t block, const double* fd, const double* wd,
                        double* od, int64_t n, int64_t fcols,
                        const std::pair<int64_t, int64_t>* pd, int64_t p0,
                        int64_t p1) {
-  switch (block) {
-    case 4: BlockCrossFwd4(fd, wd, od, n, fcols, pd, p0, p1); return true;
-    case 5: BlockCrossFwd5(fd, wd, od, n, fcols, pd, p0, p1); return true;
-    case 8: BlockCrossFwd8(fd, wd, od, n, fcols, pd, p0, p1); return true;
-    default: return false;  // kernels.cc falls back to baseline
+  if (block != 5) {
+    BaselineBlockCrossFwd(block, fd, wd, od, n, fcols, pd, p0, p1);
+    return;
   }
+  BlockCrossFwd5(fd, wd, od, n, fcols, pd, p0, p1);
 }
 
-bool Avx2BlockCrossGradDw(int64_t block, const double* gd, const double* fd,
+void Avx2BlockCrossGradDw(int64_t block, const double* gd, const double* fd,
                           double* dwd, int64_t fcols,
                           const std::pair<int64_t, int64_t>* pd,
                           int64_t num_pairs, int64_t r0, int64_t r1) {
-  switch (block) {
-    case 4:
-      BlockCrossGradDwImpl<4>(gd, fd, dwd, fcols, pd, num_pairs, r0, r1);
-      return true;
-    case 5:
-      BlockCrossGradDwImpl<5>(gd, fd, dwd, fcols, pd, num_pairs, r0, r1);
-      return true;
-    case 8:
-      BlockCrossGradDwImpl<8>(gd, fd, dwd, fcols, pd, num_pairs, r0, r1);
-      return true;
-    default: return false;
+  if (block != 5) {
+    BaselineBlockCrossGradDw(block, gd, fd, dwd, fcols, pd, num_pairs, r0, r1);
+    return;
   }
+  BlockCrossGradDw5(gd, fd, dwd, fcols, pd, num_pairs, r0, r1);
 }
 
 void Avx2Elu(double* x, int64_t n) {

@@ -4,11 +4,13 @@
 // MatmulRows / MatmulTransARows / BlockCrossFwd are bitwise identical
 // to baseline (8-lane zmm over the independent output dimension,
 // separate multiply and add, scalar tails repeating the same chain);
-// MatmulTransBRows / BlockCrossGradDw collapse FMA lanes through
-// _mm512_reduce_add_pd's fixed reduction tree (MatmulTransBRows runs
-// that tree for eight accumulators at once, ReduceAdd8) — so they are
-// deterministic and chunk-invariant within this level but agree with
-// baseline only to rounding.
+// MatmulTransBRows collapses FMA lanes through _mm512_reduce_add_pd's
+// fixed reduction tree (for eight accumulators at once, ReduceAdd8) —
+// so it is deterministic and chunk-invariant within this level but
+// agrees with baseline only to rounding. The block-cross dw entry of
+// this level's table is the AVX2 kernel (kernels.cc): at B = 5 a
+// 512-bit lane would run 3/8 empty, and the 256-bit 4 + 1 split is
+// faster.
 
 #include "tensor/kernels_impl.h"
 
@@ -33,7 +35,7 @@ namespace {
 constexpr int64_t kJBlock = 128;
 
 /// Lane mask selecting the low 5 doubles of a zmm — the B = 5 block
-/// kernels below keep 5-wide rows in masked 8-lane registers.
+/// forward below keeps 5-wide rows in masked 8-lane registers.
 constexpr __mmask8 kMask5 = 0x1F;
 
 /// ELU of eight lanes; see EluLanes in linalg_kernels_avx2.cc.
@@ -320,32 +322,6 @@ void Avx512MatmulTransBRows(const double* __restrict ad,
 
 namespace {
 
-/// Forward weighted cross for B = 4 (256-bit lanes; VL encodings keep
-/// IEEE semantics, so the chain is bitwise the baseline's).
-void BlockCrossFwd4(const double* __restrict fd, const double* __restrict wd,
-                    double* __restrict od, int64_t n, int64_t fcols,
-                    const std::pair<int64_t, int64_t>* pd, int64_t p0,
-                    int64_t p1) {
-  for (int64_t p = p0; p < p1; ++p) {
-    const int64_t ca = pd[p].first * 4;
-    const int64_t cb = pd[p].second * 4;
-    double* ob = od + p * 16;
-    __m256d acc[4];
-    for (int r = 0; r < 4; ++r) acc[r] = _mm256_loadu_pd(ob + r * 4);
-    for (int64_t i = 0; i < n; ++i) {
-      const double* frow = fd + i * fcols;
-      const double wi = wd[i];
-      const double* arow = frow + ca;
-      const __m256d bv = _mm256_loadu_pd(frow + cb);
-      for (int r = 0; r < 4; ++r) {
-        acc[r] = _mm256_add_pd(
-            acc[r], _mm256_mul_pd(_mm256_set1_pd(arow[r] * wi), bv));
-      }
-    }
-    for (int r = 0; r < 4; ++r) _mm256_storeu_pd(ob + r * 4, acc[r]);
-  }
-}
-
 /// Forward weighted cross for B = 5: masked 8-lane rows, five register
 /// accumulators per pair, ascending-row chains bitwise the baseline's.
 void BlockCrossFwd5(const double* __restrict fd, const double* __restrict wd,
@@ -387,165 +363,17 @@ void BlockCrossFwd5(const double* __restrict fd, const double* __restrict wd,
   }
 }
 
-/// Forward weighted cross for B = 8: one zmm accumulator per output
-/// row, the natural shape of this level.
-void BlockCrossFwd8(const double* __restrict fd, const double* __restrict wd,
-                    double* __restrict od, int64_t n, int64_t fcols,
-                    const std::pair<int64_t, int64_t>* pd, int64_t p0,
-                    int64_t p1) {
-  for (int64_t p = p0; p < p1; ++p) {
-    const int64_t ca = pd[p].first * 8;
-    const int64_t cb = pd[p].second * 8;
-    double* ob = od + p * 64;
-    __m512d acc[8];
-    for (int r = 0; r < 8; ++r) acc[r] = _mm512_loadu_pd(ob + r * 8);
-    for (int64_t i = 0; i < n; ++i) {
-      const double* frow = fd + i * fcols;
-      const double wi = wd[i];
-      const double* arow = frow + ca;
-      const __m512d bv = _mm512_loadu_pd(frow + cb);
-      for (int r = 0; r < 8; ++r) {
-        acc[r] = _mm512_add_pd(
-            acc[r], _mm512_mul_pd(_mm512_set1_pd(arow[r] * wi), bv));
-      }
-    }
-    for (int r = 0; r < 8; ++r) _mm512_storeu_pd(ob + r * 8, acc[r]);
-  }
-}
-
-/// dw-only backward for B in {4, 5, 8}: per pair, transpose the
-/// gradient block once, then every row builds S_r = sum_c g(r, c) b(c)
-/// as an ascending-c FMA chain over column vectors and collapses
-/// sum_r a(r) S_r through the fixed _mm512_reduce_add_pd tree.
-/// dwd[i] accumulates one pair contribution at a time (ascending p) —
-/// tolerance-bounded against baseline, chunk-invariant within level.
-template <int B>
-void BlockCrossGradDwImpl(const double* __restrict gd,
-                          const double* __restrict fd, double* __restrict dwd,
-                          int64_t fcols, const std::pair<int64_t, int64_t>* pd,
-                          int64_t num_pairs, int64_t r0, int64_t r1) {
-  static_assert(B == 5 || B == 8, "unsupported block");
-  const __mmask8 mask = B == 8 ? static_cast<__mmask8>(0xFF) : kMask5;
-  for (int64_t p = 0; p < num_pairs; ++p) {
-    const int64_t ca = pd[p].first * B;
-    const int64_t cb = pd[p].second * B;
-    const double* gblock = gd + p * B * B;
-    double gt[B * B];
-    for (int r = 0; r < B; ++r) {
-      for (int c = 0; c < B; ++c) gt[c * B + r] = gblock[r * B + c];
-    }
-    for (int64_t i = r0; i < r1; ++i) {
-      const double* frow = fd + i * fcols;
-      const double* brow = frow + cb;
-      __m512d s = _mm512_setzero_pd();
-      for (int c = 0; c < B; ++c) {
-        const __m512d gcol = _mm512_maskz_loadu_pd(mask, gt + c * B);
-        s = _mm512_fmadd_pd(_mm512_set1_pd(brow[c]), gcol, s);
-      }
-      const __m512d av = _mm512_maskz_loadu_pd(mask, frow + ca);
-      dwd[i] += _mm512_reduce_add_pd(_mm512_mul_pd(av, s));
-    }
-  }
-}
-
-/// dw-only backward for B = 4 with 256-bit lanes and the AVX2
-/// fixed-shape horizontal sum (v0+v2)+(v1+v3).
-void BlockCrossGradDw4(const double* __restrict gd,
-                       const double* __restrict fd, double* __restrict dwd,
-                       int64_t fcols, const std::pair<int64_t, int64_t>* pd,
-                       int64_t num_pairs, int64_t r0, int64_t r1) {
-  for (int64_t p = 0; p < num_pairs; ++p) {
-    const int64_t ca = pd[p].first * 4;
-    const int64_t cb = pd[p].second * 4;
-    const double* gblock = gd + p * 16;
-    double gt[16];
-    for (int r = 0; r < 4; ++r) {
-      for (int c = 0; c < 4; ++c) gt[c * 4 + r] = gblock[r * 4 + c];
-    }
-    for (int64_t i = r0; i < r1; ++i) {
-      const double* frow = fd + i * fcols;
-      const double* brow = frow + cb;
-      __m256d s = _mm256_setzero_pd();
-      for (int c = 0; c < 4; ++c) {
-        s = _mm256_fmadd_pd(_mm256_set1_pd(brow[c]),
-                            _mm256_loadu_pd(gt + c * 4), s);
-      }
-      const __m256d acc = _mm256_mul_pd(_mm256_loadu_pd(frow + ca), s);
-      const __m128d lo = _mm256_castpd256_pd128(acc);
-      const __m128d hi = _mm256_extractf128_pd(acc, 1);
-      const __m128d pair = _mm_add_pd(lo, hi);
-      const __m128d swap = _mm_unpackhi_pd(pair, pair);
-      dwd[i] += _mm_cvtsd_f64(_mm_add_sd(pair, swap));
-    }
-  }
-}
-
 }  // namespace
 
-void Avx512BlockCrossFwdGeneric(const double* ad, int64_t acols,
-                                const double* bd, int64_t bcols,
-                                const double* wd, double* od, int64_t n,
-                                int64_t block,
-                                const std::pair<int64_t, int64_t>* pd,
-                                int64_t p0, int64_t p1) {
-  // Generic any-block-size pair forward: baseline loop order with
-  // 8-lane zmm vectors over the independent output columns only
-  // (separate multiply and add, scalar tail repeating the same chain),
-  // so every output element keeps the baseline's ascending-(i, r)
-  // accumulation chain — bitwise == sliced MatmulTransA.
-  for (int64_t p = p0; p < p1; ++p) {
-    const int64_t ca = pd[p].first * block;
-    const int64_t cb = pd[p].second * block;
-    double* oblock = od + p * block * block;
-    for (int64_t i = 0; i < n; ++i) {
-      const double* arow = ad + i * acols + ca;
-      const double* brow = bd + i * bcols + cb;
-      const double wi = wd != nullptr ? wd[i] : 0.0;
-      for (int64_t r = 0; r < block; ++r) {
-        const double av = wd != nullptr ? arow[r] * wi : arow[r];
-        const __m512d avv = _mm512_set1_pd(av);
-        double* orow = oblock + r * block;
-        int64_t c = 0;
-        for (; c + 8 <= block; c += 8) {
-          const __m512d bv = _mm512_loadu_pd(brow + c);
-          const __m512d ov = _mm512_loadu_pd(orow + c);
-          _mm512_storeu_pd(orow + c,
-                           _mm512_add_pd(ov, _mm512_mul_pd(avv, bv)));
-        }
-        for (; c < block; ++c) orow[c] += av * brow[c];
-      }
-    }
-  }
-}
-
-bool Avx512BlockCrossFwd(int64_t block, const double* fd, const double* wd,
+void Avx512BlockCrossFwd(int64_t block, const double* fd, const double* wd,
                          double* od, int64_t n, int64_t fcols,
                          const std::pair<int64_t, int64_t>* pd, int64_t p0,
                          int64_t p1) {
-  switch (block) {
-    case 4: BlockCrossFwd4(fd, wd, od, n, fcols, pd, p0, p1); return true;
-    case 5: BlockCrossFwd5(fd, wd, od, n, fcols, pd, p0, p1); return true;
-    case 8: BlockCrossFwd8(fd, wd, od, n, fcols, pd, p0, p1); return true;
-    default: return false;  // kernels.cc falls back to baseline
+  if (block != 5) {
+    BaselineBlockCrossFwd(block, fd, wd, od, n, fcols, pd, p0, p1);
+    return;
   }
-}
-
-bool Avx512BlockCrossGradDw(int64_t block, const double* gd, const double* fd,
-                            double* dwd, int64_t fcols,
-                            const std::pair<int64_t, int64_t>* pd,
-                            int64_t num_pairs, int64_t r0, int64_t r1) {
-  switch (block) {
-    case 4:
-      BlockCrossGradDw4(gd, fd, dwd, fcols, pd, num_pairs, r0, r1);
-      return true;
-    case 5:
-      BlockCrossGradDwImpl<5>(gd, fd, dwd, fcols, pd, num_pairs, r0, r1);
-      return true;
-    case 8:
-      BlockCrossGradDwImpl<8>(gd, fd, dwd, fcols, pd, num_pairs, r0, r1);
-      return true;
-    default: return false;
-  }
+  BlockCrossFwd5(fd, wd, od, n, fcols, pd, p0, p1);
 }
 
 void Avx512Elu(double* x, int64_t n) {

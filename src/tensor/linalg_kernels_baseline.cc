@@ -22,19 +22,18 @@ namespace {
 // row of an i-range.
 constexpr int64_t kJBlock = 128;
 
-// Compile-time-specialized inner kernels of the block-diagonal cross
-// ops: the runtime `block` (= SbrlConfig::rff_features, default 5) is
-// small, so the generic loops spend as much time on loop control as on
-// arithmetic. Dispatching the common sizes to a template instantiation
-// lets the compiler fully unroll the block x block body and keep the
-// per-pair accumulators in registers. Each output element receives its
-// terms in exactly the same ascending order as the generic loop, so
-// specialized and generic paths are bitwise identical.
+// The block-diagonal cross ops at the block size training runs
+// (SbrlConfig::rff_features = 5) are compile-time instantiations: the
+// runtime loops spend as much time on loop control as on arithmetic,
+// while the template lets the compiler fully unroll the block x block
+// body and keep the per-pair accumulators in registers. Each output
+// element receives its terms in exactly the same ascending order as
+// the any-block loop, so both paths are bitwise identical.
 
 /// Forward pairs [p0, p1): out block p += sum_i w_i u_a(i,:)^T u_b(i,:)
 /// with the (B x B) accumulator loaded from the output, held in
 /// registers across the row sweep and stored once. Continuing from the
-/// stored partial sum reproduces the generic element-by-element
+/// stored partial sum reproduces the any-block element-by-element
 /// accumulation bitwise for any initial output, so a caller may sweep
 /// the rows in consecutive blocks and get the bits of one call.
 template <int64_t B>
@@ -68,8 +67,7 @@ void BlockCrossFwdPairsKernel(const double* __restrict fd,
 /// the decorrelation loss, where the stacked features are tape
 /// constants and only dw is needed. dw_i = sum_p u_a(i,:) g_p u_b(i,:)^T
 /// (the sample weight itself does not enter its own gradient). Same
-/// flat ascending-p summation as the generic loop, minus its per-
-/// element df branch.
+/// flat ascending-p summation as the any-block loop.
 template <int64_t B>
 void BlockCrossGradDwRowsKernel(const double* __restrict gd,
                                 const double* __restrict fd,
@@ -96,76 +94,55 @@ void BlockCrossGradDwRowsKernel(const double* __restrict gd,
 
 }  // namespace
 
-bool BaselineBlockCrossFwd(int64_t block, const double* fd, const double* wd,
+void BaselineBlockCrossFwd(int64_t block, const double* fd, const double* wd,
                            double* od, int64_t n, int64_t fcols,
                            const std::pair<int64_t, int64_t>* pd, int64_t p0,
                            int64_t p1) {
-  switch (block) {
-    case 3: BlockCrossFwdPairsKernel<3>(fd, wd, od, n, fcols, pd, p0, p1);
-            return true;
-    case 4: BlockCrossFwdPairsKernel<4>(fd, wd, od, n, fcols, pd, p0, p1);
-            return true;
-    case 5: BlockCrossFwdPairsKernel<5>(fd, wd, od, n, fcols, pd, p0, p1);
-            return true;
-    case 8: BlockCrossFwdPairsKernel<8>(fd, wd, od, n, fcols, pd, p0, p1);
-            return true;
-    default: return false;
+  if (block == 5) {
+    BlockCrossFwdPairsKernel<5>(fd, wd, od, n, fcols, pd, p0, p1);
+    return;
   }
-}
-
-bool BaselineBlockCrossGradDw(int64_t block, const double* gd,
-                              const double* fd, double* dwd, int64_t fcols,
-                              const std::pair<int64_t, int64_t>* pd,
-                              int64_t num_pairs, int64_t r0, int64_t r1) {
-  switch (block) {
-    case 3: BlockCrossGradDwRowsKernel<3>(gd, fd, dwd, fcols, pd,
-                                          num_pairs, r0, r1);
-            return true;
-    case 4: BlockCrossGradDwRowsKernel<4>(gd, fd, dwd, fcols, pd,
-                                          num_pairs, r0, r1);
-            return true;
-    case 5: BlockCrossGradDwRowsKernel<5>(gd, fd, dwd, fcols, pd,
-                                          num_pairs, r0, r1);
-            return true;
-    case 8: BlockCrossGradDwRowsKernel<8>(gd, fd, dwd, fcols, pd,
-                                          num_pairs, r0, r1);
-            return true;
-    default: return false;
-  }
-}
-
-void BaselineBlockCrossFwdGeneric(const double* ad, int64_t acols,
-                                  const double* bd, int64_t bcols,
-                                  const double* wd, double* od, int64_t n,
-                                  int64_t block,
-                                  const std::pair<int64_t, int64_t>* pd,
-                                  int64_t p0, int64_t p1) {
-  // The pre-dispatch generic pair loops of tensor/linalg.cc, verbatim:
-  // the weighted branch is the HSIC-RFF tier's cross fallback, the
-  // unweighted branch BlockPairMatmulTransAInto's pair loop (no w
-  // multiply — not a *1.0, so the arithmetic is untouched).
   for (int64_t p = p0; p < p1; ++p) {
     const int64_t ca = pd[p].first * block;
     const int64_t cb = pd[p].second * block;
     double* oblock = od + p * block * block;
     for (int64_t i = 0; i < n; ++i) {
-      const double* arow = ad + i * acols + ca;
-      const double* brow = bd + i * bcols + cb;
-      if (wd != nullptr) {
-        const double wi = wd[i];
-        for (int64_t r = 0; r < block; ++r) {
-          const double av = arow[r] * wi;
-          double* orow = oblock + r * block;
-          for (int64_t c = 0; c < block; ++c) orow[c] += av * brow[c];
-        }
-      } else {
-        for (int64_t r = 0; r < block; ++r) {
-          const double av = arow[r];
-          double* orow = oblock + r * block;
-          for (int64_t c = 0; c < block; ++c) orow[c] += av * brow[c];
-        }
+      const double* frow = fd + i * fcols;
+      const double* arow = frow + ca;
+      const double* brow = frow + cb;
+      const double wi = wd[i];
+      for (int64_t r = 0; r < block; ++r) {
+        const double av = arow[r] * wi;
+        double* orow = oblock + r * block;
+        for (int64_t c = 0; c < block; ++c) orow[c] += av * brow[c];
       }
     }
+  }
+}
+
+void BaselineBlockCrossGradDw(int64_t block, const double* gd,
+                              const double* fd, double* dwd, int64_t fcols,
+                              const std::pair<int64_t, int64_t>* pd,
+                              int64_t num_pairs, int64_t r0, int64_t r1) {
+  if (block == 5) {
+    BlockCrossGradDwRowsKernel<5>(gd, fd, dwd, fcols, pd, num_pairs, r0, r1);
+    return;
+  }
+  for (int64_t i = r0; i < r1; ++i) {
+    const double* frow = fd + i * fcols;
+    double dw_acc = 0.0;
+    for (int64_t p = 0; p < num_pairs; ++p) {
+      const int64_t ca = pd[p].first * block;
+      const int64_t cb = pd[p].second * block;
+      const double* gblock = gd + p * block * block;
+      for (int64_t r = 0; r < block; ++r) {
+        const double* grow = gblock + r * block;
+        double s = 0.0;
+        for (int64_t c = 0; c < block; ++c) s += grow[c] * frow[cb + c];
+        dw_acc += frow[ca + r] * s;
+      }
+    }
+    dwd[i] += dw_acc;
   }
 }
 

@@ -411,9 +411,9 @@ TEST(GradCheckTest, DeepCompositeNetworkLikeGraph) {
 
 // ---------------------------------------------------------------------------
 // Audit fills (PR 4): ops that previously lacked direct grad coverage.
-// The block-diagonal HSIC ops (BlockMatmulTransA and the unfused tier
-// oracle's BlockWeightedCrossCov / PairHsicFrobenius) are grad-checked
-// in tests/hsic_batched_test.cc.
+// The block-diagonal HSIC ops (the unfused tier oracle's
+// BlockWeightedCrossCov / PairHsicFrobenius) are grad-checked in
+// tests/hsic_batched_test.cc.
 // ---------------------------------------------------------------------------
 
 TEST(GradCheckTest, Relu) {

@@ -323,7 +323,9 @@ TEST(CrossIsaTest, TransBWithinToleranceOfBaseline) {
 TEST(CrossIsaTest, BlockCrossFwdBitwiseAndGradDwBounded) {
   Rng rng(303);
   const int64_t n = 120, d = 6;
-  for (int64_t block : {3, 4, 5, 8}) {
+  // Block 5 runs each level's register kernels; every other size runs
+  // the baseline any-block loop at every level.
+  for (int64_t block : {1, 3, 4, 5, 6, 8}) {
     Matrix f = rng.Randn(n, d * block);
     Matrix w = rng.Rand(n, 1, 0.5, 2.0);
     std::vector<std::pair<int64_t, int64_t>> pairs = {
@@ -334,30 +336,42 @@ TEST(CrossIsaTest, BlockCrossFwdBitwiseAndGradDwBounded) {
     Matrix want(np * block, block);
     Matrix want_dw(n, 1);
     const LinalgKernels& base = LinalgKernelsForIsa(Isa::kBaseline);
-    ASSERT_TRUE(base.block_cross_fwd(block, f.data(), w.data(), want.data(),
-                                     n, f.cols(), pairs.data(), 0, np));
-    ASSERT_TRUE(base.block_cross_grad_dw(block, g.data(), f.data(),
-                                         want_dw.data(), f.cols(),
-                                         pairs.data(), np, 0, n));
+    base.block_cross_fwd(block, f.data(), w.data(), want.data(), n, f.cols(),
+                         pairs.data(), 0, np);
+    base.block_cross_grad_dw(block, g.data(), f.data(), want_dw.data(),
+                             f.cols(), pairs.data(), np, 0, n);
+    std::vector<Matrix> level_dw;
     for (Isa isa : SupportedIsas()) {
       const LinalgKernels& t = LinalgKernelsForIsa(isa);
       Matrix got(np * block, block);
       Matrix got_dw(n, 1);
-      ASSERT_TRUE(t.block_cross_fwd(block, f.data(), w.data(), got.data(),
-                                    n, f.cols(), pairs.data(), 0, np));
-      ASSERT_TRUE(t.block_cross_grad_dw(block, g.data(), f.data(),
-                                        got_dw.data(), f.cols(),
-                                        pairs.data(), np, 0, n));
+      t.block_cross_fwd(block, f.data(), w.data(), got.data(), n, f.cols(),
+                        pairs.data(), 0, np);
+      t.block_cross_grad_dw(block, g.data(), f.data(), got_dw.data(),
+                            f.cols(), pairs.data(), np, 0, n);
       // Forward: exact bitwise equality at every level.
       for (int64_t i = 0; i < want.size(); ++i) {
         ASSERT_EQ(want[i], got[i])
             << IsaName(isa) << " block " << block << " flat " << i;
       }
-      // dw: regrouped dot products, tight relative tolerance.
+      // dw: at block 5 the wide levels regroup the dot products (tight
+      // relative tolerance); other blocks run the baseline loop itself.
       for (int64_t i = 0; i < n; ++i) {
-        EXPECT_NEAR(got_dw[i], want_dw[i],
-                    1e-11 * std::max(1.0, std::abs(want_dw[i])))
-            << IsaName(isa) << " block " << block << " row " << i;
+        if (block == 5) {
+          EXPECT_NEAR(got_dw[i], want_dw[i],
+                      1e-11 * std::max(1.0, std::abs(want_dw[i])))
+              << IsaName(isa) << " block " << block << " row " << i;
+        } else {
+          ASSERT_EQ(got_dw[i], want_dw[i])
+              << IsaName(isa) << " block " << block << " row " << i;
+        }
+      }
+      level_dw.push_back(std::move(got_dw));
+    }
+    // The AVX-512 table's dw entry is the AVX2 kernel: bitwise equal.
+    if (block == 5 && level_dw.size() == 3) {
+      for (int64_t i = 0; i < n; ++i) {
+        ASSERT_EQ(level_dw[2][i], level_dw[1][i]) << "avx512 vs avx2 row " << i;
       }
     }
   }

@@ -75,19 +75,13 @@ void BlockPairWeightedCrossInto(
   double* od = out->data();
   const int64_t fcols = f.cols();
   const std::pair<int64_t, int64_t>* pd = pairs.data();
-  // Specialized block sizes run the resolved ISA's register-accumulator
-  // kernel; other sizes fall back to the generic loop. All paths
-  // accumulate each output element's row terms in the same ascending
-  // order, so they are bitwise identical across specializations AND
-  // ISA levels (and == sliced MatmulTransA).
-  const LinalgKernels& kernels = ActiveLinalgKernels();
-  const auto block_cross_fwd = kernels.block_cross_fwd;
-  const auto fwd_generic = kernels.block_cross_fwd_generic;
+  // The resolved ISA's block-cross forward takes any block size and
+  // accumulates each output element's row terms in ascending order, so
+  // it is bitwise identical across ISA levels (and == sliced
+  // MatmulTransA).
+  const auto block_cross_fwd = ActiveLinalgKernels().block_cross_fwd;
   const auto run_pairs = [=](int64_t p0, int64_t p1) {
-    if (block_cross_fwd(block, fd, wd, od, n, fcols, pd, p0, p1)) {
-      return;
-    }
-    fwd_generic(fd, fcols, fd, fcols, wd, od, n, block, pd, p0, p1);
+    block_cross_fwd(block, fd, wd, od, n, fcols, pd, p0, p1);
   };
   const int64_t flops_per_pair = n * block * block;
   if (num_pairs * flops_per_pair <= SerialCutoff()) {
@@ -126,16 +120,15 @@ void BlockPairWeightedCrossGradInto(
   const int64_t flops_per_row = num_pairs * block * block;
   // The decorrelation loss differentiates only through the sample
   // weight (the stacked features are tape constants), so the dw-only
-  // case gets a dedicated branch-free kernel from the resolved ISA
-  // table; the general case keeps the fused loop. The baseline dw
-  // kernel keeps the generic summation order bitwise; wider ISAs
-  // regroup the dot products (deterministic within a level, bounded
-  // against baseline — see tensor/kernels.h).
+  // case runs the resolved ISA table's dw kernel; the general case
+  // keeps the fused loop. The baseline dw kernel keeps this loop's
+  // summation order bitwise; at block 5 the wider ISAs regroup the dot
+  // products (deterministic within a level, bounded against baseline —
+  // see tensor/kernels.h).
   const auto block_cross_grad_dw = ActiveLinalgKernels().block_cross_grad_dw;
   const auto run_rows = [=](int64_t r0, int64_t r1) {
-    if (dfd == nullptr && dwd != nullptr &&
-        block_cross_grad_dw(block, gd, fd, dwd, fcols, pd, num_pairs,
-                            r0, r1)) {
+    if (dfd == nullptr) {
+      block_cross_grad_dw(block, gd, fd, dwd, fcols, pd, num_pairs, r0, r1);
       return;
     }
     for (int64_t i = r0; i < r1; ++i) {
@@ -298,7 +291,8 @@ Var UnfusedTierLoss(const Matrix& z, Var w, int64_t k, int64_t budget,
   const CompactPairBlocks blocks = CompactUsedColumns(z.cols(), sel.pairs);
   RffSlotDraws draws{rng.engine()(), {}};
   Matrix stacked(z.rows(), static_cast<int64_t>(blocks.used_cols.size()) * k);
-  StackRffColumns(z, blocks.used_cols, k, &draws, &stacked);
+  StackRffRows(z, MakeRffStack(blocks.used_cols, k, &draws), 0, z.rows(),
+               &stacked);
   Var f = tape->Constant(std::move(stacked));
   Var cross = BlockWeightedCrossCov(f, w_norm, k, blocks.block_pairs);
   Var means = ops::MatmulTransA(w_norm, f);
@@ -323,7 +317,8 @@ Var PerPairReferenceLoss(const Matrix& z, Var w, int64_t k, int64_t budget,
   const CompactPairBlocks blocks = CompactUsedColumns(d, sel.pairs);
   RffSlotDraws draws{rng.engine()(), {}};
   Matrix stacked(z.rows(), static_cast<int64_t>(blocks.used_cols.size()) * k);
-  StackRffColumns(z, blocks.used_cols, k, &draws, &stacked);
+  StackRffRows(z, MakeRffStack(blocks.used_cols, k, &draws), 0, z.rows(),
+               &stacked);
   Var f = tape->Constant(std::move(stacked));
   Var fw = ops::MulCol(f, w_norm);
   Var loss = tape->Constant(Matrix::Zeros(1, 1));
@@ -389,69 +384,8 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(0, 5)));
 
 // ---------------------------------------------------------------------------
-// Block kernel forward: bitwise per-pair MatmulTransA equivalence.
+// Grad checks on the block ops of the unfused chain.
 // ---------------------------------------------------------------------------
-
-TEST(BlockPairMatmulTest, MatchesSlicedMatmulTransABitwise) {
-  Rng rng(7);
-  const int64_t n = 40, d = 6, k = 3;
-  Matrix a = rng.Randn(n, d * k);
-  Matrix b = rng.Randn(n, d * k);
-  std::vector<std::pair<int64_t, int64_t>> pairs = {
-      {0, 1}, {0, 5}, {2, 3}, {4, 4}, {1, 0}};
-  Matrix out(static_cast<int64_t>(pairs.size()) * k, k);
-  BlockPairMatmulTransAInto(a, b, k, pairs, &out);
-  for (size_t p = 0; p < pairs.size(); ++p) {
-    Matrix ablock(n, k), bblock(n, k);
-    for (int64_t r = 0; r < n; ++r) {
-      for (int64_t c = 0; c < k; ++c) {
-        ablock(r, c) = a(r, pairs[p].first * k + c);
-        bblock(r, c) = b(r, pairs[p].second * k + c);
-      }
-    }
-    Matrix want = MatmulTransA(ablock, bblock);
-    for (int64_t r = 0; r < k; ++r) {
-      for (int64_t c = 0; c < k; ++c) {
-        EXPECT_EQ(out(static_cast<int64_t>(p) * k + r, c), want(r, c))
-            << "pair " << p << " element (" << r << ", " << c << ")";
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Grad checks on the new block ops.
-// ---------------------------------------------------------------------------
-
-TEST(BlockOpsGradTest, BlockMatmulTransAGradChecks) {
-  Rng rng(8);
-  const int64_t n = 12, d = 4, k = 3;
-  Matrix a0 = rng.Randn(n, d * k);
-  Matrix b0 = rng.Randn(n, d * k);
-  std::vector<std::pair<int64_t, int64_t>> pairs = {{0, 1}, {1, 3}, {2, 1}};
-  const auto loss_of = [&](const Matrix& av, const Matrix& bv, Tape* tape,
-                           Var* a_out, Var* b_out) {
-    Var a = tape->Leaf(av);
-    Var b = tape->Leaf(bv);
-    if (a_out != nullptr) *a_out = a;
-    if (b_out != nullptr) *b_out = b;
-    return ops::SumAll(ops::Square(ops::BlockMatmulTransA(a, b, k, pairs)));
-  };
-  Tape tape;
-  Var a, b;
-  Var loss = loss_of(a0, b0, &tape, &a, &b);
-  tape.Backward(loss);
-  const auto f_a = [&](const Matrix& av) {
-    Tape t;
-    return loss_of(av, b0, &t, nullptr, nullptr).value().scalar();
-  };
-  const auto f_b = [&](const Matrix& bv) {
-    Tape t;
-    return loss_of(a0, bv, &t, nullptr, nullptr).value().scalar();
-  };
-  EXPECT_LT(MaxGradientError(f_a, a0, a.grad()), 1e-5);
-  EXPECT_LT(MaxGradientError(f_b, b0, b.grad()), 1e-5);
-}
 
 TEST(BlockOpsGradTest, BlockWeightedCrossCovGradChecksAndMatchesUnfused) {
   Rng rng(21);
@@ -472,19 +406,26 @@ TEST(BlockOpsGradTest, BlockWeightedCrossCovGradChecksAndMatchesUnfused) {
   Var f, w;
   Var loss = loss_of(f0, w0, &tape, &f, &w);
   tape.Backward(loss);
-  // Fused == MulCol + BlockMatmulTransA, bitwise.
+  // Fused == per-pair MatmulTransA of the sliced MulCol(F, w) and F
+  // columns, bitwise.
   {
     Tape t2;
     Var f2 = t2.Leaf(f0);
-    Var w2 = t2.Leaf(w0);
-    Var unfused = ops::BlockMatmulTransA(ops::MulCol(f2, w2), f2, k, pairs);
+    Var fw = ops::MulCol(f2, t2.Leaf(w0));
     Tape t3;
-    Var f3 = t3.Leaf(f0);
-    Var w3 = t3.Leaf(w0);
-    Var fused = BlockWeightedCrossCov(f3, w3, k, pairs);
-    ASSERT_TRUE(fused.value().same_shape(unfused.value()));
-    for (int64_t i = 0; i < fused.value().size(); ++i) {
-      EXPECT_EQ(fused.value()[i], unfused.value()[i]);
+    const Matrix fused =
+        BlockWeightedCrossCov(t3.Leaf(f0), t3.Leaf(w0), k, pairs).value();
+    for (size_t p = 0; p < pairs.size(); ++p) {
+      const Matrix want =
+          ops::MatmulTransA(ops::SliceCols(fw, pairs[p].first * k, k),
+                            ops::SliceCols(f2, pairs[p].second * k, k))
+              .value();
+      for (int64_t r = 0; r < k; ++r) {
+        for (int64_t c = 0; c < k; ++c) {
+          EXPECT_EQ(fused(static_cast<int64_t>(p) * k + r, c), want(r, c))
+              << "pair " << p << " element (" << r << ", " << c << ")";
+        }
+      }
     }
   }
   const auto f_f = [&](const Matrix& fv) {
@@ -569,10 +510,11 @@ double TierLossAndGrad(const Matrix& z, const Matrix& w_val, int64_t k,
 
 TEST(FusedTierTest, LossAndGradBitwiseEqualUnfusedChain) {
   // Row counts on both sides of the row blocks and the kernels' row
-  // tiles; k = 6 has no specialized cross kernel at any level (the
-  // generic forward and dw loops). The fused forward sweeps F in row
-  // blocks that resume the cross and means accumulators, so a kernel
-  // that restarted them at zero per block fails here.
+  // tiles; k = 5 runs each level's register kernels, while k = 4, 6 and
+  // 8 take the any-block path (the baseline forward and dw loops at
+  // every level). The fused forward sweeps F in row blocks that resume
+  // the cross and means accumulators, so a kernel that restarted them
+  // at zero per block fails here.
   const int initial_workers = ThreadPool::GlobalParallelism() - 1;
   for (int threads : {1, 2, 4}) {
     ThreadPool::ResetGlobalForTest(threads - 1);

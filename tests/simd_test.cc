@@ -353,7 +353,7 @@ TEST(RffStackTest, StackMatchesPerElementFormulaBitwise) {
     ScopedThreadIsa pin(isa);
     RffSlotDraws draws{8, {}};
     Matrix stacked(50, static_cast<int64_t>(cols.size()) * k);
-    StackRffColumns(x, cols, k, &draws, &stacked);
+    StackRffRows(x, MakeRffStack(cols, k, &draws), 0, x.rows(), &stacked);
     for (size_t ci = 0; ci < cols.size(); ++ci) {
       RffProjection proj = SampleRffSlot(8, 1, k, cols[ci]);
       for (int64_t i = 0; i < x.rows(); ++i) {
