@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # CI entry point: fails on any value-changing math flag (-ffast-math,
 # -ffinite-math-only) in a CMakeLists.txt or under src/, prints the
-# src/ line count, then builds the default and sanitized configurations
-# and
-# runs the tier-1 suite (which includes the threads2, isa_baseline,
-# faults, serving, and large_n variants, and the training lock at
-# SBRL_ISA=baseline, at SBRL_ISA=avx2 and under
+# src/ line count, fails when README's environment-knob table drifts
+# from the SBRL_* variables the code reads, then builds the default and
+# sanitized configurations and runs the tier-1 suite (which includes
+# the threads2, isa_baseline, faults, serving, and large_n variants,
+# and the training lock at SBRL_ISA=baseline, at SBRL_ISA=avx2 and under
 # GLIBC_TUNABLES=glibc.cpu.hwcaps=-AVX2,-FMA), then the sanitizer
 # subset (including the CSV/streaming loader suites, the per-ISA
 # cosine and ELU kernels with their masked and padded tail lanes, the
@@ -43,6 +43,26 @@ fi
 echo "=== src/ line count ==="
 # The library's size, the number ROADMAP's "less code" north star tracks.
 wc -l src/*/*.{h,cc,inc} | tail -1
+
+echo "=== README knob table ==="
+# Every quoted "SBRL_*" environment variable read under src/, bench/ or
+# perfbench/ must have a row in README's "Runtime environment knobs"
+# table, and every row must name a variable that is still read. The
+# tests' own SBRL_TEST_ENV_KNOB is not a knob.
+KNOB_RE='SBRL_[A-Z0-9_]+'
+read_knobs="$(grep -rhoE "[\"']${KNOB_RE}[\"']" src bench perfbench |
+              grep -oE "${KNOB_RE}" | grep -vx SBRL_TEST_ENV_KNOB |
+              sort -u || true)"
+table_knobs="$(sed -n '/^### Runtime environment knobs/,/^#/p' README.md |
+               grep -oE "^\| \`${KNOB_RE}\`" | grep -oE "${KNOB_RE}" |
+               sort -u || true)"
+if [[ -z "${read_knobs}" || "${read_knobs}" != "${table_knobs}" ]]; then
+  diff <(echo "${read_knobs}") <(echo "${table_knobs}") >&2 || true
+  echo "README knob table drifted from the code ('<' is read but has no" \
+       "row, '>' has a row but is not read)" >&2
+  exit 1
+fi
+echo "$(echo "${read_knobs}" | wc -l) knobs, one row each"
 
 echo "=== default configuration ==="
 cmake -B "${PREFIX}" -S .

@@ -72,14 +72,6 @@ Var UnaryOp(Var a, F f, DF df) {
   });
 }
 
-double StableSigmoid(double x) {
-  if (x >= 0.0) {
-    return 1.0 / (1.0 + std::exp(-x));
-  }
-  const double e = std::exp(x);
-  return e / (1.0 + e);
-}
-
 double StableSoftplus(double x) {
   return std::max(x, 0.0) + std::log1p(std::exp(-std::abs(x)));
 }
@@ -382,18 +374,6 @@ Var Scale(Var a, double c) {
 }
 
 Var Neg(Var a) { return Scale(a, -1.0); }
-
-Var Exp(Var a) {
-  return UnaryOp(
-      a, [](double x) { return std::exp(x); },
-      [](double, double y) { return y; });
-}
-
-Var Log(Var a) {
-  return UnaryOp(
-      a, [](double x) { return std::log(x); },
-      [](double x, double) { return 1.0 / x; });
-}
 
 Var Sqrt(Var a) {
   return UnaryOp(
@@ -1186,28 +1166,6 @@ Var SigmoidCrossEntropyWithLogits(Var logits, const Matrix& labels) {
       da[i] = g[i] * (StableSigmoid(x[i]) - labels[i]);
     }
     t->AccumulateGrad(ai, std::move(da));
-  });
-}
-
-Var PairwiseSqDist(Var a, Var b) {
-  Tape* t = SameTape(a, b);
-  SBRL_CHECK_EQ(a.cols(), b.cols());
-  const int ai = a.id(), bi = b.id(), self = t->size();
-  return t->MakeNode(PairwiseSquaredDistances(a.value(), b.value()), {a, b},
-                     [ai, bi, self](Tape* t) {
-    const Matrix& g = t->grad(self);  // (n x m)
-    const Matrix& av = t->value(ai);  // (n x d)
-    const Matrix& bv = t->value(bi);  // (m x d)
-    // dD_ij/da_i = 2 (a_i - b_j)  =>  da = 2 diag(rowsum g) a - 2 g b
-    Matrix grow = sbrl::RowSum(g);                     // (n x 1)
-    Matrix da = MulColBroadcast(av, grow) * 2.0;       // 2 a_i sum_j g_ij
-    da -= sbrl::Matmul(g, bv) * 2.0;
-    // dD_ij/db_j = 2 (b_j - a_i)  =>  db = 2 diag(colsum g) b - 2 g^T a
-    Matrix gcol = sbrl::Transpose(sbrl::ColSum(g));    // (m x 1)
-    Matrix db = MulColBroadcast(bv, gcol) * 2.0;
-    db -= MatmulTransA(g, av) * 2.0;
-    t->AccumulateGrad(ai, std::move(da));
-    t->AccumulateGrad(bi, std::move(db));
   });
 }
 

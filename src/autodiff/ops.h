@@ -55,9 +55,6 @@ Var Scale(Var a, double c);
 // Unary elementwise.
 // ---------------------------------------------------------------------------
 Var Neg(Var a);
-Var Exp(Var a);
-/// Natural log; inputs must be strictly positive.
-Var Log(Var a);
 /// Square root; inputs must be non-negative (use AddConst for eps guards).
 Var Sqrt(Var a);
 Var Square(Var a);
@@ -214,10 +211,6 @@ Var MatmulTransA(Var a, Var b);
 /// Elementwise numerically-stable sigmoid cross-entropy between `logits`
 /// and constant `labels` in [0, 1]: max(x,0) - x*y + log(1 + exp(-|x|)).
 Var SigmoidCrossEntropyWithLogits(Var logits, const Matrix& labels);
-
-/// Pairwise squared Euclidean distances between rows of a (n x d) and
-/// rows of b (m x d) -> (n x m). Used by RBF-kernel MMD.
-Var PairwiseSqDist(Var a, Var b);
 
 // ---------------------------------------------------------------------------
 // Composite helpers (built from primitives; gradients flow through).

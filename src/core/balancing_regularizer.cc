@@ -11,27 +11,9 @@ Var WeightedRowMean(Var rep, Var w) {
   return ops::DivScalar(ops::ColSum(weighted), total);
 }
 
-Var WeightedRbfMmd2Loss(Var rep_t, Var w_t, Var rep_c, Var w_c,
-                        double bandwidth) {
-  const double scale = -0.5 / (bandwidth * bandwidth);
-  Var w_t_n = ops::DivScalar(w_t, ops::SumAll(w_t));
-  Var w_c_n = ops::DivScalar(w_c, ops::SumAll(w_c));
-  auto kernel_term = [scale](Var a, Var wa, Var b, Var wb) {
-    Var k = ops::Exp(ops::Scale(ops::PairwiseSqDist(a, b), scale));
-    // wa^T K wb
-    Var kwb = ops::Matmul(k, wb);
-    return ops::SumAll(ops::Mul(wa, kwb));
-  };
-  Var term_tt = kernel_term(rep_t, w_t_n, rep_t, w_t_n);
-  Var term_cc = kernel_term(rep_c, w_c_n, rep_c, w_c_n);
-  Var term_tc = kernel_term(rep_t, w_t_n, rep_c, w_c_n);
-  return ops::Sub(ops::Add(term_tt, term_cc), ops::Scale(term_tc, 2.0));
-}
-
 }  // namespace
 
-Var WeightedIpmLoss(Var rep, Var w, const std::vector<int>& t, IpmKind kind,
-                    double rbf_bandwidth) {
+Var WeightedIpmLoss(Var rep, Var w, const std::vector<int>& t) {
   SBRL_CHECK_EQ(static_cast<int64_t>(t.size()), rep.rows());
   SBRL_CHECK_EQ(w.rows(), rep.rows());
   SBRL_CHECK_EQ(w.cols(), 1);
@@ -45,25 +27,16 @@ Var WeightedIpmLoss(Var rep, Var w, const std::vector<int>& t, IpmKind kind,
   Var rep_c = ops::GatherRows(rep, control);
   Var w_t = ops::GatherRows(w, treated);
   Var w_c = ops::GatherRows(w, control);
-  return WeightedIpmLossSplit(rep_t, w_t, rep_c, w_c, kind, rbf_bandwidth);
+  return WeightedIpmLossSplit(rep_t, w_t, rep_c, w_c);
 }
 
-Var WeightedIpmLossSplit(Var rep_t, Var w_t, Var rep_c, Var w_c,
-                         IpmKind kind, double rbf_bandwidth) {
+Var WeightedIpmLossSplit(Var rep_t, Var w_t, Var rep_c, Var w_c) {
   SBRL_CHECK_EQ(rep_t.cols(), rep_c.cols());
   SBRL_CHECK_EQ(w_t.rows(), rep_t.rows());
   SBRL_CHECK_EQ(w_c.rows(), rep_c.rows());
-  switch (kind) {
-    case IpmKind::kLinearMmd: {
-      Var diff = ops::Sub(WeightedRowMean(rep_t, w_t),
-                          WeightedRowMean(rep_c, w_c));
-      return ops::SumAll(ops::Square(diff));
-    }
-    case IpmKind::kRbfMmd:
-      return WeightedRbfMmd2Loss(rep_t, w_t, rep_c, w_c, rbf_bandwidth);
-  }
-  SBRL_CHECK(false) << "unreachable";
-  return rep_t;
+  Var diff = ops::Sub(WeightedRowMean(rep_t, w_t),
+                      WeightedRowMean(rep_c, w_c));
+  return ops::SumAll(ops::Square(diff));
 }
 
 }  // namespace sbrl

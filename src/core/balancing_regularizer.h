@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "autodiff/ops.h"
-#include "core/config.h"
 
 namespace sbrl {
 
@@ -20,16 +19,14 @@ namespace sbrl {
 ///    the paper's Balancing Regularizer learning weights that balance
 ///    the arms (model-free, no gradient into the network).
 ///
-/// kLinearMmd: squared distance between weighted arm means.
-/// kRbfMmd: weighted biased MMD^2 with an RBF kernel of `rbf_bandwidth`.
-Var WeightedIpmLoss(Var rep, Var w, const std::vector<int>& t, IpmKind kind,
-                    double rbf_bandwidth);
+/// The metric is linear MMD: the squared distance between the weighted
+/// arm means.
+Var WeightedIpmLoss(Var rep, Var w, const std::vector<int>& t);
 
 /// Same metric with the arms and their weights already separated —
 /// used by DeR-CFR's confounder balancing, where each arm carries its
 /// own learned weighting network omega(C).
-Var WeightedIpmLossSplit(Var rep_t, Var w_t, Var rep_c, Var w_c,
-                         IpmKind kind, double rbf_bandwidth);
+Var WeightedIpmLossSplit(Var rep_t, Var w_t, Var rep_c, Var w_c);
 
 }  // namespace sbrl
 

@@ -38,9 +38,6 @@ Status EstimatorConfig::Validate() const {
   if (cfr.alpha_ipm < 0.0) {
     return Status::InvalidArgument("cfr.alpha_ipm must be >= 0");
   }
-  if (cfr.ipm == IpmKind::kRbfMmd && cfr.rbf_bandwidth <= 0.0) {
-    return Status::InvalidArgument("cfr.rbf_bandwidth must be > 0");
-  }
   if (sbrl.rff_features < 1) {
     return Status::InvalidArgument("sbrl.rff_features must be >= 1");
   }

@@ -25,34 +25,6 @@ enum class FrameworkKind {
   kSbrlHap,  ///< + Hierarchical-Attention Paradigm (all layers)
 };
 
-/// Integral probability metric used for representation balancing.
-enum class IpmKind { kLinearMmd, kRbfMmd };
-
-/// How SbrlTrainer responds when its health monitor detects a
-/// divergence (a non-finite loss term, a non-finite gradient digest,
-/// or a loss explosion past SbrlConfig::recovery_explosion_factor).
-///
-/// kRollback (default) restores the last healthy in-memory snapshot —
-/// parameters, optimizer moments, sample weights, BatchNorm running
-/// statistics, the rng stream, and the early-stopping state — shrinks
-/// the learning rate by SbrlConfig::recovery_lr_backoff, and replays
-/// from the restored iteration, up to
-/// SbrlConfig::recovery_max_retries rollbacks; an exhausted budget
-/// fails the run with a typed kInternal Status carrying the
-/// divergence diagnostics. kOff fails immediately on first detection.
-/// Either way Train() never returns NaN results as if they were fine:
-/// TrainDiagnostics::first_bad_iteration records the detection point.
-///
-/// The SBRL_RECOVERY environment variable ("off" / "rollback"), when
-/// set, overrides this field — the same env > config resolution the
-/// ISA knob uses. With no faults and no divergence the policy is
-/// observation-only: training under kRollback is bitwise identical to
-/// kOff (locked by tests/golden_trace_test.cc).
-enum class RecoveryMode {
-  kOff,       ///< fail fast: first detection returns kInternal
-  kRollback,  ///< roll back + LR backoff + retry (default)
-};
-
 /// Human-readable backbone name ("TARNet" / "CFR" / "DeR-CFR").
 const char* BackboneName(BackboneKind kind);
 /// Human-readable framework suffix ("vanilla" / "+SBRL" / "+SBRL-HAP").
@@ -83,12 +55,8 @@ struct NetworkConfig {
 
 /// CFR-specific knobs.
 struct CfrConfig {
-  /// Weight of the IPM balancing term (paper's alpha).
+  /// Weight of the linear-MMD balancing term (paper's alpha).
   double alpha_ipm = 1.0;
-  /// IPM family of the balancing term.
-  IpmKind ipm = IpmKind::kLinearMmd;
-  /// Kernel bandwidth when `ipm` is kRbfMmd.
-  double rbf_bandwidth = 1.0;
 };
 
 /// DeR-CFR-specific loss weights, mirroring the roles of the paper's
@@ -105,10 +73,6 @@ struct DerCfrConfig {
   double adjustment_balance = 1.0;
   /// Treatment-prediction loss weight for the t-head on [I, C].
   double treatment_loss = 0.5;
-  /// IPM family of the balance terms.
-  IpmKind ipm = IpmKind::kLinearMmd;
-  /// Kernel bandwidth when `ipm` is kRbfMmd.
-  double rbf_bandwidth = 1.0;
 };
 
 /// SBRL / SBRL-HAP framework knobs (paper Eq. 11).
@@ -140,15 +104,23 @@ struct SbrlConfig {
   /// process-wide at Train() entry and records the resolved level in
   /// TrainDiagnostics::isa.
   IsaChoice isa = IsaChoice::kAuto;
-  /// Divergence response of the training health monitor (see
-  /// RecoveryMode); overridable via the SBRL_RECOVERY env variable.
-  RecoveryMode recovery_mode = RecoveryMode::kRollback;
   /// Multiplicative learning-rate shrink applied on every divergence
   /// rollback (in (0, 1]); compounds across rollbacks and applies to
   /// both the network and the sample-weight learning rates.
   double recovery_lr_backoff = 0.5;
-  /// Divergence rollbacks tolerated before Train() gives up with a
-  /// kInternal Status (>= 0; 0 makes kRollback behave like kOff).
+  /// Divergence response of the training health monitor (a non-finite
+  /// loss term or gradient digest, or a loss explosion past
+  /// recovery_explosion_factor). A positive budget restores the last
+  /// healthy in-memory snapshot — parameters, optimizer moments, sample
+  /// weights, BatchNorm running statistics, the rng stream, and the
+  /// early-stopping state — shrinks the learning rates by
+  /// recovery_lr_backoff, and replays, up to this many rollbacks; an
+  /// exhausted budget fails the run with a typed kInternal Status
+  /// carrying the divergence diagnostics. 0 turns recovery off: no
+  /// snapshots are captured and the first detection fails the run.
+  /// TrainDiagnostics::first_bad_iteration records the detection point
+  /// either way. Without a divergence training is bitwise identical at
+  /// any budget (locked by tests/golden_trace_test.cc). Must be >= 0.
   int64_t recovery_max_retries = 3;
   /// Loss-explosion threshold: the run is declared divergent when
   /// |train loss| exceeds this factor times (|first finite train

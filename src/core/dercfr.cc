@@ -91,9 +91,7 @@ BackboneForward DerCfrBackbone::Forward(ParamBinder& binder, const Matrix& x,
 
     // (1) mu: adjustment balance — A must not separate the arms.
     if (config_.adjustment_balance > 0.0) {
-      aux = ops::Add(aux, ops::Scale(WeightedIpmLoss(rep_a, w, t,
-                                                     config_.ipm,
-                                                     config_.rbf_bandwidth),
+      aux = ops::Add(aux, ops::Scale(WeightedIpmLoss(rep_a, w, t),
                                      config_.adjustment_balance));
     }
 
@@ -126,8 +124,7 @@ BackboneForward DerCfrBackbone::Forward(ParamBinder& binder, const Matrix& x,
       Var c_c = ops::GatherRows(rep_c, control);
       Var omega_t = ops::Softplus(weight_head_t_.Forward(binder, c_t));
       Var omega_c = ops::Softplus(weight_head_c_.Forward(binder, c_c));
-      Var balance = WeightedIpmLossSplit(c_t, omega_t, c_c, omega_c,
-                                         config_.ipm, config_.rbf_bandwidth);
+      Var balance = WeightedIpmLossSplit(c_t, omega_t, c_c, omega_c);
       Var anchor = ops::Add(
           ops::MeanAll(ops::Square(ops::AddConst(omega_t, -1.0))),
           ops::MeanAll(ops::Square(ops::AddConst(omega_c, -1.0))));

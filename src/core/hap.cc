@@ -7,8 +7,7 @@ namespace sbrl {
 
 Var BuildWeightLoss(Var w, const WeightLossInputs& inputs,
                     const SbrlConfig& config, FrameworkKind framework,
-                    double alpha_br, IpmKind ipm, double rbf_bandwidth,
-                    Rng& rng) {
+                    double alpha_br, Rng& rng) {
   SBRL_CHECK(framework != FrameworkKind::kVanilla)
       << "vanilla models learn no sample weights";
   Tape* tape = w.tape();
@@ -31,9 +30,8 @@ Var BuildWeightLoss(Var w, const WeightLossInputs& inputs,
   // Balancing Regularizer on the (detached) representation.
   if (alpha_br > 0.0) {
     Var rep_const = tape->Constant(inputs.z_r);
-    loss = ops::Add(loss, ops::Scale(WeightedIpmLoss(rep_const, w, inputs.t,
-                                                     ipm, rbf_bandwidth),
-                                     alpha_br));
+    loss = ops::Add(
+        loss, ops::Scale(WeightedIpmLoss(rep_const, w, inputs.t), alpha_br));
   }
 
   // Independence Regularizer: first priority, the last hidden layer.

@@ -28,7 +28,7 @@ struct WeightLossInputs {
 /// classic last-layer-only stable learning.
 ///
 /// `alpha_br` is the *effective* balancing weight (already zeroed for
-/// TARNet backbones); `ipm` / `rbf_bandwidth` choose the L_B metric.
+/// TARNet backbones).
 ///
 /// One RFF draw epoch is derived from `rng` per call (i.e. per weight
 /// step). Its slot draws live in one RffSlotDraws for the duration of
@@ -36,8 +36,7 @@ struct WeightLossInputs {
 /// projection is drawn once per step however many tiers use it.
 Var BuildWeightLoss(Var w, const WeightLossInputs& inputs,
                     const SbrlConfig& config, FrameworkKind framework,
-                    double alpha_br, IpmKind ipm, double rbf_bandwidth,
-                    Rng& rng);
+                    double alpha_br, Rng& rng);
 
 }  // namespace sbrl
 

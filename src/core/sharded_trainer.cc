@@ -6,18 +6,14 @@
 #include "autodiff/ops.h"
 #include "common/logging.h"
 #include "common/timer.h"
+#include "core/trainer.h"
 #include "nn/lr_schedule.h"
 #include "nn/optimizer.h"
+#include "tensor/linalg.h"
 
 namespace sbrl {
 
 namespace {
-
-double StableSigmoid(double z) {
-  if (z >= 0.0) return 1.0 / (1.0 + std::exp(-z));
-  const double e = std::exp(z);
-  return e / (1.0 + e);
-}
 
 // Per-row ITE from the raw head outputs: sigmoid-probability
 // difference for binary outcomes, raw difference otherwise.
@@ -32,17 +28,6 @@ Matrix IteOf(const InferenceNet& net, const Matrix& x, MatrixPool* pool) {
                     : y1 - y0;
   }
   return ite;
-}
-
-// Factual per-row losses, mirroring SbrlTrainer's FactualLosses.
-Var ShardFactualLosses(Var y0, Var y1, const std::vector<int>& t,
-                       const Matrix& y, bool binary) {
-  Var pred = ops::SelectRowsByTreatment(y1, y0, t);
-  if (binary) {
-    return ops::SigmoidCrossEntropyWithLogits(pred, y);
-  }
-  Var target = pred.tape()->Constant(y);
-  return ops::Square(ops::Sub(pred, target));
 }
 
 }  // namespace
@@ -88,8 +73,8 @@ ShardedTrainer::ShardStats ShardedTrainer::ComputeShard(
   Var w = tape.Constant(Matrix::Ones(block.n(), 1));
   BackboneForward fwd =
       backbone_->Forward(binder, block.x, block.t, w, /*training=*/true);
-  Var losses = ShardFactualLosses(fwd.y0, fwd.y1, block.t, block.y,
-                                  config_.binary_outcome);
+  Var losses = FactualLosses(fwd.y0, fwd.y1, block.t, block.y,
+                             config_.binary_outcome);
   // SumAll, not MeanAll: the shard exports extensive quantities so the
   // reduction is a plain fixed-order addition.
   Var loss_sum = ops::SumAll(losses);

@@ -23,8 +23,6 @@ TarnetBackbone::TarnetBackbone(const EstimatorConfig& config,
     : input_dim_(input_dim),
       network_(config.network),
       alpha_ipm_(alpha_ipm),
-      ipm_kind_(config.cfr.ipm),
-      rbf_bandwidth_(config.cfr.rbf_bandwidth),
       rep_net_("rep", RepConfig(input_dim, config.network), rng),
       heads_("heads", config.network.rep_width, config.network, rng) {}
 
@@ -54,8 +52,7 @@ BackboneForward TarnetBackbone::Forward(ParamBinder& binder, const Matrix& x,
   for (const Var& h : heads.hidden) out.z_other.push_back(h);
 
   if (training && alpha_ipm_ > 0.0) {
-    out.aux_loss = ops::Scale(
-        WeightedIpmLoss(rep, w, t, ipm_kind_, rbf_bandwidth_), alpha_ipm_);
+    out.aux_loss = ops::Scale(WeightedIpmLoss(rep, w, t), alpha_ipm_);
   } else {
     out.aux_loss = tape->Constant(Matrix::Zeros(1, 1));
   }

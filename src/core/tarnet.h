@@ -39,8 +39,6 @@ class TarnetBackbone : public Backbone {
   int64_t input_dim_;
   NetworkConfig network_;
   double alpha_ipm_;
-  IpmKind ipm_kind_;
-  double rbf_bandwidth_;
   Mlp rep_net_;
   OutcomeHeads heads_;
 };

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -20,10 +19,6 @@
 
 namespace sbrl {
 
-namespace {
-
-/// Per-sample factual loss column (n x 1): sigmoid cross-entropy for
-/// binary outcomes, squared error for continuous ones.
 Var FactualLosses(Var y0, Var y1, const std::vector<int>& t,
                   const Matrix& y, bool binary) {
   Var pred = ops::SelectRowsByTreatment(y1, y0, t);
@@ -33,23 +28,6 @@ Var FactualLosses(Var y0, Var y1, const std::vector<int>& t,
   Var target = pred.tape()->Constant(y);
   return ops::Square(ops::Sub(pred, target));
 }
-
-/// Resolves the divergence-recovery mode: the SBRL_RECOVERY environment
-/// variable ("off" / "rollback") wins over the config, mirroring the
-/// SBRL_ISA precedence; an unrecognized value is ignored with a
-/// warning rather than silently changing behavior.
-RecoveryMode ResolveRecoveryMode(RecoveryMode config_mode) {
-  const char* env = std::getenv("SBRL_RECOVERY");
-  if (env == nullptr || *env == '\0') return config_mode;
-  const std::string value(env);
-  if (value == "off") return RecoveryMode::kOff;
-  if (value == "rollback") return RecoveryMode::kRollback;
-  SBRL_LOG(Warning) << "ignoring unrecognized SBRL_RECOVERY=\"" << value
-                    << "\" (want \"off\" or \"rollback\")";
-  return config_mode;
-}
-
-}  // namespace
 
 SbrlTrainer::SbrlTrainer(const EstimatorConfig& config, Backbone* backbone,
                          bool binary_outcome, MatrixPool* tape_pool)
@@ -62,13 +40,6 @@ SbrlTrainer::SbrlTrainer(const EstimatorConfig& config, Backbone* backbone,
   // variants drop L_B (alpha = 0).
   effective_alpha_br_ =
       config.backbone == BackboneKind::kTarnet ? 0.0 : config.sbrl.alpha_br;
-  if (config.backbone == BackboneKind::kDerCfr) {
-    br_ipm_ = config.dercfr.ipm;
-    br_rbf_bandwidth_ = config.dercfr.rbf_bandwidth;
-  } else {
-    br_ipm_ = config.cfr.ipm;
-    br_rbf_bandwidth_ = config.cfr.rbf_bandwidth;
-  }
 }
 
 double SbrlTrainer::EvalFactualLoss(const CausalDataset& data) {
@@ -99,9 +70,7 @@ Status SbrlTrainer::Train(const CausalDataset& train,
   const int64_t n = train.n();
   const bool learn_weights =
       config_.framework != FrameworkKind::kVanilla;
-  const RecoveryMode recovery =
-      ResolveRecoveryMode(config_.sbrl.recovery_mode);
-  const bool recovery_on = recovery == RecoveryMode::kRollback;
+  const bool recovery_on = config_.sbrl.recovery_max_retries > 0;
 
   SampleWeights weights(n, config_.sbrl.weight_floor);
 
@@ -344,7 +313,7 @@ Status SbrlTrainer::Train(const CausalDataset& train,
       Var w_var = w_binder.Bind(weights.param());
       Var w_loss = BuildWeightLoss(w_var, inputs, config_.sbrl,
                                    config_.framework, effective_alpha_br_,
-                                   br_ipm_, br_rbf_bandwidth_, hsic_rng);
+                                   hsic_rng);
       weight_loss_value = w_loss.value().scalar();
       w_tape.Backward(w_loss);
       w_binder.FlushGrads();

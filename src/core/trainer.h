@@ -79,6 +79,12 @@ struct TrainDiagnostics {
   int64_t checkpoint_failures = 0;
 };
 
+/// Per-sample factual loss column (n x 1) of the heads' factual arm:
+/// sigmoid cross-entropy for binary outcomes, squared error for
+/// continuous ones. Shared by SbrlTrainer and the sharded trainer.
+Var FactualLosses(Var y0, Var y1, const std::vector<int>& t,
+                  const Matrix& y, bool binary);
+
 /// Runs the paper's Algorithm 1: alternating full-batch optimization of
 /// the network parameters under the weighted factual loss L^w_Y
 /// (Eq. 13) and of the sample weights under L_w (Eq. 11), with
@@ -107,8 +113,6 @@ class SbrlTrainer {
   Backbone* backbone_;
   bool binary_outcome_;
   double effective_alpha_br_;
-  IpmKind br_ipm_;
-  double br_rbf_bandwidth_;
   /// Standalone fallback behind `tape_pool_`, used only when no pool
   /// was supplied at construction.
   MatrixPool owned_tape_pool_;

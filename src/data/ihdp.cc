@@ -4,17 +4,12 @@
 
 #include "data/sampling.h"
 #include "data/split.h"
+#include "tensor/linalg.h"
 #include "tensor/random.h"
 
 namespace sbrl {
 
 namespace {
-
-double Sigmoid(double z) {
-  if (z >= 0.0) return 1.0 / (1.0 + std::exp(-z));
-  const double e = std::exp(z);
-  return e / (1.0 + e);
-}
 
 /// Draws one beta coefficient from Hill's categorical prior.
 double DrawBeta(Rng& rng) {
@@ -64,7 +59,9 @@ RealWorldSplits MakeIhdpReplication(const IhdpConfig& config, uint64_t seed) {
   for (int iter = 0; iter < 60; ++iter) {
     const double mid = 0.5 * (lo + hi);
     double expected = 0.0;
-    for (int64_t i = 0; i < n; ++i) expected += Sigmoid(score(i, 0) + mid);
+    for (int64_t i = 0; i < n; ++i) {
+      expected += StableSigmoid(score(i, 0) + mid);
+    }
     expected /= static_cast<double>(n);
     if (expected > config.target_treated_fraction) {
       hi = mid;
@@ -99,7 +96,8 @@ RealWorldSplits MakeIhdpReplication(const IhdpConfig& config, uint64_t seed) {
   all.binary_outcome = false;
   for (int64_t i = 0; i < n; ++i) {
     all.mu1(i, 0) = mu1_raw(i, 0) - omega;
-    const int ti = rng.Bernoulli(Sigmoid(score(i, 0) + intercept)) ? 1 : 0;
+    const int ti =
+        rng.Bernoulli(StableSigmoid(score(i, 0) + intercept)) ? 1 : 0;
     all.t[static_cast<size_t>(i)] = ti;
     const double mu = ti == 1 ? all.mu1(i, 0) : all.mu0(i, 0);
     all.y(i, 0) = mu + rng.Normal();

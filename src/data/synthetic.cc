@@ -4,16 +4,9 @@
 #include <vector>
 
 #include "data/sampling.h"
+#include "tensor/linalg.h"
 
 namespace sbrl {
-
-namespace {
-double Sigmoid(double z) {
-  if (z >= 0.0) return 1.0 / (1.0 + std::exp(-z));
-  const double e = std::exp(z);
-  return e / (1.0 + e);
-}
-}  // namespace
 
 SyntheticModel::SyntheticModel(const SyntheticDims& dims, uint64_t seed,
                                int64_t calibration_pool)
@@ -113,7 +106,7 @@ CausalDataset SyntheticModel::SampleSeeded(int64_t n, bool biased, double rho,
     }
     zt = zt / 10.0 + StdNormal(engine);
     // std::bernoulli_distribution(p): one canonical draw, `< p`.
-    const int t = Canonical53(engine) < Sigmoid(zt) ? 1 : 0;
+    const int t = Canonical53(engine) < StableSigmoid(zt) ? 1 : 0;
     // Potential outcomes from confounders + adjusters.
     double z0 = 0.0, z1 = 0.0;
     for (int64_t j = 0; j < m_ca; ++j) {

@@ -1,22 +1,11 @@
 #include "data/twins.h"
 
-#include <cmath>
-
 #include "data/sampling.h"
 #include "data/split.h"
+#include "tensor/linalg.h"
 #include "tensor/random.h"
 
 namespace sbrl {
-
-namespace {
-
-double Sigmoid(double z) {
-  if (z >= 0.0) return 1.0 / (1.0 + std::exp(-z));
-  const double e = std::exp(z);
-  return e / (1.0 + e);
-}
-
-}  // namespace
 
 RealWorldSplits MakeTwinsReplication(const TwinsConfig& config,
                                      uint64_t seed) {
@@ -59,8 +48,8 @@ RealWorldSplits MakeTwinsReplication(const TwinsConfig& config,
       double latent = 0.0;
       for (int64_t k = 0; k < n_factors; ++k) latent += f(0, k) * loadings(k, j);
       if (j < n_bin) {
-        all.x(i, j) =
-            rng.Bernoulli(Sigmoid(latent + bin_intercept(0, j))) ? 1.0 : 0.0;
+        const double p = StableSigmoid(latent + bin_intercept(0, j));
+        all.x(i, j) = rng.Bernoulli(p) ? 1.0 : 0.0;
       } else {
         all.x(i, j) = latent + rng.Normal(0.0, 0.6);
       }
@@ -75,8 +64,8 @@ RealWorldSplits MakeTwinsReplication(const TwinsConfig& config,
       score += beta(j, 0) * all.x(i, j);
       het += beta_het(j, 0) * all.x(i, j);
     }
-    const double p0 = Sigmoid(intercept0 + score);
-    const double p1 = Sigmoid(intercept1 + score + 0.3 * het);
+    const double p0 = StableSigmoid(intercept0 + score);
+    const double p1 = StableSigmoid(intercept1 + score + 0.3 * het);
     all.mu0(i, 0) = rng.Bernoulli(p0) ? 1.0 : 0.0;
     all.mu1(i, 0) = rng.Bernoulli(p1) ? 1.0 : 0.0;
 
@@ -85,7 +74,7 @@ RealWorldSplits MakeTwinsReplication(const TwinsConfig& config,
     for (int64_t j = 0; j < d_real + config.instruments; ++j) {
       zt += w_t(j, 0) * all.x(i, j);
     }
-    const int ti = rng.Bernoulli(Sigmoid(zt)) ? 1 : 0;
+    const int ti = rng.Bernoulli(StableSigmoid(zt)) ? 1 : 0;
     all.t[static_cast<size_t>(i)] = ti;
     all.y(i, 0) = ti == 1 ? all.mu1(i, 0) : all.mu0(i, 0);
   }

@@ -3,8 +3,8 @@
 namespace sbrl {
 
 Dense::Dense(const std::string& name, int64_t in_dim, int64_t out_dim,
-             Rng& rng, InitKind kind)
-    : weight_(name + ".W", InitWeights(rng, in_dim, out_dim, kind)),
+             Rng& rng)
+    : weight_(name + ".W", InitWeights(rng, in_dim, out_dim)),
       bias_(name + ".b", Matrix::Zeros(1, out_dim)) {}
 
 Var Dense::Forward(ParamBinder& binder, Var x) const {

@@ -16,9 +16,8 @@ class Dense {
  public:
   Dense() = default;
 
-  /// Initializes W under `kind` and b to zeros.
-  Dense(const std::string& name, int64_t in_dim, int64_t out_dim, Rng& rng,
-        InitKind kind = InitKind::kGlorotNormal);
+  /// Initializes W Glorot-normal (see InitWeights) and b to zeros.
+  Dense(const std::string& name, int64_t in_dim, int64_t out_dim, Rng& rng);
 
   /// Records x W + b on the binder's tape.
   Var Forward(ParamBinder& binder, Var x) const;

@@ -4,29 +4,12 @@
 
 namespace sbrl {
 
-Matrix InitWeights(Rng& rng, int64_t fan_in, int64_t fan_out, InitKind kind) {
+Matrix InitWeights(Rng& rng, int64_t fan_in, int64_t fan_out) {
   SBRL_CHECK_GT(fan_in, 0);
   SBRL_CHECK_GT(fan_out, 0);
-  switch (kind) {
-    case InitKind::kGlorotNormal: {
-      const double stddev =
-          std::sqrt(2.0 / static_cast<double>(fan_in + fan_out));
-      return rng.Randn(fan_in, fan_out, 0.0, stddev);
-    }
-    case InitKind::kGlorotUniform: {
-      const double limit =
-          std::sqrt(6.0 / static_cast<double>(fan_in + fan_out));
-      return rng.Rand(fan_in, fan_out, -limit, limit);
-    }
-    case InitKind::kHeNormal: {
-      const double stddev = std::sqrt(2.0 / static_cast<double>(fan_in));
-      return rng.Randn(fan_in, fan_out, 0.0, stddev);
-    }
-    case InitKind::kZeros:
-      return Matrix::Zeros(fan_in, fan_out);
-  }
-  SBRL_CHECK(false) << "unreachable";
-  return Matrix();
+  const double stddev =
+      std::sqrt(2.0 / static_cast<double>(fan_in + fan_out));
+  return rng.Randn(fan_in, fan_out, 0.0, stddev);
 }
 
 }  // namespace sbrl

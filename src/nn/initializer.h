@@ -6,18 +6,9 @@
 
 namespace sbrl {
 
-/// Weight initialization schemes. The paper's reference implementations
-/// (CFR-family TensorFlow code) use truncated-normal / Glorot-style
-/// initializations; we provide the standard set.
-enum class InitKind {
-  kGlorotNormal,
-  kGlorotUniform,
-  kHeNormal,
-  kZeros,
-};
-
-/// Draws an (fan_in x fan_out) weight matrix under `kind`.
-Matrix InitWeights(Rng& rng, int64_t fan_in, int64_t fan_out, InitKind kind);
+/// Draws an (fan_in x fan_out) Glorot-normal weight matrix: zero-mean
+/// normal with stddev sqrt(2 / (fan_in + fan_out)).
+Matrix InitWeights(Rng& rng, int64_t fan_in, int64_t fan_out);
 
 }  // namespace sbrl
 

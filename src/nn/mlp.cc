@@ -9,8 +9,7 @@ Mlp::Mlp(const std::string& name, const MlpConfig& config, Rng& rng)
   for (size_t i = 0; i < config.hidden.size(); ++i) {
     const int64_t out = config.hidden[i];
     SBRL_CHECK_GT(out, 0);
-    layers_.emplace_back(name + ".l" + std::to_string(i), in, out, rng,
-                         config.init);
+    layers_.emplace_back(name + ".l" + std::to_string(i), in, out, rng);
     if (config.batchnorm) {
       norms_.emplace_back(name + ".bn" + std::to_string(i), out);
     }

@@ -19,7 +19,6 @@ struct MlpConfig {
   ops::ActKind activation = ops::ActKind::kElu;
   /// Insert a BatchNorm after each affine layer (before activation).
   bool batchnorm = false;
-  InitKind init = InitKind::kGlorotNormal;
 };
 
 /// Stack of Dense (+ optional BatchNorm) + activation layers. Exposes

@@ -42,23 +42,4 @@ double AdamOptimizer::Step(double lr) {
   return digest;
 }
 
-SgdOptimizer::SgdOptimizer(std::vector<Param*> params)
-    : params_(std::move(params)) {
-  for (Param* p : params_) {
-    SBRL_CHECK(p != nullptr);
-    if (p->grad.empty()) {
-      p->grad = Matrix::Zeros(p->value.rows(), p->value.cols());
-    }
-  }
-}
-
-void SgdOptimizer::Step(double lr) {
-  for (Param* p : params_) {
-    for (int64_t i = 0; i < p->size(); ++i) {
-      p->value[i] -= lr * p->grad[i];
-      p->grad[i] = 0.0;
-    }
-  }
-}
-
 }  // namespace sbrl

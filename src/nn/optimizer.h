@@ -50,17 +50,6 @@ class AdamOptimizer {
   int64_t step_count_ = 0;
 };
 
-/// Plain SGD, used by tests as a reference optimizer.
-class SgdOptimizer {
- public:
-  explicit SgdOptimizer(std::vector<Param*> params);
-
-  void Step(double lr);
-
- private:
-  std::vector<Param*> params_;
-};
-
 }  // namespace sbrl
 
 #endif  // SBRL_NN_OPTIMIZER_H_

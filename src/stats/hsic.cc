@@ -7,50 +7,11 @@
 
 #include "common/thread_pool.h"
 #include "stats/feature_pairs.h"
-#include "stats/kernels.h"
 #include "stats/weighted.h"
 #include "tensor/kernels.h"
 #include "tensor/linalg.h"
 
 namespace sbrl {
-
-namespace {
-
-/// Centers a kernel matrix: H K H with H = I - 11^T / n.
-Matrix CenterKernel(const Matrix& k) {
-  const int64_t n = k.rows();
-  Matrix row_means = ColMean(k);   // (1 x n)
-  Matrix col_means = RowMean(k);   // (n x 1)
-  const double grand = k.Mean();
-  Matrix out(n, n);
-  for (int64_t i = 0; i < n; ++i) {
-    for (int64_t j = 0; j < n; ++j) {
-      out(i, j) = k(i, j) - row_means(0, j) - col_means(i, 0) + grand;
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
-double Hsic(const Matrix& a, const Matrix& b, double bandwidth_a,
-            double bandwidth_b) {
-  SBRL_CHECK_EQ(a.rows(), b.rows());
-  SBRL_CHECK_GT(a.rows(), 1);
-  const int64_t n = a.rows();
-  Matrix ka = CenterKernel(RbfKernel(a, a, bandwidth_a));
-  Matrix kb = RbfKernel(b, b, bandwidth_b);
-  // tr(Ka_centered * Kb) equals tr(H Ka H Kb); elementwise product trace.
-  double trace = 0.0;
-  for (int64_t i = 0; i < n; ++i) {
-    for (int64_t j = 0; j < n; ++j) trace += ka(i, j) * kb(j, i);
-  }
-  return trace / static_cast<double>(n * n);
-}
-
-double Hsic(const Matrix& a, const Matrix& b) {
-  return Hsic(a, b, MedianHeuristicBandwidth(a), MedianHeuristicBandwidth(b));
-}
 
 double HsicRff(const Matrix& a, const Matrix& b, int64_t num_features,
                Rng& rng) {

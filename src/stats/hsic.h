@@ -11,16 +11,6 @@
 
 namespace sbrl {
 
-/// Biased V-statistic estimator of the Hilbert-Schmidt Independence
-/// Criterion between two (n x 1) samples under RBF kernels:
-/// HSIC = tr(K_a H K_b H) / n^2 with centering H = I - 11^T / n.
-/// Zero iff (asymptotically) the samples are independent.
-double Hsic(const Matrix& a, const Matrix& b, double bandwidth_a,
-            double bandwidth_b);
-
-/// Same with median-heuristic bandwidths.
-double Hsic(const Matrix& a, const Matrix& b);
-
 /// HSIC with Random Fourier Features (paper Eq. 7): the squared
 /// Frobenius norm of the cross-covariance between `num_features` random
 /// cosine features of each variable. `a` and `b` are (n x 1) columns.

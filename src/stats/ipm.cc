@@ -4,7 +4,6 @@
 #include <cmath>
 #include <vector>
 
-#include "stats/kernels.h"
 #include "stats/weighted.h"
 #include "tensor/linalg.h"
 
@@ -27,31 +26,6 @@ double WeightedLinearMmd2(const Matrix& a, const Matrix& wa, const Matrix& b,
     acc += d * d;
   }
   return acc;
-}
-
-double RbfMmd2(const Matrix& a, const Matrix& b, double bandwidth) {
-  Matrix wa = Matrix::Ones(a.rows(), 1);
-  Matrix wb = Matrix::Ones(b.rows(), 1);
-  return WeightedRbfMmd2(a, wa, b, wb, bandwidth);
-}
-
-double WeightedRbfMmd2(const Matrix& a, const Matrix& wa, const Matrix& b,
-                       const Matrix& wb, double bandwidth) {
-  SBRL_CHECK_EQ(a.cols(), b.cols());
-  Matrix na = NormalizeWeights(wa);
-  Matrix nb = NormalizeWeights(wb);
-  Matrix kaa = RbfKernel(a, a, bandwidth);
-  Matrix kbb = RbfKernel(b, b, bandwidth);
-  Matrix kab = RbfKernel(a, b, bandwidth);
-  // w_a^T Kaa w_a + w_b^T Kbb w_b - 2 w_a^T Kab w_b
-  const Matrix kaa_wa = Matmul(kaa, na);
-  const Matrix kbb_wb = Matmul(kbb, nb);
-  const Matrix kab_wb = Matmul(kab, nb);
-  double term_aa = Dot(na, kaa_wa);
-  double term_bb = Dot(nb, kbb_wb);
-  double term_ab = Dot(na, kab_wb);
-  double mmd2 = term_aa + term_bb - 2.0 * term_ab;
-  return mmd2 > 0.0 ? mmd2 : 0.0;  // guard numeric round-off
 }
 
 namespace {

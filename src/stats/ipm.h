@@ -21,13 +21,6 @@ double LinearMmd2(const Matrix& a, const Matrix& b);
 double WeightedLinearMmd2(const Matrix& a, const Matrix& wa, const Matrix& b,
                           const Matrix& wb);
 
-/// Squared RBF-kernel MMD (biased V-statistic).
-double RbfMmd2(const Matrix& a, const Matrix& b, double bandwidth);
-
-/// Weighted squared RBF-kernel MMD under per-group weights.
-double WeightedRbfMmd2(const Matrix& a, const Matrix& wa, const Matrix& b,
-                       const Matrix& wb, double bandwidth);
-
 /// Sliced 1-Wasserstein distance: expectation over `num_projections`
 /// random directions of the 1-D W1 distance between projected samples.
 /// Non-differentiable; used as an evaluation-side IPM.

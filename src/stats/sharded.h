@@ -104,17 +104,6 @@ class FixedOrderTreeReducer {
   int64_t count_ = 0;
 };
 
-/// Reduces `items` in the FixedOrderTreeReducer bracketing (a pure
-/// function of items.size()). Convenience for materialized per-shard
-/// results; CHECK-fails on an empty vector.
-template <typename T>
-T TreeReduce(std::vector<T> items, typename FixedOrderTreeReducer<T>::Combine
-                                       combine) {
-  FixedOrderTreeReducer<T> reducer(std::move(combine));
-  for (T& item : items) reducer.Push(std::move(item));
-  return reducer.Finish();
-}
-
 /// Drives one streamed sharded pass: pulls shards of
 /// `options.shard_rows` rows from `reader` in waves of up to
 /// `options.workers` blocks (announcing each wave to the reader through

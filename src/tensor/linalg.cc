@@ -184,40 +184,10 @@ Matrix ColSum(const Matrix& a) {
   return out;
 }
 
-Matrix RowMean(const Matrix& a) {
-  SBRL_CHECK_GT(a.cols(), 0);
-  Matrix out = RowSum(a);
-  out *= 1.0 / static_cast<double>(a.cols());
-  return out;
-}
-
 Matrix ColMean(const Matrix& a) {
   SBRL_CHECK_GT(a.rows(), 0);
   Matrix out = ColSum(a);
   out *= 1.0 / static_cast<double>(a.rows());
-  return out;
-}
-
-Matrix Hadamard(const Matrix& a, const Matrix& b) {
-  SBRL_CHECK(a.same_shape(b))
-      << a.ShapeString() << " vs " << b.ShapeString();
-  Matrix out(a.rows(), a.cols());
-  for (int64_t i = 0; i < a.size(); ++i) out[i] = a[i] * b[i];
-  return out;
-}
-
-Matrix Map(const Matrix& a, const std::function<double(double)>& f) {
-  Matrix out(a.rows(), a.cols());
-  const double* ad = a.data();
-  double* od = out.data();
-  if (a.size() <= SerialCutoff()) {
-    for (int64_t i = 0; i < a.size(); ++i) od[i] = f(ad[i]);
-    return out;
-  }
-  ParallelFor(0, a.size(), SerialCutoff(),
-              [ad, od, &f](int64_t lo, int64_t hi) {
-                for (int64_t i = lo; i < hi; ++i) od[i] = f(ad[i]);
-              });
   return out;
 }
 
@@ -257,19 +227,6 @@ Matrix GatherRows(const Matrix& a, const std::vector<int64_t>& idx) {
   return out;
 }
 
-Matrix ScatterAddRows(const Matrix& a, const std::vector<int64_t>& idx,
-                      int64_t rows) {
-  SBRL_CHECK_EQ(static_cast<int64_t>(idx.size()), a.rows());
-  Matrix out(rows, a.cols());
-  for (size_t i = 0; i < idx.size(); ++i) {
-    SBRL_CHECK(idx[i] >= 0 && idx[i] < rows);
-    for (int64_t c = 0; c < a.cols(); ++c) {
-      out(idx[i], c) += a(static_cast<int64_t>(i), c);
-    }
-  }
-  return out;
-}
-
 Matrix ConcatCols(const Matrix& a, const Matrix& b) {
   SBRL_CHECK_EQ(a.rows(), b.rows());
   const int64_t ac = a.cols(), bc = b.cols();
@@ -280,46 +237,6 @@ Matrix ConcatCols(const Matrix& a, const Matrix& b) {
   for (int64_t r = 0; r < a.rows(); ++r) {
     std::memcpy(od + r * (ac + bc), a.data() + r * ac, a_bytes);
     std::memcpy(od + r * (ac + bc) + ac, b.data() + r * bc, b_bytes);
-  }
-  return out;
-}
-
-Matrix ConcatRows(const Matrix& a, const Matrix& b) {
-  SBRL_CHECK_EQ(a.cols(), b.cols());
-  Matrix out(a.rows() + b.rows(), a.cols());
-  std::memcpy(out.data(), a.data(),
-              static_cast<size_t>(a.size()) * sizeof(double));
-  std::memcpy(out.data() + a.size(), b.data(),
-              static_cast<size_t>(b.size()) * sizeof(double));
-  return out;
-}
-
-Matrix PairwiseSquaredDistances(const Matrix& a, const Matrix& b) {
-  SBRL_CHECK_EQ(a.cols(), b.cols());
-  Matrix cross = MatmulTransB(a, b);   // (n x m)
-  Matrix a2 = RowSum(Hadamard(a, a));  // (n x 1)
-  Matrix b2 = RowSum(Hadamard(b, b));  // (m x 1)
-  const int64_t n = a.rows(), m = b.rows();
-  Matrix out(n, m);
-  const double* cd = cross.data();
-  const double* a2d = a2.data();
-  const double* b2d = b2.data();
-  double* od = out.data();
-  const auto fill_rows = [=](int64_t r0, int64_t r1) {
-    for (int64_t i = r0; i < r1; ++i) {
-      const double ai = a2d[i];
-      const double* crow = cd + i * m;
-      double* orow = od + i * m;
-      for (int64_t j = 0; j < m; ++j) {
-        const double d = ai + b2d[j] - 2.0 * crow[j];
-        orow[j] = d > 0.0 ? d : 0.0;  // guard tiny negative round-off
-      }
-    }
-  };
-  if (n * m <= SerialCutoff()) {
-    fill_rows(0, n);
-  } else {
-    ParallelFor(0, n, GrainRows(m), fill_rows);
   }
   return out;
 }

@@ -1,7 +1,7 @@
 #ifndef SBRL_TENSOR_LINALG_H_
 #define SBRL_TENSOR_LINALG_H_
 
-#include <functional>
+#include <cmath>
 #include <vector>
 
 #include "tensor/matrix.h"
@@ -43,17 +43,8 @@ Matrix Transpose(const Matrix& a);
 Matrix RowSum(const Matrix& a);
 /// Column-wise sum: (n x d) -> (1 x d).
 Matrix ColSum(const Matrix& a);
-/// Row-wise mean: (n x d) -> (n x 1).
-Matrix RowMean(const Matrix& a);
 /// Column-wise mean: (n x d) -> (1 x d).
 Matrix ColMean(const Matrix& a);
-
-/// Elementwise Hadamard product (shapes must match).
-Matrix Hadamard(const Matrix& a, const Matrix& b);
-
-/// Applies `f` to each element, returning a new matrix. Large inputs
-/// are mapped in parallel; `f` must be pure (no shared mutable state).
-Matrix Map(const Matrix& a, const std::function<double(double)>& f);
 
 /// Broadcast add of a (1 x d) row vector to every row of (n x d).
 Matrix AddRowBroadcast(const Matrix& a, const Matrix& row);
@@ -63,26 +54,23 @@ Matrix MulColBroadcast(const Matrix& a, const Matrix& col);
 /// Gathers rows by index: out.row(i) = a.row(idx[i]).
 Matrix GatherRows(const Matrix& a, const std::vector<int64_t>& idx);
 
-/// Scatter-add of rows: out.row(idx[i]) += a.row(i), with `rows` output
-/// rows. The adjoint of GatherRows.
-Matrix ScatterAddRows(const Matrix& a, const std::vector<int64_t>& idx,
-                      int64_t rows);
-
 /// Horizontal concatenation [a | b] (row counts must match).
 Matrix ConcatCols(const Matrix& a, const Matrix& b);
-
-/// Vertical concatenation [a ; b] (column counts must match).
-Matrix ConcatRows(const Matrix& a, const Matrix& b);
-
-/// Pairwise squared Euclidean distances between rows of a (n x d) and
-/// rows of b (m x d): (n x m). Parallel over output rows.
-Matrix PairwiseSquaredDistances(const Matrix& a, const Matrix& b);
 
 /// Dot product of two equal-shaped matrices viewed as flat vectors.
 double Dot(const Matrix& a, const Matrix& b);
 
 /// Standard deviation over all elements (population, i.e. divides by N).
 double StdDev(const Matrix& a);
+
+/// Logistic sigmoid 1 / (1 + e^-z), evaluated on the side that never
+/// overflows exp. Shared by the autodiff sigmoid and cross-entropy, the
+/// sharded trainer's ITE and the data generators' propensities.
+inline double StableSigmoid(double z) {
+  if (z >= 0.0) return 1.0 / (1.0 + std::exp(-z));
+  const double e = std::exp(z);
+  return e / (1.0 + e);
+}
 
 }  // namespace sbrl
 

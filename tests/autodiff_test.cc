@@ -217,8 +217,6 @@ TEST(GradCheckTest, UnaryActivations) {
     double lo, hi;
   };
   const std::vector<Case> cases = {
-      {"exp", [](Var v) { return ops::Exp(v); }, -1.0, 1.0},
-      {"log", [](Var v) { return ops::Log(v); }, 0.5, 2.0},
       {"sqrt", [](Var v) { return ops::Sqrt(v); }, 0.5, 2.0},
       {"square", [](Var v) { return ops::Square(v); }, -2.0, 2.0},
       {"recip", [](Var v) { return ops::Reciprocal(v); }, 0.5, 2.0},
@@ -348,23 +346,6 @@ TEST(GradCheckTest, SigmoidCrossEntropy) {
         return ops::SumAll(ops::SigmoidCrossEntropyWithLogits(v, labels));
       },
       x, 1e-5);
-}
-
-TEST(GradCheckTest, PairwiseSqDistBothArguments) {
-  Rng rng(39);
-  Matrix x = rng.Randn(3, 2);
-  CheckGradient(
-      [](Tape& t, Var v) {
-        Var b = t.Leaf(Rng(89).Randn(4, 2));
-        return ops::SumAll(ops::Square(ops::PairwiseSqDist(v, b)));
-      },
-      x, 1e-4);
-  CheckGradient(
-      [](Tape& t, Var v) {
-        Var a = t.Leaf(Rng(88).Randn(4, 2));
-        return ops::SumAll(ops::Square(ops::PairwiseSqDist(a, v)));
-      },
-      x, 1e-4);
 }
 
 TEST(GradCheckTest, NormalizeRows) {

@@ -78,7 +78,7 @@ TEST(BalancingRegularizerTest, ZeroWhenArmsIdentical) {
   Var rep = tape.Constant(rep_vals);
   Var w = tape.Constant(Matrix::Ones(4, 1));
   // Arms {0, 2} and {1, 3} have identical distributions.
-  Var loss = WeightedIpmLoss(rep, w, {1, 0, 1, 0}, IpmKind::kLinearMmd, 1.0);
+  Var loss = WeightedIpmLoss(rep, w, {1, 0, 1, 0});
   EXPECT_NEAR(loss.value().scalar(), 0.0, 1e-12);
 }
 
@@ -87,7 +87,7 @@ TEST(BalancingRegularizerTest, DetectsArmMeanGap) {
   Matrix rep_vals = Matrix::FromRows({{0.0}, {0.0}, {2.0}, {2.0}});
   Var rep = tape.Constant(rep_vals);
   Var w = tape.Constant(Matrix::Ones(4, 1));
-  Var loss = WeightedIpmLoss(rep, w, {0, 0, 1, 1}, IpmKind::kLinearMmd, 1.0);
+  Var loss = WeightedIpmLoss(rep, w, {0, 0, 1, 1});
   EXPECT_NEAR(loss.value().scalar(), 4.0, 1e-12);
 }
 
@@ -98,12 +98,10 @@ TEST(BalancingRegularizerTest, WeightsCanCloseTheGap) {
   Matrix rep_vals = Matrix::FromRows({{0.0}, {4.0}, {2.0}});
   Var rep = tape.Constant(rep_vals);
   Var w_bad = tape.Constant(Matrix::ColumnVector({3.0, 1.0, 1.0}));
-  Var loss_bad =
-      WeightedIpmLoss(rep, w_bad, {0, 0, 1}, IpmKind::kLinearMmd, 1.0);
+  Var loss_bad = WeightedIpmLoss(rep, w_bad, {0, 0, 1});
   EXPECT_GT(loss_bad.value().scalar(), 0.5);
   Var w_good = tape.Constant(Matrix::ColumnVector({1.0, 1.0, 1.0}));
-  Var loss_good =
-      WeightedIpmLoss(rep, w_good, {0, 0, 1}, IpmKind::kLinearMmd, 1.0);
+  Var loss_good = WeightedIpmLoss(rep, w_good, {0, 0, 1});
   EXPECT_NEAR(loss_good.value().scalar(), 0.0, 1e-12);
 }
 
@@ -112,33 +110,17 @@ TEST(BalancingRegularizerTest, GradientFlowsToWeights) {
   Var rep = tape.Constant(Rng(1).Randn(10, 3));
   Var w = tape.Leaf(Matrix::Ones(10, 1));
   std::vector<int> t = {0, 1, 0, 1, 0, 1, 0, 1, 0, 1};
-  Var loss = WeightedIpmLoss(rep, w, t, IpmKind::kLinearMmd, 1.0);
+  Var loss = WeightedIpmLoss(rep, w, t);
   tape.Backward(loss);
   EXPECT_TRUE(tape.has_grad(w.id()));
   EXPECT_GT(w.grad().Norm(), 0.0);
-}
-
-TEST(BalancingRegularizerTest, RbfVariantPositiveForShiftedArms) {
-  Tape tape;
-  Rng rng(2);
-  Matrix rep_vals(40, 2);
-  std::vector<int> t(40);
-  for (int i = 0; i < 40; ++i) {
-    t[static_cast<size_t>(i)] = i < 20 ? 0 : 1;
-    rep_vals(i, 0) = rng.Normal(i < 20 ? 0.0 : 2.0, 0.5);
-    rep_vals(i, 1) = rng.Normal();
-  }
-  Var rep = tape.Constant(rep_vals);
-  Var w = tape.Constant(Matrix::Ones(40, 1));
-  Var loss = WeightedIpmLoss(rep, w, t, IpmKind::kRbfMmd, 1.0);
-  EXPECT_GT(loss.value().scalar(), 0.05);
 }
 
 TEST(BalancingRegularizerTest, SingleArmDies) {
   Tape tape;
   Var rep = tape.Constant(Matrix::Ones(3, 2));
   Var w = tape.Constant(Matrix::Ones(3, 1));
-  EXPECT_DEATH(WeightedIpmLoss(rep, w, {1, 1, 1}, IpmKind::kLinearMmd, 1.0),
+  EXPECT_DEATH(WeightedIpmLoss(rep, w, {1, 1, 1}),
                "both treatment arms");
 }
 
@@ -243,8 +225,7 @@ TEST(HapTest, VanillaFrameworkDies) {
   inputs.t = {0, 1, 0, 1};
   Rng rng(9);
   EXPECT_DEATH(BuildWeightLoss(w, inputs, SbrlConfig(),
-                               FrameworkKind::kVanilla, 0.0,
-                               IpmKind::kLinearMmd, 1.0, rng),
+                               FrameworkKind::kVanilla, 0.0, rng),
                "vanilla");
 }
 
@@ -261,7 +242,7 @@ TEST(HapTest, AnchorAtUniformWeightsIsZeroLossContribution) {
   SbrlConfig config;
   config.hsic_pair_budget = 0;
   Var loss = BuildWeightLoss(w, inputs, config, FrameworkKind::kSbrlHap,
-                             1.0, IpmKind::kLinearMmd, 1.0, rng);
+                             1.0, rng);
   EXPECT_NEAR(loss.value().scalar(), 0.0, 1e-10);
 }
 
@@ -291,7 +272,7 @@ TEST(HapTest, HapIncludesMoreTermsThanSbrl) {
     Var w = tape.Leaf(Matrix::Ones(n, 1));
     Rng rng(12);
     sbrl_loss = BuildWeightLoss(w, inputs, config, FrameworkKind::kSbrl,
-                                1.0, IpmKind::kLinearMmd, 1.0, rng)
+                                1.0, rng)
                     .value()
                     .scalar();
   }
@@ -300,7 +281,7 @@ TEST(HapTest, HapIncludesMoreTermsThanSbrl) {
     Var w = tape.Leaf(Matrix::Ones(n, 1));
     Rng rng(12);
     hap_loss = BuildWeightLoss(w, inputs, config, FrameworkKind::kSbrlHap,
-                               1.0, IpmKind::kLinearMmd, 1.0, rng)
+                               1.0, rng)
                    .value()
                    .scalar();
   }

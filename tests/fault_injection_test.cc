@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -180,7 +179,6 @@ class FaultDrillTest : public ::testing::Test {
 TEST_F(FaultDrillTest, NanGradientTriggersRollbackAndRunRecovers) {
   const CausalDataset data = MakeDataset(31);
   EstimatorConfig config = DrillConfig(FrameworkKind::kVanilla);
-  config.sbrl.recovery_mode = RecoveryMode::kRollback;
 
   const DrillResult clean = RunDrill(config, data);
   ASSERT_TRUE(clean.status.ok());
@@ -213,7 +211,6 @@ TEST_F(FaultDrillTest, PoisonedLossRecoversUnderSbrlHap) {
   // SBRL-HAP weight step in the loop.
   const CausalDataset data = MakeDataset(32);
   EstimatorConfig config = DrillConfig(FrameworkKind::kSbrlHap);
-  config.sbrl.recovery_mode = RecoveryMode::kRollback;
   ArmFault("trainer/poison_loss", /*hit=*/1);
   const DrillResult result = RunDrill(config, data);
   ASSERT_TRUE(result.status.ok()) << result.status.ToString();
@@ -227,7 +224,7 @@ TEST_F(FaultDrillTest, PoisonedLossRecoversUnderSbrlHap) {
 TEST_F(FaultDrillTest, RecoveryOffFailsFastWithInternal) {
   const CausalDataset data = MakeDataset(33);
   EstimatorConfig config = DrillConfig(FrameworkKind::kVanilla);
-  config.sbrl.recovery_mode = RecoveryMode::kOff;
+  config.sbrl.recovery_max_retries = 0;
   ArmFault("trainer/nan_grad", /*hit=*/2);
   const DrillResult result = RunDrill(config, data);
   ASSERT_FALSE(result.status.ok());
@@ -241,7 +238,6 @@ TEST_F(FaultDrillTest, RecoveryOffFailsFastWithInternal) {
 TEST_F(FaultDrillTest, PersistentFaultExhaustsRetryBudget) {
   const CausalDataset data = MakeDataset(34);
   EstimatorConfig config = DrillConfig(FrameworkKind::kVanilla);
-  config.sbrl.recovery_mode = RecoveryMode::kRollback;
   config.sbrl.recovery_max_retries = 2;
   // The fault keeps firing on every replay, so no amount of rollback
   // and backoff can get past it.
@@ -254,18 +250,6 @@ TEST_F(FaultDrillTest, PersistentFaultExhaustsRetryBudget) {
       << result.status.ToString();
   EXPECT_EQ(result.diag.recovery_rollbacks, 2);
   EXPECT_EQ(result.diag.first_bad_iteration, 2);
-}
-
-TEST_F(FaultDrillTest, EnvOverrideTurnsRecoveryOff) {
-  const CausalDataset data = MakeDataset(35);
-  EstimatorConfig config = DrillConfig(FrameworkKind::kVanilla);
-  config.sbrl.recovery_mode = RecoveryMode::kRollback;
-  ArmFault("trainer/nan_grad", /*hit=*/1);
-  ASSERT_EQ(setenv("SBRL_RECOVERY", "off", /*overwrite=*/1), 0);
-  const DrillResult result = RunDrill(config, data);
-  ASSERT_EQ(unsetenv("SBRL_RECOVERY"), 0);
-  ASSERT_FALSE(result.status.ok());
-  EXPECT_EQ(result.status.code(), StatusCode::kInternal);
 }
 
 TEST_F(FaultDrillTest, NanValidationLossCannotFreezeEarlyStopping) {

@@ -266,9 +266,9 @@ TEST(CheckpointResumeTest, RecoveryEnabledIsBitwiseFreeWhenHealthy) {
   // observationally free: bitwise-identical trajectories against
   // recovery off.
   EstimatorConfig off = SmallConfig(/*batchnorm=*/false);
-  off.sbrl.recovery_mode = RecoveryMode::kOff;
+  off.sbrl.recovery_max_retries = 0;
   EstimatorConfig on = SmallConfig(/*batchnorm=*/false);
-  on.sbrl.recovery_mode = RecoveryMode::kRollback;
+  ASSERT_GT(on.sbrl.recovery_max_retries, 0);
   const Trace trace_off = RunTrace(off);
   const Trace trace_on = RunTrace(on);
   ExpectTracesBitwiseEqual(trace_off, trace_on);

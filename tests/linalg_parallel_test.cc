@@ -129,23 +129,6 @@ TEST(TiledMatmulTest, TransposeMatchesElementwise) {
   }
 }
 
-TEST(TiledMatmulTest, PairwiseSquaredDistancesMatchesNaive) {
-  Rng rng(47);
-  Matrix a = rng.Randn(37, 5);
-  Matrix b = rng.Randn(21, 5);
-  Matrix got = PairwiseSquaredDistances(a, b);
-  for (int64_t i = 0; i < a.rows(); ++i) {
-    for (int64_t j = 0; j < b.rows(); ++j) {
-      double d2 = 0.0;
-      for (int64_t c = 0; c < a.cols(); ++c) {
-        const double d = a(i, c) - b(j, c);
-        d2 += d * d;
-      }
-      EXPECT_NEAR(got(i, j), d2, 1e-9);
-    }
-  }
-}
-
 TEST(MatrixPoolTest, RecyclesBuffersOfMatchingSize) {
   MatrixPool pool;
   Matrix m = pool.AcquireZero(4, 8);

@@ -185,17 +185,7 @@ TEST(LinalgTest, RowColSumsAndMeans) {
   Matrix cs = ColSum(m);
   EXPECT_EQ(cs(0, 0), 5);
   EXPECT_EQ(cs(0, 2), 9);
-  EXPECT_DOUBLE_EQ(RowMean(m)(1, 0), 5.0);
   EXPECT_DOUBLE_EQ(ColMean(m)(0, 1), 3.5);
-}
-
-TEST(LinalgTest, HadamardAndMap) {
-  Matrix a = Matrix::FromRows({{1, 2}, {3, 4}});
-  Matrix b = Matrix::FromRows({{2, 2}, {2, 2}});
-  Matrix h = Hadamard(a, b);
-  EXPECT_EQ(h(1, 1), 8);
-  Matrix sq = Map(a, [](double x) { return x * x; });
-  EXPECT_EQ(sq(1, 0), 9);
 }
 
 TEST(LinalgTest, Broadcasts) {
@@ -210,7 +200,7 @@ TEST(LinalgTest, Broadcasts) {
   EXPECT_EQ(mc(1, 0), 9);
 }
 
-TEST(LinalgTest, GatherScatterAreAdjoint) {
+TEST(LinalgTest, GatherRowsPicksIndexedRows) {
   Rng rng(4);
   Matrix a = rng.Randn(5, 3);
   std::vector<int64_t> idx = {4, 0, 0, 2};
@@ -218,13 +208,6 @@ TEST(LinalgTest, GatherScatterAreAdjoint) {
   EXPECT_EQ(g.rows(), 4);
   EXPECT_EQ(g(0, 0), a(4, 0));
   EXPECT_EQ(g(1, 2), a(0, 2));
-  // Scatter of ones counts index multiplicity.
-  Matrix ones = Matrix::Ones(4, 3);
-  Matrix s = ScatterAddRows(ones, idx, 5);
-  EXPECT_EQ(s(0, 0), 2.0);  // index 0 appears twice
-  EXPECT_EQ(s(4, 0), 1.0);
-  EXPECT_EQ(s(1, 0), 0.0);
-  EXPECT_EQ(s(3, 0), 0.0);
 }
 
 TEST(LinalgTest, Concats) {
@@ -233,21 +216,6 @@ TEST(LinalgTest, Concats) {
   Matrix cc = ConcatCols(a, b);
   EXPECT_EQ(cc.cols(), 3);
   EXPECT_EQ(cc(1, 2), 6);
-  Matrix c = Matrix::FromRows({{7, 8}});
-  Matrix cr = ConcatRows(a, c);
-  EXPECT_EQ(cr.rows(), 3);
-  EXPECT_EQ(cr(2, 1), 8);
-}
-
-TEST(LinalgTest, PairwiseSquaredDistances) {
-  Matrix a = Matrix::FromRows({{0, 0}, {1, 0}});
-  Matrix b = Matrix::FromRows({{0, 0}, {0, 2}, {3, 4}});
-  Matrix d = PairwiseSquaredDistances(a, b);
-  EXPECT_DOUBLE_EQ(d(0, 0), 0.0);
-  EXPECT_DOUBLE_EQ(d(0, 1), 4.0);
-  EXPECT_DOUBLE_EQ(d(0, 2), 25.0);
-  EXPECT_DOUBLE_EQ(d(1, 0), 1.0);
-  EXPECT_DOUBLE_EQ(d(1, 2), 20.0);
 }
 
 TEST(LinalgTest, DotAndStdDev) {

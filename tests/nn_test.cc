@@ -19,24 +19,10 @@ namespace {
 
 TEST(InitializerTest, GlorotNormalVarianceScalesWithFans) {
   Rng rng(1);
-  Matrix w = InitWeights(rng, 200, 200, InitKind::kGlorotNormal);
+  Matrix w = InitWeights(rng, 200, 200);
   const double expected = std::sqrt(2.0 / 400.0);
   EXPECT_NEAR(StdDev(w), expected, expected * 0.15);
   EXPECT_NEAR(w.Mean(), 0.0, 0.01);
-}
-
-TEST(InitializerTest, GlorotUniformWithinLimit) {
-  Rng rng(2);
-  const double limit = std::sqrt(6.0 / (50.0 + 30.0));
-  Matrix w = InitWeights(rng, 50, 30, InitKind::kGlorotUniform);
-  EXPECT_LE(w.MaxValue(), limit);
-  EXPECT_GE(w.MinValue(), -limit);
-}
-
-TEST(InitializerTest, ZerosIsAllZero) {
-  Rng rng(3);
-  Matrix w = InitWeights(rng, 4, 4, InitKind::kZeros);
-  EXPECT_EQ(w.Norm(), 0.0);
 }
 
 TEST(ParamBinderTest, FlushAccumulatesIntoParamGrad) {
@@ -259,7 +245,9 @@ TEST(BatchNormTest, TrainingOutputIsStandardized) {
   Matrix mu = ColMean(out.value());
   for (int64_t c = 0; c < 3; ++c) EXPECT_NEAR(mu(0, c), 0.0, 1e-9);
   Matrix centered = AddRowBroadcast(out.value(), mu * -1.0);
-  Matrix var = ColMean(Hadamard(centered, centered));
+  Matrix sq = centered;
+  for (int64_t i = 0; i < sq.size(); ++i) sq[i] *= sq[i];
+  Matrix var = ColMean(sq);
   for (int64_t c = 0; c < 3; ++c) EXPECT_NEAR(var(0, c), 1.0, 1e-3);
 }
 
@@ -332,14 +320,6 @@ TEST(AdamTest, StepZeroesGradients) {
   p.grad.Fill(1.0);
   opt.Step(0.01);
   EXPECT_EQ(p.grad.Norm(), 0.0);
-}
-
-TEST(SgdTest, SingleStepMatchesHandComputation) {
-  Param p("x", Matrix::FromRows({{2.0}}));
-  SgdOptimizer opt({&p});
-  p.grad(0, 0) = 4.0;
-  opt.Step(0.25);
-  EXPECT_DOUBLE_EQ(p.value.scalar(), 1.0);
 }
 
 TEST(TrainingIntegrationTest, MlpFitsXorLikeFunction) {

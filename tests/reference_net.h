@@ -44,8 +44,7 @@ class ReferenceMlp {
     int64_t in = config.input_dim;
     for (size_t i = 0; i < config.hidden.size(); ++i) {
       const int64_t out = config.hidden[i];
-      layers_.emplace_back(name + ".l" + std::to_string(i), in, out, rng,
-                           config.init);
+      layers_.emplace_back(name + ".l" + std::to_string(i), in, out, rng);
       if (config.batchnorm) {
         norms_.emplace_back(name + ".bn" + std::to_string(i), out);
       }
@@ -132,9 +131,7 @@ class ReferenceCfr : public Backbone {
       out.z_other.push_back(ops::SelectRowsByTreatment(h1[i], h0[i], t));
     }
     if (training && cfr_.alpha_ipm > 0.0) {
-      out.aux_loss = ops::Scale(
-          WeightedIpmLoss(rep, w, t, cfr_.ipm, cfr_.rbf_bandwidth),
-          cfr_.alpha_ipm);
+      out.aux_loss = ops::Scale(WeightedIpmLoss(rep, w, t), cfr_.alpha_ipm);
     } else {
       out.aux_loss = tape->Constant(Matrix::Zeros(1, 1));
     }

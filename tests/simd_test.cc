@@ -324,8 +324,7 @@ TEST(RffSlotDrawsTest, SharedDrawSetIsValueTransparent) {
     Var w = tape.Leaf(w_val);
     Rng rng(5);
     Var shared = BuildWeightLoss(w, inputs, config, FrameworkKind::kSbrlHap,
-                                 /*alpha_br=*/0.0, IpmKind::kLinearMmd, 1.0,
-                                 rng);
+                                 /*alpha_br=*/0.0, rng);
     tape.Backward(shared);
     const auto [fresh_loss, fresh_grad] =
         FreshDrawsPerTier(inputs, config, w_val, 5);

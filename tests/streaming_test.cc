@@ -72,12 +72,6 @@ TEST(TreeReducerTest, FinishResetsForReuse) {
   EXPECT_EQ(reducer.Finish(), "((xy)z)");
 }
 
-TEST(TreeReducerTest, TreeReduceMatchesReducer) {
-  EXPECT_EQ(TreeReduce<std::string>({"a", "b", "c", "d", "e"},
-                                    ConcatCombine),
-            ReduceLetters(5));
-}
-
 // ---------------------------------------------------------------------
 // Block readers.
 // ---------------------------------------------------------------------
