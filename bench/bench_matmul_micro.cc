@@ -248,8 +248,7 @@ int Main() {
           Tape tape(&pool);
           Var w = tape.Leaf(w_val);
           Rng pair_rng(5);
-          tape.Backward(HsicRffDecorrelationLoss(z, w, 5, 24, pair_rng,
-                                                 &draws));
+          tape.Backward(HsicRffDecorrelationLoss(z, w, 24, pair_rng, &draws));
           return w.grad();
         },
         layer_reps, &witness);

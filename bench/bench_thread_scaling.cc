@@ -55,8 +55,7 @@ double LdMicro(const Matrix& z, const Matrix& w_val, uint64_t seed) {
   Tape tape;
   Var w = tape.Leaf(w_val);
   Rng rng(seed);
-  Var loss = HsicRffDecorrelationLoss(z, w, /*rff_features=*/5,
-                                      /*pair_budget=*/24, rng);
+  Var loss = HsicRffDecorrelationLoss(z, w, /*pair_budget=*/24, rng);
   tape.Backward(loss);
   return loss.value().scalar();
 }

@@ -64,6 +64,31 @@ if [[ -z "${read_knobs}" || "${read_knobs}" != "${table_knobs}" ]]; then
 fi
 echo "$(echo "${read_knobs}" | wc -l) knobs, one row each"
 
+echo "=== config field names ==="
+# Every `Struct::field` that src/, docs/, README.md or examples/ name for
+# the config structs below must be a member declared in that struct, so
+# a deleted or renamed field leaves no stale mention behind.
+CONFIG_STRUCTS='SbrlConfig|NetworkConfig|TrainConfig|CfrConfig|DerCfrConfig|MlpConfig|ShardedTrainerConfig|ShardedOptions'
+stale_fields=0
+while read -r mention; do
+  [[ -n "${mention}" ]] || continue
+  struct="${mention%%::*}"
+  field="${mention##*::}"
+  body="$(grep -rlE "^struct ${struct} \{" src | head -1 |
+          xargs -r sed -n "/^struct ${struct} {/,/^};/p")"
+  if ! grep -qE "[ *&]${field}( = [^;]*)?;|[ *&]${field}\(" \
+       <<<"${body}"; then
+    grep -rnF "${mention}" src docs README.md examples >&2 || true
+    stale_fields=1
+  fi
+done <<<"$(grep -rhoE "\b(${CONFIG_STRUCTS})::[a-z_][a-z0-9_]*" \
+             src docs README.md examples | sort -u || true)"
+if [[ "${stale_fields}" -ne 0 ]]; then
+  echo "the mentions above name a field their struct does not declare" >&2
+  exit 1
+fi
+echo "every named config field is declared"
+
 echo "=== default configuration ==="
 cmake -B "${PREFIX}" -S .
 cmake --build "${PREFIX}" -j "${JOBS}"

@@ -77,47 +77,26 @@ double StableSoftplus(double x) {
 }
 
 /// Static activation policies shared by the fused layer ops and the
-/// standalone activations, so fused and reference forwards are bitwise
+/// standalone ELU, so fused and reference forwards are bitwise
 /// identical by construction: Row applies the activation in place over
 /// a contiguous run; Grad maps the upstream g to g * D(y), with the
-/// derivative D read off the POST-activation value alone. Every ActKind
-/// admits D(y) (it is the membership criterion): for elu, y > 0 iff
-/// x > 0 and y = expm1(x) on the negative branch, so dy/dx is 1 or
-/// y + 1; relu / tanh / sigmoid are standard. ELU's Row and Grad are
-/// the per-ISA kernels (LinalgKernels::elu / elu_grad), the library's
-/// one ELU forward and backward; the others map a scalar F and D. The
-/// policies are dispatched ONCE per op call (DispatchAct), so the
-/// per-element loops inline.
-template <typename Act>
-struct Pointwise {
-  static void Row(double* x, int64_t n) {
-    for (int64_t i = 0; i < n; ++i) x[i] = Act::F(x[i]);
-  }
-  static void Grad(const double* g, const double* y, double* out, int64_t n) {
-    for (int64_t i = 0; i < n; ++i) out[i] = g[i] * Act::D(y[i]);
-  }
-};
-struct IdentityAct : Pointwise<IdentityAct> {
+/// derivative D read off the POST-activation value alone (for elu,
+/// y > 0 iff x > 0 and y = expm1(x) on the negative branch, so dy/dx is
+/// 1 or y + 1). ELU's Row and Grad are the per-ISA kernels
+/// (LinalgKernels::elu / elu_grad), the library's one ELU forward and
+/// backward. The policies are dispatched ONCE per op call
+/// (DispatchAct), so the per-element loops inline.
+struct IdentityAct {
   static void Row(double*, int64_t) {}
-  static double D(double) { return 1.0; }
+  static void Grad(const double* g, const double*, double* out, int64_t n) {
+    std::copy(g, g + n, out);
+  }
 };
 struct EluAct {
   static void Row(double* x, int64_t n) { ActiveLinalgKernels().elu(x, n); }
   static void Grad(const double* g, const double* y, double* out, int64_t n) {
     ActiveLinalgKernels().elu_grad(g, y, out, n);
   }
-};
-struct ReluAct : Pointwise<ReluAct> {
-  static double F(double x) { return x > 0.0 ? x : 0.0; }
-  static double D(double y) { return y > 0.0 ? 1.0 : 0.0; }
-};
-struct TanhAct : Pointwise<TanhAct> {
-  static double F(double x) { return std::tanh(x); }
-  static double D(double y) { return 1.0 - y * y; }
-};
-struct SigmoidAct : Pointwise<SigmoidAct> {
-  static double F(double x) { return StableSigmoid(x); }
-  static double D(double y) { return y * (1.0 - y); }
 };
 
 /// d(pre-activation) of an activation node, reconstructed from the
@@ -135,36 +114,12 @@ Matrix DpreFromOutput(Tape* t, const Matrix& g, const Matrix& yv) {
   return dpre;
 }
 
-/// Standalone activation node y = act(x): Act::Row over a copy of x in
-/// elementwise chunks, backward through DpreFromOutput — the same
-/// kernels the fused layer ops run.
-template <typename Act>
-Var ActOp(Var a) {
-  Tape* t = a.tape();
-  SBRL_CHECK(a.valid());
-  Matrix out = t->NewZero(a.rows(), a.cols());
-  const double* xd = a.value().data();
-  double* od = out.data();
-  ElementwiseFor(out.size(), [xd, od](int64_t lo, int64_t hi) {
-    std::copy(xd + lo, xd + hi, od + lo);
-    Act::Row(od + lo, hi - lo);
-  });
-  const int ai = a.id(), self = t->size();
-  return t->MakeNode(std::move(out), {a}, [ai, self](Tape* t) {
-    t->AccumulateGrad(ai,
-                      DpreFromOutput<Act>(t, t->grad(self), t->value(self)));
-  });
-}
-
 /// Calls fn with the activation policy type selected by `act`.
 template <typename Fn>
 auto DispatchAct(ActKind act, Fn&& fn) {
   switch (act) {
     case ActKind::kIdentity: return fn(IdentityAct{});
     case ActKind::kElu: return fn(EluAct{});
-    case ActKind::kRelu: return fn(ReluAct{});
-    case ActKind::kTanh: return fn(TanhAct{});
-    case ActKind::kSigmoid: return fn(SigmoidAct{});
   }
   SBRL_CHECK(false) << "unreachable";
   return fn(IdentityAct{});
@@ -399,19 +354,31 @@ Var Abs(Var a) {
       [](double x, double) { return x > 0.0 ? 1.0 : (x < 0.0 ? -1.0 : 0.0); });
 }
 
-Var Sigmoid(Var a) { return ActOp<SigmoidAct>(a); }
-
-Var Tanh(Var a) { return ActOp<TanhAct>(a); }
-
 Var Softplus(Var a) {
   return UnaryOp(
       a, [](double x) { return StableSoftplus(x); },
       [](double x, double) { return StableSigmoid(x); });
 }
 
-Var Elu(Var a) { return ActOp<EluAct>(a); }
-
-Var Relu(Var a) { return ActOp<ReluAct>(a); }
+// The standalone ELU node: EluAct::Row over a copy of x in elementwise
+// chunks, backward through DpreFromOutput — the same kernels the fused
+// layer ops run.
+Var Elu(Var a) {
+  Tape* t = a.tape();
+  SBRL_CHECK(a.valid());
+  Matrix out = t->NewZero(a.rows(), a.cols());
+  const double* xd = a.value().data();
+  double* od = out.data();
+  ElementwiseFor(out.size(), [xd, od](int64_t lo, int64_t hi) {
+    std::copy(xd + lo, xd + hi, od + lo);
+    EluAct::Row(od + lo, hi - lo);
+  });
+  const int ai = a.id(), self = t->size();
+  return t->MakeNode(std::move(out), {a}, [ai, self](Tape* t) {
+    t->AccumulateGrad(
+        ai, DpreFromOutput<EluAct>(t, t->grad(self), t->value(self)));
+  });
+}
 
 Var Transpose(Var a) {
   Tape* t = a.tape();
@@ -642,11 +609,6 @@ Var ColSum(Var a) {
   });
 }
 
-Var RowMean(Var a) {
-  SBRL_CHECK_GT(a.cols(), 0);
-  return Scale(RowSum(a), 1.0 / static_cast<double>(a.cols()));
-}
-
 Var ColMean(Var a) {
   SBRL_CHECK_GT(a.rows(), 0);
   return Scale(ColSum(a), 1.0 / static_cast<double>(a.rows()));
@@ -805,9 +767,10 @@ void BiasActInPlace(int64_t n, int64_t m, double* od, const double* bd) {
 /// Frozen-statistics batch-norm + activation pass over the biased
 /// affine output at `od`, in place: h = (od - mean) * inv_std,
 /// od = act(h * gamma + beta). When `hd` is non-null the normalized
-/// activations are also stored there (the tape op keeps them for its
-/// backward); the inference value kernel passes nullptr. Shared for the
-/// same bitwise-parity reason as BiasActInPlace.
+/// activations are also stored there (the training tape op runs this
+/// pass with the batch statistics and keeps them for its backward); the
+/// inference value kernel passes nullptr. Shared for the same
+/// bitwise-parity reason as BiasActInPlace.
 template <typename Act>
 void BnInferActInPlace(int64_t n, int64_t m, double* od, double* hd,
                        const double* md, const double* sd, const double* gd,
@@ -870,9 +833,11 @@ Var AffineAct(Var x, Var w, Var b, ActKind act) {
 
 namespace {
 
-/// Tape/shape contract shared by the fused batch-norm ops; returns the
-/// common tape.
-Tape* CheckAffineBnShapes(Var x, Var w, Var b, Var gamma, Var beta) {
+/// AffineBatchNormAct body, templated on the activation policy.
+template <typename Act>
+Var AffineBatchNormActImpl(Var x, Var w, Var b, Var gamma, Var beta,
+                           double eps, Matrix* batch_mean,
+                           Matrix* batch_var) {
   Tape* t = SameTape(x, w);
   SameTape(w, b);
   SameTape(b, gamma);
@@ -882,43 +847,6 @@ Tape* CheckAffineBnShapes(Var x, Var w, Var b, Var gamma, Var beta) {
   SBRL_CHECK_EQ(b.cols(), w.cols());
   SBRL_CHECK(gamma.rows() == 1 && gamma.cols() == w.cols());
   SBRL_CHECK(beta.rows() == 1 && beta.cols() == w.cols());
-  return t;
-}
-
-/// dgamma / dbeta column sums of a fused batch-norm backward,
-/// accumulated in ascending row order (g2 = dL/d(gamma*xhat + beta)).
-void BnGammaBetaSums(const Matrix& g2, const Matrix& xhat, Matrix* dgamma,
-                     Matrix* dbeta) {
-  const int64_t n = g2.rows(), m = g2.cols();
-  *dgamma = Matrix(1, m);
-  *dbeta = Matrix(1, m);
-  for (int64_t r = 0; r < n; ++r) {
-    for (int64_t c = 0; c < m; ++c) {
-      (*dgamma)(0, c) += g2(r, c) * xhat(r, c);
-      (*dbeta)(0, c) += g2(r, c);
-    }
-  }
-}
-
-/// Shared tail of both fused batch-norm backwards: emits the
-/// gamma/beta gradients, runs the affine tail on `dpre`, and recycles
-/// the closure-held buffers. Consumes every matrix argument.
-void FinishBnBackward(Tape* t, int xi, int wi, int bi, int gi, int ti,
-                      Matrix&& dgamma, Matrix&& dbeta, Matrix&& dpre,
-                      Matrix&& xhat, Matrix&& inv_std) {
-  t->AccumulateGrad(gi, std::move(dgamma));
-  t->AccumulateGrad(ti, std::move(dbeta));
-  AffineBackwardFromDpre(t, xi, wi, bi, std::move(dpre));
-  t->Recycle(std::move(xhat));
-  t->Recycle(std::move(inv_std));
-}
-
-/// AffineBatchNormAct body, templated on the activation policy.
-template <typename Act>
-Var AffineBatchNormActImpl(Var x, Var w, Var b, Var gamma, Var beta,
-                           double eps, Matrix* batch_mean,
-                           Matrix* batch_var) {
-  Tape* t = CheckAffineBnShapes(x, w, b, gamma, beta);
   SBRL_CHECK(batch_mean != nullptr && batch_var != nullptr);
   SBRL_CHECK_GT(x.rows(), 1) << "batch norm needs more than one sample";
   const Matrix& xv = x.value();
@@ -975,8 +903,14 @@ Var AffineBatchNormActImpl(Var x, Var w, Var b, Var gamma, Var beta,
         // g2 = dL/d(gamma * xhat + beta), reconstructed from the
         // output; the buffer is reused in place for dpre below.
         Matrix tmp = DpreFromOutput<Act>(t, g, yv);
-        Matrix dgamma, dbeta;
-        BnGammaBetaSums(tmp, xhat, &dgamma, &dbeta);
+        // dgamma / dbeta column sums, ascending row order.
+        Matrix dgamma(1, m), dbeta(1, m);
+        for (int64_t r = 0; r < n; ++r) {
+          for (int64_t c = 0; c < m; ++c) {
+            dgamma(0, c) += tmp(r, c) * xhat(r, c);
+            dbeta(0, c) += tmp(r, c);
+          }
+        }
         // Closed-form batch-norm gradient: with dxhat = g2 * gamma,
         //   dpre = inv_std * (dxhat - mean(dxhat) - xhat*mean(dxhat*xhat))
         // where the column means reuse the dgamma / dbeta sums.
@@ -999,65 +933,11 @@ Var AffineBatchNormActImpl(Var x, Var w, Var b, Var gamma, Var beta,
             }
           });
         }
-        FinishBnBackward(t, xi, wi, bi, gi, ti, std::move(dgamma),
-                         std::move(dbeta), std::move(tmp), std::move(xhat),
-                         std::move(inv_std));
-      });
-}
-
-/// AffineBatchNormInferAct body, templated on the activation policy.
-template <typename Act>
-Var AffineBatchNormInferActImpl(Var x, Var w, Var b, Var gamma, Var beta,
-                                const Matrix& running_mean,
-                                const Matrix& running_var, double eps) {
-  Tape* t = CheckAffineBnShapes(x, w, b, gamma, beta);
-  SBRL_CHECK(running_mean.rows() == 1 && running_mean.cols() == w.cols());
-  SBRL_CHECK(running_var.same_shape(running_mean));
-  const Matrix& xv = x.value();
-  const Matrix& wv = w.value();
-  const int64_t n = xv.rows(), m = wv.cols();
-
-  Matrix pre = AffineForwardInto(t, xv, wv, b.value());
-  Matrix inv_std = t->NewZero(1, m);
-  for (int64_t c = 0; c < m; ++c) {
-    inv_std(0, c) = 1.0 / std::sqrt(running_var(0, c) + eps);
-  }
-  Matrix xhat = t->NewZero(n, m);
-  BnInferActInPlace<Act>(n, m, pre.data(), xhat.data(), running_mean.data(),
-                         inv_std.data(), gamma.value().data(),
-                         beta.value().data());
-  const int xi = x.id(), wi = w.id(), bi = b.id();
-  const int gi = gamma.id(), ti = beta.id();
-  const int self = t->size();
-  return t->MakeNode(
-      std::move(pre), {x, w, b, gamma, beta},
-      [xi, wi, bi, gi, ti, self, xhat = std::move(xhat),
-       inv_std = std::move(inv_std)](Tape* t) mutable {
-        const Matrix& g = t->grad(self);
-        const Matrix& yv = t->value(self);
-        const Matrix& gv = t->value(gi);
-        const int64_t n = yv.rows(), m = yv.cols();
-        // g2 = dL/d(gamma * xhat + beta), reconstructed from the
-        // output; the buffer is reused in place for dpre below.
-        Matrix tmp = DpreFromOutput<Act>(t, g, yv);
-        Matrix dgamma, dbeta;
-        BnGammaBetaSums(tmp, xhat, &dgamma, &dbeta);
-        // Frozen statistics: dpre is a plain per-column rescale.
-        {
-          double* td = tmp.data();
-          const double* sd = inv_std.data();
-          const double* gmd = gv.data();
-          RowwiseFor(n, m, [td, sd, gmd, m](int64_t r0, int64_t r1) {
-            for (int64_t r = r0; r < r1; ++r) {
-              for (int64_t c = 0; c < m; ++c) {
-                td[r * m + c] = td[r * m + c] * gmd[c] * sd[c];
-              }
-            }
-          });
-        }
-        FinishBnBackward(t, xi, wi, bi, gi, ti, std::move(dgamma),
-                         std::move(dbeta), std::move(tmp), std::move(xhat),
-                         std::move(inv_std));
+        t->AccumulateGrad(gi, std::move(dgamma));
+        t->AccumulateGrad(ti, std::move(dbeta));
+        AffineBackwardFromDpre(t, xi, wi, bi, std::move(tmp));
+        t->Recycle(std::move(xhat));
+        t->Recycle(std::move(inv_std));
       });
 }
 
@@ -1069,16 +949,6 @@ Var AffineBatchNormAct(Var x, Var w, Var b, Var gamma, Var beta, double eps,
     return AffineBatchNormActImpl<decltype(policy)>(x, w, b, gamma, beta,
                                                     eps, batch_mean,
                                                     batch_var);
-  });
-}
-
-Var AffineBatchNormInferAct(Var x, Var w, Var b, Var gamma, Var beta,
-                            const Matrix& running_mean,
-                            const Matrix& running_var, double eps,
-                            ActKind act) {
-  return DispatchAct(act, [&](auto policy) {
-    return AffineBatchNormInferActImpl<decltype(policy)>(
-        x, w, b, gamma, beta, running_mean, running_var, eps);
   });
 }
 

@@ -13,17 +13,15 @@ namespace sbrl {
 /// introduced them, not deep inside Backward.
 namespace ops {
 
-/// Activations the fused network-step ops can apply in-pass. Every
-/// member's derivative is a function of the POST-activation value alone
-/// (elu' = y > 0 ? 1 : y + 1, relu' = y > 0, tanh' = 1 - y^2,
-/// sigmoid' = y (1 - y)), which is what lets the fused ops drop the
-/// pre-activation entirely instead of keeping it alive as a tape node.
+/// Activations the fused network-step ops can apply in-pass: ELU on
+/// every hidden layer (the paper trains all networks with it) and the
+/// identity on linear output layers. ELU's derivative is a function of
+/// the POST-activation value alone (elu' = y > 0 ? 1 : y + 1), which is
+/// what lets the fused ops drop the pre-activation entirely instead of
+/// keeping it alive as a tape node.
 enum class ActKind {
   kIdentity,  ///< no nonlinearity (linear output layers)
-  kElu,       ///< alpha = 1 exponential linear unit (paper default)
-  kRelu,
-  kTanh,
-  kSigmoid,
+  kElu,       ///< alpha = 1 exponential linear unit (hidden layers)
 };
 
 // ---------------------------------------------------------------------------
@@ -61,15 +59,12 @@ Var Square(Var a);
 /// 1 / a elementwise.
 Var Reciprocal(Var a);
 Var Abs(Var a);
-Var Sigmoid(Var a);
-Var Tanh(Var a);
 /// Numerically stable log(1 + exp(a)).
 Var Softplus(Var a);
 /// Exponential linear unit with alpha = 1 (the paper's activation),
 /// through the per-ISA ELU kernel (LinalgKernels::elu) like every
 /// other ELU in the library.
 Var Elu(Var a);
-Var Relu(Var a);
 
 // ---------------------------------------------------------------------------
 // Shape manipulation.
@@ -104,8 +99,6 @@ Var MeanAll(Var a);
 Var RowSum(Var a);
 /// (n x d) -> (1 x d) column sums.
 Var ColSum(Var a);
-/// (n x d) -> (n x 1) row means.
-Var RowMean(Var a);
 /// (n x d) -> (1 x d) column means.
 Var ColMean(Var a);
 
@@ -150,26 +143,15 @@ Var AffineAct(Var x, Var w, Var b, ActKind act);
 Var AffineBatchNormAct(Var x, Var w, Var b, Var gamma, Var beta, double eps,
                        ActKind act, Matrix* batch_mean, Matrix* batch_var);
 
-/// Inference-mode companion of AffineBatchNormAct: normalizes the
-/// affine output with the FROZEN `running_mean` / `running_var`
-/// constants instead of batch statistics, still one tape node:
-/// act(gamma .* (x W + b - mean) / sqrt(var + eps) + beta). Gradients
-/// flow to x, w, b, gamma, and beta (the running statistics are not
-/// differentiated, mirroring the reference path's Constant nodes).
-Var AffineBatchNormInferAct(Var x, Var w, Var b, Var gamma, Var beta,
-                            const Matrix& running_mean,
-                            const Matrix& running_var, double eps,
-                            ActKind act);
-
 // ---------------------------------------------------------------------------
 // Tape-free value kernels of the one inference forward (InferenceNet,
 // core/inference_net.h). Each one evaluates EXACTLY the forward
-// arithmetic of the corresponding tape op — same loops, same
-// per-element formulas, same accumulation order — by sharing the fused
-// ops' forward helpers, so a prediction is bitwise identical to the
-// tape forward it replaces while allocating no tape nodes and
-// recording no backward closures. The affine kernels take their output
-// buffer from `pool` when one is given (storage reuse only).
+// arithmetic of a tape op — same loops, same per-element formulas, same
+// accumulation order — by sharing the fused ops' forward helpers, so a
+// prediction is bitwise identical to a tape forward while allocating no
+// tape nodes and recording no backward closures. The affine kernels
+// take their output buffer from `pool` when one is given (storage reuse
+// only).
 // ---------------------------------------------------------------------------
 
 /// Value-only AffineAct: act(x W + broadcast b). Bitwise identical to
@@ -177,9 +159,12 @@ Var AffineBatchNormInferAct(Var x, Var w, Var b, Var gamma, Var beta,
 Matrix AffineActValue(const Matrix& x, const Matrix& w, const Matrix& b,
                       ActKind act, MatrixPool* pool = nullptr);
 
-/// Value-only AffineBatchNormInferAct:
+/// Inference-mode batch-norm layer:
 /// act(gamma .* (x W + b - mean) / sqrt(var + eps) + beta) with frozen
-/// running statistics. Bitwise identical to the tape op's forward.
+/// running statistics. It runs AffineBatchNormAct's normalize +
+/// activation loop with the running statistics in place of the batch
+/// ones; BatchNorm::ForwardFusedAffine records it as a constant when
+/// not training.
 Matrix AffineBatchNormInferActValue(const Matrix& x, const Matrix& w,
                                     const Matrix& b, const Matrix& gamma,
                                     const Matrix& beta,

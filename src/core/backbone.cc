@@ -6,24 +6,16 @@
 
 namespace sbrl {
 
-namespace {
-
-MlpConfig HeadBodyConfig(int64_t in_dim, const NetworkConfig& config) {
-  MlpConfig body;
-  body.input_dim = in_dim;
-  body.hidden.assign(static_cast<size_t>(config.head_layers),
-                     config.head_width);
-  body.activation = config.activation;
-  body.batchnorm = config.batchnorm;
-  return body;
-}
-
-}  // namespace
-
 OutcomeHeads::OutcomeHeads(const std::string& name, int64_t in_dim,
                            const NetworkConfig& config, Rng& rng)
-    : body0_(name + ".h0", HeadBodyConfig(in_dim, config), rng),
-      body1_(name + ".h1", HeadBodyConfig(in_dim, config), rng),
+    : body0_(name + ".h0",
+             MakeMlpConfig(in_dim, config.head_layers, config.head_width,
+                           config.batchnorm),
+             rng),
+      body1_(name + ".h1",
+             MakeMlpConfig(in_dim, config.head_layers, config.head_width,
+                           config.batchnorm),
+             rng),
       out0_(name + ".h0.out", config.head_width, 1, rng),
       out1_(name + ".h1.out", config.head_width, 1, rng) {}
 

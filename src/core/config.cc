@@ -38,9 +38,6 @@ Status EstimatorConfig::Validate() const {
   if (cfr.alpha_ipm < 0.0) {
     return Status::InvalidArgument("cfr.alpha_ipm must be >= 0");
   }
-  if (sbrl.rff_features < 1) {
-    return Status::InvalidArgument("sbrl.rff_features must be >= 1");
-  }
   if (sbrl.gamma1 < 0.0 || sbrl.gamma2 < 0.0 || sbrl.gamma3 < 0.0 ||
       sbrl.alpha_br < 0.0) {
     return Status::InvalidArgument("sbrl loss weights must be >= 0");

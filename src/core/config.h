@@ -6,7 +6,6 @@
 
 #include "common/cpu.h"
 #include "common/status.h"
-#include "nn/mlp.h"
 
 namespace sbrl {
 
@@ -49,8 +48,6 @@ struct NetworkConfig {
   bool batchnorm = false;
   /// Scale representation rows to unit L2 norm (CFR's rep normalization).
   bool rep_normalization = false;
-  /// Hidden-layer nonlinearity.
-  ops::ActKind activation = ops::ActKind::kElu;
 };
 
 /// CFR-specific knobs.
@@ -88,9 +85,6 @@ struct SbrlConfig {
   double gamma2 = 1e-3;
   /// gamma3: decorrelation of every other hidden layer Z_o (HAP only).
   double gamma3 = 1e-3;
-  /// n_A = n_B: random Fourier features per scalar variable (paper
-  /// default 5).
-  int64_t rff_features = 5;
   /// Random feature-pair subsample per decorrelation loss evaluation;
   /// 0 measures every pair (StableNet-style stochastic decorrelation).
   int64_t hsic_pair_budget = 48;

@@ -6,17 +6,6 @@ namespace sbrl {
 
 namespace {
 
-MlpConfig RepConfig(const std::string&, int64_t input_dim,
-                    const NetworkConfig& config) {
-  MlpConfig rep;
-  rep.input_dim = input_dim;
-  rep.hidden.assign(static_cast<size_t>(config.rep_layers),
-                    config.rep_width);
-  rep.activation = config.activation;
-  rep.batchnorm = config.batchnorm;
-  return rep;
-}
-
 /// Normalized first-layer feature importance: p_j ~ sum_k |W1[j, k]|.
 Var FeatureImportance(ParamBinder& binder, Mlp& net) {
   Var w1 = binder.Bind(net.mutable_layer(0).weight());
@@ -31,9 +20,18 @@ DerCfrBackbone::DerCfrBackbone(const EstimatorConfig& config,
     : input_dim_(input_dim),
       network_(config.network),
       config_(config.dercfr),
-      i_net_("I", RepConfig("I", input_dim, config.network), rng),
-      c_net_("C", RepConfig("C", input_dim, config.network), rng),
-      a_net_("A", RepConfig("A", input_dim, config.network), rng),
+      i_net_("I",
+             MakeMlpConfig(input_dim, config.network.rep_layers,
+                           config.network.rep_width, config.network.batchnorm),
+             rng),
+      c_net_("C",
+             MakeMlpConfig(input_dim, config.network.rep_layers,
+                           config.network.rep_width, config.network.batchnorm),
+             rng),
+      a_net_("A",
+             MakeMlpConfig(input_dim, config.network.rep_layers,
+                           config.network.rep_width, config.network.batchnorm),
+             rng),
       heads_("heads", 2 * config.network.rep_width, config.network, rng),
       t_head_("t_head", 2 * config.network.rep_width, 1, rng),
       weight_head_t_("omega_t", config.network.rep_width, 1, rng),

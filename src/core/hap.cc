@@ -20,8 +20,8 @@ Var BuildWeightLoss(Var w, const WeightLossInputs& inputs,
   // tier set.
   RffSlotDraws draws{rng.engine()(), {}};
   const auto decorrelation = [&](const Matrix& z) {
-    return HsicRffDecorrelationLoss(z, w, config.rff_features,
-                                    config.hsic_pair_budget, rng, &draws);
+    return HsicRffDecorrelationLoss(z, w, config.hsic_pair_budget, rng,
+                                    &draws);
   };
 
   // R_w anchor: keeps weights near 1 so no unit dominates or vanishes.

@@ -3,6 +3,7 @@
 
 #include <vector>
 
+#include "autodiff/ops.h"
 #include "core/config.h"
 #include "tensor/random.h"
 

@@ -10,16 +10,14 @@
 
 namespace sbrl {
 
-Var HsicRffDecorrelationLoss(const Matrix& z, Var w, int64_t rff_features,
-                             int64_t pair_budget, Rng& rng,
-                             RffSlotDraws* draws) {
+Var HsicRffDecorrelationLoss(const Matrix& z, Var w, int64_t pair_budget,
+                             Rng& rng, RffSlotDraws* draws) {
   Tape* tape = w.tape();
   SBRL_CHECK(w.valid());
   SBRL_CHECK_EQ(w.cols(), 1);
   SBRL_CHECK_EQ(w.rows(), z.rows());
-  SBRL_CHECK_GT(rff_features, 0);
   const int64_t d = z.cols();
-  const int64_t k = rff_features;
+  const int64_t k = kRffFeatures;
   if (d < 2) return tape->Constant(Matrix::Zeros(1, 1));
 
   // Normalized weights are shared by every pair term.
@@ -48,7 +46,6 @@ Var HsicRffDecorrelationLoss(const Matrix& z, Var w, int64_t rff_features,
   const int64_t n = z.rows();
   const int64_t fcols = static_cast<int64_t>(blocks.used_cols.size()) * k;
   auto tier = std::make_shared<HsicRffTier>();
-  tier->num_features = k;
   tier->pairs = std::move(blocks.block_pairs);
   tier->features = Matrix(n, fcols);
   tier->cross = tape->NewZero(static_cast<int64_t>(tier->pairs.size()) * k, k);

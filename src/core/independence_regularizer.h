@@ -14,7 +14,7 @@ namespace sbrl {
 /// Regularizer (paper Eqs. 9-10): the sum over feature pairs (a, b) of
 /// the weighted HSIC-RFF statistic
 ///   || Cov_w( u(Z_:,a), v(Z_:,b) ) ||_F^2,
-/// where u, v are `rff_features` random cosine features (fresh draws
+/// where u, v are kRffFeatures random cosine features (fresh draws
 /// from `rng` on every call — the stochastic decorrelation estimator of
 /// StableNet) and Cov_w uses the normalized sample weights.
 ///
@@ -44,9 +44,8 @@ namespace sbrl {
 /// caller's set is used and filled, and `rng` is only consumed for the
 /// pair subset — the path BuildWeightLoss uses to share one set across
 /// all HAP tiers of a weight step.
-Var HsicRffDecorrelationLoss(const Matrix& z, Var w, int64_t rff_features,
-                             int64_t pair_budget, Rng& rng,
-                             RffSlotDraws* draws = nullptr);
+Var HsicRffDecorrelationLoss(const Matrix& z, Var w, int64_t pair_budget,
+                             Rng& rng, RffSlotDraws* draws = nullptr);
 
 }  // namespace sbrl
 

@@ -84,7 +84,7 @@ StatusOr<InferenceNet> InferenceNet::Build(const InferenceSpec& spec,
       const std::string index = std::to_string(i);
       SBRL_RETURN_IF_ERROR(add_layer(
           prefix + ".l" + index, net.batchnorm ? prefix + ".bn" + index : "",
-          i == 0 ? in_dim : width, width, net.activation, stack));
+          i == 0 ? in_dim : width, width, ops::ActKind::kElu, stack));
     }
     return Status::OK();
   };

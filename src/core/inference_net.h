@@ -36,7 +36,8 @@ void CaptureTensors(Backbone& backbone, std::vector<NamedMatrix>* weights,
 struct InferenceSpec {
   /// Backbone architecture (DeR-CFR reads [C, A]; the others "rep").
   BackboneKind backbone = BackboneKind::kTarnet;
-  /// Layer counts, widths, activation, BN and rep normalization.
+  /// Layer counts, widths, BN and rep normalization (hidden layers are
+  /// ELU, output units linear).
   NetworkConfig network;
   /// Covariate dimension every input row must have.
   int64_t input_dim = 0;

@@ -4,26 +4,16 @@
 
 namespace sbrl {
 
-namespace {
-
-MlpConfig RepConfig(int64_t input_dim, const NetworkConfig& config) {
-  MlpConfig rep;
-  rep.input_dim = input_dim;
-  rep.hidden.assign(static_cast<size_t>(config.rep_layers),
-                    config.rep_width);
-  rep.activation = config.activation;
-  rep.batchnorm = config.batchnorm;
-  return rep;
-}
-
-}  // namespace
-
 TarnetBackbone::TarnetBackbone(const EstimatorConfig& config,
                                int64_t input_dim, Rng& rng, double alpha_ipm)
     : input_dim_(input_dim),
       network_(config.network),
       alpha_ipm_(alpha_ipm),
-      rep_net_("rep", RepConfig(input_dim, config.network), rng),
+      rep_net_("rep",
+               MakeMlpConfig(input_dim, config.network.rep_layers,
+                             config.network.rep_width,
+                             config.network.batchnorm),
+               rng),
       heads_("heads", config.network.rep_width, config.network, rng) {}
 
 BackboneForward TarnetBackbone::Forward(ParamBinder& binder, const Matrix& x,

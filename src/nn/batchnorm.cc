@@ -46,17 +46,19 @@ Var BatchNorm::Forward(ParamBinder& binder, Var x, bool training) const {
 }
 
 Var BatchNorm::ForwardFusedAffine(ParamBinder& binder, const Dense& dense,
-                                  Var x, bool training,
-                                  ops::ActKind act) const {
+                                  Var x, bool training) const {
   SBRL_CHECK_EQ(dense.out_dim(), dim());
+  const ops::ActKind act = ops::ActKind::kElu;
+  if (!training) {
+    Tape* t = binder.tape();
+    return t->Constant(ops::AffineBatchNormInferActValue(
+        x.value(), dense.weight().value, dense.bias().value, gamma_.value,
+        beta_.value, running_mean_, running_var_, eps_, act, t->pool()));
+  }
   Var w, b;
   dense.BindParams(binder, &w, &b);
   Var gamma = binder.Bind(gamma_);
   Var beta = binder.Bind(beta_);
-  if (!training) {
-    return ops::AffineBatchNormInferAct(x, w, b, gamma, beta, running_mean_,
-                                        running_var_, eps_, act);
-  }
   Matrix batch_mean, batch_var;
   Var out = ops::AffineBatchNormAct(x, w, b, gamma, beta, eps_, act,
                                     &batch_mean, &batch_var);

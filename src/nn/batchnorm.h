@@ -26,14 +26,16 @@ class BatchNorm {
   /// Records the normalization on the binder's tape.
   Var Forward(ParamBinder& binder, Var x, bool training) const;
 
-  /// Fused BatchNorm-into-affine layer step: records
-  /// act(batchnorm(dense(x))) as ONE tape node
-  /// (ops::AffineBatchNormAct in training, the frozen-statistics
-  /// companion at inference) and applies the same running-statistics
-  /// update the unfused path performs. `dense` supplies the affine
-  /// parameters; its output width must equal dim().
+  /// Fused BatchNorm-into-affine layer step: elu(batchnorm(dense(x))).
+  /// In training it records ONE ops::AffineBatchNormAct node and
+  /// applies the same running-statistics update the unfused path
+  /// performs. At inference it records the frozen-statistics value
+  /// (ops::AffineBatchNormInferActValue) as a constant: its callers
+  /// read values only, so nothing is differentiated through it.
+  /// `dense` supplies the affine parameters; its output width must
+  /// equal dim().
   Var ForwardFusedAffine(ParamBinder& binder, const Dense& dense, Var x,
-                         bool training, ops::ActKind act) const;
+                         bool training) const;
 
   void CollectParams(std::vector<Param*>* out);
 

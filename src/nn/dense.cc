@@ -15,12 +15,12 @@ Var Dense::Forward(ParamBinder& binder, Var x) const {
   return ops::Affine(x, w, b);
 }
 
-Var Dense::ForwardAct(ParamBinder& binder, Var x, ops::ActKind act) const {
+Var Dense::ForwardElu(ParamBinder& binder, Var x) const {
   SBRL_CHECK_EQ(x.cols(), in_dim())
       << "Dense '" << weight_.name << "' expects input dim " << in_dim();
   Var w = binder.Bind(weight_);
   Var b = binder.Bind(bias_);
-  return ops::AffineAct(x, w, b, act);
+  return ops::AffineAct(x, w, b, ops::ActKind::kElu);
 }
 
 void Dense::BindParams(ParamBinder& binder, Var* w, Var* b) const {

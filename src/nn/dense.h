@@ -22,10 +22,10 @@ class Dense {
   /// Records x W + b on the binder's tape.
   Var Forward(ParamBinder& binder, Var x) const;
 
-  /// Records act(x W + b) as one fused ops::AffineAct node. The layer
+  /// Records elu(x W + b) as one fused ops::AffineAct node. The layer
   /// step of the fused network step (see nn/net_step.h); Mlp routes
   /// every non-batch-norm layer through it.
-  Var ForwardAct(ParamBinder& binder, Var x, ops::ActKind act) const;
+  Var ForwardElu(ParamBinder& binder, Var x) const;
 
   /// Binds this layer's parameters on the binder's tape (`*w` = weight,
   /// `*b` = bias) without recording any computation — the hook the

@@ -2,6 +2,15 @@
 
 namespace sbrl {
 
+MlpConfig MakeMlpConfig(int64_t in_dim, int64_t layers, int64_t width,
+                        bool batchnorm) {
+  MlpConfig config;
+  config.input_dim = in_dim;
+  config.hidden.assign(static_cast<size_t>(layers), width);
+  config.batchnorm = batchnorm;
+  return config;
+}
+
 Mlp::Mlp(const std::string& name, const MlpConfig& config, Rng& rng)
     : config_(config) {
   SBRL_CHECK_GT(config.input_dim, 0);
@@ -24,9 +33,8 @@ std::vector<Var> Mlp::ForwardCollect(ParamBinder& binder, Var x,
   Var h = x;
   for (size_t i = 0; i < layers_.size(); ++i) {
     h = config_.batchnorm
-            ? norms_[i].ForwardFusedAffine(binder, layers_[i], h, training,
-                                           config_.activation)
-            : layers_[i].ForwardAct(binder, h, config_.activation);
+            ? norms_[i].ForwardFusedAffine(binder, layers_[i], h, training)
+            : layers_[i].ForwardElu(binder, h);
     outputs.push_back(h);
   }
   if (outputs.empty()) outputs.push_back(x);  // degenerate identity MLP

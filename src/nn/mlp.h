@@ -16,12 +16,16 @@ struct MlpConfig {
   /// Width of each hidden layer; e.g. {128, 128, 128} is the paper's
   /// d_r = 3, h_r = 128 representation network.
   std::vector<int64_t> hidden;
-  ops::ActKind activation = ops::ActKind::kElu;
-  /// Insert a BatchNorm after each affine layer (before activation).
+  /// Insert a BatchNorm after each affine layer (before the ELU).
   bool batchnorm = false;
 };
 
-/// Stack of Dense (+ optional BatchNorm) + activation layers. Exposes
+/// `layers` hidden layers of `width` units over `in_dim` inputs — the
+/// shape of every representation network and head body.
+MlpConfig MakeMlpConfig(int64_t in_dim, int64_t layers, int64_t width,
+                        bool batchnorm);
+
+/// Stack of Dense (+ optional BatchNorm) + ELU layers. Exposes
 /// every post-activation layer output so SBRL-HAP can decorrelate each
 /// hierarchy level (the Z_o / Z_r / Z_p layers of the paper).
 class Mlp {

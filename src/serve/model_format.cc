@@ -33,22 +33,10 @@ constexpr uint32_t kSectionState = 3;
 constexpr uint32_t kSectionOod = 4;
 constexpr uint32_t kSectionLegacyNarrowedWeights = 5;
 
-/// On-disk activation codes, indexed by code: elu 0, relu 1, tanh 2,
-/// sigmoid 3, linear 4. Fixed by the file format, independent of
-/// ops::ActKind's declaration order.
-constexpr ops::ActKind kActivationByCode[] = {
-    ops::ActKind::kElu, ops::ActKind::kRelu, ops::ActKind::kTanh,
-    ops::ActKind::kSigmoid, ops::ActKind::kIdentity};
-constexpr uint32_t kActivationCodes =
-    sizeof(kActivationByCode) / sizeof(kActivationByCode[0]);
-
-uint32_t EncodeActivation(ops::ActKind act) {
-  for (uint32_t code = 0; code < kActivationCodes; ++code) {
-    if (kActivationByCode[code] == act) return code;
-  }
-  SBRL_CHECK(false) << "activation has no on-disk code";
-  return 0;
-}
+/// On-disk code of the hidden-layer activation. Every network trains
+/// with ELU, code 0; codes 1-4 (relu, tanh, sigmoid, linear) belong to
+/// retired hidden activations and, like any other value, fail to load.
+constexpr uint32_t kEluActivationCode = 0;
 
 std::string EncodeMeta(const ServingMeta& meta) {
   const InferenceSpec& spec = meta.spec;
@@ -66,7 +54,7 @@ std::string EncodeMeta(const ServingMeta& meta) {
   AppendScalar<int64_t>(&out, spec.network.head_width);
   AppendScalar<uint32_t>(&out, spec.network.batchnorm ? 1 : 0);
   AppendScalar<uint32_t>(&out, spec.network.rep_normalization ? 1 : 0);
-  AppendScalar<uint32_t>(&out, EncodeActivation(spec.network.activation));
+  AppendScalar<uint32_t>(&out, kEluActivationCode);
   AppendScalar<int32_t>(&out, static_cast<int32_t>(meta.isa));
   AppendScalar<double>(&out, spec.bn_eps);
   return out;
@@ -94,7 +82,7 @@ bool DecodeMeta(ByteReader* reader, ServingMeta* meta) {
   // newer build must fail decode, not smuggle an out-of-range value.
   if (backbone > static_cast<uint32_t>(BackboneKind::kDerCfr)) return false;
   if (framework > static_cast<uint32_t>(FrameworkKind::kSbrlHap)) return false;
-  if (activation >= kActivationCodes) return false;
+  if (activation != kEluActivationCode) return false;
   if (isa < static_cast<int32_t>(IsaChoice::kAuto) ||
       isa > static_cast<int32_t>(IsaChoice::kAvx512)) {
     return false;
@@ -105,7 +93,6 @@ bool DecodeMeta(ByteReader* reader, ServingMeta* meta) {
   spec.binary_outcome = binary != 0;
   spec.network.batchnorm = batchnorm != 0;
   spec.network.rep_normalization = rep_norm != 0;
-  spec.network.activation = kActivationByCode[activation];
   meta->isa = static_cast<IsaChoice>(isa);
   return true;
 }

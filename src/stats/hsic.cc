@@ -13,12 +13,6 @@
 
 namespace sbrl {
 
-double HsicRff(const Matrix& a, const Matrix& b, int64_t num_features,
-               Rng& rng) {
-  Matrix uniform = Matrix::Ones(a.rows(), 1);
-  return WeightedHsicRff(a, b, uniform, num_features, rng);
-}
-
 double WeightedHsicRff(const Matrix& a, const Matrix& b, const Matrix& w,
                        int64_t num_features, Rng& rng) {
   SBRL_CHECK_EQ(a.cols(), 1);
@@ -33,6 +27,9 @@ double WeightedHsicRff(const Matrix& a, const Matrix& b, const Matrix& w,
   for (int64_t i = 0; i < cov.size(); ++i) frob2 += cov[i] * cov[i];
   return frob2;
 }
+
+static_assert(kRffFeatures == kBlockCrossWidth,
+              "the tier passes run the block-cross kernels on RFF blocks");
 
 namespace {
 
@@ -57,10 +54,9 @@ int64_t TierBlockRows(int64_t fcols) {
 double HsicRffTierForward(const Matrix& x, const std::vector<int64_t>& cols,
                           const Matrix& wn, RffSlotDraws* draws,
                           HsicRffTier* tier) {
-  const int64_t n = x.rows(), k = tier->num_features;
+  const int64_t n = x.rows(), k = kRffFeatures;
   const int64_t fcols = static_cast<int64_t>(cols.size()) * k;
   const int64_t num_pairs = static_cast<int64_t>(tier->pairs.size());
-  SBRL_CHECK_GT(k, 0);
   SBRL_CHECK(wn.rows() == n && wn.cols() == 1)
       << "weights " << wn.ShapeString() << " for " << n << " rows";
   SBRL_CHECK(tier->features.rows() == n && tier->features.cols() == fcols)
@@ -89,7 +85,7 @@ double HsicRffTierForward(const Matrix& x, const std::vector<int64_t>& cols,
     StackRffRows(x, stack, r0, r1, &tier->features);
     const double* fb = fd + r0 * fcols;
     const double* wb = wd + r0;
-    kernels.block_cross_fwd(k, fb, wb, cd, rows, fcols, pd, 0, num_pairs);
+    kernels.block_cross_fwd(fb, wb, cd, rows, fcols, pd, 0, num_pairs);
     // means += wb^T fb: the (rows x 1) weights as the transposed factor.
     kernels.matmul_trans_a_rows(wb, fb, md, rows, 1, fcols, 0, 1);
   }
@@ -115,7 +111,7 @@ double HsicRffTierForward(const Matrix& x, const std::vector<int64_t>& cols,
 }
 
 void HsicRffTierBackward(const HsicRffTier& tier, double g, Matrix* dwn) {
-  const int64_t k = tier.num_features;
+  const int64_t k = kRffFeatures;
   const Matrix& f = tier.features;
   const int64_t n = f.rows(), fcols = f.cols();
   const int64_t num_pairs = static_cast<int64_t>(tier.pairs.size());
@@ -166,8 +162,8 @@ void HsicRffTierBackward(const HsicRffTier& tier, double g, Matrix* dwn) {
       kernels.matmul_trans_b_rows(fb, dmd, ob, fcols, 1, 0, rows);
       // ... then the cross term, summed in its own zeroed buffer.
       std::fill(cross_term, cross_term + rows, 0.0);
-      kernels.block_cross_grad_dw(k, dcd, fb, cross_term, fcols, pd,
-                                  num_pairs, 0, rows);
+      kernels.block_cross_grad_dw(dcd, fb, cross_term, fcols, pd, num_pairs,
+                                  0, rows);
       for (int64_t i = 0; i < rows; ++i) ob[i] += cross_term[i];
     }
   };
@@ -180,11 +176,10 @@ void HsicRffTierBackward(const HsicRffTier& tier, double g, Matrix* dwn) {
               run_rows);
 }
 
-double PairwiseWeightedHsicRff(const Matrix& x, const Matrix& w,
-                               int64_t num_features, Rng& rng,
+double PairwiseWeightedHsicRff(const Matrix& x, const Matrix& w, Rng& rng,
                                int64_t max_pairs) {
   const int64_t d = x.cols();
-  const int64_t k = num_features;
+  const int64_t k = kRffFeatures;
   SBRL_CHECK_GT(d, 1);
   SBRL_CHECK_EQ(x.rows(), w.rows());
   FeaturePairSelection sel = SelectFeaturePairs(d, max_pairs, rng);
@@ -192,7 +187,6 @@ double PairwiseWeightedHsicRff(const Matrix& x, const Matrix& w,
   RffSlotDraws draws{rng.engine()(), {}};
   const int64_t fcols = static_cast<int64_t>(blocks.used_cols.size()) * k;
   HsicRffTier tier;
-  tier.num_features = k;
   tier.pairs = std::move(blocks.block_pairs);
   tier.features = Matrix(x.rows(), fcols);
   tier.cross = Matrix(static_cast<int64_t>(tier.pairs.size()) * k, k);

@@ -11,30 +11,29 @@
 
 namespace sbrl {
 
-/// HSIC with Random Fourier Features (paper Eq. 7): the squared
-/// Frobenius norm of the cross-covariance between `num_features` random
-/// cosine features of each variable. `a` and `b` are (n x 1) columns.
-/// Fresh feature draws come from `rng`.
-double HsicRff(const Matrix& a, const Matrix& b, int64_t num_features,
-               Rng& rng);
+/// n_A = n_B: random Fourier features per scalar variable in every
+/// HSIC-RFF tier (the paper's value). The block-cross kernels of
+/// tensor/kernels.h take blocks of exactly this width.
+constexpr int64_t kRffFeatures = 5;
 
-/// Weighted HSIC-RFF (paper Eq. 9): covariances are computed under the
-/// normalized sample weights `w` (n x 1, non-negative). Consumes two
-/// SampleRff draws from `rng` (one per variable), then evaluates the
-/// cosine features through the shared sweep (ScaledCosInPlace).
+/// Weighted HSIC-RFF (paper Eqs. 7 and 9): the squared Frobenius norm
+/// of the cross-covariance between `num_features` random cosine
+/// features of each (n x 1) column, under the normalized sample weights
+/// `w` (n x 1, non-negative; unit weights give the plain HSIC-RFF of
+/// Eq. 7). Consumes two SampleRff draws from `rng` (one per variable),
+/// then evaluates the cosine features through the shared sweep
+/// (ScaledCosInPlace).
 double WeightedHsicRff(const Matrix& a, const Matrix& b, const Matrix& w,
                        int64_t num_features, Rng& rng);
 
 /// One batched HSIC-RFF tier: the weighted HSIC-RFF statistic of
 /// every selected column pair of one layer, summed. Column block i of
-/// `features` F holds the k RFF features of the i-th used column, and
-/// pair p measures blocks pairs[p] = (a, b) through
+/// `features` F holds the k = kRffFeatures RFF features of the i-th
+/// used column, and pair p measures blocks pairs[p] = (a, b) through
 ///   || cross_p - means_a^T means_b ||_F^2,
 /// cross_p = E_w[F_a^T F_b] (block p of `cross`), means = E_w[F]. The
 /// forward fills all three; the backward reads them.
 struct HsicRffTier {
-  /// k: RFF features per used column.
-  int64_t num_features = 0;
   /// Block-index pairs (a, b) into the used columns.
   std::vector<std::pair<int64_t, int64_t>> pairs;
   /// F, (n x used*k); any initial content.
@@ -46,9 +45,9 @@ struct HsicRffTier {
 };
 
 /// Forward of one tier under normalized weights `wn` (n x 1): the
-/// used columns `cols` of `x` through MakeRffStack(cols, k, draws),
-/// returning the unscaled pair sum. One pass
-/// over F in row blocks sized for L1: each block's angles are written
+/// used columns `cols` of `x` through MakeRffStack(cols, kRffFeatures,
+/// draws), returning the unscaled pair sum. One pass over F in row
+/// blocks sized for L1: each block's angles are written
 /// row by row, its cosine runs (StackRffRows), and the cross and means
 /// accumulators continue over it — block_cross_fwd and
 /// matmul_trans_a_rows of the active level, which both resume from the
@@ -79,10 +78,9 @@ void HsicRffTierBackward(const HsicRffTier& tier, double g, Matrix* dwn);
 /// pair count. Evaluated as one HsicRffTierForward — the
 /// non-differentiable mirror of HsicRffDecorrelationLoss, with the same
 /// rng discipline: the pair subset comes out of `rng`, then one epoch
-/// seed, and per-column projections are slot draws keyed by (epoch, k,
-/// column index).
-double PairwiseWeightedHsicRff(const Matrix& x, const Matrix& w,
-                               int64_t num_features, Rng& rng,
+/// seed, and per-column projections are slot draws keyed by (epoch,
+/// kRffFeatures, column index).
+double PairwiseWeightedHsicRff(const Matrix& x, const Matrix& w, Rng& rng,
                                int64_t max_pairs = 0);
 
 }  // namespace sbrl

@@ -2,9 +2,7 @@
 // This TU is compiled with the project's default flags; it only lists
 // the per-ISA entry points (defined in linalg_kernels_{baseline,avx2,
 // avx512}.cc) in one table per level and picks one by the active Isa.
-// The wide block-cross entries run their own kernel at block = 5 and
-// call the baseline entry for every other size; the AVX-512 table's dw
-// entry is the AVX2 one.
+// The AVX-512 table's block-cross dw entry is the AVX2 one.
 
 #include "tensor/kernels.h"
 

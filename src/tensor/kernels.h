@@ -14,6 +14,11 @@ namespace sbrl {
 /// libmvec guarantee, enforced by tests/simd_test.cc over edge grids.
 constexpr int64_t kVecCosMaxUlp = 4;
 
+/// Block width of the two block-cross kernels: the kRffFeatures = 5
+/// random Fourier features per column of an HSIC-RFF tier
+/// (stats/hsic.h).
+constexpr int64_t kBlockCrossWidth = 5;
+
 /// Function-pointer table of the per-tile linear-algebra kernels behind
 /// the hot kernel families (dense matmuls, the two block-pair HSIC
 /// cross kernels, the f64 ELU and its backward, and the RFF scaled
@@ -38,10 +43,9 @@ constexpr int64_t kVecCosMaxUlp = 4;
 ///    sum, so they are deterministic and thread-count-invariant WITHIN
 ///    a level but agree with baseline only to rounding (bounded by
 ///    tests/cpu_dispatch_test.cc).
-///  - The two block-cross entries accept any block size but have a
-///    wide kernel only at block = 5, the one size training runs; every
-///    other size runs the baseline loop at every level. The AVX-512
-///    table's dw entry is the AVX2 kernel.
+///  - The two block-cross entries are register kernels over blocks of
+///    kBlockCrossWidth = 5 columns, the one width an HSIC-RFF tier
+///    has. The AVX-512 table's dw entry is the AVX2 kernel.
 ///  - elu is the single f64 ELU of the library. Baseline is scalar
 ///    std::expm1; the wide levels call libmvec's vector expm1 (at most
 ///    4 ulp from std::expm1, kVecCosMaxUlp's libmvec ceiling). At every
@@ -77,24 +81,21 @@ struct LinalgKernels {
   using MatmulTransBRowsFn = void (*)(const double* a, const double* b,
                                       double* o, int64_t k, int64_t m,
                                       int64_t r0, int64_t r1);
-  /// Weighted cross forward over pairs [p0, p1), any block size:
-  /// out block p += sum_i w_i f(i, ca:ca+block)^T f(i, cb:cb+block).
+  /// Weighted cross forward over pairs [p0, p1), with B =
+  /// kBlockCrossWidth, ca = a_p * B and cb = b_p * B:
+  /// out block p (B x B) += sum_i w_i f(i, ca:ca+B)^T f(i, cb:cb+B).
   /// Each accumulator continues from the stored partial sum, so
   /// sweeping the rows in consecutive blocks gives the bits of one call
-  /// over all rows. block = 5 (SbrlConfig::rff_features) runs the
-  /// level's register kernel; every other size runs the baseline loop.
-  using BlockCrossFwdFn = void (*)(int64_t block, const double* fd,
-                                   const double* wd, double* od, int64_t n,
-                                   int64_t fcols,
+  /// over all rows.
+  using BlockCrossFwdFn = void (*)(const double* fd, const double* wd,
+                                   double* od, int64_t n, int64_t fcols,
                                    const std::pair<int64_t, int64_t>* pd,
                                    int64_t p0, int64_t p1);
-  /// dw-only backward over rows [r0, r1), any block size:
-  /// dw_i += sum_p f(i, ca:ca+block) g_p f(i, cb:cb+block)^T (see
-  /// HsicRffTierBackward). block = 5 runs the level's register kernel;
-  /// every other size runs the baseline loop.
-  using BlockCrossGradDwFn = void (*)(int64_t block, const double* gd,
-                                      const double* fd, double* dwd,
-                                      int64_t fcols,
+  /// dw-only backward over rows [r0, r1), B = kBlockCrossWidth:
+  /// dw_i += sum_p f(i, ca:ca+B) g_p f(i, cb:cb+B)^T (see
+  /// HsicRffTierBackward).
+  using BlockCrossGradDwFn = void (*)(const double* gd, const double* fd,
+                                      double* dwd, int64_t fcols,
                                       const std::pair<int64_t, int64_t>* pd,
                                       int64_t num_pairs, int64_t r0,
                                       int64_t r1);

@@ -26,18 +26,16 @@ void BaselineMatmulTransARows(const double* a, const double* b, double* o,
 /// See LinalgKernels::MatmulTransBRowsFn.
 void BaselineMatmulTransBRows(const double* a, const double* b, double* o,
                               int64_t k, int64_t m, int64_t r0, int64_t r1);
-/// See LinalgKernels::BlockCrossFwdFn: fully unrolled at block = 5,
-/// the scalar any-block loop otherwise. The wide levels call it for
-/// every block but 5.
-void BaselineBlockCrossFwd(int64_t block, const double* fd, const double* wd,
-                           double* od, int64_t n, int64_t fcols,
+/// See LinalgKernels::BlockCrossFwdFn: the scalar 5 x 5 block fully
+/// unrolled, accumulators in registers.
+void BaselineBlockCrossFwd(const double* fd, const double* wd, double* od,
+                           int64_t n, int64_t fcols,
                            const std::pair<int64_t, int64_t>* pd, int64_t p0,
                            int64_t p1);
-/// See LinalgKernels::BlockCrossGradDwFn: fully unrolled at block = 5,
-/// the scalar any-block loop otherwise. The wide levels call it for
-/// every block but 5.
-void BaselineBlockCrossGradDw(int64_t block, const double* gd,
-                              const double* fd, double* dwd, int64_t fcols,
+/// See LinalgKernels::BlockCrossGradDwFn: the scalar 5 x 5 block fully
+/// unrolled.
+void BaselineBlockCrossGradDw(const double* gd, const double* fd, double* dwd,
+                              int64_t fcols,
                               const std::pair<int64_t, int64_t>* pd,
                               int64_t num_pairs, int64_t r0, int64_t r1);
 /// See LinalgKernels::EluFn: scalar std::expm1 on the negative branch.
@@ -51,7 +49,7 @@ void BaselineScaledCos(double* x, int64_t n, double scale);
 /// AVX2 (x86-64-v3, -ffp-contract=off) kernels. The matmul / trans-A /
 /// block-cross-forward kernels are bitwise identical to baseline (wide
 /// lanes over the independent output dimension only); trans-B and the
-/// block = 5 dw backward use FMA lanes + horizontal sums.
+/// block-cross dw backward use FMA lanes + horizontal sums.
 void Avx2MatmulRows(const double* a, const double* b, double* o, int64_t k,
                     int64_t m, int64_t r0, int64_t r1);
 /// See LinalgKernels::MatmulTransARowsFn.
@@ -61,16 +59,16 @@ void Avx2MatmulTransARows(const double* a, const double* b, double* o,
 /// See LinalgKernels::MatmulTransBRowsFn.
 void Avx2MatmulTransBRows(const double* a, const double* b, double* o,
                           int64_t k, int64_t m, int64_t r0, int64_t r1);
-/// See LinalgKernels::BlockCrossFwdFn. Vectorizes block = 5; other
-/// sizes run BaselineBlockCrossFwd.
-void Avx2BlockCrossFwd(int64_t block, const double* fd, const double* wd,
-                       double* od, int64_t n, int64_t fcols,
+/// See LinalgKernels::BlockCrossFwdFn: a 4-lane vector plus one scalar
+/// column per block row.
+void Avx2BlockCrossFwd(const double* fd, const double* wd, double* od,
+                       int64_t n, int64_t fcols,
                        const std::pair<int64_t, int64_t>* pd, int64_t p0,
                        int64_t p1);
-/// See LinalgKernels::BlockCrossGradDwFn. Vectorizes block = 5; other
-/// sizes run BaselineBlockCrossGradDw. The AVX-512 table uses it too.
-void Avx2BlockCrossGradDw(int64_t block, const double* gd, const double* fd,
-                          double* dwd, int64_t fcols,
+/// See LinalgKernels::BlockCrossGradDwFn: FMA lanes over the block
+/// rows. The AVX-512 table uses it too.
+void Avx2BlockCrossGradDw(const double* gd, const double* fd, double* dwd,
+                          int64_t fcols,
                           const std::pair<int64_t, int64_t>* pd,
                           int64_t num_pairs, int64_t r0, int64_t r1);
 /// See LinalgKernels::EluFn: libmvec _ZGVdN4v_expm1, padded-copy tail.
@@ -93,10 +91,9 @@ void Avx512MatmulTransARows(const double* a, const double* b, double* o,
 /// See LinalgKernels::MatmulTransBRowsFn.
 void Avx512MatmulTransBRows(const double* a, const double* b, double* o,
                             int64_t k, int64_t m, int64_t r0, int64_t r1);
-/// See LinalgKernels::BlockCrossFwdFn. Vectorizes block = 5; other
-/// sizes run BaselineBlockCrossFwd.
-void Avx512BlockCrossFwd(int64_t block, const double* fd, const double* wd,
-                         double* od, int64_t n, int64_t fcols,
+/// See LinalgKernels::BlockCrossFwdFn: masked 8-lane block rows.
+void Avx512BlockCrossFwd(const double* fd, const double* wd, double* od,
+                         int64_t n, int64_t fcols,
                          const std::pair<int64_t, int64_t>* pd, int64_t p0,
                          int64_t p1);
 /// See LinalgKernels::EluFn: libmvec _ZGVeN8v_expm1, masked tail.

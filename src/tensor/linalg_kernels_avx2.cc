@@ -285,14 +285,13 @@ void Avx2MatmulTransBRows(const double* __restrict ad,
   }
 }
 
-namespace {
-
 /// Forward weighted cross for B = 5: a 4-lane vector plus one scalar
 /// column per output row, same ascending-row chains as baseline.
-void BlockCrossFwd5(const double* __restrict fd, const double* __restrict wd,
-                    double* __restrict od, int64_t n, int64_t fcols,
-                    const std::pair<int64_t, int64_t>* pd, int64_t p0,
-                    int64_t p1) {
+void Avx2BlockCrossFwd(const double* __restrict fd,
+                       const double* __restrict wd, double* __restrict od,
+                       int64_t n, int64_t fcols,
+                       const std::pair<int64_t, int64_t>* pd, int64_t p0,
+                       int64_t p1) {
   for (int64_t p = p0; p < p1; ++p) {
     const int64_t ca = pd[p].first * 5;
     const int64_t cb = pd[p].second * 5;
@@ -331,10 +330,11 @@ void BlockCrossFwd5(const double* __restrict fd, const double* __restrict wd,
 /// accumulates one pair contribution at a time (ascending p), which
 /// regroups the baseline's flat sum — tolerance-bounded, chunk-
 /// invariant.
-void BlockCrossGradDw5(const double* __restrict gd,
-                       const double* __restrict fd, double* __restrict dwd,
-                       int64_t fcols, const std::pair<int64_t, int64_t>* pd,
-                       int64_t num_pairs, int64_t r0, int64_t r1) {
+void Avx2BlockCrossGradDw(const double* __restrict gd,
+                          const double* __restrict fd,
+                          double* __restrict dwd, int64_t fcols,
+                          const std::pair<int64_t, int64_t>* pd,
+                          int64_t num_pairs, int64_t r0, int64_t r1) {
   for (int64_t p = 0; p < num_pairs; ++p) {
     const int64_t ca = pd[p].first * 5;
     const int64_t cb = pd[p].second * 5;
@@ -361,30 +361,6 @@ void BlockCrossGradDw5(const double* __restrict gd,
       dwd[i] += contrib;
     }
   }
-}
-
-}  // namespace
-
-void Avx2BlockCrossFwd(int64_t block, const double* fd, const double* wd,
-                       double* od, int64_t n, int64_t fcols,
-                       const std::pair<int64_t, int64_t>* pd, int64_t p0,
-                       int64_t p1) {
-  if (block != 5) {
-    BaselineBlockCrossFwd(block, fd, wd, od, n, fcols, pd, p0, p1);
-    return;
-  }
-  BlockCrossFwd5(fd, wd, od, n, fcols, pd, p0, p1);
-}
-
-void Avx2BlockCrossGradDw(int64_t block, const double* gd, const double* fd,
-                          double* dwd, int64_t fcols,
-                          const std::pair<int64_t, int64_t>* pd,
-                          int64_t num_pairs, int64_t r0, int64_t r1) {
-  if (block != 5) {
-    BaselineBlockCrossGradDw(block, gd, fd, dwd, fcols, pd, num_pairs, r0, r1);
-    return;
-  }
-  BlockCrossGradDw5(gd, fd, dwd, fcols, pd, num_pairs, r0, r1);
 }
 
 void Avx2Elu(double* x, int64_t n) {

@@ -320,14 +320,13 @@ void Avx512MatmulTransBRows(const double* __restrict ad,
   }
 }
 
-namespace {
-
 /// Forward weighted cross for B = 5: masked 8-lane rows, five register
 /// accumulators per pair, ascending-row chains bitwise the baseline's.
-void BlockCrossFwd5(const double* __restrict fd, const double* __restrict wd,
-                    double* __restrict od, int64_t n, int64_t fcols,
-                    const std::pair<int64_t, int64_t>* pd, int64_t p0,
-                    int64_t p1) {
+void Avx512BlockCrossFwd(const double* __restrict fd,
+                         const double* __restrict wd, double* __restrict od,
+                         int64_t n, int64_t fcols,
+                         const std::pair<int64_t, int64_t>* pd, int64_t p0,
+                         int64_t p1) {
   for (int64_t p = p0; p < p1; ++p) {
     const int64_t ca = pd[p].first * 5;
     const int64_t cb = pd[p].second * 5;
@@ -361,19 +360,6 @@ void BlockCrossFwd5(const double* __restrict fd, const double* __restrict wd,
       _mm512_mask_storeu_pd(ob + r * 5, kMask5, acc[r]);
     }
   }
-}
-
-}  // namespace
-
-void Avx512BlockCrossFwd(int64_t block, const double* fd, const double* wd,
-                         double* od, int64_t n, int64_t fcols,
-                         const std::pair<int64_t, int64_t>* pd, int64_t p0,
-                         int64_t p1) {
-  if (block != 5) {
-    BaselineBlockCrossFwd(block, fd, wd, od, n, fcols, pd, p0, p1);
-    return;
-  }
-  BlockCrossFwd5(fd, wd, od, n, fcols, pd, p0, p1);
 }
 
 void Avx512Elu(double* x, int64_t n) {

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <utility>
 
+#include "tensor/kernels.h"
 #include "tensor/kernels_impl.h"
 
 namespace sbrl {
@@ -22,124 +23,67 @@ namespace {
 // row of an i-range.
 constexpr int64_t kJBlock = 128;
 
-// The block-diagonal cross ops at the block size training runs
-// (SbrlConfig::rff_features = 5) are compile-time instantiations: the
-// runtime loops spend as much time on loop control as on arithmetic,
-// while the template lets the compiler fully unroll the block x block
-// body and keep the per-pair accumulators in registers. Each output
-// element receives its terms in exactly the same ascending order as
-// the any-block loop, so both paths are bitwise identical.
+// The block-cross kernels take blocks of B = kBlockCrossWidth = 5
+// columns (tensor/kernels.h), a compile-time width: the compiler fully
+// unrolls the B x B body and keeps the per-pair accumulators in
+// registers.
+constexpr int64_t kB = kBlockCrossWidth;
+
+}  // namespace
 
 /// Forward pairs [p0, p1): out block p += sum_i w_i u_a(i,:)^T u_b(i,:)
 /// with the (B x B) accumulator loaded from the output, held in
-/// registers across the row sweep and stored once. Continuing from the
-/// stored partial sum reproduces the any-block element-by-element
-/// accumulation bitwise for any initial output, so a caller may sweep
-/// the rows in consecutive blocks and get the bits of one call.
-template <int64_t B>
-void BlockCrossFwdPairsKernel(const double* __restrict fd,
-                              const double* __restrict wd,
-                              double* __restrict od, int64_t n,
-                              int64_t fcols,
-                              const std::pair<int64_t, int64_t>* pd,
-                              int64_t p0, int64_t p1) {
+/// registers across the row sweep and stored once. Each element takes
+/// its row terms in ascending order and continues from the stored
+/// partial sum, so a caller may sweep the rows in consecutive blocks
+/// and get the bits of one call.
+void BaselineBlockCrossFwd(const double* __restrict fd,
+                           const double* __restrict wd,
+                           double* __restrict od, int64_t n, int64_t fcols,
+                           const std::pair<int64_t, int64_t>* pd, int64_t p0,
+                           int64_t p1) {
   for (int64_t p = p0; p < p1; ++p) {
-    const int64_t ca = pd[p].first * B;
-    const int64_t cb = pd[p].second * B;
-    double* oblock = od + p * B * B;
-    double acc[B * B];
-    for (int64_t e = 0; e < B * B; ++e) acc[e] = oblock[e];
+    const int64_t ca = pd[p].first * kB;
+    const int64_t cb = pd[p].second * kB;
+    double* oblock = od + p * kB * kB;
+    double acc[kB * kB];
+    for (int64_t e = 0; e < kB * kB; ++e) acc[e] = oblock[e];
     for (int64_t i = 0; i < n; ++i) {
       const double* frow = fd + i * fcols;
       const double wi = wd[i];
       const double* arow = frow + ca;
       const double* brow = frow + cb;
-      for (int64_t r = 0; r < B; ++r) {
+      for (int64_t r = 0; r < kB; ++r) {
         const double av = arow[r] * wi;
-        for (int64_t c = 0; c < B; ++c) acc[r * B + c] += av * brow[c];
+        for (int64_t c = 0; c < kB; ++c) acc[r * kB + c] += av * brow[c];
       }
     }
-    for (int64_t e = 0; e < B * B; ++e) oblock[e] = acc[e];
+    for (int64_t e = 0; e < kB * kB; ++e) oblock[e] = acc[e];
   }
 }
 
 /// Weight-gradient-only backward over rows [r0, r1): the hot case of
 /// the decorrelation loss, where the stacked features are tape
 /// constants and only dw is needed. dw_i = sum_p u_a(i,:) g_p u_b(i,:)^T
-/// (the sample weight itself does not enter its own gradient). Same
-/// flat ascending-p summation as the any-block loop.
-template <int64_t B>
-void BlockCrossGradDwRowsKernel(const double* __restrict gd,
-                                const double* __restrict fd,
-                                double* __restrict dwd, int64_t fcols,
-                                const std::pair<int64_t, int64_t>* pd,
-                                int64_t num_pairs, int64_t r0, int64_t r1) {
-  for (int64_t i = r0; i < r1; ++i) {
-    const double* frow = fd + i * fcols;
-    double dw_acc = 0.0;
-    for (int64_t p = 0; p < num_pairs; ++p) {
-      const double* arow = frow + pd[p].first * B;
-      const double* brow = frow + pd[p].second * B;
-      const double* gblock = gd + p * B * B;
-      for (int64_t r = 0; r < B; ++r) {
-        const double* grow = gblock + r * B;
-        double s = 0.0;
-        for (int64_t c = 0; c < B; ++c) s += grow[c] * brow[c];
-        dw_acc += arow[r] * s;
-      }
-    }
-    dwd[i] += dw_acc;
-  }
-}
-
-}  // namespace
-
-void BaselineBlockCrossFwd(int64_t block, const double* fd, const double* wd,
-                           double* od, int64_t n, int64_t fcols,
-                           const std::pair<int64_t, int64_t>* pd, int64_t p0,
-                           int64_t p1) {
-  if (block == 5) {
-    BlockCrossFwdPairsKernel<5>(fd, wd, od, n, fcols, pd, p0, p1);
-    return;
-  }
-  for (int64_t p = p0; p < p1; ++p) {
-    const int64_t ca = pd[p].first * block;
-    const int64_t cb = pd[p].second * block;
-    double* oblock = od + p * block * block;
-    for (int64_t i = 0; i < n; ++i) {
-      const double* frow = fd + i * fcols;
-      const double* arow = frow + ca;
-      const double* brow = frow + cb;
-      const double wi = wd[i];
-      for (int64_t r = 0; r < block; ++r) {
-        const double av = arow[r] * wi;
-        double* orow = oblock + r * block;
-        for (int64_t c = 0; c < block; ++c) orow[c] += av * brow[c];
-      }
-    }
-  }
-}
-
-void BaselineBlockCrossGradDw(int64_t block, const double* gd,
-                              const double* fd, double* dwd, int64_t fcols,
+/// (the sample weight itself does not enter its own gradient), one flat
+/// ascending-p sum per row.
+void BaselineBlockCrossGradDw(const double* __restrict gd,
+                              const double* __restrict fd,
+                              double* __restrict dwd, int64_t fcols,
                               const std::pair<int64_t, int64_t>* pd,
                               int64_t num_pairs, int64_t r0, int64_t r1) {
-  if (block == 5) {
-    BlockCrossGradDwRowsKernel<5>(gd, fd, dwd, fcols, pd, num_pairs, r0, r1);
-    return;
-  }
   for (int64_t i = r0; i < r1; ++i) {
     const double* frow = fd + i * fcols;
     double dw_acc = 0.0;
     for (int64_t p = 0; p < num_pairs; ++p) {
-      const int64_t ca = pd[p].first * block;
-      const int64_t cb = pd[p].second * block;
-      const double* gblock = gd + p * block * block;
-      for (int64_t r = 0; r < block; ++r) {
-        const double* grow = gblock + r * block;
+      const double* arow = frow + pd[p].first * kB;
+      const double* brow = frow + pd[p].second * kB;
+      const double* gblock = gd + p * kB * kB;
+      for (int64_t r = 0; r < kB; ++r) {
+        const double* grow = gblock + r * kB;
         double s = 0.0;
-        for (int64_t c = 0; c < block; ++c) s += grow[c] * frow[cb + c];
-        dw_acc += frow[ca + r] * s;
+        for (int64_t c = 0; c < kB; ++c) s += grow[c] * brow[c];
+        dw_acc += arow[r] * s;
       }
     }
     dwd[i] += dw_acc;

@@ -1,7 +1,8 @@
 // The serving model format stores the hidden-layer activation as a
-// fixed on-disk code (elu 0, relu 1, tanh 2, sigmoid 3, linear 4),
-// independent of ops::ActKind's declaration order. These tests pin the
-// codes byte for byte and check that an unknown code fails to load.
+// fixed on-disk code. Every network trains with ELU, code 0; the codes
+// 1-4 once named relu, tanh, sigmoid and linear hidden layers. These
+// tests pin ELU's code byte for byte and check that every other code
+// fails to load.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -12,8 +13,6 @@
 #include <fstream>
 #include <iterator>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "common/serial.h"
 #include "serve/model_format.h"
@@ -26,11 +25,10 @@ std::string TestPath(const std::string& name) {
   return ::testing::TempDir() + "/" + std::to_string(::getpid()) + "_" + name;
 }
 
-ServingModelData MakeData(ops::ActKind act) {
+ServingModelData MakeData() {
   ServingModelData data;
   data.meta.method_name = "codes";
   data.meta.spec.input_dim = 2;
-  data.meta.spec.network.activation = act;
   return data;
 }
 
@@ -56,20 +54,13 @@ uint32_t ReadU32(const std::string& bytes, size_t offset) {
   return v;
 }
 
-TEST(ActivationCodesTest, OnDiskCodesAreFixed) {
-  const std::vector<std::pair<ops::ActKind, uint32_t>> codes = {
-      {ops::ActKind::kElu, 0},     {ops::ActKind::kRelu, 1},
-      {ops::ActKind::kTanh, 2},    {ops::ActKind::kSigmoid, 3},
-      {ops::ActKind::kIdentity, 4}};
+TEST(ActivationCodesTest, EluCodeIsFixed) {
   const std::string path = TestPath("codes.model");
-  for (const auto& [act, code] : codes) {
-    const ServingModelData data = MakeData(act);
-    ASSERT_TRUE(SaveServingModel(data, path).ok());
-    EXPECT_EQ(ReadU32(ReadBytes(path), ActivationOffset(data)), code);
-    StatusOr<ServingModelData> loaded = LoadServingModel(path);
-    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-    EXPECT_EQ(loaded->meta.spec.network.activation, act);
-  }
+  const ServingModelData data = MakeData();
+  ASSERT_TRUE(SaveServingModel(data, path).ok());
+  EXPECT_EQ(ReadU32(ReadBytes(path), ActivationOffset(data)), 0u);
+  StatusOr<ServingModelData> loaded = LoadServingModel(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   std::remove(path.c_str());
 }
 
@@ -89,16 +80,17 @@ void PatchActivationCode(const std::string& path,
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
-TEST(ActivationCodesTest, UnknownCodeFailsToLoad) {
-  const ServingModelData data = MakeData(ops::ActKind::kIdentity);
+TEST(ActivationCodesTest, RetiredAndUnknownCodesFailToLoad) {
+  const ServingModelData data = MakeData();
   const std::string path = TestPath("unknown_code.model");
-  ASSERT_TRUE(SaveServingModel(data, path).ok());
-  PatchActivationCode(path, data, 3);  // a known code still loads
-  StatusOr<ServingModelData> patched = LoadServingModel(path);
-  ASSERT_TRUE(patched.ok()) << patched.status().ToString();
-  EXPECT_EQ(patched->meta.spec.network.activation, ops::ActKind::kSigmoid);
-  PatchActivationCode(path, data, 5);
-  EXPECT_FALSE(LoadServingModel(path).ok());
+  for (uint32_t code : {1u, 2u, 3u, 4u, 5u}) {
+    ASSERT_TRUE(SaveServingModel(data, path).ok());
+    PatchActivationCode(path, data, code);
+    EXPECT_FALSE(LoadServingModel(path).ok()) << "code " << code;
+  }
+  // The re-seal itself is sound: patching code 0 back in still loads.
+  PatchActivationCode(path, data, 0);
+  EXPECT_TRUE(LoadServingModel(path).ok());
   std::remove(path.c_str());
 }
 

@@ -144,9 +144,9 @@ TEST(IndependenceRegularizerTest, LowerForIndependentFeatures) {
   Var w = tape.Constant(Matrix::Ones(n, 1));
   Rng rff_a(4), rff_b(4);
   const double loss_indep =
-      HsicRffDecorrelationLoss(z_indep, w, 5, 0, rff_a).value().scalar();
+      HsicRffDecorrelationLoss(z_indep, w, 0, rff_a).value().scalar();
   const double loss_dep =
-      HsicRffDecorrelationLoss(z_dep, w, 5, 0, rff_b).value().scalar();
+      HsicRffDecorrelationLoss(z_dep, w, 0, rff_b).value().scalar();
   EXPECT_GT(loss_dep, 3.0 * loss_indep);
 }
 
@@ -167,7 +167,7 @@ TEST(IndependenceRegularizerTest, GradientDrivesWeightsTowardIndependence) {
     Tape tape;
     Var w = tape.Leaf(w_val);
     Rng rff(6);
-    Var loss = HsicRffDecorrelationLoss(z, w, 5, 0, rff);
+    Var loss = HsicRffDecorrelationLoss(z, w, 0, rff);
     before = loss.value().scalar();
     tape.Backward(loss);
     const Matrix& g = w.grad();
@@ -179,7 +179,7 @@ TEST(IndependenceRegularizerTest, GradientDrivesWeightsTowardIndependence) {
     Tape tape;
     Var w = tape.Leaf(w_val);
     Rng rff(6);  // same feature draw for a fair comparison
-    after = HsicRffDecorrelationLoss(z, w, 5, 0, rff).value().scalar();
+    after = HsicRffDecorrelationLoss(z, w, 0, rff).value().scalar();
   }
   EXPECT_LT(after, before);
 }
@@ -189,7 +189,7 @@ TEST(IndependenceRegularizerTest, SingleColumnIsZero) {
   Var w = tape.Leaf(Matrix::Ones(50, 1));
   Rng rff(7);
   Matrix z = Rng(8).Randn(50, 1);
-  Var loss = HsicRffDecorrelationLoss(z, w, 5, 0, rff);
+  Var loss = HsicRffDecorrelationLoss(z, w, 0, rff);
   EXPECT_EQ(loss.value().scalar(), 0.0);
 }
 

@@ -52,11 +52,12 @@ int64_t GrainRows(int64_t flops_per_row) {
 
 /// Weighted block cross-products E_w[U^T V] for every pair in one
 /// dispatch: ADDs (f[:, ai-block] .* w)^T * f[:, bi-block] into rows
-/// [p*block, (p+1)*block) of `*out` for each pair p = (ai, bi).
+/// [p*block, (p+1)*block) of `*out` for each pair p = (ai, bi), with
+/// block = kRffFeatures.
 void BlockPairWeightedCrossInto(
-    const Matrix& f, const Matrix& w, int64_t block,
+    const Matrix& f, const Matrix& w,
     const std::vector<std::pair<int64_t, int64_t>>& pairs, Matrix* out) {
-  SBRL_CHECK_GT(block, 0);
+  const int64_t block = kRffFeatures;
   SBRL_CHECK_EQ(w.cols(), 1);
   SBRL_CHECK_EQ(w.rows(), f.rows());
   const int64_t n = f.rows();
@@ -75,13 +76,12 @@ void BlockPairWeightedCrossInto(
   double* od = out->data();
   const int64_t fcols = f.cols();
   const std::pair<int64_t, int64_t>* pd = pairs.data();
-  // The resolved ISA's block-cross forward takes any block size and
-  // accumulates each output element's row terms in ascending order, so
-  // it is bitwise identical across ISA levels (and == sliced
-  // MatmulTransA).
+  // The resolved ISA's block-cross forward accumulates each output
+  // element's row terms in ascending order, so it is bitwise identical
+  // across ISA levels (and == sliced MatmulTransA).
   const auto block_cross_fwd = ActiveLinalgKernels().block_cross_fwd;
   const auto run_pairs = [=](int64_t p0, int64_t p1) {
-    block_cross_fwd(block, fd, wd, od, n, fcols, pd, p0, p1);
+    block_cross_fwd(fd, wd, od, n, fcols, pd, p0, p1);
   };
   const int64_t flops_per_pair = n * block * block;
   if (num_pairs * flops_per_pair <= SerialCutoff()) {
@@ -97,10 +97,10 @@ void BlockPairWeightedCrossInto(
 ///   df[:, bi-block] += w .* (f[:, ai-block] * g_p)
 /// `df` / `dw` may be null to skip that side.
 void BlockPairWeightedCrossGradInto(
-    const Matrix& g, const Matrix& f, const Matrix& w, int64_t block,
+    const Matrix& g, const Matrix& f, const Matrix& w,
     const std::vector<std::pair<int64_t, int64_t>>& pairs, Matrix* df,
     Matrix* dw) {
-  SBRL_CHECK_GT(block, 0);
+  const int64_t block = kRffFeatures;
   SBRL_CHECK_EQ(w.cols(), 1);
   SBRL_CHECK_EQ(w.rows(), f.rows());
   const int64_t n = f.rows();
@@ -122,13 +122,13 @@ void BlockPairWeightedCrossGradInto(
   // weight (the stacked features are tape constants), so the dw-only
   // case runs the resolved ISA table's dw kernel; the general case
   // keeps the fused loop. The baseline dw kernel keeps this loop's
-  // summation order bitwise; at block 5 the wider ISAs regroup the dot
-  // products (deterministic within a level, bounded against baseline —
-  // see tensor/kernels.h).
+  // summation order bitwise; the wider ISAs regroup the dot products
+  // (deterministic within a level, bounded against baseline — see
+  // tensor/kernels.h).
   const auto block_cross_grad_dw = ActiveLinalgKernels().block_cross_grad_dw;
   const auto run_rows = [=](int64_t r0, int64_t r1) {
     if (dfd == nullptr) {
-      block_cross_grad_dw(block, gd, fd, dwd, fcols, pd, num_pairs, r0, r1);
+      block_cross_grad_dw(gd, fd, dwd, fcols, pd, num_pairs, r0, r1);
       return;
     }
     for (int64_t i = r0; i < r1; ++i) {
@@ -168,20 +168,19 @@ void BlockPairWeightedCrossGradInto(
 /// Weighted batched pair cross-covariances E_w[U^T V] as one tape node
 /// over BlockPairWeightedCrossInto and its adjoint.
 Var BlockWeightedCrossCov(
-    Var f, Var w, int64_t block,
-    const std::vector<std::pair<int64_t, int64_t>>& pairs) {
+    Var f, Var w, const std::vector<std::pair<int64_t, int64_t>>& pairs) {
+  const int64_t block = kRffFeatures;
   Tape* t = f.tape();
   SBRL_CHECK(w.tape() == t);
-  SBRL_CHECK_GT(block, 0);
   SBRL_CHECK_EQ(w.cols(), 1);
   SBRL_CHECK_EQ(w.rows(), f.rows());
   const int64_t num_pairs = static_cast<int64_t>(pairs.size());
   SBRL_CHECK_GT(num_pairs, 0);
   Matrix out = t->NewZero(num_pairs * block, block);
-  BlockPairWeightedCrossInto(f.value(), w.value(), block, pairs, &out);
+  BlockPairWeightedCrossInto(f.value(), w.value(), pairs, &out);
   const int fi = f.id(), wi = w.id(), self = t->size();
   return t->MakeNode(std::move(out), {f, w},
-                     [fi, wi, self, block, pairs](Tape* t) {
+                     [fi, wi, self, pairs](Tape* t) {
     const Matrix& g = t->grad(self);
     const Matrix& fv = t->value(fi);
     const Matrix& wv = t->value(wi);
@@ -190,7 +189,7 @@ Var BlockWeightedCrossCov(
     Matrix df, dw;
     if (need_f) df = t->NewZero(fv.rows(), fv.cols());
     if (need_w) dw = t->NewZero(wv.rows(), 1);
-    BlockPairWeightedCrossGradInto(g, fv, wv, block, pairs,
+    BlockPairWeightedCrossGradInto(g, fv, wv, pairs,
                                    need_f ? &df : nullptr,
                                    need_w ? &dw : nullptr);
     if (need_f) t->AccumulateGrad(fi, std::move(df));
@@ -200,11 +199,11 @@ Var BlockWeightedCrossCov(
 
 /// Scalar pair loss sum_p || cross_p - mu_{a_p} mu_{b_p}^T ||_F^2 from
 /// stacked cross blocks and weighted feature means, as one tape node.
-Var PairHsicFrobenius(Var cross, Var means, int64_t block,
+Var PairHsicFrobenius(Var cross, Var means,
                       const std::vector<std::pair<int64_t, int64_t>>& pairs) {
+  const int64_t block = kRffFeatures;
   Tape* t = cross.tape();
   SBRL_CHECK(means.tape() == t);
-  SBRL_CHECK_GT(block, 0);
   const int64_t num_pairs = static_cast<int64_t>(pairs.size());
   SBRL_CHECK(cross.rows() == num_pairs * block && cross.cols() == block)
       << "cross blocks shape " << cross.value().ShapeString();
@@ -237,7 +236,7 @@ Var PairHsicFrobenius(Var cross, Var means, int64_t block,
   out(0, 0) = acc;
   const int ci = cross.id(), mi = means.id(), self = t->size();
   return t->MakeNode(std::move(out), {cross, means},
-                     [ci, mi, self, block, pairs](Tape* t) {
+                     [ci, mi, self, pairs](Tape* t) {
     const double g = t->grad(self).scalar();
     const Matrix& cv = t->value(ci);
     const Matrix& mv = t->value(mi);
@@ -283,8 +282,8 @@ Var PairHsicFrobenius(Var cross, Var means, int64_t block,
 
 /// The unfused HSIC-RFF tier in HsicRffDecorrelationLoss's standalone
 /// rng order (pair subset, compact column map, epoch seed).
-Var UnfusedTierLoss(const Matrix& z, Var w, int64_t k, int64_t budget,
-                    Rng& rng) {
+Var UnfusedTierLoss(const Matrix& z, Var w, int64_t budget, Rng& rng) {
+  const int64_t k = kRffFeatures;
   Tape* tape = w.tape();
   Var w_norm = ops::DivScalar(w, ops::SumAll(w));
   const FeaturePairSelection sel = SelectFeaturePairs(z.cols(), budget, rng);
@@ -294,9 +293,9 @@ Var UnfusedTierLoss(const Matrix& z, Var w, int64_t k, int64_t budget,
   StackRffRows(z, MakeRffStack(blocks.used_cols, k, &draws), 0, z.rows(),
                &stacked);
   Var f = tape->Constant(std::move(stacked));
-  Var cross = BlockWeightedCrossCov(f, w_norm, k, blocks.block_pairs);
+  Var cross = BlockWeightedCrossCov(f, w_norm, blocks.block_pairs);
   Var means = ops::MatmulTransA(w_norm, f);
-  Var loss = PairHsicFrobenius(cross, means, k, blocks.block_pairs);
+  Var loss = PairHsicFrobenius(cross, means, blocks.block_pairs);
   return ops::Scale(loss, sel.Rescale());
 }
 
@@ -308,8 +307,8 @@ Var UnfusedTierLoss(const Matrix& z, Var w, int64_t k, int64_t budget,
 /// blocks u, v of every selected pair, the weighted HSIC-RFF statistic
 ///   || E_w[u^T v] - E_w[u]^T E_w[v] ||_F^2
 /// one small tape op at a time.
-Var PerPairReferenceLoss(const Matrix& z, Var w, int64_t k, int64_t budget,
-                         Rng& rng) {
+Var PerPairReferenceLoss(const Matrix& z, Var w, int64_t budget, Rng& rng) {
+  const int64_t k = kRffFeatures;
   Tape* tape = w.tape();
   const int64_t d = z.cols();
   Var w_norm = ops::DivScalar(w, ops::SumAll(w));
@@ -335,14 +334,13 @@ Var PerPairReferenceLoss(const Matrix& z, Var w, int64_t k, int64_t budget,
 
 /// Loss value and weight gradient of the production loss, or of the
 /// per-pair reference when `reference` is set, under rng seed `seed`.
-double LossAndGrad(const Matrix& z, const Matrix& w_val, int64_t k,
-                   int64_t budget, uint64_t seed, bool reference,
-                   Matrix* grad_out) {
+double LossAndGrad(const Matrix& z, const Matrix& w_val, int64_t budget,
+                   uint64_t seed, bool reference, Matrix* grad_out) {
   Tape tape;
   Var w = tape.Leaf(w_val);
   Rng rng(seed);
-  Var loss = reference ? PerPairReferenceLoss(z, w, k, budget, rng)
-                       : HsicRffDecorrelationLoss(z, w, k, budget, rng);
+  Var loss = reference ? PerPairReferenceLoss(z, w, budget, rng)
+                       : HsicRffDecorrelationLoss(z, w, budget, rng);
   tape.Backward(loss);
   *grad_out = w.grad();
   return loss.value().scalar();
@@ -362,9 +360,9 @@ TEST_P(HsicModeEquivalence, LossesAgreeWithinDocumentedTolerance) {
   Matrix z = data_rng.Randn(n, d);
   Matrix w_val = data_rng.Rand(n, 1, 0.5, 2.0);  // non-uniform weights
   Matrix grad_reference, grad_batched;
-  const double reference = LossAndGrad(z, w_val, 5, budget, 42,
+  const double reference = LossAndGrad(z, w_val, budget, 42,
                                        /*reference=*/true, &grad_reference);
-  const double batched = LossAndGrad(z, w_val, 5, budget, 42,
+  const double batched = LossAndGrad(z, w_val, budget, 42,
                                      /*reference=*/false, &grad_batched);
   EXPECT_GT(reference, 0.0);
   EXPECT_NEAR(batched, reference,
@@ -389,7 +387,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(BlockOpsGradTest, BlockWeightedCrossCovGradChecksAndMatchesUnfused) {
   Rng rng(21);
-  const int64_t n = 14, d = 4, k = 3;
+  const int64_t n = 14, d = 4, k = kRffFeatures;
   Matrix f0 = rng.Randn(n, d * k);
   Matrix w0 = rng.Rand(n, 1, 0.5, 2.0);
   std::vector<std::pair<int64_t, int64_t>> pairs = {{0, 1}, {1, 3}, {2, 1}};
@@ -400,7 +398,7 @@ TEST(BlockOpsGradTest, BlockWeightedCrossCovGradChecksAndMatchesUnfused) {
     if (f_out != nullptr) *f_out = f;
     if (w_out != nullptr) *w_out = w;
     return ops::SumAll(
-        ops::Square(BlockWeightedCrossCov(f, w, k, pairs)));
+        ops::Square(BlockWeightedCrossCov(f, w, pairs)));
   };
   Tape tape;
   Var f, w;
@@ -414,7 +412,7 @@ TEST(BlockOpsGradTest, BlockWeightedCrossCovGradChecksAndMatchesUnfused) {
     Var fw = ops::MulCol(f2, t2.Leaf(w0));
     Tape t3;
     const Matrix fused =
-        BlockWeightedCrossCov(t3.Leaf(f0), t3.Leaf(w0), k, pairs).value();
+        BlockWeightedCrossCov(t3.Leaf(f0), t3.Leaf(w0), pairs).value();
     for (size_t p = 0; p < pairs.size(); ++p) {
       const Matrix want =
           ops::MatmulTransA(ops::SliceCols(fw, pairs[p].first * k, k),
@@ -442,7 +440,7 @@ TEST(BlockOpsGradTest, BlockWeightedCrossCovGradChecksAndMatchesUnfused) {
 
 TEST(BlockOpsGradTest, PairHsicFrobeniusGradChecks) {
   Rng rng(9);
-  const int64_t d = 4, k = 3;
+  const int64_t d = 4, k = kRffFeatures;
   std::vector<std::pair<int64_t, int64_t>> pairs = {{0, 1}, {1, 3}, {2, 3}};
   Matrix cross0 = rng.Randn(static_cast<int64_t>(pairs.size()) * k, k);
   Matrix means0 = rng.Randn(1, d * k);
@@ -452,7 +450,7 @@ TEST(BlockOpsGradTest, PairHsicFrobeniusGradChecks) {
     Var m = tape->Leaf(mv);
     if (c_out != nullptr) *c_out = c;
     if (m_out != nullptr) *m_out = m;
-    return PairHsicFrobenius(c, m, k, pairs);
+    return PairHsicFrobenius(c, m, pairs);
   };
   Tape tape;
   Var c, m;
@@ -478,13 +476,13 @@ TEST(BlockOpsGradTest, BatchedDecorrelationLossGradChecksEndToEnd) {
   Tape tape;
   Var w = tape.Leaf(w0);
   Rng rng(11);
-  Var loss = HsicRffDecorrelationLoss(z, w, 4, 0, rng);
+  Var loss = HsicRffDecorrelationLoss(z, w, 0, rng);
   tape.Backward(loss);
   const auto f = [&](const Matrix& w_val) {
     Tape t;
     Var wv = t.Leaf(w_val);
     Rng r(11);  // same RFF draws on every evaluation
-    return HsicRffDecorrelationLoss(z, wv, 4, 0, r).value().scalar();
+    return HsicRffDecorrelationLoss(z, wv, 0, r).value().scalar();
   };
   EXPECT_LT(MaxGradientError(f, w0, w.grad()), 1e-5);
 }
@@ -495,14 +493,13 @@ TEST(BlockOpsGradTest, BatchedDecorrelationLossGradChecksEndToEnd) {
 
 /// Loss and weight gradient of one tier, fused or through the unfused
 /// chain, under rng seed `seed`.
-double TierLossAndGrad(const Matrix& z, const Matrix& w_val, int64_t k,
-                       int64_t budget, uint64_t seed, bool unfused,
-                       Matrix* grad_out) {
+double TierLossAndGrad(const Matrix& z, const Matrix& w_val, int64_t budget,
+                       uint64_t seed, bool unfused, Matrix* grad_out) {
   Tape tape;
   Var w = tape.Leaf(w_val);
   Rng rng(seed);
-  Var loss = unfused ? UnfusedTierLoss(z, w, k, budget, rng)
-                     : HsicRffDecorrelationLoss(z, w, k, budget, rng);
+  Var loss = unfused ? UnfusedTierLoss(z, w, budget, rng)
+                     : HsicRffDecorrelationLoss(z, w, budget, rng);
   tape.Backward(loss);
   *grad_out = w.grad();
   return loss.value().scalar();
@@ -510,11 +507,10 @@ double TierLossAndGrad(const Matrix& z, const Matrix& w_val, int64_t k,
 
 TEST(FusedTierTest, LossAndGradBitwiseEqualUnfusedChain) {
   // Row counts on both sides of the row blocks and the kernels' row
-  // tiles; k = 5 runs each level's register kernels, while k = 4, 6 and
-  // 8 take the any-block path (the baseline forward and dw loops at
-  // every level). The fused forward sweeps F in row blocks that resume
-  // the cross and means accumulators, so a kernel that restarted them
-  // at zero per block fails here.
+  // tiles, through each level's register kernels. The fused forward
+  // sweeps F in row blocks that resume the cross and means
+  // accumulators, so a kernel that restarted them at zero per block
+  // fails here.
   const int initial_workers = ThreadPool::GlobalParallelism() - 1;
   for (int threads : {1, 2, 4}) {
     ThreadPool::ResetGlobalForTest(threads - 1);
@@ -525,24 +521,20 @@ TEST(FusedTierTest, LossAndGradBitwiseEqualUnfusedChain) {
         Rng data_rng(500 + static_cast<uint64_t>(n));
         const Matrix z = data_rng.Randn(n, 12);
         const Matrix w_val = data_rng.Rand(n, 1, 0.5, 2.0);
-        for (int64_t k : {4, 5, 6, 8}) {
-          Matrix grad_fused, grad_unfused;
-          const double fused = TierLossAndGrad(z, w_val, k, 20, 77,
-                                               /*unfused=*/false,
-                                               &grad_fused);
-          const double unfused = TierLossAndGrad(z, w_val, k, 20, 77,
-                                                 /*unfused=*/true,
-                                                 &grad_unfused);
-          const std::string where = std::string(IsaName(isa)) + " n=" +
-                                    std::to_string(n) + " k=" +
-                                    std::to_string(k) + " threads=" +
-                                    std::to_string(threads);
-          ASSERT_EQ(fused, unfused) << where;
-          ASSERT_TRUE(grad_fused.same_shape(grad_unfused)) << where;
-          for (int64_t i = 0; i < n; ++i) {
-            ASSERT_EQ(grad_fused[i], grad_unfused[i])
-                << where << " grad row " << i;
-          }
+        Matrix grad_fused, grad_unfused;
+        const double fused = TierLossAndGrad(z, w_val, 20, 77,
+                                             /*unfused=*/false, &grad_fused);
+        const double unfused = TierLossAndGrad(z, w_val, 20, 77,
+                                               /*unfused=*/true,
+                                               &grad_unfused);
+        const std::string where = std::string(IsaName(isa)) + " n=" +
+                                  std::to_string(n) + " threads=" +
+                                  std::to_string(threads);
+        ASSERT_EQ(fused, unfused) << where;
+        ASSERT_TRUE(grad_fused.same_shape(grad_unfused)) << where;
+        for (int64_t i = 0; i < n; ++i) {
+          ASSERT_EQ(grad_fused[i], grad_unfused[i])
+              << where << " grad row " << i;
         }
       }
     }
@@ -557,9 +549,9 @@ TEST(FusedTierTest, PairwiseStatisticIsTheFusedForward) {
   const Matrix z = data_rng.Randn(300, 9);
   const Matrix w_val = data_rng.Rand(300, 1, 0.5, 2.0);
   Rng stat_rng(8);
-  const double stat = PairwiseWeightedHsicRff(z, w_val, 5, stat_rng, 10);
+  const double stat = PairwiseWeightedHsicRff(z, w_val, stat_rng, 10);
   Matrix grad;
-  const double loss = TierLossAndGrad(z, w_val, 5, 10, 8, /*unfused=*/true,
+  const double loss = TierLossAndGrad(z, w_val, 10, 8, /*unfused=*/true,
                                       &grad);
   EXPECT_EQ(stat, loss);
 }

@@ -56,9 +56,9 @@ TEST(IntegrationTest, SbrlWeightsReduceRepresentationDependence) {
   Matrix uniform = Matrix::Ones(train.n(), 1);
   Rng stat_a(203), stat_b(203);  // identical feature draws
   const double h_uniform =
-      PairwiseWeightedHsicRff(rep, uniform, 5, stat_a, 32);
+      PairwiseWeightedHsicRff(rep, uniform, stat_a, 32);
   const double h_learned = PairwiseWeightedHsicRff(
-      rep, estimator->sample_weights(), 5, stat_b, 32);
+      rep, estimator->sample_weights(), stat_b, 32);
   EXPECT_LT(h_learned, h_uniform);
 }
 

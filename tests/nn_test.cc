@@ -102,7 +102,6 @@ TEST(MlpTest, EluKeepsOutputsAboveMinusOne) {
   MlpConfig config;
   config.input_dim = 4;
   config.hidden = {16};
-  config.activation = Activation::kElu;
   Mlp mlp("m", config, rng);
   Tape tape;
   ParamBinder binder(&tape);

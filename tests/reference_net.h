@@ -60,7 +60,7 @@ class ReferenceMlp {
     for (size_t i = 0; i < layers_.size(); ++i) {
       h = layers_[i].Forward(binder, h);
       if (config_.batchnorm) h = norms_[i].Forward(binder, h, training);
-      h = ApplyActivation(h, config_.activation);
+      h = ApplyActivation(h, ops::ActKind::kElu);
       outputs.push_back(h);
     }
     if (outputs.empty()) outputs.push_back(x);
@@ -94,16 +94,17 @@ class ReferenceCfr : public Backbone {
         cfr_(config.cfr),
         // Declaration order below is TarnetBackbone's draw order: the
         // representation, then both head bodies, then both output units.
-        rep_("rep", Body(input_dim, config.network.rep_layers,
-                         config.network.rep_width, config.network),
+        rep_("rep",
+             MakeMlpConfig(input_dim, config.network.rep_layers,
+                           config.network.rep_width, config.network.batchnorm),
              rng),
-        h0_("heads.h0", Body(config.network.rep_width,
-                             config.network.head_layers,
-                             config.network.head_width, config.network),
+        h0_("heads.h0",
+            MakeMlpConfig(config.network.rep_width, config.network.head_layers,
+                          config.network.head_width, config.network.batchnorm),
             rng),
-        h1_("heads.h1", Body(config.network.rep_width,
-                             config.network.head_layers,
-                             config.network.head_width, config.network),
+        h1_("heads.h1",
+            MakeMlpConfig(config.network.rep_width, config.network.head_layers,
+                          config.network.head_width, config.network.batchnorm),
             rng),
         out0_("heads.h0.out", config.network.head_width, 1, rng),
         out1_("heads.h1.out", config.network.head_width, 1, rng) {}
@@ -170,16 +171,6 @@ class ReferenceCfr : public Backbone {
   int64_t input_dim() const override { return input_dim_; }
 
  private:
-  static MlpConfig Body(int64_t in_dim, int64_t layers, int64_t width,
-                        const NetworkConfig& network) {
-    MlpConfig body;
-    body.input_dim = in_dim;
-    body.hidden.assign(static_cast<size_t>(layers), width);
-    body.activation = network.activation;
-    body.batchnorm = network.batchnorm;
-    return body;
-  }
-
   int64_t input_dim_;
   NetworkConfig network_;
   CfrConfig cfr_;

@@ -40,7 +40,6 @@ ServingModelData MakeModelData() {
   data.meta.spec.network.head_layers = 1;
   data.meta.spec.network.head_width = kHeadWidth;
   data.meta.spec.network.batchnorm = true;
-  data.meta.spec.network.activation = Activation::kElu;
 
   auto add_layer = [&](const std::string& prefix, int64_t index, int64_t in,
                        int64_t out) {

@@ -54,7 +54,6 @@ ServingModelData MakeData() {
   data.meta.spec.network.head_width = 4;
   data.meta.spec.network.batchnorm = true;
   data.meta.spec.network.rep_normalization = true;
-  data.meta.spec.network.activation = Activation::kRelu;
   data.meta.isa = IsaChoice::kBaseline;
   data.weights.push_back({"rep.l0.W", rng.Randn(5, 3)});
   data.weights.push_back({"rep.l0.b", rng.Randn(1, 3)});
@@ -107,7 +106,6 @@ TEST(ServingFormatTest, RoundTripPreservesEverySection) {
   EXPECT_EQ(got_net.head_width, want_net.head_width);
   EXPECT_EQ(got_net.batchnorm, want_net.batchnorm);
   EXPECT_EQ(got_net.rep_normalization, want_net.rep_normalization);
-  EXPECT_EQ(got_net.activation, want_net.activation);
   EXPECT_EQ(got.meta.isa, data.meta.isa);
   EXPECT_EQ(got.meta.spec.bn_eps, data.meta.spec.bn_eps);
   ASSERT_EQ(got.weights.size(), data.weights.size());

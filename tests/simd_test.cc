@@ -275,7 +275,7 @@ std::pair<double, Matrix> FreshDrawsPerTier(const WeightLossInputs& inputs,
   const auto add_tier = [&](const Matrix& z, double gamma) {
     RffSlotDraws fresh{epoch_seed, {}};
     loss = ops::Add(
-        loss, ops::Scale(HsicRffDecorrelationLoss(z, w, config.rff_features,
+        loss, ops::Scale(HsicRffDecorrelationLoss(z, w,
                                                   config.hsic_pair_budget,
                                                   rng, &fresh),
                          gamma));

@@ -99,9 +99,11 @@ TEST(HsicRffTest, IndependentVsDependentSeparation) {
   Matrix indep = rng.Randn(500, 1);
   Matrix dep(500, 1);
   for (int64_t i = 0; i < 500; ++i) dep(i, 0) = std::sin(2.0 * a(i, 0));
+  // Unit weights: the plain (unweighted) HSIC-RFF of paper Eq. 7.
+  const Matrix unit = Matrix::Ones(500, 1);
   Rng rng_stat(11);
-  const double h_indep = HsicRff(a, indep, 5, rng_stat);
-  const double h_dep = HsicRff(a, dep, 5, rng_stat);
+  const double h_indep = WeightedHsicRff(a, indep, unit, 5, rng_stat);
+  const double h_dep = WeightedHsicRff(a, dep, unit, 5, rng_stat);
   EXPECT_GT(h_dep, 3.0 * h_indep);
 }
 
@@ -138,10 +140,10 @@ TEST(HsicRffTest, PairwiseSumAndSubsampleScale) {
   Matrix x = rng.Randn(200, 6);
   Matrix w = Matrix::Ones(200, 1);
   Rng rng_a(15), rng_b(15);
-  const double full = PairwiseWeightedHsicRff(x, w, 5, rng_a, 0);
+  const double full = PairwiseWeightedHsicRff(x, w, rng_a, 0);
   EXPECT_GE(full, 0.0);
   // A subsample estimate should be on the same order as the full sum.
-  const double sub = PairwiseWeightedHsicRff(x, w, 5, rng_b, 8);
+  const double sub = PairwiseWeightedHsicRff(x, w, rng_b, 8);
   EXPECT_GT(sub, 0.0);
   EXPECT_LT(sub, full * 10.0);
 }
@@ -310,7 +312,7 @@ TEST_P(HsicRffPropertySweep, NonNegativeAndFiniteAcrossConfigs) {
   Matrix a = rng.Randn(n, 1);
   Matrix b = rng.Randn(n, 1);
   Rng stat_rng(300 + n * k);
-  const double h = HsicRff(a, b, k, stat_rng);
+  const double h = WeightedHsicRff(a, b, Matrix::Ones(n, 1), k, stat_rng);
   EXPECT_GE(h, 0.0);
   EXPECT_TRUE(std::isfinite(h));
 }
