@@ -65,8 +65,7 @@ int Main() {
     // vanilla CFR), over (up to) 25 sampled dimensions as in the paper.
     Rng stat_rng(78);  // same dim sample + feature draws for all methods
     Matrix h = PairwiseHsicRffMatrix(rep, estimator.sample_weights(),
-                                     /*num_features=*/5, stat_rng,
-                                     /*max_dims=*/25);
+                                     stat_rng, /*max_dims=*/25);
     out->extra = {MeanOffDiagonal(h), h.MaxValue()};
   };
 

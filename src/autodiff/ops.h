@@ -119,7 +119,7 @@ Var Affine(Var x, Var w, Var b);
 /// ActKind), builds d(pre-activation) in one pooled temporary, and
 /// emits dx / dW / db directly — the pre-activation never exists as a
 /// tape node. Values and gradients are bitwise identical to the
-/// reference composition ApplyActivation(Affine(x, w, b)): the same
+/// reference composition Elu(Affine(x, w, b)): the same
 /// kernels accumulate in the same order and the activations share one
 /// policy (for ELU, the per-ISA kernel), only the node count changes.
 /// dx is skipped when `x` is a constant (first-layer input).

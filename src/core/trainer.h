@@ -35,7 +35,7 @@ struct TrainDiagnostics {
   /// step (Algorithm 1 step A: recording the head forward chain,
   /// differentiating the weighted factual loss, and applying the Adam
   /// updates). The share the fused layer recording targets (see
-  /// nn/net_step.h); BENCH_table6.json records it as
+  /// nn/mlp.h); BENCH_table6.json records it as
   /// `<method>/net_step` so the network-step cost is tracked over time.
   double net_step_seconds = 0.0;
   /// Wall-clock seconds of `train_seconds` spent inside the RFF cosine

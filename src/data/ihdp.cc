@@ -105,6 +105,7 @@ RealWorldSplits MakeIhdpReplication(const IhdpConfig& config, uint64_t seed) {
 
   // --- Biased OOD test split over the continuous covariates. ---
   std::vector<double> log_w(static_cast<size_t>(n));
+  const BiasRate rate(config.rho);
   for (int64_t i = 0; i < n; ++i) {
     std::vector<double> xc(static_cast<size_t>(config.continuous));
     for (int64_t j = 0; j < config.continuous; ++j) {
@@ -112,7 +113,7 @@ RealWorldSplits MakeIhdpReplication(const IhdpConfig& config, uint64_t seed) {
     }
     const double ite = all.mu1(i, 0) - all.mu0(i, 0);
     log_w[static_cast<size_t>(i)] =
-        BiasedSelectionLogWeight(ite, xc, config.rho);
+        BiasedSelectionLogWeight(ite, xc, rate);
   }
   const int64_t n_test =
       static_cast<int64_t>(std::round(config.test_fraction *

@@ -7,16 +7,20 @@
 
 namespace sbrl {
 
+BiasRate::BiasRate(double rho)
+    : rho(rho),
+      sign(rho > 0.0 ? 1.0 : -1.0),
+      log_abs(std::log(std::abs(rho))) {
+  SBRL_CHECK_GT(std::abs(rho), 1.0) << "bias rate must satisfy |rho| > 1";
+}
+
 double BiasedSelectionLogWeight(double ite,
                                 const std::vector<double>& unstable_values,
-                                double rho) {
-  SBRL_CHECK_GT(std::abs(rho), 1.0) << "bias rate must satisfy |rho| > 1";
-  const double sign = rho > 0.0 ? 1.0 : -1.0;
-  const double log_abs_rho = std::log(std::abs(rho));
+                                const BiasRate& rate) {
   double log_w = 0.0;
   for (double xv : unstable_values) {
-    const double d = std::abs(ite - sign * xv);
-    log_w += -10.0 * d * log_abs_rho;
+    const double d = std::abs(ite - rate.sign * xv);
+    log_w += -10.0 * d * rate.log_abs;
   }
   return log_w;
 }
@@ -45,12 +49,6 @@ std::vector<int64_t> WeightedSampleWithoutReplacement(
     out.push_back(keys[static_cast<size_t>(i)].second);
   }
   return out;
-}
-
-bool AcceptWithLogProb(double log_prob, Mt19937_64Block& engine) {
-  SBRL_CHECK_LE(log_prob, 1e-12) << "acceptance log-probability above 0";
-  if (log_prob <= -700.0) return false;  // exp underflow: never accept
-  return Canonical53(engine) < std::exp(log_prob);
 }
 
 }  // namespace sbrl

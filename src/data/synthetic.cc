@@ -1,5 +1,6 @@
 #include "data/synthetic.h"
 
+#include <array>
 #include <cmath>
 #include <vector>
 
@@ -59,19 +60,19 @@ CausalDataset SyntheticModel::SampleEnvironmentChunk(
     int64_t rows, double rho, uint64_t env_seed, int64_t chunk_index) const {
   SBRL_CHECK_GE(chunk_index, 0);
   const uint64_t seed = ChunkSeed(env_seed, static_cast<uint64_t>(chunk_index));
-  if (rho == 1.0) return SampleSeeded(rows, /*biased=*/false, rho, seed);
-  SBRL_CHECK_GT(std::abs(rho), 1.0) << "bias rate must satisfy |rho| > 1";
-  return SampleSeeded(rows, /*biased=*/true, rho, seed);
+  if (rho == 1.0) return SampleSeeded(rows, /*bias=*/nullptr, seed);
+  const BiasRate rate(rho);
+  return SampleSeeded(rows, &rate, seed);
 }
 
 CausalDataset SyntheticModel::SampleEnvironment(int64_t n, double rho,
                                                 uint64_t env_seed) const {
   SBRL_CHECK_GT(n, 0);
-  SBRL_CHECK_GT(std::abs(rho), 1.0) << "bias rate must satisfy |rho| > 1";
-  return SampleSeeded(n, /*biased=*/true, rho, env_seed);
+  const BiasRate rate(rho);
+  return SampleSeeded(n, &rate, env_seed);
 }
 
-CausalDataset SyntheticModel::SampleSeeded(int64_t n, bool biased, double rho,
+CausalDataset SyntheticModel::SampleSeeded(int64_t n, const BiasRate* bias,
                                            uint64_t seed) const {
   SBRL_CHECK_GT(n, 0);
   const int64_t m = dims_.total();
@@ -84,8 +85,14 @@ CausalDataset SyntheticModel::SampleSeeded(int64_t n, bool biased, double rho,
   data.binary_outcome = true;
 
   Mt19937_64Block engine(seed);
+  const int64_t m_ic = dims_.m_i + dims_.m_c;
   const int64_t m_ca = dims_.m_c + dims_.m_a;
+  const int64_t v_begin = unstable_begin();
   const double denom = 10.0 * static_cast<double>(m_ca);
+  // One candidate's polar points in draw order: one per covariate
+  // column, then the treatment noise's. A point becomes its normal
+  // (FinishPolar) only once a decision or an accepted row needs it.
+  std::vector<PolarPoint> points(static_cast<size_t>(m + 1));
   std::vector<double> unstable(static_cast<size_t>(dims_.m_v));
   const int64_t max_attempts = n * 100000;
   int64_t accepted = 0;
@@ -93,36 +100,61 @@ CausalDataset SyntheticModel::SampleSeeded(int64_t n, bool biased, double rho,
   while (accepted < n) {
     SBRL_CHECK_LT(attempts, max_attempts)
         << "rejection sampling failed to reach n=" << n
-        << " at rho=" << rho << "; acceptance rate too low";
+        << " at rho=" << (bias != nullptr ? bias->rho : 1.0)
+        << "; acceptance rate too low";
     ++attempts;
-    // A candidate is drawn into the next free row; a rejected one is
+    for (PolarPoint& p : points) p = DrawPolarPoint(engine);
+    // std::bernoulli_distribution(p): one canonical draw, `< p`.
+    const double treatment_u = Canonical53(engine);
+    // A candidate is finished into the next free row; a rejected one is
     // overwritten by the following candidate.
     double* x = data.x.data() + accepted * m;
-    for (int64_t j = 0; j < m; ++j) x[j] = StdNormal(engine);
-    // Treatment from instruments + confounders (paper: z = theta_t.X_IC/10 + xi).
-    double zt = 0.0;
-    for (int64_t j = 0; j < dims_.m_i + dims_.m_c; ++j) {
-      zt += theta_t_(j, 0) * x[j];
-    }
-    zt = zt / 10.0 + StdNormal(engine);
-    // std::bernoulli_distribution(p): one canonical draw, `< p`.
-    const int t = Canonical53(engine) < StableSigmoid(zt) ? 1 : 0;
-    // Potential outcomes from confounders + adjusters.
-    double z0 = 0.0, z1 = 0.0;
-    for (int64_t j = 0; j < m_ca; ++j) {
-      const double xj = x[dims_.m_i + j];
-      z0 += theta_y0_(j, 0) * xj;
-      z1 += theta_y1_(j, 0) * xj * xj;
-    }
-    const double y0 = (z0 / denom > thr0_) ? 1.0 : 0.0;
-    const double y1 = (z1 / denom > thr1_) ? 1.0 : 0.0;
-    if (biased) {
-      for (int64_t v = 0; v < dims_.m_v; ++v) {
-        unstable[static_cast<size_t>(v)] = x[unstable_begin() + v];
+    const auto finish = [&](int64_t begin, int64_t end) {
+      for (int64_t j = begin; j < end; ++j) {
+        x[j] = FinishPolar(points[static_cast<size_t>(j)]);
       }
-      const double log_w = BiasedSelectionLogWeight(y1 - y0, unstable, rho);
-      if (!AcceptWithLogProb(log_w, engine)) continue;
+    };
+    // Potential outcomes from confounders + adjusters, computed once;
+    // returns the ITE y1 - y0.
+    double y0 = 0.0, y1 = 0.0;
+    bool outcomes_done = false;
+    const auto outcomes = [&] {
+      if (!outcomes_done) {
+        outcomes_done = true;
+        finish(dims_.m_i, v_begin);
+        double z0 = 0.0, z1 = 0.0;
+        for (int64_t j = 0; j < m_ca; ++j) {
+          const double xj = x[dims_.m_i + j];
+          z0 += theta_y0_(j, 0) * xj;
+          z1 += theta_y1_(j, 0) * xj * xj;
+        }
+        y0 = (z0 / denom > thr0_) ? 1.0 : 0.0;
+        y1 = (z1 / denom > thr1_) ? 1.0 : 0.0;
+      }
+      return y1 - y0;
+    };
+    finish(v_begin, m);
+    if (bias != nullptr) {
+      // y1 - y0 is -1, 0 or +1: weigh the unit at all three, and finish
+      // the outcome columns only if the weights leave the decision open.
+      for (int64_t v = 0; v < dims_.m_v; ++v) {
+        unstable[static_cast<size_t>(v)] = x[v_begin + v];
+      }
+      std::array<double, 3> log_w;
+      for (int i = 0; i < 3; ++i) {
+        log_w[static_cast<size_t>(i)] =
+            BiasedSelectionLogWeight(i - 1.0, unstable, *bias);
+      }
+      if (!AcceptBiasedLazy(log_w, outcomes, engine)) continue;
     }
+    outcomes();
+    finish(0, dims_.m_i);
+    // Treatment from instruments + confounders
+    // (paper: z = theta_t.X_IC/10 + xi).
+    double zt = 0.0;
+    for (int64_t j = 0; j < m_ic; ++j) zt += theta_t_(j, 0) * x[j];
+    zt = zt / 10.0 + FinishPolar(points[static_cast<size_t>(m)]);
+    const int t = treatment_u < StableSigmoid(zt) ? 1 : 0;
     data.t[static_cast<size_t>(accepted)] = t;
     data.mu0(accepted, 0) = y0;
     data.mu1(accepted, 0) = y1;
@@ -135,7 +167,7 @@ CausalDataset SyntheticModel::SampleSeeded(int64_t n, bool biased, double rho,
 CausalDataset SyntheticModel::SampleUnbiased(int64_t n,
                                              uint64_t env_seed) const {
   SBRL_CHECK_GT(n, 0);
-  return SampleSeeded(n, /*biased=*/false, /*rho=*/1.0, env_seed);
+  return SampleSeeded(n, /*bias=*/nullptr, env_seed);
 }
 
 }  // namespace sbrl

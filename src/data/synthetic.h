@@ -7,6 +7,8 @@
 
 namespace sbrl {
 
+struct BiasRate;
+
 /// Dimensions of the paper's synthetic covariate blocks
 /// Syn_mI_mC_mA_mV: instruments I (affect T only), confounders C
 /// (affect T and Y), adjusters A (affect Y only), and unstable noise V
@@ -80,10 +82,11 @@ class SyntheticModel {
  private:
   /// Shared sampling loop over a Mt19937_64Block seeded with `seed`:
   /// draws until `n` units are accepted, applying the rho-biased
-  /// rejection only when `biased` is set. Engine outputs are consumed
-  /// in the order that defines the stream (docs/ARCHITECTURE.md
-  /// "Synthetic stream identity").
-  CausalDataset SampleSeeded(int64_t n, bool biased, double rho,
+  /// rejection only when `bias` is set. Engine outputs are consumed in
+  /// the order that defines the stream (docs/ARCHITECTURE.md "Synthetic
+  /// stream identity"); a candidate's normals are finished only as far
+  /// as AcceptBiasedLazy and an accepted row need them.
+  CausalDataset SampleSeeded(int64_t n, const BiasRate* bias,
                              uint64_t seed) const;
 
   SyntheticDims dims_;

@@ -81,6 +81,7 @@ RealWorldSplits MakeTwinsReplication(const TwinsConfig& config,
 
   // Biased OOD test split over the unstable block.
   std::vector<double> log_w(static_cast<size_t>(n));
+  const BiasRate rate(config.rho);
   const int64_t v_begin = d_real + config.instruments;
   for (int64_t i = 0; i < n; ++i) {
     std::vector<double> xv(static_cast<size_t>(config.unstable));
@@ -89,7 +90,7 @@ RealWorldSplits MakeTwinsReplication(const TwinsConfig& config,
     }
     const double ite = all.mu1(i, 0) - all.mu0(i, 0);
     log_w[static_cast<size_t>(i)] =
-        BiasedSelectionLogWeight(ite, xv, config.rho);
+        BiasedSelectionLogWeight(ite, xv, rate);
   }
   const int64_t n_test =
       static_cast<int64_t>(std::round(config.test_fraction *

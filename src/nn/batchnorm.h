@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "autodiff/ops.h"
-#include "nn/net_step.h"
 #include "nn/parameter.h"
 
 namespace sbrl {
@@ -23,15 +22,13 @@ class BatchNorm {
   BatchNorm(const std::string& name, int64_t dim, double momentum = 0.9,
             double eps = 1e-5);
 
-  /// Records the normalization on the binder's tape.
-  Var Forward(ParamBinder& binder, Var x, bool training) const;
-
   /// Fused BatchNorm-into-affine layer step: elu(batchnorm(dense(x))).
   /// In training it records ONE ops::AffineBatchNormAct node and
-  /// applies the same running-statistics update the unfused path
-  /// performs. At inference it records the frozen-statistics value
-  /// (ops::AffineBatchNormInferActValue) as a constant: its callers
-  /// read values only, so nothing is differentiated through it.
+  /// applies the running-statistics update of the per-primitive
+  /// reference (tests/reference_net.h). At inference it records the
+  /// frozen-statistics value (ops::AffineBatchNormInferActValue) as a
+  /// constant: its callers read values only, so nothing is
+  /// differentiated through it.
   /// `dense` supplies the affine parameters; its output width must
   /// equal dim().
   Var ForwardFusedAffine(ParamBinder& binder, const Dense& dense, Var x,
@@ -46,7 +43,9 @@ class BatchNorm {
 
   int64_t dim() const { return gamma_.value.cols(); }
 
- private:
+ protected:
+  // Protected for the per-primitive reference forward of the tests
+  // (tests/reference_net.h), which derives from this class.
   std::string name_;
   mutable Param gamma_;
   mutable Param beta_;

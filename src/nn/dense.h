@@ -6,7 +6,6 @@
 
 #include "autodiff/ops.h"
 #include "nn/initializer.h"
-#include "nn/net_step.h"
 #include "nn/parameter.h"
 
 namespace sbrl {
@@ -23,7 +22,7 @@ class Dense {
   Var Forward(ParamBinder& binder, Var x) const;
 
   /// Records elu(x W + b) as one fused ops::AffineAct node. The layer
-  /// step of the fused network step (see nn/net_step.h); Mlp routes
+  /// step of the fused network step (see nn/mlp.h); Mlp routes
   /// every non-batch-norm layer through it.
   Var ForwardElu(ParamBinder& binder, Var x) const;
 

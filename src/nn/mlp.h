@@ -6,9 +6,22 @@
 
 #include "nn/batchnorm.h"
 #include "nn/dense.h"
-#include "nn/net_step.h"
 
 namespace sbrl {
+
+// The network step records each MLP layer (Dense -> optional
+// BatchNorm -> ELU, the paper's activation on every hidden layer) as
+// ONE tape node: ops::AffineAct, or ops::AffineBatchNormAct when batch
+// norm is on. The pre-activation is consumed in-pass instead of living
+// on the tape, and the fused backward emits dx / dW / db from pooled
+// temporaries. The per-primitive chain (Dense::Forward, then batch norm
+// and ELU one op each) is the reference the tests hold it to (see
+// tests/reference_net.h): without batch norm values AND gradients are
+// bitwise equal (the same kernels run in the same order); with batch
+// norm forward values are bitwise equal and the closed-form backward
+// agrees to rounding error. Either recording is bitwise invariant to
+// the worker-thread count. Linear output layers (ops::ActKind::kIdentity)
+// are plain Dense::Forward affines.
 
 /// Configuration of a multi-layer perceptron.
 struct MlpConfig {
@@ -35,8 +48,8 @@ class Mlp {
 
   /// Runs the full stack, returning every post-activation layer output
   /// in order; back() is the network output. Each Dense (+BatchNorm) +
-  /// activation layer is recorded as one fused tape node (see
-  /// nn/net_step.h).
+  /// activation layer is recorded as one fused tape node (see the
+  /// network-step note above).
   std::vector<Var> ForwardCollect(ParamBinder& binder, Var x,
                                   bool training) const;
 

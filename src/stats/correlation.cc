@@ -3,6 +3,7 @@
 #include <cmath>
 #include <vector>
 
+#include "stats/hsic.h"
 #include "stats/rff.h"
 #include "stats/weighted.h"
 #include "tensor/linalg.h"
@@ -35,8 +36,7 @@ Matrix PearsonCorrelationMatrix(const Matrix& x) {
   return corr;
 }
 
-Matrix PairwiseHsicRffMatrix(const Matrix& x, const Matrix& w,
-                             int64_t num_features, Rng& rng,
+Matrix PairwiseHsicRffMatrix(const Matrix& x, const Matrix& w, Rng& rng,
                              int64_t max_dims) {
   int64_t d = x.cols();
   std::vector<int64_t> dims;
@@ -47,14 +47,14 @@ Matrix PairwiseHsicRffMatrix(const Matrix& x, const Matrix& w,
     dims.resize(static_cast<size_t>(d));
     for (int64_t i = 0; i < d; ++i) dims[static_cast<size_t>(i)] = i;
   }
-  // Per-pair fresh RFF draws exactly as WeightedHsicRff makes them
-  // (same rng consumption order), but the columns are read in place
-  // through strided ApplyRffToColumn views — no Matrix::Col copies.
+  // Per-pair fresh RFF draws (a's projection, then b's); the columns
+  // are read in place through strided ApplyRffToColumn views — no
+  // Matrix::Col copies.
   Matrix out(d, d);
   for (int64_t i = 0; i < d; ++i) {
     for (int64_t j = i + 1; j < d; ++j) {
-      RffProjection proj_a = SampleRff(rng, 1, num_features);
-      RffProjection proj_b = SampleRff(rng, 1, num_features);
+      RffProjection proj_a = SampleRff(rng, 1, kRffFeatures);
+      RffProjection proj_b = SampleRff(rng, 1, kRffFeatures);
       Matrix u = ApplyRffToColumn(proj_a, x, dims[static_cast<size_t>(i)]);
       Matrix v = ApplyRffToColumn(proj_b, x, dims[static_cast<size_t>(j)]);
       Matrix cov = WeightedCrossCovariance(u, v, w);

@@ -16,11 +16,13 @@ Matrix PearsonCorrelationMatrix(const Matrix& x);
 /// pairs of x (diagonal = 0). This regenerates the paper's Fig. 5
 /// nonlinear-correlation heat map; `max_dims > 0` restricts to a random
 /// subset of columns (the paper samples 25 representation dimensions).
-/// Per-pair feature draws come from `rng` exactly as WeightedHsicRff
-/// makes them; the cosine features evaluate through the shared sweep,
-/// so the statistic and the stacked loss path use the same epilogue.
-Matrix PairwiseHsicRffMatrix(const Matrix& x, const Matrix& w,
-                             int64_t num_features, Rng& rng,
+/// Each pair draws two fresh kRffFeatures-feature projections from
+/// `rng` (stats/hsic.h), one per column, and its entry is the squared
+/// Frobenius norm of the weighted cross-covariance of their features
+/// (paper Eqs. 7 and 9). The cosine features evaluate through the shared
+/// sweep, so the statistic and the stacked loss path use the same
+/// epilogue.
+Matrix PairwiseHsicRffMatrix(const Matrix& x, const Matrix& w, Rng& rng,
                              int64_t max_dims = 0);
 
 /// Mean of the off-diagonal entries of a square symmetric matrix — the

@@ -13,21 +13,6 @@
 
 namespace sbrl {
 
-double WeightedHsicRff(const Matrix& a, const Matrix& b, const Matrix& w,
-                       int64_t num_features, Rng& rng) {
-  SBRL_CHECK_EQ(a.cols(), 1);
-  SBRL_CHECK_EQ(b.cols(), 1);
-  SBRL_CHECK_EQ(a.rows(), b.rows());
-  RffProjection proj_a = SampleRff(rng, 1, num_features);
-  RffProjection proj_b = SampleRff(rng, 1, num_features);
-  Matrix u = ApplyRff(proj_a, a);  // (n x k)
-  Matrix v = ApplyRff(proj_b, b);  // (n x k)
-  Matrix cov = WeightedCrossCovariance(u, v, w);
-  double frob2 = 0.0;
-  for (int64_t i = 0; i < cov.size(); ++i) frob2 += cov[i] * cov[i];
-  return frob2;
-}
-
 static_assert(kRffFeatures == kBlockCrossWidth,
               "the tier passes run the block-cross kernels on RFF blocks");
 

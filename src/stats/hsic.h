@@ -16,16 +16,6 @@ namespace sbrl {
 /// tensor/kernels.h take blocks of exactly this width.
 constexpr int64_t kRffFeatures = 5;
 
-/// Weighted HSIC-RFF (paper Eqs. 7 and 9): the squared Frobenius norm
-/// of the cross-covariance between `num_features` random cosine
-/// features of each (n x 1) column, under the normalized sample weights
-/// `w` (n x 1, non-negative; unit weights give the plain HSIC-RFF of
-/// Eq. 7). Consumes two SampleRff draws from `rng` (one per variable),
-/// then evaluates the cosine features through the shared sweep
-/// (ScaledCosInPlace).
-double WeightedHsicRff(const Matrix& a, const Matrix& b, const Matrix& w,
-                       int64_t num_features, Rng& rng);
-
 /// One batched HSIC-RFF tier: the weighted HSIC-RFF statistic of
 /// every selected column pair of one layer, summed. Column block i of
 /// `features` F holds the k = kRffFeatures RFF features of the i-th
@@ -71,11 +61,13 @@ double HsicRffTierForward(const Matrix& x, const std::vector<int64_t>& cols,
 /// pool with any chunking.
 void HsicRffTierBackward(const HsicRffTier& tier, double g, Matrix* dwn);
 
-/// Sum of WeightedHsicRff over all unordered column pairs (a < b) of
-/// `x` (n x d) — the paper's decorrelation loss L_D (Eq. 10) as a
-/// diagnostic statistic. If `max_pairs > 0`, a uniformly random subset
-/// of that many pairs is measured and the sum is rescaled to the full
-/// pair count. Evaluated as one HsicRffTierForward — the
+/// Sum of the weighted HSIC-RFF statistic (paper Eqs. 7 and 9: the
+/// squared Frobenius norm of the weighted cross-covariance between the
+/// RFF features of two columns) over all unordered column pairs
+/// (a < b) of `x` (n x d) — the paper's decorrelation loss L_D
+/// (Eq. 10) as a diagnostic statistic. If `max_pairs > 0`, a uniformly
+/// random subset of that many pairs is measured and the sum is
+/// rescaled to the full pair count. Evaluated as one HsicRffTierForward — the
 /// non-differentiable mirror of HsicRffDecorrelationLoss, with the same
 /// rng discipline: the pair subset comes out of `rng`, then one epoch
 /// seed, and per-column projections are slot draws keyed by (epoch,

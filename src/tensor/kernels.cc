@@ -14,11 +14,15 @@ namespace {
 
 namespace lk = linalg_kernels;
 
+static_assert(lk::kMtWords == kMt19937_64Words,
+              "the refill kernels fill one engine block");
+
 constexpr LinalgKernels kBaselineTable = {
     lk::BaselineMatmulRows,      lk::BaselineMatmulTransARows,
     lk::BaselineMatmulTransBRows, lk::BaselineBlockCrossFwd,
     lk::BaselineBlockCrossGradDw, lk::BaselineElu,
     lk::BaselineEluGrad,          lk::BaselineScaledCos,
+    lk::BaselineMt19937_64Refill,
 };
 
 #if defined(SBRL_HAVE_ISA_AVX2)
@@ -27,6 +31,7 @@ constexpr LinalgKernels kAvx2Table = {
     lk::Avx2MatmulTransBRows, lk::Avx2BlockCrossFwd,
     lk::Avx2BlockCrossGradDw, lk::Avx2Elu,
     lk::Avx2EluGrad,          lk::Avx2ScaledCos,
+    lk::Avx2Mt19937_64Refill,
 };
 #else
 constexpr LinalgKernels kAvx2Table = kBaselineTable;
@@ -38,6 +43,7 @@ constexpr LinalgKernels kAvx512Table = {
     lk::Avx512MatmulTransBRows, lk::Avx512BlockCrossFwd,
     lk::Avx2BlockCrossGradDw,   lk::Avx512Elu,
     lk::Avx512EluGrad,          lk::Avx512ScaledCos,
+    lk::Avx512Mt19937_64Refill,
 };
 #else
 constexpr LinalgKernels kAvx512Table = kAvx2Table;

@@ -19,15 +19,21 @@ constexpr int64_t kVecCosMaxUlp = 4;
 /// (stats/hsic.h).
 constexpr int64_t kBlockCrossWidth = 5;
 
+/// Words of MT19937-64 state (std::mt19937_64's n): one refill
+/// produces this many outputs.
+constexpr int kMt19937_64Words = 312;
+
 /// Function-pointer table of the per-tile linear-algebra kernels behind
 /// the hot kernel families (dense matmuls, the two block-pair HSIC
 /// cross kernels, the f64 ELU and its backward, and the RFF scaled
-/// cosine). One table exists per Isa level; tensor/linalg.cc (and the
-/// RFF cosine sweeps in stats/rff.cc and the HSIC-RFF tier passes in
-/// stats/hsic.cc) fetch ActiveLinalgKernels() at each public entry
-/// point and hand tiles to the resolved kernels, so the shape checks,
-/// serial cutoffs, and ParallelFor chunking live in exactly one place
-/// while the arithmetic inner loops are ISA-specialized.
+/// cosine), plus the MT19937-64 block refill of synthetic data. One
+/// table exists per Isa level; tensor/linalg.cc (and the RFF cosine
+/// sweeps in stats/rff.cc, the HSIC-RFF tier passes in stats/hsic.cc
+/// and Mt19937_64Block in tensor/random.cc) fetch ActiveLinalgKernels()
+/// at each public entry point and hand tiles to the resolved kernels,
+/// so the shape checks, serial cutoffs, and ParallelFor chunking live
+/// in exactly one place while the arithmetic inner loops are
+/// ISA-specialized.
 ///
 /// Determinism contract (docs/ARCHITECTURE.md "ISA dispatch"):
 ///  - The baseline table is the pre-dispatch scalar code verbatim:
@@ -62,6 +68,9 @@ constexpr int64_t kBlockCrossWidth = 5;
 ///    multiply at every level. Like elu, each output is a pure function
 ///    of its input alone at a level, so offsets, run lengths and
 ///    chunkings all give the same bits.
+///  - mt19937_64_refill uses integer operations and correctly rounded
+///    conversions only (every multiply is by a power of two, exact),
+///    so it is bitwise identical across every level.
 struct LinalgKernels {
   /// Rows [r0, r1) of out += a * b, a (n x k), b (k x m): each output
   /// element accumulates its k terms in ascending order.
@@ -111,6 +120,14 @@ struct LinalgKernels {
   /// In-place scaled cosine over a contiguous run: x[i] = scale *
   /// cos(x[i]).
   using ScaledCosFn = void (*)(double* x, int64_t n, double scale);
+  /// One block refill of MT19937-64 (Mt19937_64Block, tensor/random.h):
+  /// twists the kMt19937_64Words-word `state` in place, then writes
+  /// each word's tempered output to `out`, its Canonical53 value
+  /// (double(out) / 2^64 correctly rounded, clamped to nextafter(1, 0))
+  /// to `canonical`, and 2 * canonical - 1, the polar method's
+  /// coordinate, to `coordinate`.
+  using Mt19937_64RefillFn = void (*)(uint64_t* state, uint64_t* out,
+                                      double* canonical, double* coordinate);
 
   /// Matmul tile kernel of this level.
   MatmulRowsFn matmul_rows;
@@ -128,6 +145,8 @@ struct LinalgKernels {
   EluGradFn elu_grad;
   /// Scaled cosine kernel of this level.
   ScaledCosFn scaled_cos;
+  /// MT19937-64 block refill of this level.
+  Mt19937_64RefillFn mt19937_64_refill;
 };
 
 /// The kernel table of one Isa level. A level not compiled into this

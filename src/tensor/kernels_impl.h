@@ -14,6 +14,19 @@
 namespace sbrl {
 namespace linalg_kernels {
 
+/// std::mt19937_64's parameters, shared by the three refill kernels:
+/// the state words n (kMt19937_64Words of tensor/kernels.h), the middle
+/// offset m, the twist matrix, the upper-bits mask of the
+/// hi word, and the tempering shifts' masks (u = 29, s = 17, t = 37,
+/// l = 43).
+constexpr int kMtWords = 312;
+constexpr int kMtShift = 156;
+constexpr uint64_t kMtMatrix = 0xb5026f5aa96619e9ULL;
+constexpr uint64_t kMtUpper = ~uint64_t{0} << 31;
+constexpr uint64_t kMtTemperD = 0x5555555555555555ULL;
+constexpr uint64_t kMtTemperB = 0x71d67fffeda60000ULL;
+constexpr uint64_t kMtTemperC = 0xfff7eee000000000ULL;
+
 /// Baseline (portable x86-64) kernels: the pre-dispatch code verbatim,
 /// compiled with the project's default flags — the bitwise reference of
 /// the determinism contract.
@@ -44,6 +57,10 @@ void BaselineElu(double* x, int64_t n);
 void BaselineEluGrad(const double* g, const double* y, double* out, int64_t n);
 /// See LinalgKernels::ScaledCosFn: scalar std::cos, then the multiply.
 void BaselineScaledCos(double* x, int64_t n, double scale);
+/// See LinalgKernels::Mt19937_64RefillFn: the branch-free scalar
+/// recurrence, then one temper-and-convert pass.
+void BaselineMt19937_64Refill(uint64_t* state, uint64_t* out,
+                              double* canonical, double* coordinate);
 
 #if defined(SBRL_HAVE_ISA_AVX2)
 /// AVX2 (x86-64-v3, -ffp-contract=off) kernels. The matmul / trans-A /
@@ -77,6 +94,10 @@ void Avx2Elu(double* x, int64_t n);
 void Avx2EluGrad(const double* g, const double* y, double* out, int64_t n);
 /// See LinalgKernels::ScaledCosFn: libmvec _ZGVdN4v_cos, padded-copy tail.
 void Avx2ScaledCos(double* x, int64_t n, double scale);
+/// See LinalgKernels::Mt19937_64RefillFn: 4-lane twist and temper, the
+/// conversion from exact 32-bit halves.
+void Avx2Mt19937_64Refill(uint64_t* state, uint64_t* out, double* canonical,
+                          double* coordinate);
 #endif  // SBRL_HAVE_ISA_AVX2
 
 #if defined(SBRL_HAVE_ISA_AVX512)
@@ -102,6 +123,10 @@ void Avx512Elu(double* x, int64_t n);
 void Avx512EluGrad(const double* g, const double* y, double* out, int64_t n);
 /// See LinalgKernels::ScaledCosFn: libmvec _ZGVeN8v_cos, masked tail.
 void Avx512ScaledCos(double* x, int64_t n, double scale);
+/// See LinalgKernels::Mt19937_64RefillFn: 8-lane twist and temper, the
+/// conversion by vcvtuqq2pd.
+void Avx512Mt19937_64Refill(uint64_t* state, uint64_t* out,
+                            double* canonical, double* coordinate);
 #endif  // SBRL_HAVE_ISA_AVX512
 
 }  // namespace linalg_kernels

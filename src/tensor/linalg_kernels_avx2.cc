@@ -18,6 +18,8 @@
 //    chunk-invariant within this level: every output element is
 //    computed by the identical operation sequence no matter how
 //    ParallelFor split the range.
+//  - Mt19937_64Refill is integer lanes plus a correctly rounded
+//    conversion, so it is bitwise identical to the baseline refill.
 
 #include "tensor/kernels_impl.h"
 
@@ -400,6 +402,108 @@ void Avx2ScaledCos(double* x, int64_t n, double scale) {
     _mm256_storeu_pd(pad,
                      _mm256_mul_pd(s, _ZGVdN4v_cos(_mm256_loadu_pd(pad))));
     std::copy(pad, pad + (n - i), x + i);
+  }
+}
+
+namespace {
+
+/// One MT19937-64 twist step (the baseline kernel's scalar form). Each
+/// kernel TU keeps its own copy: a shared inline function could be
+/// linked from the TU built for the widest ISA.
+inline uint64_t MtTwist(uint64_t hi_word, uint64_t lo_word, uint64_t far) {
+  const uint64_t y = (hi_word & kMtUpper) | (lo_word & ~kMtUpper);
+  return far ^ (y >> 1) ^ ((uint64_t{0} - (y & 1)) & kMtMatrix);
+}
+
+/// Four copies of a 64-bit constant.
+inline __m256i Broadcast(uint64_t v) {
+  return _mm256_set1_epi64x(static_cast<int64_t>(v));
+}
+
+/// Four twist steps: words k..k+3 from the unaligned loads at k, k + 1
+/// and the far offset.
+inline __m256i MtTwistLanes(const uint64_t* hi_words, const uint64_t* far) {
+  const __m256i upper = Broadcast(kMtUpper);
+  const __m256i hi =
+      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(hi_words));
+  const __m256i lo =
+      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(hi_words + 1));
+  const __m256i y = _mm256_or_si256(_mm256_and_si256(hi, upper),
+                                    _mm256_andnot_si256(upper, lo));
+  const __m256i mag = _mm256_and_si256(
+      _mm256_sub_epi64(_mm256_setzero_si256(),
+                       _mm256_and_si256(y, Broadcast(1))),
+      Broadcast(kMtMatrix));
+  const __m256i f = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(far));
+  return _mm256_xor_si256(_mm256_xor_si256(f, _mm256_srli_epi64(y, 1)), mag);
+}
+
+/// Tempering of four words.
+inline __m256i MtTemperLanes(__m256i z) {
+  z = _mm256_xor_si256(
+      z, _mm256_and_si256(_mm256_srli_epi64(z, 29), Broadcast(kMtTemperD)));
+  z = _mm256_xor_si256(
+      z, _mm256_and_si256(_mm256_slli_epi64(z, 17), Broadcast(kMtTemperB)));
+  z = _mm256_xor_si256(
+      z, _mm256_and_si256(_mm256_slli_epi64(z, 37), Broadcast(kMtTemperC)));
+  return _mm256_xor_si256(z, _mm256_srli_epi64(z, 43));
+}
+
+/// double(u) / 2^64 clamped below 1, for four words. Each 32-bit half
+/// becomes an exact double by OR-ing it into the mantissa of 2^52 and
+/// subtracting 2^52; hi * 2^32 + lo is then the baseline's correctly
+/// rounded sum, and min() is its clamp (the value never exceeds 1).
+inline __m256d CanonicalLanes(__m256i u) {
+  const __m256i bias = Broadcast(0x4330000000000000ULL);
+  const __m256d two52 = _mm256_set1_pd(0x1p52);
+  const __m256d hi = _mm256_sub_pd(
+      _mm256_castsi256_pd(_mm256_or_si256(_mm256_srli_epi64(u, 32), bias)),
+      two52);
+  const __m256d lo = _mm256_sub_pd(
+      _mm256_castsi256_pd(_mm256_or_si256(
+          _mm256_and_si256(u, Broadcast(0xffffffffULL)), bias)),
+      two52);
+  const __m256d r = _mm256_mul_pd(
+      _mm256_add_pd(_mm256_mul_pd(hi, _mm256_set1_pd(0x1p32)), lo),
+      _mm256_set1_pd(0x1p-64));
+  return _mm256_min_pd(r, _mm256_set1_pd(0x1.fffffffffffffp-1));
+}
+
+}  // namespace
+
+void Avx2Mt19937_64Refill(uint64_t* state, uint64_t* out, double* canonical,
+                          double* coordinate) {
+  uint64_t* x = state;
+  // Each vector loads its words (and the next one) before it stores, so
+  // the lanes read exactly what the scalar recurrence reads; a vector
+  // never crosses from the first index range into the second, nor
+  // loads past the last word.
+  int k = 0;
+  for (; k + 4 <= kMtWords - kMtShift; k += 4) {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(x + k),
+                        MtTwistLanes(x + k, x + k + kMtShift));
+  }
+  for (; k < kMtWords - kMtShift; ++k) {
+    x[k] = MtTwist(x[k], x[k + 1], x[k + kMtShift]);
+  }
+  for (; k + 4 < kMtWords; k += 4) {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(x + k),
+                        MtTwistLanes(x + k, x + k + kMtShift - kMtWords));
+  }
+  for (; k < kMtWords - 1; ++k) {
+    x[k] = MtTwist(x[k], x[k + 1], x[k + kMtShift - kMtWords]);
+  }
+  x[kMtWords - 1] = MtTwist(x[kMtWords - 1], x[0], x[kMtShift - 1]);
+  const __m256d one = _mm256_set1_pd(1.0);
+  const __m256d two = _mm256_set1_pd(2.0);
+  for (k = 0; k < kMtWords; k += 4) {
+    const __m256i z = MtTemperLanes(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x + k)));
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + k), z);
+    const __m256d c = CanonicalLanes(z);
+    _mm256_storeu_pd(canonical + k, c);
+    _mm256_storeu_pd(coordinate + k,
+                     _mm256_sub_pd(_mm256_mul_pd(two, c), one));
   }
 }
 

@@ -10,12 +10,14 @@
 // agrees with baseline only to rounding. The block-cross dw entry of
 // this level's table is the AVX2 kernel (kernels.cc): at B = 5 a
 // 512-bit lane would run 3/8 empty, and the 256-bit 4 + 1 split is
-// faster.
+// faster. Mt19937_64Refill is integer lanes plus vcvtuqq2pd (AVX-512DQ,
+// part of x86-64-v4), correctly rounded, so it is bitwise identical to
+// the baseline refill.
 
 #include "tensor/kernels_impl.h"
 
 #if defined(SBRL_HAVE_ISA_AVX512) && defined(__AVX512F__) && \
-    defined(__AVX512VL__)
+    defined(__AVX512VL__) && defined(__AVX512DQ__)
 
 #include <immintrin.h>
 
@@ -406,7 +408,88 @@ void Avx512ScaledCos(double* x, int64_t n, double scale) {
   }
 }
 
+namespace {
+
+/// One MT19937-64 twist step (the baseline kernel's scalar form). Each
+/// kernel TU keeps its own copy: a shared inline function could be
+/// linked from the TU built for the widest ISA.
+inline uint64_t MtTwist(uint64_t hi_word, uint64_t lo_word, uint64_t far) {
+  const uint64_t y = (hi_word & kMtUpper) | (lo_word & ~kMtUpper);
+  return far ^ (y >> 1) ^ ((uint64_t{0} - (y & 1)) & kMtMatrix);
+}
+
+/// Eight twist steps: words k..k+7 from the unaligned loads at k, k + 1
+/// and the far offset.
+inline __m512i MtTwistLanes(const uint64_t* hi_words, const uint64_t* far) {
+  const __m512i upper = _mm512_set1_epi64(static_cast<int64_t>(kMtUpper));
+  const __m512i hi = _mm512_loadu_si512(hi_words);
+  const __m512i lo = _mm512_loadu_si512(hi_words + 1);
+  const __m512i y = _mm512_or_si512(_mm512_and_si512(hi, upper),
+                                    _mm512_andnot_si512(upper, lo));
+  // y & 1 selects the twist matrix: a masked move of it where set.
+  const __mmask8 odd = _mm512_test_epi64_mask(y, _mm512_set1_epi64(1));
+  const __m512i mag = _mm512_maskz_mov_epi64(
+      odd, _mm512_set1_epi64(static_cast<int64_t>(kMtMatrix)));
+  const __m512i f = _mm512_loadu_si512(far);
+  return _mm512_xor_si512(_mm512_xor_si512(f, _mm512_srli_epi64(y, 1)), mag);
+}
+
+/// Tempering of eight words.
+inline __m512i MtTemperLanes(__m512i z) {
+  z = _mm512_xor_si512(
+      z, _mm512_and_si512(_mm512_srli_epi64(z, 29),
+                          _mm512_set1_epi64(static_cast<int64_t>(kMtTemperD))));
+  z = _mm512_xor_si512(
+      z, _mm512_and_si512(_mm512_slli_epi64(z, 17),
+                          _mm512_set1_epi64(static_cast<int64_t>(kMtTemperB))));
+  z = _mm512_xor_si512(
+      z, _mm512_and_si512(_mm512_slli_epi64(z, 37),
+                          _mm512_set1_epi64(static_cast<int64_t>(kMtTemperC))));
+  return _mm512_xor_si512(z, _mm512_srli_epi64(z, 43));
+}
+
+}  // namespace
+
+void Avx512Mt19937_64Refill(uint64_t* state, uint64_t* out,
+                            double* canonical, double* coordinate) {
+  uint64_t* x = state;
+  // Each vector loads its words (and the next one) before it stores, so
+  // the lanes read exactly what the scalar recurrence reads; a vector
+  // never crosses from the first index range into the second, nor
+  // loads past the last word.
+  int k = 0;
+  for (; k + 8 <= kMtWords - kMtShift; k += 8) {
+    _mm512_storeu_si512(x + k, MtTwistLanes(x + k, x + k + kMtShift));
+  }
+  for (; k < kMtWords - kMtShift; ++k) {
+    x[k] = MtTwist(x[k], x[k + 1], x[k + kMtShift]);
+  }
+  for (; k + 8 < kMtWords; k += 8) {
+    _mm512_storeu_si512(x + k,
+                        MtTwistLanes(x + k, x + k + kMtShift - kMtWords));
+  }
+  for (; k < kMtWords - 1; ++k) {
+    x[k] = MtTwist(x[k], x[k + 1], x[k + kMtShift - kMtWords]);
+  }
+  x[kMtWords - 1] = MtTwist(x[kMtWords - 1], x[0], x[kMtShift - 1]);
+  // vcvtuqq2pd rounds double(u) to nearest, as the baseline's
+  // hi * 2^32 + lo does; min() is the clamp below 1.
+  const __m512d scale = _mm512_set1_pd(0x1p-64);
+  const __m512d below_one = _mm512_set1_pd(0x1.fffffffffffffp-1);
+  const __m512d one = _mm512_set1_pd(1.0);
+  const __m512d two = _mm512_set1_pd(2.0);
+  for (k = 0; k < kMtWords; k += 8) {
+    const __m512i z = MtTemperLanes(_mm512_loadu_si512(x + k));
+    _mm512_storeu_si512(out + k, z);
+    const __m512d c =
+        _mm512_min_pd(_mm512_mul_pd(_mm512_cvtepu64_pd(z), scale), below_one);
+    _mm512_storeu_pd(canonical + k, c);
+    _mm512_storeu_pd(coordinate + k,
+                     _mm512_sub_pd(_mm512_mul_pd(two, c), one));
+  }
+}
+
 }  // namespace linalg_kernels
 }  // namespace sbrl
 
-#endif  // SBRL_HAVE_ISA_AVX512 && __AVX512F__ && __AVX512VL__
+#endif  // SBRL_HAVE_ISA_AVX512 && __AVX512F__ && __AVX512VL__ && __AVX512DQ__

@@ -184,5 +184,42 @@ void BaselineScaledCos(double* x, int64_t n, double scale) {
   for (int64_t i = 0; i < n; ++i) x[i] = scale * std::cos(x[i]);
 }
 
+/// The std::mersenne_twister_engine recurrence with the `y & 1 ? a : 0`
+/// select written as a mask, in the same three index ranges so each
+/// loop reads only words the recurrence has already settled. The
+/// conversion forms double(u) as the correctly rounded sum hi * 2^32 +
+/// lo of two exact halves (no sign-bit branch); the only rounding is
+/// that add, so even a fused multiply-add could not change it.
+void BaselineMt19937_64Refill(uint64_t* state, uint64_t* out,
+                              double* canonical, double* coordinate) {
+  constexpr uint64_t kLower = ~kMtUpper;
+  uint64_t* x = state;
+  const auto twist = [](uint64_t hi_word, uint64_t lo_word, uint64_t far) {
+    const uint64_t y = (hi_word & kMtUpper) | (lo_word & kLower);
+    return far ^ (y >> 1) ^ ((uint64_t{0} - (y & 1)) & kMtMatrix);
+  };
+  for (int k = 0; k < kMtWords - kMtShift; ++k) {
+    x[k] = twist(x[k], x[k + 1], x[k + kMtShift]);
+  }
+  for (int k = kMtWords - kMtShift; k < kMtWords - 1; ++k) {
+    x[k] = twist(x[k], x[k + 1], x[k + kMtShift - kMtWords]);
+  }
+  x[kMtWords - 1] = twist(x[kMtWords - 1], x[0], x[kMtShift - 1]);
+  for (int k = 0; k < kMtWords; ++k) {
+    uint64_t z = x[k];
+    z ^= (z >> 29) & kMtTemperD;
+    z ^= (z << 17) & kMtTemperB;
+    z ^= (z << 37) & kMtTemperC;
+    z ^= z >> 43;
+    out[k] = z;
+    const double hi = static_cast<double>(static_cast<uint32_t>(z >> 32));
+    const double lo = static_cast<double>(static_cast<uint32_t>(z));
+    const double r = (hi * 0x1p32 + lo) * 0x1p-64;
+    const double c = r < 1.0 ? r : 0x1.fffffffffffffp-1;
+    canonical[k] = c;
+    coordinate[k] = 2.0 * c - 1.0;
+  }
+}
+
 }  // namespace linalg_kernels
 }  // namespace sbrl

@@ -56,7 +56,7 @@ std::vector<int64_t> Rng::SampleWithoutReplacement(int64_t n, int64_t k) {
 
 Mt19937_64Block::Mt19937_64Block(uint64_t seed) {
   state_[0] = seed;
-  for (int i = 1; i < kStateSize; ++i) {
+  for (int i = 1; i < kMt19937_64Words; ++i) {
     const uint64_t prev = state_[static_cast<size_t>(i - 1)];
     state_[static_cast<size_t>(i)] =
         6364136223846793005ULL * (prev ^ (prev >> 62)) +
@@ -65,33 +65,9 @@ Mt19937_64Block::Mt19937_64Block(uint64_t seed) {
 }
 
 void Mt19937_64Block::Refill() {
-  // The std::mersenne_twister_engine recurrence with the `y & 1 ? a : 0`
-  // select written as a mask, in the same three index ranges so each
-  // loop reads only words the recurrence has already settled.
-  constexpr int kShift = 156;  // m
-  constexpr uint64_t kMatrix = 0xb5026f5aa96619e9ULL;
-  constexpr uint64_t kUpper = ~uint64_t{0} << 31;
-  constexpr uint64_t kLower = ~kUpper;
-  uint64_t* x = state_.data();
-  const auto twist = [](uint64_t hi_word, uint64_t lo_word, uint64_t far) {
-    const uint64_t y = (hi_word & kUpper) | (lo_word & kLower);
-    return far ^ (y >> 1) ^ ((uint64_t{0} - (y & 1)) & kMatrix);
-  };
-  for (int k = 0; k < kStateSize - kShift; ++k) {
-    x[k] = twist(x[k], x[k + 1], x[k + kShift]);
-  }
-  for (int k = kStateSize - kShift; k < kStateSize - 1; ++k) {
-    x[k] = twist(x[k], x[k + 1], x[k + kShift - kStateSize]);
-  }
-  x[kStateSize - 1] = twist(x[kStateSize - 1], x[0], x[kShift - 1]);
-  for (int k = 0; k < kStateSize; ++k) {
-    uint64_t z = x[k];
-    z ^= (z >> 29) & 0x5555555555555555ULL;
-    z ^= (z << 17) & 0x71d67fffeda60000ULL;
-    z ^= (z << 37) & 0xfff7eee000000000ULL;
-    z ^= z >> 43;
-    out_[static_cast<size_t>(k)] = z;
-  }
+  ActiveLinalgKernels().mt19937_64_refill(state_.data(), out_.data(),
+                                          canonical_.data(),
+                                          coordinate_.data());
   next_ = 0;
 }
 

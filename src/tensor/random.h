@@ -7,6 +7,7 @@
 #include <random>
 #include <vector>
 
+#include "tensor/kernels.h"
 #include "tensor/matrix.h"
 
 namespace sbrl {
@@ -61,10 +62,11 @@ class Rng {
 
 /// MT19937-64 producing exactly the output sequence of
 /// std::mt19937_64 seeded with the same value, refilled a block at a
-/// time: the twist is branch-free and all 312 outputs are tempered in
-/// one pass, so a draw is a buffer read. Used for bulk synthetic data,
-/// where libstdc++'s per-draw branches on random bits dominate; Rng
-/// keeps std::mt19937_64 because its state is checkpointed.
+/// time by the active level's LinalgKernels::mt19937_64_refill: one
+/// pass twists and tempers all 312 words and converts each to its
+/// Canonical53 value and polar coordinate, so every draw is a buffer
+/// read. Used for bulk synthetic data; Rng keeps std::mt19937_64
+/// because its state is checkpointed.
 class Mt19937_64Block {
  public:
   /// Engine output type (UniformRandomBitGenerator requirements).
@@ -80,18 +82,31 @@ class Mt19937_64Block {
 
   /// Next output; equal to the std engine's next operator() result.
   result_type operator()() {
-    if (next_ == kStateSize) Refill();
+    if (next_ == kMt19937_64Words) Refill();
     return out_[next_++];
   }
 
- private:
-  static constexpr int kStateSize = 312;
+  /// Consumes the next output as Canonical53 converts it.
+  double NextCanonical() {
+    if (next_ == kMt19937_64Words) Refill();
+    return canonical_[next_++];
+  }
 
+  /// Consumes the next output as the polar coordinate
+  /// 2 * Canonical53 - 1.
+  double NextCoordinate() {
+    if (next_ == kMt19937_64Words) Refill();
+    return coordinate_[next_++];
+  }
+
+ private:
   void Refill();
 
-  std::array<uint64_t, kStateSize> state_{};
-  std::array<uint64_t, kStateSize> out_{};
-  int next_ = kStateSize;
+  alignas(64) std::array<uint64_t, kMt19937_64Words> state_{};
+  alignas(64) std::array<uint64_t, kMt19937_64Words> out_{};
+  alignas(64) std::array<double, kMt19937_64Words> canonical_{};
+  alignas(64) std::array<double, kMt19937_64Words> coordinate_{};
+  int next_ = kMt19937_64Words;
 };
 
 // Exact replicas of the libstdc++ distribution algorithms the
@@ -114,19 +129,55 @@ double Canonical53(Engine& engine) {
   return r < 1.0 ? r : 0x1.fffffffffffffp-1;  // nextafter(1.0, 0.0)
 }
 
+/// Canonical53 of the block engine: the value its refill converted.
+inline double Canonical53(Mt19937_64Block& engine) {
+  return engine.NextCanonical();
+}
+
+/// One polar-method coordinate 2 * Canonical53 - 1.
+template <class Engine>
+double PolarCoordinate(Engine& engine) {
+  return 2.0 * Canonical53(engine) - 1.0;
+}
+
+/// PolarCoordinate of the block engine: the value its refill converted.
+inline double PolarCoordinate(Mt19937_64Block& engine) {
+  return engine.NextCoordinate();
+}
+
+/// An accepted point of Marsaglia's polar method: the coordinate y
+/// whose normal is kept and the squared radius r2 in (0, 1].
+struct PolarPoint {
+  double y;
+  double r2;
+};
+
+/// Draws canonical pairs (2u1 - 1, 2u2 - 1) until one lands in the
+/// unit disc without the origin: all the engine outputs one normal
+/// consumes. FinishPolar turns the point into the normal.
+template <class Engine>
+PolarPoint DrawPolarPoint(Engine& engine) {
+  double y, r2;
+  do {
+    const double x = PolarCoordinate(engine);
+    y = PolarCoordinate(engine);
+    r2 = x * x + y * y;
+  } while (r2 > 1.0 || r2 == 0.0);
+  return {y, r2};
+}
+
+/// The normal of a polar point: y * sqrt(-2 log r2 / r2). `+ 0.0` is
+/// the std epilogue `ret * stddev + mean` at (1, 0): it turns the -0.0
+/// of r2 == 1 (sqrt(-0.0)) into +0.0.
+inline double FinishPolar(const PolarPoint& p) {
+  return p.y * std::sqrt(-2.0 * std::log(p.r2) / p.r2) + 0.0;
+}
+
 /// One draw of a fresh std::normal_distribution<double>(0, 1):
 /// Marsaglia polar on canonical pairs, the saved x-value discarded.
 template <class Engine>
 double StdNormal(Engine& engine) {
-  double y, r2;
-  do {
-    const double x = 2.0 * Canonical53(engine) - 1.0;
-    y = 2.0 * Canonical53(engine) - 1.0;
-    r2 = x * x + y * y;
-  } while (r2 > 1.0 || r2 == 0.0);
-  // `+ 0.0` is the std epilogue `ret * stddev + mean` at (1, 0): it
-  // turns the -0.0 of r2 == 1 (sqrt(-0.0)) into +0.0.
-  return y * std::sqrt(-2.0 * std::log(r2) / r2) + 0.0;
+  return FinishPolar(DrawPolarPoint(engine));
 }
 
 }  // namespace sbrl

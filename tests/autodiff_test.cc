@@ -572,7 +572,8 @@ TEST(GradCheckTest, AffineActAllArguments) {
 }
 
 /// Reference composition of the fused training-mode batch-norm chain:
-/// the exact op sequence BatchNorm::Forward + ApplyActivation record.
+/// the exact op sequence reference::BatchNorm::Forward +
+/// reference::ApplyActivation record (tests/reference_net.h).
 Var ReferenceAffineBnAct(Tape& t, Var x, Var w, Var b, Var gamma, Var beta,
                          double eps, ops::ActKind act) {
   Var pre = ops::Affine(x, w, b);
@@ -699,8 +700,8 @@ TEST(FusedOpsTest, AffineBatchNormInferActValueMatchesReference) {
   Matrix beta0 = Rng(56).Randn(1, 2);
   Matrix mean0 = Rng(55).Randn(1, 2);
   Matrix var0 = Rng(54).Rand(1, 2, 0.5, 2.0);
-  // Reference: the frozen-statistics composition BatchNorm::Forward
-  // records at inference.
+  // Reference: the frozen-statistics composition
+  // reference::BatchNorm::Forward records at inference.
   Tape t;
   const Matrix fused = ops::AffineBatchNormInferActValue(
       x0, w0, b0, g0, beta0, mean0, var0, eps, ops::ActKind::kElu);

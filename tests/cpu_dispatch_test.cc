@@ -13,7 +13,9 @@
 //  - every level's cosine sweep stays within the documented 4-ulp
 //    bound of std::cos,
 //  - within a level, results are bitwise invariant to the worker
-//    count (the determinism contract, re-proven per ISA).
+//    count (the determinism contract, re-proven per ISA),
+//  - every level's MT19937-64 refill gives std::mt19937_64's words and
+//    the scalar Canonical53 / polar-coordinate conversions bit for bit.
 
 #include <gtest/gtest.h>
 
@@ -22,6 +24,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <random>
 #include <string>
 #include <thread>
 #include <utility>
@@ -421,6 +424,117 @@ TEST(CrossIsaTest, ResultsBitwiseInvariantToWorkerCountPerLevel) {
       ASSERT_EQ(cos_serial[i], cos_parallel[i])
           << IsaName(isa) << " element " << i;
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// MT19937-64 refill entry: the std engine's words and the scalar
+// Canonical53 conversion, bit for bit at every level.
+// ---------------------------------------------------------------------------
+
+/// Replays one 64-bit output, to convert it with the scalar Canonical53.
+struct OneWordEngine {
+  using result_type = uint64_t;
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+  result_type operator()() { return word; }
+  uint64_t word;
+};
+
+double ScalarCanonical(uint64_t word) {
+  OneWordEngine engine{word};
+  return Canonical53(engine);
+}
+
+/// One refill's outputs.
+struct RefillBlock {
+  std::vector<uint64_t> out = std::vector<uint64_t>(kMt19937_64Words);
+  std::vector<double> canonical = std::vector<double>(kMt19937_64Words);
+  std::vector<double> coordinate = std::vector<double>(kMt19937_64Words);
+};
+
+RefillBlock Refill(Isa isa, std::vector<uint64_t>* state) {
+  RefillBlock block;
+  LinalgKernelsForIsa(isa).mt19937_64_refill(state->data(), block.out.data(),
+                                             block.canonical.data(),
+                                             block.coordinate.data());
+  return block;
+}
+
+/// Every word's canonical and coordinate are the scalar conversions.
+void ExpectScalarConversions(const RefillBlock& block) {
+  for (int i = 0; i < kMt19937_64Words; ++i) {
+    const double c = ScalarCanonical(block.out[i]);
+    ASSERT_EQ(block.canonical[i], c) << "word " << i;
+    ASSERT_EQ(block.coordinate[i], 2.0 * c - 1.0) << "word " << i;
+  }
+}
+
+/// Inverse of MT19937-64's tempering.
+uint64_t Untemper(uint64_t y) {
+  y ^= y >> 43;
+  y ^= (y << 37) & 0xfff7eee000000000ULL;
+  uint64_t z = y;
+  for (int i = 0; i < 4; ++i) z = y ^ ((z << 17) & 0x71d67fffeda60000ULL);
+  y = z;
+  for (int i = 0; i < 3; ++i) z = y ^ ((z >> 29) & 0x5555555555555555ULL);
+  return z;
+}
+
+TEST(CrossIsaTest, Mt19937RefillMatchesStdEngineAtEveryLevel) {
+  for (uint64_t seed : {uint64_t{5489}, uint64_t{42}, ~uint64_t{0}}) {
+    for (Isa isa : SupportedIsas()) {
+      SCOPED_TRACE(std::string(IsaName(isa)) + ", seed " +
+                   std::to_string(seed));
+      // std::mt19937_64's seeding.
+      std::vector<uint64_t> state(kMt19937_64Words);
+      state[0] = seed;
+      for (int i = 1; i < kMt19937_64Words; ++i) {
+        const uint64_t prev = state[i - 1];
+        state[i] = 6364136223846793005ULL * (prev ^ (prev >> 62)) +
+                   static_cast<uint64_t>(i);
+      }
+      std::mt19937_64 reference(seed);
+      for (int refill = 0; refill < 5; ++refill) {
+        const RefillBlock block = Refill(isa, &state);
+        for (int i = 0; i < kMt19937_64Words; ++i) {
+          ASSERT_EQ(block.out[i], reference())
+              << "refill " << refill << " word " << i;
+        }
+        ExpectScalarConversions(block);
+      }
+    }
+  }
+}
+
+TEST(CrossIsaTest, Mt19937RefillConvertsEdgeWordsAtEveryLevel) {
+  const uint64_t kTwo53 = uint64_t{1} << 53;
+  const std::vector<uint64_t> edges = {
+      0, 1, kTwo53 - 1, kTwo53 + 1, ~uint64_t{0},
+      ~uint64_t{0} - 1023,  // 2^64 - 1024: a tie rounding up to 2^64
+  };
+  // Values fixed by IEEE round-to-nearest-even: 2^53 + 1 ties to 2^53,
+  // and both top words round to 2^64, which clamps to nextafter(1, 0).
+  const double kBelowOne = std::nextafter(1.0, 0.0);
+  const std::vector<double> want = {
+      0.0, 0x1p-64, (0x1p53 - 1.0) * 0x1p-64, 0x1p-11, kBelowOne, kBelowOne};
+  for (Isa isa : SupportedIsas()) {
+    SCOPED_TRACE(IsaName(isa));
+    // With words k and k + 1 zero, the twist sets word k to word k + m
+    // (m = 156), so the untempered edges at m.. come out as words 0...
+    std::vector<uint64_t> state(kMt19937_64Words, 0);
+    for (size_t e = 0; e < edges.size(); ++e) {
+      state[156 + e] = Untemper(edges[e]);
+    }
+    const RefillBlock block = Refill(isa, &state);
+    for (size_t e = 0; e < edges.size(); ++e) {
+      SCOPED_TRACE("edge " + std::to_string(edges[e]));
+      ASSERT_EQ(block.out[e], edges[e]);
+      EXPECT_EQ(block.canonical[e], want[e]);
+      EXPECT_EQ(block.canonical[e], ScalarCanonical(edges[e]));
+      EXPECT_EQ(block.coordinate[e], 2.0 * want[e] - 1.0);
+    }
+    ExpectScalarConversions(block);
   }
 }
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <clocale>
 #include <cmath>
 #include <cstdio>
@@ -8,6 +9,7 @@
 #include <locale>
 #include <numeric>
 #include <string>
+#include <vector>
 
 #include "data/causal_dataset.h"
 #include "data/csv.h"
@@ -121,6 +123,68 @@ TEST(SamplingTest, WeightedSampleReturnsDistinctIndices) {
   auto picked = WeightedSampleWithoutReplacement(log_w, 10, rng);
   std::sort(picked.begin(), picked.end());
   for (int64_t i = 0; i < 10; ++i) EXPECT_EQ(picked[static_cast<size_t>(i)], i);
+}
+
+// Replays a fixed list of 64-bit outputs and counts how many were read.
+struct StubEngine {
+  using result_type = uint64_t;
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+  result_type operator()() { return values.at(next++); }
+  std::vector<uint64_t> values;
+  size_t next = 0;
+};
+
+TEST(SamplingTest, LazyBiasedDecisionMatchesEager) {
+  // Uniforms the stub hands out: ~0.1 and the clamped ~1.
+  const uint64_t kTenth = 0x1999999999999999ULL;
+  const uint64_t kNearOne = ~uint64_t{0};
+  struct Case {
+    const char* name;
+    std::array<double, 3> log_w;
+    uint64_t u;
+    // Per true ITE -1, 0, +1: does the lazy path compute the ITE, and
+    // how many uniforms does it draw?
+    std::array<int, 3> ite_calls;
+    std::array<size_t, 3> draws;
+  };
+  const std::vector<Case> cases = {
+      {"all below -700", {-800.0, -750.0, -700.0}, kTenth, {0, 0, 0},
+       {0, 0, 0}},
+      {"mixed", {-800.0, -1.0, -0.5}, kTenth, {1, 1, 1}, {0, 1, 1}},
+      {"all above, bound reject", {-1.0, -2.0, -3.0}, kNearOne, {0, 0, 0},
+       {1, 1, 1}},
+      {"all above, full check", {-0.1, -5.0, -0.2}, kTenth, {1, 1, 1},
+       {1, 1, 1}},
+  };
+  for (const Case& c : cases) {
+    for (int ite = -1; ite <= 1; ++ite) {
+      SCOPED_TRACE(std::string(c.name) + ", ite " + std::to_string(ite));
+      const size_t slot = static_cast<size_t>(ite + 1);
+      StubEngine lazy{{c.u}};
+      StubEngine eager{{c.u}};
+      int calls = 0;
+      const bool lazy_keep = AcceptBiasedLazy(
+          c.log_w,
+          [&] {
+            ++calls;
+            return static_cast<double>(ite);
+          },
+          lazy);
+      const bool eager_keep = AcceptWithLogProb(c.log_w[slot], eager);
+      EXPECT_EQ(lazy_keep, eager_keep);
+      EXPECT_EQ(lazy.next, eager.next);
+      EXPECT_EQ(calls, c.ite_calls[slot]);
+      EXPECT_EQ(lazy.next, c.draws[slot]);
+    }
+  }
+  // The full check reaches both outcomes: u ~ 0.1 is below exp(-0.1)
+  // and above exp(-5).
+  StubEngine engine{{kTenth, kTenth}};
+  EXPECT_TRUE(AcceptBiasedLazy(
+      cases[3].log_w, [] { return -1.0; }, engine));
+  EXPECT_FALSE(AcceptBiasedLazy(
+      cases[3].log_w, [] { return 0.0; }, engine));
 }
 
 TEST(SamplingTest, AcceptWithLogProbExtremes) {

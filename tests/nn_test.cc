@@ -236,7 +236,7 @@ INSTANTIATE_TEST_SUITE_P(BatchNormOffOn, MlpReferenceChainTest,
 
 TEST(BatchNormTest, TrainingOutputIsStandardized) {
   Rng rng(11);
-  BatchNorm bn("bn", 3);
+  reference::BatchNorm bn("bn", 3);
   Matrix x = rng.Randn(200, 3, 5.0, 2.0);
   Tape tape;
   ParamBinder binder(&tape);
@@ -252,7 +252,7 @@ TEST(BatchNormTest, TrainingOutputIsStandardized) {
 
 TEST(BatchNormTest, InferenceUsesRunningStats) {
   Rng rng(12);
-  BatchNorm bn("bn", 2);
+  reference::BatchNorm bn("bn", 2);
   Matrix x = rng.Randn(500, 2, 3.0, 1.5);
   // Several training passes to converge running stats.
   for (int i = 0; i < 60; ++i) {
@@ -270,7 +270,7 @@ TEST(BatchNormTest, InferenceUsesRunningStats) {
 
 TEST(BatchNormTest, GradientFlowsThroughTrainingPath) {
   Rng rng(13);
-  BatchNorm bn("bn", 3);
+  reference::BatchNorm bn("bn", 3);
   Tape tape;
   ParamBinder binder(&tape);
   Var x = tape.Leaf(rng.Randn(10, 3));

@@ -2,13 +2,14 @@
 // test oracle for the fused layer recording the library trains with.
 //
 // Every layer here is recorded one tape node per primitive:
-// Dense::Forward (Affine), then BatchNorm::Forward (ColMean, Sqrt, ...)
-// when batch norm is on, then ApplyActivation. The library's Mlp records
-// the same layer as ONE fused node (ops::AffineAct /
-// ops::AffineBatchNormAct). Without batch norm the two recordings run
-// the same kernels in the same order, so values and gradients are
-// bitwise equal; with batch norm forward values are bitwise equal and
-// the fused closed-form backward agrees to rounding error.
+// Dense::Forward (Affine), then reference::BatchNorm::Forward (ColMean,
+// Sqrt, ...) when batch norm is on, then reference::ApplyActivation.
+// The library's Mlp records the same layer as ONE fused node
+// (ops::AffineAct / ops::AffineBatchNormAct). Without batch norm the
+// two recordings run the same kernels in the same order, so values and
+// gradients are bitwise equal; with batch norm forward values are
+// bitwise equal and the fused closed-form backward agrees to rounding
+// error.
 //
 // ReferenceCfr is CfrBackbone rebuilt on that chain: same parameter
 // names, same rng draw order, same parameter / state / decay-list
@@ -19,6 +20,7 @@
 #ifndef SBRL_TESTS_REFERENCE_NET_H_
 #define SBRL_TESTS_REFERENCE_NET_H_
 
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -33,6 +35,56 @@
 
 namespace sbrl {
 namespace reference {
+
+/// Applies `act` to `x` on the tape as one unfused activation node
+/// (kIdentity records nothing).
+inline Var ApplyActivation(Var x, ops::ActKind act) {
+  switch (act) {
+    case ops::ActKind::kIdentity: return x;
+    case ops::ActKind::kElu: return ops::Elu(x);
+  }
+  SBRL_CHECK(false) << "unreachable";
+  return x;
+}
+
+/// sbrl::BatchNorm plus the per-primitive forward the fused
+/// ForwardFusedAffine is held to.
+class BatchNorm : public sbrl::BatchNorm {
+ public:
+  using sbrl::BatchNorm::BatchNorm;
+
+  /// Records the normalization on the binder's tape, one node per
+  /// primitive. Training normalizes by the batch statistics and updates
+  /// the running estimates; inference reads them as constants.
+  Var Forward(ParamBinder& binder, Var x, bool training) const {
+    SBRL_CHECK_EQ(x.cols(), dim());
+    Tape* t = binder.tape();
+    Var gamma = binder.Bind(gamma_);
+    Var beta = binder.Bind(beta_);
+    if (training) {
+      SBRL_CHECK_GT(x.rows(), 1) << "batch norm needs more than one sample";
+      Var mu = ops::ColMean(x);                              // (1 x d)
+      Var centered = ops::AddRow(x, ops::Neg(mu));           // x - mu
+      Var var = ops::ColMean(ops::Square(centered));         // (1 x d)
+      Var inv_std = ops::Reciprocal(ops::Sqrt(ops::AddConst(var, eps_)));
+      Var normalized = ops::MulRow(centered, inv_std);
+      // Update running stats outside the graph.
+      running_mean_ =
+          running_mean_ * momentum_ + mu.value() * (1.0 - momentum_);
+      running_var_ = running_var_ * momentum_ + var.value() * (1.0 - momentum_);
+      return ops::AddRow(ops::MulRow(normalized, gamma), beta);
+    }
+    // Inference: running statistics are constants.
+    Matrix inv_std(1, dim());
+    for (int64_t c = 0; c < dim(); ++c) {
+      inv_std(0, c) = 1.0 / std::sqrt(running_var_(0, c) + eps_);
+    }
+    Var mu = t->Constant(running_mean_ * -1.0);
+    Var centered = ops::AddRow(x, mu);
+    Var normalized = ops::MulRow(centered, t->Constant(inv_std));
+    return ops::AddRow(ops::MulRow(normalized, gamma), beta);
+  }
+};
 
 /// Mlp's layer stack recorded per primitive. Construction draws the
 /// initial weights in Mlp's order under Mlp's names, so a ReferenceMlp

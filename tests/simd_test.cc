@@ -38,8 +38,8 @@
 #include "common/thread_pool.h"
 #include "core/hap.h"
 #include "core/independence_regularizer.h"
+#include "reference_net.h"
 #include "stats/rff.h"
-#include "nn/net_step.h"
 #include "tensor/kernels.h"
 #include "tensor/random.h"
 
@@ -500,8 +500,8 @@ TEST(EluKernelTest, FusedAffineActEqualsReferenceCompositionAtOddWidth) {
     t1.Backward(ops::SumAll(ops::Square(fused)));
     Tape t2;
     Var x2 = t2.Leaf(x0), w2 = t2.Leaf(w0), b2 = t2.Leaf(b0);
-    Var reference =
-        ApplyActivation(ops::Affine(x2, w2, b2), ops::ActKind::kElu);
+    Var reference = reference::ApplyActivation(ops::Affine(x2, w2, b2),
+                                               ops::ActKind::kElu);
     t2.Backward(ops::SumAll(ops::Square(reference)));
     const Matrix served =
         ops::AffineActValue(x0, w0, b0, ops::ActKind::kElu, nullptr);
