@@ -13,8 +13,8 @@
 //     host supports, forced via SetActiveIsa), isolating the kernel-
 //     width win from thread scaling.
 //
-// The serial-cutoff knob (SBRL_SERIAL_CUTOFF / SetSerialCutoff) applies
-// to every timing here; sweeping it is how grain sizes get tuned.
+// The serial-cutoff knob (SBRL_SERIAL_CUTOFF) applies to every timing
+// here; sweeping it across runs is how grain sizes get tuned.
 
 #include <functional>
 #include <iostream>

@@ -35,15 +35,15 @@ class SLearnerBackbone : public Backbone {
 
   BackboneForward Forward(ParamBinder& binder, const Matrix& x,
                           const std::vector<int>& t, Var /*w*/,
-                          bool training) override {
+                          bool /*training*/) override {
     Tape* tape = binder.tape();
     std::vector<Var> rep_layers =
-        rep_.ForwardCollect(binder, tape->Constant(x), training);
+        rep_.ForwardCollect(binder, tape->Constant(x));
     Var rep = rep_layers.back();
     auto head_for = [&](double treatment) {
       Var t_col = tape->Constant(Matrix::Constant(x.rows(), 1, treatment));
       Var joined = ops::ConcatCols(rep, t_col);
-      std::vector<Var> hs = head_.ForwardCollect(binder, joined, training);
+      std::vector<Var> hs = head_.ForwardCollect(binder, joined);
       return std::pair<Var, std::vector<Var>>(out_.Forward(binder, hs.back()),
                                               hs);
     };

@@ -66,9 +66,10 @@ echo "$(echo "${read_knobs}" | wc -l) knobs, one row each"
 
 echo "=== config field names ==="
 # Every `Struct::field` that src/, docs/, README.md or examples/ name for
-# the config structs below must be a member declared in that struct, so
-# a deleted or renamed field leaves no stale mention behind.
-CONFIG_STRUCTS='SbrlConfig|NetworkConfig|TrainConfig|CfrConfig|DerCfrConfig|MlpConfig|ShardedTrainerConfig|ShardedOptions'
+# the config, spec, checkpoint and diagnostics structs below must be a
+# member declared in that struct, so a deleted or renamed field leaves
+# no stale mention behind.
+CONFIG_STRUCTS='SbrlConfig|NetworkConfig|TrainConfig|CfrConfig|DerCfrConfig|MlpConfig|ShardedTrainerConfig|ShardedOptions|InferenceSpec|ServingMeta|TrainingCheckpoint|TrainDiagnostics|SweepOptions'
 stale_fields=0
 while read -r mention; do
   [[ -n "${mention}" ]] || continue

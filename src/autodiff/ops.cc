@@ -330,22 +330,10 @@ Var Scale(Var a, double c) {
 
 Var Neg(Var a) { return Scale(a, -1.0); }
 
-Var Sqrt(Var a) {
-  return UnaryOp(
-      a, [](double x) { return std::sqrt(x); },
-      [](double, double y) { return 0.5 / (y > 0.0 ? y : 1e-12); });
-}
-
 Var Square(Var a) {
   return UnaryOp(
       a, [](double x) { return x * x; },
       [](double x, double) { return 2.0 * x; });
-}
-
-Var Reciprocal(Var a) {
-  return UnaryOp(
-      a, [](double x) { return 1.0 / x; },
-      [](double, double y) { return -y * y; });
 }
 
 Var Abs(Var a) {
@@ -707,10 +695,10 @@ Var Affine(Var x, Var w, Var b) {
 
 namespace {
 
-/// Shared backward tail of the fused network-step ops: given
-/// d(pre-activation) `dpre`, emits dx / dW / db with the same
-/// requires_grad gating as ops::Affine (a constant first-layer input
-/// skips the full-batch dx matmul). Consumes `dpre` (recycled).
+/// Backward tail of AffineAct: given d(pre-activation) `dpre`, emits
+/// dx / dW / db with the same requires_grad gating as ops::Affine (a
+/// constant first-layer input skips the full-batch dx matmul). Consumes
+/// `dpre` (recycled).
 void AffineBackwardFromDpre(Tape* t, int xi, int wi, int bi, Matrix&& dpre) {
   const Matrix& xv = t->value(xi);
   const Matrix& wv = t->value(wi);
@@ -734,19 +722,6 @@ void AffineBackwardFromDpre(Tape* t, int xi, int wi, int bi, Matrix&& dpre) {
   t->Recycle(std::move(dpre));
 }
 
-/// Broadcast-adds the (1 x m) row at `bd` to every row of the
-/// (n x m) buffer at `pd`, in place. Shared by the tape ops and the
-/// inference value kernels so both paths add the bias in the same order.
-void AddRowBroadcastInPlace(int64_t n, int64_t m, double* pd,
-                            const double* bd) {
-  RowwiseFor(n, m, [pd, bd, m](int64_t r0, int64_t r1) {
-    for (int64_t r = r0; r < r1; ++r) {
-      double* prow = pd + r * m;
-      for (int64_t c = 0; c < m; ++c) prow[c] += bd[c];
-    }
-  });
-}
-
 /// Bias add and activation over a matmul output at `od`, in place, row
 /// by row (the activation is each row's epilogue); the pre-activation
 /// is overwritten and never kept. This is THE fused-affine forward loop
@@ -762,40 +737,6 @@ void BiasActInPlace(int64_t n, int64_t m, double* od, const double* bd) {
       Act::Row(orow, m);
     }
   });
-}
-
-/// Frozen-statistics batch-norm + activation pass over the biased
-/// affine output at `od`, in place: h = (od - mean) * inv_std,
-/// od = act(h * gamma + beta). When `hd` is non-null the normalized
-/// activations are also stored there (the training tape op runs this
-/// pass with the batch statistics and keeps them for its backward); the
-/// inference value kernel passes nullptr. Shared for the same
-/// bitwise-parity reason as BiasActInPlace.
-template <typename Act>
-void BnInferActInPlace(int64_t n, int64_t m, double* od, double* hd,
-                       const double* md, const double* sd, const double* gd,
-                       const double* bd) {
-  RowwiseFor(n, m, [hd, od, md, sd, gd, bd, m](int64_t r0, int64_t r1) {
-    for (int64_t r = r0; r < r1; ++r) {
-      for (int64_t c = 0; c < m; ++c) {
-        const int64_t i = r * m + c;
-        const double h = (od[i] + -1.0 * md[c]) * sd[c];
-        if (hd != nullptr) hd[i] = h;
-        od[i] = h * gd[c] + bd[c];
-      }
-      Act::Row(od + r * m, m);
-    }
-  });
-}
-
-/// Affine forward into a pooled buffer: x W + broadcast b.
-Matrix AffineForwardInto(Tape* t, const Matrix& xv, const Matrix& wv,
-                         const Matrix& bv) {
-  const int64_t n = xv.rows(), m = wv.cols();
-  Matrix pre = t->NewZero(n, m);
-  MatmulInto(xv, wv, &pre);
-  AddRowBroadcastInPlace(n, m, pre.data(), bv.data());
-  return pre;
 }
 
 /// AffineAct body, templated on the activation policy so the
@@ -831,127 +772,6 @@ Var AffineAct(Var x, Var w, Var b, ActKind act) {
   });
 }
 
-namespace {
-
-/// AffineBatchNormAct body, templated on the activation policy.
-template <typename Act>
-Var AffineBatchNormActImpl(Var x, Var w, Var b, Var gamma, Var beta,
-                           double eps, Matrix* batch_mean,
-                           Matrix* batch_var) {
-  Tape* t = SameTape(x, w);
-  SameTape(w, b);
-  SameTape(b, gamma);
-  SameTape(gamma, beta);
-  SBRL_CHECK_EQ(x.cols(), w.rows());
-  SBRL_CHECK_EQ(b.rows(), 1);
-  SBRL_CHECK_EQ(b.cols(), w.cols());
-  SBRL_CHECK(gamma.rows() == 1 && gamma.cols() == w.cols());
-  SBRL_CHECK(beta.rows() == 1 && beta.cols() == w.cols());
-  SBRL_CHECK(batch_mean != nullptr && batch_var != nullptr);
-  SBRL_CHECK_GT(x.rows(), 1) << "batch norm needs more than one sample";
-  const Matrix& xv = x.value();
-  const Matrix& wv = w.value();
-  const int64_t n = xv.rows(), m = wv.cols();
-
-  Matrix pre = AffineForwardInto(t, xv, wv, b.value());
-  // Batch statistics, accumulated in ascending row order — the same
-  // left-fold the reference ColSum performs, so mu / var are bitwise
-  // identical to the ops::ColMean composition.
-  const double inv_n = 1.0 / static_cast<double>(n);
-  Matrix mu(1, m);
-  for (int64_t r = 0; r < n; ++r) {
-    for (int64_t c = 0; c < m; ++c) mu(0, c) += pre(r, c);
-  }
-  for (int64_t c = 0; c < m; ++c) mu(0, c) = inv_n * mu(0, c);
-  // Biased variance of centered = pre + (-mu), ascending row order.
-  Matrix var(1, m);
-  for (int64_t r = 0; r < n; ++r) {
-    for (int64_t c = 0; c < m; ++c) {
-      const double centered = pre(r, c) + -1.0 * mu(0, c);
-      var(0, c) += centered * centered;
-    }
-  }
-  for (int64_t c = 0; c < m; ++c) var(0, c) = inv_n * var(0, c);
-  Matrix inv_std = t->NewZero(1, m);
-  for (int64_t c = 0; c < m; ++c) {
-    inv_std(0, c) = 1.0 / std::sqrt(var(0, c) + eps);
-  }
-  // xhat = (pre - mu) * inv_std; out = act(xhat * gamma + beta) reuses
-  // the pre buffer — the pre-activation is consumed, never recorded.
-  // The frozen-statistics pass run with the batch statistics: it
-  // centers exactly as above, so training and inference share one
-  // normalize + activation loop.
-  Matrix xhat = t->NewZero(n, m);
-  BnInferActInPlace<Act>(n, m, pre.data(), xhat.data(), mu.data(),
-                         inv_std.data(), gamma.value().data(),
-                         beta.value().data());
-  *batch_mean = std::move(mu);
-  *batch_var = std::move(var);
-
-  const int xi = x.id(), wi = w.id(), bi = b.id();
-  const int gi = gamma.id(), ti = beta.id();
-  const int self = t->size();
-  return t->MakeNode(
-      std::move(pre), {x, w, b, gamma, beta},
-      [xi, wi, bi, gi, ti, self, xhat = std::move(xhat),
-       inv_std = std::move(inv_std)](Tape* t) mutable {
-        const Matrix& g = t->grad(self);
-        const Matrix& yv = t->value(self);
-        const Matrix& gv = t->value(gi);
-        const int64_t n = yv.rows(), m = yv.cols();
-        const double inv_n = 1.0 / static_cast<double>(n);
-        // g2 = dL/d(gamma * xhat + beta), reconstructed from the
-        // output; the buffer is reused in place for dpre below.
-        Matrix tmp = DpreFromOutput<Act>(t, g, yv);
-        // dgamma / dbeta column sums, ascending row order.
-        Matrix dgamma(1, m), dbeta(1, m);
-        for (int64_t r = 0; r < n; ++r) {
-          for (int64_t c = 0; c < m; ++c) {
-            dgamma(0, c) += tmp(r, c) * xhat(r, c);
-            dbeta(0, c) += tmp(r, c);
-          }
-        }
-        // Closed-form batch-norm gradient: with dxhat = g2 * gamma,
-        //   dpre = inv_std * (dxhat - mean(dxhat) - xhat*mean(dxhat*xhat))
-        // where the column means reuse the dgamma / dbeta sums.
-        {
-          double* td = tmp.data();
-          const double* hd = xhat.data();
-          const double* sd = inv_std.data();
-          const double* gmd = gv.data();
-          const double* dgd = dgamma.data();
-          const double* dbd = dbeta.data();
-          RowwiseFor(n, m,
-                     [td, hd, sd, gmd, dgd, dbd, m, inv_n](int64_t r0,
-                                                           int64_t r1) {
-            for (int64_t r = r0; r < r1; ++r) {
-              for (int64_t c = 0; c < m; ++c) {
-                const int64_t i = r * m + c;
-                td[i] = sd[c] * (gmd[c] * td[i] - inv_n * gmd[c] * dbd[c] -
-                                 hd[i] * inv_n * gmd[c] * dgd[c]);
-              }
-            }
-          });
-        }
-        t->AccumulateGrad(gi, std::move(dgamma));
-        t->AccumulateGrad(ti, std::move(dbeta));
-        AffineBackwardFromDpre(t, xi, wi, bi, std::move(tmp));
-        t->Recycle(std::move(xhat));
-        t->Recycle(std::move(inv_std));
-      });
-}
-
-}  // namespace
-
-Var AffineBatchNormAct(Var x, Var w, Var b, Var gamma, Var beta, double eps,
-                       ActKind act, Matrix* batch_mean, Matrix* batch_var) {
-  return DispatchAct(act, [&](auto policy) {
-    return AffineBatchNormActImpl<decltype(policy)>(x, w, b, gamma, beta,
-                                                    eps, batch_mean,
-                                                    batch_var);
-  });
-}
-
 Matrix AffineActValue(const Matrix& x, const Matrix& w, const Matrix& b,
                       ActKind act, MatrixPool* pool) {
   SBRL_CHECK_EQ(x.cols(), w.rows());
@@ -962,47 +782,6 @@ Matrix AffineActValue(const Matrix& x, const Matrix& w, const Matrix& b,
   DispatchAct(act, [&](auto policy) {
     BiasActInPlace<decltype(policy)>(n, m, out.data(), b.data());
   });
-  return out;
-}
-
-Matrix AffineBatchNormInferActValue(const Matrix& x, const Matrix& w,
-                                    const Matrix& b, const Matrix& gamma,
-                                    const Matrix& beta,
-                                    const Matrix& running_mean,
-                                    const Matrix& running_var, double eps,
-                                    ActKind act, MatrixPool* pool) {
-  SBRL_CHECK_EQ(x.cols(), w.rows());
-  SBRL_CHECK(b.rows() == 1 && b.cols() == w.cols());
-  SBRL_CHECK(gamma.rows() == 1 && gamma.cols() == w.cols());
-  SBRL_CHECK(beta.same_shape(gamma));
-  SBRL_CHECK(running_mean.rows() == 1 && running_mean.cols() == w.cols());
-  SBRL_CHECK(running_var.same_shape(running_mean));
-  const int64_t n = x.rows(), m = w.cols();
-  Matrix pre = pool != nullptr ? pool->AcquireZero(n, m) : Matrix(n, m);
-  MatmulInto(x, w, &pre);
-  AddRowBroadcastInPlace(n, m, pre.data(), b.data());
-  Matrix inv_std(1, m);
-  for (int64_t c = 0; c < m; ++c) {
-    inv_std(0, c) = 1.0 / std::sqrt(running_var(0, c) + eps);
-  }
-  DispatchAct(act, [&](auto policy) {
-    BnInferActInPlace<decltype(policy)>(n, m, pre.data(), /*hd=*/nullptr,
-                                        running_mean.data(), inv_std.data(),
-                                        gamma.data(), beta.data());
-  });
-  return pre;
-}
-
-Matrix NormalizeRowsValue(const Matrix& a, double eps) {
-  Matrix out(a.rows(), a.cols());
-  for (int64_t r = 0; r < a.rows(); ++r) {
-    // Ascending-column accumulation of the squared row, matching
-    // Square -> RowSum exactly; then the same sqrt/reciprocal chain.
-    double acc = 0.0;
-    for (int64_t c = 0; c < a.cols(); ++c) acc += a(r, c) * a(r, c);
-    const double inv = 1.0 / std::sqrt(acc + eps);
-    for (int64_t c = 0; c < a.cols(); ++c) out(r, c) = a(r, c) * inv;
-  }
   return out;
 }
 
@@ -1037,12 +816,6 @@ Var SigmoidCrossEntropyWithLogits(Var logits, const Matrix& labels) {
     }
     t->AccumulateGrad(ai, std::move(da));
   });
-}
-
-Var NormalizeRows(Var a, double eps) {
-  Var sq_norm = RowSum(Square(a));            // (n x 1)
-  Var inv = Reciprocal(Sqrt(AddConst(sq_norm, eps)));
-  return MulCol(a, inv);
 }
 
 Var WeightedMean(Var values, Var w) {

@@ -53,11 +53,7 @@ Var Scale(Var a, double c);
 // Unary elementwise.
 // ---------------------------------------------------------------------------
 Var Neg(Var a);
-/// Square root; inputs must be non-negative (use AddConst for eps guards).
-Var Sqrt(Var a);
 Var Square(Var a);
-/// 1 / a elementwise.
-Var Reciprocal(Var a);
 Var Abs(Var a);
 /// Numerically stable log(1 + exp(a)).
 Var Softplus(Var a);
@@ -125,24 +121,6 @@ Var Affine(Var x, Var w, Var b);
 /// dx is skipped when `x` is a constant (first-layer input).
 Var AffineAct(Var x, Var w, Var b, ActKind act);
 
-/// Fused training-mode Dense -> BatchNorm -> activation chain in ONE
-/// tape node: act(gamma .* xhat + beta) with
-/// xhat = (x W + b - mu) / sqrt(var + eps) and mu / var the batch
-/// column statistics of the pre-activation. The batch statistics are
-/// written to `*batch_mean` / `*batch_var` (biased, matching the
-/// reference ops::ColMean composition) so the caller can update its
-/// running estimates exactly as the unfused path does. Forward values
-/// are bitwise identical to the reference composition
-/// (Affine -> ColMean/Square/Sqrt/Reciprocal/MulRow/AddRow ->
-/// activation); the backward applies the standard closed-form
-/// batch-norm gradient, which regroups the same sums, so gradients
-/// agree with the reference chain to rounding error (grad-checked in
-/// tests/autodiff_test.cc). The normalized activations and inverse
-/// stddev live in pooled buffers owned by the node's backward closure
-/// and are recycled after the backward pass.
-Var AffineBatchNormAct(Var x, Var w, Var b, Var gamma, Var beta, double eps,
-                       ActKind act, Matrix* batch_mean, Matrix* batch_var);
-
 // ---------------------------------------------------------------------------
 // Tape-free value kernels of the one inference forward (InferenceNet,
 // core/inference_net.h). Each one evaluates EXACTLY the forward
@@ -158,26 +136,6 @@ Var AffineBatchNormAct(Var x, Var w, Var b, Var gamma, Var beta, double eps,
 /// AffineAct(...)'s forward output.
 Matrix AffineActValue(const Matrix& x, const Matrix& w, const Matrix& b,
                       ActKind act, MatrixPool* pool = nullptr);
-
-/// Inference-mode batch-norm layer:
-/// act(gamma .* (x W + b - mean) / sqrt(var + eps) + beta) with frozen
-/// running statistics. It runs AffineBatchNormAct's normalize +
-/// activation loop with the running statistics in place of the batch
-/// ones; BatchNorm::ForwardFusedAffine records it as a constant when
-/// not training.
-Matrix AffineBatchNormInferActValue(const Matrix& x, const Matrix& w,
-                                    const Matrix& b, const Matrix& gamma,
-                                    const Matrix& beta,
-                                    const Matrix& running_mean,
-                                    const Matrix& running_var, double eps,
-                                    ActKind act, MatrixPool* pool = nullptr);
-
-/// Value-only NormalizeRows: each row scaled by
-/// 1 / sqrt(sum_c a(r,c)^2 + eps), with the row sum accumulated in
-/// ascending column order — bitwise identical to the NormalizeRows
-/// op composition (Square -> RowSum -> AddConst -> Sqrt -> Reciprocal
-/// -> MulCol).
-Matrix NormalizeRowsValue(const Matrix& a, double eps = 1e-9);
 
 /// Value-only ConcatCols: [a | b] row-wise. Bitwise identical to the
 /// ConcatCols op's forward output.
@@ -200,10 +158,6 @@ Var SigmoidCrossEntropyWithLogits(Var logits, const Matrix& labels);
 // ---------------------------------------------------------------------------
 // Composite helpers (built from primitives; gradients flow through).
 // ---------------------------------------------------------------------------
-/// Rows scaled to unit L2 norm: phi_i / sqrt(|phi_i|^2 + eps). CFR's
-/// `rep_normalization` option.
-Var NormalizeRows(Var a, double eps = 1e-9);
-
 /// Mean of `values` (n x 1) under normalized weights `w` (n x 1):
 /// sum(w_i v_i) / sum(w_i).
 Var WeightedMean(Var values, Var w);

@@ -227,11 +227,6 @@ int64_t SerialCutoff() {
   return cutoff;
 }
 
-void SetSerialCutoff(int64_t cutoff) {
-  SBRL_CHECK_GT(cutoff, 0);
-  g_serial_cutoff.store(cutoff, std::memory_order_relaxed);
-}
-
 void ParallelFor(int64_t begin, int64_t end, int64_t min_grain,
                  const std::function<void(int64_t, int64_t)>& body) {
   ThreadPool::Global().ParallelFor(begin, end, min_grain, body);

@@ -23,17 +23,11 @@ constexpr int64_t kParallelSerialCutoff = 1 << 16;
 /// flop count against (and derives its ParallelFor grain from, so one
 /// knob tunes both). Defaults to kParallelSerialCutoff; overridable for
 /// a process via the SBRL_SERIAL_CUTOFF environment variable (a
-/// positive integer, read once on first use) or programmatically via
-/// SetSerialCutoff. Every kernel splits work on fixed per-element /
-/// per-row boundaries, so changing the cutoff re-balances scheduling
-/// only — results stay bitwise identical (see docs/ARCHITECTURE.md).
+/// positive integer, read once on first use). Every kernel splits work
+/// on fixed per-element / per-row boundaries, so changing the cutoff
+/// re-balances scheduling only — results stay bitwise identical (see
+/// docs/ARCHITECTURE.md).
 int64_t SerialCutoff();
-
-/// Overrides SerialCutoff() for this process (cutoff must be > 0).
-/// Intended for benchmarks and tuning experiments — e.g. the
-/// thread-scaling micro bench sweeps it to find the dispatch
-/// break-even point on a given host.
-void SetSerialCutoff(int64_t cutoff);
 
 /// Persistent worker-thread pool driving data-parallel loops.
 ///

@@ -9,12 +9,10 @@ namespace sbrl {
 OutcomeHeads::OutcomeHeads(const std::string& name, int64_t in_dim,
                            const NetworkConfig& config, Rng& rng)
     : body0_(name + ".h0",
-             MakeMlpConfig(in_dim, config.head_layers, config.head_width,
-                           config.batchnorm),
+             MakeMlpConfig(in_dim, config.head_layers, config.head_width),
              rng),
       body1_(name + ".h1",
-             MakeMlpConfig(in_dim, config.head_layers, config.head_width,
-                           config.batchnorm),
+             MakeMlpConfig(in_dim, config.head_layers, config.head_width),
              rng),
       out0_(name + ".h0.out", config.head_width, 1, rng),
       out1_(name + ".h1.out", config.head_width, 1, rng) {}
@@ -23,7 +21,7 @@ OutcomeHeads::Result OutcomeHeads::Forward(ParamBinder& binder, Var rep,
                                            const std::vector<int>& t,
                                            bool training) const {
   std::vector<int64_t> treated, control;
-  if (training && !body0_.batchnorm()) {
+  if (training) {
     for (size_t i = 0; i < t.size(); ++i) {
       (t[i] == 1 ? treated : control).push_back(static_cast<int64_t>(i));
     }
@@ -36,16 +34,14 @@ OutcomeHeads::Result OutcomeHeads::Forward(ParamBinder& binder, Var rep,
   // make the per-row values, and the zero rows make the parameter
   // gradients, bitwise identical to the full-batch recording
   // (golden_trace_test holds CFR to the full-batch reference of
-  // tests/reference_net.h). Batch norm couples
-  // rows through the batch statistics, so that configuration keeps the
-  // full-batch path; inference needs both potential outcomes
+  // tests/reference_net.h). Inference needs both potential outcomes
   // everywhere and always runs full-batch.
   if (!treated.empty() && !control.empty()) {
     Tape* tape = binder.tape();
     Var rep_t = ops::GatherRows(rep, treated);
     Var rep_c = ops::GatherRows(rep, control);
-    std::vector<Var> h1 = body1_.ForwardCollect(binder, rep_t, training);
-    std::vector<Var> h0 = body0_.ForwardCollect(binder, rep_c, training);
+    std::vector<Var> h1 = body1_.ForwardCollect(binder, rep_t);
+    std::vector<Var> h0 = body0_.ForwardCollect(binder, rep_c);
     Result result;
     // The counterfactual halves of y0 / y1 were never computed; zero
     // constants stand in so downstream Select shapes are unchanged.
@@ -65,8 +61,8 @@ OutcomeHeads::Result OutcomeHeads::Forward(ParamBinder& binder, Var rep,
     return result;
   }
   // Intentional const_cast-free design: Mlp::ForwardCollect is const.
-  std::vector<Var> h0 = body0_.ForwardCollect(binder, rep, training);
-  std::vector<Var> h1 = body1_.ForwardCollect(binder, rep, training);
+  std::vector<Var> h0 = body0_.ForwardCollect(binder, rep);
+  std::vector<Var> h1 = body1_.ForwardCollect(binder, rep);
   Result result;
   result.y0 = out0_.Forward(binder, h0.back());
   result.y1 = out1_.Forward(binder, h1.back());
@@ -82,11 +78,6 @@ void OutcomeHeads::CollectParams(std::vector<Param*>* out) {
   body1_.CollectParams(out);
   out0_.CollectParams(out);
   out1_.CollectParams(out);
-}
-
-void OutcomeHeads::CollectStateMatrices(std::vector<NamedStateRef>* out) {
-  body0_.CollectStateMatrices(out);
-  body1_.CollectStateMatrices(out);
 }
 
 std::vector<Param*> OutcomeHeads::DecayParams() {

@@ -51,13 +51,6 @@ class Backbone {
   /// All trainable parameters.
   virtual void CollectParams(std::vector<Param*>* out) = 0;
 
-  /// Appends named references to every non-Param training state matrix
-  /// (BatchNorm running statistics) so the checkpoint layer can
-  /// snapshot and restore it. Default: no state.
-  virtual void CollectStateMatrices(std::vector<NamedStateRef>* out) {
-    (void)out;
-  }
-
   /// Parameters subject to the paper's R_l2 head regularizer (outcome
   /// head weight matrices, excluding biases).
   virtual std::vector<Param*> DecayParams() = 0;
@@ -88,16 +81,13 @@ class OutcomeHeads {
   };
 
   /// Forward through both heads; `t` selects each unit's factual head
-  /// when assembling z_p / hidden. Training without batch norm runs
-  /// each head body on its own arm only (see the definition).
+  /// when assembling z_p / hidden. Training runs each head body on its
+  /// own arm only (see the definition).
   Result Forward(ParamBinder& binder, Var rep, const std::vector<int>& t,
                  bool training) const;
 
   /// Appends all trainable parameters of both heads to `*out`.
   void CollectParams(std::vector<Param*>* out);
-  /// Appends BatchNorm running statistics of both head bodies (see
-  /// Backbone::CollectStateMatrices).
-  void CollectStateMatrices(std::vector<NamedStateRef>* out);
   /// Head weight matrices subject to the paper's R_l2 regularizer.
   std::vector<Param*> DecayParams();
 

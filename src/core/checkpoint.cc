@@ -31,8 +31,7 @@ constexpr serial::FormatSpec kCheckpointFormat = {
 // u32 crc32(payload)).
 constexpr uint32_t kSectionMeta = 1;
 constexpr uint32_t kSectionParams = 2;
-constexpr uint32_t kSectionState = 3;
-constexpr uint32_t kSectionBestSnapshot = 4;
+constexpr uint32_t kSectionBestSnapshot = 3;
 
 std::string EncodeMeta(const TrainingCheckpoint& ckpt) {
   std::string out;
@@ -102,33 +101,6 @@ bool DecodeParams(ByteReader* reader, std::vector<ParamCheckpoint>* out) {
   return reader->exhausted();
 }
 
-std::string EncodeState(const std::vector<StateCheckpoint>& state) {
-  std::string out;
-  AppendScalar<uint64_t>(&out, state.size());
-  for (const StateCheckpoint& s : state) {
-    AppendString(&out, s.name);
-    AppendMatrix(&out, s.value);
-  }
-  return out;
-}
-
-bool DecodeState(ByteReader* reader, std::vector<StateCheckpoint>* out) {
-  uint64_t count = 0;
-  if (!reader->ReadCount(&count, kMinStringBytes + kMinMatrixBytes)) {
-    return false;
-  }
-  out->clear();
-  out->reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    StateCheckpoint s;
-    if (!reader->ReadString(&s.name) || !reader->ReadMatrix(&s.value)) {
-      return false;
-    }
-    out->push_back(std::move(s));
-  }
-  return reader->exhausted();
-}
-
 std::string EncodeBestSnapshot(const std::vector<Matrix>& snapshot) {
   std::string out;
   AppendScalar<uint64_t>(&out, snapshot.size());
@@ -156,7 +128,6 @@ Status SaveCheckpoint(const TrainingCheckpoint& ckpt,
   std::vector<serial::Section> sections;
   sections.push_back({kSectionMeta, EncodeMeta(ckpt)});
   sections.push_back({kSectionParams, EncodeParams(ckpt.params)});
-  sections.push_back({kSectionState, EncodeState(ckpt.state)});
   sections.push_back({kSectionBestSnapshot,
                       EncodeBestSnapshot(ckpt.best_snapshot)});
   return serial::WriteSectionedFile(kCheckpointFormat, sections, path);
@@ -179,9 +150,6 @@ StatusOr<TrainingCheckpoint> LoadCheckpoint(const std::string& path) {
       case kSectionParams:
         decoded = DecodeParams(&reader, &ckpt.params);
         seen_params = decoded;
-        break;
-      case kSectionState:
-        decoded = DecodeState(&reader, &ckpt.state);
         break;
       case kSectionBestSnapshot:
         decoded = DecodeBestSnapshot(&reader, &ckpt.best_snapshot);

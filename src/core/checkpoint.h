@@ -26,16 +26,6 @@ struct ParamCheckpoint {
   Matrix adam_v;
 };
 
-/// One named non-parameter state matrix (see NamedStateRef): BatchNorm
-/// running statistics and any future module state outside the
-/// gradient path.
-struct StateCheckpoint {
-  /// NamedStateRef::name of the captured matrix.
-  std::string name;
-  /// The captured state value.
-  Matrix value;
-};
-
 /// Complete snapshot of an SbrlTrainer run at an iteration boundary.
 ///
 /// The contract (locked by tests/golden_trace_test.cc): a run restored
@@ -43,7 +33,7 @@ struct StateCheckpoint {
 /// uninterrupted run that produced it — every training-loop degree of
 /// freedom is captured: parameter values, Adam moments and step
 /// counts, the learned sample weights (a ParamCheckpoint like any
-/// other), BatchNorm running statistics, the HSIC/RFF rng stream, the
+/// other), the HSIC/RFF rng stream, the
 /// learning-rate schedule position (iteration + recovery backoff
 /// scale), early-stopping tracking including the best-parameter
 /// snapshot, the divergence-recovery counters, and the
@@ -86,8 +76,6 @@ struct TrainingCheckpoint {
   /// Every trainable parameter incl. the sample weights, in collection
   /// order.
   std::vector<ParamCheckpoint> params;
-  /// Non-parameter module state (BatchNorm running statistics).
-  std::vector<StateCheckpoint> state;
   /// Early-stopping best parameter values, parallel to `params`
   /// (empty when no improving evaluation happened yet).
   std::vector<Matrix> best_snapshot;
@@ -102,7 +90,7 @@ struct TrainingCheckpoint {
 /// The on-disk format version SaveCheckpoint writes. Bump on any
 /// layout change; LoadCheckpoint rejects other versions with
 /// FailedPrecondition (no silent cross-version reinterpretation).
-constexpr uint32_t kCheckpointFormatVersion = 1;
+constexpr uint32_t kCheckpointFormatVersion = 2;
 
 /// Serializes `ckpt` to `path` atomically: the encoded bytes are
 /// written to a per-commit staging file, fsynced, and renamed over

@@ -48,24 +48,11 @@ Status EstimatorConfig::Validate() const {
   if (sbrl.weight_update_every < 1) {
     return Status::InvalidArgument("sbrl.weight_update_every must be >= 1");
   }
-  if (sbrl.lr_w <= 0.0 || sbrl.weight_floor < 0.0) {
-    return Status::InvalidArgument("sbrl weight-learner settings out of "
-                                   "range");
-  }
-  if (sbrl.recovery_lr_backoff <= 0.0 || sbrl.recovery_lr_backoff > 1.0) {
-    return Status::InvalidArgument(
-        "sbrl.recovery_lr_backoff must be in (0, 1]");
+  if (sbrl.lr_w <= 0.0) {
+    return Status::InvalidArgument("sbrl.lr_w must be > 0");
   }
   if (sbrl.recovery_max_retries < 0) {
     return Status::InvalidArgument("sbrl.recovery_max_retries must be >= 0");
-  }
-  if (sbrl.recovery_snapshot_every < 1) {
-    return Status::InvalidArgument(
-        "sbrl.recovery_snapshot_every must be >= 1");
-  }
-  if (sbrl.recovery_explosion_factor <= 1.0) {
-    return Status::InvalidArgument(
-        "sbrl.recovery_explosion_factor must be > 1");
   }
   if (train.iterations < 1) {
     return Status::InvalidArgument("train.iterations must be >= 1");

@@ -44,10 +44,6 @@ struct NetworkConfig {
   int64_t head_layers = 3;
   /// Width h_y of each outcome-head layer.
   int64_t head_width = 32;
-  /// Insert batch normalization after every hidden layer.
-  bool batchnorm = false;
-  /// Scale representation rows to unit L2 norm (CFR's rep normalization).
-  bool rep_normalization = false;
 };
 
 /// CFR-specific knobs.
@@ -98,17 +94,13 @@ struct SbrlConfig {
   /// process-wide at Train() entry and records the resolved level in
   /// TrainDiagnostics::isa.
   IsaChoice isa = IsaChoice::kAuto;
-  /// Multiplicative learning-rate shrink applied on every divergence
-  /// rollback (in (0, 1]); compounds across rollbacks and applies to
-  /// both the network and the sample-weight learning rates.
-  double recovery_lr_backoff = 0.5;
   /// Divergence response of the training health monitor (a non-finite
-  /// loss term or gradient digest, or a loss explosion past
-  /// recovery_explosion_factor). A positive budget restores the last
-  /// healthy in-memory snapshot — parameters, optimizer moments, sample
-  /// weights, BatchNorm running statistics, the rng stream, and the
-  /// early-stopping state — shrinks the learning rates by
-  /// recovery_lr_backoff, and replays, up to this many rollbacks; an
+  /// loss term or gradient digest, or |train loss| past 1e6 times
+  /// (|first finite train loss| + 1)). A positive budget restores the
+  /// last healthy in-memory snapshot (captured every 10 iterations) —
+  /// parameters, optimizer moments, sample weights, the rng stream, and
+  /// the early-stopping state — halves the learning rates (compounding
+  /// across rollbacks), and replays, up to this many rollbacks; an
   /// exhausted budget fails the run with a typed kInternal Status
   /// carrying the divergence diagnostics. 0 turns recovery off: no
   /// snapshots are captured and the first detection fails the run.
@@ -116,22 +108,10 @@ struct SbrlConfig {
   /// either way. Without a divergence training is bitwise identical at
   /// any budget (locked by tests/golden_trace_test.cc). Must be >= 0.
   int64_t recovery_max_retries = 3;
-  /// Loss-explosion threshold: the run is declared divergent when
-  /// |train loss| exceeds this factor times (|first finite train
-  /// loss| + 1). Must be > 1.
-  double recovery_explosion_factor = 1e6;
-  /// Iterations between in-memory last-good snapshot captures (>= 1).
-  /// A rollback replays at most this many iterations; smaller values
-  /// lose less work per divergence but pay the snapshot copy more
-  /// often (the "/health" share of the Table VI bench, budgeted at
-  /// under 1% of fit time at the default cadence).
-  int64_t recovery_snapshot_every = 10;
   /// Learning rate of the sample-weight learner.
   double lr_w = 5e-2;
   /// Run the weight step every k-th network step.
   int64_t weight_update_every = 1;
-  /// Lower clamp keeping weights non-negative after each update.
-  double weight_floor = 1e-3;
 };
 
 /// Optimization loop settings (paper Sec. V-C: Adam, exponential decay,

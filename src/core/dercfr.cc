@@ -18,19 +18,18 @@ Var FeatureImportance(ParamBinder& binder, Mlp& net) {
 DerCfrBackbone::DerCfrBackbone(const EstimatorConfig& config,
                                int64_t input_dim, Rng& rng)
     : input_dim_(input_dim),
-      network_(config.network),
       config_(config.dercfr),
       i_net_("I",
              MakeMlpConfig(input_dim, config.network.rep_layers,
-                           config.network.rep_width, config.network.batchnorm),
+                           config.network.rep_width),
              rng),
       c_net_("C",
              MakeMlpConfig(input_dim, config.network.rep_layers,
-                           config.network.rep_width, config.network.batchnorm),
+                           config.network.rep_width),
              rng),
       a_net_("A",
              MakeMlpConfig(input_dim, config.network.rep_layers,
-                           config.network.rep_width, config.network.batchnorm),
+                           config.network.rep_width),
              rng),
       heads_("heads", 2 * config.network.rep_width, config.network, rng),
       t_head_("t_head", 2 * config.network.rep_width, 1, rng),
@@ -49,17 +48,12 @@ BackboneForward DerCfrBackbone::Forward(ParamBinder& binder, const Matrix& x,
   Tape* tape = binder.tape();
   Var input = tape->Constant(x);
 
-  std::vector<Var> i_layers = i_net_.ForwardCollect(binder, input, training);
-  std::vector<Var> c_layers = c_net_.ForwardCollect(binder, input, training);
-  std::vector<Var> a_layers = a_net_.ForwardCollect(binder, input, training);
+  std::vector<Var> i_layers = i_net_.ForwardCollect(binder, input);
+  std::vector<Var> c_layers = c_net_.ForwardCollect(binder, input);
+  std::vector<Var> a_layers = a_net_.ForwardCollect(binder, input);
   Var rep_i = i_layers.back();
   Var rep_c = c_layers.back();
   Var rep_a = a_layers.back();
-  if (network_.rep_normalization) {
-    rep_i = ops::NormalizeRows(rep_i);
-    rep_c = ops::NormalizeRows(rep_c);
-    rep_a = ops::NormalizeRows(rep_a);
-  }
 
   Var rep_ca = ops::ConcatCols(rep_c, rep_a);  // outcome representation
   OutcomeHeads::Result heads = heads_.Forward(binder, rep_ca, t, training);
@@ -166,13 +160,6 @@ void DerCfrBackbone::CollectParams(std::vector<Param*>* out) {
   t_head_.CollectParams(out);
   weight_head_t_.CollectParams(out);
   weight_head_c_.CollectParams(out);
-}
-
-void DerCfrBackbone::CollectStateMatrices(std::vector<NamedStateRef>* out) {
-  i_net_.CollectStateMatrices(out);
-  c_net_.CollectStateMatrices(out);
-  a_net_.CollectStateMatrices(out);
-  heads_.CollectStateMatrices(out);
 }
 
 std::vector<Param*> DerCfrBackbone::DecayParams() {

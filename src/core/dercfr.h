@@ -49,8 +49,6 @@ class DerCfrBackbone : public Backbone {
 
   /// All trainable parameters of the three networks and both heads.
   void CollectParams(std::vector<Param*>* out) override;
-  /// BatchNorm running statistics of the three networks and heads.
-  void CollectStateMatrices(std::vector<NamedStateRef>* out) override;
   /// Outcome-head weight matrices subject to R_l2.
   std::vector<Param*> DecayParams() override;
   /// Covariate dimension the backbone was built for.
@@ -58,7 +56,6 @@ class DerCfrBackbone : public Backbone {
 
  private:
   int64_t input_dim_;
-  NetworkConfig network_;
   DerCfrConfig config_;
   Mlp i_net_;
   Mlp c_net_;

@@ -67,7 +67,7 @@ class HteEstimator {
   bool fitted() const { return fitted_; }
 
   /// The fitted backbone, for export plumbing (serving-model capture of
-  /// parameters and BatchNorm state); null before Fit(). Non-const
+  /// parameters); null before Fit(). Non-const
   /// because the parameter-collection interface is non-const.
   Backbone* fitted_backbone() { return backbone_.get(); }
   /// What prediction needs beyond the fitted tensors: architecture,

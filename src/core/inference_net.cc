@@ -37,54 +37,35 @@ Status Take(MatrixMap* map, const std::string& name, int64_t rows,
 
 }  // namespace
 
-void CaptureTensors(Backbone& backbone, std::vector<NamedMatrix>* weights,
-                    std::vector<NamedMatrix>* state) {
+void CaptureTensors(Backbone& backbone, std::vector<NamedMatrix>* weights) {
   std::vector<Param*> params;
   backbone.CollectParams(&params);
   weights->reserve(weights->size() + params.size());
   for (const Param* p : params) weights->push_back({p->name, p->value});
-  std::vector<NamedStateRef> refs;
-  backbone.CollectStateMatrices(&refs);
-  state->reserve(state->size() + refs.size());
-  for (const NamedStateRef& s : refs) state->push_back({s.name, *s.value});
 }
 
 StatusOr<InferenceNet> InferenceNet::Build(const InferenceSpec& spec,
-                                           std::vector<NamedMatrix> weights,
-                                           std::vector<NamedMatrix> state) {
+                                           std::vector<NamedMatrix> weights) {
   MatrixMap w = IndexByName(std::move(weights));
-  MatrixMap s = IndexByName(std::move(state));
   const NetworkConfig& net = spec.network;
-  auto add_layer = [&](const std::string& name, const std::string& bn,
-                       int64_t in, int64_t out, ops::ActKind act,
-                       Stack* stack) -> Status {
+  auto add_layer = [&](const std::string& name, int64_t in, int64_t out,
+                       ops::ActKind act, Stack* stack) -> Status {
     Layer layer;
     layer.name = name;
-    layer.bn_name = bn;
     layer.act = act;
     SBRL_RETURN_IF_ERROR(Take(&w, name + ".W", in, out, &layer.w));
     SBRL_RETURN_IF_ERROR(Take(&w, name + ".b", 1, out, &layer.b));
-    if (layer.has_bn()) {
-      SBRL_RETURN_IF_ERROR(Take(&w, bn + ".gamma", 1, out, &layer.gamma));
-      SBRL_RETURN_IF_ERROR(Take(&w, bn + ".beta", 1, out, &layer.beta));
-      SBRL_RETURN_IF_ERROR(
-          Take(&s, bn + ".running_mean", 1, out, &layer.running_mean));
-      SBRL_RETURN_IF_ERROR(
-          Take(&s, bn + ".running_var", 1, out, &layer.running_var));
-    }
     stack->push_back(std::move(layer));
     return Status::OK();
   };
   // Mirrors Mlp's module naming: layer i is "<prefix>.l<i>" with
-  // params .W/.b, its BatchNorm "<prefix>.bn<i>" with params
-  // .gamma/.beta and state .running_mean/.running_var.
+  // params .W/.b.
   auto add_mlp = [&](const std::string& prefix, int64_t in_dim,
                      int64_t layers, int64_t width, Stack* stack) -> Status {
     for (int64_t i = 0; i < layers; ++i) {
-      const std::string index = std::to_string(i);
-      SBRL_RETURN_IF_ERROR(add_layer(
-          prefix + ".l" + index, net.batchnorm ? prefix + ".bn" + index : "",
-          i == 0 ? in_dim : width, width, ops::ActKind::kElu, stack));
+      SBRL_RETURN_IF_ERROR(add_layer(prefix + ".l" + std::to_string(i),
+                                     i == 0 ? in_dim : width, width,
+                                     ops::ActKind::kElu, stack));
     }
     return Status::OK();
   };
@@ -107,7 +88,7 @@ StatusOr<InferenceNet> InferenceNet::Build(const InferenceSpec& spec,
     Stack* head = &model.heads_[static_cast<size_t>(arm)];
     SBRL_RETURN_IF_ERROR(add_mlp(prefix, rep_out, net.head_layers,
                                  net.head_width, head));
-    SBRL_RETURN_IF_ERROR(add_layer(prefix + ".out", "", net.head_width, 1,
+    SBRL_RETURN_IF_ERROR(add_layer(prefix + ".out", net.head_width, 1,
                                    ops::ActKind::kIdentity, head));
   }
   return model;
@@ -116,10 +97,8 @@ StatusOr<InferenceNet> InferenceNet::Build(const InferenceSpec& spec,
 InferenceNet InferenceNet::FromBackbone(Backbone& backbone,
                                         const InferenceSpec& spec) {
   std::vector<NamedMatrix> weights;
-  std::vector<NamedMatrix> state;
-  CaptureTensors(backbone, &weights, &state);
-  StatusOr<InferenceNet> net =
-      Build(spec, std::move(weights), std::move(state));
+  CaptureTensors(backbone, &weights);
+  StatusOr<InferenceNet> net = Build(spec, std::move(weights));
   SBRL_CHECK(net.ok()) << net.status().ToString();
   return std::move(net).value();
 }
@@ -132,13 +111,7 @@ Matrix InferenceNet::Run(const Stack& stack, const Matrix& x,
   const Matrix* in = &x;
   Matrix h;
   for (const Layer& layer : stack) {
-    Matrix next =
-        layer.has_bn()
-            ? ops::AffineBatchNormInferActValue(
-                  *in, layer.w, layer.b, layer.gamma, layer.beta,
-                  layer.running_mean, layer.running_var, spec_.bn_eps,
-                  layer.act, pool)
-            : ops::AffineActValue(*in, layer.w, layer.b, layer.act, pool);
+    Matrix next = ops::AffineActValue(*in, layer.w, layer.b, layer.act, pool);
     if (pool != nullptr) pool->Release(std::move(h));
     h = std::move(next);
     in = &h;
@@ -150,13 +123,9 @@ Matrix InferenceNet::Representation(const Matrix& x,
                                     MatrixPool* pool) const {
   SBRL_CHECK_EQ(x.cols(), spec_.input_dim)
       << "input dimension does not match the network";
-  const auto part = [&](const Stack& stack) {
-    Matrix h = Run(stack, x, pool);
-    return spec_.network.rep_normalization ? ops::NormalizeRowsValue(h) : h;
-  };
-  Matrix rep = part(reps_[0]);
+  Matrix rep = Run(reps_[0], x, pool);
   for (size_t i = 1; i < reps_.size(); ++i) {
-    rep = ops::ConcatColsValue(rep, part(reps_[i]));
+    rep = ops::ConcatColsValue(rep, Run(reps_[i], x, pool));
   }
   return rep;
 }

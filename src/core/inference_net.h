@@ -13,9 +13,8 @@
 
 namespace sbrl {
 
-/// One named tensor of a fitted network (a trainable parameter or a
-/// BatchNorm running statistic), keyed by the module naming scheme
-/// ("rep.l0.W", "heads.h1.bn2.running_var", ...).
+/// One named tensor of a fitted network (a trainable parameter), keyed
+/// by the module naming scheme ("rep.l0.W", "heads.h1.out.b", ...).
 struct NamedMatrix {
   /// Unique module-scoped tensor name.
   std::string name;
@@ -24,11 +23,9 @@ struct NamedMatrix {
 };
 
 /// Copies every parameter of `backbone` (CollectParams order) into
-/// `*weights` and every BatchNorm running statistic
-/// (CollectStateMatrices order) into `*state`. The one capture of a
-/// live backbone, shared by serving export and InferenceNet.
-void CaptureTensors(Backbone& backbone, std::vector<NamedMatrix>* weights,
-                    std::vector<NamedMatrix>* state);
+/// `*weights`. The one capture of a live backbone, shared by serving
+/// export and InferenceNet.
+void CaptureTensors(Backbone& backbone, std::vector<NamedMatrix>* weights);
 
 /// Everything an inference forward needs beyond the tensors: the
 /// architecture the names resolve against and how head outputs map to
@@ -36,13 +33,11 @@ void CaptureTensors(Backbone& backbone, std::vector<NamedMatrix>* weights,
 struct InferenceSpec {
   /// Backbone architecture (DeR-CFR reads [C, A]; the others "rep").
   BackboneKind backbone = BackboneKind::kTarnet;
-  /// Layer counts, widths, BN and rep normalization (hidden layers are
-  /// ELU, output units linear).
+  /// Layer counts and widths (hidden layers are ELU, output units
+  /// linear).
   NetworkConfig network;
   /// Covariate dimension every input row must have.
   int64_t input_dim = 0;
-  /// BatchNorm epsilon of the frozen-statistics normalization.
-  double bn_eps = 1e-5;
   /// True: head outputs are logits, mapped through a sigmoid. False:
   /// standardized values, mapped through y * y_std + y_mean.
   bool binary_outcome = true;
@@ -52,30 +47,22 @@ struct InferenceSpec {
   double y_std = 1.0;
 };
 
-/// One affine (+ optional frozen BatchNorm) + activation layer of an
-/// InferenceNet.
+/// One affine + activation layer of an InferenceNet.
 struct AffineLayer {
-  std::string name;     ///< dense module name ("rep.l0")
-  Matrix w;             ///< (in x out) weight
-  Matrix b;             ///< (1 x out) bias
-  std::string bn_name;  ///< BatchNorm module name; empty without BN
-  Matrix gamma;         ///< (1 x out) BN scale
-  Matrix beta;          ///< (1 x out) BN shift
-  Matrix running_mean;  ///< (1 x out) frozen BN mean
-  Matrix running_var;   ///< (1 x out) frozen BN variance
-  /// Activation applied after the affine (and BN).
+  std::string name;  ///< dense module name ("rep.l0")
+  Matrix w;          ///< (in x out) weight
+  Matrix b;          ///< (1 x out) bias
+  /// Activation applied after the affine.
   ops::ActKind act = ops::ActKind::kIdentity;
-  /// True when a frozen BatchNorm sits between affine and activation.
-  bool has_bn() const { return !bn_name.empty(); }
 };
 
 /// The one inference forward of the built-in backbones: an immutable
 /// value type holding owned copies of every tensor prediction reads,
-/// run with the tape-free value kernels (ops::AffineActValue /
-/// ops::AffineBatchNormInferActValue). HteEstimator, ShardedTrainer and
-/// ServingModel all predict through it. Each output row depends only
-/// on its input row, and the kernels are worker-count invariant, so
-/// results do not depend on batching or thread count. Thread-safe
+/// run with the tape-free value kernel ops::AffineActValue.
+/// HteEstimator, ShardedTrainer and ServingModel all predict through
+/// it. Each output row depends only on its input row, and the kernels
+/// are worker-count invariant, so results do not depend on batching or
+/// thread count. Thread-safe
 /// without synchronization; callers pin the ISA level.
 class InferenceNet {
  public:
@@ -83,14 +70,13 @@ class InferenceNet {
   using Stack = std::vector<Layer>;  ///< layers applied in order
 
   /// Resolves the Mlp tensor names of `spec`'s architecture
-  /// ("<prefix>.l<i>.W", "<prefix>.bn<i>.running_mean", ...) against
-  /// `weights` and `state`, shape-checking each. Returns
+  /// ("<prefix>.l<i>.W", "<prefix>.l<i>.b", ...) against `weights`,
+  /// shape-checking each. Returns
   /// InvalidArgument on a missing tensor or a shape mismatch. Tensors
   /// prediction does not read (DeR-CFR's I stack, t-head, ...) are
   /// ignored.
   static StatusOr<InferenceNet> Build(const InferenceSpec& spec,
-                                      std::vector<NamedMatrix> weights,
-                                      std::vector<NamedMatrix> state);
+                                      std::vector<NamedMatrix> weights);
 
   /// Build over CaptureTensors(backbone); CHECK-fails when `backbone`
   /// does not match `spec`.
@@ -98,9 +84,9 @@ class InferenceNet {
                                    const InferenceSpec& spec);
 
   /// The balanced representation of `x`: each rep stack's output,
-  /// row-normalized when configured, concatenated ([C, A] for
-  /// DeR-CFR) — the input of both heads. Layer buffers come from and
-  /// return to `pool` when one is given (one caller thread per pool).
+  /// concatenated ([C, A] for DeR-CFR) — the input of both heads.
+  /// Layer buffers come from and return to `pool` when one is given
+  /// (one caller thread per pool).
   Matrix Representation(const Matrix& x, MatrixPool* pool = nullptr) const;
 
   /// Raw head outputs over Representation(x), (n x 2): column 0 =

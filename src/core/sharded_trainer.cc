@@ -50,10 +50,6 @@ ShardedTrainer::ShardedTrainer(const ShardedTrainerConfig& config,
     : config_(config), input_dim_(input_dim) {
   SBRL_CHECK_GT(input_dim, 0);
   SBRL_CHECK_GT(config.iterations, 0);
-  SBRL_CHECK(!config.network.batchnorm)
-      << "sharded training requires batchnorm=false: batch "
-         "normalization couples rows, so per-shard gradient sums would "
-         "not compose into the full-batch gradient";
   EstimatorConfig backbone_config;
   backbone_config.backbone = BackboneKind::kTarnet;
   backbone_config.framework = FrameworkKind::kVanilla;

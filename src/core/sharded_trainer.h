@@ -18,15 +18,12 @@ namespace sbrl {
 
 /// Configuration of the sharded full-batch trainer. Deliberately a
 /// subset of EstimatorConfig: the sharded path supports exactly the
-/// row-separable configuration (TARNet backbone, vanilla framework,
-/// no batch normalization), where the full-batch mean-loss gradient
-/// equals (1/n) times the sum of per-shard gradient sums — the
-/// algebraic identity that makes out-of-core training exact rather
-/// than an approximation.
+/// row-separable configuration (TARNet backbone, vanilla framework),
+/// where the full-batch mean-loss gradient equals (1/n) times the sum
+/// of per-shard gradient sums — the algebraic identity that makes
+/// out-of-core training exact rather than an approximation.
 struct ShardedTrainerConfig {
-  /// Backbone architecture. `batchnorm` must stay false: batch
-  /// normalization couples rows within a batch, which breaks the
-  /// per-shard decomposition (the constructor CHECK-enforces this).
+  /// Backbone architecture.
   NetworkConfig network;
   /// Full passes over the stream (each pass = one full-batch
   /// gradient step, mirroring SbrlTrainer's iteration).
@@ -96,8 +93,7 @@ struct ShardedTrainDiagnostics {
 class ShardedTrainer {
  public:
   /// Builds and initializes the backbone (TARNet, seeded by
-  /// `config.seed`). CHECK-fails when `config.network.batchnorm` is
-  /// set — that configuration is not row-separable.
+  /// `config.seed`).
   ShardedTrainer(const ShardedTrainerConfig& config, int64_t input_dim);
 
   /// Runs `config.iterations` full passes over `reader` (Reset() is

@@ -7,12 +7,10 @@ namespace sbrl {
 TarnetBackbone::TarnetBackbone(const EstimatorConfig& config,
                                int64_t input_dim, Rng& rng, double alpha_ipm)
     : input_dim_(input_dim),
-      network_(config.network),
       alpha_ipm_(alpha_ipm),
       rep_net_("rep",
                MakeMlpConfig(input_dim, config.network.rep_layers,
-                             config.network.rep_width,
-                             config.network.batchnorm),
+                             config.network.rep_width),
                rng),
       heads_("heads", config.network.rep_width, config.network, rng) {}
 
@@ -22,10 +20,8 @@ BackboneForward TarnetBackbone::Forward(ParamBinder& binder, const Matrix& x,
   SBRL_CHECK_EQ(x.cols(), input_dim_);
   Tape* tape = binder.tape();
   Var input = tape->Constant(x);
-  std::vector<Var> rep_layers =
-      rep_net_.ForwardCollect(binder, input, training);
+  std::vector<Var> rep_layers = rep_net_.ForwardCollect(binder, input);
   Var rep = rep_layers.back();
-  if (network_.rep_normalization) rep = ops::NormalizeRows(rep);
 
   OutcomeHeads::Result heads = heads_.Forward(binder, rep, t, training);
 
@@ -52,11 +48,6 @@ BackboneForward TarnetBackbone::Forward(ParamBinder& binder, const Matrix& x,
 void TarnetBackbone::CollectParams(std::vector<Param*>* out) {
   rep_net_.CollectParams(out);
   heads_.CollectParams(out);
-}
-
-void TarnetBackbone::CollectStateMatrices(std::vector<NamedStateRef>* out) {
-  rep_net_.CollectStateMatrices(out);
-  heads_.CollectStateMatrices(out);
 }
 
 std::vector<Param*> TarnetBackbone::DecayParams() {

@@ -28,8 +28,6 @@ class TarnetBackbone : public Backbone {
 
   /// All trainable parameters of the representation and heads.
   void CollectParams(std::vector<Param*>* out) override;
-  /// BatchNorm running statistics of the representation and heads.
-  void CollectStateMatrices(std::vector<NamedStateRef>* out) override;
   /// Outcome-head weight matrices subject to R_l2.
   std::vector<Param*> DecayParams() override;
   /// Covariate dimension the backbone was built for.
@@ -37,7 +35,6 @@ class TarnetBackbone : public Backbone {
 
  private:
   int64_t input_dim_;
-  NetworkConfig network_;
   double alpha_ipm_;
   Mlp rep_net_;
   OutcomeHeads heads_;

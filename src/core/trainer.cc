@@ -19,6 +19,26 @@
 
 namespace sbrl {
 
+namespace {
+
+// Divergence-recovery policy of the training-health monitor (see
+// SbrlConfig::recovery_max_retries).
+//
+// Multiplicative learning-rate shrink applied on every rollback;
+// compounds across rollbacks and applies to both the network and the
+// sample-weight learning rates.
+constexpr double kRecoveryLrBackoff = 0.5;
+// Loss-explosion threshold: the run is divergent when |train loss|
+// exceeds this factor times (|first finite train loss| + 1).
+constexpr double kRecoveryExplosionFactor = 1e6;
+// Iterations between in-memory last-good snapshot captures. A rollback
+// replays at most this many iterations; the cadence keeps the snapshot
+// copy inside the "/health" share of the Table VI bench (budgeted at
+// under 1% of fit time).
+constexpr int64_t kRecoverySnapshotEvery = 10;
+
+}  // namespace
+
 Var FactualLosses(Var y0, Var y1, const std::vector<int>& t,
                   const Matrix& y, bool binary) {
   Var pred = ops::SelectRowsByTreatment(y1, y0, t);
@@ -72,7 +92,7 @@ Status SbrlTrainer::Train(const CausalDataset& train,
       config_.framework != FrameworkKind::kVanilla;
   const bool recovery_on = config_.sbrl.recovery_max_retries > 0;
 
-  SampleWeights weights(n, config_.sbrl.weight_floor);
+  SampleWeights weights(n, kSampleWeightFloor);
 
   std::vector<Param*> params;
   backbone_->CollectParams(&params);
@@ -93,12 +113,9 @@ Status SbrlTrainer::Train(const CausalDataset& train,
                                     config_.train.lr_decay_steps);
 
   // Everything a checkpoint must capture beyond `params`: the learned
-  // sample weights (a Param like any other) and the BatchNorm running
-  // statistics (state outside the gradient path).
+  // sample weights (a Param like any other).
   std::vector<Param*> ckpt_params = params;
   ckpt_params.push_back(&weights.param());
-  std::vector<NamedStateRef> state_refs;
-  backbone_->CollectStateMatrices(&state_refs);
 
   Rng hsic_rng(config_.train.seed ^ 0x9e3779b97f4a7c15ULL);
 
@@ -130,10 +147,6 @@ Status SbrlTrainer::Train(const CausalDataset& train,
     ckpt.params.reserve(ckpt_params.size());
     for (Param* p : ckpt_params) {
       ckpt.params.push_back({p->name, p->value, p->adam_m, p->adam_v});
-    }
-    ckpt.state.reserve(state_refs.size());
-    for (const NamedStateRef& s : state_refs) {
-      ckpt.state.push_back({s.name, *s.value});
     }
     ckpt.best_snapshot = best_snapshot;
     ckpt.train_loss = diag->train_loss;
@@ -171,23 +184,6 @@ Status SbrlTrainer::Train(const CausalDataset& train,
       p->adam_m = pc.adam_m;
       p->adam_v = pc.adam_v;
       p->grad.Fill(0.0);
-    }
-    if (ckpt.state.size() != state_refs.size()) {
-      return Status::FailedPrecondition(
-          "checkpoint has " + std::to_string(ckpt.state.size()) +
-          " state matrices, model has " +
-          std::to_string(state_refs.size()));
-    }
-    for (size_t i = 0; i < state_refs.size(); ++i) {
-      const StateCheckpoint& sc = ckpt.state[i];
-      const NamedStateRef& ref = state_refs[i];
-      if (sc.name != ref.name || sc.value.rows() != ref.value->rows() ||
-          sc.value.cols() != ref.value->cols()) {
-        return Status::FailedPrecondition(
-            "checkpoint state \"" + sc.name +
-            "\" does not match model state \"" + ref.name + "\"");
-      }
-      *ref.value = sc.value;
     }
     if (ckpt.next_iteration < 0 || ckpt.opt_decay_steps < 0 ||
         ckpt.opt_plain_steps < 0 || ckpt.opt_w_steps < 0 ||
@@ -330,7 +326,7 @@ Status SbrlTrainer::Train(const CausalDataset& train,
                    std::isfinite(weight_loss_value);
     if (healthy && loss_anchor >= 0.0 &&
         std::abs(train_loss_value) >
-            loss_anchor * config_.sbrl.recovery_explosion_factor) {
+            loss_anchor * kRecoveryExplosionFactor) {
       healthy = false;
     }
     if (healthy && loss_anchor < 0.0) {
@@ -358,7 +354,7 @@ Status SbrlTrainer::Train(const CausalDataset& train,
       // Shrink from the CURRENT scale so repeated rollbacks to the same
       // snapshot keep compounding the backoff.
       const double shrunk_scale =
-          schedule.scale() * config_.sbrl.recovery_lr_backoff;
+          schedule.scale() * kRecoveryLrBackoff;
       const Status restored = apply(last_good);
       SBRL_CHECK(restored.ok()) << restored.ToString();
       schedule.set_scale(shrunk_scale);
@@ -422,7 +418,7 @@ Status SbrlTrainer::Train(const CausalDataset& train,
     const bool snapshot_now =
         recovery_on &&
         (save_now ||
-         (iter + 1) % config_.sbrl.recovery_snapshot_every == 0);
+         (iter + 1) % kRecoverySnapshotEvery == 0);
     if (snapshot_now) {
       Timer capture_timer;
       last_good = capture(iter + 1);

@@ -60,7 +60,7 @@ struct TrainDiagnostics {
   int64_t first_bad_iteration = -1;
   /// Divergence rollbacks performed by the recovery policy (each one
   /// restores the last healthy snapshot and shrinks the learning rate
-  /// by SbrlConfig::recovery_lr_backoff).
+  /// by the trainer's fixed backoff factor, 0.5).
   int64_t recovery_rollbacks = 0;
   /// Iteration this run resumed from when TrainConfig::resume loaded a
   /// checkpoint (-1: the run started fresh).
@@ -78,6 +78,10 @@ struct TrainDiagnostics {
   /// run logs a warning, counts the failure, and keeps training).
   int64_t checkpoint_failures = 0;
 };
+
+/// Lower clamp keeping the learned sample weights positive after every
+/// update (SampleWeights' projection floor).
+constexpr double kSampleWeightFloor = 1e-3;
 
 /// Per-sample factual loss column (n x 1) of the heads' factual arm:
 /// sigmoid cross-entropy for binary outcomes, squared error for

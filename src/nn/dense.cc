@@ -23,12 +23,6 @@ Var Dense::ForwardElu(ParamBinder& binder, Var x) const {
   return ops::AffineAct(x, w, b, ops::ActKind::kElu);
 }
 
-void Dense::BindParams(ParamBinder& binder, Var* w, Var* b) const {
-  SBRL_CHECK(w != nullptr && b != nullptr);
-  *w = binder.Bind(weight_);
-  *b = binder.Bind(bias_);
-}
-
 void Dense::CollectParams(std::vector<Param*>* out) {
   out->push_back(&weight_);
   out->push_back(&bias_);

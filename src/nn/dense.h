@@ -23,14 +23,8 @@ class Dense {
 
   /// Records elu(x W + b) as one fused ops::AffineAct node. The layer
   /// step of the fused network step (see nn/mlp.h); Mlp routes
-  /// every non-batch-norm layer through it.
+  /// every hidden layer through it.
   Var ForwardElu(ParamBinder& binder, Var x) const;
-
-  /// Binds this layer's parameters on the binder's tape (`*w` = weight,
-  /// `*b` = bias) without recording any computation — the hook the
-  /// fused BatchNorm-into-affine path uses to consume the affine inside
-  /// its own node.
-  void BindParams(ParamBinder& binder, Var* w, Var* b) const;
 
   /// Appends this layer's Params (W then b) to `out`.
   void CollectParams(std::vector<Param*>* out);

@@ -4,23 +4,19 @@
 #include <string>
 #include <vector>
 
-#include "nn/batchnorm.h"
 #include "nn/dense.h"
 
 namespace sbrl {
 
-// The network step records each MLP layer (Dense -> optional
-// BatchNorm -> ELU, the paper's activation on every hidden layer) as
-// ONE tape node: ops::AffineAct, or ops::AffineBatchNormAct when batch
-// norm is on. The pre-activation is consumed in-pass instead of living
-// on the tape, and the fused backward emits dx / dW / db from pooled
-// temporaries. The per-primitive chain (Dense::Forward, then batch norm
-// and ELU one op each) is the reference the tests hold it to (see
-// tests/reference_net.h): without batch norm values AND gradients are
-// bitwise equal (the same kernels run in the same order); with batch
-// norm forward values are bitwise equal and the closed-form backward
-// agrees to rounding error. Either recording is bitwise invariant to
-// the worker-thread count. Linear output layers (ops::ActKind::kIdentity)
+// The network step records each MLP layer (Dense -> ELU, the paper's
+// activation on every hidden layer) as ONE tape node, ops::AffineAct.
+// The pre-activation is consumed in-pass instead of living on the
+// tape, and the fused backward emits dx / dW / db from pooled
+// temporaries. The per-primitive chain (Dense::Forward, then ELU) is
+// the reference the tests hold it to (see tests/reference_net.h):
+// values AND gradients are bitwise equal (the same kernels run in the
+// same order), and the recording is bitwise invariant to the
+// worker-thread count. Linear output layers (ops::ActKind::kIdentity)
 // are plain Dense::Forward affines.
 
 /// Configuration of a multi-layer perceptron.
@@ -29,16 +25,13 @@ struct MlpConfig {
   /// Width of each hidden layer; e.g. {128, 128, 128} is the paper's
   /// d_r = 3, h_r = 128 representation network.
   std::vector<int64_t> hidden;
-  /// Insert a BatchNorm after each affine layer (before the ELU).
-  bool batchnorm = false;
 };
 
 /// `layers` hidden layers of `width` units over `in_dim` inputs — the
 /// shape of every representation network and head body.
-MlpConfig MakeMlpConfig(int64_t in_dim, int64_t layers, int64_t width,
-                        bool batchnorm);
+MlpConfig MakeMlpConfig(int64_t in_dim, int64_t layers, int64_t width);
 
-/// Stack of Dense (+ optional BatchNorm) + ELU layers. Exposes
+/// Stack of Dense + ELU layers. Exposes
 /// every post-activation layer output so SBRL-HAP can decorrelate each
 /// hierarchy level (the Z_o / Z_r / Z_p layers of the paper).
 class Mlp {
@@ -47,21 +40,14 @@ class Mlp {
   Mlp(const std::string& name, const MlpConfig& config, Rng& rng);
 
   /// Runs the full stack, returning every post-activation layer output
-  /// in order; back() is the network output. Each Dense (+BatchNorm) +
-  /// activation layer is recorded as one fused tape node (see the
-  /// network-step note above).
-  std::vector<Var> ForwardCollect(ParamBinder& binder, Var x,
-                                  bool training) const;
+  /// in order; back() is the network output. Each Dense + ELU layer is
+  /// recorded as one fused tape node (see the network-step note above).
+  std::vector<Var> ForwardCollect(ParamBinder& binder, Var x) const;
 
   /// Runs the full stack, returning only the final output.
-  Var Forward(ParamBinder& binder, Var x, bool training) const;
+  Var Forward(ParamBinder& binder, Var x) const;
 
   void CollectParams(std::vector<Param*>* out);
-
-  /// Appends named references to every BatchNorm running statistic in
-  /// the stack (no-op when batchnorm is off); see
-  /// BatchNorm::CollectStateMatrices.
-  void CollectStateMatrices(std::vector<NamedStateRef>* out);
 
   int64_t input_dim() const { return config_.input_dim; }
   int64_t output_dim() const {
@@ -69,8 +55,6 @@ class Mlp {
                                   : config_.hidden.back();
   }
   int num_layers() const { return static_cast<int>(layers_.size()); }
-  /// True when a BatchNorm follows every affine layer.
-  bool batchnorm() const { return config_.batchnorm; }
 
   /// Access to individual layers (e.g. DeR-CFR binds first-layer
   /// weights for its feature-importance orthogonality penalty).
@@ -82,7 +66,6 @@ class Mlp {
  private:
   MlpConfig config_;
   std::vector<Dense> layers_;
-  std::vector<BatchNorm> norms_;  // parallel to layers_ when batchnorm on
 };
 
 }  // namespace sbrl

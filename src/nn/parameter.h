@@ -30,19 +30,6 @@ struct Param {
   int64_t size() const { return value.size(); }
 };
 
-/// Named reference to a persistent NON-parameter state matrix — state
-/// that training mutates outside the gradient path (today: BatchNorm
-/// running statistics). Modules expose their state through
-/// CollectState hooks so the checkpoint layer (core/checkpoint.h) can
-/// snapshot and restore everything a resumed run needs; the referenced
-/// matrix must outlive the collector.
-struct NamedStateRef {
-  /// Unique name, following Param naming ("rep.bn0.running_mean").
-  std::string name;
-  /// The live state matrix, owned by the exposing module.
-  Matrix* value = nullptr;
-};
-
 /// Bridges persistent Params and a per-step Tape. Forward passes bind
 /// each Param as a differentiable leaf; after Tape::Backward the binder
 /// flushes leaf gradients back into Param::grad for the optimizer.

@@ -1,7 +1,6 @@
 #include "serve/model_format.h"
 
 #include "common/serial.h"
-#include "nn/parameter.h"
 
 namespace sbrl {
 namespace serve {
@@ -25,18 +24,10 @@ constexpr serial::FormatSpec kServingFormat = {
 
 // Section tags. A section is (u32 tag, u64 payload_size, payload,
 // u32 crc32(payload)); the OOD section is present only when a fitted
-// detector was exported. Tag 5 held f32 copies of the weights in files
-// from builds with an f32 serving tier; the loader skips it.
+// detector was exported.
 constexpr uint32_t kSectionMeta = 1;
 constexpr uint32_t kSectionWeights = 2;
-constexpr uint32_t kSectionState = 3;
-constexpr uint32_t kSectionOod = 4;
-constexpr uint32_t kSectionLegacyNarrowedWeights = 5;
-
-/// On-disk code of the hidden-layer activation. Every network trains
-/// with ELU, code 0; codes 1-4 (relu, tanh, sigmoid, linear) belong to
-/// retired hidden activations and, like any other value, fail to load.
-constexpr uint32_t kEluActivationCode = 0;
+constexpr uint32_t kSectionOod = 3;
 
 std::string EncodeMeta(const ServingMeta& meta) {
   const InferenceSpec& spec = meta.spec;
@@ -52,18 +43,13 @@ std::string EncodeMeta(const ServingMeta& meta) {
   AppendScalar<int64_t>(&out, spec.network.rep_width);
   AppendScalar<int64_t>(&out, spec.network.head_layers);
   AppendScalar<int64_t>(&out, spec.network.head_width);
-  AppendScalar<uint32_t>(&out, spec.network.batchnorm ? 1 : 0);
-  AppendScalar<uint32_t>(&out, spec.network.rep_normalization ? 1 : 0);
-  AppendScalar<uint32_t>(&out, kEluActivationCode);
   AppendScalar<int32_t>(&out, static_cast<int32_t>(meta.isa));
-  AppendScalar<double>(&out, spec.bn_eps);
   return out;
 }
 
 bool DecodeMeta(ByteReader* reader, ServingMeta* meta) {
   InferenceSpec& spec = meta->spec;
-  uint32_t backbone = 0, framework = 0, binary = 0, batchnorm = 0;
-  uint32_t rep_norm = 0, activation = 0;
+  uint32_t backbone = 0, framework = 0, binary = 0;
   int32_t isa = 0;
   const bool read =
       reader->ReadScalar(&backbone) && reader->ReadScalar(&framework) &&
@@ -74,25 +60,20 @@ bool DecodeMeta(ByteReader* reader, ServingMeta* meta) {
       reader->ReadScalar(&spec.network.rep_width) &&
       reader->ReadScalar(&spec.network.head_layers) &&
       reader->ReadScalar(&spec.network.head_width) &&
-      reader->ReadScalar(&batchnorm) && reader->ReadScalar(&rep_norm) &&
-      reader->ReadScalar(&activation) && reader->ReadScalar(&isa) &&
-      reader->ReadScalar(&spec.bn_eps) && reader->exhausted();
+      reader->ReadScalar(&isa) && reader->exhausted();
   if (!read) return false;
   // Range-check every enum before the cast: a CRC-valid file from a
   // newer build must fail decode, not smuggle an out-of-range value.
   if (backbone > static_cast<uint32_t>(BackboneKind::kDerCfr)) return false;
   if (framework > static_cast<uint32_t>(FrameworkKind::kSbrlHap)) return false;
-  if (activation != kEluActivationCode) return false;
   if (isa < static_cast<int32_t>(IsaChoice::kAuto) ||
       isa > static_cast<int32_t>(IsaChoice::kAvx512)) {
     return false;
   }
-  if (spec.input_dim < 1 || spec.bn_eps <= 0.0) return false;
+  if (spec.input_dim < 1) return false;
   spec.backbone = static_cast<BackboneKind>(backbone);
   meta->framework = static_cast<FrameworkKind>(framework);
   spec.binary_outcome = binary != 0;
-  spec.network.batchnorm = batchnorm != 0;
-  spec.network.rep_normalization = rep_norm != 0;
   meta->isa = static_cast<IsaChoice>(isa);
   return true;
 }
@@ -173,7 +154,6 @@ Status SaveServingModel(const ServingModelData& data,
   std::vector<serial::Section> sections;
   sections.push_back({kSectionMeta, EncodeMeta(data.meta)});
   sections.push_back({kSectionWeights, EncodeNamedMatrices(data.weights)});
-  sections.push_back({kSectionState, EncodeNamedMatrices(data.state)});
   if (data.has_ood) {
     sections.push_back({kSectionOod, EncodeOod(data.ood)});
   }
@@ -198,14 +178,9 @@ StatusOr<ServingModelData> LoadServingModel(const std::string& path) {
         decoded = DecodeNamedMatrices(&reader, &data.weights);
         seen_weights = decoded;
         break;
-      case kSectionState:
-        decoded = DecodeNamedMatrices(&reader, &data.state);
-        break;
       case kSectionOod:
         decoded = DecodeOod(&reader, &data.ood);
         data.has_ood = decoded;
-        break;
-      case kSectionLegacyNarrowedWeights:
         break;
       default:
         // Unknown sections are a forward-compat error at version parity:
@@ -238,7 +213,7 @@ StatusOr<ServingModelData> ExportServingData(
   data.meta.method_name = MethodName(config.backbone, config.framework);
   data.meta.isa = config.sbrl.isa;
 
-  CaptureTensors(*estimator.fitted_backbone(), &data.weights, &data.state);
+  CaptureTensors(*estimator.fitted_backbone(), &data.weights);
   if (ood_detector != nullptr) {
     data.has_ood = true;
     data.ood = ood_detector->ExportState();

@@ -41,8 +41,6 @@ struct ServingModelData {
   ServingMeta meta;
   /// Trainable parameters in collection order.
   std::vector<NamedMatrix> weights;
-  /// BatchNorm running statistics in collection order.
-  std::vector<NamedMatrix> state;
   /// True when a fitted OOD detector rode along in the file.
   bool has_ood = false;
   /// The exported detector state (meaningful only when has_ood).
@@ -52,10 +50,7 @@ struct ServingModelData {
 /// The on-disk format version SaveServingModel writes. Bump on any
 /// layout change; LoadServingModel rejects other versions with
 /// FailedPrecondition (no silent cross-version reinterpretation).
-/// v2 files may carry a legacy f32 weights section (tag 5), written by
-/// builds that had an f32 serving tier; LoadServingModel accepts and
-/// ignores it, since the f64 weights were always the source of truth.
-constexpr uint32_t kServingFormatVersion = 2;
+constexpr uint32_t kServingFormatVersion = 3;
 
 /// Serializes `data` to `path` atomically via the shared sectioned
 /// codec (common/serial.h): magic "SBRLMODL", u32 version, CRC32-
@@ -73,9 +68,8 @@ Status SaveServingModel(const ServingModelData& data,
 StatusOr<ServingModelData> LoadServingModel(const std::string& path);
 
 /// Captures a fitted estimator (and optionally a fitted OOD detector)
-/// as a ServingModelData: parameter values via Backbone::CollectParams,
-/// BatchNorm running statistics via CollectStateMatrices, and the
-/// method/config/outcome metadata scoring needs. Returns
+/// as a ServingModelData: parameter values via Backbone::CollectParams
+/// and the method/config/outcome metadata scoring needs. Returns
 /// FailedPrecondition when `estimator` has not been fitted.
 StatusOr<ServingModelData> ExportServingData(
     HteEstimator& estimator, const OodLevelDetector* ood_detector);

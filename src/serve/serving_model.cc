@@ -13,8 +13,7 @@ namespace serve {
 StatusOr<ServingModel> ServingModel::FromData(ServingModelData data) {
   SBRL_ASSIGN_OR_RETURN(
       InferenceNet net,
-      InferenceNet::Build(data.meta.spec, std::move(data.weights),
-                          std::move(data.state)));
+      InferenceNet::Build(data.meta.spec, std::move(data.weights)));
   ServingModel model(std::move(net));
   model.meta_ = data.meta;
   const int64_t d = data.meta.spec.input_dim;

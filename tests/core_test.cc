@@ -10,6 +10,7 @@
 #include "core/hap.h"
 #include "core/independence_regularizer.h"
 #include "core/sample_weights.h"
+#include "core/trainer.h"
 #include "data/synthetic.h"
 #include "eval/experiment.h"
 #include "stats/hsic.h"
@@ -477,7 +478,7 @@ TEST(EstimatorTest, SbrlLearnsNonUniformWeights) {
   const Matrix& w = estimator->sample_weights();
   EXPECT_EQ(w.rows(), 400);
   EXPECT_GT(StdDev(w), 1e-4);          // moved away from uniform
-  EXPECT_GE(w.MinValue(), config.sbrl.weight_floor - 1e-12);
+  EXPECT_GE(w.MinValue(), kSampleWeightFloor - 1e-12);
 }
 
 TEST(EstimatorTest, VanillaKeepsUniformWeights) {

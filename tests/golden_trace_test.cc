@@ -8,11 +8,10 @@
 //      granularity),
 //   2. CFR's production trace — fused layer nodes, arm-split heads — is
 //      bitwise identical to the per-primitive, full-batch reference of
-//      tests/reference_net.h when batch norm is off (the fused ops run
-//      the same kernels in the same order), and
-//   3. with batch norm on, the fused closed-form backward stays
-//      grad-consistent with the reference chain: identical first-step
-//      losses and tightly matching loss/parameter trajectories.
+//      tests/reference_net.h (the fused ops run the same kernels in the
+//      same order), and
+//   3. a run killed at an iteration boundary and resumed from its
+//      checkpoint is bitwise identical to the uninterrupted run.
 //
 // The stability literature the paper builds on (estimator stability for
 // HTE) is the motivation: a silent gradient perturbation in the network
@@ -73,21 +72,6 @@ void ExpectTracesBitwiseEqual(const Trace& a, const Trace& b) {
   }
 }
 
-void ExpectTracesClose(const Trace& a, const Trace& b, double rel_tol) {
-  ASSERT_EQ(a.train_loss.size(), b.train_loss.size());
-  for (size_t i = 0; i < a.train_loss.size(); ++i) {
-    EXPECT_NEAR(b.train_loss[i], a.train_loss[i],
-                rel_tol * std::max(1.0, std::abs(a.train_loss[i])))
-        << "loss at iteration " << i;
-  }
-  ASSERT_EQ(a.params.size(), b.params.size());
-  for (size_t i = 0; i < a.params.size(); ++i) {
-    EXPECT_NEAR(b.params[i], a.params[i],
-                rel_tol * std::max(1.0, std::abs(a.params[i])))
-        << "parameter element " << i;
-  }
-}
-
 /// Runs one production trace under `workers` background threads,
 /// restoring the process-wide pool to its previous worker count
 /// afterwards.
@@ -100,7 +84,7 @@ Trace TraceWithWorkers(const EstimatorConfig& config, int workers) {
 }
 
 TEST(GoldenTraceTest, TraceIsDeterministic) {
-  const EstimatorConfig config = SmallConfig(/*batchnorm=*/false);
+  const EstimatorConfig config = SmallConfig();
   const Trace first = RunTrace(config);
   const Trace second = RunTrace(config);
   ASSERT_EQ(first.train_loss.size(), static_cast<size_t>(kIterations));
@@ -109,42 +93,29 @@ TEST(GoldenTraceTest, TraceIsDeterministic) {
 }
 
 TEST(GoldenTraceTest, TraceBitwiseStableAcrossThreadCounts) {
-  const EstimatorConfig config = SmallConfig(/*batchnorm=*/false);
+  const EstimatorConfig config = SmallConfig();
   const Trace serial = TraceWithWorkers(config, 0);
   const Trace threaded = TraceWithWorkers(config, 2);
   ExpectTracesBitwiseEqual(serial, threaded);
 }
 
-TEST(GoldenTraceTest, FusedMatchesReferenceBitwiseWithoutBatchNorm) {
-  // Without batch norm the fused ops run the same kernels in the same
-  // order as the reference composition, and the arm-split heads leave
+TEST(GoldenTraceTest, FusedMatchesReferenceBitwise) {
+  // The fused ops run the same kernels in the same order as the
+  // reference composition, and the arm-split heads leave
   // exact zeros where the full-batch heads compute discarded rows: the
   // whole training trajectory — losses, learned weights, final
   // parameters — is bit-identical.
-  const EstimatorConfig config = SmallConfig(/*batchnorm=*/false);
+  const EstimatorConfig config = SmallConfig();
   const Trace reference = RunReferenceTrace(config);
   const Trace fused = RunTrace(config);
   ExpectTracesBitwiseEqual(reference, fused);
-}
-
-TEST(GoldenTraceTest, FusedTracksReferenceWithBatchNorm) {
-  // With batch norm the fused backward is a closed-form regrouping of
-  // the reference chain: forward values stay bitwise identical (the
-  // first recorded loss is computed before any update), and the short
-  // trajectory stays within tight relative tolerance.
-  const EstimatorConfig config = SmallConfig(/*batchnorm=*/true);
-  const Trace reference = RunReferenceTrace(config);
-  const Trace fused = RunTrace(config);
-  ASSERT_FALSE(reference.train_loss.empty());
-  EXPECT_EQ(reference.train_loss[0], fused.train_loss[0]);
-  ExpectTracesClose(reference, fused, 1e-6);
 }
 
 TEST(GoldenTraceTest, DerCfrTraceIsDeterministicAcrossRunsAndThreadCounts) {
   // DeR-CFR routes three representation networks and the arm-split
   // heads through the fused layers; its trace must reproduce bit for
   // bit run over run and with or without background workers.
-  EstimatorConfig config = SmallConfig(/*batchnorm=*/false);
+  EstimatorConfig config = SmallConfig();
   config.backbone = BackboneKind::kDerCfr;
   const Trace first = TraceWithWorkers(config, 0);
   const Trace second = TraceWithWorkers(config, 0);
@@ -198,9 +169,8 @@ FullTrace RunFullTrace(const EstimatorConfig& config,
 TEST(CheckpointResumeTest, KillAndResumeIsBitwiseIdentical) {
   // The tentpole contract: a run killed at an iteration boundary and
   // resumed from its checkpoint is indistinguishable — bit for bit —
-  // from the run that was never interrupted. Batch norm is ON so the
-  // non-Param running statistics are part of what must round-trip, and
-  // a validation set exercises the early-stopping state.
+  // from the run that was never interrupted. A validation set
+  // exercises the early-stopping state.
   const CausalDataset data = MakeDataset();
   std::vector<int64_t> valid_rows, train_rows;
   for (int64_t i = 0; i < 150; ++i) valid_rows.push_back(i);
@@ -208,7 +178,7 @@ TEST(CheckpointResumeTest, KillAndResumeIsBitwiseIdentical) {
   const CausalDataset valid = data.Subset(valid_rows);
   const CausalDataset train = data.Subset(train_rows);
 
-  const EstimatorConfig base = SmallConfig(/*batchnorm=*/true);
+  const EstimatorConfig base = SmallConfig();
   const FullTrace uninterrupted = RunFullTrace(base, train, &valid);
 
   const std::string path =
@@ -249,7 +219,7 @@ TEST(CheckpointResumeTest, ResumeAfterCompletedRunIsIdentity) {
       ::testing::TempDir() + "/golden_resume_done_" +
       std::to_string(::getpid()) + ".ckpt";
   std::remove(path.c_str());
-  EstimatorConfig config = SmallConfig(/*batchnorm=*/false);
+  EstimatorConfig config = SmallConfig();
   config.train.checkpoint_path = path;
   config.train.checkpoint_every = kIterations;
   const FullTrace full = RunFullTrace(config, data, nullptr);
@@ -265,9 +235,9 @@ TEST(CheckpointResumeTest, RecoveryEnabledIsBitwiseFreeWhenHealthy) {
   // capture + health digests + the x1.0 learning-rate scale) must be
   // observationally free: bitwise-identical trajectories against
   // recovery off.
-  EstimatorConfig off = SmallConfig(/*batchnorm=*/false);
+  EstimatorConfig off = SmallConfig();
   off.sbrl.recovery_max_retries = 0;
-  EstimatorConfig on = SmallConfig(/*batchnorm=*/false);
+  EstimatorConfig on = SmallConfig();
   ASSERT_GT(on.sbrl.recovery_max_retries, 0);
   const Trace trace_off = RunTrace(off);
   const Trace trace_on = RunTrace(on);

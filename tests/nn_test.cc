@@ -4,7 +4,6 @@
 
 #include "autodiff/grad_check.h"
 #include "autodiff/ops.h"
-#include "nn/batchnorm.h"
 #include "nn/dense.h"
 #include "nn/initializer.h"
 #include "nn/lr_schedule.h"
@@ -89,7 +88,7 @@ TEST(MlpTest, CollectsOnePostActivationPerLayer) {
   Tape tape;
   ParamBinder binder(&tape);
   Var x = tape.Constant(rng.Randn(6, 4));
-  auto outputs = mlp.ForwardCollect(binder, x, /*training=*/true);
+  auto outputs = mlp.ForwardCollect(binder, x);
   ASSERT_EQ(outputs.size(), 3u);
   EXPECT_EQ(outputs[0].cols(), 8);
   EXPECT_EQ(outputs[1].cols(), 8);
@@ -105,7 +104,7 @@ TEST(MlpTest, EluKeepsOutputsAboveMinusOne) {
   Mlp mlp("m", config, rng);
   Tape tape;
   ParamBinder binder(&tape);
-  Var out = mlp.Forward(binder, tape.Constant(rng.Randn(50, 4) * 5.0), true);
+  Var out = mlp.Forward(binder, tape.Constant(rng.Randn(50, 4) * 5.0));
   EXPECT_GT(out.value().MinValue(), -1.0);
 }
 
@@ -138,13 +137,13 @@ TEST(MlpTest, EndToEndGradCheckThroughTwoLayers) {
     w0->value = probe;
     Tape tape;
     ParamBinder binder(&tape);
-    Var out = mlp.Forward(binder, tape.Constant(x0), true);
+    Var out = mlp.Forward(binder, tape.Constant(x0));
     return ops::SumAll(ops::Square(out)).value().scalar();
   };
   const Matrix at = w0->value;
   Tape tape;
   ParamBinder binder(&tape);
-  Var out = mlp.Forward(binder, tape.Constant(x0), true);
+  Var out = mlp.Forward(binder, tape.Constant(x0));
   tape.Backward(ops::SumAll(ops::Square(out)));
   binder.FlushGrads();
   const Matrix analytic = w0->grad;
@@ -166,7 +165,7 @@ template <typename Stack>
 StackStep RunStackStep(Stack& stack, const Matrix& x, const Matrix& probe) {
   Tape tape;
   ParamBinder binder(&tape);
-  Var out = stack.ForwardCollect(binder, tape.Constant(x), true).back();
+  Var out = stack.ForwardCollect(binder, tape.Constant(x)).back();
   StackStep step;
   step.tape_nodes = tape.size();
   step.output = out.value();
@@ -179,18 +178,13 @@ StackStep RunStackStep(Stack& stack, const Matrix& x, const Matrix& probe) {
   return step;
 }
 
-class MlpReferenceChainTest : public ::testing::TestWithParam<bool> {};
-
-TEST_P(MlpReferenceChainTest, StandaloneMlpRecordsFusedLayersEqualToChain) {
+TEST(MlpReferenceChainTest, StandaloneMlpRecordsFusedLayersEqualToChain) {
   // A standalone Mlp records ONE fused tape node per layer, and that
-  // node is numerically the per-primitive Dense -> BatchNorm ->
-  // activation chain: bitwise in values and gradients without batch
-  // norm, bitwise in values and within 1e-12 in gradients with it.
-  const bool batchnorm = GetParam();
+  // node is the per-primitive Dense -> ELU chain bit for bit, in values
+  // and gradients.
   MlpConfig config;
   config.input_dim = 5;
   config.hidden = {7, 6, 4};
-  config.batchnorm = batchnorm;
   Rng rng_fused(31), rng_chain(31);
   Mlp mlp("m", config, rng_fused);
   reference::ReferenceMlp chain("m", config, rng_chain);
@@ -199,9 +193,8 @@ TEST_P(MlpReferenceChainTest, StandaloneMlpRecordsFusedLayersEqualToChain) {
   const StackStep fused = RunStackStep(mlp, x, probe);
   const StackStep want = RunStackStep(chain, x, probe);
 
-  // Input constant + per layer: its bound parameters and one node.
-  const int params_per_layer = batchnorm ? 4 : 2;
-  EXPECT_EQ(fused.tape_nodes, 1 + 3 * (params_per_layer + 1));
+  // Input constant + per layer: its bound W and b and one node.
+  EXPECT_EQ(fused.tape_nodes, 1 + 3 * 3);
 
   ASSERT_TRUE(fused.output.same_shape(want.output));
   for (int64_t i = 0; i < want.output.size(); ++i) {
@@ -211,72 +204,10 @@ TEST_P(MlpReferenceChainTest, StandaloneMlpRecordsFusedLayersEqualToChain) {
   for (size_t p = 0; p < want.grads.size(); ++p) {
     ASSERT_TRUE(fused.grads[p].same_shape(want.grads[p]));
     for (int64_t i = 0; i < want.grads[p].size(); ++i) {
-      const double tol =
-          batchnorm ? 1e-12 * std::max(1.0, std::abs(want.grads[p][i]))
-                    : 0.0;
-      EXPECT_NEAR(fused.grads[p][i], want.grads[p][i], tol)
+      EXPECT_EQ(fused.grads[p][i], want.grads[p][i])
           << "parameter " << p << " element " << i;
     }
   }
-  std::vector<NamedStateRef> fused_state, want_state;
-  mlp.CollectStateMatrices(&fused_state);
-  chain.CollectStateMatrices(&want_state);
-  ASSERT_EQ(fused_state.size(), want_state.size());
-  for (size_t s = 0; s < want_state.size(); ++s) {
-    EXPECT_EQ(fused_state[s].name, want_state[s].name);
-    for (int64_t i = 0; i < want_state[s].value->size(); ++i) {
-      EXPECT_EQ((*fused_state[s].value)[i], (*want_state[s].value)[i])
-          << want_state[s].name << " element " << i;
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(BatchNormOffOn, MlpReferenceChainTest,
-                         ::testing::Bool());
-
-TEST(BatchNormTest, TrainingOutputIsStandardized) {
-  Rng rng(11);
-  reference::BatchNorm bn("bn", 3);
-  Matrix x = rng.Randn(200, 3, 5.0, 2.0);
-  Tape tape;
-  ParamBinder binder(&tape);
-  Var out = bn.Forward(binder, tape.Constant(x), /*training=*/true);
-  Matrix mu = ColMean(out.value());
-  for (int64_t c = 0; c < 3; ++c) EXPECT_NEAR(mu(0, c), 0.0, 1e-9);
-  Matrix centered = AddRowBroadcast(out.value(), mu * -1.0);
-  Matrix sq = centered;
-  for (int64_t i = 0; i < sq.size(); ++i) sq[i] *= sq[i];
-  Matrix var = ColMean(sq);
-  for (int64_t c = 0; c < 3; ++c) EXPECT_NEAR(var(0, c), 1.0, 1e-3);
-}
-
-TEST(BatchNormTest, InferenceUsesRunningStats) {
-  Rng rng(12);
-  reference::BatchNorm bn("bn", 2);
-  Matrix x = rng.Randn(500, 2, 3.0, 1.5);
-  // Several training passes to converge running stats.
-  for (int i = 0; i < 60; ++i) {
-    Tape tape;
-    ParamBinder binder(&tape);
-    bn.Forward(binder, tape.Constant(x), true);
-  }
-  Tape tape;
-  ParamBinder binder(&tape);
-  Var out = bn.Forward(binder, tape.Constant(x), /*training=*/false);
-  // Output should be approximately standardized using running stats.
-  Matrix mu = ColMean(out.value());
-  for (int64_t c = 0; c < 2; ++c) EXPECT_NEAR(mu(0, c), 0.0, 0.1);
-}
-
-TEST(BatchNormTest, GradientFlowsThroughTrainingPath) {
-  Rng rng(13);
-  reference::BatchNorm bn("bn", 3);
-  Tape tape;
-  ParamBinder binder(&tape);
-  Var x = tape.Leaf(rng.Randn(10, 3));
-  Var out = bn.Forward(binder, x, true);
-  tape.Backward(ops::SumAll(ops::Square(out)));
-  EXPECT_TRUE(tape.has_grad(x.id()));
 }
 
 TEST(LrScheduleTest, ExponentialDecayHalvesOnSchedule) {
@@ -343,7 +274,7 @@ TEST(TrainingIntegrationTest, MlpFitsXorLikeFunction) {
   auto mse = [&]() {
     Tape tape;
     ParamBinder binder(&tape);
-    Var pred = head.Forward(binder, body.Forward(binder, tape.Constant(x), true));
+    Var pred = head.Forward(binder, body.Forward(binder, tape.Constant(x)));
     Var err = ops::Sub(pred, tape.Constant(y));
     return ops::MeanAll(ops::Square(err)).value().scalar();
   };
@@ -352,7 +283,7 @@ TEST(TrainingIntegrationTest, MlpFitsXorLikeFunction) {
   for (int step = 0; step < 400; ++step) {
     Tape tape;
     ParamBinder binder(&tape);
-    Var pred = head.Forward(binder, body.Forward(binder, tape.Constant(x), true));
+    Var pred = head.Forward(binder, body.Forward(binder, tape.Constant(x)));
     Var err = ops::Sub(pred, tape.Constant(y));
     Var loss = ops::MeanAll(ops::Square(err));
     tape.Backward(loss);

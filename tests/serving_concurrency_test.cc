@@ -25,8 +25,8 @@ constexpr int64_t kDim = 4;
 constexpr int64_t kRepWidth = 6;
 constexpr int64_t kHeadWidth = 5;
 
-// A small CFR-shaped model with BatchNorm in every hidden layer, so
-// the threaded forwards exercise the full fused inference kernel.
+// A small CFR-shaped model: two representation layers and one hidden
+// layer per head, each an affine + ELU, then the linear output units.
 ServingModelData MakeModelData() {
   Rng rng(7);
   ServingModelData data;
@@ -39,18 +39,12 @@ ServingModelData MakeModelData() {
   data.meta.spec.network.rep_width = kRepWidth;
   data.meta.spec.network.head_layers = 1;
   data.meta.spec.network.head_width = kHeadWidth;
-  data.meta.spec.network.batchnorm = true;
 
   auto add_layer = [&](const std::string& prefix, int64_t index, int64_t in,
                        int64_t out) {
     const std::string dense = prefix + ".l" + std::to_string(index);
-    const std::string bn = prefix + ".bn" + std::to_string(index);
     data.weights.push_back({dense + ".W", rng.Randn(in, out, 0.0, 0.5)});
     data.weights.push_back({dense + ".b", rng.Randn(1, out, 0.0, 0.1)});
-    data.weights.push_back({bn + ".gamma", rng.Rand(1, out, 0.8, 1.2)});
-    data.weights.push_back({bn + ".beta", rng.Randn(1, out, 0.0, 0.1)});
-    data.state.push_back({bn + ".running_mean", rng.Randn(1, out, 0.0, 0.2)});
-    data.state.push_back({bn + ".running_var", rng.Rand(1, out, 0.5, 1.5)});
   };
   add_layer("rep", 0, kDim, kRepWidth);
   add_layer("rep", 1, kRepWidth, kRepWidth);

@@ -1,11 +1,11 @@
 // Serving model format lockdown: round-trip fidelity of every section
-// (meta, weights, BatchNorm state, fitted OOD detector), atomicity of
-// the temp-file-plus-rename commit, and the full corruption taxonomy
-// shared with the checkpoint format — bad magic, version skew,
-// truncation, bit flips, forged item counts, injected I/O faults at
-// the serve/write and serve/read sites — each surfacing as the
-// documented typed Status — and the legacy section older v2 files may
-// carry.
+// (meta, weights, fitted OOD detector), atomicity of the
+// temp-file-plus-rename commit, and the full corruption taxonomy
+// shared with the checkpoint format — bad magic, version skew (a
+// previous or a future version), truncation, bit flips, forged item
+// counts, unknown section tags, injected I/O faults at the serve/write
+// and serve/read sites — each surfacing as the documented typed
+// Status.
 
 #include "serve/model_format.h"
 
@@ -13,18 +13,13 @@
 #include <unistd.h>
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "common/fault.h"
 #include "common/serial.h"
-#include "core/estimator.h"
 #include "core/ood_detector.h"
-#include "data/synthetic.h"
-#include "eval/experiment.h"
-#include "serve/serving_model.h"
 #include "tensor/random.h"
 
 namespace sbrl {
@@ -52,15 +47,11 @@ ServingModelData MakeData() {
   data.meta.spec.network.rep_width = 3;
   data.meta.spec.network.head_layers = 1;
   data.meta.spec.network.head_width = 4;
-  data.meta.spec.network.batchnorm = true;
-  data.meta.spec.network.rep_normalization = true;
   data.meta.isa = IsaChoice::kBaseline;
   data.weights.push_back({"rep.l0.W", rng.Randn(5, 3)});
   data.weights.push_back({"rep.l0.b", rng.Randn(1, 3)});
-  data.weights.push_back({"rep.bn0.gamma", rng.Randn(1, 3)});
-  data.weights.push_back({"rep.bn0.beta", rng.Randn(1, 3)});
-  data.state.push_back({"rep.bn0.running_mean", rng.Randn(1, 3)});
-  data.state.push_back({"rep.bn0.running_var", rng.Rand(1, 3, 0.5, 1.5)});
+  data.weights.push_back({"rep.l1.W", rng.Randn(3, 3)});
+  data.weights.push_back({"rep.l1.b", rng.Randn(1, 3)});
   OodLevelDetector::Options options;
   options.calibration_rounds = 4;
   options.projections = 4;
@@ -104,19 +95,11 @@ TEST(ServingFormatTest, RoundTripPreservesEverySection) {
   EXPECT_EQ(got_net.rep_width, want_net.rep_width);
   EXPECT_EQ(got_net.head_layers, want_net.head_layers);
   EXPECT_EQ(got_net.head_width, want_net.head_width);
-  EXPECT_EQ(got_net.batchnorm, want_net.batchnorm);
-  EXPECT_EQ(got_net.rep_normalization, want_net.rep_normalization);
   EXPECT_EQ(got.meta.isa, data.meta.isa);
-  EXPECT_EQ(got.meta.spec.bn_eps, data.meta.spec.bn_eps);
   ASSERT_EQ(got.weights.size(), data.weights.size());
   for (size_t i = 0; i < data.weights.size(); ++i) {
     EXPECT_EQ(got.weights[i].name, data.weights[i].name);
     ExpectMatrixEq(got.weights[i].value, data.weights[i].value);
-  }
-  ASSERT_EQ(got.state.size(), data.state.size());
-  for (size_t i = 0; i < data.state.size(); ++i) {
-    EXPECT_EQ(got.state[i].name, data.state[i].name);
-    ExpectMatrixEq(got.state[i].value, data.state[i].value);
   }
   ASSERT_TRUE(got.has_ood);
   EXPECT_EQ(got.ood.options.calibration_rounds,
@@ -197,21 +180,25 @@ TEST(ServingFormatTest, CheckpointMagicIsInvalidArgument) {
   std::remove(path.c_str());
 }
 
+// A file of the previous format version is rejected, not misparsed; so
+// is a future one.
 TEST(ServingFormatTest, VersionSkewIsFailedPrecondition) {
-  const std::string path = TestPath("version_skew.model");
-  ASSERT_TRUE(SaveServingModel(MakeData(), path).ok());
-  // The u32 version sits immediately after the 8-byte magic.
-  std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
-  ASSERT_TRUE(file.is_open());
-  file.seekp(8);
-  const uint32_t future_version = kServingFormatVersion + 1;
-  file.write(reinterpret_cast<const char*>(&future_version),
-             sizeof(future_version));
-  file.close();
-  StatusOr<ServingModelData> loaded = LoadServingModel(path);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kFailedPrecondition);
-  std::remove(path.c_str());
+  for (const uint32_t version :
+       {kServingFormatVersion - 1, kServingFormatVersion + 1}) {
+    SCOPED_TRACE("version " + std::to_string(version));
+    const std::string path = TestPath("version_skew.model");
+    ASSERT_TRUE(SaveServingModel(MakeData(), path).ok());
+    // The u32 version sits immediately after the 8-byte magic.
+    std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
+    ASSERT_TRUE(file.is_open());
+    file.seekp(8);
+    file.write(reinterpret_cast<const char*>(&version), sizeof(version));
+    file.close();
+    StatusOr<ServingModelData> loaded = LoadServingModel(path);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kFailedPrecondition);
+    std::remove(path.c_str());
+  }
 }
 
 TEST(ServingFormatTest, TruncationIsInternal) {
@@ -291,73 +278,28 @@ TEST(ServingFormatTest, InjectedReadFaultFailsLoad) {
 TEST(ServingFormatTest, ForgedItemCountIsInternal) {
   std::string forged;
   serial::AppendScalar<uint64_t>(&forged, uint64_t{1} << 61);
-  for (const uint32_t tag : {2u, 3u}) {
-    SCOPED_TRACE("section tag " + std::to_string(tag));
-    const std::string path = TestPath("forged_count.model");
-    ASSERT_TRUE(serial::WriteSectionedFile(kSpec, {{tag, forged}}, path).ok());
-    StatusOr<ServingModelData> loaded = LoadServingModel(path);
-    ASSERT_FALSE(loaded.ok());
-    EXPECT_EQ(loaded.status().code(), StatusCode::kInternal);
-    std::remove(path.c_str());
-  }
+  const std::string path = TestPath("forged_count.model");
+  ASSERT_TRUE(serial::WriteSectionedFile(kSpec, {{2u, forged}}, path).ok());
+  StatusOr<ServingModelData> loaded = LoadServingModel(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInternal);
+  std::remove(path.c_str());
 }
 
-// v2 files from builds with an f32 serving tier carry a tag-5 section
-// of f32-narrowed weights. The loader skips it: the f64 weights were
-// always the source of truth, so such a file scores exactly like the
-// estimator that exported it.
-TEST(ServingFormatTest, LegacyNarrowedWeightsSectionIsIgnored) {
-  SyntheticDims dims;
-  dims.m_i = 3;
-  dims.m_c = 3;
-  dims.m_a = 3;
-  dims.m_v = 1;
-  SyntheticModel synthetic(dims, 501);
-  const CausalDataset train = synthetic.SampleEnvironment(120, 2.5, 502);
-  const Matrix queries = synthetic.SampleEnvironment(40, -2.5, 503).x;
-  EstimatorConfig config;
-  config.network.rep_width = 8;
-  config.network.head_width = 8;
-  config.train.iterations = 20;
-  config.train.eval_every = 0;
-  config.sbrl.hsic_pair_budget = 8;
-  StatusOr<HteEstimator> estimator = HteEstimator::Create(
-      WithMethod(config, {BackboneKind::kCfr, FrameworkKind::kSbrlHap}));
-  ASSERT_TRUE(estimator.ok()) << estimator.status().ToString();
-  ASSERT_TRUE(estimator->Fit(train).ok());
-  StatusOr<ServingModelData> data = ExportServingData(*estimator, nullptr);
-  ASSERT_TRUE(data.ok()) << data.status().ToString();
-
-  // The legacy layout: u64 count, then per weight its name, u64 rows,
-  // u64 cols and the row-major f32 values.
-  std::string legacy;
-  serial::AppendScalar<uint64_t>(&legacy, data->weights.size());
-  for (const NamedMatrix& item : data->weights) {
-    serial::AppendString(&legacy, item.name);
-    serial::AppendScalar<uint64_t>(&legacy, item.value.rows());
-    serial::AppendScalar<uint64_t>(&legacy, item.value.cols());
-    for (int64_t i = 0; i < item.value.size(); ++i) {
-      serial::AppendScalar<float>(&legacy, static_cast<float>(item.value[i]));
-    }
-  }
-  const std::string path = TestPath("legacy_tag5.model");
-  ASSERT_TRUE(SaveServingModel(*data, path).ok());
+// At version parity a section tag the format does not define is an
+// error, not something to skip.
+TEST(ServingFormatTest, UnknownSectionTagIsInternal) {
+  const std::string path = TestPath("unknown_tag.model");
+  ASSERT_TRUE(SaveServingModel(MakeData(), path).ok());
   StatusOr<std::vector<serial::Section>> sections =
       serial::ReadSectionedFile(kSpec, path);
   ASSERT_TRUE(sections.ok()) << sections.status().ToString();
-  sections->push_back({5, legacy});
+  sections->push_back({5, "payload"});
   ASSERT_TRUE(serial::WriteSectionedFile(kSpec, *sections, path).ok());
-
-  StatusOr<ServingModel> model = ServingModel::Load(path);
+  StatusOr<ServingModelData> loaded = LoadServingModel(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInternal);
   std::remove(path.c_str());
-  ASSERT_TRUE(model.ok()) << model.status().ToString();
-  const Matrix predicted = estimator->PredictPotentialOutcomes(queries);
-  const Matrix served = model->ScoreOutcomes(queries);
-  ASSERT_EQ(served.rows(), predicted.rows());
-  ASSERT_EQ(served.cols(), predicted.cols());
-  EXPECT_EQ(std::memcmp(served.data(), predicted.data(),
-                        sizeof(double) * static_cast<size_t>(served.size())),
-            0);
 }
 
 }  // namespace

@@ -6,8 +6,8 @@
 // the literal sigmoid / de-standardization. For every one of the
 // paper's nine methods, Train -> PredictPotentialOutcomes and
 // Train -> ExportServingModel -> ServingModel::Load -> ScoreOutcomes
-// must each match that oracle — across architectures (BatchNorm on/off,
-// representation normalization, DeR-CFR's split stacks), outcome types
+// must each match that oracle — across architectures (DeR-CFR's split
+// stacks included), outcome types
 // (binary probabilities and de-standardized continuous outcomes), and
 // ISA backends (pinned baseline vs auto dispatch). RepresentationOf is
 // held to the oracle's rep the same way.
@@ -155,25 +155,6 @@ TEST(ServingParityTest, AllNineMethodsMatchTapeOracleBitwise) {
   }
 }
 
-TEST(ServingParityTest, BatchNormRunningStatsSurviveExport) {
-  // BatchNorm inference needs the running stats carried in the model's
-  // state section — a dropped or reordered stat would break bitwise
-  // parity here.
-  const ParityData data = MakeParityData();
-  MethodSpec spec{BackboneKind::kCfr, FrameworkKind::kSbrlHap};
-  EstimatorConfig config = ParityConfig(spec);
-  config.network.batchnorm = true;
-  ExpectMatchesOracle(config, data.train, data.queries, "batchnorm");
-}
-
-TEST(ServingParityTest, RepNormalizationSurvivesExport) {
-  const ParityData data = MakeParityData();
-  MethodSpec spec{BackboneKind::kCfr, FrameworkKind::kVanilla};
-  EstimatorConfig config = ParityConfig(spec);
-  config.network.rep_normalization = true;
-  ExpectMatchesOracle(config, data.train, data.queries, "rep_norm");
-}
-
 TEST(ServingParityTest, ContinuousOutcomeDestandardizationMatches) {
   // Continuous outcomes exercise the y_mean / y_std meta fields: the
   // estimator de-standardizes predictions, and serving must replay the
@@ -234,25 +215,19 @@ TEST(ServingParityTest, IsaPinnedBaselineStaysBitwiseAndNearAuto) {
 
 TEST(ServingParityTest, RepresentationOfMatchesTapeOracle) {
   // RepresentationOf is the input of both heads (and the paper's Fig. 5
-  // decorrelation surface): the rep stack(s), the optional row
-  // normalization, and DeR-CFR's [C, A] concat must all reproduce the
-  // tape forward's rep bit for bit.
+  // decorrelation surface): the rep stack(s) and DeR-CFR's [C, A]
+  // concat must reproduce the tape forward's rep bit for bit.
   const ParityData data = MakeParityData();
   for (const BackboneKind backbone :
        {BackboneKind::kTarnet, BackboneKind::kCfr, BackboneKind::kDerCfr}) {
-    for (const bool rep_norm : {false, true}) {
-      EstimatorConfig config =
-          ParityConfig(MethodSpec{backbone, FrameworkKind::kVanilla});
-      config.network.rep_normalization = rep_norm;
-      const std::string tag = std::string(BackboneName(backbone)) +
-                              (rep_norm ? "/rep_norm" : "/plain");
-      StatusOr<HteEstimator> estimator = HteEstimator::Create(config);
-      ASSERT_TRUE(estimator.ok()) << tag;
-      ASSERT_TRUE(estimator->Fit(data.train).ok()) << tag;
-      const TapeOracle oracle = RunTapeOracle(*estimator, data.queries);
-      ExpectBitwiseEqual(estimator->RepresentationOf(data.queries),
-                         oracle.rep, tag + " rep");
-    }
+    const std::string tag = BackboneName(backbone);
+    StatusOr<HteEstimator> estimator = HteEstimator::Create(
+        ParityConfig(MethodSpec{backbone, FrameworkKind::kVanilla}));
+    ASSERT_TRUE(estimator.ok()) << tag;
+    ASSERT_TRUE(estimator->Fit(data.train).ok()) << tag;
+    const TapeOracle oracle = RunTapeOracle(*estimator, data.queries);
+    ExpectBitwiseEqual(estimator->RepresentationOf(data.queries), oracle.rep,
+                       tag + " rep");
   }
 }
 

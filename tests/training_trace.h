@@ -64,7 +64,7 @@ inline CausalDataset MakeDataset() {
   return data;
 }
 
-inline EstimatorConfig SmallConfig(bool batchnorm) {
+inline EstimatorConfig SmallConfig() {
   EstimatorConfig config;
   config.backbone = BackboneKind::kCfr;
   config.framework = FrameworkKind::kSbrlHap;
@@ -72,7 +72,6 @@ inline EstimatorConfig SmallConfig(bool batchnorm) {
   config.network.rep_width = 16;
   config.network.head_layers = 2;
   config.network.head_width = 8;
-  config.network.batchnorm = batchnorm;
   config.train.iterations = kIterations;
   config.train.eval_every = 1;  // record the loss at every iteration
   config.train.seed = 7;
