@@ -3,7 +3,8 @@
 # -ffinite-math-only) in a CMakeLists.txt or under src/, prints the
 # src/ line count, fails when README's environment-knob table drifts
 # from the SBRL_* variables the code reads, then builds the default and
-# sanitized configurations and runs the tier-1 suite (which includes
+# sanitized configurations (failing when a kernel TU's object defines a
+# weak or unique symbol) and runs the tier-1 suite (which includes
 # the threads2, isa_baseline, faults, serving, and large_n variants,
 # and the training lock at SBRL_ISA=baseline, at SBRL_ISA=avx2 and under
 # GLIBC_TUNABLES=glibc.cpu.hwcaps=-AVX2,-FMA), then the sanitizer
@@ -93,6 +94,23 @@ echo "every named config field is declared"
 echo "=== default configuration ==="
 cmake -B "${PREFIX}" -S .
 cmake --build "${PREFIX}" -j "${JOBS}"
+# Every wide kernel body is internal to its -march TU (an anonymous
+# namespace). A weak or unique symbol in a kernel object would be one
+# the linker may merge across TUs, putting AVX-512 code in a lower
+# level's table (SIGILL on an older host), so any W, V or u fails.
+mapfile -t kernel_objs < <(find "${PREFIX}" -name 'linalg_kernels_*.cc.o')
+if [[ "${#kernel_objs[@]}" -ne 3 ]]; then
+  echo "expected the three linalg_kernels_*.cc.o objects, found" \
+       "${#kernel_objs[@]}" >&2
+  exit 1
+fi
+for obj in "${kernel_objs[@]}"; do
+  if nm -C --defined-only "${obj}" | awk '$2 ~ /^[WVu]$/' | grep .; then
+    echo "${obj} defines the mergeable symbols above; keep kernel" \
+         "bodies in the TU's anonymous namespace" >&2
+    exit 1
+  fi
+done
 # Repeated at full parallelism so a race between concurrently running
 # tests (shared scratch files, commit paths) fails CI instead of
 # passing by luck.

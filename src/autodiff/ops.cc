@@ -231,34 +231,6 @@ Var AddRow(Var a, Var row) {
   });
 }
 
-Var MulRow(Var a, Var row) {
-  Tape* t = SameTape(a, row);
-  SBRL_CHECK_EQ(row.rows(), 1);
-  SBRL_CHECK_EQ(row.cols(), a.cols());
-  const Matrix& av = a.value();
-  const Matrix& rv = row.value();
-  Matrix out = t->NewZero(av.rows(), av.cols());
-  for (int64_t r = 0; r < av.rows(); ++r) {
-    for (int64_t c = 0; c < av.cols(); ++c) out(r, c) = av(r, c) * rv(0, c);
-  }
-  const int ai = a.id(), ri = row.id(), self = t->size();
-  return t->MakeNode(std::move(out), {a, row}, [ai, ri, self](Tape* t) {
-    const Matrix& g = t->grad(self);
-    const Matrix& av = t->value(ai);
-    const Matrix& rv = t->value(ri);
-    Matrix da = t->NewZero(av.rows(), av.cols());
-    Matrix dr = t->NewZero(1, av.cols());
-    for (int64_t r = 0; r < av.rows(); ++r) {
-      for (int64_t c = 0; c < av.cols(); ++c) {
-        da(r, c) = g(r, c) * rv(0, c);
-        dr(0, c) += g(r, c) * av(r, c);
-      }
-    }
-    t->AccumulateGrad(ai, std::move(da));
-    t->AccumulateGrad(ri, std::move(dr));
-  });
-}
-
 Var MulCol(Var a, Var col) {
   Tape* t = SameTape(a, col);
   SBRL_CHECK_EQ(col.cols(), 1);
@@ -327,8 +299,6 @@ Var Scale(Var a, double c) {
       a, [c](double x) { return c * x; },
       [c](double, double) { return c; });
 }
-
-Var Neg(Var a) { return Scale(a, -1.0); }
 
 Var Square(Var a) {
   return UnaryOp(
@@ -595,11 +565,6 @@ Var ColSum(Var a) {
     }
     t->AccumulateGrad(ai, std::move(da));
   });
-}
-
-Var ColMean(Var a) {
-  SBRL_CHECK_GT(a.rows(), 0);
-  return Scale(ColSum(a), 1.0 / static_cast<double>(a.rows()));
 }
 
 Var Matmul(Var a, Var b) {

@@ -36,8 +36,6 @@ Var Mul(Var a, Var b);
 // ---------------------------------------------------------------------------
 /// (n x d) + (1 x d): adds `row` to every row (bias add).
 Var AddRow(Var a, Var row);
-/// (n x d) * (1 x d): scales every row elementwise by `row`.
-Var MulRow(Var a, Var row);
 /// (n x d) * (n x 1): scales row i of `a` by col(i) (sample weighting).
 Var MulCol(Var a, Var col);
 /// a / s where s is a differentiable (1 x 1) scalar node.
@@ -52,7 +50,6 @@ Var Scale(Var a, double c);
 // ---------------------------------------------------------------------------
 // Unary elementwise.
 // ---------------------------------------------------------------------------
-Var Neg(Var a);
 Var Square(Var a);
 Var Abs(Var a);
 /// Numerically stable log(1 + exp(a)).
@@ -95,8 +92,6 @@ Var MeanAll(Var a);
 Var RowSum(Var a);
 /// (n x d) -> (1 x d) column sums.
 Var ColSum(Var a);
-/// (n x d) -> (1 x d) column means.
-Var ColMean(Var a);
 
 // ---------------------------------------------------------------------------
 // Linear algebra.

@@ -102,7 +102,7 @@ BackboneForward DerCfrBackbone::Forward(ParamBinder& binder, const Matrix& x,
           y_arm(static_cast<int64_t>(i), 0) = y_(idx[i], 0) - mean;
         }
         Var i_arm = ops::GatherRows(rep_i, idx);
-        Var cov = ops::Matmul(ops::Transpose(i_arm), tape->Constant(y_arm));
+        Var cov = ops::MatmulTransA(i_arm, tape->Constant(y_arm));
         cov = ops::Scale(cov, 1.0 / static_cast<double>(idx.size()));
         aux = ops::Add(aux, ops::Scale(ops::SumAll(ops::Square(cov)),
                                        config_.instrument_indep));

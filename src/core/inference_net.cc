@@ -51,7 +51,6 @@ StatusOr<InferenceNet> InferenceNet::Build(const InferenceSpec& spec,
   auto add_layer = [&](const std::string& name, int64_t in, int64_t out,
                        ops::ActKind act, Stack* stack) -> Status {
     Layer layer;
-    layer.name = name;
     layer.act = act;
     SBRL_RETURN_IF_ERROR(Take(&w, name + ".W", in, out, &layer.w));
     SBRL_RETURN_IF_ERROR(Take(&w, name + ".b", 1, out, &layer.b));

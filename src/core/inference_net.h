@@ -49,9 +49,8 @@ struct InferenceSpec {
 
 /// One affine + activation layer of an InferenceNet.
 struct AffineLayer {
-  std::string name;  ///< dense module name ("rep.l0")
-  Matrix w;          ///< (in x out) weight
-  Matrix b;          ///< (1 x out) bias
+  Matrix w;  ///< (in x out) weight
+  Matrix b;  ///< (1 x out) bias
   /// Activation applied after the affine.
   ops::ActKind act = ops::ActKind::kIdentity;
 };
@@ -101,18 +100,16 @@ class InferenceNet {
 
   /// The architecture and outcome scale this net was built for.
   const InferenceSpec& spec() const { return spec_; }
-  /// Representation stacks: "rep", or "C" then "A" for DeR-CFR.
-  const std::vector<Stack>& reps() const { return reps_; }
-  /// Both heads (0 = control, 1 = treated): the body layers followed
-  /// by the linear output unit.
-  const std::array<Stack, 2>& heads() const { return heads_; }
 
  private:
   /// Runs `stack` over `x` with the value kernels.
   Matrix Run(const Stack& stack, const Matrix& x, MatrixPool* pool) const;
 
   InferenceSpec spec_;
+  /// Representation stacks: "rep", or "C" then "A" for DeR-CFR.
   std::vector<Stack> reps_;
+  /// Both heads (0 = control, 1 = treated): the body layers followed
+  /// by the linear output unit.
   std::array<Stack, 2> heads_;
 };
 

@@ -56,7 +56,7 @@ double HsicRffTierForward(const Matrix& x, const std::vector<int64_t>& cols,
         << "pair (" << a << ", " << b << ") out of range for " << fcols
         << " feature columns";
   }
-  const RffStack stack = MakeRffStack(cols, k, draws);
+  const RffStack stack = MakeRffStack(cols, draws);
   const LinalgKernels& kernels = ActiveLinalgKernels();
   const double* wd = wn.data();
   const double* fd = tier->features.data();

@@ -11,11 +11,6 @@
 
 namespace sbrl {
 
-/// n_A = n_B: random Fourier features per scalar variable in every
-/// HSIC-RFF tier (the paper's value). The block-cross kernels of
-/// tensor/kernels.h take blocks of exactly this width.
-constexpr int64_t kRffFeatures = 5;
-
 /// One batched HSIC-RFF tier: the weighted HSIC-RFF statistic of
 /// every selected column pair of one layer, summed. Column block i of
 /// `features` F holds the k = kRffFeatures RFF features of the i-th
@@ -35,8 +30,8 @@ struct HsicRffTier {
 };
 
 /// Forward of one tier under normalized weights `wn` (n x 1): the
-/// used columns `cols` of `x` through MakeRffStack(cols, kRffFeatures,
-/// draws), returning the unscaled pair sum. One pass over F in row
+/// used columns `cols` of `x` through MakeRffStack(cols, draws),
+/// returning the unscaled pair sum. One pass over F in row
 /// blocks sized for L1: each block's angles are written
 /// row by row, its cosine runs (StackRffRows), and the cross and means
 /// accumulators continue over it — block_cross_fwd and

@@ -114,12 +114,10 @@ const RffProjection& RffSlotDraws::Slot(int64_t col, int64_t num_features) {
   return entry;
 }
 
-RffStack MakeRffStack(const std::vector<int64_t>& cols, int64_t num_features,
-                      RffSlotDraws* draws) {
-  const int64_t k = num_features;
+RffStack MakeRffStack(const std::vector<int64_t>& cols, RffSlotDraws* draws) {
+  const int64_t k = kRffFeatures;
   RffStack stack;
   stack.cols = cols;
-  stack.num_features = k;
   stack.w.resize(cols.size() * static_cast<size_t>(k));
   stack.phi.resize(stack.w.size());
   for (size_t i = 0; i < cols.size(); ++i) {
@@ -167,20 +165,18 @@ Matrix ApplyRffToColumn(const RffProjection& proj, const Matrix& x,
 namespace {
 
 /// One row of angles: out[i*K + f] = v_i * w[i*K + f] + phi[i*K + f]
-/// with v_i = xrow[cols[i]]. K > 0 fixes the block width at compile
-/// time (the common feature counts unroll fully); K = 0 reads it from
-/// `k`. Every width runs the same multiply-then-add per element.
-template <int64_t K>
+/// with v_i = xrow[cols[i]] and K = kRffFeatures, a multiply then an
+/// add per element.
 void WriteAngleRow(const double* __restrict xrow, const int64_t* cols,
-                   int64_t n_cols, int64_t k, const double* __restrict w,
+                   int64_t n_cols, const double* __restrict w,
                    const double* __restrict phi, double* __restrict orow) {
-  const int64_t kk = K > 0 ? K : k;
+  constexpr int64_t k = kRffFeatures;
   for (int64_t i = 0; i < n_cols; ++i) {
     const double v = xrow[cols[i]];
-    const double* wi = w + i * kk;
-    const double* pi = phi + i * kk;
-    double* oi = orow + i * kk;
-    for (int64_t f = 0; f < kk; ++f) oi[f] = v * wi[f] + pi[f];
+    const double* wi = w + i * k;
+    const double* pi = phi + i * k;
+    double* oi = orow + i * k;
+    for (int64_t f = 0; f < k; ++f) oi[f] = v * wi[f] + pi[f];
   }
 }
 
@@ -189,7 +185,7 @@ void WriteAngleRow(const double* __restrict xrow, const int64_t* cols,
 void StackRffRows(const Matrix& x, const RffStack& stack, int64_t r0,
                   int64_t r1, Matrix* out) {
   const int64_t n_cols = static_cast<int64_t>(stack.cols.size());
-  const int64_t k = stack.num_features;
+  const int64_t k = kRffFeatures;
   const int64_t ocols = out->cols();
   SBRL_CHECK_EQ(out->rows(), x.rows());
   SBRL_CHECK_EQ(ocols, n_cols * k);
@@ -197,15 +193,11 @@ void StackRffRows(const Matrix& x, const RffStack& stack, int64_t r0,
   SBRL_CHECK_EQ(static_cast<int64_t>(stack.phi.size()), n_cols * k);
   SBRL_CHECK(0 <= r0 && r0 <= r1 && r1 <= x.rows());
   for (int64_t col : stack.cols) SBRL_CHECK(col >= 0 && col < x.cols());
-  const auto write_row = k == 4   ? WriteAngleRow<4>
-                         : k == 5 ? WriteAngleRow<5>
-                         : k == 8 ? WriteAngleRow<8>
-                                  : WriteAngleRow<0>;
   const double* xd = x.data();
   double* od = out->data();
   for (int64_t i = r0; i < r1; ++i) {
-    write_row(xd + i * x.cols(), stack.cols.data(), n_cols, k,
-              stack.w.data(), stack.phi.data(), od + i * ocols);
+    WriteAngleRow(xd + i * x.cols(), stack.cols.data(), n_cols,
+                  stack.w.data(), stack.phi.data(), od + i * ocols);
   }
   Timer timer;
   ActiveLinalgKernels().scaled_cos(od + r0 * ocols, (r1 - r0) * ocols,

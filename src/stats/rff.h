@@ -9,6 +9,12 @@
 
 namespace sbrl {
 
+/// n_A = n_B: random Fourier features per scalar variable in every
+/// HSIC-RFF tier (the paper's value) and the block width of every
+/// RffStack. The block-cross kernels of tensor/kernels.h take blocks of
+/// exactly this width.
+constexpr int64_t kRffFeatures = 5;
+
 /// A draw from the paper's Random Fourier Feature function space
 /// H_RFF = { h : x -> sqrt(2) cos(w x + phi) } with w ~ N(0, 1) and
 /// phi ~ U(0, 2 pi). `w` has one row per input dimension and one column
@@ -65,23 +71,20 @@ struct RffSlotDraws {
 };
 
 /// The projections of one stacked feature matrix, laid out for the row
-/// fill: block i (entries [i*k, (i+1)*k), k = num_features) of `w` and
+/// fill: block i (entries [i*k, (i+1)*k), k = kRffFeatures) of `w` and
 /// `phi` is the in_dim = 1 projection of column cols[i].
 struct RffStack {
   /// Source column of each block.
   std::vector<int64_t> cols;
-  /// k: features per block.
-  int64_t num_features = 0;
   /// Concatenated frequency rows (cols.size() * k).
   std::vector<double> w;
   /// Concatenated phase rows (cols.size() * k).
   std::vector<double> phi;
 };
 
-/// The stack of columns `cols` under draws->Slot(col, num_features),
+/// The stack of columns `cols` under draws->Slot(col, kRffFeatures),
 /// drawing the missing slots serially in `cols` order.
-RffStack MakeRffStack(const std::vector<int64_t>& cols, int64_t num_features,
-                      RffSlotDraws* draws);
+RffStack MakeRffStack(const std::vector<int64_t>& cols, RffSlotDraws* draws);
 
 /// In-place scaled cosine sweep x[i] = scale * cos(x[i]) over a
 /// contiguous run — the shared sqrt(2) * cos(angle) epilogue of every

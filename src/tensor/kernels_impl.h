@@ -4,9 +4,9 @@
 // Private declarations of the per-ISA kernel entry points that fill the
 // LinalgKernels tables (tensor/kernels.h). Each set is defined in its
 // own translation unit compiled with that ISA's -march flags
-// (linalg_kernels_baseline.cc / _avx2.cc / _avx512.cc); only those
-// TUs and tensor/kernels.cc include this header. Signatures mirror the
-// function-pointer types on LinalgKernels exactly.
+// (linalg_kernels_baseline.cc / _avx2.cc / _avx512.cc, the wide two
+// over linalg_kernels_wide.inc); only those TUs and kernels.cc include
+// this header. Signatures mirror LinalgKernels' pointer types exactly.
 
 #include <cstdint>
 #include <utility>
@@ -90,7 +90,7 @@ void Avx2BlockCrossGradDw(const double* gd, const double* fd, double* dwd,
                           int64_t num_pairs, int64_t r0, int64_t r1);
 /// See LinalgKernels::EluFn: libmvec _ZGVdN4v_expm1, padded-copy tail.
 void Avx2Elu(double* x, int64_t n);
-/// See LinalgKernels::EluGradFn: 4-lane blend, scalar tail.
+/// See LinalgKernels::EluGradFn: 4-lane blend, padded-copy tail.
 void Avx2EluGrad(const double* g, const double* y, double* out, int64_t n);
 /// See LinalgKernels::ScaledCosFn: libmvec _ZGVdN4v_cos, padded-copy tail.
 void Avx2ScaledCos(double* x, int64_t n, double scale);

@@ -10,6 +10,8 @@
 //    MatmulTransA, the block-cross forward) are EXACTLY equal across
 //    every supported level, and the dot-shaped kernels (MatmulTransB,
 //    the dw backward) stay within a tight tolerance of baseline,
+//  - MatmulTransB gives a row the same bits whichever row route
+//    (panel, eight-row branch, lone row) a range split sends it down,
 //  - every level's cosine sweep stays within the documented 4-ulp
 //    bound of std::cos,
 //  - within a level, results are bitwise invariant to the worker
@@ -319,6 +321,37 @@ TEST(CrossIsaTest, TransBWithinToleranceOfBaseline) {
       LinalgKernelsForIsa(isa).matmul_trans_b_rows(
           a.data(), bt.data(), again.data(), s[1], s[2], 0, s[0]);
       EXPECT_TRUE(AllClose(got, again, 0.0)) << IsaName(isa);
+    }
+  }
+}
+
+TEST(CrossIsaTest, TransBRowsBitwiseInvariantToRowRoute) {
+  // A row range may reach a row through the 2-row panel, the AVX-512
+  // eight-row branch (m < 4) or the lone-row loop, depending on where
+  // ParallelFor split it; every route must give the row the same bits.
+  // m in {1, 2, 3} with n >= 8 reaches the eight-row branch, whose
+  // shapes no tolerance test above covers.
+  Rng rng(306);
+  const std::vector<std::array<int64_t, 3>> shapes = {
+      {16, 7, 1}, {17, 33, 3}, {24, 17, 5}, {9, 8, 2}, {63, 25, 64}};
+  for (const auto& s : shapes) {
+    const int64_t n = s[0], k = s[1], m = s[2];
+    Matrix a = rng.Randn(n, k);
+    Matrix bt = rng.Randn(m, k);  // (m x k)
+    const Matrix init = rng.Randn(n, m);
+    for (Isa isa : SupportedIsas()) {
+      const LinalgKernels& t = LinalgKernelsForIsa(isa);
+      Matrix whole = init, by_row = init;
+      t.matmul_trans_b_rows(a.data(), bt.data(), whole.data(), k, m, 0, n);
+      for (int64_t i = 0; i < n; ++i) {
+        t.matmul_trans_b_rows(a.data(), bt.data(), by_row.data(), k, m, i,
+                              i + 1);
+      }
+      for (int64_t i = 0; i < whole.size(); ++i) {
+        ASSERT_EQ(whole[i], by_row[i])
+            << IsaName(isa) << " transB " << n << "x" << k << "x" << m
+            << " flat index " << i;
+      }
     }
   }
 }

@@ -290,7 +290,7 @@ Var UnfusedTierLoss(const Matrix& z, Var w, int64_t budget, Rng& rng) {
   const CompactPairBlocks blocks = CompactUsedColumns(z.cols(), sel.pairs);
   RffSlotDraws draws{rng.engine()(), {}};
   Matrix stacked(z.rows(), static_cast<int64_t>(blocks.used_cols.size()) * k);
-  StackRffRows(z, MakeRffStack(blocks.used_cols, k, &draws), 0, z.rows(),
+  StackRffRows(z, MakeRffStack(blocks.used_cols, &draws), 0, z.rows(),
                &stacked);
   Var f = tape->Constant(std::move(stacked));
   Var cross = BlockWeightedCrossCov(f, w_norm, blocks.block_pairs);
@@ -316,7 +316,7 @@ Var PerPairReferenceLoss(const Matrix& z, Var w, int64_t budget, Rng& rng) {
   const CompactPairBlocks blocks = CompactUsedColumns(d, sel.pairs);
   RffSlotDraws draws{rng.engine()(), {}};
   Matrix stacked(z.rows(), static_cast<int64_t>(blocks.used_cols.size()) * k);
-  StackRffRows(z, MakeRffStack(blocks.used_cols, k, &draws), 0, z.rows(),
+  StackRffRows(z, MakeRffStack(blocks.used_cols, &draws), 0, z.rows(),
                &stacked);
   Var f = tape->Constant(std::move(stacked));
   Var fw = ops::MulCol(f, w_norm);
