@@ -107,10 +107,7 @@ int Main() {
       if (isa > MaxSupportedIsa()) continue;
       // A SBRL_ISA env override outranks the forced choice; skip levels
       // the resolver refuses so every entry is labeled with what ran.
-      if (SetActiveIsa(static_cast<IsaChoice>(static_cast<int>(isa))) !=
-          isa) {
-        continue;
-      }
+      if (SetActiveIsa(isa) != isa) continue;
       Matrix isa_out;
       const double isa_s = TimeOp([&] { return Matmul(a, b); }, reps,
                                   &isa_out);
@@ -127,7 +124,7 @@ int Main() {
       std::cout << "  " << IsaName(isa) << ": " << isa_s * 1e3
                 << " ms (trans_b " << tb_s * 1e3 << " ms)\n";
     }
-    SetActiveIsa(IsaChoice::kAuto);
+    SetActiveIsa(std::nullopt);
   }
 
   // ELU backward kernel (LinalgKernels::elu_grad) of every level the

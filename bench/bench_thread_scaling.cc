@@ -110,13 +110,11 @@ int Main() {
     if (isa > MaxSupportedIsa()) continue;
     // A SBRL_ISA env override outranks the forced choice; skip levels
     // the resolver refuses so every entry is labeled with what ran.
-    if (SetActiveIsa(static_cast<IsaChoice>(static_cast<int>(isa))) != isa) {
-      continue;
-    }
+    if (SetActiveIsa(isa) != isa) continue;
     record_workloads(std::string("/isa_") + IsaName(isa));
     std::cout << "isa " << IsaName(isa) << " done\n";
   }
-  SetActiveIsa(IsaChoice::kAuto);
+  SetActiveIsa(std::nullopt);
 
   std::cout << "wrote " << json.WriteOrDie() << "\n";
   return 0;

@@ -57,8 +57,6 @@ EstimatorConfig BaseConfig(const Scale& scale, uint64_t seed) {
   config.network.head_width = scale.head_width;
   config.train.iterations = scale.iterations;
   config.train.lr = 1e-3;
-  config.train.lr_decay_rate = 0.97;
-  config.train.lr_decay_steps = 100;
   config.train.eval_every = 25;
   config.train.patience = 12;
   config.train.seed = seed;
@@ -72,7 +70,6 @@ EstimatorConfig BaseConfig(const Scale& scale, uint64_t seed) {
   config.sbrl.gamma2 = 1e-2;
   config.sbrl.gamma3 = 1e-2;
   config.sbrl.hsic_pair_budget = 24;
-  config.sbrl.weight_update_every = 1;
   config.sbrl.lr_w = 0.1;
   return config;
 }

@@ -70,7 +70,7 @@ echo "=== config field names ==="
 # the config, spec, checkpoint and diagnostics structs below must be a
 # member declared in that struct, so a deleted or renamed field leaves
 # no stale mention behind.
-CONFIG_STRUCTS='SbrlConfig|NetworkConfig|TrainConfig|CfrConfig|DerCfrConfig|MlpConfig|ShardedTrainerConfig|ShardedOptions|InferenceSpec|ServingMeta|TrainingCheckpoint|TrainDiagnostics|SweepOptions'
+CONFIG_STRUCTS='SbrlConfig|NetworkConfig|TrainConfig|CfrConfig|MlpConfig|ShardedTrainerConfig|ShardedOptions|InferenceSpec|ServingMeta|TrainingCheckpoint|TrainDiagnostics|SweepOptions'
 stale_fields=0
 while read -r mention; do
   [[ -n "${mention}" ]] || continue

@@ -132,20 +132,14 @@ const char* IsaName(Isa isa) {
 }
 
 const char* IsaChoiceName(IsaChoice choice) {
-  switch (choice) {
-    case IsaChoice::kAuto: return "auto";
-    case IsaChoice::kBaseline: return "baseline";
-    case IsaChoice::kAvx2: return "avx2";
-    case IsaChoice::kAvx512: return "avx512";
-  }
-  return "?";
+  return choice ? IsaName(*choice) : "auto";
 }
 
 bool ParseIsaChoice(const std::string& text, IsaChoice* out) {
-  if (text == "auto") { *out = IsaChoice::kAuto; return true; }
-  if (text == "baseline") { *out = IsaChoice::kBaseline; return true; }
-  if (text == "avx2") { *out = IsaChoice::kAvx2; return true; }
-  if (text == "avx512") { *out = IsaChoice::kAvx512; return true; }
+  if (text == "auto") { *out = std::nullopt; return true; }
+  for (Isa isa : {Isa::kBaseline, Isa::kAvx2, Isa::kAvx512}) {
+    if (text == IsaName(isa)) { *out = isa; return true; }
+  }
   return false;
 }
 
@@ -160,8 +154,7 @@ Isa MaxSupportedIsa() {
   return host < kMaxCompiledIsa ? host : kMaxCompiledIsa;
 }
 
-Isa ResolveIsa(IsaChoice config_choice, const char* env, Isa max_supported) {
-  IsaChoice choice = config_choice;
+Isa ResolveIsa(IsaChoice choice, const char* env, Isa max_supported) {
   if (env != nullptr && *env != '\0') {
     IsaChoice parsed;
     if (ParseIsaChoice(env, &parsed)) {
@@ -170,16 +163,15 @@ Isa ResolveIsa(IsaChoice config_choice, const char* env, Isa max_supported) {
       WarnBadEnvOnce(env);
     }
   }
-  if (choice == IsaChoice::kAuto) return max_supported;
-  const Isa requested = static_cast<Isa>(static_cast<int>(choice));
-  return requested < max_supported ? requested : max_supported;
+  if (!choice) return max_supported;
+  return *choice < max_supported ? *choice : max_supported;
 }
 
 Isa ActiveIsa() {
   if (t_thread_isa >= 0) return static_cast<Isa>(t_thread_isa);
   const int cached = g_active_isa.load(std::memory_order_relaxed);
   if (cached >= 0) return static_cast<Isa>(cached);
-  return SetActiveIsa(IsaChoice::kAuto);
+  return SetActiveIsa(std::nullopt);
 }
 
 Isa SetActiveIsa(IsaChoice choice) {

@@ -1,6 +1,7 @@
 #ifndef SBRL_COMMON_CPU_H_
 #define SBRL_COMMON_CPU_H_
 
+#include <optional>
 #include <string>
 
 namespace sbrl {
@@ -54,21 +55,16 @@ enum class Isa {
   kAvx512 = 2,    ///< 512-bit kernels (requires avx512f/dq/bw/vl)
 };
 
-/// Requested ISA level: a concrete Isa or automatic resolution to the
-/// widest level the host supports. This is what SbrlConfig::isa and the
-/// SBRL_ISA environment variable express; ResolveIsa turns it into an
-/// Isa, clamped to what the host and build actually provide.
-enum class IsaChoice {
-  kAuto = -1,     ///< widest supported level (the default)
-  kBaseline = 0,  ///< force the portable kernels
-  kAvx2 = 1,      ///< request the 256-bit kernels
-  kAvx512 = 2,    ///< request the 512-bit kernels
-};
+/// Requested ISA level: a concrete Isa, or std::nullopt ("auto") for
+/// the widest level the host supports. This is what SbrlConfig::isa and
+/// the SBRL_ISA environment variable express; ResolveIsa turns it into
+/// an Isa, clamped to what the host and build actually provide.
+using IsaChoice = std::optional<Isa>;
 
 /// Lowercase Isa name: "baseline" / "avx2" / "avx512".
 const char* IsaName(Isa isa);
 
-/// Lowercase IsaChoice name: "auto" or the Isa names above.
+/// Lowercase IsaChoice name: "auto" for std::nullopt, else IsaName.
 const char* IsaChoiceName(IsaChoice choice);
 
 /// Parses "auto" / "baseline" / "avx2" / "avx512" (the SBRL_ISA
@@ -83,16 +79,16 @@ Isa MaxSupportedIsa();
 
 /// Pure resolution rule shared by every entry point (and unit-testable
 /// without touching process state): `env` — the raw SBRL_ISA value, or
-/// null/empty when unset — takes precedence over `config_choice` when
+/// null/empty when unset — takes precedence over `choice` when
 /// it parses (an unparseable value is ignored, with a one-time warning
-/// elsewhere); kAuto resolves to `max_supported`; anything wider than
+/// elsewhere); auto resolves to `max_supported`; anything wider than
 /// `max_supported` is clamped down to it.
-Isa ResolveIsa(IsaChoice config_choice, const char* env, Isa max_supported);
+Isa ResolveIsa(IsaChoice choice, const char* env, Isa max_supported);
 
 /// The ISA level every kernel dispatch reads. A thread-scoped override
 /// (ScopedThreadIsa) wins when one is active on the calling thread;
 /// otherwise the process-wide default applies, resolved on first use as
-/// ResolveIsa(kAuto, getenv("SBRL_ISA"), MaxSupportedIsa()) and
+/// ResolveIsa(auto, getenv("SBRL_ISA"), MaxSupportedIsa()) and
 /// re-resolvable via SetActiveIsa. Reading is one thread-local load
 /// plus (on the fallback path) one relaxed atomic load — cheap enough
 /// for per-call dispatch.
@@ -123,7 +119,8 @@ class ScopedThreadIsa {
   /// thread only).
   explicit ScopedThreadIsa(IsaChoice choice);
   /// Pins an already-resolved level exactly (no re-resolution). Used by
-  /// the pool to propagate a caller's level into its workers.
+  /// the pool to propagate a caller's level into its workers. A bare
+  /// Isa picks this overload; IsaChoice(isa) resolves instead.
   explicit ScopedThreadIsa(Isa isa);
   ~ScopedThreadIsa();
 

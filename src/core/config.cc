@@ -45,9 +45,6 @@ Status EstimatorConfig::Validate() const {
   if (sbrl.hsic_pair_budget < 0) {
     return Status::InvalidArgument("sbrl.hsic_pair_budget must be >= 0");
   }
-  if (sbrl.weight_update_every < 1) {
-    return Status::InvalidArgument("sbrl.weight_update_every must be >= 1");
-  }
   if (sbrl.lr_w <= 0.0) {
     return Status::InvalidArgument("sbrl.lr_w must be > 0");
   }
@@ -60,15 +57,6 @@ Status EstimatorConfig::Validate() const {
   if (train.lr <= 0.0) {
     return Status::InvalidArgument("train.lr must be > 0");
   }
-  if (train.lr_decay_rate <= 0.0 || train.lr_decay_rate > 1.0) {
-    return Status::InvalidArgument("train.lr_decay_rate must be in (0, 1]");
-  }
-  if (train.lr_decay_steps < 1) {
-    return Status::InvalidArgument("train.lr_decay_steps must be >= 1");
-  }
-  if (train.l2 < 0.0) {
-    return Status::InvalidArgument("train.l2 must be >= 0");
-  }
   if (train.eval_every < 0 || train.patience < 0) {
     return Status::InvalidArgument("early-stopping settings out of range");
   }
@@ -79,11 +67,6 @@ Status EstimatorConfig::Validate() const {
       (train.checkpoint_every > 0 || train.resume)) {
     return Status::InvalidArgument(
         "checkpoint_every/resume require train.checkpoint_path");
-  }
-  if (dercfr.confounder_balance < 0.0 || dercfr.instrument_indep < 0.0 ||
-      dercfr.orthogonality < 0.0 || dercfr.adjustment_balance < 0.0 ||
-      dercfr.treatment_loss < 0.0) {
-    return Status::InvalidArgument("dercfr loss weights must be >= 0");
   }
   return Status::OK();
 }

@@ -52,22 +52,6 @@ struct CfrConfig {
   double alpha_ipm = 1.0;
 };
 
-/// DeR-CFR-specific loss weights, mirroring the roles of the paper's
-/// Table V hyper-parameters {alpha, beta, gamma, mu, lambda}.
-struct DerCfrConfig {
-  /// alpha: confounder balancing between arms with learned per-arm
-  /// weights omega(C).
-  double confounder_balance = 1.0;
-  /// beta: instrument-outcome independence I _||_ Y | T.
-  double instrument_indep = 0.1;
-  /// gamma: first-layer feature-importance orthogonality among I/C/A.
-  double orthogonality = 1.0;
-  /// mu: adjustment balance IPM(A_t, A_c).
-  double adjustment_balance = 1.0;
-  /// Treatment-prediction loss weight for the t-head on [I, C].
-  double treatment_loss = 0.5;
-};
-
 /// SBRL / SBRL-HAP framework knobs (paper Eq. 11).
 struct SbrlConfig {
   /// alpha: weight of the Balancing Regularizer term L_B in L_w.
@@ -85,15 +69,15 @@ struct SbrlConfig {
   /// 0 measures every pair (StableNet-style stochastic decorrelation).
   int64_t hsic_pair_budget = 48;
   /// Requested kernel instruction-set level (see Isa / IsaChoice in
-  /// common/cpu.h). kAuto (default) resolves to the widest level the
-  /// host CPU and this build support; kBaseline forces the portable
-  /// pre-dispatch kernels bit for bit. The SBRL_ISA environment
-  /// variable, when set to a valid level, overrides this field —
+  /// common/cpu.h). std::nullopt ("auto", the default) resolves to the
+  /// widest level the host CPU and this build support; Isa::kBaseline
+  /// forces the portable pre-dispatch kernels bit for bit. The SBRL_ISA
+  /// environment variable, when set to a valid level, overrides this field —
   /// resolution order: SBRL_ISA env > config > auto-detect, always
   /// clamped to what the host supports. The trainer applies the choice
   /// process-wide at Train() entry and records the resolved level in
   /// TrainDiagnostics::isa.
-  IsaChoice isa = IsaChoice::kAuto;
+  IsaChoice isa;
   /// Divergence response of the training health monitor (a non-finite
   /// loss term or gradient digest, or |train loss| past 1e6 times
   /// (|first finite train loss| + 1)). A positive budget restores the
@@ -110,31 +94,22 @@ struct SbrlConfig {
   int64_t recovery_max_retries = 3;
   /// Learning rate of the sample-weight learner.
   double lr_w = 5e-2;
-  /// Run the weight step every k-th network step.
-  int64_t weight_update_every = 1;
 };
 
 /// Optimization loop settings (paper Sec. V-C: Adam, exponential decay,
-/// early stopping, max 3000 iterations; full-batch).
+/// early stopping, max 3000 iterations; full-batch). The fixed parts of
+/// the network update are documented on NetworkUpdate (core/trainer.h).
 struct TrainConfig {
   /// Maximum full-batch iterations of Algorithm 1.
   int64_t iterations = 600;
   /// Initial Adam learning rate of the network step.
   double lr = 1e-3;
-  /// Multiplicative decay factor of the exponential lr schedule.
-  double lr_decay_rate = 0.97;
-  /// Iterations between decay applications.
-  int64_t lr_decay_steps = 100;
-  /// L2 penalty on outcome-head weights (paper's R_l2 / lambda).
-  double l2 = 1e-4;
   /// Validation cadence for early stopping; 0 disables.
   int64_t eval_every = 25;
   /// Number of consecutive non-improving evaluations tolerated.
   int64_t patience = 10;
   /// Master seed of initialization, draws, and shuffles.
   uint64_t seed = 1234;
-  /// Log per-evaluation progress lines.
-  bool verbose = false;
   /// Durable-checkpoint file path; empty disables on-disk
   /// checkpointing. Saves are atomic (temp file + rename) and
   /// versioned/CRC-protected (see core/checkpoint.h). A failed save is
@@ -163,8 +138,6 @@ struct EstimatorConfig {
   NetworkConfig network;
   /// CFR knobs (used when backbone == kCfr).
   CfrConfig cfr;
-  /// DeR-CFR knobs (used when backbone == kDerCfr).
-  DerCfrConfig dercfr;
   /// SBRL / SBRL-HAP framework knobs.
   SbrlConfig sbrl;
   /// Optimization-loop settings.

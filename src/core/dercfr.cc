@@ -6,6 +6,14 @@ namespace sbrl {
 
 namespace {
 
+// Loss weights, in the roles of the paper's Table V hyper-parameters
+// (the numbered terms of Forward).
+constexpr double kConfounderBalance = 1.0;  // alpha
+constexpr double kInstrumentIndep = 0.1;    // beta
+constexpr double kOrthogonality = 1.0;      // gamma
+constexpr double kAdjustmentBalance = 1.0;  // mu
+constexpr double kTreatmentLoss = 0.5;      // t-head on [I, C]
+
 /// Normalized first-layer feature importance: p_j ~ sum_k |W1[j, k]|.
 Var FeatureImportance(ParamBinder& binder, Mlp& net) {
   Var w1 = binder.Bind(net.mutable_layer(0).weight());
@@ -18,7 +26,6 @@ Var FeatureImportance(ParamBinder& binder, Mlp& net) {
 DerCfrBackbone::DerCfrBackbone(const EstimatorConfig& config,
                                int64_t input_dim, Rng& rng)
     : input_dim_(input_dim),
-      config_(config.dercfr),
       i_net_("I",
              MakeMlpConfig(input_dim, config.network.rep_layers,
                            config.network.rep_width),
@@ -82,71 +89,61 @@ BackboneForward DerCfrBackbone::Forward(ParamBinder& binder, const Matrix& x,
     SBRL_CHECK(!treated.empty() && !control.empty());
 
     // (1) mu: adjustment balance — A must not separate the arms.
-    if (config_.adjustment_balance > 0.0) {
-      aux = ops::Add(aux, ops::Scale(WeightedIpmLoss(rep_a, w, t),
-                                     config_.adjustment_balance));
-    }
+    aux = ops::Add(aux, ops::Scale(WeightedIpmLoss(rep_a, w, t),
+                                   kAdjustmentBalance));
 
     // (2) beta: instrument-outcome independence within each arm, via a
     // covariance penalty against the centered factual outcome.
-    if (config_.instrument_indep > 0.0) {
-      SBRL_CHECK_EQ(y_.rows(), n)
-          << "DeR-CFR needs SetOutcomes before training forward";
-      for (const auto* arm : {&treated, &control}) {
-        const auto& idx = *arm;
-        Matrix y_arm(static_cast<int64_t>(idx.size()), 1);
-        double mean = 0.0;
-        for (size_t i = 0; i < idx.size(); ++i) mean += y_(idx[i], 0);
-        mean /= static_cast<double>(idx.size());
-        for (size_t i = 0; i < idx.size(); ++i) {
-          y_arm(static_cast<int64_t>(i), 0) = y_(idx[i], 0) - mean;
-        }
-        Var i_arm = ops::GatherRows(rep_i, idx);
-        Var cov = ops::MatmulTransA(i_arm, tape->Constant(y_arm));
-        cov = ops::Scale(cov, 1.0 / static_cast<double>(idx.size()));
-        aux = ops::Add(aux, ops::Scale(ops::SumAll(ops::Square(cov)),
-                                       config_.instrument_indep));
+    SBRL_CHECK_EQ(y_.rows(), n)
+        << "DeR-CFR needs SetOutcomes before training forward";
+    for (const auto* arm : {&treated, &control}) {
+      const auto& idx = *arm;
+      Matrix y_arm(static_cast<int64_t>(idx.size()), 1);
+      double mean = 0.0;
+      for (size_t i = 0; i < idx.size(); ++i) mean += y_(idx[i], 0);
+      mean /= static_cast<double>(idx.size());
+      for (size_t i = 0; i < idx.size(); ++i) {
+        y_arm(static_cast<int64_t>(i), 0) = y_(idx[i], 0) - mean;
       }
+      Var i_arm = ops::GatherRows(rep_i, idx);
+      Var cov = ops::MatmulTransA(i_arm, tape->Constant(y_arm));
+      cov = ops::Scale(cov, 1.0 / static_cast<double>(idx.size()));
+      aux = ops::Add(aux, ops::Scale(ops::SumAll(ops::Square(cov)),
+                                     kInstrumentIndep));
     }
 
     // (3) alpha: confounder balancing under learned per-arm weights
     // omega(C), anchored near 1.
-    if (config_.confounder_balance > 0.0) {
-      Var c_t = ops::GatherRows(rep_c, treated);
-      Var c_c = ops::GatherRows(rep_c, control);
-      Var omega_t = ops::Softplus(weight_head_t_.Forward(binder, c_t));
-      Var omega_c = ops::Softplus(weight_head_c_.Forward(binder, c_c));
-      Var balance = WeightedIpmLossSplit(c_t, omega_t, c_c, omega_c);
-      Var anchor = ops::Add(
-          ops::MeanAll(ops::Square(ops::AddConst(omega_t, -1.0))),
-          ops::MeanAll(ops::Square(ops::AddConst(omega_c, -1.0))));
-      aux = ops::Add(aux, ops::Scale(ops::Add(balance, anchor),
-                                     config_.confounder_balance));
-    }
+    Var c_t = ops::GatherRows(rep_c, treated);
+    Var c_c = ops::GatherRows(rep_c, control);
+    Var omega_t = ops::Softplus(weight_head_t_.Forward(binder, c_t));
+    Var omega_c = ops::Softplus(weight_head_c_.Forward(binder, c_c));
+    Var balance = WeightedIpmLossSplit(c_t, omega_t, c_c, omega_c);
+    Var anchor = ops::Add(
+        ops::MeanAll(ops::Square(ops::AddConst(omega_t, -1.0))),
+        ops::MeanAll(ops::Square(ops::AddConst(omega_c, -1.0))));
+    aux = ops::Add(aux, ops::Scale(ops::Add(balance, anchor),
+                                   kConfounderBalance));
 
     // (4) gamma: first-layer feature-importance orthogonality.
-    if (config_.orthogonality > 0.0) {
-      Var p_i = FeatureImportance(binder, i_net_);
-      Var p_c = FeatureImportance(binder, c_net_);
-      Var p_a = FeatureImportance(binder, a_net_);
-      Var ortho = ops::Add(ops::Add(ops::SumAll(ops::Mul(p_i, p_c)),
-                                    ops::SumAll(ops::Mul(p_i, p_a))),
-                           ops::SumAll(ops::Mul(p_c, p_a)));
-      aux = ops::Add(aux, ops::Scale(ortho, config_.orthogonality));
-    }
+    Var p_i = FeatureImportance(binder, i_net_);
+    Var p_c = FeatureImportance(binder, c_net_);
+    Var p_a = FeatureImportance(binder, a_net_);
+    Var ortho = ops::Add(ops::Add(ops::SumAll(ops::Mul(p_i, p_c)),
+                                  ops::SumAll(ops::Mul(p_i, p_a))),
+                         ops::SumAll(ops::Mul(p_c, p_a)));
+    aux = ops::Add(aux, ops::Scale(ortho, kOrthogonality));
 
     // (5) treatment prediction from [I, C].
-    if (config_.treatment_loss > 0.0) {
-      Var rep_ic = ops::ConcatCols(rep_i, rep_c);
-      Var t_logit = t_head_.Forward(binder, rep_ic);
-      Matrix t_labels(n, 1);
-      for (int64_t i = 0; i < n; ++i) {
-        t_labels(i, 0) = static_cast<double>(t[static_cast<size_t>(i)]);
-      }
-      Var t_loss = ops::MeanAll(
-          ops::SigmoidCrossEntropyWithLogits(t_logit, t_labels));
-      aux = ops::Add(aux, ops::Scale(t_loss, config_.treatment_loss));
+    Var rep_ic = ops::ConcatCols(rep_i, rep_c);
+    Var t_logit = t_head_.Forward(binder, rep_ic);
+    Matrix t_labels(n, 1);
+    for (int64_t i = 0; i < n; ++i) {
+      t_labels(i, 0) = static_cast<double>(t[static_cast<size_t>(i)]);
     }
+    Var t_loss = ops::MeanAll(
+        ops::SigmoidCrossEntropyWithLogits(t_logit, t_labels));
+    aux = ops::Add(aux, ops::Scale(t_loss, kTreatmentLoss));
   }
   out.aux_loss = aux;
   return out;

@@ -22,8 +22,9 @@ namespace sbrl {
 ///      I / C / A).
 /// Outcome heads read [C, A]; a treatment head reads [I, C].
 ///
-/// The loss weights mirror the paper's Table V hyper-parameters
-/// {alpha, beta, gamma, mu, lambda}; see DerCfrConfig. The instrument
+/// The loss weights are fixed constants in the roles of the paper's
+/// Table V hyper-parameters {alpha, beta, gamma, mu, lambda}; see the
+/// k* weights at the top of dercfr.cc. The instrument
 /// independence penalty uses within-arm covariance (a linear HSIC
 /// surrogate) rather than the full kernel statistic — a documented
 /// simplification (DESIGN.md §5.1) that preserves the decomposition
@@ -56,7 +57,6 @@ class DerCfrBackbone : public Backbone {
 
  private:
   int64_t input_dim_;
-  DerCfrConfig config_;
   Mlp i_net_;
   Mlp c_net_;
   Mlp a_net_;

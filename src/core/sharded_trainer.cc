@@ -4,11 +4,8 @@
 #include <utility>
 
 #include "autodiff/ops.h"
-#include "common/logging.h"
 #include "common/timer.h"
 #include "core/trainer.h"
-#include "nn/lr_schedule.h"
-#include "nn/optimizer.h"
 #include "tensor/linalg.h"
 
 namespace sbrl {
@@ -106,27 +103,19 @@ ShardedTrainer::ShardStats ShardedTrainer::ComputeShard(
   return stats;
 }
 
-Status ShardedTrainer::Train(DatasetBlockReader& reader,
-                             ShardedTrainDiagnostics* diag) {
-  SBRL_CHECK_EQ(reader.dim(), input_dim_);
+ShardedOptions ShardedTrainer::ResolveSlots() {
   const ShardedOptions opts = ResolveShardedOptions(config_.sharding);
   while (static_cast<int64_t>(slot_pools_.size()) < opts.workers) {
     slot_pools_.push_back(std::make_unique<MatrixPool>());
   }
+  return opts;
+}
 
-  std::vector<Param*> decay_params = backbone_->DecayParams();
-  std::vector<Param*> plain_params;
-  for (Param* p : params_) {
-    bool decays = false;
-    for (Param* d : decay_params) decays = decays || (d == p);
-    if (!decays) plain_params.push_back(p);
-  }
-  AdamConfig decay_config;
-  decay_config.weight_decay = config_.l2;
-  AdamOptimizer opt_decay(decay_params, decay_config);
-  AdamOptimizer opt_plain(plain_params);
-  ExponentialDecaySchedule schedule(config_.lr, config_.lr_decay_rate,
-                                    config_.lr_decay_steps);
+Status ShardedTrainer::Train(DatasetBlockReader& reader,
+                             ShardedTrainDiagnostics* diag) {
+  SBRL_CHECK_EQ(reader.dim(), input_dim_);
+  const ShardedOptions opts = ResolveSlots();
+  NetworkUpdate update(*backbone_, TrainConfig{}.lr);
 
   ShardedTrainDiagnostics local;
   if (diag == nullptr) diag = &local;
@@ -164,8 +153,7 @@ Status ShardedTrainer::Train(DatasetBlockReader& reader,
       total.grads[i] *= inv_n;
       params_[i]->grad = std::move(total.grads[i]);
     }
-    const double lr = schedule.LearningRate(iter);
-    const double grad_digest = opt_decay.Step(lr) + opt_plain.Step(lr);
+    const double grad_digest = update.Step(iter);
     if (!std::isfinite(grad_digest)) {
       return Status::Internal("non-finite gradient digest at pass " +
                               std::to_string(iter));
@@ -183,11 +171,6 @@ Status ShardedTrainer::Train(DatasetBlockReader& reader,
         diag->control_rows > 0
             ? total.y_control_sum / static_cast<double>(diag->control_rows)
             : 0.0;
-    if (config_.verbose) {
-      SBRL_LOG(Info) << "sharded pass " << iter << ": rows=" << rows
-                     << " shards=" << shards
-                     << " loss=" << diag->train_loss.back();
-    }
   }
   diag->train_seconds = timer.ElapsedSeconds();
   diag->rows_per_second =
@@ -200,10 +183,7 @@ Status ShardedTrainer::Train(DatasetBlockReader& reader,
 
 StatusOr<double> ShardedTrainer::EstimateAte(DatasetBlockReader& reader) {
   SBRL_CHECK_EQ(reader.dim(), input_dim_);
-  const ShardedOptions opts = ResolveShardedOptions(config_.sharding);
-  while (static_cast<int64_t>(slot_pools_.size()) < opts.workers) {
-    slot_pools_.push_back(std::make_unique<MatrixPool>());
-  }
+  const ShardedOptions opts = ResolveSlots();
   SBRL_RETURN_IF_ERROR(reader.Reset());
   const InferenceNet net = Net();
   struct IteSum {

@@ -25,17 +25,9 @@ namespace sbrl {
 struct ShardedTrainerConfig {
   /// Backbone architecture.
   NetworkConfig network;
-  /// Full passes over the stream (each pass = one full-batch
-  /// gradient step, mirroring SbrlTrainer's iteration).
+  /// Full passes over the stream, each one SbrlTrainer's NetworkUpdate
+  /// step at TrainConfig's default learning rate.
   int64_t iterations = 50;
-  /// Initial Adam learning rate.
-  double lr = 1e-3;
-  /// Multiplicative factor of the exponential lr schedule.
-  double lr_decay_rate = 0.97;
-  /// Iterations between decay applications.
-  int64_t lr_decay_steps = 100;
-  /// L2 penalty on outcome-head weights (paper's R_l2).
-  double l2 = 1e-4;
   /// Seed of parameter initialization.
   uint64_t seed = 1234;
   /// Outcome family: sigmoid cross-entropy when true, squared error
@@ -44,8 +36,6 @@ struct ShardedTrainerConfig {
   /// Shard size / worker-lane knobs (see stats/sharded.h); resolved
   /// once at Train() entry so one fit uses one fixed decomposition.
   ShardedOptions sharding;
-  /// Log one line per pass.
-  bool verbose = false;
 };
 
 /// Per-fit observability of the sharded trainer, including the
@@ -128,6 +118,10 @@ class ShardedTrainer {
   /// Forward/backward of one shard on the slot's pooled tape; returns
   /// loss/arm sums and per-param gradient sums aligned to `params_`.
   ShardStats ComputeShard(const CausalDataset& block, MatrixPool* pool);
+
+  /// Resolves config_.sharding and grows slot_pools_ to its worker
+  /// count; every streamed pass starts here.
+  ShardedOptions ResolveSlots();
 
   /// The fitted TARNet as an InferenceNet (spec from config_).
   InferenceNet Net() const;

@@ -13,8 +13,6 @@
 #include "common/timer.h"
 #include "core/checkpoint.h"
 #include "core/hap.h"
-#include "nn/lr_schedule.h"
-#include "nn/optimizer.h"
 #include "stats/rff.h"
 
 namespace sbrl {
@@ -37,6 +35,25 @@ constexpr double kRecoveryExplosionFactor = 1e6;
 // under 1% of fit time).
 constexpr int64_t kRecoverySnapshotEvery = 10;
 
+// The fixed network update (see NetworkUpdate): R_l2 decay on the
+// head weights and lr(t) = base * rate^(t / steps).
+constexpr double kHeadL2 = 1e-4;
+constexpr double kLrDecayRate = 0.97;
+constexpr int64_t kLrDecaySteps = 100;
+
+// Every backbone parameter outside `decay`, in CollectParams order.
+std::vector<Param*> PlainParams(Backbone& backbone,
+                                const std::vector<Param*>& decay) {
+  std::vector<Param*> all;
+  backbone.CollectParams(&all);
+  const std::unordered_set<Param*> skip(decay.begin(), decay.end());
+  std::vector<Param*> plain;
+  for (Param* p : all) {
+    if (skip.find(p) == skip.end()) plain.push_back(p);
+  }
+  return plain;
+}
+
 }  // namespace
 
 Var FactualLosses(Var y0, Var y1, const std::vector<int>& t,
@@ -47,6 +64,16 @@ Var FactualLosses(Var y0, Var y1, const std::vector<int>& t,
   }
   Var target = pred.tape()->Constant(y);
   return ops::Square(ops::Sub(pred, target));
+}
+
+NetworkUpdate::NetworkUpdate(Backbone& backbone, double base_lr)
+    : decay(backbone.DecayParams(), kHeadL2),
+      plain(PlainParams(backbone, decay.params())),
+      schedule(base_lr, kLrDecayRate, kLrDecaySteps) {}
+
+double NetworkUpdate::Step(int64_t iter) {
+  const double lr = schedule.LearningRate(iter);
+  return decay.Step(lr) + plain.Step(lr);
 }
 
 SbrlTrainer::SbrlTrainer(const EstimatorConfig& config, Backbone* backbone,
@@ -96,21 +123,8 @@ Status SbrlTrainer::Train(const CausalDataset& train,
 
   std::vector<Param*> params;
   backbone_->CollectParams(&params);
-  std::vector<Param*> decay_params = backbone_->DecayParams();
-  std::unordered_set<Param*> decay_set(decay_params.begin(),
-                                       decay_params.end());
-  std::vector<Param*> plain_params;
-  for (Param* p : params) {
-    if (decay_set.find(p) == decay_set.end()) plain_params.push_back(p);
-  }
-  AdamConfig decay_config;
-  decay_config.weight_decay = config_.train.l2;
-  AdamOptimizer opt_decay(decay_params, decay_config);
-  AdamOptimizer opt_plain(plain_params);
+  NetworkUpdate update(*backbone_, config_.train.lr);
   AdamOptimizer opt_w({&weights.param()});
-  ExponentialDecaySchedule schedule(config_.train.lr,
-                                    config_.train.lr_decay_rate,
-                                    config_.train.lr_decay_steps);
 
   // Everything a checkpoint must capture beyond `params`: the learned
   // sample weights (a Param like any other).
@@ -131,15 +145,15 @@ Status SbrlTrainer::Train(const CausalDataset& train,
   const auto capture = [&](int64_t next_iteration) {
     TrainingCheckpoint ckpt;
     ckpt.next_iteration = next_iteration;
-    ckpt.opt_decay_steps = opt_decay.step_count();
-    ckpt.opt_plain_steps = opt_plain.step_count();
+    ckpt.opt_decay_steps = update.decay.step_count();
+    ckpt.opt_plain_steps = update.plain.step_count();
     ckpt.opt_w_steps = opt_w.step_count();
     ckpt.best_valid = best_valid;
     ckpt.bad_evals = bad_evals;
     ckpt.best_iteration = diag->best_iteration;
     ckpt.first_bad_iteration = diag->first_bad_iteration;
     ckpt.rollbacks = rollbacks;
-    ckpt.lr_scale = schedule.scale();
+    ckpt.lr_scale = update.schedule.scale();
     ckpt.loss_anchor = loss_anchor;
     std::ostringstream rng_out;
     rng_out << hsic_rng.engine();
@@ -199,10 +213,10 @@ Status SbrlTrainer::Train(const CausalDataset& train,
           " matrices, model has " + std::to_string(params.size()) +
           " params");
     }
-    opt_decay.set_step_count(ckpt.opt_decay_steps);
-    opt_plain.set_step_count(ckpt.opt_plain_steps);
+    update.decay.set_step_count(ckpt.opt_decay_steps);
+    update.plain.set_step_count(ckpt.opt_plain_steps);
     opt_w.set_step_count(ckpt.opt_w_steps);
-    schedule.set_scale(ckpt.lr_scale);
+    update.schedule.set_scale(ckpt.lr_scale);
     std::istringstream rng_in(ckpt.rng_state);
     rng_in >> hsic_rng.engine();
     if (rng_in.fail()) {
@@ -232,10 +246,6 @@ Status SbrlTrainer::Train(const CausalDataset& train,
       diag->first_bad_iteration = loaded.value().first_bad_iteration;
       start_iter = loaded.value().next_iteration;
       diag->resumed_from_iteration = start_iter;
-      if (config_.train.verbose) {
-        SBRL_LOG(Info) << "resumed from " << config_.train.checkpoint_path
-                       << " at iteration " << start_iter;
-      }
     } else if (loaded.status().code() != StatusCode::kNotFound) {
       return loaded.status();
     }
@@ -284,10 +294,9 @@ Status SbrlTrainer::Train(const CausalDataset& train,
     if (FaultPoint("trainer/nan_grad") && !params.empty()) {
       params[0]->grad[0] = std::numeric_limits<double>::quiet_NaN();
     }
-    const double lr = schedule.LearningRate(iter);
     // The Step digests fuse the health monitor's non-finite scan into
     // the optimizer's own pass over the gradients (no extra sweep).
-    double grad_digest = opt_decay.Step(lr) + opt_plain.Step(lr);
+    double grad_digest = update.Step(iter);
     double train_loss_value = loss.value().scalar();
     if (FaultPoint("trainer/poison_loss")) {
       train_loss_value = std::numeric_limits<double>::quiet_NaN();
@@ -295,7 +304,7 @@ Status SbrlTrainer::Train(const CausalDataset& train,
     diag->net_step_seconds += net_timer.ElapsedSeconds();
 
     // ----- Step B (Algorithm 1 lines 6-7): sample weights. -----
-    if (learn_weights && iter % config_.sbrl.weight_update_every == 0) {
+    if (learn_weights) {
       Timer weight_timer;
       WeightLossInputs inputs;
       inputs.z_p = fwd.z_p.value();
@@ -354,10 +363,10 @@ Status SbrlTrainer::Train(const CausalDataset& train,
       // Shrink from the CURRENT scale so repeated rollbacks to the same
       // snapshot keep compounding the backoff.
       const double shrunk_scale =
-          schedule.scale() * kRecoveryLrBackoff;
+          update.schedule.scale() * kRecoveryLrBackoff;
       const Status restored = apply(last_good);
       SBRL_CHECK(restored.ok()) << restored.ToString();
-      schedule.set_scale(shrunk_scale);
+      update.schedule.set_scale(shrunk_scale);
       SBRL_LOG(Warning) << what << "; rolling back to iteration "
                         << last_good.next_iteration << " with lr scale "
                         << shrunk_scale << " (rollback " << rollbacks << "/"
@@ -398,11 +407,6 @@ Status SbrlTrainer::Train(const CausalDataset& train,
             stopped_early = true;
           }
         }
-      }
-      if (config_.train.verbose) {
-        SBRL_LOG(Info) << "iter " << iter + 1 << " loss "
-                       << train_loss_value << " L_w "
-                       << weight_loss_value;
       }
     }
     if (stopped_early) break;

@@ -8,6 +8,8 @@
 #include "core/backbone.h"
 #include "core/sample_weights.h"
 #include "data/causal_dataset.h"
+#include "nn/lr_schedule.h"
+#include "nn/optimizer.h"
 #include "tensor/pool.h"
 
 namespace sbrl {
@@ -88,6 +90,27 @@ constexpr double kSampleWeightFloor = 1e-3;
 /// continuous ones. Shared by SbrlTrainer and the sharded trainer.
 Var FactualLosses(Var y0, Var y1, const std::vector<int>& t,
                   const Matrix& y, bool binary);
+
+/// The network step of Algorithm 1, shared by SbrlTrainer and
+/// ShardedTrainer: Adam (beta1 = 0.9, beta2 = 0.999, eps = 1e-8) at
+/// lr(t) = base_lr * 0.97^(t / 100), with the paper's R_l2 as a
+/// decoupled weight decay of 1e-4 on the outcome-head weights
+/// (Backbone::DecayParams) only. None of these values is a setting.
+struct NetworkUpdate {
+  /// Splits `backbone`'s parameters into the two groups below; they
+  /// must outlive the update.
+  NetworkUpdate(Backbone& backbone, double base_lr);
+  /// One Adam step at lr(iter) on both groups; zeroes the gradients
+  /// and returns their fused digest (see AdamOptimizer::Step).
+  double Step(int64_t iter);
+
+  /// The R_l2 group: Backbone::DecayParams().
+  AdamOptimizer decay;
+  /// Every other backbone parameter, in CollectParams order.
+  AdamOptimizer plain;
+  /// The learning-rate curve, including its recovery scale.
+  ExponentialDecaySchedule schedule;
+};
 
 /// Runs the paper's Algorithm 1: alternating full-batch optimization of
 /// the network parameters under the weighted factual loss L^w_Y

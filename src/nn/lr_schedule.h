@@ -1,6 +1,7 @@
 #ifndef SBRL_NN_LR_SCHEDULE_H_
 #define SBRL_NN_LR_SCHEDULE_H_
 
+#include <cmath>
 #include <cstdint>
 
 #include "common/check.h"
@@ -25,7 +26,11 @@ class ExponentialDecaySchedule {
   /// scale. At the default scale of 1.0 the multiplication is exact
   /// (x * 1.0 == x bitwise), so an idle recovery policy cannot perturb
   /// training trajectories.
-  double LearningRate(int64_t t) const;
+  double LearningRate(int64_t t) const {
+    const double exponent =
+        static_cast<double>(t) / static_cast<double>(decay_steps_);
+    return scale_ * (base_lr_ * std::pow(decay_rate_, exponent));
+  }
 
   /// Multiplicative recovery backoff applied on top of the decay curve
   /// (1.0 until a divergence rollback shrinks it). This is schedule

@@ -4,9 +4,16 @@
 
 namespace sbrl {
 
-AdamOptimizer::AdamOptimizer(std::vector<Param*> params,
-                             const AdamConfig& config)
-    : params_(std::move(params)), config_(config) {
+namespace {
+
+constexpr double kBeta1 = 0.9;
+constexpr double kBeta2 = 0.999;
+constexpr double kEps = 1e-8;
+
+}  // namespace
+
+AdamOptimizer::AdamOptimizer(std::vector<Param*> params, double weight_decay)
+    : params_(std::move(params)), weight_decay_(weight_decay) {
   for (Param* p : params_) {
     SBRL_CHECK(p != nullptr);
     if (p->adam_m.empty()) {
@@ -21,21 +28,20 @@ AdamOptimizer::AdamOptimizer(std::vector<Param*> params,
 
 double AdamOptimizer::Step(double lr) {
   ++step_count_;
-  const double b1 = config_.beta1;
-  const double b2 = config_.beta2;
-  const double bias1 = 1.0 - std::pow(b1, static_cast<double>(step_count_));
-  const double bias2 = 1.0 - std::pow(b2, static_cast<double>(step_count_));
+  const double t = static_cast<double>(step_count_);
+  const double bias1 = 1.0 - std::pow(kBeta1, t);
+  const double bias2 = 1.0 - std::pow(kBeta2, t);
   double digest = 0.0;
   for (Param* p : params_) {
     for (int64_t i = 0; i < p->size(); ++i) {
       double g = p->grad[i];
-      if (config_.weight_decay > 0.0) g += config_.weight_decay * p->value[i];
+      if (weight_decay_ > 0.0) g += weight_decay_ * p->value[i];
       digest += g;
-      p->adam_m[i] = b1 * p->adam_m[i] + (1.0 - b1) * g;
-      p->adam_v[i] = b2 * p->adam_v[i] + (1.0 - b2) * g * g;
+      p->adam_m[i] = kBeta1 * p->adam_m[i] + (1.0 - kBeta1) * g;
+      p->adam_v[i] = kBeta2 * p->adam_v[i] + (1.0 - kBeta2) * g * g;
       const double m_hat = p->adam_m[i] / bias1;
       const double v_hat = p->adam_v[i] / bias2;
-      p->value[i] -= lr * m_hat / (std::sqrt(v_hat) + config_.eps);
+      p->value[i] -= lr * m_hat / (std::sqrt(v_hat) + kEps);
       p->grad[i] = 0.0;
     }
   }

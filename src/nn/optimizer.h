@@ -8,23 +8,17 @@
 
 namespace sbrl {
 
-/// Adam configuration (defaults follow Kingma & Ba and the paper's
-/// TensorFlow setup).
-struct AdamConfig {
-  double beta1 = 0.9;
-  double beta2 = 0.999;
-  double eps = 1e-8;
-  /// Decoupled L2 weight decay applied to the value (0 disables). The
-  /// paper's R_l2 on head weights maps here.
-  double weight_decay = 0.0;
-};
-
-/// Adam optimizer over a fixed set of Params. The learning rate is
-/// passed per step so schedules stay external.
+/// Adam optimizer over a fixed set of Params, with Kingma & Ba's
+/// beta1 = 0.9, beta2 = 0.999 and eps = 1e-8 (the paper's TensorFlow
+/// setup). The learning rate is passed per step so schedules stay
+/// external.
 class AdamOptimizer {
  public:
+  /// `weight_decay` is a decoupled L2 penalty added to each gradient
+  /// as weight_decay * value (0 disables); the paper's R_l2 on head
+  /// weights maps here.
   explicit AdamOptimizer(std::vector<Param*> params,
-                         const AdamConfig& config = AdamConfig());
+                         double weight_decay = 0.0);
 
   /// Applies one Adam update from each Param's accumulated grad, then
   /// zeroes the grads. Returns the sum of every raw gradient element
@@ -46,7 +40,7 @@ class AdamOptimizer {
 
  private:
   std::vector<Param*> params_;
-  AdamConfig config_;
+  double weight_decay_;
   int64_t step_count_ = 0;
 };
 

@@ -29,6 +29,9 @@ constexpr uint32_t kSectionMeta = 1;
 constexpr uint32_t kSectionWeights = 2;
 constexpr uint32_t kSectionOod = 3;
 
+// Meta's ISA code for "auto"; a concrete level stores its Isa value.
+constexpr int32_t kAutoIsaCode = -1;
+
 std::string EncodeMeta(const ServingMeta& meta) {
   const InferenceSpec& spec = meta.spec;
   std::string out;
@@ -43,7 +46,8 @@ std::string EncodeMeta(const ServingMeta& meta) {
   AppendScalar<int64_t>(&out, spec.network.rep_width);
   AppendScalar<int64_t>(&out, spec.network.head_layers);
   AppendScalar<int64_t>(&out, spec.network.head_width);
-  AppendScalar<int32_t>(&out, static_cast<int32_t>(meta.isa));
+  AppendScalar<int32_t>(&out, meta.isa ? static_cast<int32_t>(*meta.isa)
+                                        : kAutoIsaCode);
   return out;
 }
 
@@ -66,15 +70,15 @@ bool DecodeMeta(ByteReader* reader, ServingMeta* meta) {
   // newer build must fail decode, not smuggle an out-of-range value.
   if (backbone > static_cast<uint32_t>(BackboneKind::kDerCfr)) return false;
   if (framework > static_cast<uint32_t>(FrameworkKind::kSbrlHap)) return false;
-  if (isa < static_cast<int32_t>(IsaChoice::kAuto) ||
-      isa > static_cast<int32_t>(IsaChoice::kAvx512)) {
+  if (isa < kAutoIsaCode || isa > static_cast<int32_t>(Isa::kAvx512)) {
     return false;
   }
   if (spec.input_dim < 1) return false;
   spec.backbone = static_cast<BackboneKind>(backbone);
   meta->framework = static_cast<FrameworkKind>(framework);
   spec.binary_outcome = binary != 0;
-  meta->isa = static_cast<IsaChoice>(isa);
+  meta->isa = isa == kAutoIsaCode ? IsaChoice()
+                                  : IsaChoice(static_cast<Isa>(isa));
   return true;
 }
 

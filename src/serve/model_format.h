@@ -30,7 +30,7 @@ struct ServingMeta {
   std::string method_name;
   /// ISA choice the estimator predicts under; the scorer pins the same
   /// choice so serving forwards are bitwise identical to Predict.
-  IsaChoice isa = IsaChoice::kAuto;
+  IsaChoice isa;
 };
 
 /// In-memory image of one serving model file: the decoded sections of

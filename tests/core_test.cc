@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <set>
 
 #include "core/balancing_regularizer.h"
 #include "core/backbone.h"
@@ -30,7 +33,6 @@ EstimatorConfig SmallConfig() {
   config.train.lr = 2e-3;
   config.train.eval_every = 0;  // no early stopping in unit tests
   config.sbrl.hsic_pair_budget = 16;
-  config.sbrl.weight_update_every = 2;
   return config;
 }
 
@@ -51,12 +53,6 @@ TEST(ConfigTest, RejectsBadSettings) {
   EXPECT_FALSE(config.Validate().ok());
   config = EstimatorConfig();
   config.sbrl.gamma1 = -1.0;
-  EXPECT_FALSE(config.Validate().ok());
-  config = EstimatorConfig();
-  config.train.lr_decay_rate = 1.5;
-  EXPECT_FALSE(config.Validate().ok());
-  config = EstimatorConfig();
-  config.sbrl.weight_update_every = 0;
   EXPECT_FALSE(config.Validate().ok());
 }
 
@@ -335,6 +331,66 @@ TEST_P(BackboneForwardContract, ShapesAndHierarchy) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackbones, BackboneForwardContract,
+                         ::testing::Values(BackboneKind::kTarnet,
+                                           BackboneKind::kCfr,
+                                           BackboneKind::kDerCfr));
+
+class NetworkUpdateSplit : public ::testing::TestWithParam<BackboneKind> {};
+
+TEST_P(NetworkUpdateSplit, DecayOnlyTheHeadWeights) {
+  EstimatorConfig config = SmallConfig();
+  config.backbone = GetParam();
+  Rng rng(21);
+  auto backbone = CreateBackbone(config, 6, rng);
+  NetworkUpdate update(*backbone, config.train.lr);
+  const std::vector<Param*>& decay = update.decay.params();
+  const std::vector<Param*>& plain = update.plain.params();
+
+  // The two groups partition CollectParams with no overlap, the plain
+  // group in CollectParams order.
+  std::vector<Param*> params;
+  backbone->CollectParams(&params);
+  ASSERT_FALSE(decay.empty());
+  ASSERT_FALSE(plain.empty());
+  EXPECT_EQ(decay.size() + plain.size(), params.size());
+  std::set<Param*> seen(decay.begin(), decay.end());
+  for (Param* p : plain) EXPECT_TRUE(seen.insert(p).second) << p->name;
+  EXPECT_EQ(seen, std::set<Param*>(params.begin(), params.end()));
+  std::vector<Param*> plain_in_order;
+  for (Param* p : params) {
+    if (std::find(decay.begin(), decay.end(), p) == decay.end()) {
+      plain_in_order.push_back(p);
+    }
+  }
+  EXPECT_EQ(plain, plain_in_order);
+
+  // One step on all-zero gradients: only the weight decay pushes, so
+  // every plain parameter keeps its bits and every nonzero decay
+  // element moves.
+  std::vector<Matrix> before;
+  for (Param* p : params) {
+    p->grad.Fill(0.0);
+    before.push_back(p->value);
+  }
+  update.Step(0);
+  for (size_t k = 0; k < params.size(); ++k) {
+    const Param* p = params[k];
+    const bool decays =
+        std::find(decay.begin(), decay.end(), p) != decay.end();
+    for (int64_t i = 0; i < p->size(); ++i) {
+      const double was = before[k][i];
+      const double now = p->value[i];
+      if (decays) {
+        if (was != 0.0) EXPECT_NE(now, was) << p->name << "[" << i << "]";
+      } else {
+        EXPECT_EQ(std::memcmp(&now, &was, sizeof(double)), 0)
+            << p->name << "[" << i << "]";
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllBackbones, NetworkUpdateSplit,
                          ::testing::Values(BackboneKind::kTarnet,
                                            BackboneKind::kCfr,
                                            BackboneKind::kDerCfr));

@@ -54,11 +54,11 @@ class ClearIsaEnv : public ::testing::Environment {
     had_value_ = saved != nullptr;
     if (had_value_) saved_ = saved;
     unsetenv("SBRL_ISA");
-    SetActiveIsa(IsaChoice::kAuto);
+    SetActiveIsa(std::nullopt);
   }
   void TearDown() override {
     if (had_value_) setenv("SBRL_ISA", saved_.c_str(), 1);
-    SetActiveIsa(IsaChoice::kAuto);
+    SetActiveIsa(std::nullopt);
   }
 
  private:
@@ -94,10 +94,9 @@ std::vector<Isa> SupportedIsas() {
 class IsaGuard {
  public:
   explicit IsaGuard(Isa isa) {
-    EXPECT_EQ(SetActiveIsa(static_cast<IsaChoice>(static_cast<int>(isa))),
-              isa);
+    EXPECT_EQ(SetActiveIsa(isa), isa);
   }
-  ~IsaGuard() { SetActiveIsa(IsaChoice::kAuto); }
+  ~IsaGuard() { SetActiveIsa(std::nullopt); }
 };
 
 TEST(CpuFeaturesTest, DetectionIsConsistent) {
@@ -119,8 +118,9 @@ TEST(CpuFeaturesTest, DetectionIsConsistent) {
 }
 
 TEST(IsaNamesTest, RoundTrip) {
-  for (IsaChoice c : {IsaChoice::kAuto, IsaChoice::kBaseline,
-                      IsaChoice::kAvx2, IsaChoice::kAvx512}) {
+  const IsaChoice choices[] = {std::nullopt, Isa::kBaseline, Isa::kAvx2,
+                               Isa::kAvx512};
+  for (IsaChoice c : choices) {
     IsaChoice parsed;
     ASSERT_TRUE(ParseIsaChoice(IsaChoiceName(c), &parsed));
     EXPECT_EQ(parsed, c);
@@ -135,25 +135,25 @@ TEST(IsaNamesTest, RoundTrip) {
 
 TEST(ResolveIsaTest, EnvBeatsConfigAndClampsToHost) {
   // auto -> the maximum; concrete requests clamp down, never up.
-  EXPECT_EQ(ResolveIsa(IsaChoice::kAuto, nullptr, Isa::kAvx512),
+  EXPECT_EQ(ResolveIsa(std::nullopt, nullptr, Isa::kAvx512),
             Isa::kAvx512);
-  EXPECT_EQ(ResolveIsa(IsaChoice::kAuto, nullptr, Isa::kBaseline),
+  EXPECT_EQ(ResolveIsa(std::nullopt, nullptr, Isa::kBaseline),
             Isa::kBaseline);
-  EXPECT_EQ(ResolveIsa(IsaChoice::kBaseline, nullptr, Isa::kAvx512),
+  EXPECT_EQ(ResolveIsa(Isa::kBaseline, nullptr, Isa::kAvx512),
             Isa::kBaseline);
-  EXPECT_EQ(ResolveIsa(IsaChoice::kAvx512, nullptr, Isa::kAvx2),
+  EXPECT_EQ(ResolveIsa(Isa::kAvx512, nullptr, Isa::kAvx2),
             Isa::kAvx2);
   // A valid env wins over the config choice...
-  EXPECT_EQ(ResolveIsa(IsaChoice::kAvx512, "baseline", Isa::kAvx512),
+  EXPECT_EQ(ResolveIsa(Isa::kAvx512, "baseline", Isa::kAvx512),
             Isa::kBaseline);
-  EXPECT_EQ(ResolveIsa(IsaChoice::kBaseline, "auto", Isa::kAvx2),
+  EXPECT_EQ(ResolveIsa(Isa::kBaseline, "auto", Isa::kAvx2),
             Isa::kAvx2);
   // ...but still clamps, and an unparseable env is ignored.
-  EXPECT_EQ(ResolveIsa(IsaChoice::kBaseline, "avx512", Isa::kAvx2),
+  EXPECT_EQ(ResolveIsa(Isa::kBaseline, "avx512", Isa::kAvx2),
             Isa::kAvx2);
-  EXPECT_EQ(ResolveIsa(IsaChoice::kBaseline, "pentium", Isa::kAvx512),
+  EXPECT_EQ(ResolveIsa(Isa::kBaseline, "pentium", Isa::kAvx512),
             Isa::kBaseline);
-  EXPECT_EQ(ResolveIsa(IsaChoice::kAuto, "", Isa::kAvx2), Isa::kAvx2);
+  EXPECT_EQ(ResolveIsa(std::nullopt, "", Isa::kAvx2), Isa::kAvx2);
 }
 
 TEST(ActiveIsaTest, SetAndEnvRoundTrip) {
@@ -161,23 +161,20 @@ TEST(ActiveIsaTest, SetAndEnvRoundTrip) {
   const std::string saved_value = saved == nullptr ? "" : saved;
 
   for (Isa isa : SupportedIsas()) {
-    EXPECT_EQ(SetActiveIsa(static_cast<IsaChoice>(static_cast<int>(isa))),
-              isa);
+    EXPECT_EQ(SetActiveIsa(isa), isa);
     EXPECT_EQ(ActiveIsa(), isa);
   }
   // The environment overrides any config choice on the next resolve.
   ASSERT_EQ(setenv("SBRL_ISA", "baseline", /*overwrite=*/1), 0);
-  EXPECT_EQ(SetActiveIsa(IsaChoice::kAuto), Isa::kBaseline);
-  EXPECT_EQ(SetActiveIsa(static_cast<IsaChoice>(
-                static_cast<int>(MaxSupportedIsa()))),
-            Isa::kBaseline);
+  EXPECT_EQ(SetActiveIsa(std::nullopt), Isa::kBaseline);
+  EXPECT_EQ(SetActiveIsa(MaxSupportedIsa()), Isa::kBaseline);
 
   if (saved == nullptr) {
     unsetenv("SBRL_ISA");
   } else {
     setenv("SBRL_ISA", saved_value.c_str(), 1);
   }
-  SetActiveIsa(IsaChoice::kAuto);
+  SetActiveIsa(std::nullopt);
 }
 
 TEST(ActiveIsaTest, ScopedThreadIsaOverridesNestsAndRestores) {
@@ -185,7 +182,7 @@ TEST(ActiveIsaTest, ScopedThreadIsaOverridesNestsAndRestores) {
   // it wins over the process default, nests, and restores exactly.
   const Isa process_default = ActiveIsa();
   {
-    ScopedThreadIsa outer(IsaChoice::kBaseline);
+    ScopedThreadIsa outer(IsaChoice(Isa::kBaseline));
     EXPECT_EQ(outer.resolved(), Isa::kBaseline);
     EXPECT_EQ(ActiveIsa(), Isa::kBaseline);
     // The process default is untouched while the override is active.
@@ -201,8 +198,8 @@ TEST(ActiveIsaTest, ScopedThreadIsaOverridesNestsAndRestores) {
 TEST(ActiveIsaTest, ScopedThreadIsaIsPerThread) {
   // Another thread never sees this thread's override; without one of
   // its own it reads the process default.
-  ScopedThreadIsa pin(IsaChoice::kBaseline);
-  const Isa process_default = SetActiveIsa(IsaChoice::kAuto);
+  ScopedThreadIsa pin(IsaChoice(Isa::kBaseline));
+  const Isa process_default = SetActiveIsa(std::nullopt);
   Isa seen = Isa::kBaseline;
   std::thread other([&seen]() { seen = ActiveIsa(); });
   other.join();
@@ -214,7 +211,7 @@ TEST(ActiveIsaTest, PoolWorkersInheritTheCallersScopedIsa) {
   // ParallelFor chunks must run at the DISPATCHING thread's level, not
   // the worker's own state — the mechanism that keeps a run's kernels
   // on one level even when a loop escapes to the pool.
-  ScopedThreadIsa pin(IsaChoice::kBaseline);
+  ScopedThreadIsa pin(IsaChoice(Isa::kBaseline));
   const int restore_workers = ThreadPool::GlobalParallelism() - 1;
   ThreadPool::ResetGlobalForTest(2);
   constexpr int64_t kChunks = 16;

@@ -34,7 +34,6 @@ EstimatorConfig IntegrationConfig(FrameworkKind framework) {
   config.sbrl.gamma2 = 0.01;
   config.sbrl.gamma3 = 0.01;
   config.sbrl.lr_w = 0.1;
-  config.sbrl.weight_update_every = 1;
   config.sbrl.hsic_pair_budget = 16;
   return config;
 }
@@ -119,23 +118,6 @@ TEST(IntegrationTest, AllNineMethodsCompleteOnOneReplication) {
       EXPECT_LT(r.pehe, 2.0);  // bounded for probability-difference ITEs
     }
   }
-}
-
-TEST(IntegrationTest, WeightUpdateCadenceIsRespected) {
-  // weight_update_every > iterations => weights only updated at iter 0;
-  // with a tiny lr_w the weights must remain near 1.
-  SyntheticDims dims;
-  SyntheticModel model(dims, 210);
-  CausalDataset train = model.SampleEnvironment(300, 2.5, 211);
-  EstimatorConfig config = IntegrationConfig(FrameworkKind::kSbrl);
-  config.train.iterations = 30;
-  config.sbrl.weight_update_every = 1000;  // only the first iteration
-  config.sbrl.lr_w = 1e-4;
-  auto estimator = HteEstimator::Create(config);
-  ASSERT_TRUE(estimator.ok());
-  ASSERT_TRUE(estimator->Fit(train).ok());
-  const Matrix& w = estimator->sample_weights();
-  EXPECT_LT(StdDev(w), 1e-3);
 }
 
 TEST(IntegrationTest, DeterministicAcrossRuns) {

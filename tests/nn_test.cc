@@ -234,9 +234,7 @@ TEST(AdamTest, ConvergesOnQuadraticBowl) {
 
 TEST(AdamTest, WeightDecayShrinksUnusedParams) {
   Param p("x", Matrix::Ones(1, 1) * 5.0);
-  AdamConfig config;
-  config.weight_decay = 1.0;
-  AdamOptimizer opt({&p}, config);
+  AdamOptimizer opt({&p}, /*weight_decay=*/1.0);
   for (int step = 0; step < 200; ++step) {
     // No task gradient; decay alone should pull the value toward zero.
     opt.Step(0.05);

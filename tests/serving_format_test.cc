@@ -47,7 +47,7 @@ ServingModelData MakeData() {
   data.meta.spec.network.rep_width = 3;
   data.meta.spec.network.head_layers = 1;
   data.meta.spec.network.head_width = 4;
-  data.meta.isa = IsaChoice::kBaseline;
+  data.meta.isa = Isa::kBaseline;
   data.weights.push_back({"rep.l0.W", rng.Randn(5, 3)});
   data.weights.push_back({"rep.l0.b", rng.Randn(1, 3)});
   data.weights.push_back({"rep.l1.W", rng.Randn(3, 3)});

@@ -48,7 +48,6 @@ EstimatorConfig ParityConfig(const MethodSpec& spec) {
   config.train.iterations = 30;
   config.train.seed = 11;
   config.train.eval_every = 0;
-  config.sbrl.weight_update_every = 2;
   config.sbrl.hsic_pair_budget = 8;
   return WithMethod(config, spec);
 }

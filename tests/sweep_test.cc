@@ -56,7 +56,6 @@ RunPlan TinyNineMethodPlan(int num_seeds) {
     config.sbrl.gamma1 = 1.0;
     config.sbrl.gamma2 = 0.01;
     config.sbrl.gamma3 = 0.01;
-    config.sbrl.weight_update_every = 1;
     config.sbrl.hsic_pair_budget = 8;
     return WithMethod(config, AllNineMethods()[static_cast<size_t>(
                                   method_index)]);

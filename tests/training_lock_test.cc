@@ -214,10 +214,10 @@ constexpr LockSet kLockSets[] = {
 };
 
 TEST(TrainingLockTest, HashesMatchPinnedTraining) {
-  std::vector<IsaChoice> choices = {IsaChoice::kBaseline};
-  if (ResolveIsa(IsaChoice::kAuto, std::getenv("SBRL_ISA"),
+  std::vector<IsaChoice> choices = {Isa::kBaseline};
+  if (ResolveIsa(std::nullopt, std::getenv("SBRL_ISA"),
                  MaxSupportedIsa()) != Isa::kBaseline) {
-    choices.push_back(IsaChoice::kAuto);
+    choices.push_back(std::nullopt);
   }
   for (IsaChoice choice : choices) {
     const auto [isa, got] = HashAllMethods(choice);
