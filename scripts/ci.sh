@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # CI entry point: fails on any value-changing math flag (-ffast-math,
 # -ffinite-math-only) in a CMakeLists.txt or under src/, prints the
-# src/ line count, fails when README's environment-knob table drifts
+# src/ and tests/ line counts, fails when README's environment-knob table drifts
 # from the SBRL_* variables the code reads, then builds the default and
 # sanitized configurations (failing when a kernel TU's object defines a
 # weak or unique symbol) and runs the tier-1 suite (which includes
@@ -44,6 +44,9 @@ fi
 echo "=== src/ line count ==="
 # The library's size, the number ROADMAP's "less code" north star tracks.
 wc -l src/*/*.{h,cc,inc} | tail -1
+# The test suite's size beside it, so code moved out of src/ into a test
+# oracle shows as moved, not deleted.
+echo "tests/: $(cat tests/*.{h,cc} | wc -l) lines"
 
 echo "=== README knob table ==="
 # Every quoted "SBRL_*" environment variable read under src/, bench/ or
@@ -70,7 +73,7 @@ echo "=== config field names ==="
 # the config, spec, checkpoint and diagnostics structs below must be a
 # member declared in that struct, so a deleted or renamed field leaves
 # no stale mention behind.
-CONFIG_STRUCTS='SbrlConfig|NetworkConfig|TrainConfig|CfrConfig|MlpConfig|ShardedTrainerConfig|ShardedOptions|InferenceSpec|ServingMeta|TrainingCheckpoint|TrainDiagnostics|SweepOptions'
+CONFIG_STRUCTS='SbrlConfig|NetworkConfig|TrainConfig|CfrConfig|MlpConfig|ShardedTrainerConfig|ShardedOptions|ShardedTrainDiagnostics|InferenceSpec|ServingMeta|TrainingCheckpoint|TrainDiagnostics|SweepOptions'
 stale_fields=0
 while read -r mention; do
   [[ -n "${mention}" ]] || continue

@@ -209,28 +209,6 @@ Var Mul(Var a, Var b) {
   });
 }
 
-Var AddRow(Var a, Var row) {
-  Tape* t = SameTape(a, row);
-  SBRL_CHECK_EQ(row.rows(), 1);
-  SBRL_CHECK_EQ(row.cols(), a.cols());
-  const Matrix& av = a.value();
-  const Matrix& rv = row.value();
-  Matrix out = t->NewCopy(av);
-  for (int64_t r = 0; r < av.rows(); ++r) {
-    for (int64_t c = 0; c < av.cols(); ++c) out(r, c) += rv(0, c);
-  }
-  const int ai = a.id(), ri = row.id(), self = t->size();
-  return t->MakeNode(std::move(out), {a, row}, [ai, ri, self](Tape* t) {
-    const Matrix& g = t->grad(self);
-    t->AccumulateGrad(ai, g);
-    Matrix dr = t->NewZero(1, g.cols());
-    for (int64_t r = 0; r < g.rows(); ++r) {
-      for (int64_t c = 0; c < g.cols(); ++c) dr(0, c) += g(r, c);
-    }
-    t->AccumulateGrad(ri, std::move(dr));
-  });
-}
-
 Var MulCol(Var a, Var col) {
   Tape* t = SameTape(a, col);
   SBRL_CHECK_EQ(col.cols(), 1);
@@ -335,25 +313,6 @@ Var Elu(Var a) {
   return t->MakeNode(std::move(out), {a}, [ai, self](Tape* t) {
     t->AccumulateGrad(
         ai, DpreFromOutput<EluAct>(t, t->grad(self), t->value(self)));
-  });
-}
-
-Var Transpose(Var a) {
-  Tape* t = a.tape();
-  SBRL_CHECK(a.valid());
-  const Matrix& av = a.value();
-  Matrix out = t->NewZero(av.cols(), av.rows());
-  for (int64_t r = 0; r < av.rows(); ++r) {
-    for (int64_t c = 0; c < av.cols(); ++c) out(c, r) = av(r, c);
-  }
-  const int ai = a.id(), self = t->size();
-  return t->MakeNode(std::move(out), {a}, [ai, self](Tape* t) {
-    const Matrix& g = t->grad(self);
-    Matrix da = t->NewZero(g.cols(), g.rows());
-    for (int64_t r = 0; r < g.rows(); ++r) {
-      for (int64_t c = 0; c < g.cols(); ++c) da(c, r) = g(r, c);
-    }
-    t->AccumulateGrad(ai, std::move(da));
   });
 }
 
@@ -470,28 +429,6 @@ Var ScatterRowsByTreatment(Var a, Var b, const std::vector<int>& t_assign) {
   });
 }
 
-Var SliceCols(Var a, int64_t start, int64_t count) {
-  Tape* t = a.tape();
-  SBRL_CHECK(a.valid());
-  SBRL_CHECK(start >= 0 && count >= 0 && start + count <= a.cols());
-  const Matrix& av = a.value();
-  Matrix out = t->NewZero(av.rows(), count);
-  for (int64_t r = 0; r < av.rows(); ++r) {
-    for (int64_t c = 0; c < count; ++c) out(r, c) = av(r, start + c);
-  }
-  const int ai = a.id(), self = t->size();
-  const int64_t total = a.cols();
-  return t->MakeNode(std::move(out), {a},
-                     [ai, self, start, count, total](Tape* t) {
-    const Matrix& g = t->grad(self);
-    Matrix da = t->NewZero(g.rows(), total);
-    for (int64_t r = 0; r < g.rows(); ++r) {
-      for (int64_t c = 0; c < count; ++c) da(r, start + c) = g(r, c);
-    }
-    t->AccumulateGrad(ai, std::move(da));
-  });
-}
-
 Var SumAll(Var a) {
   Tape* t = a.tape();
   SBRL_CHECK(a.valid());
@@ -564,29 +501,6 @@ Var ColSum(Var a) {
       for (int64_t c = 0; c < av.cols(); ++c) da(r, c) = g(0, c);
     }
     t->AccumulateGrad(ai, std::move(da));
-  });
-}
-
-Var Matmul(Var a, Var b) {
-  Tape* t = SameTape(a, b);
-  SBRL_CHECK_EQ(a.cols(), b.rows());
-  Matrix out = t->NewZero(a.rows(), b.cols());
-  MatmulInto(a.value(), b.value(), &out);
-  const int ai = a.id(), bi = b.id(), self = t->size();
-  return t->MakeNode(std::move(out), {a, b}, [ai, bi, self](Tape* t) {
-    const Matrix& g = t->grad(self);
-    const Matrix& av = t->value(ai);
-    const Matrix& bv = t->value(bi);
-    if (t->requires_grad(ai)) {
-      Matrix da = t->NewZero(av.rows(), av.cols());
-      MatmulTransBInto(g, bv, &da);
-      t->AccumulateGrad(ai, std::move(da));
-    }
-    if (t->requires_grad(bi)) {
-      Matrix db = t->NewZero(bv.rows(), bv.cols());
-      MatmulTransAInto(av, g, &db);
-      t->AccumulateGrad(bi, std::move(db));
-    }
   });
 }
 
@@ -781,15 +695,6 @@ Var SigmoidCrossEntropyWithLogits(Var logits, const Matrix& labels) {
     }
     t->AccumulateGrad(ai, std::move(da));
   });
-}
-
-Var WeightedMean(Var values, Var w) {
-  SBRL_CHECK_EQ(values.cols(), 1);
-  SBRL_CHECK_EQ(w.cols(), 1);
-  SBRL_CHECK_EQ(values.rows(), w.rows());
-  Var numer = SumAll(Mul(values, w));
-  Var denom = SumAll(w);
-  return DivScalar(numer, denom);
 }
 
 }  // namespace ops

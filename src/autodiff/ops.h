@@ -34,8 +34,6 @@ Var Mul(Var a, Var b);
 // ---------------------------------------------------------------------------
 // Broadcast arithmetic.
 // ---------------------------------------------------------------------------
-/// (n x d) + (1 x d): adds `row` to every row (bias add).
-Var AddRow(Var a, Var row);
 /// (n x d) * (n x 1): scales row i of `a` by col(i) (sample weighting).
 Var MulCol(Var a, Var col);
 /// a / s where s is a differentiable (1 x 1) scalar node.
@@ -62,7 +60,6 @@ Var Elu(Var a);
 // ---------------------------------------------------------------------------
 // Shape manipulation.
 // ---------------------------------------------------------------------------
-Var Transpose(Var a);
 /// out.row(i) = a.row(idx[i]). Backward scatter-adds into `a`.
 Var GatherRows(Var a, const std::vector<int64_t>& idx);
 /// Horizontal concat [a | b].
@@ -78,8 +75,6 @@ Var SelectRowsByTreatment(Var a, Var b, const std::vector<int>& t);
 /// network step reassembles full-batch tensors after running each
 /// outcome head on its own arm only (see OutcomeHeads::Forward).
 Var ScatterRowsByTreatment(Var a, Var b, const std::vector<int>& t);
-/// Copy of columns [start, start + count) of `a`.
-Var SliceCols(Var a, int64_t start, int64_t count);
 
 // ---------------------------------------------------------------------------
 // Reductions.
@@ -96,12 +91,10 @@ Var ColSum(Var a);
 // ---------------------------------------------------------------------------
 // Linear algebra.
 // ---------------------------------------------------------------------------
-/// Matrix product (n x k) * (k x m).
-Var Matmul(Var a, Var b);
-
 /// Fused dense-layer op: x (n x k) * w (k x m) + row-broadcast b (1 x m)
-/// in a single tape node with pooled buffers — one node instead of the
-/// Matmul + AddRow pair on the hottest path of every forward pass.
+/// in a single tape node with pooled buffers — one node instead of a
+/// matmul node and a bias-add node on the hottest path of every forward
+/// pass (tests/reference_ops.h keeps that pair as the oracle).
 Var Affine(Var x, Var w, Var b);
 
 /// Fused network-step op: act(x W + b) in ONE tape node. Forward runs
@@ -137,10 +130,11 @@ Matrix AffineActValue(const Matrix& x, const Matrix& w, const Matrix& b,
 Matrix ConcatColsValue(const Matrix& a, const Matrix& b);
 
 /// a^T * b where a is (p x q) and b is (p x r) -> (q x r), without
-/// materializing a^T. Numerically identical to
-/// Matmul(Transpose(a), b) — forward and backward accumulate in the
-/// same order — but skips the transpose node and its buffer. Hot in the
-/// HSIC-RFF weight loss, which builds weighted cross-covariances.
+/// materializing a^T. Numerically identical to the test oracle
+/// reference::Matmul(reference::Transpose(a), b) (tests/reference_ops.h)
+/// — forward and backward accumulate in the same order — but skips the
+/// transpose node and its buffer. The DeR-CFR decomposition loss
+/// records it.
 Var MatmulTransA(Var a, Var b);
 
 // ---------------------------------------------------------------------------
@@ -149,13 +143,6 @@ Var MatmulTransA(Var a, Var b);
 /// Elementwise numerically-stable sigmoid cross-entropy between `logits`
 /// and constant `labels` in [0, 1]: max(x,0) - x*y + log(1 + exp(-|x|)).
 Var SigmoidCrossEntropyWithLogits(Var logits, const Matrix& labels);
-
-// ---------------------------------------------------------------------------
-// Composite helpers (built from primitives; gradients flow through).
-// ---------------------------------------------------------------------------
-/// Mean of `values` (n x 1) under normalized weights `w` (n x 1):
-/// sum(w_i v_i) / sum(w_i).
-Var WeightedMean(Var values, Var w);
 
 }  // namespace ops
 

@@ -93,8 +93,6 @@ class Tape {
   /// Hands a finished temporary back to the pool.
   void Recycle(Matrix&& m);
 
-  MatrixPool* pool() const { return pool_; }
-
   const Matrix& value(int id) const {
     SBRL_DCHECK(id >= 0 && id < static_cast<int>(nodes_.size()));
     return nodes_[static_cast<size_t>(id)].value;

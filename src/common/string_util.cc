@@ -32,16 +32,6 @@ std::string StripWhitespace(const std::string& text) {
   return text.substr(begin, end - begin);
 }
 
-std::string Join(const std::vector<std::string>& parts,
-                 const std::string& sep) {
-  std::string out;
-  for (size_t i = 0; i < parts.size(); ++i) {
-    if (i > 0) out += sep;
-    out += parts[i];
-  }
-  return out;
-}
-
 std::string FormatDouble(double value, int digits) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*f", digits, value);

@@ -12,9 +12,6 @@ std::vector<std::string> Split(const std::string& text, char sep);
 /// Removes leading and trailing ASCII whitespace.
 std::string StripWhitespace(const std::string& text);
 
-/// Joins `parts` with `sep` between consecutive elements.
-std::string Join(const std::vector<std::string>& parts, const std::string& sep);
-
 /// Formats `value` with `digits` digits after the decimal point.
 std::string FormatDouble(double value, int digits);
 

@@ -29,16 +29,13 @@ Matrix IteOf(const InferenceNet& net, const Matrix& x, MatrixPool* pool) {
 
 }  // namespace
 
-/// Everything one shard contributes to the pass: counts, loss and
-/// outcome sums, and per-param gradient SUMS (d/dθ of the loss sum,
+/// Everything one shard contributes to the pass: its row count, loss
+/// sum and per-param gradient SUMS (d/dθ of the loss sum,
 /// so shards combine by plain addition and the mean-loss gradient is
 /// one 1/n scale at the root).
 struct ShardedTrainer::ShardStats {
   int64_t rows = 0;
   double loss_sum = 0.0;
-  int64_t treated = 0;
-  double y_treated_sum = 0.0;
-  double y_control_sum = 0.0;
   std::vector<Matrix> grads;
 };
 
@@ -76,14 +73,6 @@ ShardedTrainer::ShardStats ShardedTrainer::ComputeShard(
   ShardStats stats;
   stats.rows = block.n();
   stats.loss_sum = loss_sum.value().scalar();
-  for (int64_t i = 0; i < block.n(); ++i) {
-    if (block.t[static_cast<size_t>(i)] == 1) {
-      ++stats.treated;
-      stats.y_treated_sum += block.y(i, 0);
-    } else {
-      stats.y_control_sum += block.y(i, 0);
-    }
-  }
   std::vector<std::pair<Param*, Matrix>> leaf_grads;
   binder.CollectLeafGrads(&leaf_grads);
   stats.grads.resize(params_.size());
@@ -131,9 +120,6 @@ Status ShardedTrainer::Train(DatasetBlockReader& reader,
   const auto combine = [](ShardStats a, ShardStats b) {
     a.rows += b.rows;
     a.loss_sum += b.loss_sum;
-    a.treated += b.treated;
-    a.y_treated_sum += b.y_treated_sum;
-    a.y_control_sum += b.y_control_sum;
     SBRL_CHECK_EQ(a.grads.size(), b.grads.size());
     for (size_t i = 0; i < a.grads.size(); ++i) a.grads[i] += b.grads[i];
     return a;
@@ -161,16 +147,6 @@ Status ShardedTrainer::Train(DatasetBlockReader& reader,
     diag->train_loss.push_back(total.loss_sum * inv_n);
     diag->rows = rows;
     diag->shards = shards;
-    diag->treated_rows = total.treated;
-    diag->control_rows = rows - total.treated;
-    diag->treated_outcome_mean =
-        total.treated > 0
-            ? total.y_treated_sum / static_cast<double>(total.treated)
-            : 0.0;
-    diag->control_outcome_mean =
-        diag->control_rows > 0
-            ? total.y_control_sum / static_cast<double>(diag->control_rows)
-            : 0.0;
   }
   diag->train_seconds = timer.ElapsedSeconds();
   diag->rows_per_second =

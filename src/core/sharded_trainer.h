@@ -38,8 +38,7 @@ struct ShardedTrainerConfig {
   ShardedOptions sharding;
 };
 
-/// Per-fit observability of the sharded trainer, including the
-/// tree-reduced outcome-head statistics of the stream.
+/// Per-fit observability of the sharded trainer.
 struct ShardedTrainDiagnostics {
   /// Mean factual loss per pass (loss sums reduced shard-wise, scaled
   /// by 1/n once at the root).
@@ -52,14 +51,6 @@ struct ShardedTrainDiagnostics {
   int64_t shard_rows = 0;
   /// Resolved worker-lane count of the fit.
   int64_t workers = 0;
-  /// Treated / control row counts (accumulated per shard).
-  int64_t treated_rows = 0;
-  /// See treated_rows.
-  int64_t control_rows = 0;
-  /// Factual outcome means per arm, from tree-reduced per-shard sums.
-  double treated_outcome_mean = 0.0;
-  /// See treated_outcome_mean.
-  double control_outcome_mean = 0.0;
   /// Wall-clock seconds of Train().
   double train_seconds = 0.0;
   /// Rows processed per second across all passes.

@@ -1,40 +1,11 @@
 #include "stats/correlation.h"
 
-#include <cmath>
 #include <vector>
 
-#include "stats/hsic.h"
 #include "stats/rff.h"
 #include "stats/weighted.h"
-#include "tensor/linalg.h"
 
 namespace sbrl {
-
-Matrix PearsonCorrelationMatrix(const Matrix& x) {
-  const int64_t n = x.rows(), d = x.cols();
-  SBRL_CHECK_GT(n, 1);
-  Matrix means = ColMean(x);
-  Matrix centered(n, d);
-  for (int64_t r = 0; r < n; ++r) {
-    for (int64_t c = 0; c < d; ++c) centered(r, c) = x(r, c) - means(0, c);
-  }
-  Matrix cov = MatmulTransA(centered, centered);
-  cov *= 1.0 / static_cast<double>(n);
-  Matrix corr(d, d);
-  for (int64_t i = 0; i < d; ++i) {
-    for (int64_t j = 0; j < d; ++j) {
-      const double denom = std::sqrt(cov(i, i) * cov(j, j));
-      if (i == j) {
-        corr(i, j) = 1.0;
-      } else if (denom < 1e-12) {
-        corr(i, j) = 0.0;
-      } else {
-        corr(i, j) = cov(i, j) / denom;
-      }
-    }
-  }
-  return corr;
-}
 
 Matrix PairwiseHsicRffMatrix(const Matrix& x, const Matrix& w, Rng& rng,
                              int64_t max_dims) {

@@ -8,16 +8,12 @@
 
 namespace sbrl {
 
-/// Pearson correlation matrix among the columns of x (n x d) -> (d x d).
-/// Zero-variance columns correlate 0 with everything (1 on diagonal).
-Matrix PearsonCorrelationMatrix(const Matrix& x);
-
 /// Symmetric matrix of weighted HSIC-RFF statistics between all column
 /// pairs of x (diagonal = 0). This regenerates the paper's Fig. 5
 /// nonlinear-correlation heat map; `max_dims > 0` restricts to a random
 /// subset of columns (the paper samples 25 representation dimensions).
 /// Each pair draws two fresh kRffFeatures-feature projections from
-/// `rng` (stats/hsic.h), one per column, and its entry is the squared
+/// `rng` (stats/rff.h), one per column, and its entry is the squared
 /// Frobenius norm of the weighted cross-covariance of their features
 /// (paper Eqs. 7 and 9). The cosine features evaluate through the shared
 /// sweep, so the statistic and the stacked loss path use the same

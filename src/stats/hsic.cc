@@ -1,13 +1,10 @@
 #include "stats/hsic.h"
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
 #include <vector>
 
 #include "common/thread_pool.h"
-#include "stats/feature_pairs.h"
-#include "stats/weighted.h"
 #include "tensor/kernels.h"
 #include "tensor/linalg.h"
 
@@ -159,27 +156,6 @@ void HsicRffTierBackward(const HsicRffTier& tier, double g, Matrix* dwn) {
   }
   ParallelFor(0, n, std::max<int64_t>(1, SerialCutoff() / flops_per_row),
               run_rows);
-}
-
-double PairwiseWeightedHsicRff(const Matrix& x, const Matrix& w, Rng& rng,
-                               int64_t max_pairs) {
-  const int64_t d = x.cols();
-  const int64_t k = kRffFeatures;
-  SBRL_CHECK_GT(d, 1);
-  SBRL_CHECK_EQ(x.rows(), w.rows());
-  FeaturePairSelection sel = SelectFeaturePairs(d, max_pairs, rng);
-  CompactPairBlocks blocks = CompactUsedColumns(d, sel.pairs);
-  RffSlotDraws draws{rng.engine()(), {}};
-  const int64_t fcols = static_cast<int64_t>(blocks.used_cols.size()) * k;
-  HsicRffTier tier;
-  tier.pairs = std::move(blocks.block_pairs);
-  tier.features = Matrix(x.rows(), fcols);
-  tier.cross = Matrix(static_cast<int64_t>(tier.pairs.size()) * k, k);
-  tier.means = Matrix(1, fcols);
-  const double acc = HsicRffTierForward(x, blocks.used_cols,
-                                        NormalizeWeights(w), &draws, &tier);
-  // Rescale a sampled subset to estimate the full-pair sum.
-  return acc * sel.Rescale();
 }
 
 }  // namespace sbrl

@@ -7,12 +7,14 @@
 
 #include "stats/rff.h"
 #include "tensor/matrix.h"
-#include "tensor/random.h"
 
 namespace sbrl {
 
 /// One batched HSIC-RFF tier: the weighted HSIC-RFF statistic of
-/// every selected column pair of one layer, summed. Column block i of
+/// every selected column pair of one layer, summed. The paper's
+/// decorrelation loss L_D (Eq. 10) is these tiers on the tape, one node
+/// each, recorded by HsicRffDecorrelationLoss
+/// (core/independence_regularizer.h). Column block i of
 /// `features` F holds the k = kRffFeatures RFF features of the i-th
 /// used column, and pair p measures blocks pairs[p] = (a, b) through
 ///   || cross_p - means_a^T means_b ||_F^2,
@@ -55,20 +57,6 @@ double HsicRffTierForward(const Matrix& x, const std::vector<int64_t>& cols,
 /// the same order. Rows are independent, so the walk fans out over the
 /// pool with any chunking.
 void HsicRffTierBackward(const HsicRffTier& tier, double g, Matrix* dwn);
-
-/// Sum of the weighted HSIC-RFF statistic (paper Eqs. 7 and 9: the
-/// squared Frobenius norm of the weighted cross-covariance between the
-/// RFF features of two columns) over all unordered column pairs
-/// (a < b) of `x` (n x d) — the paper's decorrelation loss L_D
-/// (Eq. 10) as a diagnostic statistic. If `max_pairs > 0`, a uniformly
-/// random subset of that many pairs is measured and the sum is
-/// rescaled to the full pair count. Evaluated as one HsicRffTierForward — the
-/// non-differentiable mirror of HsicRffDecorrelationLoss, with the same
-/// rng discipline: the pair subset comes out of `rng`, then one epoch
-/// seed, and per-column projections are slot draws keyed by (epoch,
-/// kRffFeatures, column index).
-double PairwiseWeightedHsicRff(const Matrix& x, const Matrix& w, Rng& rng,
-                               int64_t max_pairs = 0);
 
 }  // namespace sbrl
 

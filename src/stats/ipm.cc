@@ -4,29 +4,9 @@
 #include <cmath>
 #include <vector>
 
-#include "stats/weighted.h"
 #include "tensor/linalg.h"
 
 namespace sbrl {
-
-double LinearMmd2(const Matrix& a, const Matrix& b) {
-  Matrix wa = Matrix::Ones(a.rows(), 1);
-  Matrix wb = Matrix::Ones(b.rows(), 1);
-  return WeightedLinearMmd2(a, wa, b, wb);
-}
-
-double WeightedLinearMmd2(const Matrix& a, const Matrix& wa, const Matrix& b,
-                          const Matrix& wb) {
-  SBRL_CHECK_EQ(a.cols(), b.cols());
-  Matrix mean_a = WeightedColMeans(a, wa);
-  Matrix mean_b = WeightedColMeans(b, wb);
-  double acc = 0.0;
-  for (int64_t c = 0; c < a.cols(); ++c) {
-    const double d = mean_a(0, c) - mean_b(0, c);
-    acc += d * d;
-  }
-  return acc;
-}
 
 namespace {
 

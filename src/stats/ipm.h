@@ -8,18 +8,11 @@
 
 namespace sbrl {
 
-/// Integral Probability Metric family used by the Balancing Regularizer
-/// (paper Eq. 3-4). All functions measure the distance between the row
-/// distributions of `a` (n x d) and `b` (m x d).
-
-/// Squared linear MMD: ||mean(a) - mean(b)||^2 (the "mmd2_lin" of the
-/// CFR reference implementation).
-double LinearMmd2(const Matrix& a, const Matrix& b);
-
-/// Weighted squared linear MMD under per-group sample weights
-/// (normalized internally).
-double WeightedLinearMmd2(const Matrix& a, const Matrix& wa, const Matrix& b,
-                          const Matrix& wb);
+/// Evaluation-side Integral Probability Metrics between the row
+/// distributions of `a` (n x d) and `b` (m x d). The Balancing
+/// Regularizer's training IPM (paper Eqs. 3-4, the weighted linear MMD)
+/// is computed on the tape by WeightedIpmLoss
+/// (core/balancing_regularizer.h).
 
 /// Sliced 1-Wasserstein distance: expectation over `num_projections`
 /// random directions of the 1-D W1 distance between projected samples.

@@ -55,14 +55,6 @@ double F1Score(const std::vector<double>& probs,
   return 2.0 * static_cast<double>(c.tp) / denom;
 }
 
-double Accuracy(const std::vector<double>& probs,
-                const std::vector<double>& labels, double threshold) {
-  const ConfusionCounts c = Confusion(probs, labels, threshold);
-  const double total = static_cast<double>(c.tp + c.fp + c.tn + c.fn);
-  SBRL_CHECK_GT(total, 0.0);
-  return static_cast<double>(c.tp + c.tn) / total;
-}
-
 EnvAggregate AggregateOverEnvironments(const std::vector<double>& values) {
   SBRL_CHECK(!values.empty());
   EnvAggregate agg;

@@ -37,10 +37,6 @@ ConfusionCounts Confusion(const std::vector<double>& probs,
 double F1Score(const std::vector<double>& probs,
                const std::vector<double>& labels, double threshold = 0.5);
 
-/// Fraction of thresholded predictions matching the labels.
-double Accuracy(const std::vector<double>& probs,
-                const std::vector<double>& labels, double threshold = 0.5);
-
 /// Mean and stability statistic over per-environment values. The paper
 /// defines stability as the *variance* around the mean
 /// (F_std = 1/|E| sum (F_e - mean)^2); `std_dev` reports its square

@@ -95,9 +95,6 @@ class FixedOrderTreeReducer {
     return std::move(*acc);
   }
 
-  /// Values pushed since construction / the last Finish().
-  int64_t count() const { return count_; }
-
  private:
   Combine combine_;
   std::vector<std::optional<T>> slots_;

@@ -16,34 +16,6 @@ Matrix NormalizeWeights(const Matrix& w) {
   return w * (1.0 / total);
 }
 
-double WeightedMean(const Matrix& col, const Matrix& w) {
-  SBRL_CHECK_EQ(col.cols(), 1);
-  SBRL_CHECK_EQ(col.rows(), w.rows());
-  Matrix wn = NormalizeWeights(w);
-  return Dot(col, wn);
-}
-
-Matrix WeightedColMeans(const Matrix& x, const Matrix& w) {
-  SBRL_CHECK_EQ(x.rows(), w.rows());
-  Matrix wn = NormalizeWeights(w);
-  // (1 x n) * (n x d) = (1 x d)
-  return MatmulTransA(wn, x);
-}
-
-double WeightedCovariance(const Matrix& a, const Matrix& b, const Matrix& w) {
-  SBRL_CHECK_EQ(a.cols(), 1);
-  SBRL_CHECK_EQ(b.cols(), 1);
-  SBRL_CHECK_EQ(a.rows(), b.rows());
-  Matrix wn = NormalizeWeights(w);
-  double e_ab = 0.0, e_a = 0.0, e_b = 0.0;
-  for (int64_t i = 0; i < a.rows(); ++i) {
-    e_ab += wn(i, 0) * a(i, 0) * b(i, 0);
-    e_a += wn(i, 0) * a(i, 0);
-    e_b += wn(i, 0) * b(i, 0);
-  }
-  return e_ab - e_a * e_b;
-}
-
 Matrix WeightedCrossCovariance(const Matrix& u, const Matrix& v,
                                const Matrix& w) {
   SBRL_CHECK_EQ(u.rows(), v.rows());

@@ -113,12 +113,6 @@ TEST(StringUtilTest, StripWhitespace) {
   EXPECT_EQ(StripWhitespace("   "), "");
 }
 
-TEST(StringUtilTest, Join) {
-  EXPECT_EQ(Join({"a", "b", "c"}, ", "), "a, b, c");
-  EXPECT_EQ(Join({}, ","), "");
-  EXPECT_EQ(Join({"solo"}, ","), "solo");
-}
-
 TEST(StringUtilTest, FormatDoubleAndMeanStd) {
   EXPECT_EQ(FormatDouble(3.14159, 2), "3.14");
   EXPECT_EQ(FormatDouble(-0.5, 3), "-0.500");

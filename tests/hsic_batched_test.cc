@@ -16,10 +16,12 @@
 #include <utility>
 #include <vector>
 
-#include "autodiff/grad_check.h"
 #include "common/cpu.h"
 #include "common/thread_pool.h"
 #include "core/independence_regularizer.h"
+#include "grad_check.h"
+#include "reference_hsic.h"
+#include "reference_ops.h"
 #include "stats/hsic.h"
 #include "stats/feature_pairs.h"
 #include "stats/rff.h"
@@ -322,10 +324,10 @@ Var PerPairReferenceLoss(const Matrix& z, Var w, int64_t budget, Rng& rng) {
   Var fw = ops::MulCol(f, w_norm);
   Var loss = tape->Constant(Matrix::Zeros(1, 1));
   for (const auto& [a, b] : blocks.block_pairs) {
-    Var e_uv = ops::MatmulTransA(ops::SliceCols(fw, a * k, k),
-                                 ops::SliceCols(f, b * k, k));
-    Var e_u = ops::MatmulTransA(w_norm, ops::SliceCols(f, a * k, k));
-    Var e_v = ops::MatmulTransA(w_norm, ops::SliceCols(f, b * k, k));
+    Var e_uv = ops::MatmulTransA(reference::SliceCols(fw, a * k, k),
+                                 reference::SliceCols(f, b * k, k));
+    Var e_u = ops::MatmulTransA(w_norm, reference::SliceCols(f, a * k, k));
+    Var e_v = ops::MatmulTransA(w_norm, reference::SliceCols(f, b * k, k));
     Var outer = ops::MatmulTransA(e_u, e_v);
     loss = ops::Add(loss, ops::SumAll(ops::Square(ops::Sub(e_uv, outer))));
   }
@@ -415,8 +417,8 @@ TEST(BlockOpsGradTest, BlockWeightedCrossCovGradChecksAndMatchesUnfused) {
         BlockWeightedCrossCov(t3.Leaf(f0), t3.Leaf(w0), pairs).value();
     for (size_t p = 0; p < pairs.size(); ++p) {
       const Matrix want =
-          ops::MatmulTransA(ops::SliceCols(fw, pairs[p].first * k, k),
-                            ops::SliceCols(f2, pairs[p].second * k, k))
+          ops::MatmulTransA(reference::SliceCols(fw, pairs[p].first * k, k),
+                            reference::SliceCols(f2, pairs[p].second * k, k))
               .value();
       for (int64_t r = 0; r < k; ++r) {
         for (int64_t c = 0; c < k; ++c) {
@@ -434,8 +436,8 @@ TEST(BlockOpsGradTest, BlockWeightedCrossCovGradChecksAndMatchesUnfused) {
     Tape t;
     return loss_of(f0, wv, &t, nullptr, nullptr).value().scalar();
   };
-  EXPECT_LT(MaxGradientError(f_f, f0, f.grad()), 1e-5);
-  EXPECT_LT(MaxGradientError(f_w, w0, w.grad()), 1e-5);
+  EXPECT_LT(reference::MaxGradientError(f_f, f0, f.grad()), 1e-5);
+  EXPECT_LT(reference::MaxGradientError(f_w, w0, w.grad()), 1e-5);
 }
 
 TEST(BlockOpsGradTest, PairHsicFrobeniusGradChecks) {
@@ -464,8 +466,8 @@ TEST(BlockOpsGradTest, PairHsicFrobeniusGradChecks) {
     Tape t;
     return loss_of(cross0, mv, &t, nullptr, nullptr).value().scalar();
   };
-  EXPECT_LT(MaxGradientError(f_c, cross0, c.grad()), 1e-5);
-  EXPECT_LT(MaxGradientError(f_m, means0, m.grad()), 1e-5);
+  EXPECT_LT(reference::MaxGradientError(f_c, cross0, c.grad()), 1e-5);
+  EXPECT_LT(reference::MaxGradientError(f_m, means0, m.grad()), 1e-5);
 }
 
 TEST(BlockOpsGradTest, BatchedDecorrelationLossGradChecksEndToEnd) {
@@ -484,7 +486,7 @@ TEST(BlockOpsGradTest, BatchedDecorrelationLossGradChecksEndToEnd) {
     Rng r(11);  // same RFF draws on every evaluation
     return HsicRffDecorrelationLoss(z, wv, 0, r).value().scalar();
   };
-  EXPECT_LT(MaxGradientError(f, w0, w.grad()), 1e-5);
+  EXPECT_LT(reference::MaxGradientError(f, w0, w.grad()), 1e-5);
 }
 
 // ---------------------------------------------------------------------------
@@ -543,13 +545,14 @@ TEST(FusedTierTest, LossAndGradBitwiseEqualUnfusedChain) {
 }
 
 TEST(FusedTierTest, PairwiseStatisticIsTheFusedForward) {
-  // PairwiseWeightedHsicRff runs the same forward in the same rng order
-  // as the standalone tier, so both read the same number.
+  // reference::PairwiseWeightedHsicRff runs the same forward in the
+  // same rng order as the standalone tier, so both read the same number.
   Rng data_rng(31);
   const Matrix z = data_rng.Randn(300, 9);
   const Matrix w_val = data_rng.Rand(300, 1, 0.5, 2.0);
   Rng stat_rng(8);
-  const double stat = PairwiseWeightedHsicRff(z, w_val, stat_rng, 10);
+  const double stat =
+      reference::PairwiseWeightedHsicRff(z, w_val, stat_rng, 10);
   Matrix grad;
   const double loss = TierLossAndGrad(z, w_val, 10, 8, /*unfused=*/true,
                                       &grad);

@@ -11,8 +11,8 @@
 #include "data/split.h"
 #include "data/synthetic.h"
 #include "eval/experiment.h"
+#include "reference_hsic.h"
 #include "stats/correlation.h"
-#include "stats/hsic.h"
 #include "stats/metrics.h"
 #include "tensor/linalg.h"
 
@@ -55,8 +55,8 @@ TEST(IntegrationTest, SbrlWeightsReduceRepresentationDependence) {
   Matrix uniform = Matrix::Ones(train.n(), 1);
   Rng stat_a(203), stat_b(203);  // identical feature draws
   const double h_uniform =
-      PairwiseWeightedHsicRff(rep, uniform, stat_a, 32);
-  const double h_learned = PairwiseWeightedHsicRff(
+      reference::PairwiseWeightedHsicRff(rep, uniform, stat_a, 32);
+  const double h_learned = reference::PairwiseWeightedHsicRff(
       rep, estimator->sample_weights(), stat_b, 32);
   EXPECT_LT(h_learned, h_uniform);
 }

@@ -9,9 +9,10 @@
 #include <cmath>
 #include <vector>
 
-#include "autodiff/grad_check.h"
 #include "autodiff/ops.h"
 #include "autodiff/tape.h"
+#include "grad_check.h"
+#include "reference_ops.h"
 #include "tensor/linalg.h"
 #include "tensor/pool.h"
 #include "tensor/random.h"
@@ -254,8 +255,8 @@ TEST(PooledOpsTest, AffineMatchesMatmulAddRow) {
   Tape t1;
   Var y1 = ops::Affine(t1.Constant(xm), t1.Leaf(wm), t1.Leaf(bm));
   Tape t2;
-  Var y2 = ops::AddRow(ops::Matmul(t2.Constant(xm), t2.Leaf(wm)),
-                       t2.Leaf(bm));
+  Var y2 = reference::AddRow(
+      reference::Matmul(t2.Constant(xm), t2.Leaf(wm)), t2.Leaf(bm));
   EXPECT_TRUE(AllClose(y1.value(), y2.value(), 0.0));
 
   t1.Backward(ops::SumAll(ops::Square(y1)));
@@ -274,7 +275,7 @@ TEST(PooledOpsTest, MatmulTransAMatchesTransposeMatmul) {
   Var out1 = ops::MatmulTransA(a1, t1.Constant(bm));
   Tape t2;
   Var a2 = t2.Leaf(am);
-  Var out2 = ops::Matmul(ops::Transpose(a2), t2.Constant(bm));
+  Var out2 = reference::Matmul(reference::Transpose(a2), t2.Constant(bm));
   EXPECT_TRUE(AllClose(out1.value(), out2.value(), 0.0));
 
   t1.Backward(ops::SumAll(ops::Square(out1)));
@@ -296,14 +297,14 @@ TEST(PooledOpsTest, MatmulTransAGradCheck) {
   Var a = tape.Leaf(am);
   Var b = tape.Leaf(bm);
   tape.Backward(ops::SumAll(ops::Square(ops::MatmulTransA(a, b))));
-  EXPECT_LT(MaxGradientError(loss_at, am, a.grad()), 1e-6);
+  EXPECT_LT(reference::MaxGradientError(loss_at, am, a.grad()), 1e-6);
 
   const auto loss_at_b = [&](const Matrix& bx) {
     Tape t;
     Var out = ops::MatmulTransA(t.Constant(am), t.Constant(bx));
     return ops::SumAll(ops::Square(out)).value().scalar();
   };
-  EXPECT_LT(MaxGradientError(loss_at_b, bm, b.grad()), 1e-6);
+  EXPECT_LT(reference::MaxGradientError(loss_at_b, bm, b.grad()), 1e-6);
 }
 
 }  // namespace

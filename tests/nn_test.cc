@@ -2,8 +2,8 @@
 
 #include <cmath>
 
-#include "autodiff/grad_check.h"
 #include "autodiff/ops.h"
+#include "grad_check.h"
 #include "nn/dense.h"
 #include "nn/initializer.h"
 #include "nn/lr_schedule.h"
@@ -147,7 +147,7 @@ TEST(MlpTest, EndToEndGradCheckThroughTwoLayers) {
   tape.Backward(ops::SumAll(ops::Square(out)));
   binder.FlushGrads();
   const Matrix analytic = w0->grad;
-  EXPECT_LT(MaxGradientError(f, at, analytic), 1e-5);
+  EXPECT_LT(reference::MaxGradientError(f, at, analytic), 1e-5);
   w0->value = at;
 }
 

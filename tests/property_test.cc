@@ -181,5 +181,22 @@ TEST(MetricInvarianceTest, MaxSlicedDominatesMeanSliced) {
   EXPECT_GE(max_sliced, mean_sliced - 1e-9);
 }
 
+TEST(MetricInvarianceTest, MaxSlicedW1ZeroOnSelfAndSymmetric) {
+  // The OOD detector's distance: a sample is at distance 0 from itself,
+  // and with the same projections (equal seeds) d(a, b) = d(b, a), also
+  // for unequal sample sizes and a shift in one coordinate only.
+  Rng rng(65);
+  Matrix a = rng.Randn(120, 4);
+  Matrix b = rng.Randn(90, 4);
+  for (int64_t i = 0; i < b.rows(); ++i) b(i, 2) += 1.5;
+  Rng r0(66);
+  EXPECT_EQ(MaxSlicedWasserstein1(a, a, 24, r0), 0.0);
+  Rng r1(67), r2(67);
+  const double ab = MaxSlicedWasserstein1(a, b, 24, r1);
+  const double ba = MaxSlicedWasserstein1(b, a, 24, r2);
+  EXPECT_GT(ab, 0.0);
+  EXPECT_EQ(ab, ba);
+}
+
 }  // namespace
 }  // namespace sbrl

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <set>
 #include <stdexcept>
 #include <thread>
@@ -96,15 +97,36 @@ TEST(ThreadPoolTest, PropagatesFirstExceptionWhileAnotherLoopIsInFlight) {
   // its chunks alone on that thread. A throwing first chunk must not
   // skip the others there either.
   ThreadPool pool(2);
-  std::atomic<bool> first_loop_running{false};
+  // The first loop reaches the pool only when its try_to_lock on the
+  // pool mutex succeeds; otherwise it runs alone on its own thread and
+  // leaves the pool free for the second loop. Each of its chunks holds
+  // its lane, so all three chunks entered means the first thread and
+  // both workers are inside it: it was published. Until then, release
+  // it and set up again.
+  constexpr int64_t kFirstChunks = 3;
+  std::atomic<int64_t> entered{0};
   std::atomic<bool> release{false};
-  std::thread first([&] {
-    pool.ParallelFor(0, 3, 1, [&](int64_t, int64_t) {
-      first_loop_running.store(true);
-      while (!release.load()) std::this_thread::yield();
+  std::thread first;
+  for (int attempt = 0;; ++attempt) {
+    ASSERT_LT(attempt, 20) << "the first loop never reached the pool";
+    entered.store(0);
+    release.store(false);
+    first = std::thread([&] {
+      pool.ParallelFor(0, kFirstChunks, 1, [&](int64_t, int64_t) {
+        entered.fetch_add(1);
+        while (!release.load()) std::this_thread::yield();
+      });
     });
-  });
-  while (!first_loop_running.load()) std::this_thread::yield();
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::milliseconds(500);
+    while (entered.load() < kFirstChunks &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    if (entered.load() == kFirstChunks) break;
+    release.store(true);
+    first.join();
+  }
 
   const std::thread::id caller = std::this_thread::get_id();
   std::atomic<int64_t> completed{0};
